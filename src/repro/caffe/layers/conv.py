@@ -146,6 +146,9 @@ class InnerProduct(Layer):
                 lr_mult=2.0,
                 decay_mult=0.0,
             )
+        # dW lands here before it is accumulated into the weight diff, so
+        # backward allocates nothing weight-sized.
+        self._grad_scratch = np.empty(weight_shape, dtype=np.float32)
         return [(n, self.num_output)]
 
     def forward(
@@ -167,8 +170,9 @@ class InnerProduct(Layer):
         (top_diff,) = top_diffs
         (bottom,) = bottoms
         flat = bottom.reshape(bottom.shape[0], -1)
-        self.params[0].diff += top_diff.T @ flat
+        weight = self.params[0]
+        weight.diff += np.matmul(top_diff.T, flat, out=self._grad_scratch)
         if self.bias:
             self.params[1].diff += top_diff.sum(axis=0)
-        bottom_diff = top_diff @ self.params[0].data
+        bottom_diff = top_diff @ weight.data
         return [bottom_diff.reshape(bottom.shape)]

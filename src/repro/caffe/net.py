@@ -36,6 +36,7 @@ class Net:
         self.loss_names: List[str] = []
         self.metric_names: List[str] = []
         self._build()
+        self._home_params()
         self._activations: Dict[str, np.ndarray] = {}
 
     def _build(self) -> None:
@@ -71,30 +72,52 @@ class Net:
 
     # -- parameters --------------------------------------------------------
 
+    def _home_params(self) -> None:
+        """Home every learnable blob in two flat float32 arenas.
+
+        ``param_data`` / ``param_diff`` *are* the flat vectors the
+        distributed code exchanges (:class:`~repro.caffe.params.FlatParams`
+        hands them out as live views); each blob keeps a reshaped window
+        at ``param_slices[i]``, so the solver, the layers and the exchange
+        all work on one copy of the model with no gather/scatter between
+        representations.
+        """
+        self._param_entries = [
+            entry
+            for layer in self.layers
+            for entry in zip(layer.params, layer.lr_mults, layer.decay_mults)
+        ]
+        self._params = [blob for blob, _, _ in self._param_entries]
+        total = sum(blob.count for blob in self._params)
+        #: All learnable values / gradients, in layer order.
+        self.param_data = np.empty(total, dtype=np.float32)
+        self.param_diff = np.empty(total, dtype=np.float32)
+        #: Where blob ``i`` of :attr:`params` lives in the arenas.
+        self.param_slices: List[slice] = []
+        offset = 0
+        for blob in self._params:
+            window = slice(offset, offset + blob.count)
+            blob.home(self.param_data[window], self.param_diff[window])
+            self.param_slices.append(window)
+            offset += blob.count
+
     @property
     def params(self) -> List[Blob]:
         """All learnable blobs in layer order."""
-        return [p for layer in self.layers for p in layer.params]
+        return self._params
 
     @property
     def param_entries(self) -> List[tuple]:
         """(blob, lr_mult, decay_mult) triples for the solver."""
-        entries = []
-        for layer in self.layers:
-            for blob, lr, decay in zip(
-                layer.params, layer.lr_mults, layer.decay_mults
-            ):
-                entries.append((blob, lr, decay))
-        return entries
+        return self._param_entries
 
     def param_count(self) -> int:
         """Total learnable scalars."""
-        return sum(p.count for p in self.params)
+        return self.param_data.size
 
     def zero_param_diffs(self) -> None:
         """Clear accumulated gradients before a new solver step."""
-        for param in self.params:
-            param.zero_diff()
+        self.param_diff.fill(0.0)
 
     def copy_params_from(self, other: "Net") -> None:
         """Clone another replica's weights (same spec required)."""

@@ -1,14 +1,15 @@
 """Flat parameter views: the vectors SEASGD and the baselines exchange.
 
 Distributed parameter sharing operates on one contiguous float32 vector per
-replica (that is what lands in the SMB segments and MPI messages).
-:class:`FlatParams` maintains the mapping between a net's parameter blobs
-and that vector, in both directions, for data and gradients.
+replica (that is what lands in the SMB segments and MPI messages).  The
+:class:`~repro.caffe.net.Net` already stores its learnable blobs in exactly
+that layout — two flat arenas, one for data and one for gradients — so
+:class:`FlatParams` is a thin accessor over them: :attr:`vector` and
+:attr:`grad_vector` are *live views* (writes land in the blobs, nothing is
+copied), :meth:`get_vector` / :meth:`get_grad_vector` are *snapshots*.
 """
 
 from __future__ import annotations
-
-from typing import List, Tuple
 
 import numpy as np
 
@@ -16,63 +17,56 @@ from .net import Net
 
 
 class FlatParams:
-    """Flattened view over a net's learnable parameters."""
+    """Flat accessor over a net's learnable parameters."""
 
     def __init__(self, net: Net) -> None:
         self._net = net
-        self._blobs = net.params
-        self._slices: List[Tuple[int, int]] = []
-        offset = 0
-        for blob in self._blobs:
-            self._slices.append((offset, offset + blob.count))
-            offset += blob.count
-        self.count = offset
+        self.count = net.param_count()
 
     @property
     def nbytes(self) -> int:
         """Vector size in bytes (float32)."""
         return self.count * 4
 
+    @property
+    def vector(self) -> np.ndarray:
+        """All parameter data as one float32 vector — the live arena."""
+        return self._net.param_data
+
+    @property
+    def grad_vector(self) -> np.ndarray:
+        """All parameter diffs as one float32 vector — the live arena."""
+        return self._net.param_diff
+
+    def _checked(self, vector: np.ndarray) -> np.ndarray:
+        """``vector`` as an array, refused unless 1-D of :attr:`count`."""
+        vector = np.asarray(vector)
+        if vector.ndim != 1 or vector.size != self.count:
+            raise ValueError(
+                f"expected a 1-D vector of {self.count} elements, "
+                f"got shape {vector.shape}"
+            )
+        return vector
+
     def get_vector(self) -> np.ndarray:
-        """Concatenate all parameter data into one float32 vector."""
-        out = np.empty(self.count, dtype=np.float32)
-        for blob, (lo, hi) in zip(self._blobs, self._slices):
-            out[lo:hi] = blob.data.ravel()
-        return out
+        """A snapshot copy of all parameter data."""
+        return self.vector.copy()
 
     def set_vector(self, vector: np.ndarray) -> None:
-        """Scatter a flat vector back into the parameter blobs."""
-        vector = np.asarray(vector, dtype=np.float32)
-        if vector.size != self.count:
-            raise ValueError(
-                f"expected {self.count} elements, got {vector.size}"
-            )
-        for blob, (lo, hi) in zip(self._blobs, self._slices):
-            blob.data[...] = vector[lo:hi].reshape(blob.shape)
+        """Overwrite all parameter data from a flat vector (one copy)."""
+        np.copyto(self.vector, self._checked(vector), casting="same_kind")
 
     def get_grad_vector(self) -> np.ndarray:
-        """Concatenate all parameter diffs into one float32 vector."""
-        out = np.empty(self.count, dtype=np.float32)
-        for blob, (lo, hi) in zip(self._blobs, self._slices):
-            out[lo:hi] = blob.diff.ravel()
-        return out
+        """A snapshot copy of all parameter diffs."""
+        return self.grad_vector.copy()
 
     def set_grad_vector(self, vector: np.ndarray) -> None:
-        """Scatter a flat gradient vector back into the parameter diffs."""
-        vector = np.asarray(vector, dtype=np.float32)
-        if vector.size != self.count:
-            raise ValueError(
-                f"expected {self.count} elements, got {vector.size}"
-            )
-        for blob, (lo, hi) in zip(self._blobs, self._slices):
-            blob.diff[...] = vector[lo:hi].reshape(blob.shape)
+        """Overwrite all parameter diffs from a flat vector (one copy)."""
+        np.copyto(
+            self.grad_vector, self._checked(vector), casting="same_kind"
+        )
 
     def add_to_params(self, delta: np.ndarray, scale: float = 1.0) -> None:
         """In-place ``W += scale * delta`` across all blobs."""
-        delta = np.asarray(delta, dtype=np.float32)
-        if delta.size != self.count:
-            raise ValueError(
-                f"expected {self.count} elements, got {delta.size}"
-            )
-        for blob, (lo, hi) in zip(self._blobs, self._slices):
-            blob.data += scale * delta[lo:hi].reshape(blob.shape)
+        vector = self.vector
+        np.add(vector, scale * self._checked(delta), out=vector)

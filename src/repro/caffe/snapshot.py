@@ -101,7 +101,7 @@ def save_solver_state(
     """
     payload = _param_items(solver.net)
     payload["__iteration__"] = np.asarray([solver.iteration], dtype=np.int64)
-    for index, history in enumerate(solver._history):
+    for index, history in enumerate(solver.history):
         payload[f"__history__{index}"] = history
     rng = getattr(solver.net, "_rng", None)
     if rng is not None:
@@ -141,7 +141,7 @@ def load_solver_state(solver: SGDSolver, path: FileOrPath) -> Optional[int]:
             _check_dtype(blob.name, stored.dtype, blob.data.dtype)
             blob.data[...] = stored
         solver.iteration = int(archive["__iteration__"][0])
-        for index, history in enumerate(solver._history):
+        for index, history in enumerate(solver.history):
             key = f"__history__{index}"
             if key not in archive.files:
                 raise SnapshotError(f"snapshot lacks momentum slot {index}")

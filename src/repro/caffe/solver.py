@@ -86,9 +86,11 @@ class SGDSolver:
         self.net = net
         self.config = config if config is not None else SolverConfig()
         self.iteration = 0
-        self._history: List[np.ndarray] = [
-            np.zeros(blob.count, dtype=np.float32) for blob in net.params
-        ]
+        # One momentum arena laid out like the net's parameter arenas
+        # (blob ``i`` at ``net.param_slices[i]``), and one same-sized
+        # scratch every model-sized intermediate of an update goes through.
+        self._history = np.zeros_like(net.param_data)
+        self._scratch = np.empty_like(net.param_data)
 
     @property
     def learning_rate(self) -> float:
@@ -123,21 +125,36 @@ class SGDSolver:
             result[name] = float(outputs[name].ravel()[0])
         return result
 
+    @property
+    def history(self) -> List[np.ndarray]:
+        """Per-blob views of the momentum arena (the snapshot's slots)."""
+        return [self._history[window] for window in self.net.param_slices]
+
     def clip_stored_gradients(self) -> float:
         """Caffe's ClipGradients: rescale diffs to the configured L2 cap.
 
         Returns the pre-clip global gradient norm (for monitoring).
         """
         threshold = self.config.clip_gradients
-        total = 0.0
-        for blob in self.net.params:
-            total += float(np.dot(blob.diff.ravel(), blob.diff.ravel()))
-        norm = float(np.sqrt(total))
+        grad = self.net.param_diff
+        norm = float(np.sqrt(np.dot(grad, grad)))
         if threshold > 0.0 and norm > threshold:
-            scale = threshold / norm
-            for blob in self.net.params:
-                blob.diff *= scale
+            grad *= threshold / norm
         return norm
+
+    def _decayed_grad(self, window: slice, decay_mult: float) -> np.ndarray:
+        """One blob's gradient plus its L2 term ``wd * decay_mult * W``.
+
+        Returns the live gradient window when no decay applies, else that
+        blob's window of the scratch arena.
+        """
+        grad = self.net.param_diff[window]
+        wd = self.config.weight_decay
+        if wd == 0.0 or decay_mult == 0.0:
+            return grad
+        decayed = self._scratch[window]
+        np.multiply(wd * decay_mult, self.net.param_data[window], out=decayed)
+        return np.add(grad, decayed, out=decayed)
 
     def apply_update(self, lr: Optional[float] = None) -> None:
         """Apply the momentum update from the currently stored diffs."""
@@ -145,17 +162,20 @@ class SGDSolver:
             self.clip_stored_gradients()
         if lr is None:
             lr = self.learning_rate
-        wd = self.config.weight_decay
-        mu = self.config.momentum
-        for (blob, lr_mult, decay_mult), history in zip(
-            self.net.param_entries, self._history
+        # Per blob (the multipliers differ): scratch = lr * lr_mult * grad.
+        for (_, lr_mult, decay_mult), window in zip(
+            self.net.param_entries, self.net.param_slices
         ):
-            grad = blob.diff.ravel()
-            if wd != 0.0 and decay_mult != 0.0:
-                grad = grad + wd * decay_mult * blob.data.ravel()
-            history *= mu
-            history += lr * lr_mult * grad
-            blob.data -= history.reshape(blob.shape)
+            np.multiply(
+                lr * lr_mult,
+                self._decayed_grad(window, decay_mult),
+                out=self._scratch[window],
+            )
+        # Then three sweeps of the whole arena: V = mu V + scratch; W -= V.
+        history = self._history
+        history *= self.config.momentum
+        history += self._scratch
+        np.subtract(self.net.param_data, history, out=self.net.param_data)
 
     def advance_iteration(self) -> None:
         """Bump the LR clock without running a step (sync platforms)."""

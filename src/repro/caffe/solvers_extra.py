@@ -33,14 +33,12 @@ class NesterovSolver(SGDSolver):
     def apply_update(self, lr: Optional[float] = None) -> None:
         if lr is None:
             lr = self.learning_rate
-        wd = self.config.weight_decay
         mu = self.config.momentum
-        for (blob, lr_mult, decay_mult), history in zip(
-            self.net.param_entries, self._history
+        for (blob, lr_mult, decay_mult), window in zip(
+            self.net.param_entries, self.net.param_slices
         ):
-            grad = blob.diff.ravel()
-            if wd != 0.0 and decay_mult != 0.0:
-                grad = grad + wd * decay_mult * blob.data.ravel()
+            grad = self._decayed_grad(window, decay_mult)
+            history = self._history[window]
             previous = history.copy()
             history *= mu
             history += lr * lr_mult * grad
@@ -60,15 +58,13 @@ class AdaGradSolver(SGDSolver):
     def apply_update(self, lr: Optional[float] = None) -> None:
         if lr is None:
             lr = self.learning_rate
-        wd = self.config.weight_decay
-        for (blob, lr_mult, decay_mult), accum in zip(
-            self.net.param_entries, self._history
+        for (blob, lr_mult, decay_mult), window in zip(
+            self.net.param_entries, self.net.param_slices
         ):
             if lr_mult == 0.0:
                 continue
-            grad = blob.diff.ravel()
-            if wd != 0.0 and decay_mult != 0.0:
-                grad = grad + wd * decay_mult * blob.data.ravel()
+            grad = self._decayed_grad(window, decay_mult)
+            accum = self._history[window]
             accum += grad * grad
             step = lr * lr_mult * grad / (np.sqrt(accum) + ADAPTIVE_EPS)
             blob.data -= step.reshape(blob.shape)
@@ -91,28 +87,25 @@ class AdamSolver(SGDSolver):
         if not 0.0 <= beta2 < 1.0:
             raise ValueError(f"beta2 must be in [0,1), got {beta2}")
         self.beta2 = beta2
-        self._second_moment = [
-            np.zeros_like(history) for history in self._history
-        ]
+        self._second_moment = np.zeros_like(self._history)
 
     def apply_update(self, lr: Optional[float] = None) -> None:
         if lr is None:
             lr = self.learning_rate
-        wd = self.config.weight_decay
         beta1 = self.config.momentum
         step_number = self.iteration + 1
         correction = (
             np.sqrt(1.0 - self.beta2 ** step_number)
             / (1.0 - beta1 ** step_number)
         )
-        for (blob, lr_mult, decay_mult), first, second in zip(
-            self.net.param_entries, self._history, self._second_moment
+        for (blob, lr_mult, decay_mult), window in zip(
+            self.net.param_entries, self.net.param_slices
         ):
             if lr_mult == 0.0:
                 continue
-            grad = blob.diff.ravel()
-            if wd != 0.0 and decay_mult != 0.0:
-                grad = grad + wd * decay_mult * blob.data.ravel()
+            grad = self._decayed_grad(window, decay_mult)
+            first = self._history[window]
+            second = self._second_moment[window]
             first *= beta1
             first += (1.0 - beta1) * grad
             second *= self.beta2

@@ -44,7 +44,6 @@ from .exchange import (
     SEASGDExchange,
     SMBAsgdExchange,
     StaleReadExchange,
-    elastic_increment,
     make_exchange,
     register_exchange,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "apply_increment_local",
     "easgd_server_update",
     "easgd_worker_update",
-    "elastic_increment",
     "inspect_checkpoint",
     "latest_checkpoint",
     "make_exchange",

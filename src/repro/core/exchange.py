@@ -16,9 +16,13 @@ implementation driven by the shared
   rule ported onto the SMB accumulate primitive, proving the seam admits
   new update rules without a new worker class.
 
-:func:`elastic_increment` is the **only** training-stack call site of the
-eqs. (5)-(6) math; every strategy that exchanges elastically goes through
-it.  Strategies are typed against
+:func:`~repro.core.seasgd.elastic_pull_` is the **only** eqs. (5)-(6)
+kernel the training stack calls; every strategy that exchanges
+elastically runs it, in place, on the engine's live parameter vector
+(``engine.flat.vector`` — the net's own storage, see
+:mod:`repro.caffe.params`) and a buffer it allocated once in ``bind``.
+No strategy allocates anything model-sized per iteration.  Strategies
+are typed against
 :class:`~repro.smb.buffer.ParameterBuffer`, so they run unchanged on a
 single :class:`~repro.smb.client.RemoteArray` or a multi-server
 :class:`~repro.smb.sharding.ShardedArray`.
@@ -36,7 +40,6 @@ from typing import (
     Dict,
     Optional,
     Protocol,
-    Tuple,
     runtime_checkable,
 )
 
@@ -49,7 +52,7 @@ from ..telemetry.phases import NullPhaseTimer, PhaseTimer
 from .config import ShmCaffeConfig
 from .engine import WorkerError, smb_path_lost
 from .overlap import OverlapDriver
-from .seasgd import apply_increment_local, weight_increment
+from .seasgd import elastic_pull_
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .engine import TrainingEngine
@@ -57,21 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: Live-fleet size source for elastic runs, e.g.
 #: :meth:`~repro.smb.client.ControlBlock.live_count`.
 FleetSource = Callable[[], int]
-
-
-def elastic_increment(
-    local_now: np.ndarray, global_now: np.ndarray, moving_rate: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Eqs. (5)-(6): the increment and the elastically pulled replica.
-
-    This is the single place the training stack computes the SEASGD
-    exchange math; strategies differ only in *when* and *where* the
-    pieces are applied.  Returns ``(increment, updated_local)`` where
-    ``increment = alpha * (W'_x - W_g)`` and
-    ``updated_local = W'_x - increment``.
-    """
-    increment = weight_increment(local_now, global_now, moving_rate)
-    return increment, apply_increment_local(local_now, increment)
 
 
 @runtime_checkable
@@ -140,7 +128,8 @@ class SEASGDExchange(BaseExchange):
 
     Per exchange: wait for the previous flush (T.A5, the eq.-(8)
     ``block``), read ``W_g`` (T1, ``rgw``), compute the elastic increment
-    and pull the replica (T2, ``ulw``), then hand the write side — the
+    and pull the replica in place (T2, ``ulw`` — the three sweeps of
+    :func:`~repro.core.seasgd.elastic_pull_`), then hand the write side — the
     ``wwi`` segment write and the ``ugw`` server accumulate of eq. (7) —
     to the :class:`~repro.core.overlap.OverlapDriver` (T3) so it hides
     behind the next minibatch.  With ``overlap_updates=False`` the write
@@ -156,6 +145,9 @@ class SEASGDExchange(BaseExchange):
     ``config.moving_rate`` is ``alpha`` directly, bit-exact with the
     historical fixed-fleet behaviour.
     """
+
+    #: The one dW_x buffer, allocated in :meth:`bind`, refilled in place.
+    _increment: np.ndarray
 
     def __init__(
         self,
@@ -182,12 +174,15 @@ class SEASGDExchange(BaseExchange):
         self.check_buffer(
             self.increment_buffer, engine.flat.count, "increment"
         )
-        # One model-sized destination for every W_g read; with the
-        # zero-copy SMB path this makes the steady-state exchange
-        # allocation-free on the read side.
+        # One model-sized destination for every W_g read and one for
+        # every dW_x: the steady-state exchange allocates nothing.  A
+        # single increment buffer is enough because the Fig.-6 ping-pong
+        # (wait_for_flush precedes every exchange) guarantees the update
+        # thread has finished sending it before it is overwritten.
         self._global_scratch = np.empty(
             self.global_weights.count, dtype=self.global_weights.dtype
         )
+        self._increment = np.empty_like(engine.flat.vector)
         if engine.config.overlap_updates:
             self.driver = OverlapDriver(engine.rank, engine.telemetry)
 
@@ -210,11 +205,10 @@ class SEASGDExchange(BaseExchange):
                 out=self._global_scratch
             )
         with engine.phases.phase("ulw"):
-            local_now = engine.flat.get_vector()
-            increment, updated = elastic_increment(                    # T2
-                local_now, global_now, self.moving_rate()
+            increment = elastic_pull_(                                 # T2
+                engine.flat.vector, global_now, self.moving_rate(),
+                out=self._increment,
             )
-            engine.flat.set_vector(updated)
         if driver is not None:
             driver.submit(lambda: self._flush(increment, driver.phases))
         else:
@@ -239,29 +233,36 @@ class StaleReadExchange(SEASGDExchange):
         super().bind(engine)
         if self.driver is None:
             self.driver = OverlapDriver(engine.rank, engine.telemetry)
+        self._snapshot = np.empty_like(engine.flat.vector)
 
     def exchange(self, iteration: int) -> None:
         engine = self.engine
         driver = self.driver
         assert driver is not None  # bind() guarantees it
         driver.wait_for_flush(engine.phases)
-        local_snapshot = engine.flat.get_vector()
+        # The one explicit copy: the deferred exchange must see the
+        # replica as of *now*, while training moves the live vector on.
+        # Every buffer here is safe to reuse: wait_for_flush above
+        # guarantees at most one deferred exchange is in flight.
+        np.copyto(self._snapshot, engine.flat.vector)
 
         def deferred() -> None:
             phases = driver.phases
-            # The scratch is safe to reuse here: wait_for_flush above
-            # guarantees at most one deferred exchange is in flight.
             with phases.phase("rgw"):
                 global_now = self.global_weights.read(
                     out=self._global_scratch
                 )
-            increment, _ = elastic_increment(
-                local_snapshot, global_now, self.moving_rate()
+            # Same kernel as the faithful path; that it also pulls the
+            # (now dead) snapshot is harmless.
+            increment = elastic_pull_(
+                self._snapshot, global_now, self.moving_rate(),
+                out=self._increment,
             )
             self._flush(increment, phases)
             # Apply to the live replica *late*, racing with training.
             with phases.phase("ulw"):
-                engine.flat.add_to_params(increment, scale=-1.0)
+                live = engine.flat.vector
+                np.subtract(live, increment, out=live)
 
         driver.submit(deferred)
 
@@ -338,8 +339,9 @@ class HybridExchange(BaseExchange):
                         raise
                     self._record_smb_failure(exc, iteration)
             with engine.phases.phase("nccl"):
+                # Straight from the live vector: broadcast copies it.
                 synced = self.group.broadcast(
-                    self.group_rank, engine.flat.get_vector(), root=0
+                    self.group_rank, engine.flat.vector, root=0
                 )
         else:
             with engine.phases.phase("nccl"):
@@ -352,12 +354,13 @@ class HybridExchange(BaseExchange):
         with engine.phases.phase("comp"):
             batch = next(engine.batches)
             stats = engine.solver.compute_gradients(batch.as_inputs())
-            gradients = engine.flat.get_grad_vector()
         # The NCCL phase: the intra-group ring allreduce (the part of an
-        # HSGD iteration SEASGD never pays).
+        # HSGD iteration SEASGD never pays).  It reads the live gradient
+        # vector (nobody writes it until every member has its own copy
+        # of the result).
         with engine.phases.phase("nccl"):
             averaged = self.group.allreduce(
-                self.group_rank, gradients, average=True
+                self.group_rank, engine.flat.grad_vector, average=True
             )
         with engine.phases.phase("comp"):
             engine.flat.set_grad_vector(averaged)
@@ -435,6 +438,7 @@ class SMBAsgdExchange(BaseExchange):
         self._global_scratch = np.empty(
             self.global_weights.count, dtype=self.global_weights.dtype
         )
+        self._delta = np.empty_like(engine.flat.vector)
         if engine.config.overlap_updates:
             self.driver = OverlapDriver(engine.rank, engine.telemetry)
 
@@ -463,10 +467,16 @@ class SMBAsgdExchange(BaseExchange):
             batch = next(engine.batches)
             stats = engine.solver.compute_gradients(batch.as_inputs())
             lr = engine.solver.learning_rate
-            delta = (-lr * engine.flat.get_grad_vector()).astype(np.float32)
         driver = self.driver
         if driver is not None:
+            # Before the delta buffer is overwritten: the previous push
+            # must have left it.
             driver.wait_for_flush(engine.phases)
+        with engine.phases.phase("comp"):
+            delta = np.multiply(
+                -lr, engine.flat.grad_vector, out=self._delta
+            )
+        if driver is not None:
             driver.submit(lambda: self._push(delta, driver.phases))
         else:
             self._push(delta, engine.phases)

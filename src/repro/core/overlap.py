@@ -91,7 +91,6 @@ class OverlapDriver:
                 return
             self._flushed.set()                                    # T.A4
 
-
     def _ensure_thread(self) -> None:
         if self._thread is None:
             self._thread = threading.Thread(

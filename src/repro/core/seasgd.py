@@ -45,6 +45,26 @@ def apply_increment_local(
     return (local_weights - increment).astype(np.float32)
 
 
+def elastic_pull_(
+    local_weights: np.ndarray,
+    global_weights: np.ndarray,
+    moving_rate: float,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Eqs. (5)-(6) in place, in three sweeps and no allocation.
+
+    Leaves ``dW_x = alpha * (W'_x - W_g)`` in ``out`` (and returns it) and
+    pulls ``local_weights`` to ``W'_x - dW_x``.  Bit-identical to
+    :func:`weight_increment` followed by :func:`apply_increment_local`,
+    which stay as the allocating reference the tests check this against;
+    the training stack calls only this.
+    """
+    np.subtract(local_weights, global_weights, out=out)
+    np.multiply(moving_rate, out, out=out)
+    np.subtract(local_weights, out, out=local_weights)
+    return out
+
+
 def apply_increment_global(
     global_weights: np.ndarray, increment: np.ndarray
 ) -> np.ndarray:

@@ -1171,6 +1171,16 @@ class TcpSMBServer:
                 if paylen == 0:
                     self._begin_request(conn, b"")
                     return
+                if paylen > self.core.pool.capacity:
+                    # No valid request carries more bytes than the pool
+                    # can hold; refuse before the length costs memory.
+                    logger.warning(
+                        "frame from %s declares %d payload bytes (pool "
+                        "holds %d); dropping connection",
+                        conn.peer, paylen, self.core.pool.capacity,
+                    )
+                    self._close_conn(conn)
+                    return
                 if paylen > len(conn.recv_buf):
                     conn.recv_buf = bytearray(paylen)
                 conn.state = _Connection.PAYLOAD

@@ -360,18 +360,24 @@ class TestSmbAsgdExchange:
 class TestSingleExchangeImplementation:
     """Grep-level acceptance: eqs. (5)-(7) math has one call site."""
 
-    def test_weight_increment_called_only_from_strategy_layer(self):
+    @staticmethod
+    def _callers(function: str) -> set:
         src = Path(__file__).resolve().parent.parent / "src" / "repro"
-        callers = set()
-        pattern = re.compile(r"(?<!def )\bweight_increment\(")
-        for path in src.rglob("*.py"):
-            rel = path.relative_to(src).as_posix()
-            body = path.read_text(encoding="utf-8")
-            if pattern.search(body):
-                callers.add(rel)
-        # The pure-math module may compose its own primitives; the only
-        # *training-stack* call site is elastic_increment in exchange.py.
-        assert callers == {"core/seasgd.py", "core/exchange.py"}
+        pattern = re.compile(rf"(?<!def )\b{function}\(")
+        return {
+            path.relative_to(src).as_posix()
+            for path in src.rglob("*.py")
+            if pattern.search(path.read_text(encoding="utf-8"))
+        }
+
+    def test_elastic_pull_has_one_call_site(self):
+        # The only *training-stack* call site of the in-place kernel is
+        # the strategy layer; the allocating pure functions it replaced
+        # there are composed only inside the pure-math module (they stay
+        # as the oracle the kernel is tested against).
+        assert self._callers("elastic_pull_") == {"core/exchange.py"}
+        assert self._callers("weight_increment") == {"core/seasgd.py"}
+        assert self._callers("apply_increment_local") == {"core/seasgd.py"}
 
 
 @pytest.mark.chaos

@@ -267,6 +267,30 @@ class TestDispatchRobustness:
             )
             client.close()
 
+    def test_oversized_paylen_is_refused_before_allocating(self):
+        """A header declaring ``paylen = 0xFFFFFFFF`` used to make the
+        loop thread allocate a 4 GiB receive buffer on the spot.  No
+        request can carry more than the pool holds, so the server drops
+        that connection on the header alone and keeps serving others."""
+        with TcpSMBServer(capacity=1 << 20) as server:
+            bad = _raw_connect(server.address)
+            bad.sendall(struct.pack(
+                HEADER_FORMAT, int(Op.WRITE), int(Status.OK),
+                0, 0, 0, 0, 0.0, 0xFFFFFFFF,
+            ))
+            bad.settimeout(5.0)
+            assert bad.recv(1) == b"", "expected the connection severed"
+            bad.close()
+            # Exactly at the bound is still a frame the server reads.
+            client = SMBClient.connect(server.address)
+            count = (1 << 20) // 4
+            arr = client.create_array("full", count)
+            arr.write(np.ones(count, dtype=np.float32))
+            assert np.array_equal(
+                arr.read(), np.ones(count, dtype=np.float32)
+            )
+            client.close()
+
     def test_mutations_offload_when_journaled(self, tmp_path):
         """With a journal configured every mutation takes the journal
         lock — which an offloaded ACCUMULATE can hold across a whole
