@@ -2,7 +2,9 @@
 
 Not a paper figure, but the foundation the Fig. 7 claim rests on: the SMB
 server's per-operation cost.  Measures both transports — the in-process
-core (the RDMA stand-in) and real TCP framing.
+core (the RDMA stand-in) and real TCP framing — and the one timing
+assertion on two-tenant fairness (time is asserted here, behaviour in
+``tests/``).
 """
 
 import numpy as np
@@ -67,3 +69,28 @@ class TestTcpOps:
         # it should be far cheaper than a write of the same region.
         _, array, delta = tcp
         benchmark(delta.accumulate_into, array)
+
+
+class TestTenantFairness:
+    def test_small_tenant_p95_stays_within_3x_under_bulk_load(self):
+        """A small tenant's control-op p95 beside another tenant's bulk
+        stream, at bench-quick scale.
+
+        One retry absorbs scheduler noise on saturated CI runners; the
+        committed-baseline CI gate is the tight (2x) enforcement.
+        """
+        from repro.smb import bench
+
+        worst = None
+        for _ in range(2):
+            result = bench._measure_tenancy(
+                bench.TENANCY_BULK_SIZE_QUICK, iterations=150
+            )
+            worst = result.fairness_ratio
+            if worst < 3.0:
+                break
+        assert worst < 3.0, (
+            f"contended p95 {result.contended_p95_s * 1e3:.3f} ms is "
+            f"{worst:.2f}x the uncontended "
+            f"{result.uncontended_p95_s * 1e3:.3f} ms"
+        )

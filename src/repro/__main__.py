@@ -7,8 +7,7 @@ Commands:
   training).
 * ``train``       — run one platform on the synthetic task.
 * ``smb serve``   — start a standalone TCP Soft Memory Box server,
-  optionally durable (``--journal-dir``); ``smb-server`` is a
-  compatibility alias.
+  optionally durable (``--journal-dir``).
 * ``smb chaos``   — replay a seeded fault-injection scenario against a
   small SEASGD job (retry/worker-loss drill; see
   ``docs/fault_tolerance.md``).
@@ -116,8 +115,7 @@ def _cmd_smb_members(args: argparse.Namespace) -> int:
     registry = MembershipRegistry(args.registry)
     view = registry.read()
     if args.json:
-        # The full multi-job document: every namespace's entry, not just
-        # the legacy default mirror.
+        # The full multi-job document: every namespace's entry.
         print(json_mod.dumps(view.to_doc(), indent=2, sort_keys=True))
         return 0
     namespaces = view.namespaces()
@@ -752,33 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "live with `repro smb members`")
     train.set_defaults(entry=_cmd_train)
 
-    def _add_serve_args(target: argparse.ArgumentParser) -> None:
-        target.add_argument("--host", default="127.0.0.1")
-        target.add_argument("--port", type=int, default=0)
-        target.add_argument("--capacity-mb", type=float, default=1024.0)
-        target.add_argument(
-            "--journal-dir", default="",
-            help="make the server durable: snapshots + op journal + "
-                 "rendezvous file go here; restarting with the same "
-                 "directory recovers every segment",
-        )
-        target.add_argument(
-            "--snapshot-interval", type=float, default=30.0,
-            help="seconds between periodic durable snapshots",
-        )
-        target.add_argument(
-            "--no-journal-ops", action="store_true",
-            help="snapshot-only durability (bounded lost-delta window "
-                 "instead of per-op journaling)",
-        )
-        target.set_defaults(entry=_cmd_smb_serve)
-
-    smb_legacy = commands.add_parser(
-        "smb-server",
-        help="alias for `smb serve` (kept for compatibility)",
-    )
-    _add_serve_args(smb_legacy)
-
     smb_tools = commands.add_parser(
         "smb", help="SMB utilities (server, fault-injection replay)"
     )
@@ -786,7 +757,25 @@ def build_parser() -> argparse.ArgumentParser:
     serve = smb_sub.add_parser(
         "serve", help="run a standalone TCP Soft Memory Box server"
     )
-    _add_serve_args(serve)
+    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--port", type=int, default=0)
+    serve.add_argument("--capacity-mb", type=float, default=1024.0)
+    serve.add_argument(
+        "--journal-dir", default="",
+        help="make the server durable: snapshots + op journal + "
+             "rendezvous file go here; restarting with the same "
+             "directory recovers every segment",
+    )
+    serve.add_argument(
+        "--snapshot-interval", type=float, default=30.0,
+        help="seconds between periodic durable snapshots",
+    )
+    serve.add_argument(
+        "--no-journal-ops", action="store_true",
+        help="snapshot-only durability (bounded lost-delta window "
+             "instead of per-op journaling)",
+    )
+    serve.set_defaults(entry=_cmd_smb_serve)
     chaos = smb_sub.add_parser(
         "chaos",
         help="replay a seeded fault-injection scenario against a small "

@@ -9,8 +9,7 @@ on live in :mod:`repro.smb` (remote shared memory), :mod:`repro.mpi`
 The training core is layered (see ``docs/architecture.md``):
 :class:`TrainingEngine` owns the iteration loop, an
 :class:`ExchangeStrategy` owns the parameter-sharing rule, and the
-:class:`OverlapDriver` owns the Fig.-6 update thread.  ``ShmCaffeWorker``
-and ``HybridWorker`` remain as thin construction facades.
+:class:`OverlapDriver` owns the Fig.-6 update thread.
 """
 
 from .autoscale import (
@@ -47,15 +46,12 @@ from .exchange import (
     make_exchange,
     register_exchange,
 )
-from .hybrid import HybridWorker
 from .overlap import OverlapDriver
 from .seasgd import (
     apply_increment_global,
-    apply_increment_local,
     easgd_server_update,
     easgd_worker_update,
     seasgd_exchange,
-    weight_increment,
 )
 from .termination import (
     STOP_FIRST_FINISHER,
@@ -67,7 +63,6 @@ from .trainer import (
     ElasticWorkerHandle,
     TrainingResult,
 )
-from .worker import ShmCaffeWorker
 
 __all__ = [
     "AutoscaleController",
@@ -84,7 +79,6 @@ __all__ = [
     "FleetSignals",
     "FlushTimeoutError",
     "HybridExchange",
-    "HybridWorker",
     "IterationRecord",
     "OverlapDriver",
     "STOP_FIRST_FINISHER",
@@ -93,7 +87,6 @@ __all__ = [
     "SEASGDExchange",
     "SMBAsgdExchange",
     "ShmCaffeConfig",
-    "ShmCaffeWorker",
     "StaleReadExchange",
     "TerminationCoordinator",
     "TerminationCriterion",
@@ -102,7 +95,6 @@ __all__ = [
     "WorkerError",
     "WorkerHistory",
     "apply_increment_global",
-    "apply_increment_local",
     "easgd_server_update",
     "easgd_worker_update",
     "inspect_checkpoint",
@@ -111,5 +103,4 @@ __all__ = [
     "register_exchange",
     "seasgd_exchange",
     "smb_path_lost",
-    "weight_increment",
 ]

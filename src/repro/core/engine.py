@@ -1,10 +1,9 @@
 """The unified training engine: one iteration loop for every platform.
 
-Historically ``ShmCaffeWorker`` and ``HybridWorker`` each carried their own
-copy of the iteration loop, history recording, termination publishing and
-SMB-loss degradation.  :class:`TrainingEngine` is the single owner of that
-machinery; everything algorithm-specific — *how* parameters are exchanged
-and *how* a training step runs — lives behind the
+:class:`TrainingEngine` is the single owner of the iteration loop,
+history recording, termination publishing and SMB-loss degradation;
+everything algorithm-specific — *how* parameters are exchanged and *how*
+a training step runs — lives behind the
 :class:`~repro.core.exchange.ExchangeStrategy` seam.
 
 The engine's loop is the paper's worker skeleton:
@@ -15,8 +14,7 @@ The engine's loop is the paper's worker skeleton:
 2. run ``strategy.train_step`` (T4-T5) and record an
    :class:`IterationRecord` — the learning rate recorded is always the
    ``stats["lr"]`` the strategy reports, i.e. the lr actually applied this
-   step (the pre-refactor ``HybridWorker`` derived it separately, which
-   this unifies);
+   step;
 3. publish progress and check the Sec. III-E stop criterion via
    ``strategy.should_stop``.
 

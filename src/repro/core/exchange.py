@@ -10,8 +10,7 @@ implementation driven by the shared
   too (the delayed-parameter behaviour the paper refuses);
 * :class:`HybridExchange` — HSGD: intra-group ring allreduce, root-only
   SEASGD against the SMB server, weight broadcast back to the group.
-  Roots now honor ``overlap_updates`` (the pre-refactor ``HybridWorker``
-  forced the exchange synchronous);
+  Roots honor ``overlap_updates``;
 * :class:`SMBAsgdExchange` — the :mod:`repro.platforms.asgd` Downpour
   rule ported onto the SMB accumulate primitive, proving the seam admits
   new update rules without a new worker class.
@@ -115,7 +114,7 @@ class BaseExchange:
 
     @staticmethod
     def check_buffer(buffer: ParameterBuffer, count: int, label: str) -> None:
-        """Ctor-time shape validation with the historical error text."""
+        """Ctor-time shape validation."""
         if buffer.count != count:
             raise WorkerError(
                 f"{label} buffer holds {buffer.count} weights, "
@@ -142,8 +141,7 @@ class SEASGDExchange(BaseExchange):
     stability rule ``alpha = beta / p`` (Zhang et al.) with ``p`` no
     longer a launch-time constant, so eqs. (5)-(7) stay stable while
     workers join and retire mid-run.  Without a ``fleet`` source,
-    ``config.moving_rate`` is ``alpha`` directly, bit-exact with the
-    historical fixed-fleet behaviour.
+    ``config.moving_rate`` is ``alpha`` directly (the fixed-fleet case).
     """
 
     #: The one dW_x buffer, allocated in :meth:`bind`, refilled in place.
@@ -273,8 +271,7 @@ class HybridExchange(BaseExchange):
     Group members contribute gradients to the ring allreduce and receive
     the root's post-exchange weights by broadcast; only the root talks to
     the SMB server, through an inner :class:`SEASGDExchange` — which
-    means roots inherit the Fig.-6 overlap when ``overlap_updates`` is on
-    (the pre-refactor ``HybridWorker`` always exchanged synchronously).
+    means roots inherit the Fig.-6 overlap when ``overlap_updates`` is on.
 
     The root decides termination for the whole group and shares the
     decision through a one-element broadcast so members stop in lockstep;

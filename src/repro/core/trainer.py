@@ -250,8 +250,7 @@ class DistributedTrainingManager:
                 f"{num_workers}"
             )
         if group_size > 1 and config.stale_global_read:
-            # HybridWorker used to drop this ablation on the floor; fail
-            # loudly instead of silently training something else.
+            # Fail loudly instead of silently training something else.
             raise ValueError(
                 "stale_global_read is not supported with group_size > 1: "
                 "the stale-read ablation is defined for direct SEASGD "
@@ -439,7 +438,7 @@ class DistributedTrainingManager:
         ns = self.namespace
         capacity = self.control_capacity
         # Elastic fleets start with every slot FREE and claim explicitly;
-        # fixed fleets pre-claim all slots (the historical layout).
+        # fixed fleets pre-claim all slots.
         preclaimed = 0 if self.elastic else None
         if comm.is_master:
             global_array = self._create_array(client, f"{ns}W_g", flat.count)
@@ -819,7 +818,7 @@ class DistributedTrainingManager:
         client: Optional[SMBClient] = None
         try:
             view = registry.wait_for_job()
-            job = view.job
+            job = view.entry().job
             ns = str(job.get("namespace", ""))
             count = int(job["count"])                # type: ignore[arg-type]
             capacity = int(job["capacity"])          # type: ignore[arg-type]

@@ -160,7 +160,7 @@ class SMBClient:
     ) -> None:
         self._transport = transport
         #: Namespace this client's name-based ops resolve in.  The
-        #: transport carries it on the wire (``SMB2`` hello); this copy
+        #: transport carries it on the wire (the hello); this copy
         #: is informational — shown in telemetry and admin tooling.
         self.tenant = tenant
         self._telemetry = telemetry
@@ -618,8 +618,7 @@ class SMBClient:
 
         ``dtype`` names the element type both regions are interpreted as;
         it rides in the (otherwise unused) request payload, and an empty
-        payload means float32 — so old clients keep working against new
-        servers and vice versa.
+        payload means float32 — the hot-path frame stays header-only.
         """
         response = self._call(
             Message(
@@ -941,8 +940,6 @@ class ControlBlock:
             )
         self._array = array
         self.capacity = capacity
-        #: Historical alias: a fixed fleet's block is sized to its ranks.
-        self.num_workers = capacity
 
     @classmethod
     def create(

@@ -310,7 +310,7 @@ def from_wire(payload: bytes) -> SMBError:
 
     Structured classes are reconstructed through their real constructor so
     attribute-inspecting handlers keep working across the TCP hop; anything
-    unrecognised (foreign class name, legacy ``Name:detail`` payloads,
+    unrecognised (foreign class name, plain-text ``Name:detail`` payloads,
     un-JSON-decodable detail) degrades to a message-only instance of the
     closest known class.
     """

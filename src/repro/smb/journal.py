@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import SMBError
-from .memory import DEFAULT_TENANT
 from .protocol import HEADER_FORMAT, HEADER_SIZE, Message, Op
 
 logger = logging.getLogger(__name__)
@@ -53,7 +52,7 @@ logger = logging.getLogger(__name__)
 PathLike = Union[str, os.PathLike]
 
 #: Current snapshot format; bumped on incompatible layout changes.
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 #: File-name patterns inside a journal directory.
 SNAPSHOT_PATTERN = "snapshot-{seq:08d}.npz"
@@ -143,17 +142,17 @@ def read_rendezvous(path: PathLike) -> Optional[Tuple[str, int]]:
 
 @dataclass
 class SegmentImage:
-    """One segment as captured in (or restored from) a snapshot."""
+    """One segment as captured in (or restored from) a snapshot.
+
+    ``name`` is the pool-wide qualified name, which also spells the
+    owning namespace (:meth:`~repro.smb.memory.MemoryPool.split_name`).
+    """
 
     name: str
     shm_key: int
     data: np.ndarray  # uint8 bytes
     version: int
     owner: str = ""
-    #: Owning namespace, carried explicitly because the qualified name
-    #: alone is ambiguous: a legacy default-tenant name like
-    #: ``"job1/W_g"`` is indistinguishable from tenant ``job1``'s ``W_g``.
-    tenant: str = DEFAULT_TENANT
 
 
 @dataclass
@@ -167,8 +166,8 @@ class PoolImage:
     access_minted: int
     segments: List[SegmentImage] = field(default_factory=list)
     #: Tenant grants as ``{"name": str, "quota": Optional[int]}`` —
-    #: usage is not stored; it is re-derived from the restored segments'
-    #: tenant fields, which keeps the snapshot non-redundant.
+    #: usage is not stored; it is re-derived from the restored segments,
+    #: which keeps the snapshot non-redundant.
     tenants: List[Dict[str, object]] = field(default_factory=list)
 
 
@@ -238,7 +237,6 @@ class DurabilityStore:
                     "version": seg.version,
                     "owner": seg.owner,
                     "nbytes": int(seg.data.nbytes),
-                    "tenant": seg.tenant,
                 }
                 for seg in image.segments
             ],
@@ -343,9 +341,6 @@ def _load_snapshot(path: Path) -> PoolImage:
                 data=data,
                 version=int(entry["version"]),
                 owner=str(entry.get("owner", "")),
-                # Pre-tenancy snapshots carry no tenant key; everything
-                # they hold lived in the implicit default namespace.
-                tenant=str(entry.get("tenant", DEFAULT_TENANT)),
             ))
     return PoolImage(
         capacity=int(meta["capacity"]),
@@ -354,9 +349,7 @@ def _load_snapshot(path: Path) -> PoolImage:
         shm_minted=int(meta["shm_minted"]),
         access_minted=int(meta["access_minted"]),
         segments=segments,
-        # Pre-tenancy snapshots carry no grants; they restore as a pool
-        # holding only the implicit default namespace.
-        tenants=[dict(entry) for entry in meta.get("tenants", [])],
+        tenants=[dict(entry) for entry in meta["tenants"]],
     )
 
 
@@ -392,23 +385,11 @@ def _apply_record(
     by_key: Dict[int, SegmentImage],
 ) -> None:
     if record.op is Op.CREATE:
-        payload = bytes(record.payload)
-        # ``offset`` carries the byte length of the ``"<tenant>/"``
-        # prefix in the qualified name (0 = default namespace).  Replay
-        # must not *parse* the name: a legacy default-tenant name may
-        # itself contain ``/`` (the old client-side job-prefix
-        # convention).  Pre-tenancy records have offset 0 and land in
-        # the default namespace unchanged.
-        tenant = (
-            payload[:record.offset - 1].decode()
-            if record.offset else DEFAULT_TENANT
-        )
         seg = SegmentImage(
-            name=payload.decode(),
+            name=bytes(record.payload).decode(),
             shm_key=record.key,
             data=np.zeros(record.count, dtype=np.uint8),
             version=0,
-            tenant=tenant,
         )
         image.segments.append(seg)
         by_key[seg.shm_key] = seg
@@ -448,7 +429,7 @@ def _apply_record(
             )
             return
         # The record payload carries the element dtype name; empty means
-        # float32 (pre-dtype journals replay unchanged).
+        # float32, exactly as on the wire.
         dtype = bytes(record.payload).decode() if record.payload_nbytes else "float32"
         itemsize = np.dtype(dtype).itemsize
         count = record.count or (src.data.nbytes // itemsize)

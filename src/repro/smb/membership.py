@@ -59,9 +59,8 @@ from .memory import DEFAULT_TENANT
 PathLike = Union[str, os.PathLike]
 
 #: Registry document schema version; bumped on incompatible changes.
-#: Format 2 keys job documents by *namespace* (multi-tenant fleets);
-#: format-1 documents are still read (their single job becomes the
-#: default namespace's entry).
+#: Job documents are keyed by *namespace* (multi-tenant fleets); any
+#: other format is refused with :class:`MembershipError`.
 REGISTRY_FORMAT = 2
 
 #: File names inside a registry directory.
@@ -159,11 +158,8 @@ class JobEntry:
 class RegistryView:
     """A decoded snapshot of the registry document.
 
-    One registry now hosts any number of concurrent jobs, keyed by
-    namespace (the SMB tenant).  The pre-tenancy single-job accessors
-    (``server``/``job``/``capacity``/``members``) remain as aliases of
-    the **default** namespace's entry, so every legacy caller reads and
-    mutates exactly what it did before.
+    One registry hosts any number of concurrent jobs, keyed by
+    namespace (the SMB tenant); :meth:`entry` is the accessor.
     """
 
     version: int = 0
@@ -184,45 +180,6 @@ class RegistryView:
     def namespaces(self) -> List[str]:
         """Every namespace with a registered job, sorted."""
         return sorted(self.jobs)
-
-    # -- legacy single-job aliases (the default namespace) ---------------
-
-    @property
-    def server(self) -> Dict[str, object]:
-        return self.entry(create=True).server
-
-    @server.setter
-    def server(self, value: Dict[str, object]) -> None:
-        self.entry(create=True).server = value
-
-    @property
-    def job(self) -> Dict[str, object]:
-        return self.entry(create=True).job
-
-    @job.setter
-    def job(self, value: Dict[str, object]) -> None:
-        self.entry(create=True).job = value
-
-    @property
-    def capacity(self) -> int:
-        return self.entry().capacity
-
-    @capacity.setter
-    def capacity(self, value: int) -> None:
-        self.entry(create=True).capacity = value
-
-    @property
-    def members(self) -> Dict[str, MemberRecord]:
-        return self.entry(create=True).members
-
-    @members.setter
-    def members(self, value: Dict[str, MemberRecord]) -> None:
-        self.entry(create=True).members = value
-
-    @property
-    def has_job(self) -> bool:
-        """Whether the default namespace's job has been published."""
-        return bool(self.entry().job)
 
     def total_members(self) -> int:
         """Live member count across every namespace."""
@@ -246,43 +203,33 @@ class RegistryView:
         return None
 
     def to_doc(self) -> Dict[str, object]:
-        doc: Dict[str, object] = {
+        return {
             "format": REGISTRY_FORMAT,
             "version": self.version,
             "epoch": self.epoch,
             "jobs": {
                 namespace: entry.to_doc()
                 for namespace, entry in sorted(self.jobs.items())
-                # Vivified-but-never-published entries stay out of the
-                # document (alias reads create blank default entries).
-                if entry.job or entry.server or entry.members
-                or entry.servers
             },
         }
-        # Legacy mirror of the default namespace, for format-1 pollers.
-        doc.update(self.entry().to_doc())
-        return doc
 
     @classmethod
     def from_doc(cls, doc: Dict[str, object]) -> "RegistryView":
         fmt = doc.get("format")
-        if fmt not in (1, REGISTRY_FORMAT):
+        if fmt != REGISTRY_FORMAT:
             raise MembershipError(
                 f"unsupported registry format {fmt!r}"
             )
-        jobs: Dict[str, JobEntry] = {}
         jobs_doc = doc.get("jobs")
-        if fmt == REGISTRY_FORMAT and isinstance(jobs_doc, dict):
-            for namespace, entry in jobs_doc.items():
-                jobs[str(namespace)] = JobEntry.from_doc(entry)
-        else:
-            legacy = JobEntry.from_doc(doc)
-            if legacy.job or legacy.server or legacy.members:
-                jobs[DEFAULT_TENANT] = legacy
+        if not isinstance(jobs_doc, dict):
+            raise MembershipError("registry document has no job table")
         return cls(
             version=int(doc.get("version", 0)),  # type: ignore[arg-type]
             epoch=int(doc.get("epoch", 0)),  # type: ignore[arg-type]
-            jobs=jobs,
+            jobs={
+                str(namespace): JobEntry.from_doc(entry)
+                for namespace, entry in jobs_doc.items()
+            },
         )
 
 

@@ -40,9 +40,8 @@ from .errors import (
 #: server scaled down to something a laptop test suite can allocate.
 DEFAULT_POOL_CAPACITY = 1 << 30  # 1 GiB
 
-#: The legacy namespace every pre-tenancy caller lands in.  Its segments
-#: keep their bare names on the wire and in snapshots, so single-job
-#: deployments (and their journals) are bit-compatible with PR 7.
+#: The namespace a caller that names no tenant lands in.  It is the one
+#: tenant whose qualified segment names are the bare names.
 DEFAULT_TENANT = "default"
 
 
@@ -394,8 +393,8 @@ class TenantGrant:
     """Per-namespace admission state: the byte quota and what it holds.
 
     ``quota is None`` means the namespace is bounded only by the pool's
-    granted capacity — the legacy single-job behaviour, and what an
-    unknown namespace auto-vivifies to on first contact.
+    granted capacity — what an unknown namespace auto-vivifies to on
+    first contact.
     """
 
     name: str
@@ -420,11 +419,12 @@ class MemoryPool:
 
     Segments live in per-tenant *namespaces*: a segment created by tenant
     ``t`` is stored under the qualified name ``t/name`` (the ``default``
-    tenant keeps bare names for wire- and journal-compatibility with
-    single-job deployments).  Name-based operations (create / by_name /
-    free / segments) are namespace-scoped; key-based operations are not —
-    SHM and access keys act as capabilities, exactly like the Infiniband
-    rkeys they stand in for.
+    tenant's qualified name is the bare name).  Bare names never contain
+    ``/``, so :meth:`qualify` and :meth:`split_name` are exact inverses
+    and the only code that knows the format.  Name-based operations
+    (create / by_name / free / segments) are namespace-scoped; key-based
+    operations are not — SHM and access keys act as capabilities, exactly
+    like the Infiniband rkeys they stand in for.
     """
 
     def __init__(self, capacity: int = DEFAULT_POOL_CAPACITY) -> None:
@@ -460,13 +460,7 @@ class MemoryPool:
     def split_name(qualified: str) -> tuple:
         """Invert :meth:`qualify`: ``(tenant, bare_name)``.
 
-        Exact for names :meth:`qualify` produced for *named* tenants,
-        because :meth:`create` rejects ``/`` inside their bare names.
-        Default-tenant names may legitimately contain ``/`` (the legacy
-        elastic-job convention prefixes segment names with
-        ``"<job>/"``), so callers that know the owning tenant — restore
-        paths, scoped listings — must pass it explicitly instead of
-        parsing.
+        Exact, because :meth:`create` rejects ``/`` inside bare names.
         """
         if "/" in qualified:
             tenant, _, bare = qualified.partition("/")
@@ -546,20 +540,13 @@ class MemoryPool:
             SegmentExistsError: If ``name`` is already live in this tenant.
             QuotaExceededError: If the tenant's quota cannot fit ``nbytes``.
             CapacityError: If the pool cannot fit ``nbytes`` more.
-            ValueError: If ``nbytes`` is not positive, or a *named*
-                tenant's ``name`` contains the namespace separator ``/``.
-
-        The default tenant may use ``/`` in names — the legacy
-        elastic-job convention namespaces segments client-side with a
-        ``"<job>/"`` prefix, and those deployments must keep working
-        unchanged.  A legacy name that happens to spell an existing
-        named tenant's qualified name collides in the shared directory
-        and raises :class:`SegmentExistsError`, never silently aliases.
+            ValueError: If ``nbytes`` is not positive, or ``name``
+                contains the namespace separator ``/``.
         """
         if nbytes <= 0:
             raise ValueError(f"segment size must be positive, got {nbytes}")
         _validate_tenant(tenant)
-        if tenant != DEFAULT_TENANT and "/" in name:
+        if "/" in name:
             raise ValueError(f"segment name must not contain '/': {name!r}")
         qualified = self.qualify(tenant, name)
         with self._lock:
@@ -639,8 +626,7 @@ class MemoryPool:
         """Release a segment and every access key pointing at it.
 
         ``tenant`` scopes the release: a namespace may only free its own
-        segments (``None`` skips the check — server internals and the
-        legacy single-job path).
+        segments (``None`` skips the check — server internals).
         """
         with self._lock:
             segment = self._by_shm_key.get(shm_key)
@@ -684,7 +670,6 @@ class MemoryPool:
         data: np.ndarray,
         version: int = 0,
         owner: str = "",
-        tenant: Optional[str] = None,
     ) -> Segment:
         """Rebuild a segment from durable state, keeping its SHM key.
 
@@ -694,14 +679,11 @@ class MemoryPool:
         :meth:`advance_keys` afterwards so freshly minted keys never
         collide with restored ones.
 
-        ``tenant`` is the namespace to account the segment to.  Pass it
-        whenever the durable record carries it; the ``None`` fallback
-        parses the qualified name, which misreads a legacy default-tenant
-        name like ``"job1/W_g"`` as belonging to tenant ``job1``.
+        ``name`` is the qualified name; the segment is accounted to the
+        namespace it spells.
         """
         nbytes = int(data.nbytes)
-        if tenant is None:
-            tenant, _ = self.split_name(name)
+        tenant, _ = self.split_name(name)
         with self._lock:
             if name in self._by_name:
                 raise SegmentExistsError(name)

@@ -9,8 +9,8 @@ run — and a static layout would then remap almost every segment.
 
 This module generalises the layout decision into a *placement policy*:
 
-* :class:`StripedPlacement` — the legacy static striping, kept as the
-  degenerate policy: stripe index modulo fleet size.  Deterministic and
+* :class:`StripedPlacement` — static striping, the degenerate policy:
+  stripe index modulo fleet size.  Deterministic and
   perfectly balanced, but adding one server reshuffles ~everything.
 * :class:`HashRingPlacement` — a consistent-hash ring with virtual
   nodes.  Each server owns ``replicas`` points on a 64-bit ring; a
@@ -93,7 +93,7 @@ class Placement:
 
 
 class StripedPlacement(Placement):
-    """The legacy static layout: stripe index modulo fleet size.
+    """The static layout: stripe index modulo fleet size.
 
     Segment names produced by :func:`repro.smb.sharding.create_sharded_array`
     end in ``.shard<i>``; that index picks the server.  Names without a

@@ -46,24 +46,27 @@ from .memory import DEFAULT_TENANT
 HEADER_FORMAT = "!BBqqqqdI"
 HEADER_SIZE = struct.calcsize(HEADER_FORMAT)
 
+#: Seconds a freshly accepted connection gets to complete the handshake
+#: below before the server gives up on it — a peer that connects and never
+#: speaks must not pin a handler thread or a selector slot until stop().
+HANDSHAKE_TIMEOUT = 10.0
+
 #: Magic bytes every connection opens with, so a stray client that connects
 #: to the wrong port fails immediately instead of hanging mid-protocol.
-#: A bare ``SMB1`` hello lands the connection in the legacy ``default``
-#: tenant; ``SMB2`` is followed by a tenant-name record (u16 length +
+#: The magic is always followed by a tenant-name record (u16 length +
 #: UTF-8 bytes) that scopes every name-based op on the connection.
-HELLO = b"SMB1"
-HELLO_TENANT = b"SMB2"
+HELLO = b"SMB2"
 
-#: Length prefix of the tenant-name record that follows ``SMB2``.
+#: Length prefix of the tenant-name record that follows the magic.
 TENANT_LEN_STRUCT = struct.Struct("!H")
 
 #: ``WAIT_UPDATE`` timeout wire encoding, carried in the ``scale`` slot.
 #: ``scale > 0`` is a bounded wait in seconds; ``scale == 0`` waits
-#: forever (the historical encoding, kept so old clients and new servers
-#: interoperate); ``scale < 0`` is a **poll** — one immediate version
-#: check that returns ``TIMEOUT`` instead of parking anything.  Clients
-#: map the API contract (``timeout=None`` forever, ``0.0`` poll) onto
-#: these with :func:`encode_wait_timeout`.
+#: forever (the slot's zero value, so an untimed wait needs no flag);
+#: ``scale < 0`` is a **poll** — one immediate version check that returns
+#: ``TIMEOUT`` instead of parking anything.  Clients map the API contract
+#: (``timeout=None`` forever, ``0.0`` poll) onto these with
+#: :func:`encode_wait_timeout`.
 WAIT_SCALE_FOREVER = 0.0
 WAIT_SCALE_POLL = -1.0
 
@@ -86,22 +89,15 @@ MAX_TENANT_NAME = 255
 
 
 def encode_hello(tenant: str = DEFAULT_TENANT) -> bytes:
-    """The handshake bytes a client opens a connection with.
-
-    The default tenant sends the bare 4-byte ``SMB1`` magic — exactly
-    what every pre-tenancy client sends — so old clients and new servers
-    (and vice versa) interoperate without a flag day.
-    """
-    if tenant == DEFAULT_TENANT:
-        return HELLO
+    """The handshake bytes a client opens a connection with."""
     encoded = tenant.encode("utf-8")
     if not encoded or len(encoded) > MAX_TENANT_NAME or "/" in tenant:
         raise SMBProtocolError(f"invalid tenant name: {tenant!r}")
-    return HELLO_TENANT + TENANT_LEN_STRUCT.pack(len(encoded)) + encoded
+    return HELLO + TENANT_LEN_STRUCT.pack(len(encoded)) + encoded
 
 
 def decode_tenant_record(raw: bytes) -> str:
-    """Validate + decode the name bytes of an ``SMB2`` tenant record."""
+    """Validate + decode the name bytes of a hello's tenant record."""
     try:
         tenant = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -118,9 +114,7 @@ def read_hello(sock: socket.socket) -> str:
     incremental hello parser, used by the shared-memory doorbell server.
     """
     magic = recv_exact(sock, len(HELLO))
-    if magic == HELLO:
-        return DEFAULT_TENANT
-    if magic != HELLO_TENANT:
+    if magic != HELLO:
         raise SMBProtocolError(f"bad protocol hello: {magic!r}")
     (length,) = TENANT_LEN_STRUCT.unpack(
         recv_exact(sock, TENANT_LEN_STRUCT.size)

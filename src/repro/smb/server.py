@@ -37,7 +37,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter as _perf_counter
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from time import monotonic as _monotonic
 
@@ -69,10 +69,10 @@ from .memory import (
     enter_bulk_priority,
 )
 from .protocol import (
+    HANDSHAKE_TIMEOUT,
     HEADER_FORMAT,
     HEADER_SIZE,
     HELLO,
-    HELLO_TENANT,
     MAX_TENANT_NAME,
     TENANT_LEN_STRUCT,
     Message,
@@ -241,7 +241,6 @@ class SMBServer:
                 data=seg.data,
                 version=seg.version,
                 owner=seg.owner,
-                tenant=seg.tenant,
             )
         self.pool.advance_keys(image.shm_minted, image.access_minted)
         self.epoch = image.epoch + 1
@@ -270,7 +269,6 @@ class SMBServer:
                 data=segment.buffer.copy(),
                 version=segment.version,
                 owner=segment.owner,
-                tenant=segment.tenant,
             )
             for segment in self.pool.segments().values()
         ]
@@ -438,21 +436,16 @@ class SMBServer:
         if req.op is Op.CREATE:
             name = bytes(req.payload).decode()
             with self._mutation_guard():
-                segment = self.pool.create(name, req.count, tenant=tenant)
+                try:
+                    segment = self.pool.create(
+                        name, req.count, tenant=tenant
+                    )
+                except ValueError as exc:
+                    raise SMBProtocolError(str(exc)) from exc
                 # Journal the *qualified* name: replay must land the
                 # segment back in its namespace, not in ``default``.
-                # The otherwise-unused ``offset`` slot carries the byte
-                # length of the ``"<tenant>/"`` prefix (0 = default), so
-                # replay never parses a name — a legacy default-tenant
-                # name like ``"job1/W_g"`` must not be misread as tenant
-                # ``job1``'s ``W_g``.  Pre-tenancy records replay with
-                # offset 0, i.e. into the default namespace, unchanged.
-                prefix = (
-                    0 if tenant == DEFAULT_TENANT
-                    else len(tenant.encode()) + 1
-                )
                 self._journal(Message(op=Op.CREATE, key=segment.shm_key,
-                                      count=req.count, offset=prefix,
+                                      count=req.count,
                                       payload=segment.name.encode()))
             self.stats.record(req.op, tenant=tenant)
             return Message(op=req.op, key=segment.shm_key)
@@ -499,8 +492,8 @@ class SMBServer:
         if req.op is Op.ACCUMULATE:
             dst = self.pool.by_access_key(req.key)
             src = self.pool.by_access_key(req.key2)
-            # Optional payload: the element dtype name.  Absent (the
-            # historical wire format) means float32.
+            # Optional payload: the element dtype name.  Absent means
+            # float32, so the hot-path frame is header-only.
             dtype = "float32"
             if req.payload_nbytes:
                 dtype = bytes(req.payload).decode()
@@ -550,9 +543,9 @@ class SMBServer:
 
         if req.op is Op.WAIT_UPDATE:
             segment = self.pool.by_access_key(req.key)
-            # scale > 0: bounded wait; scale == 0: wait forever (the
-            # historical encoding); scale < 0: poll — one immediate
-            # version check that never parks a handler thread.
+            # scale > 0: bounded wait; scale == 0: wait forever;
+            # scale < 0: poll — one immediate version check that never
+            # parks a handler thread.
             if req.scale < 0:
                 version = segment.version
                 if version <= req.count:
@@ -604,14 +597,9 @@ class SMBServer:
             self.stats.record(req.op, tenant=tenant)
             # Scoped to the caller's namespace; names are reported
             # tenant-local (the names the tenant created them under).
-            # Strip this tenant's own prefix rather than parsing — a
-            # legacy default-tenant name may itself contain ``/``.
-            prefix_len = (
-                0 if tenant == DEFAULT_TENANT else len(tenant) + 1
-            )
             inventory = [
                 {
-                    "name": segment.name[prefix_len:],
+                    "name": MemoryPool.split_name(segment.name)[1],
                     "nbytes": segment.size,
                     "version": segment.version,
                     "owner": segment.owner,
@@ -695,7 +683,7 @@ class _Connection:
     __slots__ = (
         "sock", "peer", "state", "have", "need", "hbuf",
         "recv_buf", "read_buf", "request", "out_views",
-        "close_after_write", "dead", "tenant",
+        "close_after_write", "dead", "tenant", "hello_deadline",
     )
 
     def __init__(self, sock: socket.socket, peer: object) -> None:
@@ -709,6 +697,7 @@ class _Connection:
                 len(HELLO) + TENANT_LEN_STRUCT.size + MAX_TENANT_NAME)
         )
         self.tenant = DEFAULT_TENANT
+        self.hello_deadline = _monotonic() + HANDSHAKE_TIMEOUT
         # Pooled per-connection buffers: request payloads (WRITE data)
         # land in recv_buf, READ responses are built in read_buf.  Grown
         # on demand to the largest payload seen, so steady-state training
@@ -991,6 +980,10 @@ class TcpSMBServer:
         # whichever mutator thread bumps the segment version.
         self._waiters: Dict[_Connection, _PendingWait] = {}
         self._waiters_lock = threading.Lock()
+        # Connections still in HELLO (loop thread only); each is dropped
+        # at its ``hello_deadline``.  Empty in steady state, so the loop
+        # never scans established connections.
+        self._handshaking: Set[_Connection] = set()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
@@ -1107,6 +1100,7 @@ class TcpSMBServer:
                 continue
             conn = _Connection(sock, peer)
             self._conns[sock] = conn
+            self._handshaking.add(conn)
             self._selector.register(sock, selectors.EVENT_READ, conn)
 
     def _drain_wakeups(self) -> None:
@@ -1193,20 +1187,13 @@ class TcpSMBServer:
     def _advance_hello(self, conn: _Connection) -> bool:
         """Advance the handshake state machine one completed read.
 
-        A bare ``SMB1`` magic lands the connection in the ``default``
-        tenant (every pre-tenancy client); ``SMB2`` extends the
-        handshake by a u16 length and that many UTF-8 tenant-name bytes,
-        parsed incrementally by growing ``conn.need``.  Returns ``False``
-        once the connection was rejected (and closed).
+        The magic is followed by a u16 length and that many UTF-8
+        tenant-name bytes, parsed incrementally by growing ``conn.need``.
+        Returns ``False`` once the connection was rejected (and closed).
         """
         prefix = len(HELLO) + TENANT_LEN_STRUCT.size
         if conn.need == len(HELLO):
-            magic = bytes(conn.hbuf[:len(HELLO)])
-            if magic == HELLO:
-                conn.state = _Connection.HEADER
-                conn.have, conn.need = 0, HEADER_SIZE
-                return True
-            if magic == HELLO_TENANT:
+            if conn.hbuf[:len(HELLO)] == HELLO:
                 conn.need = prefix
                 return True
         elif conn.need == prefix:
@@ -1224,6 +1211,7 @@ class TcpSMBServer:
             except SMBProtocolError:
                 pass  # falls through to the rejection below
             else:
+                self._handshaking.discard(conn)
                 conn.state = _Connection.HEADER
                 conn.have, conn.need = 0, HEADER_SIZE
                 return True
@@ -1396,10 +1384,26 @@ class TcpSMBServer:
                 p.deadline for p in self._waiters.values()
                 if p.deadline is not None
             ]
+        deadlines.extend(c.hello_deadline for c in self._handshaking)
         return min(deadlines) if deadlines else None
 
+    def _expire_handshakes(self) -> None:
+        """Drop connections whose hello is overdue (loop thread)."""
+        now = _monotonic()
+        for conn in [
+            c for c in self._handshaking if now >= c.hello_deadline
+        ]:
+            logger.warning(
+                "handshake from %s timed out; dropping connection",
+                conn.peer,
+            )
+            self._close_conn(conn)
+
     def _expire_waits(self) -> None:
-        """Time out parked waits whose deadline has passed (loop thread)."""
+        """Time out parked waits (and unfinished handshakes) whose
+        deadline has passed (loop thread)."""
+        if self._handshaking:
+            self._expire_handshakes()
         if not self._waiters:
             return
         now = _monotonic()
@@ -1483,6 +1487,7 @@ class TcpSMBServer:
         if conn.dead:
             return
         conn.dead = True
+        self._handshaking.discard(conn)
         self._cancel_wait(conn)
         try:
             self._selector.unregister(conn.sock)

@@ -61,6 +61,7 @@ from typing import List, Optional, Tuple, Union
 from .errors import SMBConnectionError, SMBProtocolError, TransportClosedError
 from .memory import DEFAULT_TENANT
 from .protocol import (
+    HANDSHAKE_TIMEOUT,
     HEADER_FORMAT,
     HEADER_SIZE,
     Message,
@@ -82,11 +83,6 @@ DEFAULT_BLOCK_SIZE = 1 << 20  # 1 MiB
 
 #: Notification-channel block size: WAIT_UPDATE frames are header-only.
 NOTIFY_BLOCK_SIZE = 4096
-
-#: Seconds a freshly accepted connection gets to complete the HELLO
-#: handshake before its handler thread gives up — a client that connects
-#: and never speaks must not pin a thread until stop().
-HANDSHAKE_TIMEOUT = 10.0
 
 _DOORBELL = struct.Struct("!q")
 

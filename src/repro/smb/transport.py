@@ -117,7 +117,7 @@ class InProcTransport:
 
     There is no wire handshake to carry the tenant, so the namespace is
     pinned at construction and passed with every call — the in-process
-    analogue of the ``SMB2`` hello.
+    analogue of the wire hello.
     """
 
     def __init__(

@@ -34,7 +34,6 @@ from repro.core import (
     OverlapDriver,
     SEASGDExchange,
     ShmCaffeConfig,
-    ShmCaffeWorker,
     SMBAsgdExchange,
     StaleReadExchange,
     TerminationCriterion,
@@ -48,6 +47,7 @@ from repro.smb import (
 )
 from repro.smb.faults import FaultPlan
 
+from .helpers import build_engine
 from .test_netspec import small_spec
 
 #: Per-iteration losses captured from the pre-refactor ShmCaffeWorker /
@@ -234,7 +234,7 @@ class TestValidation:
         global_array = client.create_array("W_g", count)
         increment = client.create_array("dW_0", count)
         with pytest.raises(ValueError, match="unknown exchange algorithm"):
-            ShmCaffeWorker(
+            build_engine(
                 rank=0,
                 net=net,
                 config=ShmCaffeConfig(algorithm="definitely_not_real"),

@@ -124,9 +124,9 @@ class TestMembershipRegistry:
     def test_empty_view_before_first_publish(self, tmp_path):
         registry = make_registry(tmp_path)
         view = registry.read()
-        assert not view.has_job
+        assert not view.entry().job
         assert view.version == 0
-        assert view.members == {}
+        assert view.entry().members == {}
 
     def test_join_before_job_publication_rejected(self, tmp_path):
         registry = make_registry(tmp_path)
@@ -140,9 +140,10 @@ class TestMembershipRegistry:
         b = registry.join("b")
         assert (a.slot, b.slot) == (0, 1)
         view = registry.read()
-        assert view.capacity == 3
-        assert view.job["count"] == 8
-        assert set(view.members) == {"a", "b"}
+        entry = view.entry()
+        assert entry.capacity == 3
+        assert entry.job["count"] == 8
+        assert set(entry.members) == {"a", "b"}
 
     def test_launch_worker_requests_its_rank_slot(self, tmp_path):
         registry = make_registry(tmp_path)
@@ -197,7 +198,7 @@ class TestMembershipRegistry:
         after = registry.read()
         assert after.version == before.version + 1
         assert after.epoch == before.epoch
-        assert after.members["a"].heartbeats == 1
+        assert after.entry().members["a"].heartbeats == 1
 
     def test_heartbeat_from_unknown_member_raises(self, tmp_path):
         registry = make_registry(tmp_path)
@@ -219,7 +220,7 @@ class TestMembershipRegistry:
         epoch = registry.read().epoch
         assert registry.expire_stale() == 1
         view = registry.read()
-        assert set(view.members) == {"healthy"}
+        assert set(view.entry().members) == {"healthy"}
         assert view.epoch == epoch + 1
         # the evicted member's slot is allocatable again
         assert registry.join("replacement").slot == 0
@@ -230,8 +231,8 @@ class TestMembershipRegistry:
         registry.join("old")
         registry.publish_job(SERVER_DOC, dict(JOB_DOC, count=16), 2)
         view = registry.read()
-        assert view.members == {}
-        assert view.job["count"] == 16
+        assert view.entry().members == {}
+        assert view.entry().job["count"] == 16
 
     def test_retire_request_flags_the_member(self, tmp_path):
         registry = make_registry(tmp_path)
@@ -247,7 +248,7 @@ class TestMembershipRegistry:
         registry.publish_job(SERVER_DOC, JOB_DOC, capacity=2)
         registry.join("a")
         registry.update_member("a", generation=7)
-        assert registry.read().members["a"].generation == 7
+        assert registry.read().entry().members["a"].generation == 7
         with pytest.raises(MembershipError, match="no field"):
             registry.update_member("a", bogus=1)
         with pytest.raises(MembershipError, match="unknown member"):
@@ -328,10 +329,11 @@ class TestMultiNamespaceRegistry:
         registry.leave("w", namespace="alice")
         assert registry.read().total_members() == 0
 
-    def test_format_1_documents_still_read(self, tmp_path):
-        # A registry written before multi-namespace support: flat doc,
-        # implicit single job.  It must parse into the default namespace.
-        legacy = {
+    def test_format_1_documents_are_refused(self, tmp_path):
+        # The flat single-job layout is not read: a poller fails typed
+        # instead of seeing an empty registry.
+        registry = make_registry(tmp_path)
+        publish_json(registry.path, {
             "format": 1,
             "version": 7,
             "epoch": 3,
@@ -339,24 +341,17 @@ class TestMultiNamespaceRegistry:
             "job": {"count": 8},
             "capacity": 4,
             "members": {},
-        }
-        from repro.smb import RegistryView
+        })
+        with pytest.raises(MembershipError, match="registry format 1"):
+            registry.read()
 
-        view = RegistryView.from_doc(legacy)
-        assert view.namespaces() == ["default"]
-        assert view.capacity == 4
-        assert view.job["count"] == 8
-
-    def test_format_2_keeps_a_legacy_mirror_of_default(self, tmp_path):
-        # Old readers look at the top-level server/job/capacity keys;
-        # to_doc mirrors the default namespace there.
+    def test_document_holds_jobs_only_under_their_namespace(self, tmp_path):
         registry = make_registry(tmp_path)
         registry.publish_job(SERVER_DOC, JOB_DOC, capacity=3)
         doc = read_json(registry.path)
+        assert sorted(doc) == ["epoch", "format", "jobs", "version"]
         assert doc["format"] == 2
-        assert doc["capacity"] == 3
-        assert doc["job"]["count"] == 8
-        assert "default" in doc["jobs"]
+        assert doc["jobs"]["default"]["capacity"] == 3
 
     def test_publish_servers_records_the_fleet(self, tmp_path):
         registry = make_registry(tmp_path)

@@ -6,7 +6,6 @@ import pytest
 from repro.caffe import Net, SolverConfig, SyntheticImageDataset
 from repro.caffe.params import FlatParams
 from repro.core.config import ShmCaffeConfig
-from repro.core.worker import ShmCaffeWorker
 from repro.perfmodel import model_profile, shmcaffe_a, shmcaffe_multi_server
 from repro.smb import (
     SMBClient,
@@ -17,6 +16,7 @@ from repro.smb import (
     shard_counts,
 )
 
+from .helpers import build_engine
 from .test_netspec import small_spec
 
 
@@ -142,7 +142,7 @@ class TestWorkerOnShardedBuffers:
         global_w.write(flat.get_vector())
         delta = create_sharded_array(clients, "dW_0", flat.count)
 
-        worker = ShmCaffeWorker(
+        worker = build_engine(
             rank=0,
             net=net,
             config=ShmCaffeConfig(

@@ -34,6 +34,7 @@ from repro.smb.protocol import (
     Message,
     Op,
     Status,
+    encode_hello,
 )
 
 
@@ -41,7 +42,7 @@ def _raw_connect(address):
     """A bare protocol connection, bypassing SMBClient (and its
     client-side wait slicing / retry machinery)."""
     sock = socket.create_connection(address, timeout=10.0)
-    sock.sendall(HELLO)
+    sock.sendall(encode_hello())
     return sock
 
 
@@ -242,6 +243,29 @@ class TestEventStyleWaits:
                 arr.wait_update(arr.version(), timeout=0.4)
             assert time.monotonic() - start < 5.0
             client.close()
+
+
+class TestHandshakeDeadline:
+    @pytest.mark.parametrize("first_bytes", [b"", HELLO[:3]])
+    def test_stalled_hello_is_dropped_at_the_deadline(
+        self, monkeypatch, first_bytes
+    ):
+        """A peer that connects and never finishes the hello is closed
+        once HANDSHAKE_TIMEOUT passes — not before, and without the loop
+        missing a beat for anyone else."""
+        monkeypatch.setattr("repro.smb.server.HANDSHAKE_TIMEOUT", 0.4)
+        with TcpSMBServer(capacity=1 << 20) as server:
+            healthy = SMBClient.connect(server.address)
+            stalled = socket.create_connection(server.address, timeout=10.0)
+            start = time.monotonic()
+            stalled.sendall(first_bytes)
+            healthy.create_buffer("during", 64)
+            stalled.settimeout(5.0)
+            assert stalled.recv(1) == b"", "expected the connection severed"
+            assert 0.3 < time.monotonic() - start < 4.0
+            stalled.close()
+            assert healthy.lookup("during")[1] == 64
+            healthy.close()
 
 
 class TestDispatchRobustness:

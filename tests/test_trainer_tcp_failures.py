@@ -10,9 +10,10 @@ from repro.core import (
     ShmCaffeConfig,
     TerminationCriterion,
 )
-from repro.core.worker import ShmCaffeWorker, WorkerError
+from repro.core.engine import WorkerError
 from repro.smb import CapacityError, SMBClient, SMBServer, TcpSMBServer
 
+from .helpers import build_engine
 from .test_netspec import small_spec
 
 
@@ -57,7 +58,7 @@ class TestTcpTrainer:
     def test_namespaced_jobs_share_one_server(self, dataset):
         """Two sequential jobs coexist on one server via namespaces."""
         with TcpSMBServer(capacity=1 << 26) as server:
-            for namespace in ("job1/", "job2/"):
+            for namespace in ("job1.", "job2."):
                 manager = DistributedTrainingManager(
                     spec_factory=lambda: small_spec(batch=4),
                     config=make_config(iterations=3),
@@ -98,7 +99,7 @@ class TestFailureInjection:
         global_w = client.create_array("W_g", flat.count)
         global_w.write(flat.get_vector())
         delta = client.create_array("dW_0", flat.count)
-        worker = ShmCaffeWorker(
+        worker = build_engine(
             rank=0,
             net=net,
             config=make_config(iterations=10),

@@ -6,10 +6,11 @@ import pytest
 from repro.caffe import Net, SolverConfig, SyntheticImageDataset
 from repro.caffe.params import FlatParams
 from repro.core.config import ShmCaffeConfig, TerminationCriterion
+from repro.core.engine import WorkerError
 from repro.core.termination import TerminationCoordinator
-from repro.core.worker import ShmCaffeWorker, WorkerError
 from repro.smb import ControlBlock, SMBClient, SMBServer
 
+from .helpers import build_engine
 from .test_netspec import small_spec
 
 
@@ -41,7 +42,7 @@ def make_worker(server, dataset, rank=0, overlap=True, iterations=5,
         overlap_updates=overlap,
         stale_global_read=stale,
     )
-    worker = ShmCaffeWorker(
+    worker = build_engine(
         rank=rank,
         net=net,
         config=config,
@@ -112,13 +113,14 @@ class TestWorker:
         initial_global = global_array.read()
         pushed = []
 
-        original = worker.increment_buffer.write
+        increment = worker.strategy.increment_buffer
+        original = increment.write
 
         def spy(values):
             pushed.append(np.array(values, copy=True))
             return original(values)
 
-        worker.increment_buffer.write = spy
+        increment.write = spy
         worker.run()
         drift = global_array.read() - initial_global
         np.testing.assert_allclose(
@@ -133,7 +135,7 @@ class TestWorker:
         bad_global = client.create_array("W_g_bad", flat_count + 1)
         increment = client.create_array("dW", flat_count)
         with pytest.raises(WorkerError):
-            ShmCaffeWorker(
+            build_engine(
                 rank=0,
                 net=net,
                 config=ShmCaffeConfig(),
