@@ -36,7 +36,6 @@ from .engine import (
     smb_path_lost,
 )
 from .exchange import (
-    EXCHANGES,
     BaseExchange,
     ExchangeStrategy,
     HybridExchange,
@@ -44,7 +43,6 @@ from .exchange import (
     SMBAsgdExchange,
     StaleReadExchange,
     make_exchange,
-    register_exchange,
 )
 from .overlap import OverlapDriver
 from .seasgd import (
@@ -73,7 +71,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointInfo",
     "DistributedTrainingManager",
-    "EXCHANGES",
     "ElasticWorkerHandle",
     "ExchangeStrategy",
     "FleetSignals",
@@ -100,7 +97,6 @@ __all__ = [
     "inspect_checkpoint",
     "latest_checkpoint",
     "make_exchange",
-    "register_exchange",
     "seasgd_exchange",
     "smb_path_lost",
 ]

@@ -47,7 +47,7 @@ class ShmCaffeConfig:
             deteriorates due to the delayed parameter problem"); enabling
             it reproduces that deterioration.
         algorithm: Named exchange strategy for SMB participants (see
-            :data:`repro.core.exchange.EXCHANGES`).  ``"seasgd"`` is the
+            :func:`repro.core.exchange.make_exchange`).  ``"seasgd"`` is the
             paper's rule; ``"smb_asgd"`` runs the Downpour baseline over
             the SMB accumulate primitive.
     """

@@ -11,9 +11,9 @@ implementation driven by the shared
 * :class:`HybridExchange` — HSGD: intra-group ring allreduce, root-only
   SEASGD against the SMB server, weight broadcast back to the group.
   Roots honor ``overlap_updates``;
-* :class:`SMBAsgdExchange` — the :mod:`repro.platforms.asgd` Downpour
-  rule ported onto the SMB accumulate primitive, proving the seam admits
-  new update rules without a new worker class.
+* :class:`SMBAsgdExchange` — the Downpour rule (the related-work
+  parameter-server comparator) on the SMB accumulate primitive, proving
+  the seam admits new update rules without a new worker class.
 
 :func:`~repro.core.seasgd.elastic_pull_` is the **only** eqs. (5)-(6)
 kernel the training stack calls; every strategy that exchanges
@@ -24,10 +24,9 @@ No strategy allocates anything model-sized per iteration.  Strategies
 are typed against
 :class:`~repro.smb.buffer.ParameterBuffer`, so they run unchanged on a
 single :class:`~repro.smb.client.RemoteArray` or a multi-server
-:class:`~repro.smb.sharding.ShardedArray`.
+:class:`~repro.smb.fleet.ShardedArray`.
 
-New strategies register under a name with :func:`register_exchange`;
-``ShmCaffeConfig.algorithm`` selects one by name through
+``ShmCaffeConfig.algorithm`` selects a strategy by name through
 :func:`make_exchange`.
 """
 
@@ -399,15 +398,21 @@ class HybridExchange(BaseExchange):
 
 
 class SMBAsgdExchange(BaseExchange):
-    """Downpour ASGD (see :mod:`repro.platforms.asgd`) on SMB primitives.
+    """Downpour ASGD — the related-work comparator — on SMB primitives.
 
     The demonstration that the strategy seam admits a genuinely different
     update rule: ``exchange`` *replaces* the replica with ``W_g`` (the
     Downpour fetch; ``update_interval`` plays ``fetch_interval``), and
     every step pushes ``-lr * gradient`` through the worker's private
     segment into the server-side accumulate — apply-on-arrival, no
-    elastic averaging.  The write side rides the same
+    elastic averaging, hence the delayed-gradient problem the paper
+    argues against.  The write side rides the same
     :class:`OverlapDriver` as SEASGD when ``overlap_updates`` is on.
+
+    A limitation the baseline faithfully inherits: gradient pushes never
+    carry batch-norm *running statistics* (their "gradient" is zero), so
+    ``W_g`` of a BN network evaluates with initialisation-time
+    statistics.  Compare on BN-free models.
 
     Downpour has no per-worker averaging coefficient to rescale, so the
     ``fleet`` source is accepted (elastic runs build every strategy the
@@ -490,23 +495,13 @@ class SMBAsgdExchange(BaseExchange):
             self.driver.stop()
 
 
-#: Registry of named exchange strategies for SEASGD-style participants
-#: (one worker, two SMB buffers, optionally a live-fleet source for
-#: elastic runs).  ``ShmCaffeConfig.algorithm`` selects by name; third
-#: parties extend it with :func:`register_exchange`.
-EXCHANGES: Dict[str, Callable[..., BaseExchange]] = {}
-
-
-def register_exchange(
-    name: str,
-    factory: Callable[..., BaseExchange],
-) -> None:
-    """Register a strategy factory under ``config.algorithm`` name."""
-    EXCHANGES[name] = factory
-
-
-register_exchange("seasgd", SEASGDExchange)
-register_exchange("smb_asgd", SMBAsgdExchange)
+#: The named exchange strategies for SEASGD-style participants (one
+#: worker, two SMB buffers, optionally a live-fleet source for elastic
+#: runs); ``ShmCaffeConfig.algorithm`` selects by name.
+_EXCHANGES: Dict[str, Callable[..., BaseExchange]] = {
+    "seasgd": SEASGDExchange,
+    "smb_asgd": SMBAsgdExchange,
+}
 
 
 def make_exchange(
@@ -517,29 +512,16 @@ def make_exchange(
 ) -> BaseExchange:
     """Build the configured strategy for a direct SMB participant.
 
-    ``fleet`` (elastic runs) is forwarded to the factory; a registered
-    strategy that cannot take one rejects elastic membership loudly.
+    ``fleet`` is the live-fleet size source of an elastic run.
     """
     if config.stale_global_read:
-        if config.algorithm != "seasgd":
-            raise ValueError(
-                "stale_global_read is a SEASGD ablation; it cannot be "
-                f"combined with algorithm={config.algorithm!r}"
-            )
+        # A SEASGD ablation; the config refuses it with any other rule.
         return StaleReadExchange(global_weights, increment_buffer, fleet)
     try:
-        factory = EXCHANGES[config.algorithm]
+        factory = _EXCHANGES[config.algorithm]
     except KeyError:
         raise ValueError(
             f"unknown exchange algorithm {config.algorithm!r}; "
-            f"registered: {sorted(EXCHANGES)}"
+            f"registered: {sorted(_EXCHANGES)}"
         ) from None
-    if fleet is None:
-        return factory(global_weights, increment_buffer)
-    try:
-        return factory(global_weights, increment_buffer, fleet=fleet)
-    except TypeError:
-        raise ValueError(
-            f"algorithm {config.algorithm!r} does not support elastic "
-            "membership (its factory takes no fleet source)"
-        ) from None
+    return factory(global_weights, increment_buffer, fleet)

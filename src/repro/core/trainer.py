@@ -41,7 +41,6 @@ from ..smb.faults import FaultInjectingTransport, FaultPlan
 from ..smb.membership import MembershipRegistry
 from ..smb.retry import RetryPolicy
 from ..smb.server import SMBServer
-from ..smb.transport import InProcTransport, TcpTransport
 from ..telemetry import TelemetrySession
 from ..telemetry import current as _telemetry_current
 from .checkpoint import (
@@ -350,27 +349,20 @@ class DistributedTrainingManager:
         injector.  Infrastructure clients (monitor, final-weights reader)
         pass ``None`` and stay clean so chaos targets only the workers.
         """
+        policy = self.retry_policy if rank is not None else None
         if self.server_address is not None:
-            policy = self.retry_policy
-            transport = TcpTransport(
-                self.server_address,
-                timeout=policy.connect_timeout if policy else 10.0,
-                request_timeout=(
-                    policy.request_timeout if policy else 30.0
-                ),
+            client = SMBClient.connect(
+                self.server_address, self.telemetry, policy,
                 rendezvous=self.rendezvous,
                 server_down_grace=self.server_down_grace,
             )
         else:
-            transport = InProcTransport(self.server)
+            client = SMBClient.in_process(self.server, self.telemetry, policy)
         if rank is not None and self.fault_plan is not None:
-            transport = FaultInjectingTransport(
-                transport, self.fault_plan.for_rank(rank)
+            client.transport = FaultInjectingTransport(
+                client.transport, self.fault_plan.for_rank(rank)
             )
-        return SMBClient(
-            transport, self.telemetry,
-            retry_policy=self.retry_policy if rank is not None else None,
-        )
+        return client
 
     def _reclaim_array(
         self, client: SMBClient, name: str, count: int,

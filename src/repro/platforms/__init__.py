@@ -6,7 +6,7 @@
 * :mod:`repro.platforms.shmcaffe` — ShmCaffe-A and ShmCaffe-H (ours).
 """
 
-from . import asgd, bvlc_caffe, caffe_mpi, mpi_caffe, shmcaffe
+from . import bvlc_caffe, caffe_mpi, mpi_caffe, shmcaffe
 from .base import (
     EvalRecord,
     PlatformResult,
@@ -18,7 +18,6 @@ from .base import (
 __all__ = [
     "EvalRecord",
     "PlatformResult",
-    "asgd",
     "bvlc_caffe",
     "caffe_mpi",
     "evaluate_net",

@@ -59,10 +59,9 @@ def train(
         overlap_updates: Run the Fig. 6 update thread (default, faithful).
         termination: Sec. III-E alignment criterion.  Elastic runs force
             ``AVERAGE_ITERATIONS`` (the criterion defined under churn).
-        algorithm: Named exchange strategy (``"seasgd"`` or any name in
-            :data:`repro.core.exchange.EXCHANGES`, e.g. ``"smb_asgd"``
-            for Downpour over SMB; ``update_interval`` then acts as the
-            fetch interval).
+        algorithm: Named exchange strategy: ``"seasgd"``, or
+            ``"smb_asgd"`` for the Downpour comparator over SMB
+            (``update_interval`` then acts as the fetch interval).
         elastic: Let the fleet change size mid-run (requires variant A);
             a membership registry is kept in ``registry_dir``.
         max_workers: Slot ceiling for an elastic run (defaults to

@@ -13,7 +13,7 @@ Responses carry the segment version both as ``X-SMB-Version`` and as a
 strong ``ETag`` (``"v<version>"``), so ordinary HTTP conditional requests
 (``If-None-Match``) short-circuit to ``304 Not Modified`` without moving
 model bytes.  Requests are routed to a replica by consistent hashing
-(:class:`~repro.smb.placement.HashRingPlacement`) over ``tenant/name``,
+(:class:`~repro.smb.fleet.HashRingPlacement`) over ``tenant/name``,
 with failover to any other replica that mirrors the segment, so the
 read fan-out spreads across the fleet and never touches the training
 primary (except a replica's own pinned-read fallback).
@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, unquote, urlparse
 
 from ..smb.errors import SMBError, UnknownKeyError
-from ..smb.placement import HashRingPlacement, Placement
+from ..smb.fleet import HashRingPlacement, Placement
 from ..smb.serving import ReplicaServer, VersionNotAvailableError
 from ..telemetry import TelemetrySession
 from ..telemetry import current as _telemetry_current

@@ -61,17 +61,18 @@ from .memory import (
     Segment,
     TenantGrant,
 )
-from .placement import (
+from .fleet import (
     HashRingPlacement,
     Move,
     Placement,
     PlacementError,
-    StripedPlacement,
-    attach_placed_array,
-    create_placed_array,
+    ShardedArray,
+    attach_sharded_array,
+    create_sharded_array,
     discover_locations,
-    plan_moves,
     rebalance,
+    shard_counts,
+    shutdown_fanout_executor,
 )
 from .protocol import Message, Op, Status
 from .retry import DEFAULT_RETRY_POLICY, NO_RETRY, RetryPolicy
@@ -82,13 +83,6 @@ from .serving import (
     VersionNotAvailableError,
 )
 from .shm_transport import ShmSMBServer, ShmTransport
-from .sharding import (
-    ShardedArray,
-    attach_sharded_array,
-    create_sharded_array,
-    shard_counts,
-    shutdown_fanout_executor,
-)
 from .transport import InProcTransport, TcpTransport
 
 __all__ = [
@@ -145,7 +139,6 @@ __all__ = [
     "ShmTransport",
     "StaleGenerationError",
     "Status",
-    "StripedPlacement",
     "TcpSMBServer",
     "TcpTransport",
     "TenantGrant",
@@ -153,13 +146,10 @@ __all__ = [
     "UnknownKeyError",
     "VersionNotAvailableError",
     "VersionRegressionError",
-    "attach_placed_array",
     "attach_sharded_array",
-    "create_placed_array",
     "create_sharded_array",
     "discover_locations",
     "is_retryable",
-    "plan_moves",
     "publish_json",
     "read_json",
     "read_rendezvous",

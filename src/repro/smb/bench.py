@@ -11,7 +11,7 @@ training measures, including retry/validation overhead.
 Results serialise to ``BENCH_smb.json``; :func:`compare` diffs a current
 run against a committed baseline and flags cells whose p50 latency
 regressed beyond a factor (the CI gate).  An optional sharded section
-times a K-server :class:`~repro.smb.sharding.ShardedArray` gather/scatter
+times a K-server :class:`~repro.smb.fleet.ShardedArray` gather/scatter
 against the sum of its per-shard sequential costs, quantifying the
 fan-out overlap.
 
@@ -44,7 +44,7 @@ from ..telemetry import TelemetrySession
 from .client import RemoteArray, SMBClient
 from .memory import enter_bulk_priority
 from .server import SMBServer, TcpSMBServer
-from .sharding import ShardedArray, create_sharded_array
+from .fleet import ShardedArray, create_sharded_array
 from .shm_transport import ShmSMBServer
 
 #: Default payload sweep (bytes): 1 KiB -> 64 MiB in 16x steps, i.e. the

@@ -8,14 +8,12 @@ Two backends provide them today:
 
 * :class:`repro.smb.client.RemoteArray` — one segment on one SMB server
   (the evaluated system's single memory server);
-* :class:`repro.smb.sharding.ShardedArray` — one logical vector striped
+* :class:`repro.smb.fleet.ShardedArray` — one logical vector striped
   over K servers (the paper's multi-server future work).
 
-Historically the second backend was duck-typed into the worker; this
-protocol makes the seam formal, so the training engine and its exchange
-strategies are *typed* against :class:`ParameterBuffer` and multi-server
-sharding is a first-class backend rather than an accident of attribute
-names.  The protocol is :func:`typing.runtime_checkable`, so tests can
+The training engine and its exchange strategies are *typed* against
+:class:`ParameterBuffer`, so multi-server sharding is a first-class
+backend.  The protocol is :func:`typing.runtime_checkable`, so tests can
 assert conformance with ``isinstance``.
 """
 

@@ -112,16 +112,6 @@ class _Attachment:
     regressed: bool = False
 
 
-def _raise_remote(payload: bytes) -> None:
-    """Re-raise a server-side SMBError from its wire representation.
-
-    Structured subclasses come back through their real constructors (see
-    :func:`repro.smb.errors.from_wire`), so handlers that inspect e.g.
-    :attr:`CapacityError.available` work across the TCP hop.
-    """
-    raise errors.from_wire(payload)
-
-
 class SMBClient:
     """Handle to one SMB server, usable from one worker's threads.
 
@@ -158,7 +148,9 @@ class SMBClient:
         tenant: str = DEFAULT_TENANT,
         cache: "Optional[Union[int, ReadCacheLike]]" = None,
     ) -> None:
-        self._transport = transport
+        #: The request/response path to the server.  Public so a chaos
+        #: layer can wrap it (:class:`~repro.smb.faults.FaultInjectingTransport`).
+        self.transport = transport
         #: Namespace this client's name-based ops resolve in.  The
         #: transport carries it on the wire (the hello); this copy
         #: is informational — shown in telemetry and admin tooling.
@@ -264,7 +256,7 @@ class SMBClient:
 
     def close(self) -> None:
         """Release the underlying transport."""
-        self._transport.close()
+        self.transport.close()
 
     def __enter__(self) -> "SMBClient":
         return self
@@ -313,7 +305,7 @@ class SMBClient:
         while True:
             attempt += 1
             try:
-                response = self._transport.request(
+                response = self.transport.request(
                     self._translate(request), out
                 )
             except errors.SMBError as exc:

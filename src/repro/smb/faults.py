@@ -1,10 +1,10 @@
 """Deterministic fault injection for the SMB transport path (chaos layer).
 
-A :class:`FaultInjectingTransport` wraps any
-:class:`~repro.smb.transport.Transport` and, driven by a seeded
+A :class:`FaultInjectingTransport` wraps a
+:class:`~repro.smb.transport.ChannelTransport` and, driven by a seeded
 :class:`FaultPlan`, makes requests fail the way a congested or flaky
 interconnect would: raised connection errors ("the packet never made it"),
-added latency, forced TCP disconnects, and — for worker-loss drills — a
+added latency, forced disconnects, and — for worker-loss drills — a
 permanent kill switch after N requests.
 
 Two design rules keep chaos runs meaningful:
@@ -30,7 +30,7 @@ from typing import Dict, Optional, Tuple
 from ..telemetry import current as _telemetry_current
 from .errors import FaultInjectedError, TransportClosedError
 from .protocol import Message
-from .transport import Transport
+from .transport import ChannelTransport
 
 #: Fault kinds a plan can fire, in the order they are considered.
 FAULT_KINDS = ("kill", "disconnect", "error", "delay")
@@ -51,10 +51,9 @@ class FaultPlan:
             the request proceeds (congestion).
         delay_seconds: Length of one injected delay.
         disconnect_rate: Probability of hard-dropping the underlying
-            connection first (exercises TCP reconnect); the request then
-            fails with :class:`FaultInjectedError`.  On transports without
-            a ``drop_connection`` method this degrades to ``error_rate``
-            behaviour.
+            channels first (exercises the reconnect path of whichever
+            doorway is wrapped); the request then fails with
+            :class:`FaultInjectedError`.
         ops: Restrict injection to these ``Op`` names (e.g.
             ``("ACCUMULATE", "READ")``); ``None`` targets every op.
         kill_rank: Rank whose transport dies permanently (worker-loss
@@ -82,16 +81,6 @@ class FaultPlan:
             kill_rank=rank if kill else None,
         )
 
-    @property
-    def injects_anything(self) -> bool:
-        """Whether this plan can ever fire."""
-        return (
-            self.error_rate > 0.0
-            or self.delay_rate > 0.0
-            or self.disconnect_rate > 0.0
-            or self.kill_rank is not None
-        )
-
 
 class FaultInjectingTransport:
     """Transport decorator that injects faults per a :class:`FaultPlan`.
@@ -103,7 +92,7 @@ class FaultInjectingTransport:
     recording.
     """
 
-    def __init__(self, inner: Transport, plan: FaultPlan) -> None:
+    def __init__(self, inner: ChannelTransport, plan: FaultPlan) -> None:
         self.inner = inner
         self.plan = plan
         self._rng = random.Random(plan.seed)
@@ -156,9 +145,7 @@ class FaultInjectingTransport:
                 f"{self.plan.kill_after} request(s)"
             )
         if fault == "disconnect":
-            drop = getattr(self.inner, "drop_connection", None)
-            if drop is not None:
-                drop()
+            self.inner.drop_connection()
             raise FaultInjectedError(
                 f"injected disconnect before {message.op.name}"
             )

@@ -120,7 +120,7 @@ class JobEntry:
     capacity: int = 0
     members: Dict[str, MemberRecord] = field(default_factory=dict)
     #: SMB server fleet for this namespace, in placement order — what a
-    #: rebalancer (:func:`repro.smb.placement.rebalance`) walks.  Each
+    #: rebalancer (:func:`repro.smb.fleet.rebalance`) walks.  Each
     #: entry is ``{"id": ..., "host": ..., "port": ...}``-shaped.
     servers: List[Dict[str, object]] = field(default_factory=list)
 
@@ -328,7 +328,7 @@ class MembershipRegistry:
     def lock(self) -> Iterator[None]:
         """Hold the registry's cross-process lock around external work.
 
-        The rebalancer (:func:`repro.smb.placement.rebalance`) passes
+        The rebalancer (:func:`repro.smb.fleet.rebalance`) passes
         this around each segment migration so directory readers never
         resolve a name while its copy is mid-flight.
         """

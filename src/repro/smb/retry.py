@@ -11,7 +11,7 @@ request may sit on the wire before the transport declares it lost.
 
 The policy is *data*; the retry loop lives in
 :class:`~repro.smb.client.SMBClient` and the per-request deadlines in
-:class:`~repro.smb.transport.TcpTransport`.
+:func:`~repro.smb.transport.TcpTransport`.
 """
 
 from __future__ import annotations

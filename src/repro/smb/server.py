@@ -181,7 +181,7 @@ class SMBServer:
     """Transport-agnostic SMB request processor.
 
     One instance may be driven directly by in-process clients (see
-    :class:`~repro.smb.transport.InProcTransport`) and simultaneously by a
+    :func:`~repro.smb.transport.InProcTransport`) and simultaneously by a
     :class:`TcpSMBServer` front-end; the pool and its locks make both safe.
     """
 

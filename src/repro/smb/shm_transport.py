@@ -35,10 +35,10 @@ instead of 64 MiB through loopback TCP in both kernels.
 Strict request/response means the block is always quiescent when it is
 replaced, so growth never migrates in-flight data.
 
-``WAIT_UPDATE`` runs on a lazily opened second connection (its own small
-block), mirroring :class:`~repro.smb.transport.TcpTransport`'s
-notification channel: a parked wait must never serialise the worker's
-other thread, and waits are sliced so ``close()`` interrupts them.
+The client end is a :class:`_ShmChannel` (doorbell socket + block) under
+the one :class:`~repro.smb.transport.ChannelTransport`, which gives this
+doorway the same command/notification channel pair, sliced waits and
+reconnect-on-loss as every other.
 
 The server end, :class:`ShmSMBServer`, serves each connection on its own
 thread — co-located workers are bounded by the node's core count, so the
@@ -58,7 +58,7 @@ import threading
 from multiprocessing import shared_memory
 from typing import List, Optional, Tuple, Union
 
-from .errors import SMBConnectionError, SMBProtocolError, TransportClosedError
+from .errors import SMBConnectionError, SMBProtocolError
 from .memory import DEFAULT_TENANT
 from .protocol import (
     HANDSHAKE_TIMEOUT,
@@ -69,8 +69,10 @@ from .protocol import (
     Status,
     encode_hello,
     read_hello,
+    recv_exact,
 )
 from .server import DEFAULT_POOL_CAPACITY, SMBServer
+from .transport import ChannelTransport
 
 logger = logging.getLogger(__name__)
 
@@ -81,23 +83,7 @@ DATA_OFFSET = 64
 #: Initial per-connection block size; grown geometrically on demand.
 DEFAULT_BLOCK_SIZE = 1 << 20  # 1 MiB
 
-#: Notification-channel block size: WAIT_UPDATE frames are header-only.
-NOTIFY_BLOCK_SIZE = 4096
-
 _DOORBELL = struct.Struct("!q")
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = bytearray()
-    while len(chunks) < n:
-        try:
-            chunk = sock.recv(n - len(chunks))
-        except OSError as exc:
-            raise SMBConnectionError(f"doorbell socket failed: {exc}") from exc
-        if not chunk:
-            raise SMBConnectionError("peer closed the doorbell socket")
-        chunks.extend(chunk)
-    return bytes(chunks)
 
 
 def _send_all(sock: socket.socket, data: bytes) -> None:
@@ -112,7 +98,7 @@ def _send_doorbell(sock: socket.socket, value: int) -> None:
 
 
 def _recv_doorbell(sock: socket.socket) -> int:
-    return _DOORBELL.unpack(_recv_exact(sock, _DOORBELL.size))[0]
+    return _DOORBELL.unpack(recv_exact(sock, _DOORBELL.size))[0]
 
 
 def _send_name_record(sock: socket.socket, name: str) -> None:
@@ -121,8 +107,8 @@ def _send_name_record(sock: socket.socket, name: str) -> None:
 
 
 def _recv_name_record(sock: socket.socket) -> str:
-    (length,) = struct.unpack("!H", _recv_exact(sock, 2))
-    return _recv_exact(sock, length).decode()
+    (length,) = struct.unpack("!H", recv_exact(sock, 2))
+    return recv_exact(sock, length).decode()
 
 
 def _attach_block(name: str) -> shared_memory.SharedMemory:
@@ -190,7 +176,7 @@ class _ShmChannel:
                 raise SMBConnectionError(
                     f"bad shm handshake doorbell {value}"
                 )
-            self._attach_switch(-value)
+            self._attach_switch()
         except (OSError, SMBConnectionError) as exc:
             self.close()
             if isinstance(exc, SMBConnectionError):
@@ -199,23 +185,22 @@ class _ShmChannel:
                 f"cannot connect to SMB shm server at {path}: {exc}"
             ) from exc
 
-    def _attach_switch(self, size: int) -> None:
-        name = _recv_name_record(self.sock)
-        new = _attach_block(name)
+    def _attach_switch(self) -> None:
+        """Follow a switch record: attach the named block, drop the old."""
+        new = _attach_block(_recv_name_record(self.sock))
         _close_block(self.shm)
         self.shm = new
-        self.size = size
 
     def ensure(self, nbytes: int) -> None:
-        """Make the block at least ``nbytes`` (geometric growth)."""
+        """Make the block at least ``nbytes`` (the server over-allocates
+        geometrically, inside its ceiling)."""
         if self.shm is not None and nbytes <= self.shm.size:
             return
-        target = max(nbytes, (self.shm.size if self.shm else 0) * 2)
-        _send_doorbell(self.sock, -target)
+        _send_doorbell(self.sock, -nbytes)
         value = _recv_doorbell(self.sock)
         if value >= 0:
             raise SMBConnectionError(f"bad grow acknowledgement {value}")
-        self._attach_switch(-value)
+        self._attach_switch()
 
     def exchange(
         self, message: Message, out: Optional[memoryview] = None
@@ -235,7 +220,7 @@ class _ShmChannel:
         _send_doorbell(self.sock, request_nbytes)
         value = _recv_doorbell(self.sock)
         while value < 0:  # server grew the block for a large response
-            self._attach_switch(-value)
+            self._attach_switch()
             value = _recv_doorbell(self.sock)
         buf = self.shm.buf
         header = bytes(buf[:HEADER_SIZE])
@@ -254,58 +239,18 @@ class _ShmChannel:
         self.shm = None
 
 
-class ShmTransport:
+def ShmTransport(
+    path: Union[str, os.PathLike],
+    timeout: float = 30.0,
+    tenant: str = DEFAULT_TENANT,
+) -> ChannelTransport:
     """Client transport over a local :class:`ShmSMBServer`.
 
-    Satisfies the :class:`~repro.smb.transport.Transport` protocol.  One
-    command channel carries every ordinary request under a lock;
-    ``WAIT_UPDATE`` runs sliced on a lazily opened notification channel
-    so a parked wait never blocks the worker's data-path thread.
+    The doorway's whole contribution is the channel: a lost doorbell
+    socket is discarded and re-opened (fresh block, fresh handshake) by
+    :class:`~repro.smb.transport.ChannelTransport` like any other.
     """
-
-    def __init__(
-        self,
-        path: Union[str, os.PathLike],
-        timeout: float = 30.0,
-        tenant: str = DEFAULT_TENANT,
-    ) -> None:
-        self._path = path
-        self._timeout = timeout
-        self._tenant = tenant
-        self._lock = threading.Lock()
-        self._notify_lock = threading.Lock()
-        self._closed = threading.Event()
-        self._cmd = _ShmChannel(path, timeout, tenant)
-        self._notify: Optional[_ShmChannel] = None
-
-    def request(
-        self, message: Message, out: Optional[memoryview] = None
-    ) -> Message:
-        if self._closed.is_set():
-            raise TransportClosedError("transport is closed")
-        if message.op is Op.WAIT_UPDATE:
-            from .transport import _sliced_wait
-
-            return _sliced_wait(self._notify_exchange, message, self._closed)
-        with self._lock:
-            return self._cmd.exchange(message, out)
-
-    def _notify_exchange(self, message: Message) -> Message:
-        with self._notify_lock:
-            if self._closed.is_set():
-                raise TransportClosedError("transport is closed")
-            if self._notify is None:
-                self._notify = _ShmChannel(
-                    self._path, self._timeout, self._tenant
-                )
-            return self._notify.exchange(message)
-
-    def close(self) -> None:
-        self._closed.set()
-        self._cmd.close()
-        if self._notify is not None:
-            self._notify.close()
-            self._notify = None
+    return ChannelTransport(lambda: _ShmChannel(path, timeout, tenant))
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +467,20 @@ class ShmSMBServer:
             while not self._stop.is_set():
                 value = _recv_doorbell(conn)
                 if value < 0:
+                    # No valid frame is larger than the header region
+                    # plus everything the pool can hold; refuse before
+                    # the length costs memory.
+                    ceiling = DATA_OFFSET + self.core.pool.capacity
+                    if -value > ceiling:
+                        logger.warning(
+                            "shm client asked for a %d-byte block (pool "
+                            "allows %d); dropping connection",
+                            -value, ceiling,
+                        )
+                        break
                     block = self._switch_block(
-                        conn, block, max(-value, block.size)
+                        conn, block,
+                        min(max(-value, 2 * block.size), ceiling),
                     )
                     continue
                 block, op = self._serve_frame(conn, block, tenant)

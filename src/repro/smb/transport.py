@@ -1,36 +1,40 @@
-"""Client-side transports for talking to an SMB server.
+"""The client-side transport for talking to an SMB server.
 
 The client library (:mod:`repro.smb.client`) is transport-agnostic: it sends
-:class:`~repro.smb.protocol.Message` requests and receives responses.  Two
-transports implement that contract:
+:class:`~repro.smb.protocol.Message` requests and receives responses.  One
+class, :class:`ChannelTransport`, implements that contract for every
+doorway; a doorway only says *how a channel is opened* and *where a
+frame's bytes live*:
 
-* :class:`InProcTransport` — calls straight into an in-process
-  :class:`~repro.smb.server.SMBServer`.  This is the high-fidelity stand-in
-  for RDMA: no serialisation, no syscalls, just a function call into the
-  memory pool, which is how kernel-bypass one-sided verbs behave from the
-  application's point of view.
-* :class:`TcpTransport` — frames messages over a TCP socket to a
-  :class:`~repro.smb.server.TcpSMBServer`, for genuinely multi-process runs
-  (the repro band's "emulate ... over sockets").
+* :func:`InProcTransport` — the channel is a function call into an
+  in-process :class:`~repro.smb.server.SMBServer`.  This is the
+  high-fidelity stand-in for RDMA: no serialisation, no syscalls, which is
+  how kernel-bypass one-sided verbs behave from the application's point of
+  view.
+* :func:`TcpTransport` — the channel frames messages over a TCP socket to
+  a :class:`~repro.smb.server.TcpSMBServer`, for genuinely multi-process
+  runs (the repro band's "emulate ... over sockets").
+* :func:`~repro.smb.shm_transport.ShmTransport` — the channel is a UNIX
+  doorbell socket plus a shared-memory block that holds the frame.
 
-Both are safe for use by the two threads of a ShmCaffe worker; each
+A transport is safe for use by the two threads of a ShmCaffe worker; each
 request/response exchange is serialised by an internal lock, **except**
 ``WAIT_UPDATE``, which must never hold that lock: a notification wait can
 block for seconds while the other thread still needs to read/write/
-accumulate.  :class:`TcpTransport` therefore runs waits on a dedicated
-second connection (the *notification channel*), and both transports chop a
-long wait into bounded slices so ``close()`` wakes a blocked waiter
-promptly instead of letting shutdown hang.
+accumulate.  Waits therefore run on a dedicated second channel (the
+*notification channel*), chopped into bounded slices so ``close()`` wakes
+a blocked waiter promptly instead of letting shutdown hang.
 
-Fault tolerance: every TCP request observes a per-request deadline, and a
-connection that dies is re-established (with a fresh protocol handshake)
-on the next request — the retry layer in :class:`~repro.smb.client.SMBClient`
-turns that into a transparent reconnect-and-retry.
+Fault tolerance: a channel that dies is discarded and re-opened (with a
+fresh protocol handshake) by the next request that needs it — the retry
+layer in :class:`~repro.smb.client.SMBClient` turns that into a
+transparent reconnect-and-retry, the same way on every doorway.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import socket
 import threading
@@ -73,211 +77,169 @@ class Transport(Protocol):
         ...
 
 
-def _sliced_wait(
-    exchange: Callable[[Message], Message],
-    message: Message,
-    closed: threading.Event,
-    slice_seconds: float = WAIT_SLICE,
-) -> Message:
-    """Run one WAIT_UPDATE as a sequence of bounded server-side waits.
+class Channel(Protocol):
+    """One handshaken connection: where a frame's bytes live.
 
-    The caller's timeout semantics are preserved (``scale == 0`` waits
-    forever, ``scale < 0`` polls, otherwise the deadline is honoured to
-    within one slice), but no single exchange blocks longer than
-    ``slice_seconds`` — so a concurrent :meth:`Transport.close` is
-    observed promptly and shutdown cannot hang on a notification that
-    will never come.
-    """
-    if message.scale < 0:
-        # Poll: a single non-blocking exchange; a TIMEOUT response (the
-        # segment has not advanced) propagates for the client to raise.
-        if closed.is_set():
-            raise TransportClosedError("transport closed while waiting")
-        return exchange(message)
-    deadline = monotonic() + message.scale if message.scale > 0 else None
-    while True:
-        if closed.is_set():
-            raise TransportClosedError("transport closed while waiting")
-        remaining = slice_seconds
-        if deadline is not None:
-            remaining = min(remaining, deadline - monotonic())
-            if remaining <= 0:
-                remaining = 1e-3  # at least one (instant) version check
-        response = exchange(
-            dataclasses.replace(message, scale=remaining)
-        )
-        if response.status is not Status.TIMEOUT:
-            return response
-        if deadline is not None and monotonic() >= deadline:
-            return response  # genuine timeout; client raises from it
-
-
-class InProcTransport:
-    """Direct function-call transport into an in-process server core.
-
-    There is no wire handshake to carry the tenant, so the namespace is
-    pinned at construction and passed with every call — the in-process
-    analogue of the wire hello.
+    ``exchange`` raises :class:`SMBConnectionError` when the connection
+    is lost; ``close`` is idempotent and, called from another thread,
+    interrupts an ``exchange`` blocked on the peer.
     """
 
-    def __init__(
-        self, server: SMBServer, tenant: str = DEFAULT_TENANT
-    ) -> None:
-        self._server = server
-        self._tenant = tenant
-        self._lock = threading.Lock()
-        self._closed = threading.Event()
-
-    def request(
+    def exchange(
         self, message: Message, out: Optional[memoryview] = None
-    ) -> Message:
-        if self._closed.is_set():
-            raise TransportClosedError("transport is closed")
-        # WAIT_UPDATE may block for a long time; never hold the exchange
-        # lock across it or the worker's other thread would stall too.
-        if message.op is Op.WAIT_UPDATE:
-            return _sliced_wait(
-                lambda msg: self._server.handle(msg, tenant=self._tenant),
-                message,
-                self._closed,
-            )
-        with self._lock:
-            return self._server.handle(message, out, tenant=self._tenant)
+    ) -> Message: ...
 
-    def close(self) -> None:
-        self._closed.set()
+    def close(self) -> None: ...
 
 
-class TcpTransport:
-    """Framed request/response transport over TCP, with fault tolerance.
+class _Slot:
+    """One of a transport's two channel positions."""
 
-    Two connections are held against the server:
+    __slots__ = ("lock", "channel", "opened")
 
-    * the **command channel** — every ordinary request/response pair,
-      serialised under a lock;
-    * the **notification channel** — opened lazily for ``WAIT_UPDATE``
-      only, so a blocked wait never serialises the worker's other thread.
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.channel: Optional[Channel] = None
+        #: Whether this position ever held a channel; the notification
+        #: channel's first lazy open is an open, not a reconnect.
+        self.opened = False
 
-    Either connection that dies (peer reset, timeout, server restart) is
-    torn down and re-established — including the protocol ``HELLO``
-    handshake — on the next request that needs it.  Every exchange
-    observes ``request_timeout``; an overdue response surfaces as
-    :class:`SMBConnectionError`, which the client's retry policy treats
-    as transient.
+
+class ChannelTransport:
+    """The command channel, the notification channel, and their upkeep.
+
+    See the module docstring for the contract.  A lost exchange surfaces
+    as :class:`SMBConnectionError` (transient to the client's retry
+    policy); :attr:`reconnects` counts the channels re-opened after one.
+
+    Args:
+        open_channel: Opens one handshaken channel, or raises
+            :class:`SMBConnectionError`.  The only thing that differs
+            between doorways.
+        server_down_grace: Seconds each (re)open keeps retrying a dead
+            endpoint before giving up, turning a server restart into a
+            bounded outage instead of a run-killing error.
     """
 
     def __init__(
         self,
-        address: Tuple[str, int],
-        timeout: float = 10.0,
-        request_timeout: float = 30.0,
-        rendezvous: Optional[Union[str, os.PathLike]] = None,
+        open_channel: Callable[[], Channel],
         server_down_grace: float = 0.0,
-        tenant: str = DEFAULT_TENANT,
     ) -> None:
-        self._address = address
-        self._tenant = tenant
-        self._hello = encode_hello(tenant)
-        self._connect_timeout = timeout
-        self._request_timeout = request_timeout
-        self._rendezvous = rendezvous
+        self._open_channel = open_channel
         self._server_down_grace = server_down_grace
-        self._lock = threading.Lock()
-        self._notify_lock = threading.Lock()
         self._closed = threading.Event()
-        self._sock: Optional[socket.socket] = self._connect()
-        self._notify_sock: Optional[socket.socket] = None
-        #: Whether the notification channel has ever been opened; its
-        #: first lazy connect is an open, not a reconnect.
-        self._notify_connected_once = False
+        self._cmd = _Slot()
+        self._notify = _Slot()
         self.reconnects = 0
+        with self._cmd.lock:
+            self._open(self._cmd)
 
-    # -- connection management -------------------------------------------
+    # -- channel management ----------------------------------------------
 
-    def _resolve_address(self) -> Tuple[str, int]:
-        """Current server endpoint: rendezvous file, else static address.
-
-        A restarted server usually binds a new ephemeral port and
-        republishes it through the rendezvous file; re-reading the file
-        on *every* attempt is what lets a client inside its grace window
-        find the new endpoint without any out-of-band coordination.
-        """
-        if self._rendezvous is not None:
-            resolved = read_rendezvous(self._rendezvous)
-            if resolved is not None:
-                return resolved
-        return self._address
-
-    def _connect(self) -> socket.socket:
-        """Open one handshaken connection to the server.
-
-        With ``server_down_grace > 0`` a refused/failed connection is not
-        terminal: attempts repeat (re-resolving the rendezvous each time)
-        until the grace window expires, turning a server restart into a
-        bounded outage instead of a run-killing error.
-        """
+    def _open(self, slot: _Slot) -> Channel:
+        """Open a channel into ``slot`` (caller holds ``slot.lock``)."""
         grace = self._server_down_grace
         deadline = monotonic() + grace if grace > 0 else None
-        last_exc: Optional[OSError] = None
-        address = self._address
         while True:
             if self._closed.is_set():
                 raise TransportClosedError("transport is closed")
-            address = self._resolve_address()
-            sock: Optional[socket.socket] = None
             try:
-                sock = socket.create_connection(
-                    address, timeout=self._connect_timeout
-                )
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                sock.settimeout(self._request_timeout)
-                sock.sendall(self._hello)
-                self._address = address
-                return sock
-            except OSError as exc:
-                if sock is not None:
-                    sock.close()
-                last_exc = exc
-            if deadline is None or monotonic() >= deadline:
-                raise SMBConnectionError(
-                    f"cannot connect to SMB server at {address}: {last_exc}"
-                ) from last_exc
-            sleep(min(RECONNECT_PAUSE, max(deadline - monotonic(), 0.0)))
+                channel = self._open_channel()
+                break
+            except SMBConnectionError:
+                if deadline is None or monotonic() >= deadline:
+                    raise
+                sleep(min(RECONNECT_PAUSE, max(deadline - monotonic(), 0.0)))
+        # Publish, *then* re-check: close() sets the flag before it reads
+        # the slots, so one side or the other always sees this channel.
+        slot.channel = channel
+        if self._closed.is_set():
+            self._discard(slot)
+            raise TransportClosedError("transport is closed")
+        if slot.opened:
+            self.reconnects += 1
+        slot.opened = True
+        return channel
 
     @staticmethod
-    def _discard(sock: Optional[socket.socket]) -> None:
-        if sock is not None:
+    def _discard(slot: _Slot) -> None:
+        """Close and forget ``slot``'s channel (caller holds its lock)."""
+        if slot.channel is not None:
+            slot.channel.close()
+            slot.channel = None
+
+    def _exchange(
+        self, slot: _Slot, message: Message, out: Optional[memoryview] = None
+    ) -> Message:
+        with slot.lock:
+            channel = slot.channel
+            if channel is None:
+                channel = self._open(slot)
             try:
-                sock.close()
-            except OSError:
-                pass
+                return channel.exchange(message, out)
+            except SMBConnectionError:
+                # Channel state is unknown (partial frame possible);
+                # drop it so the next request starts clean.
+                self._discard(slot)
+                raise
 
     def drop_connection(self) -> None:
-        """Abort both connections (fault injection / tests).
+        """Abort both channels (fault injection / tests).
 
-        The next request transparently reconnects and re-handshakes; a
+        The next request transparently re-opens and re-handshakes; a
         thread blocked in a wait observes a connection error and lets the
         retry layer re-issue the wait.
 
-        The notification socket is *closed without the lock* — that is
-        what interrupts a waiter blocked in ``recv`` (which holds
-        ``_notify_lock`` for up to a wait slice) — but the shared
-        ``_notify_sock`` slot itself is only cleared under the lock, and
-        only if it still holds the socket we closed.  The old code
-        assigned ``None`` lock-free, so a concurrent ``_notify_exchange``
-        could read ``None`` mid-exchange and crash with ``TypeError``
-        instead of the retryable ``SMBConnectionError``.
+        The command channel is dropped under its lock, *between*
+        exchanges: an in-flight ACCUMULATE must not be torn mid-request
+        and then retried into a double application.  The notification
+        channel is closed without the lock — that is what interrupts a
+        waiter parked in its exchange (which holds the lock for up to a
+        wait slice) — and its slot is cleared under the lock only if it
+        still holds the channel just closed.
         """
-        with self._lock:
-            self._discard(self._sock)
-            self._sock = None
-        notify = self._notify_sock
-        self._discard(notify)  # interrupts a blocked recv, never blocks
-        with self._notify_lock:
-            if self._notify_sock is notify:
-                self._notify_sock = None
+        with self._cmd.lock:
+            self._discard(self._cmd)
+        notify = self._notify.channel
+        if notify is not None:
+            notify.close()
+        with self._notify.lock:
+            if self._notify.channel is notify:
+                self._notify.channel = None
 
     # -- request path -----------------------------------------------------
+
+    def _sliced_wait(self, message: Message) -> Message:
+        """Run one WAIT_UPDATE as a sequence of bounded server-side waits.
+
+        The caller's timeout semantics are preserved (``scale == 0`` waits
+        forever, ``scale < 0`` polls, otherwise the deadline is honoured to
+        within one slice), but no single exchange blocks longer than
+        :data:`WAIT_SLICE` — so a concurrent :meth:`close` is observed
+        promptly and shutdown cannot hang on a notification that will
+        never come.
+        """
+        if message.scale < 0:
+            # Poll: a single non-blocking exchange; a TIMEOUT response (the
+            # segment has not advanced) propagates for the client to raise.
+            return self._exchange(self._notify, message)
+        deadline = monotonic() + message.scale if message.scale > 0 else None
+        while True:
+            if self._closed.is_set():
+                raise TransportClosedError("transport closed while waiting")
+            remaining = WAIT_SLICE
+            if deadline is not None:
+                remaining = min(remaining, deadline - monotonic())
+                if remaining <= 0:
+                    remaining = 1e-3  # at least one (instant) version check
+            response = self._exchange(
+                self._notify, dataclasses.replace(message, scale=remaining)
+            )
+            if response.status is not Status.TIMEOUT:
+                return response
+            if deadline is not None and monotonic() >= deadline:
+                return response  # genuine timeout; client raises from it
 
     def request(
         self, message: Message, out: Optional[memoryview] = None
@@ -285,46 +247,99 @@ class TcpTransport:
         if self._closed.is_set():
             raise TransportClosedError("transport is closed")
         if message.op is Op.WAIT_UPDATE:
-            return _sliced_wait(self._notify_exchange, message, self._closed)
-        with self._lock:
-            if self._sock is None:
-                self._sock = self._connect()
-                self.reconnects += 1
-            try:
-                send_message(self._sock, message)
-                return recv_message(self._sock, out)
-            except SMBConnectionError:
-                # Connection state is unknown (partial frame possible);
-                # drop it so the next request starts clean.
-                self._discard(self._sock)
-                self._sock = None
-                raise
-
-    def _notify_exchange(self, message: Message) -> Message:
-        """One exchange on the dedicated notification connection."""
-        with self._notify_lock:
-            if self._closed.is_set():
-                raise TransportClosedError("transport is closed")
-            if self._notify_sock is None:
-                self._notify_sock = self._connect()
-                # Reconnects on this channel count too; only the very
-                # first (lazy) open is free.
-                if self._notify_connected_once:
-                    self.reconnects += 1
-                self._notify_connected_once = True
-            try:
-                send_message(self._notify_sock, message)
-                return recv_message(self._notify_sock)
-            except SMBConnectionError:
-                self._discard(self._notify_sock)
-                self._notify_sock = None
-                raise
+            return self._sliced_wait(message)
+        return self._exchange(self._cmd, message, out)
 
     def close(self) -> None:
         self._closed.set()
-        # Closing the sockets wakes any thread blocked in recv() with an
-        # OSError -> SMBConnectionError, so shutdown never waits a slice.
-        self._discard(self._sock)
-        self._sock = None
-        self._discard(self._notify_sock)
-        self._notify_sock = None
+        # Lock-free on purpose: closing a channel wakes a thread blocked
+        # in its exchange (which holds the slot lock), so shutdown never
+        # waits a slice.  Whoever holds the lock forgets the dead channel.
+        for slot in (self._cmd, self._notify):
+            channel = slot.channel
+            if channel is not None:
+                channel.close()
+
+
+class _InProcChannel:
+    """A function call into the server core; nothing to lose or close.
+
+    There is no wire handshake to carry the tenant, so the namespace is
+    bound here and passed with every call — the in-process analogue of
+    the wire hello.
+    """
+
+    def __init__(self, server: SMBServer, tenant: str) -> None:
+        self.exchange = functools.partial(server.handle, tenant=tenant)
+
+    def close(self) -> None:
+        pass
+
+
+def InProcTransport(
+    server: SMBServer, tenant: str = DEFAULT_TENANT
+) -> ChannelTransport:
+    """Direct function-call transport into an in-process server core."""
+    return ChannelTransport(lambda: _InProcChannel(server, tenant))
+
+
+class _TcpChannel:
+    """One handshaken TCP connection; frames travel through the socket."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+
+    def exchange(
+        self, message: Message, out: Optional[memoryview] = None
+    ) -> Message:
+        send_message(self._sock, message)
+        return recv_message(self._sock, out)
+
+    def close(self) -> None:
+        try:
+            self._sock.close()
+        except OSError:
+            pass
+
+
+def TcpTransport(
+    address: Tuple[str, int],
+    timeout: float = 10.0,
+    request_timeout: float = 30.0,
+    rendezvous: Optional[Union[str, os.PathLike]] = None,
+    server_down_grace: float = 0.0,
+    tenant: str = DEFAULT_TENANT,
+) -> ChannelTransport:
+    """Framed transport over TCP to a :class:`~repro.smb.server.TcpSMBServer`.
+
+    Every exchange observes ``request_timeout``; an overdue response
+    surfaces as :class:`SMBConnectionError`.  With ``rendezvous``, the
+    endpoint file is re-read on *every* open attempt: a restarted server
+    usually binds a new ephemeral port and republishes it there, which is
+    what lets a client inside its grace window find the new endpoint
+    without any out-of-band coordination.
+    """
+    hello = encode_hello(tenant)
+
+    def open_channel() -> _TcpChannel:
+        nonlocal address
+        target = address
+        if rendezvous is not None:
+            target = read_rendezvous(rendezvous) or address
+        try:
+            sock = socket.create_connection(target, timeout=timeout)
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                sock.settimeout(request_timeout)
+                sock.sendall(hello)
+            except OSError:
+                sock.close()
+                raise
+        except OSError as exc:
+            raise SMBConnectionError(
+                f"cannot connect to SMB server at {target}: {exc}"
+            ) from exc
+        address = target
+        return _TcpChannel(sock)
+
+    return ChannelTransport(open_channel, server_down_grace)

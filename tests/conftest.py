@@ -1,0 +1,72 @@
+"""Shared fixtures: the three SMB doorways behind one handle."""
+
+import pytest
+
+from repro.smb import (
+    InProcTransport,
+    ShmSMBServer,
+    ShmTransport,
+    SMBClient,
+    SMBServer,
+    TcpSMBServer,
+    TcpTransport,
+)
+
+CAPACITY = 1 << 24
+
+
+class Doorway:
+    """One running server and the ways to reach it.
+
+    ``transport()`` opens a bare transport, ``connect()`` a client on
+    one; everything opened is closed at teardown.  ``restart()`` stops
+    the server and starts a fresh one on the same endpoint (there is no
+    endpoint to come back on in-process, so ``restartable`` is false
+    there).
+    """
+
+    def __init__(self, kind, tmp_path):
+        self.kind = kind
+        self.restartable = kind != "inproc"
+        self._path = tmp_path / "smb.sock"
+        self._clients = []
+        self._start(port=0)
+
+    def _start(self, port):
+        if self.kind == "tcp":
+            self.server = TcpSMBServer(port=port, capacity=CAPACITY).start()
+        elif self.kind == "shm":
+            self.server = ShmSMBServer(self._path, capacity=CAPACITY).start()
+        else:
+            self.server = SMBServer(capacity=CAPACITY)
+
+    def transport(self, **kwargs):
+        if self.kind == "tcp":
+            return TcpTransport(self.server.address, **kwargs)
+        if self.kind == "shm":
+            return ShmTransport(self.server.path, **kwargs)
+        return InProcTransport(self.server, **kwargs)
+
+    def connect(self, retry_policy=None):
+        client = SMBClient(self.transport(), retry_policy=retry_policy)
+        self._clients.append(client)
+        return client
+
+    def restart(self):
+        assert self.restartable
+        port = self.server.address[1] if self.kind == "tcp" else 0
+        self.server.stop()
+        self._start(port)
+
+    def close(self):
+        for client in self._clients:
+            client.close()
+        if self.restartable:
+            self.server.stop()
+
+
+@pytest.fixture(params=["inproc", "tcp", "shm"])
+def doorway(request, tmp_path):
+    door = Doorway(request.param, tmp_path)
+    yield door
+    door.close()

@@ -4,13 +4,10 @@ Every test here is deterministic — fault decisions come from seeded RNG
 streams (one per worker transport), so a failure reproduces from its seed.
 The suite covers the acceptance scenarios of the fault-tolerance layer:
 convergence through transient faults, worker death with survivor
-completion, wait/wakeup deadlines, TCP reconnect, and structured remote
-errors.  All tests carry the ``chaos`` marker so CI can run them as a
+completion, TCP reconnect, and structured remote errors (the wait /
+close lifecycle is in ``tests/test_transport_contract.py``).  All tests carry the ``chaos`` marker so CI can run them as a
 dedicated job (``pytest -m chaos``).
 """
-
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -199,70 +196,12 @@ class TestRemoteErrorReconstruction:
             client.close()
 
 
-class TestWaitUpdateLifecycle:
-    @pytest.mark.parametrize("transport_kind", ["inproc", "tcp"])
-    def test_close_wakes_blocked_wait(self, transport_kind):
-        """close() unblocks an infinite WAIT_UPDATE promptly."""
-        if transport_kind == "tcp":
-            server = TcpSMBServer(capacity=1 << 20).start()
-            client = SMBClient.connect(server.address)
-        else:
-            server = None
-            client = SMBClient.in_process(SMBServer(capacity=1 << 20))
-        array = client.create_array("seg", 16)
-        outcome = {}
-
-        def waiter():
-            try:
-                array.wait_update(version=array.version(), timeout=None)
-                outcome["result"] = "returned"
-            except BaseException as exc:  # noqa: BLE001 - recorded for assert
-                outcome["error"] = exc
-
-        thread = threading.Thread(target=waiter, daemon=True)
-        thread.start()
-        time.sleep(0.2)  # let the wait actually block
-        client.close()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive(), "close() failed to wake the waiter"
-        assert isinstance(
-            outcome.get("error"),
-            (TransportClosedError, Exception),
-        )
-        if server is not None:
-            server.stop()
-
-    def test_wait_does_not_block_the_other_thread_over_tcp(self):
-        """The notification channel keeps commands flowing during a wait.
-
-        Regression test for TcpTransport.request holding the exchange lock
-        across WAIT_UPDATE, which serialised the worker's other thread.
-        """
-        with TcpSMBServer(capacity=1 << 20) as server:
-            client = SMBClient.connect(server.address)
-            array = client.create_array("seg", 16)
-            version = array.version()
-            got = {}
-
-            def waiter():
-                got["version"] = array.wait_update(version, timeout=10.0)
-
-            thread = threading.Thread(target=waiter, daemon=True)
-            thread.start()
-            time.sleep(0.2)
-            # This write must NOT deadlock behind the blocked wait; it is
-            # also the update the waiter is waiting for.
-            start = time.monotonic()
-            array.write(np.zeros(16, dtype=np.float32))
-            elapsed = time.monotonic() - start
-            thread.join(timeout=5.0)
-            assert not thread.is_alive()
-            assert got["version"] > version
-            assert elapsed < 2.0, "write serialised behind WAIT_UPDATE"
-            client.close()
-
-
 class TestTcpReconnect:
+    """The TCP reconnect drills the ``chaos`` CI job selects by marker;
+    the doorway-independent reconnect contract (and the wait-lifecycle
+    cases that used to sit here) is ``tests/test_transport_contract.py``.
+    """
+
     def test_reconnect_after_server_side_disconnect(self):
         """A dropped connection heals transparently under retry."""
         with TcpSMBServer(capacity=1 << 20) as server:
@@ -272,7 +211,7 @@ class TestTcpReconnect:
             array = client.create_array("seg", 16)
             payload = np.arange(16, dtype=np.float32)
             array.write(payload)
-            transport = client._transport
+            transport = client.transport
             transport.drop_connection()  # server side sees a dead peer
             out = array.read()  # reconnects + re-handshakes under retry
             np.testing.assert_array_equal(out, payload)

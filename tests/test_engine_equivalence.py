@@ -351,10 +351,17 @@ class TestSmbAsgdExchange:
         assert not np.allclose(result.final_global_weights, initial)
 
     def test_registered_in_exchange_registry(self):
-        from repro.core import EXCHANGES
+        from repro.core import make_exchange
 
-        assert "seasgd" in EXCHANGES
-        assert "smb_asgd" in EXCHANGES
+        client = SMBClient.in_process(SMBServer(capacity=1 << 20))
+        buffers = client.create_array("a", 8), client.create_array("b", 8)
+        for algorithm, strategy in (
+            ("seasgd", SEASGDExchange), ("smb_asgd", SMBAsgdExchange),
+        ):
+            built = make_exchange(
+                ShmCaffeConfig(algorithm=algorithm), *buffers
+            )
+            assert type(built) is strategy
 
 
 class TestSingleExchangeImplementation:

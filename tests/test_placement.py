@@ -1,6 +1,6 @@
 """Consistent-hash placement and live rebalancing across an SMB fleet.
 
-:mod:`repro.smb.placement` decides which server of a fleet hosts each
+:mod:`repro.smb.fleet` decides which server of a fleet hosts each
 segment.  The properties that matter:
 
 * determinism — every process derives the same home from the same fleet
@@ -17,16 +17,18 @@ import numpy as np
 import pytest
 
 from repro.smb import SMBClient, SMBServer
-from repro.smb.placement import (
+from repro.smb.fleet import (
     HashRingPlacement,
     PlacementError,
-    StripedPlacement,
-    attach_placed_array,
-    create_placed_array,
+    attach_sharded_array,
+    create_sharded_array,
     discover_locations,
-    plan_moves,
     rebalance,
 )
+
+
+def locate(placement, names):
+    return {name: placement.server_for(name) for name in names}
 
 
 class TestHashRing:
@@ -35,14 +37,14 @@ class TestHashRing:
         a = HashRingPlacement(servers)
         b = HashRingPlacement(list(servers))
         names = [f"seg{i}" for i in range(200)]
-        assert a.locate(names) == b.locate(names)
+        assert locate(a, names) == locate(b, names)
 
     def test_server_order_does_not_matter(self):
         # The ring is built from hashed (server, replica) points, so the
         # registration order of the fleet is irrelevant.
         names = [f"seg{i}" for i in range(200)]
-        forward = HashRingPlacement(["s0", "s1", "s2"]).locate(names)
-        shuffled = HashRingPlacement(["s2", "s0", "s1"]).locate(names)
+        forward = locate(HashRingPlacement(["s0", "s1", "s2"]), names)
+        shuffled = locate(HashRingPlacement(["s2", "s0", "s1"]), names)
         assert forward == shuffled
 
     def test_load_spread_within_bounds(self):
@@ -59,10 +61,10 @@ class TestHashRing:
 
     def test_adding_a_server_moves_about_one_kth(self):
         names = [f"seg{i}" for i in range(3000)]
-        before = HashRingPlacement(["s0", "s1", "s2"]).locate(names)
+        before = locate(HashRingPlacement(["s0", "s1", "s2"]), names)
         grown = HashRingPlacement(["s0", "s1", "s2"])
         grown.add_server("s3")
-        after = grown.locate(names)
+        after = locate(grown, names)
         moved = sum(1 for n in names if before[n] != after[n])
         # Ideal is 1/4; allow slack for ring variance.
         assert 0.10 * len(names) < moved < 0.45 * len(names)
@@ -75,9 +77,9 @@ class TestHashRing:
     def test_removing_a_server_moves_only_its_names(self):
         names = [f"seg{i}" for i in range(1000)]
         ring = HashRingPlacement(["s0", "s1", "s2"])
-        before = ring.locate(names)
+        before = locate(ring, names)
         ring.remove_server("s1")
-        after = ring.locate(names)
+        after = locate(ring, names)
         for name in names:
             if before[name] != "s1":
                 assert after[name] == before[name]
@@ -101,17 +103,6 @@ class TestHashRing:
             ring.remove_server("s0")  # never empty the fleet
 
 
-class TestStripedPlacement:
-    def test_shard_suffix_picks_server(self):
-        placement = StripedPlacement(["s0", "s1", "s2"])
-        assert placement.server_for("w.shard0") == "s0"
-        assert placement.server_for("w.shard4") == "s1"
-
-    def test_unsuffixed_names_hash(self):
-        placement = StripedPlacement(["s0", "s1"])
-        assert placement.server_for("ctl") in ("s0", "s1")
-
-
 def _fleet(n):
     """n in-process servers with one client each, as a placement fleet."""
     servers = {f"s{i}": SMBServer(capacity=1 << 22) for i in range(n)}
@@ -126,7 +117,9 @@ class TestPlacedArrays:
     def test_create_read_write_round_trip(self):
         _, clients = _fleet(3)
         placement = HashRingPlacement(sorted(clients))
-        array = create_placed_array(clients, placement, "W_g", 1000)
+        array = create_sharded_array(
+            clients, "W_g", 1000, placement=placement
+        )
         values = np.arange(1000, dtype=np.float32)
         array.write(values)
         np.testing.assert_array_equal(array.read(), values)
@@ -139,10 +132,10 @@ class TestPlacedArrays:
     def test_attach_resolves_homes_via_policy(self):
         _, clients = _fleet(2)
         placement = HashRingPlacement(sorted(clients))
-        created = create_placed_array(clients, placement, "W_g", 64)
+        created = create_sharded_array(clients, "W_g", 64, placement=placement)
         created.write(np.ones(64, dtype=np.float32))
-        view = attach_placed_array(
-            clients, placement, "W_g", created.shm_keys, 64
+        view = attach_sharded_array(
+            clients, "W_g", created.shm_keys, 64, placement=placement
         )
         np.testing.assert_array_equal(
             view.read(), np.ones(64, dtype=np.float32)
@@ -152,23 +145,31 @@ class TestPlacedArrays:
         _, clients = _fleet(2)
         placement = HashRingPlacement(["s0", "s1", "ghost"])
         with pytest.raises(PlacementError):
-            create_placed_array(clients, placement, "W_g", 64)
+            create_sharded_array(clients, "W_g", 64, placement=placement)
+
+    def test_attach_needs_a_client_for_every_home(self):
+        """The slave side checks coverage too: a typed error, never a
+        ``KeyError`` from the stripe whose home has no client."""
+        _, clients = _fleet(3)
+        placement = HashRingPlacement(sorted(clients))
+        created = create_sharded_array(
+            clients, "W_g", 64, placement=placement
+        )
+        for gone in sorted(clients):
+            partial = {k: v for k, v in clients.items() if k != gone}
+            with pytest.raises(PlacementError, match=gone):
+                attach_sharded_array(
+                    partial, "W_g", created.shm_keys, 64, placement=placement
+                )
+        # A bare list of clients cannot answer "who is s1?".
+        with pytest.raises(PlacementError):
+            attach_sharded_array(
+                list(clients.values()), "W_g", created.shm_keys, 64,
+                placement=placement,
+            )
 
 
 class TestRebalance:
-    def test_plan_moves_only_misplaced(self):
-        placement = HashRingPlacement(["s0", "s1"])
-        names = [f"seg{i}" for i in range(20)]
-        correct = placement.locate(names)
-        locations = dict(correct)
-        displaced = names[:4]
-        for name in displaced:  # scatter a few to the wrong server
-            locations[name] = "s1" if correct[name] == "s0" else "s0"
-        moves = plan_moves(locations, placement)
-        assert sorted(m.name for m in moves) == sorted(displaced)
-        for move in moves:
-            assert move.target == correct[move.name]
-
     def test_rebalance_converges_after_fleet_growth(self):
         _, clients = _fleet(3)
         two = HashRingPlacement(["s0", "s1"])

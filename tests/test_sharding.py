@@ -8,11 +8,13 @@ from repro.caffe.params import FlatParams
 from repro.core.config import ShmCaffeConfig
 from repro.perfmodel import model_profile, shmcaffe_a, shmcaffe_multi_server
 from repro.smb import (
+    PlacementError,
     SMBClient,
     SMBServer,
     TcpSMBServer,
     attach_sharded_array,
     create_sharded_array,
+    discover_locations,
     shard_counts,
 )
 
@@ -56,15 +58,20 @@ class TestShardedArray:
         assert array.count == 100
 
     def test_stripes_live_on_their_own_servers(self):
-        servers, clients = make_clients(2)
+        """No placement = the static layout, segment for segment:
+        ``W_g.shard<i>`` on server ``i`` and nowhere else."""
+        servers, clients = make_clients(3)
         create_sharded_array(clients, "W_g", 10)
-        assert servers[0].pool.by_name("W_g.shard0").size == 5 * 4
-        assert servers[1].pool.by_name("W_g.shard1").size == 5 * 4
-        # Neither server holds the other's stripe.
-        from repro.smb import UnknownKeyError
-
-        with pytest.raises(UnknownKeyError):
-            servers[0].pool.by_name("W_g.shard1")
+        for index, nbytes in enumerate((4 * 4, 3 * 4, 3 * 4)):
+            assert servers[index].pool.by_name(
+                f"W_g.shard{index}"
+            ).size == nbytes
+        fleet = {f"s{i}": client for i, client in enumerate(clients)}
+        assert discover_locations(fleet) == {
+            "W_g.shard0": {"s0": 16},
+            "W_g.shard1": {"s1": 12},
+            "W_g.shard2": {"s2": 12},
+        }
 
     def test_attach_by_broadcast_keys(self):
         servers, master_clients = make_clients(2)
@@ -101,9 +108,15 @@ class TestShardedArray:
             array.write(np.zeros(11, dtype=np.float32))
 
     def test_key_count_mismatch_rejected(self):
+        """Clients that do not cover the layout: typed, before any op."""
         _, clients = make_clients(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(PlacementError):
             attach_sharded_array(clients, "x", [1], 10)
+        with pytest.raises(PlacementError):
+            attach_sharded_array(clients, "x", [1, 2, 3], 10)
+        # Server ids mean nothing without a placement to resolve them.
+        with pytest.raises(PlacementError):
+            create_sharded_array({"s0": clients[0]}, "x", 10)
 
     def test_version_monotone(self):
         _, clients = make_clients(2)

@@ -2,11 +2,15 @@
 
 The shm doorway must be a drop-in third transport: bit-exact with TCP on
 the same data, correct across block growth (both client-requested for
-large requests and server-initiated for large responses), able to run
-notification waits without blocking the data path, and clean on
-shutdown.
+large requests and server-initiated for large responses, with the grow
+doorbell bounded by the pool), and clean on shutdown.  What it shares
+with the other doorways — waits off the data path, reconnect, close — is
+``tests/test_transport_contract.py``.
 """
 
+import glob
+import socket
+import struct
 import threading
 import time
 
@@ -15,6 +19,7 @@ import pytest
 
 from repro.smb import ShmSMBServer, SMBClient, TcpSMBServer
 from repro.smb.errors import SMBError
+from repro.smb.protocol import encode_hello
 from repro.smb.shm_transport import DATA_OFFSET
 
 
@@ -95,28 +100,41 @@ class TestBlockGrowth:
             client.close()
 
 
+    def test_grow_doorbell_above_the_pool_is_refused(self, tmp_path, caplog):
+        """No valid frame outgrows the header region plus the whole pool,
+        so a bigger grow request allocates nothing and costs only the
+        connection that sent it — while a legitimate client can still
+        grow its block all the way to that ceiling."""
+        capacity = 1 << 20
+        with ShmSMBServer(tmp_path / "smb.sock", capacity=capacity) as server:
+            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            raw.settimeout(5.0)
+            raw.connect(server.path)
+            raw.sendall(encode_hello())
+            (switch,) = struct.unpack("!q", raw.recv(8, socket.MSG_WAITALL))
+            assert switch < 0  # handshake = a switch record, then its name
+            (length,) = struct.unpack("!H", raw.recv(2, socket.MSG_WAITALL))
+            raw.recv(length, socket.MSG_WAITALL)
+            blocks = set(glob.glob("/dev/shm/psm_*"))
+            with caplog.at_level("WARNING", logger="repro.smb.shm_transport"):
+                raw.sendall(struct.pack("!q", -(2 << 30)))
+                assert raw.recv(8) == b""  # closed, not acknowledged
+            raw.close()
+            assert "dropping connection" in caplog.text
+            assert not set(glob.glob("/dev/shm/psm_*")) - blocks
+            # The server keeps serving, up to a full-capacity frame: the
+            # 1 MiB default block must grow to DATA_OFFSET + capacity,
+            # not to a doubled size past the ceiling.
+            client = SMBClient.connect_local(server.path)
+            count = capacity // 4
+            arr = client.create_array("full", count)
+            data = np.arange(count, dtype=np.float32)
+            arr.write(data)
+            assert np.array_equal(arr.read(), data)
+            client.close()
+
+
 class TestWaitAndShutdown:
-    def test_wait_update_runs_off_the_data_path(self, shm_server):
-        client = SMBClient.connect_local(shm_server.path)
-        arr = client.create_array("w", 256)
-        arr.write(np.zeros(256, dtype=np.float32))
-        version = arr.version()
-        woke = threading.Event()
-
-        def waiter():
-            arr.wait_update(version, timeout=10.0)
-            woke.set()
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        # The data path must stay responsive while the wait is parked.
-        delta = client.create_array("d", 256)
-        delta.write(np.ones(256, dtype=np.float32))
-        delta.accumulate_into(arr)
-        assert woke.wait(timeout=5.0)
-        thread.join(timeout=5.0)
-        client.close()
-
     def test_shutdown_stops_server(self, tmp_path):
         server = ShmSMBServer(tmp_path / "smb.sock", capacity=1 << 22)
         server.start()

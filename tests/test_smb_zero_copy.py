@@ -13,9 +13,10 @@ Three families of guarantees from the data-path rebuild:
   error payloads never clobber a caller's ``out`` buffer.
 * **Concurrency** — the two-channel TCP transport survives a
   ``drop_connection`` storm under two hammering threads without
-  deadlock or data corruption, notify-channel reconnects are counted,
-  and the sharded fan-out overlaps per-shard latencies while staying
-  bit-exact with the sequential gather.
+  deadlock or data corruption (reconnect accounting itself is in
+  ``tests/test_transport_contract.py``), and the sharded fan-out
+  overlaps per-shard latencies while staying bit-exact with the
+  sequential gather.
 """
 
 import socket
@@ -34,7 +35,6 @@ from repro.smb import (
     FaultPlan,
     InProcTransport,
     Message,
-    NotificationTimeout,
     Op,
     PayloadSizeError,
     SMBClient,
@@ -349,7 +349,7 @@ class TestDropConnectionStorm:
         ]
         for thread in threads:
             thread.start()
-        transport = client._transport
+        transport = client.transport
         deadline = time.monotonic() + 2.0
         storms = 0
         try:
@@ -368,29 +368,6 @@ class TestDropConnectionStorm:
         assert not errors, f"hammer threads failed: {errors}"
         assert storms >= 10
         assert transport.reconnects >= 1
-
-
-class TestNotifyReconnectAccounting:
-    def test_notify_channel_reconnects_are_counted(self):
-        server = TcpSMBServer(capacity=1 << 20).start()
-        try:
-            client = SMBClient.connect(server.address)
-            array = client.create_array("n", 8)
-            transport = client._transport
-            # First lazy open of the notify channel is an open, not a
-            # reconnect.
-            with pytest.raises(NotificationTimeout):
-                array.wait_update(array.version(), timeout=0.05)
-            assert transport.reconnects == 0
-            transport.drop_connection()
-            with pytest.raises(NotificationTimeout):
-                array.wait_update(array.version(), timeout=0.05)
-            # wait_update re-opened the notify channel (+1) and its
-            # VERSION pre-read re-opened the command channel (+1).
-            assert transport.reconnects == 2
-            client.close()
-        finally:
-            server.stop()
 
 
 class TestShardedAggregatesAndOverlap:

@@ -1,0 +1,193 @@
+"""One transport contract, run over every doorway.
+
+:class:`~repro.smb.transport.ChannelTransport` owns the command lock, the
+lazily opened notification channel, sliced waits, discard-and-reopen on a
+lost channel, and the close choreography; a doorway (in-proc / TCP / shm)
+only says how a channel is opened.  So every guarantee below must hold
+identically on all three — that is what "every doorway recovers the same
+way" means.  Doorway-specific behaviour (shm block growth, rendezvous
+re-resolution, non-SMB peers) is tested beside its doorway.
+"""
+
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from repro.smb import (
+    DEFAULT_RETRY_POLICY,
+    FaultInjectingTransport,
+    FaultPlan,
+    NotificationTimeout,
+    SMBClient,
+    SMBConnectionError,
+    TransportClosedError,
+)
+from repro.smb.transport import WAIT_SLICE
+
+from .test_chaos import FAST_RETRY
+
+
+def _parked_waiter(array, outcome):
+    """Start a thread blocked forever in ``wait_update`` on ``array``."""
+    version = array.version()
+
+    def wait():
+        try:
+            outcome["version"] = array.wait_update(version, timeout=None)
+        except BaseException as exc:  # noqa: BLE001 - recorded for assert
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=wait, daemon=True)
+    thread.start()
+    time.sleep(0.2)  # let the wait actually park
+    return thread
+
+
+class TestTransportContract:
+    def test_round_trip_is_bit_exact(self, doorway):
+        client = doorway.connect()
+        count = 1 << 16
+        array = client.create_array("w", count)
+        data = np.random.default_rng(7).random(count).astype(np.float32)
+        array.write(data)
+        assert np.array_equal(array.read(), data)
+        scratch = np.empty(count, dtype=np.float32)
+        array.read(out=scratch)
+        assert np.array_equal(scratch, data)
+
+    def test_parked_wait_leaves_data_path_free(self, doorway):
+        """The notification channel keeps commands flowing during a wait."""
+        client = doorway.connect()
+        array = client.create_array("seg", 16)
+        before = array.version()
+        outcome = {}
+        thread = _parked_waiter(array, outcome)
+        # This write must not queue behind the parked wait; it is also
+        # the update the waiter is waiting for.
+        start = time.monotonic()
+        array.write(np.zeros(16, dtype=np.float32))
+        elapsed = time.monotonic() - start
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert outcome["version"] > before
+        assert elapsed < 2.0, "write serialised behind WAIT_UPDATE"
+
+    def test_close_wakes_blocked_wait(self, doorway):
+        """close() unblocks an infinite WAIT_UPDATE within one slice."""
+        client = doorway.connect()
+        array = client.create_array("seg", 16)
+        outcome = {}
+        thread = _parked_waiter(array, outcome)
+        start = time.monotonic()
+        client.close()
+        thread.join(timeout=5.0)
+        elapsed = time.monotonic() - start
+        assert not thread.is_alive(), "close() failed to wake the waiter"
+        assert elapsed < WAIT_SLICE + 1.0  # one slice + scheduler slack
+        assert isinstance(
+            outcome["error"], (TransportClosedError, SMBConnectionError)
+        )
+
+    def test_dropped_channels_heal_and_count(self, doorway):
+        client = doorway.connect()
+        transport = client.transport
+        array = client.create_array("seg", 16)
+        payload = np.arange(16, dtype=np.float32)
+        array.write(payload)
+        transport.drop_connection()
+        assert transport.reconnects == 0
+        # The next request re-opens and re-handshakes; no retry needed.
+        np.testing.assert_array_equal(array.read(), payload)
+        assert transport.reconnects == 1
+        # The first lazy open of the notification channel is an open,
+        # not a reconnect ...
+        with pytest.raises(NotificationTimeout):
+            array.wait_update(array.version(), timeout=0.05)
+        assert transport.reconnects == 1
+        # ... but once it has been open, losing it counts: the VERSION
+        # read re-opens the command channel (+1) and the wait re-opens
+        # the notification channel (+1).
+        transport.drop_connection()
+        with pytest.raises(NotificationTimeout):
+            array.wait_update(array.version(), timeout=0.05)
+        assert transport.reconnects == 3
+
+    def test_server_restart_recovers(self, doorway):
+        """Stop the server, start a fresh one on the same endpoint."""
+        if not doorway.restartable:
+            pytest.skip("an in-process core has no endpoint to restart")
+        client = doorway.connect(retry_policy=DEFAULT_RETRY_POLICY)
+        client.create_array("before", 16)
+        doorway.restart()
+        # The dead channel is discarded on the first failed attempt and
+        # the retry finds the new server.
+        array = client.create_array("after", 16)
+        payload = np.arange(16, dtype=np.float32)
+        array.write(payload)
+        np.testing.assert_array_equal(array.read(), payload)
+        assert client.transport.reconnects == 1
+
+    def test_injected_disconnect_really_drops(self, doorway):
+        inner = doorway.transport()
+        transport = FaultInjectingTransport(
+            inner, FaultPlan(seed=9, disconnect_rate=0.2)
+        )
+        client = SMBClient(transport, retry_policy=FAST_RETRY)
+        try:
+            array = client.create_array("seg", 64)
+            payload = np.arange(64, dtype=np.float32)
+            for _ in range(25):
+                array.write(payload)
+                np.testing.assert_array_equal(array.read(), payload)
+            assert transport.stats["disconnect"] > 0
+            assert inner.reconnects >= 1
+        finally:
+            client.close()
+
+    def test_close_during_notify_open_no_leak(self, doorway):
+        """close() cannot see a channel that is still being opened; the
+        opener must notice the close and release it."""
+        client = doorway.connect()
+        transport = client.transport
+        array = client.create_array("seg", 16)
+        opening, proceed = threading.Event(), threading.Event()
+        opened = []
+        real_open = transport._open_channel
+
+        class Recording:
+            def __init__(self, channel):
+                self.channel, self.closes = channel, 0
+                self.exchange = channel.exchange
+
+            def close(self):
+                self.closes += 1
+                self.channel.close()
+
+        def slow_open():
+            opening.set()
+            assert proceed.wait(timeout=5.0)
+            opened.append(Recording(real_open()))
+            return opened[-1]
+
+        version = array.version()
+        transport._open_channel = slow_open
+        outcome = {}
+
+        def wait():
+            try:
+                array.wait_update(version, timeout=None)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=wait, daemon=True)
+        thread.start()
+        assert opening.wait(timeout=5.0)
+        transport.close()  # the notify slot is still empty here
+        proceed.set()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert isinstance(outcome["error"], TransportClosedError)
+        assert len(opened) == 1 and opened[0].closes >= 1
+        assert transport._notify.channel is None
