@@ -112,7 +112,9 @@ def pool_output_dim(
         out = int(np.ceil((input_dim + 2 * pad - kernel) / stride)) + 1
     else:
         out = (input_dim + 2 * pad - kernel) // stride + 1
-    if pad > 0 and (out - 1) * stride >= input_dim + pad:
+    # A last window starting beyond the input (and its leading pad) would
+    # be empty: drop it, as Caffe does.  Only ceil mode can produce one.
+    if (out - 1) * stride >= input_dim + pad:
         out -= 1
     if out <= 0:
         raise LayerError(

@@ -1,13 +1,55 @@
-"""Max and average pooling layers (Caffe ceil-mode geometry)."""
+"""Max and average pooling layers (Caffe ceil-mode geometry).
+
+Both directions cost a fixed number of NumPy calls whatever the spatial
+extent: windows are read through one strided view per run of equal-sized
+windows, never cell by cell.  Outputs, argmax tie-breaks, NaN handling
+and gradients are bit-identical to the per-cell loops kept as oracles in
+``tests/helpers.py``.
+"""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from itertools import product
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..blob import Shape
 from .base import Layer, LayerError, pool_output_dim, register_layer
+
+
+class PoolGeometry(NamedTuple):
+    """Pooling geometry resolved against one bottom shape."""
+
+    out_h: int
+    out_w: int
+    kernel: int
+    stride: int
+    pad: int
+
+
+def _window_runs(
+    size: int, out: int, kernel: int, stride: int
+) -> List[Tuple[int, int, int]]:
+    """Split one axis's output cells into runs of equal window length.
+
+    Returns ``(first cell, cell count, window length)`` triples.  Every
+    window but the last fits inside ``size`` (``pool_output_dim``
+    guarantees it), so there are at most two runs: the full windows and
+    one window clipped at the far edge.
+    """
+    last = min(kernel, size - (out - 1) * stride)
+    if last == kernel:
+        return [(0, out, kernel)]
+    if out == 1:
+        return [(0, 1, last)]
+    return [(0, out - 1, kernel), (out - 1, 1, last)]
+
+
+def _plane_offsets(n: int, c: int, plane: int) -> np.ndarray:
+    """Start of each ``(n, c)`` plane in the flattened padded array."""
+    return np.arange(0, n * c * plane, plane).reshape(n, c, 1, 1)
 
 
 @register_layer("Pooling")
@@ -48,67 +90,81 @@ class Pooling(Layer):
         self.ceil = ceil
         self._argmax: Optional[np.ndarray] = None
 
-    def _geometry(self, shape: Shape) -> tuple:
+    def _geometry(self, shape: Shape) -> PoolGeometry:
         _, _, h, w = shape
         if self.global_pool:
-            return h, w, 1, 1, h, 1, 0  # kernel covers everything
+            return PoolGeometry(1, 1, h, 1, 0)  # kernel covers everything
         out_h = pool_output_dim(h, self.kernel, self.stride, self.pad,
                                 ceil=self.ceil)
         out_w = pool_output_dim(w, self.kernel, self.stride, self.pad,
                                 ceil=self.ceil)
-        return h, w, out_h, out_w, self.kernel, self.stride, self.pad
+        return PoolGeometry(out_h, out_w, self.kernel, self.stride, self.pad)
 
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
+    def setup(
+        self, bottom_shapes: Sequence[Shape], rng: np.random.Generator
+    ) -> List[Shape]:
         (shape,) = bottom_shapes
-        n, c = shape[0], shape[1]
-        _, _, out_h, out_w, _, _, _ = self._geometry(shape)
-        return [(n, c, out_h, out_w)]
+        geo = self._geometry(shape)
+        return [(shape[0], shape[1], geo.out_h, geo.out_w)]
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool
     ) -> List[np.ndarray]:
         (bottom,) = bottoms
         n, c, h, w = bottom.shape
-        _, _, out_h, out_w, kernel, stride, pad = self._geometry(bottom.shape)
+        out_h, out_w, kernel, stride, pad = self._geometry(bottom.shape)
+        is_max = self.method == "max"
 
-        if self.method == "max":
-            fill = -np.inf
-        else:
-            fill = 0.0
         if pad > 0:
             padded = np.full(
-                (n, c, h + 2 * pad, w + 2 * pad), fill, dtype=bottom.dtype
+                (n, c, h + 2 * pad, w + 2 * pad),
+                -np.inf if is_max else 0.0,
+                dtype=bottom.dtype,
             )
             padded[:, :, pad:pad + h, pad:pad + w] = bottom
         else:
             padded = bottom
-
-        top = np.empty((n, c, out_h, out_w), dtype=bottom.dtype)
-        if self.method == "max":
-            self._argmax = np.empty((n, c, out_h, out_w), dtype=np.int64)
         ph, pw = padded.shape[2], padded.shape[3]
-        for oy in range(out_h):
-            y0 = oy * stride
-            y1 = min(y0 + kernel, ph)
-            for ox in range(out_w):
-                x0 = ox * stride
-                x1 = min(x0 + kernel, pw)
-                window = padded[:, :, y0:y1, x0:x1]
-                flat = window.reshape(n, c, -1)
-                if self.method == "max":
-                    idx = flat.argmax(axis=2)
-                    top[:, :, oy, ox] = np.take_along_axis(
-                        flat, idx[:, :, None], axis=2
-                    )[:, :, 0]
-                    # Store position in padded coordinates for backward.
-                    win_w = x1 - x0
-                    local_y, local_x = idx // win_w, idx % win_w
-                    self._argmax[:, :, oy, ox] = (
-                        (y0 + local_y) * pw + (x0 + local_x)
-                    )
-                else:
-                    top[:, :, oy, ox] = flat.mean(axis=2)
-        return [top]
+
+        # One pass per run of equal-sized windows: the full windows, plus
+        # the ceil-mode windows clipped at the bottom / right / corner.
+        # ``out`` holds argmax positions in padded coordinates for max,
+        # the means themselves for ave.
+        out = np.empty(
+            (n, c, out_h, out_w), dtype=np.int64 if is_max else bottom.dtype
+        )
+        stn, stc, sty, stx = padded.strides
+        for (oy, rows, win_h), (ox, cols, win_w) in product(
+            _window_runs(ph, out_h, kernel, stride),
+            _window_runs(pw, out_w, kernel, stride),
+        ):
+            y0, x0 = oy * stride, ox * stride
+            windows = as_strided(
+                padded[:, :, y0:, x0:],
+                shape=(n, c, rows, cols, win_h, win_w),
+                strides=(stn, stc, sty * stride, stx * stride, sty, stx),
+                writeable=False,
+            )
+            # The copy lays every window out row-major along the last
+            # axis, so ties, NaNs and summation order come out as they do
+            # for a window sliced out on its own.
+            flat = windows.reshape(n, c, rows, cols, win_h * win_w)
+            cells = out[:, :, oy:oy + rows, ox:ox + cols]
+            if is_max:
+                local_y, local_x = np.divmod(flat.argmax(axis=4), win_w)
+                win_y0 = np.arange(y0, y0 + rows * stride, stride)
+                win_x0 = np.arange(x0, x0 + cols * stride, stride)
+                np.add(
+                    (local_y + win_y0[:, None]) * pw, local_x + win_x0,
+                    out=cells,
+                )
+            else:
+                flat.mean(axis=4, out=cells)
+        if not is_max:
+            return [out]
+        self._argmax = out
+        planes = _plane_offsets(n, c, ph * pw)
+        return [np.take(padded.reshape(-1), out + planes)]
 
     def backward(
         self,
@@ -119,37 +175,59 @@ class Pooling(Layer):
         (top_diff,) = top_diffs
         (bottom,) = bottoms
         n, c, h, w = bottom.shape
-        _, _, out_h, out_w, kernel, stride, pad = self._geometry(bottom.shape)
+        out_h, out_w, kernel, stride, pad = self._geometry(bottom.shape)
         ph, pw = h + 2 * pad, w + 2 * pad
-        padded_diff = np.zeros((n, c, ph * pw), dtype=np.float32)
 
         if self.method == "max":
             if self._argmax is None:
                 raise LayerError("backward before forward in max pooling")
+            padded_diff = np.zeros((n, c, ph, pw), dtype=np.float32)
             # Overlapping windows (stride < kernel) can route two output
             # cells to the same input position; np.add.at accumulates
-            # duplicates correctly where put_along_axis would overwrite.
-            flat_idx = self._argmax.reshape(n * c, -1)
-            flat_top = top_diff.reshape(n * c, -1)
-            flat_diff = padded_diff.reshape(n * c, ph * pw)
-            rows = np.repeat(
-                np.arange(n * c)[:, None], flat_idx.shape[1], axis=1
+            # duplicates, in index order, where fancy assignment would
+            # overwrite.
+            np.add.at(
+                padded_diff.reshape(-1),
+                (self._argmax + _plane_offsets(n, c, ph * pw)).reshape(-1),
+                top_diff.reshape(-1),
             )
-            np.add.at(flat_diff, (rows, flat_idx), flat_top)
-            padded_diff_2d = padded_diff.reshape(n, c, ph, pw)
+            self._argmax = None
         else:
-            padded_diff_2d = padded_diff.reshape(n, c, ph, pw)
-            for oy in range(out_h):
-                y0 = oy * stride
-                y1 = min(y0 + kernel, ph)
-                for ox in range(out_w):
-                    x0 = ox * stride
-                    x1 = min(x0 + kernel, pw)
-                    area = (y1 - y0) * (x1 - x0)
-                    padded_diff_2d[:, :, y0:y1, x0:x1] += (
-                        top_diff[:, :, oy:oy + 1, ox:ox + 1] / area
-                    )
-        self._argmax = None
-        if pad > 0:
-            return [padded_diff_2d[:, :, pad:pad + h, pad:pad + w].copy()]
-        return [padded_diff_2d]
+            # Window (oy, ox) covers rows oy*stride + ky, ky < kernel.
+            # Cut ky into blocks of ``stride`` rows: within one block no
+            # two windows meet, so a block is one sliced ``+=`` over every
+            # window at once.  An input cell hears from each block once,
+            # and from a higher block through an earlier window, so
+            # walking the blocks downwards adds a cell's contributions in
+            # the order a (oy, ox)-ascending walk over the windows would.
+            # A lone window meets nobody: its whole kernel is one block.
+            step_y = stride if out_h > 1 else kernel
+            step_x = stride if out_w > 1 else kernel
+            blocks_y = -(-kernel // step_y)
+            blocks_x = -(-kernel // step_x)
+            # Sized in whole steps: room for the clipped windows' overhang
+            # and for the rows floor mode leaves uncovered.
+            grid_h = max(out_h - 1 + blocks_y, -(-ph // step_y))
+            grid_w = max(out_w - 1 + blocks_x, -(-pw // step_x))
+            padded_diff = np.zeros(
+                (n, c, grid_h * step_y, grid_w * step_x), dtype=np.float32
+            )
+            grid = padded_diff.reshape(n, c, grid_h, step_y, grid_w, step_x)
+
+            area = np.empty((out_h, out_w), dtype=np.float32)
+            for (oy, rows, win_h), (ox, cols, win_w) in product(
+                _window_runs(ph, out_h, kernel, stride),
+                _window_runs(pw, out_w, kernel, stride),
+            ):
+                area[oy:oy + rows, ox:ox + cols] = win_h * win_w
+            share = (top_diff / area)[:, :, :, None, :, None]
+            for by, bx in product(
+                reversed(range(blocks_y)), reversed(range(blocks_x))
+            ):
+                block_h = min(step_y, kernel - by * step_y)
+                block_w = min(step_x, kernel - bx * step_x)
+                grid[:, :, by:by + out_h, :block_h,
+                     bx:bx + out_w, :block_w] += share
+        if padded_diff.shape == bottom.shape:
+            return [padded_diff]
+        return [padded_diff[:, :, pad:pad + h, pad:pad + w].copy()]

@@ -1,6 +1,10 @@
-"""Shared test helper: a direct SMB participant, built the way
-``DistributedTrainingManager`` builds one."""
+"""Shared test helpers: a direct SMB participant, built the way
+``DistributedTrainingManager`` builds one, and the reference layer
+kernels the vectorised ones are held bit-identical to."""
 
+import numpy as np
+
+from repro.caffe.layers.im2col import as_pair, im2col
 from repro.core import TrainingEngine, make_exchange
 
 
@@ -19,3 +23,95 @@ def build_engine(rank, net, config, global_weights, increment_buffer,
         ),
         **engine_kwargs,
     )
+
+
+# --- Reference layer kernels -------------------------------------------
+#
+# The per-cell position loops ``Pooling`` ran, and the ``np.pad`` lowering
+# ``im2col`` ran, before both became O(1) NumPy calls in the spatial
+# extent.  They are the bit-identity oracles of
+# ``tests/test_pooling_kernels.py``: slow, obviously right, never edited.
+
+
+def reference_pool_forward(layer, bottom):
+    """``(top, argmax)`` of ``layer`` over ``bottom``, one window at a time.
+
+    ``argmax`` (max pooling only, else ``None``) holds positions in padded
+    coordinates, as ``Pooling._argmax`` does.
+    """
+    n, c, h, w = bottom.shape
+    out_h, out_w, kernel, stride, pad = layer._geometry(bottom.shape)
+    is_max = layer.method == "max"
+    if pad > 0:
+        padded = np.full(
+            (n, c, h + 2 * pad, w + 2 * pad),
+            -np.inf if is_max else 0.0,
+            dtype=bottom.dtype,
+        )
+        padded[:, :, pad:pad + h, pad:pad + w] = bottom
+    else:
+        padded = bottom
+
+    top = np.empty((n, c, out_h, out_w), dtype=bottom.dtype)
+    argmax = np.empty((n, c, out_h, out_w), dtype=np.int64) if is_max else None
+    ph, pw = padded.shape[2], padded.shape[3]
+    for oy in range(out_h):
+        y0 = oy * stride
+        y1 = min(y0 + kernel, ph)
+        for ox in range(out_w):
+            x0 = ox * stride
+            x1 = min(x0 + kernel, pw)
+            flat = padded[:, :, y0:y1, x0:x1].reshape(n, c, -1)
+            if is_max:
+                idx = flat.argmax(axis=2)
+                top[:, :, oy, ox] = np.take_along_axis(
+                    flat, idx[:, :, None], axis=2
+                )[:, :, 0]
+                win_w = x1 - x0
+                local_y, local_x = idx // win_w, idx % win_w
+                argmax[:, :, oy, ox] = (y0 + local_y) * pw + (x0 + local_x)
+            else:
+                top[:, :, oy, ox] = flat.mean(axis=2)
+    return top, argmax
+
+
+def reference_pool_backward(layer, top_diff, bottom, argmax):
+    """Bottom gradient of ``layer``, one window at a time."""
+    n, c, h, w = bottom.shape
+    out_h, out_w, kernel, stride, pad = layer._geometry(bottom.shape)
+    ph, pw = h + 2 * pad, w + 2 * pad
+    padded_diff = np.zeros((n, c, ph * pw), dtype=np.float32)
+    if layer.method == "max":
+        flat_idx = argmax.reshape(n * c, -1)
+        rows = np.repeat(np.arange(n * c)[:, None], flat_idx.shape[1], axis=1)
+        np.add.at(
+            padded_diff.reshape(n * c, ph * pw),
+            (rows, flat_idx),
+            top_diff.reshape(n * c, -1),
+        )
+        padded_diff_2d = padded_diff.reshape(n, c, ph, pw)
+    else:
+        padded_diff_2d = padded_diff.reshape(n, c, ph, pw)
+        for oy in range(out_h):
+            y0 = oy * stride
+            y1 = min(y0 + kernel, ph)
+            for ox in range(out_w):
+                x0 = ox * stride
+                x1 = min(x0 + kernel, pw)
+                area = (y1 - y0) * (x1 - x0)
+                padded_diff_2d[:, :, y0:y1, x0:x1] += (
+                    top_diff[:, :, oy:oy + 1, ox:ox + 1] / area
+                )
+    if pad > 0:
+        return padded_diff_2d[:, :, pad:pad + h, pad:pad + w].copy()
+    return padded_diff_2d
+
+
+def reference_im2col(images, kernel, stride, pad):
+    """``im2col`` with its padding done by ``np.pad``."""
+    pad_h, pad_w = as_pair(pad)
+    padded = np.pad(
+        images, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)),
+        mode="constant",
+    )
+    return im2col(padded, kernel, stride, 0)
