@@ -18,27 +18,39 @@ with failover to any other replica that mirrors the segment, so the
 read fan-out spreads across the fleet and never touches the training
 primary (except a replica's own pinned-read fallback).
 
-Stdlib only: :class:`http.server.ThreadingHTTPServer` on a daemon
-thread.  This is a parameter-serving data path, not a hardened public
-endpoint — put a real proxy in front for anything internet-facing.
+Stdlib only: a :class:`socketserver.ThreadingTCPServer` whose handler is
+a keep-alive HTTP/1.1 loop (bounded, hand-split head; one vectored send
+per response).  This is a parameter-serving data path, not a hardened
+public endpoint — put a real proxy in front for anything internet-facing.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Sequence, Tuple
+from email.utils import formatdate
+from http import HTTPStatus
+from time import time
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from urllib.parse import parse_qs, unquote, urlparse
 
 from ..smb.errors import SMBError, UnknownKeyError
 from ..smb.fleet import HashRingPlacement, Placement
+from ..smb.protocol import _sendall_vectored
 from ..smb.serving import ReplicaServer, VersionNotAvailableError
 from ..telemetry import TelemetrySession
 from ..telemetry import current as _telemetry_current
 
 logger = logging.getLogger(__name__)
+
+#: Request-head bounds: bytes per line, header lines per request.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+_REASONS = {status.value: status.phrase.encode() for status in HTTPStatus}
 
 
 class ModelGateway:
@@ -76,17 +88,14 @@ class ModelGateway:
             placement if placement is not None else HashRingPlacement(names)
         )
         self._telemetry = telemetry
-        self._httpd = ThreadingHTTPServer(
-            (host, port), _Handler, bind_and_activate=True
-        )
-        self._httpd.daemon_threads = True
-        self._httpd.gateway = self  # type: ignore[attr-defined]
+        self._failover = [self._replicas[name] for name in sorted(names)]
+        self._server = _Server((host, port), self)
         self._thread: Optional[threading.Thread] = None
 
     @property
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)``."""
-        bound = self._httpd.server_address
+        bound = self._server.server_address
         return str(bound[0]), int(bound[1])
 
     @property
@@ -98,7 +107,7 @@ class ModelGateway:
         if self._thread is not None:
             raise RuntimeError("gateway already started")
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
+            target=self._server.serve_forever,
             name="model-gateway",
             daemon=True,
         )
@@ -106,11 +115,17 @@ class ModelGateway:
         return self
 
     def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        """Stop accepting, end every open connection, join every thread."""
         if self._thread is not None:
-            self._thread.join(timeout=5.0)
+            self._server.shutdown()
+            self._thread.join()
             self._thread = None
+        for connection in list(self._server.connections):
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its handler closed it first
+        self._server.server_close()  # joins the handler threads
 
     def __enter__(self) -> "ModelGateway":
         return self if self._thread is not None else self.start()
@@ -127,15 +142,11 @@ class ModelGateway:
         by replica name) so retried requests behave reproducibly.
         """
         picked = self._placement.server_for(f"{tenant}/{name}")
-        ordered: List[ReplicaServer] = []
         replica = self._replicas.get(picked)
-        if replica is not None and replica.serves(name, tenant):
-            ordered.append(replica)
-        for other_name in sorted(self._replicas):
-            other = self._replicas[other_name]
-            if other is not replica and other.serves(name, tenant):
-                ordered.append(other)
-        return ordered
+        ordered = [other for other in self._failover if other is not replica]
+        if replica is not None:
+            ordered.insert(0, replica)
+        return [r for r in ordered if r.serves(name, tenant)]
 
     def read(
         self, tenant: str, name: str, version: Optional[int] = None
@@ -181,74 +192,114 @@ class ModelGateway:
             tel.registry.inc("serve/gateway/bytes_read", nbytes)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Request handler: parses the route, delegates to the gateway."""
+class _Server(socketserver.ThreadingTCPServer):
+    """Accept loop that knows its open connections, so stop() can end them."""
 
-    server_version = "SMBGateway/1.0"
-    protocol_version = "HTTP/1.1"
+    allow_reuse_address = True
 
-    @property
-    def _gateway(self) -> ModelGateway:
-        return self.server.gateway  # type: ignore[attr-defined]
+    def __init__(self, address: Tuple[str, int], gateway: ModelGateway) -> None:
+        super().__init__(address, _Handler)
+        self.gateway = gateway
+        self.connections: Set[socket.socket] = set()
+        self._date: Tuple[int, bytes] = (0, b"")
 
-    def log_message(self, format: str, *args: object) -> None:
-        logger.debug("gateway: %s", format % args)
+    def process_request(self, request: Any, client_address: Any) -> None:
+        self.connections.add(request)  # before its thread exists
+        super().process_request(request, client_address)
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server contract)
-        parsed = urlparse(self.path)
+    def shutdown_request(self, request: Any) -> None:
+        self.connections.discard(request)
+        super().shutdown_request(request)
+
+    def date(self) -> bytes:
+        """The ``Date`` header value, formatted at most once a second."""
+        stamp, now = self._date, int(time())
+        if stamp[0] != now:
+            stamp = self._date = (now, formatdate(now, usegmt=True).encode())
+        return stamp[1]
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: a keep-alive loop of bounded head, route, one send."""
+
+    server: _Server
+    disable_nagle_algorithm = True
+
+    def handle(self) -> None:
+        try:
+            while self._serve_one():
+                pass
+        except OSError:
+            pass  # the peer went away, or stop() shut the connection
+
+    def _serve_one(self) -> bool:
+        """Answer one request; False once the connection has to close."""
+        readline = self.rfile.readline
+        lines = [readline(_MAX_LINE + 1)]
+        while lines[-1] not in (b"\r\n", b"\n", b""):
+            if len(lines[-1]) > _MAX_LINE or len(lines) > _MAX_HEADERS + 1:
+                error = {"error": "request head too large"}
+                return self._send_json(431, error, True)
+            lines.append(readline(_MAX_LINE + 1))
+        if not lines[-1]:
+            return False  # end of stream between requests (or mid-head)
+        words = lines[0].split()
+        if len(words) != 3 or words[2] not in (b"HTTP/1.1", b"HTTP/1.0"):
+            return self._send_json(400, {"error": "bad request line"}, True)
+        if words[0] != b"GET":
+            return self._send_json(501, {"error": "unsupported method"}, True)
+        headers: Dict[bytes, bytes] = {}
+        for line in lines[1:-1]:
+            field, _, value = line.partition(b":")
+            headers[field.strip().lower()] = value.strip()
+        connection = headers.get(b"connection", b"").lower()
+        close = connection == b"close" or (
+            words[2] == b"HTTP/1.0" and connection != b"keep-alive"
+        )
+        logger.debug("gateway: %r", lines[0])
+        parsed = urlparse(words[1].decode("iso-8859-1"))
         if parsed.path == "/healthz":
-            self._send_json(200, self._gateway.healthz())
-            return
+            return self._send_json(200, self.server.gateway.healthz(), close)
         parts = [unquote(p) for p in parsed.path.split("/") if p]
         if len(parts) != 4 or parts[:2] != ["v1", "models"]:
-            self._send_json(404, {"error": "not found"})
-            return
+            return self._send_json(404, {"error": "not found"}, close)
         tenant, name = parts[2], parts[3]
         version: Optional[int] = None
-        raw = parse_qs(parsed.query).get("version")
+        raw = parse_qs(parsed.query).get("version") if parsed.query else None
         if raw:
             try:
                 version = int(raw[0])
             except ValueError:
-                self._send_json(
-                    400, {"error": f"bad version: {raw[0]!r}"}
-                )
-                return
+                error = f"bad version: {raw[0]!r}"
+                return self._send_json(400, {"error": error}, close)
         try:
-            got, data = self._gateway.read(tenant, name, version=version)
+            got, data = self.server.gateway.read(tenant, name, version)
         except VersionNotAvailableError as exc:
-            self._send_json(
-                404,
-                {
-                    "error": "version not available",
-                    "requested": exc.requested,
-                    "current": exc.current,
-                },
-            )
-            return
+            return self._send_json(404, {
+                "error": "version not available",
+                "requested": exc.requested, "current": exc.current,
+            }, close)
         except SMBError:
-            self._send_json(404, {"error": f"unknown model {tenant}/{name}"})
-            return
-        etag = f'"v{got}"'
-        if self.headers.get("If-None-Match") == etag:
-            self.send_response(304)
-            self.send_header("ETag", etag)
-            self.send_header("X-SMB-Version", str(got))
-            self.send_header("Content-Length", "0")
-            self.end_headers()
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(data)))
-        self.send_header("ETag", etag)
-        self.send_header("X-SMB-Version", str(got))
-        self.end_headers()
-        self.wfile.write(data)
+            error = f"unknown model {tenant}/{name}"
+            return self._send_json(404, {"error": error}, close)
+        fields = b'ETag: "v%d"\r\nX-SMB-Version: %d\r\n' % (got, got)
+        if headers.get(b"if-none-match") == b'"v%d"' % got:
+            return self._send(304, fields, b"", close)  # no model bytes read
+        fields += b"Content-Type: application/octet-stream\r\n"
+        return self._send(200, fields, data, close)
 
-    def _send_json(self, code: int, body: Dict[str, object]) -> None:
-        payload = json.dumps(body).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+    def _send_json(self, code: int, body: Dict[str, object], close: bool) -> bool:
+        fields = b"Content-Type: application/json\r\n"
+        return self._send(code, fields, json.dumps(body).encode(), close)
+
+    def _send(self, code: int, fields: bytes, body: bytes, close: bool) -> bool:
+        """One response, one vectored send; returns whether to keep alive."""
+        if close:
+            fields += b"Connection: close\r\n"
+        head = (
+            b"HTTP/1.1 %d %s\r\nServer: SMBGateway/1.0\r\nDate: %s\r\n"
+            b"Content-Length: %d\r\n%s\r\n"
+        ) % (code, _REASONS[code], self.server.date(), len(body), fields)
+        # sendmsg([head, body]); a short send is finished from the views.
+        _sendall_vectored(self.connection, head, memoryview(body))
+        return not close

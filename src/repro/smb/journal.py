@@ -21,10 +21,11 @@ holding three kinds of files:
   ``server_down`` grace window.
 
 Atomicity: snapshots go through ``<name>.tmp`` + fsync + ``os.replace``;
-journal appends are flushed per record and a truncated tail record (a
-crash mid-append) is tolerated — replay stops at the first incomplete
-record, which by construction is an operation whose response was never
-sent.
+journal appends are flushed to the kernel per record (not fsynced: a
+killed process loses nothing, a power loss may lose the tail) and a
+truncated tail record (a crash mid-append) is tolerated — replay stops
+at the first incomplete record, which by construction is an operation
+whose response was never sent.
 
 Recovery picks the highest-``seq`` snapshot that loads cleanly, replays
 its journal, and bumps the epoch, so every restart is observable to
@@ -264,10 +265,18 @@ class DurabilityStore:
         self._journal_file = open(path, "ab")
 
     def append(self, record: Message) -> None:
-        """Durably log one mutating operation (SHM keys in key slots)."""
+        """Log one mutating operation (SHM keys in key slots).
+
+        The header and the payload view are written as they are — no
+        joined copy of a model-sized payload.  ``flush()`` hands the
+        record to the kernel, not to the disk (there is no ``fsync``
+        per record): it survives a ``kill -9`` of the server, not a
+        power loss or a kernel crash.
+        """
         if self._journal_file is None:
             return
-        self._journal_file.write(record.encode())
+        self._journal_file.write(record.encode_header())
+        self._journal_file.write(record.payload_view())
         self._journal_file.flush()
 
     def _prune(self, keep_before: int) -> None:

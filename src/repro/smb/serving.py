@@ -11,15 +11,15 @@ read tier the ShmCaffe deployment story implies:
   ``(shm_key, version, nbytes)``.  Because a key names one immutable
   version of a segment, entries never go stale: a new version is a new
   key, and the old entry simply ages out.  Plugs into
-  :class:`~repro.smb.client.SMBClient` (``cache=``) and the gateway.
+  :class:`~repro.smb.client.SMBClient` (``cache=``).
 * :class:`ReplicaServer` — subscribes to a configurable set of primary
   segments with ``wait_update`` long-polls, mirrors each update into its
   own read-only :class:`~repro.smb.server.SMBServer` core (stamping the
   *primary's* version numbers via :meth:`Segment.install`), and retains
   the last ``ring_depth`` versions per segment in a snapshot ring so
   version-pinned reads keep working after the primary has moved on.
-  Front it with :class:`~repro.smb.server.TcpSMBServer` (``core=``) to
-  serve remote readers, or read in-process via :meth:`ReplicaServer.read`.
+  An applied version is one immutable ``bytes`` the ring and every
+  :meth:`ReplicaServer.read` share: a read copies and locks nothing.
 
 The replica is where the wait/version bugfix sweep pays off: its
 subscription loops run ``wait_update(last_seen, timeout=None)`` forever,
@@ -205,9 +205,15 @@ class _Subscription:
         self.name = name
         self.ring = _SnapshotRing(ring_depth)
         self.ready = threading.Event()
-        self.version = 0
+        #: The published ``(version, bytes)``: swapped whole by the one
+        #: subscription thread, so readers need no lock to see a pair.
+        self.current: Tuple[int, bytes] = (0, b"")
         self.resyncs = 0
         self.last_update_at: Optional[float] = None
+
+    @property
+    def version(self) -> int:
+        return self.current[0]
 
 
 class ReplicaServer:
@@ -331,11 +337,12 @@ class ReplicaServer:
     ) -> Tuple[int, bytes]:
         """Serve one versioned read; returns ``(version, bytes)``.
 
-        ``version=None`` serves the replica's current snapshot.  A
-        pinned read of version ``v`` is served from the local pool (if
-        current) or the snapshot ring; only on a ring miss does the
-        replica fall back to one primary read — and only a primary
-        still *at* ``v`` can satisfy it.
+        ``version=None`` (or the current version) returns the published
+        snapshot itself — the same immutable ``bytes`` for every reader,
+        no copy, no lock.  Another pinned ``v`` is served from the
+        snapshot ring; only on a ring miss does the replica fall back
+        to one primary read — and only a primary still *at* ``v`` can
+        satisfy it.
 
         Raises:
             UnknownKeyError: ``name`` is not a segment this replica
@@ -346,13 +353,10 @@ class ReplicaServer:
         sub = self._subs.get(name)
         if sub is None or not sub.ready.is_set():
             raise UnknownKeyError(0)
-        segment = self.core.pool.by_name(name, tenant=self.tenant)
-        with segment.lock:
-            current = segment.version
-            if version is None or version == current:
-                data = segment.buffer.tobytes()
-                self._count_read(len(data))
-                return current, data
+        current, data = published = sub.current
+        if version is None or version == current:
+            self._count_read(len(data))
+            return published
         snapshot = sub.ring.get(version)
         if snapshot is not None:
             self._record("serve/replica/ring_hit")
@@ -538,11 +542,14 @@ class ReplicaServer:
         version: int,
         force: bool,
     ) -> None:
-        """Install one mirrored snapshot locally and retain it in the ring."""
+        """Publish one snapshot (ring and readers share ``data``); only a
+        forced resync may publish at or below the current version."""
         previous = sub.version
+        if not force and version <= previous and sub.ready.is_set():
+            return
         local.install(data, version, force=force)
         sub.ring.push(version, data)
-        sub.version = version
+        sub.current = (version, data)
         sub.last_update_at = monotonic()
         registry = self._registry()
         if registry is not None:
@@ -554,5 +561,4 @@ class ReplicaServer:
                 registry.observe(
                     "serve/replica/lag", float(version - previous - 1)
                 )
-        if not sub.ready.is_set():
-            sub.ready.set()
+        sub.ready.set()

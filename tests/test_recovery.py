@@ -42,6 +42,8 @@ from repro.experiments.recovery import (
     run_server_loss_drill,
 )
 from repro.smb import (
+    Message,
+    Op,
     RetryPolicy,
     SMBClient,
     SMBError,
@@ -166,6 +168,24 @@ class TestServerDurability:
         assert seq >= 1
         assert epoch == 0
         assert (tmp_path / f"snapshot-{seq:08d}.npz").exists()
+
+    def test_journal_bytes_are_the_framed_records(self, tmp_path):
+        """The append writes header and payload view separately; on disk
+        that is still ``record.encode()`` back to back, whatever buffer
+        type carried the payload."""
+        server = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
+        values = np.arange(64, dtype=np.float32)
+        records = [
+            Message(op=Op.WRITE, key=7, offset=4, payload=memoryview(values)),
+            Message(op=Op.WRITE, key=7, payload=bytearray(b"\x01" * 9)),
+            Message(op=Op.FREE, key=7),
+        ]
+        for record in records:
+            server._store.append(record)
+        log = tmp_path / f"journal-{server._store.seq:08d}.log"
+        before_close = log.read_bytes()  # flushed per record
+        self._crash(server)
+        assert before_close == b"".join(r.encode() for r in records)
 
     def test_snapshot_op_requires_journal_dir(self):
         server = SMBServer(capacity=1 << 20)

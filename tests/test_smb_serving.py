@@ -17,9 +17,14 @@ fixes it leans on:
   with **zero** primary READ ops after warm-up.
 """
 
+import contextlib
+import http.client
 import json
+import socket
+import sys
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 
@@ -841,3 +846,349 @@ class TestReadFanoutAcceptance:
             replica.stop()
             master.close()
             primary.stop()
+
+
+# ---------------------------------------------------------------------------
+# One shared immutable snapshot per version
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _serving_stack(count=256, start=True):
+    """primary -> replica "r0" -> gateway, torn down in reverse."""
+    server = SMBServer(capacity=1 << 22)
+    master = SMBClient.in_process(server)
+    array = master.create_array("W_g", count)
+    array.write(np.full(count, 1.0, dtype=np.float32))
+    replica = ReplicaServer(
+        lambda: SMBClient.in_process(server), ["W_g"], name="r0"
+    ).start()
+    gateway = None
+    try:
+        assert replica.wait_ready(5.0)
+        gateway = ModelGateway([replica])
+        if start:
+            gateway.start()
+        yield array, replica, gateway
+    finally:
+        if gateway is not None:
+            gateway.stop()
+        replica.stop()
+        master.close()
+
+
+class TestSharedSnapshot:
+    def test_readers_of_one_version_share_one_object(self):
+        with _serving_stack() as (array, replica, gateway):
+            version, first = replica.read("W_g")
+            assert version == 1
+            assert replica.read("W_g")[1] is first
+            assert replica.read("W_g", version=1)[1] is first
+            assert gateway.read("default", "W_g")[1] is first
+            assert replica._subs["W_g"].ring.get(1) is first
+            array.write(np.full(256, 2.0, dtype=np.float32))
+            assert _wait_for(lambda: replica.version("W_g") >= 2)
+            version, second = replica.read("W_g")
+            assert version == 2 and second is not first
+            assert np.frombuffer(second, dtype=np.float32)[0] == 2.0
+            assert replica._subs["W_g"].ring.get(2) is second
+            # The retired version is still the same object, from the ring.
+            assert replica.read("W_g", version=1)[1] is first
+
+    def test_version_never_goes_backwards_under_a_writer(self):
+        """More readers than cores against a live subscription: a read
+        is never older than the one before it, one version is always
+        one object, and its bytes are untorn.
+
+        The bytes may be *older* than the version beside them: the
+        primary stamps a READ's version after releasing the segment
+        lock, so a READ racing a WRITE reports the newer number.  That
+        is the primary's pairing, which the replica mirrors as given.
+        """
+        writes, problems, done = 150, [], threading.Event()
+
+        def reader(replica):
+            seen, held = 0, b""
+            while not done.is_set():
+                version, data = replica.read("W_g")
+                value = np.frombuffer(data, dtype=np.float32)
+                if version < seen:
+                    problems.append(f"v{seen} then v{version}")
+                if version == seen and data is not held:
+                    problems.append(f"v{version} is two objects")
+                if value[0] != value[-1] or value[0] > version:
+                    problems.append(f"v{version}: {value[0]}..{value[-1]}")
+                seen, held = version, data
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _serving_stack(start=False) as (array, replica, _):
+                readers = [
+                    threading.Thread(target=reader, args=(replica,))
+                    for _ in range(6)
+                ]
+                for thread in readers:
+                    thread.start()
+                try:
+                    for i in range(2, writes + 1):
+                        array.write(np.full(256, float(i), dtype=np.float32))
+                    caught_up = _wait_for(
+                        lambda: replica.version("W_g") == writes
+                    )
+                finally:
+                    done.set()
+                    for thread in readers:
+                        thread.join(timeout=10.0)
+                assert not any(thread.is_alive() for thread in readers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert caught_up
+        assert not problems, problems[:3]
+
+    def test_reads_and_304s_allocate_no_segment_copies(self):
+        """200 current reads + 200 conditional GETs of a 1 MiB segment
+        must not grow the heap by even a quarter of one segment."""
+        nbytes = 1 << 20
+        with _serving_stack(count=nbytes // 4) as (_, replica, gateway):
+            conn = http.client.HTTPConnection(*gateway.address, timeout=10)
+            headers = {"If-None-Match": '"v1"'}
+
+            def conditional_get():
+                conn.request("GET", "/v1/models/default/W_g", headers=headers)
+                response = conn.getresponse()
+                assert response.read() == b""
+                return response.status
+
+            assert conditional_get() == 304  # connection + caches warm
+            kept = []
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                for _ in range(200):
+                    kept.append(replica.read("W_g")[1])
+                for _ in range(200):
+                    assert conditional_get() == 304
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                conn.close()
+            assert all(data is kept[0] for data in kept)
+            assert peak - before < nbytes // 4, peak - before
+
+
+# ---------------------------------------------------------------------------
+# The gateway on the wire (raw sockets: http.client would hide the framing)
+# ---------------------------------------------------------------------------
+
+
+def _connect(gateway):
+    sock = socket.create_connection(gateway.address, timeout=10.0)
+    return sock, sock.makefile("rb")
+
+
+def _read_response(stream):
+    """``(status, lower-cased headers, body)`` of one framed response."""
+    status_line = stream.readline()
+    assert status_line.startswith(b"HTTP/1.1 "), status_line
+    headers = {}
+    for line in iter(stream.readline, b"\r\n"):
+        assert line, "stream ended inside a response head"
+        name, _, value = line.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, body
+
+
+def _exchange(gateway, request):
+    """One request on a fresh connection; also whether the server closed."""
+    sock, stream = _connect(gateway)
+    try:
+        sock.sendall(request)
+        status, headers, body = _read_response(stream)
+        sock.settimeout(0.5)
+        try:
+            closed = stream.read(1) == b""
+        except (socket.timeout, ConnectionResetError) as exc:
+            closed = isinstance(exc, ConnectionResetError)
+        return status, headers, body, closed
+    finally:
+        stream.close()
+        sock.close()
+
+
+MODEL = b"/v1/models/default/W_g"
+
+
+class TestGatewayWire:
+    def test_pipelined_requests_are_answered_in_order(self):
+        with _serving_stack() as (_, _, gateway):
+            sock, stream = _connect(gateway)
+            with sock, stream:
+                sock.sendall(
+                    b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                    b"GET " + MODEL + b" HTTP/1.1\r\nHost: x\r\n\r\n"
+                )
+                status, headers, body = _read_response(stream)
+                assert status == 200
+                assert headers["content-type"] == "application/json"
+                assert json.loads(body)["status"] == "ok"
+                status, headers, body = _read_response(stream)
+                assert status == 200
+                assert headers["content-type"] == "application/octet-stream"
+                assert headers["x-smb-version"] == "1"
+                assert len(body) == 1024
+
+    def test_large_body_reaches_a_reader_that_sips(self):
+        """1 MiB through a small receive window, drained 4 KiB at a
+        time: whatever the first send leaves over still arrives."""
+        nbytes = 1 << 20
+        with _serving_stack(count=nbytes // 4) as (_, replica, gateway):
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(10.0)
+            with sock:
+                sock.connect(gateway.address)
+                sock.sendall(b"GET " + MODEL + b" HTTP/1.1\r\n\r\n")
+                received = bytearray()
+                while b"\r\n\r\n" not in received:
+                    received += sock.recv(4096)
+                head, _, rest = bytes(received).partition(b"\r\n\r\n")
+                assert b"Content-Length: %d" % nbytes in head
+                body = bytearray(rest)
+                while len(body) < nbytes:
+                    chunk = sock.recv(4096)
+                    assert chunk, f"closed after {len(body)} body bytes"
+                    body += chunk
+            assert bytes(body) == replica.read("W_g")[1]
+
+    @pytest.mark.parametrize("head", [
+        b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"b" * 70000 + b"\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\n" + b"X-N: 1\r\n" * 101 + b"\r\n",
+    ], ids=["request-line", "header-line", "header-count"])
+    def test_oversized_head_is_refused_and_closed(self, head):
+        with _serving_stack() as (_, _, gateway):
+            other, other_stream = _connect(gateway)
+            with other, other_stream:
+                status, headers, body, closed = _exchange(gateway, head)
+                assert status == 431 and closed
+                assert headers["connection"] == "close"
+                assert "error" in json.loads(body)
+                # The refusal cost nobody else anything.
+                other.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                assert _read_response(other_stream)[0] == 200
+
+    def test_a_hundred_headers_are_fine(self):
+        with _serving_stack() as (_, _, gateway):
+            head = b"GET /healthz HTTP/1.1\r\n" + b"X-N: 1\r\n" * 100 + b"\r\n"
+            status, _, _, closed = _exchange(gateway, head)
+            assert status == 200 and not closed
+
+    @pytest.mark.parametrize("request_line, status", [
+        (b"what is this\r\n", 400),
+        (b"GET\r\n", 400),
+        (b"GET /healthz HTTP/9.9\r\n", 400),
+        (b"POST " + MODEL + b" HTTP/1.1\r\n", 501),
+        (b"DELETE /healthz HTTP/1.1\r\n", 501),
+    ])
+    def test_bad_request_lines(self, request_line, status):
+        with _serving_stack() as (_, _, gateway):
+            got, headers, body, closed = _exchange(
+                gateway, request_line + b"\r\n"
+            )
+            assert got == status and closed
+            assert headers["content-type"] == "application/json"
+            assert "error" in json.loads(body)
+
+    @pytest.mark.parametrize("message, closes", [
+        (b"GET /healthz HTTP/1.1\r\n\r\n", False),
+        (b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n", True),
+        (b"GET /healthz HTTP/1.1\r\nCONNECTION: Close\r\n\r\n", True),
+        (b"GET /healthz HTTP/1.0\r\n\r\n", True),
+        (b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", False),
+    ], ids=["1.1", "1.1-close", "1.1-CLOSE", "1.0", "1.0-keep-alive"])
+    def test_connection_lifetime(self, message, closes):
+        with _serving_stack() as (_, _, gateway):
+            status, headers, _, closed = _exchange(gateway, message)
+            assert status == 200
+            assert closed is closes
+            assert ("connection" in headers) is closes
+
+    @pytest.mark.parametrize(
+        "field", [b"If-None-Match", b"if-none-match", b"IF-NONE-MATCH"]
+    )
+    def test_not_modified_has_validators_and_no_body(self, field):
+        with _serving_stack() as (_, _, gateway):
+            sock, stream = _connect(gateway)
+            with sock, stream:
+                conditional = (
+                    b"GET " + MODEL + b" HTTP/1.1\r\n"
+                    + field + b': "v1"\r\n\r\n'
+                )
+                sock.sendall(conditional + b"GET /healthz HTTP/1.1\r\n\r\n")
+                status, headers, body = _read_response(stream)
+                assert status == 304 and body == b""
+                assert headers["etag"] == '"v1"'
+                assert headers["x-smb-version"] == "1"
+                assert headers["content-length"] == "0"
+                assert "date" in headers
+                # Nothing trails the 304: the next response frames cleanly.
+                status, _, body = _read_response(stream)
+                assert status == 200 and json.loads(body)["status"] == "ok"
+
+
+# ---------------------------------------------------------------------------
+# Gateway lifecycle: stop() stops
+# ---------------------------------------------------------------------------
+
+
+class TestGatewayStop:
+    def test_stop_ends_open_keep_alive_connections(self):
+        threads_before = set(threading.enumerate())
+        with _serving_stack() as (_, _, gateway):
+            conn = http.client.HTTPConnection(*gateway.address, timeout=5)
+            try:
+                conn.request("GET", "/healthz")
+                assert conn.getresponse().read()
+                idle, idle_stream = _connect(gateway)  # never sends a byte
+                gateway.stop()
+                with pytest.raises((OSError, http.client.HTTPException)):
+                    conn.request("GET", "/healthz")
+                    conn.getresponse().read()
+                with idle, idle_stream:
+                    try:
+                        assert idle_stream.read(1) == b""
+                    except ConnectionResetError:
+                        pass  # ended either way
+            finally:
+                conn.close()
+            left = set(threading.enumerate()) - threads_before
+            assert not [t.name for t in left if "r0-sub" not in t.name]
+            with pytest.raises(OSError):
+                socket.create_connection(gateway.address, timeout=2.0).close()
+
+    def test_stop_without_start_returns(self):
+        with _serving_stack(start=False) as (_, _, gateway):
+            address = gateway.address
+
+            def lifecycle():
+                gateway.stop()
+                gateway.stop()
+
+            watchdog = threading.Thread(target=lifecycle, daemon=True)
+            watchdog.start()
+            watchdog.join(timeout=3.0)
+            assert not watchdog.is_alive(), "stop() before start() hung"
+            with pytest.raises(OSError):
+                socket.create_connection(address, timeout=2.0).close()
+
+    def test_context_manager_starts_and_stops(self):
+        with _serving_stack(start=False) as (_, _, gateway):
+            with gateway as entered:
+                assert entered is gateway
+                status, _, _ = _http_get(gateway.url + "/healthz")
+                assert status == 200
+            with pytest.raises(OSError):
+                socket.create_connection(gateway.address, timeout=2.0).close()
