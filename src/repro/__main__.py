@@ -511,46 +511,6 @@ def _serve_loop(stop) -> int:
     return 0
 
 
-def _cmd_serve_replica(args: argparse.Namespace) -> int:
-    from .smb import ReplicaServer, SMBClient, TcpSMBServer
-
-    address = _resolve_primary(args)
-    if address is None:
-        return 1
-    segments = [name for name in args.segments.split(",") if name]
-    if not segments:
-        print("error: --segments needs at least one name", file=sys.stderr)
-        return 1
-
-    def connect() -> "SMBClient":
-        return SMBClient.connect(address, tenant=args.tenant)
-
-    replica = ReplicaServer(
-        connect, segments, tenant=args.tenant,
-        ring_depth=args.ring_depth,
-        capacity=int(args.capacity_mb * 1e6),
-        name=args.name,
-    ).start()
-    if not replica.wait_ready(timeout=args.sync_timeout):
-        print(f"error: initial sync did not finish within "
-              f"{args.sync_timeout:.0f}s", file=sys.stderr)
-        replica.stop()
-        return 1
-    front = TcpSMBServer(
-        host=args.host, port=args.port, core=replica.core
-    ).start()
-    print(f"read replica {args.name!r} mirroring {len(segments)} segment(s) "
-          f"from {address[0]}:{address[1]}")
-    print(f"serving SMB reads on {front.address[0]}:{front.address[1]} "
-          f"(ring depth {args.ring_depth}); Ctrl-C to stop")
-
-    def stop() -> None:
-        front.stop()
-        replica.stop()
-
-    return _serve_loop(stop)
-
-
 def _cmd_serve_gateway(args: argparse.Namespace) -> int:
     from .serve import ModelGateway
     from .smb import ReplicaServer, SMBClient
@@ -570,7 +530,6 @@ def _cmd_serve_gateway(args: argparse.Namespace) -> int:
         ReplicaServer(
             connect, segments, tenant=args.tenant,
             ring_depth=args.ring_depth,
-            capacity=int(args.capacity_mb * 1e6),
             name=f"replica-{rank}",
         ).start()
         for rank in range(args.replicas)
@@ -912,47 +871,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     serving = commands.add_parser(
         "serve",
-        help="parameter-serving read tier: SMB read replicas and the "
-             "HTTP model gateway",
+        help="parameter-serving read tier: the HTTP model gateway over "
+             "in-process read replicas",
     )
     serving_sub = serving.add_subparsers(dest="serve_command", required=True)
-
-    def _add_replica_args(target: argparse.ArgumentParser) -> None:
-        target.add_argument("--connect", default="",
-                            help="host:port of the primary SMB server")
-        target.add_argument("--rendezvous", default="",
-                            help="primary's endpoint.json (alternative "
-                                 "to --connect)")
-        target.add_argument("--segments", required=True,
-                            help="comma-separated segment names to mirror "
-                                 "(e.g. W_g)")
-        target.add_argument("--tenant", default="default",
-                            help="namespace the segments live in")
-        target.add_argument("--ring-depth", type=int, default=8,
-                            help="snapshot versions retained per segment "
-                                 "for pinned reads")
-        target.add_argument("--capacity-mb", type=float, default=1024.0)
-        target.add_argument("--sync-timeout", type=float, default=30.0,
-                            help="seconds to wait for the initial mirror")
-        target.add_argument("--host", default="127.0.0.1")
-        target.add_argument("--port", type=int, default=0)
-
-    replica = serving_sub.add_parser(
-        "replica",
-        help="mirror segments from a primary and serve SMB reads "
-             "(versioned, with a pinned-read snapshot ring)",
-    )
-    _add_replica_args(replica)
-    replica.add_argument("--name", default="replica",
-                         help="replica id (placement key in a fleet)")
-    replica.set_defaults(entry=_cmd_serve_replica)
 
     gateway = serving_sub.add_parser(
         "gateway",
         help="HTTP/REST front end over an in-process replica fleet "
              "(GET /v1/models/<tenant>/<name>?version=N)",
     )
-    _add_replica_args(gateway)
+    gateway.add_argument("--connect", default="",
+                         help="host:port of the primary SMB server")
+    gateway.add_argument("--rendezvous", default="",
+                         help="primary's endpoint.json (alternative "
+                              "to --connect)")
+    gateway.add_argument("--segments", required=True,
+                         help="comma-separated segment names to mirror "
+                              "(e.g. W_g)")
+    gateway.add_argument("--tenant", default="default",
+                         help="namespace the segments live in")
+    gateway.add_argument("--ring-depth", type=int, default=8,
+                         help="snapshot versions retained per segment "
+                              "for pinned reads")
+    gateway.add_argument("--sync-timeout", type=float, default=30.0,
+                         help="seconds to wait for the initial mirror")
+    gateway.add_argument("--host", default="127.0.0.1")
+    gateway.add_argument("--port", type=int, default=0)
     gateway.add_argument("--replicas", type=int, default=2,
                          help="replica fleet size behind the gateway")
     gateway.set_defaults(entry=_cmd_serve_gateway)

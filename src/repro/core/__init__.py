@@ -12,31 +12,11 @@ The training core is layered (see ``docs/architecture.md``):
 :class:`OverlapDriver` owns the Fig.-6 update thread.
 """
 
-from .autoscale import (
-    AutoscaleController,
-    AutoscalePolicy,
-    AutoscaleSupervisor,
-    FleetSignals,
-    ScaleDecision,
-)
-from .checkpoint import (
-    CheckpointCoordinator,
-    CheckpointError,
-    CheckpointInfo,
-    inspect_checkpoint,
-    latest_checkpoint,
-)
+from .autoscale import AutoscaleController, AutoscalePolicy, AutoscaleSupervisor
+from .checkpoint import CheckpointError, inspect_checkpoint, latest_checkpoint
 from .config import ShmCaffeConfig, TerminationCriterion
-from .engine import (
-    FlushTimeoutError,
-    IterationRecord,
-    TrainingEngine,
-    WorkerError,
-    WorkerHistory,
-    smb_path_lost,
-)
+from .engine import FlushTimeoutError, TrainingEngine, WorkerError
 from .exchange import (
-    BaseExchange,
     ExchangeStrategy,
     HybridExchange,
     SEASGDExchange,
@@ -45,17 +25,6 @@ from .exchange import (
     make_exchange,
 )
 from .overlap import OverlapDriver
-from .seasgd import (
-    apply_increment_global,
-    easgd_server_update,
-    easgd_worker_update,
-    seasgd_exchange,
-)
-from .termination import (
-    STOP_FIRST_FINISHER,
-    STOP_MASTER_DONE,
-    TerminationCoordinator,
-)
 from .trainer import (
     DistributedTrainingManager,
     ElasticWorkerHandle,
@@ -66,37 +35,22 @@ __all__ = [
     "AutoscaleController",
     "AutoscalePolicy",
     "AutoscaleSupervisor",
-    "BaseExchange",
-    "CheckpointCoordinator",
     "CheckpointError",
-    "CheckpointInfo",
     "DistributedTrainingManager",
     "ElasticWorkerHandle",
     "ExchangeStrategy",
-    "FleetSignals",
     "FlushTimeoutError",
     "HybridExchange",
-    "IterationRecord",
     "OverlapDriver",
-    "STOP_FIRST_FINISHER",
-    "STOP_MASTER_DONE",
-    "ScaleDecision",
     "SEASGDExchange",
     "SMBAsgdExchange",
     "ShmCaffeConfig",
     "StaleReadExchange",
-    "TerminationCoordinator",
     "TerminationCriterion",
     "TrainingEngine",
     "TrainingResult",
     "WorkerError",
-    "WorkerHistory",
-    "apply_increment_global",
-    "easgd_server_update",
-    "easgd_worker_update",
     "inspect_checkpoint",
     "latest_checkpoint",
     "make_exchange",
-    "seasgd_exchange",
-    "smb_path_lost",
 ]

@@ -297,12 +297,6 @@ class HybridExchange(BaseExchange):
             self._inner = SEASGDExchange(global_weights, increment_buffer)
         self._smb_failed = False
 
-    @property
-    def smb_failed(self) -> bool:
-        """True once the root lost its SMB path and the group is winding
-        down."""
-        return self._smb_failed
-
     def bind(self, engine: "TrainingEngine") -> None:
         super().bind(engine)
         if self._inner is not None:

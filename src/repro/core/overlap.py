@@ -102,11 +102,6 @@ class OverlapDriver:
 
     # -- main-thread API ----------------------------------------------------
 
-    @property
-    def in_flight(self) -> bool:
-        """True while a submitted flush has not yet completed."""
-        return not self._flushed.is_set()
-
     def submit(self, thunk: Callable[[], None]) -> None:
         """Hand one flush thunk to the update thread (Fig. 6, T3).
 

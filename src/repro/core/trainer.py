@@ -80,11 +80,6 @@ class TrainingResult:
         """Ranks that completed the run normally."""
         return [h.rank for h in self.histories if not h.failed]
 
-    @property
-    def retired_ranks(self) -> List[int]:
-        """Ranks that were retired out of the run (elastic membership)."""
-        return [h.rank for h in self.histories if h.retired]
-
 
 @dataclass
 class ElasticWorkerHandle:

@@ -1,8 +1,9 @@
 """Model-serving front ends over the SMB read tier.
 
-:mod:`repro.smb.serving` provides the data plane (replicas, snapshot
-rings, read caches); this package puts network front ends on it —
-currently the HTTP/REST :class:`~repro.serve.gateway.ModelGateway`.
+:mod:`repro.smb.serving` provides the data plane (replicas and their
+snapshot rings); this package puts the network front end on it — the
+HTTP/REST :class:`~repro.serve.gateway.ModelGateway`, the read tier's
+only network door.
 """
 
 from .gateway import ModelGateway

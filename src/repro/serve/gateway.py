@@ -39,7 +39,7 @@ from urllib.parse import parse_qs, unquote, urlparse
 
 from ..smb.errors import SMBError, UnknownKeyError
 from ..smb.fleet import HashRingPlacement, Placement
-from ..smb.protocol import _sendall_vectored
+from ..smb.protocol import sendall_vectored
 from ..smb.serving import ReplicaServer, VersionNotAvailableError
 from ..telemetry import TelemetrySession
 from ..telemetry import current as _telemetry_current
@@ -301,5 +301,5 @@ class _Handler(socketserver.StreamRequestHandler):
             b"Content-Length: %d\r\n%s\r\n"
         ) % (code, _REASONS[code], self.server.date(), len(body), fields)
         # sendmsg([head, body]); a short send is finished from the views.
-        _sendall_vectored(self.connection, head, memoryview(body))
+        sendall_vectored(self.connection, head, memoryview(body))
         return not close

@@ -19,7 +19,7 @@ Quick start::
 """
 
 from .buffer import ParameterBuffer
-from .client import ControlBlock, RemoteArray, SlotClaim, SMBClient
+from .client import ControlBlock, RemoteArray, SMBClient
 from .errors import (
     AccessDeniedError,
     CapacityError,
@@ -40,48 +40,22 @@ from .errors import (
     TransportClosedError,
     UnknownKeyError,
     VersionRegressionError,
-    is_retryable,
 )
 from .faults import FaultInjectingTransport, FaultPlan
-from .journal import (
-    DurabilityStore,
-    JournalError,
-    PoolImage,
-    SegmentImage,
-    publish_json,
-    read_json,
-    read_rendezvous,
-    write_rendezvous,
-)
-from .membership import JobEntry, MemberRecord, MembershipRegistry, RegistryView
-from .memory import (
-    DEFAULT_POOL_CAPACITY,
-    DEFAULT_TENANT,
-    MemoryPool,
-    Segment,
-    TenantGrant,
-)
+from .journal import JournalError, publish_json, read_json, read_rendezvous
+from .membership import MembershipRegistry
+from .memory import DEFAULT_TENANT
 from .fleet import (
-    HashRingPlacement,
-    Move,
-    Placement,
     PlacementError,
-    ShardedArray,
     attach_sharded_array,
     create_sharded_array,
     discover_locations,
-    rebalance,
     shard_counts,
-    shutdown_fanout_executor,
 )
 from .protocol import Message, Op, Status
-from .retry import DEFAULT_RETRY_POLICY, NO_RETRY, RetryPolicy
-from .server import ServerStats, SMBServer, TcpSMBServer
-from .serving import (
-    ReadCache,
-    ReplicaServer,
-    VersionNotAvailableError,
-)
+from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
+from .server import SMBServer, TcpSMBServer
+from .serving import ReplicaServer, VersionNotAvailableError
 from .shm_transport import ShmSMBServer, ShmTransport
 from .transport import InProcTransport, TcpTransport
 
@@ -89,59 +63,41 @@ __all__ = [
     "AccessDeniedError",
     "CapacityError",
     "ControlBlock",
-    "DEFAULT_POOL_CAPACITY",
     "DEFAULT_RETRY_POLICY",
     "DEFAULT_TENANT",
-    "DurabilityStore",
     "FaultInjectedError",
     "FaultInjectingTransport",
     "FaultPlan",
-    "HashRingPlacement",
     "InProcTransport",
-    "JobEntry",
     "JournalError",
-    "MemberRecord",
     "MembershipError",
     "MembershipRegistry",
-    "MemoryPool",
     "Message",
-    "NO_RETRY",
     "NotificationTimeout",
-    "Move",
     "Op",
     "ParameterBuffer",
     "PayloadSizeError",
-    "Placement",
     "PlacementError",
-    "PoolImage",
     "QuotaExceededError",
-    "ReadCache",
-    "RegistryView",
     "RemoteArray",
     "ReplicaServer",
     "RetryExhaustedError",
     "RetryPolicy",
-    "Segment",
     "SegmentExistsError",
-    "SegmentImage",
     "SegmentRangeError",
     "ServerClosingError",
-    "ServerStats",
-    "SlotClaim",
     "SlotsExhaustedError",
     "SMBClient",
     "SMBConnectionError",
     "SMBError",
     "SMBProtocolError",
     "SMBServer",
-    "ShardedArray",
     "ShmSMBServer",
     "ShmTransport",
     "StaleGenerationError",
     "Status",
     "TcpSMBServer",
     "TcpTransport",
-    "TenantGrant",
     "TransportClosedError",
     "UnknownKeyError",
     "VersionNotAvailableError",
@@ -149,12 +105,8 @@ __all__ = [
     "attach_sharded_array",
     "create_sharded_array",
     "discover_locations",
-    "is_retryable",
     "publish_json",
     "read_json",
     "read_rendezvous",
-    "rebalance",
     "shard_counts",
-    "shutdown_fanout_executor",
-    "write_rendezvous",
 ]

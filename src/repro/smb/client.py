@@ -24,7 +24,7 @@ import os
 import threading
 import time
 from time import perf_counter as _perf_counter
-from typing import Dict, Optional, Protocol, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,21 +64,6 @@ def _writable_byte_view(out: object) -> memoryview:
 def _aliases(payload: Buffer, view: memoryview) -> bool:
     """Whether ``payload`` is already a view of ``view``'s backing buffer."""
     return isinstance(payload, memoryview) and payload.obj is view.obj
-
-class ReadCacheLike(Protocol):
-    """What :class:`SMBClient` needs from a read cache.
-
-    The reference implementation is
-    :class:`~repro.smb.serving.ReadCache`; anything matching this
-    protocol plugs in (keys are ``(shm_key, version, nbytes)`` tuples,
-    values are the immutable payload bytes of that exact version).
-    """
-
-    def get(self, key: Tuple[int, int, int]) -> Optional[bytes]: ...
-
-    def put(self, key: Tuple[int, int, int], data: bytes) -> None: ...
-
-    def invalidate(self, shm_key: Optional[int] = None) -> None: ...
 
 
 #: Ops whose ``key`` slot carries an access key (``key2`` too for
@@ -127,17 +112,6 @@ class SMBClient:
             fast (no retries), preserving pre-fault-tolerance semantics;
             pass :data:`~repro.smb.retry.DEFAULT_RETRY_POLICY` or your
             own for resilient operation.
-        cache: Opt-in read cache.  An ``int`` is a byte capacity for a
-            fresh :class:`~repro.smb.serving.ReadCache`; any object with
-            ``get``/``put``/``invalidate`` works.  Full-segment
-            :meth:`read` results are cached under ``(shm_key, version)``
-            — entries are immutable snapshots, so a hit is served with
-            no server op.  Invalidation rides the existing notify
-            channel: a ``wait_update`` (or any op) observing a newer
-            version advances the attachment's tracked version, after
-            which the stale entry can no longer be served; a server
-            recovery drops the segment's entries outright (recovered
-            version numbers may be re-minted with different bytes).
     """
 
     def __init__(
@@ -146,7 +120,6 @@ class SMBClient:
         telemetry: Optional[TelemetrySession] = None,
         retry_policy: Optional[RetryPolicy] = None,
         tenant: str = DEFAULT_TENANT,
-        cache: "Optional[Union[int, ReadCacheLike]]" = None,
     ) -> None:
         #: The request/response path to the server.  Public so a chaos
         #: layer can wrap it (:class:`~repro.smb.faults.FaultInjectingTransport`).
@@ -164,11 +137,6 @@ class SMBClient:
         self._attach_lock = threading.Lock()
         self._attachments: Dict[int, _Attachment] = {}
         self._key_map: Dict[int, int] = {}
-        if isinstance(cache, int):
-            from .serving import ReadCache
-
-            cache = ReadCache(cache, telemetry=telemetry)
-        self._cache: Optional[ReadCacheLike] = cache
         #: Last server epoch observed via ATTACH (None before the first).
         self.server_epoch: Optional[int] = None
         #: How many transparent re-attachments this client performed.
@@ -181,12 +149,11 @@ class SMBClient:
         telemetry: Optional[TelemetrySession] = None,
         retry_policy: Optional[RetryPolicy] = None,
         tenant: str = DEFAULT_TENANT,
-        cache: "Optional[Union[int, ReadCacheLike]]" = None,
     ) -> "SMBClient":
         """Attach directly to an in-process server core."""
         return cls(
             InProcTransport(server, tenant=tenant),
-            telemetry, retry_policy, tenant=tenant, cache=cache,
+            telemetry, retry_policy, tenant=tenant,
         )
 
     @classmethod
@@ -198,7 +165,6 @@ class SMBClient:
         rendezvous: Optional[Union[str, os.PathLike]] = None,
         server_down_grace: float = 0.0,
         tenant: str = DEFAULT_TENANT,
-        cache: "Optional[Union[int, ReadCacheLike]]" = None,
     ) -> "SMBClient":
         """Connect to a :class:`~repro.smb.server.TcpSMBServer`.
 
@@ -224,9 +190,7 @@ class SMBClient:
             server_down_grace=server_down_grace,
             tenant=tenant,
         )
-        return cls(
-            transport, telemetry, retry_policy, tenant=tenant, cache=cache
-        )
+        return cls(transport, telemetry, retry_policy, tenant=tenant)
 
     @classmethod
     def connect_local(
@@ -235,7 +199,6 @@ class SMBClient:
         telemetry: Optional[TelemetrySession] = None,
         retry_policy: Optional[RetryPolicy] = None,
         tenant: str = DEFAULT_TENANT,
-        cache: "Optional[Union[int, ReadCacheLike]]" = None,
     ) -> "SMBClient":
         """Connect to a co-located server over its shared-memory doorway.
 
@@ -250,9 +213,7 @@ class SMBClient:
         transport = ShmTransport(
             path, timeout=policy.request_timeout, tenant=tenant
         )
-        return cls(
-            transport, telemetry, retry_policy, tenant=tenant, cache=cache
-        )
+        return cls(transport, telemetry, retry_policy, tenant=tenant)
 
     def close(self) -> None:
         """Release the underlying transport."""
@@ -427,10 +388,6 @@ class SMBClient:
                     record.shm_key, response.count, record.version,
                 )
                 record.regressed = True
-            if record.epoch != new_epoch and self._cache is not None:
-                # A recovered server re-mints version numbers; cached
-                # (shm_key, version) entries may alias different bytes.
-                self._cache.invalidate(record.shm_key)
             record.current_key = response.key
             record.epoch = new_epoch
             record.version = response.count
@@ -499,38 +456,16 @@ class SMBClient:
     def read(self, access_key: int, nbytes: int, offset: int = 0) -> bytes:
         """RDMA-Read ``nbytes`` from the segment.
 
-        With a read cache configured, a whole-segment read (``offset ==
-        0``) of an attached segment is served locally when a cached
-        entry matches the attachment's last-seen version; the version
-        advances through the ordinary ops and ``wait_update``, which is
-        what invalidates stale entries.
-
         Raises:
             errors.PayloadSizeError: If the response payload length does
                 not match ``nbytes``.
         """
-        cache = self._cache
-        record: Optional[_Attachment] = None
-        if cache is not None and offset == 0:
-            with self._attach_lock:
-                record = self._attachments.get(access_key)
-            if record is not None and not record.regressed:
-                cached = cache.get((record.shm_key, record.version, nbytes))
-                if cached is not None:
-                    return cached
         response = self._call(
             Message(op=Op.READ, key=access_key, offset=offset, count=nbytes)
         )
         self._check_payload(Op.READ, nbytes, response.payload)
         payload = response.payload
-        data = payload if isinstance(payload, bytes) else bytes(payload)
-        if cache is not None and offset == 0 and record is not None:
-            # Insert strictly under the version the wire reported for
-            # *these* bytes — never the attachment's "latest seen",
-            # which a concurrent notify may already have advanced past
-            # this payload.
-            cache.put((record.shm_key, response.count, nbytes), data)
-        return data
+        return payload if isinstance(payload, bytes) else bytes(payload)
 
     def read_into(
         self,
@@ -699,7 +634,7 @@ class SMBClient:
         """Provision (or re-provision) a namespace with a byte quota.
 
         Administrative: any connection may issue it, matching the trust
-        model of ``FREE``/``SHUTDOWN``.  ``quota=None`` means unlimited.
+        model of ``FREE``.  ``quota=None`` means unlimited.
         Returns the effective quota (0 encodes unlimited on the wire).
         """
         response = self._call(
@@ -715,10 +650,6 @@ class SMBClient:
         """Per-namespace usage, quotas and op counters (administration)."""
         response = self._call(Message(op=Op.TENANT_STATS))
         return json.loads(response.payload.decode())
-
-    def shutdown_server(self) -> None:
-        """Ask a TCP server to stop (administrative)."""
-        self._call(Message(op=Op.SHUTDOWN))
 
     def request_snapshot(self) -> Tuple[int, int]:
         """Force the server to write a durable snapshot *now*.

@@ -177,7 +177,7 @@ class VersionRegressionError(SMBError):
     Snapshot-only durability can restore an older buffer; a subscription
     loop built on ``wait_update(last_seen)`` would then park forever —
     the recovered segment may never re-reach ``last_seen``.  The client
-    raises this instead so the caller (a replica, a read cache) resyncs
+    raises this instead so the caller (a replica) resyncs
     from the recovered version rather than hanging.  Fatal on purpose:
     retrying the same wait returns the same answer.
     """

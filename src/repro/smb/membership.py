@@ -194,14 +194,6 @@ class RegistryView:
             key=lambda m: m.joined_at,
         )
 
-    def member_for_slot(
-        self, slot: int, namespace: str = DEFAULT_TENANT
-    ) -> Optional[MemberRecord]:
-        for member in self.entry(namespace).members.values():
-            if member.slot == slot:
-                return member
-        return None
-
     def to_doc(self) -> Dict[str, object]:
         return {
             "format": REGISTRY_FORMAT,

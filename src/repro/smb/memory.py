@@ -232,32 +232,6 @@ class Segment:
             )
         return nbytes
 
-    def install(
-        self, data: bytes, version: int, force: bool = False
-    ) -> int:
-        """Overwrite the whole buffer and *set* the version (mirroring).
-
-        Unlike :meth:`write`, which bumps the local counter, this stamps
-        the version a *primary* server assigned — so a replica's pool
-        reports the same version numbers as the pool it mirrors and
-        version-pinned reads line up across the tiers.  Waiters fire
-        exactly as for a write.  A stale install (``version`` at or
-        below the current one) is dropped so racing subscription reads
-        can never roll a replica backwards; ``force=True`` overrides
-        that guard when the primary itself regressed (recovery resync).
-        """
-        self._check_range(0, len(data))
-        with self.lock:
-            if not force and version <= self.version:
-                return self.version
-            self.buffer[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-            self.version = version
-            self.updated.notify_all()
-            ready = self._take_ready_waiters()
-        for waiter in ready:
-            waiter.fire(version)
-        return version
-
     def write(self, offset: int, data: bytes) -> int:
         """Store ``data`` at ``offset`` (RDMA Write); returns new version."""
         self._check_range(offset, len(data))

@@ -27,8 +27,8 @@ data movement is what makes RDMA-class systems fast):
   chunk-list + ``b"".join`` (which cost two copies).
 
 :class:`Message.payload` therefore accepts ``bytes``, ``bytearray`` or a
-C-contiguous ``memoryview``; :meth:`Message.encode` still produces the
-classic contiguous frame for journaling and tests.
+C-contiguous ``memoryview``; :meth:`Message.encode` produces the
+contiguous frame, used as the test oracle for the journal's on-disk bytes.
 """
 
 from __future__ import annotations
@@ -162,7 +162,8 @@ class Op(enum.IntEnum):
     WAIT_UPDATE = 7     # block until version > given
     VERSION = 8         # current segment version
     STATS = 9           # server statistics snapshot
-    SHUTDOWN = 10       # stop the server (tests/administration)
+    # 10 is reserved (it was SHUTDOWN): refused like any unknown opcode
+    # and never reused, because journals on disk store opcode numbers.
     LOOKUP = 11         # name -> shm_key (late joiners)
     LIST = 12           # segment inventory (administration)
     SNAPSHOT = 13       # force a durable snapshot -> snapshot seq
@@ -231,9 +232,10 @@ class Message:
     def encode(self) -> bytes:
         """Serialise to one contiguous header + payload frame.
 
-        This is the *copying* representation, kept for the op journal and
-        for tests; the socket path uses :meth:`encode_header` plus a
-        vectored send of the payload view instead.
+        This is the *copying* representation: the contiguous frame, used
+        as the test oracle for the journal's on-disk bytes.  The socket
+        and journal paths use :meth:`encode_header` plus the payload view
+        instead.
         """
         payload = self.payload
         if not isinstance(payload, bytes):
@@ -291,7 +293,7 @@ def recv_exact(sock: socket.socket, nbytes: int) -> bytes:
     return bytes(buf)
 
 
-def _sendall_vectored(
+def sendall_vectored(
     sock: socket.socket, header: bytes, payload: memoryview
 ) -> None:
     """Send header + payload as two iovecs, finishing any partial send."""
@@ -323,7 +325,7 @@ def send_message(sock: socket.socket, message: Message) -> None:
         if view.nbytes == 0:
             sock.sendall(header)
         elif _HAS_SENDMSG:
-            _sendall_vectored(sock, header, view)
+            sendall_vectored(sock, header, view)
         else:  # pragma: no cover - non-POSIX fallback
             sock.sendall(header + view.tobytes())
     except OSError as exc:

@@ -470,13 +470,17 @@ class SMBServer:
         if req.op is Op.READ:
             segment = self.pool.by_access_key(req.key)
             data: "memoryview | bytes"
-            if out is not None and req.count <= len(out):
-                nbytes = segment.read_into(req.offset, out[:req.count])
-                data = out[:nbytes]
-            else:
-                data = segment.read(req.offset, req.count)
+            # Copy and version come from one critical section (the lock
+            # is re-entrant): the stamp names exactly the bytes returned.
+            with segment.lock:
+                if out is not None and req.count <= len(out):
+                    nbytes = segment.read_into(req.offset, out[:req.count])
+                    data = out[:nbytes]
+                else:
+                    data = segment.read(req.offset, req.count)
+                version = segment.version
             self.stats.record(req.op, len(data), tenant=tenant)
-            return Message(op=req.op, key=req.key, count=segment.version,
+            return Message(op=req.op, key=req.key, count=version,
                            payload=data)
 
         if req.op is Op.WRITE:
@@ -645,9 +649,6 @@ class SMBServer:
             payload = json.dumps(stats).encode()
             return Message(op=req.op, payload=payload)
 
-        if req.op is Op.SHUTDOWN:
-            return Message(op=req.op)
-
         raise SMBError(f"unhandled opcode: {req.op!r}")
 
 
@@ -683,7 +684,7 @@ class _Connection:
     __slots__ = (
         "sock", "peer", "state", "have", "need", "hbuf",
         "recv_buf", "read_buf", "request", "out_views",
-        "close_after_write", "dead", "tenant", "hello_deadline",
+        "dead", "tenant", "hello_deadline",
     )
 
     def __init__(self, sock: socket.socket, peer: object) -> None:
@@ -706,7 +707,6 @@ class _Connection:
         self.read_buf = bytearray(0)
         self.request: Optional[Message] = None
         self.out_views: List[memoryview] = []
-        self.close_after_write = False
         self.dead = False
 
 
@@ -912,10 +912,10 @@ class TcpSMBServer:
 
     Lifecycle: :meth:`stop` severs *every* connection (idle ones
     included), wakes parked waits, drains the worker pool and joins the
-    loop thread — it returns with zero live handler threads.  A client
-    ``SHUTDOWN`` behaves the same after its response is flushed, so one
-    client stopping the server never leaves its peers blocked in
-    ``recv``.  :meth:`kill` is the abrupt variant for chaos drills.
+    loop thread — it returns with zero live handler threads, and no
+    peer stays blocked in ``recv``.  :meth:`kill` is the abrupt variant
+    for chaos drills.  No wire op stops the server: stopping is the
+    operator's call on the server object, never a tenant's.
     """
 
     def __init__(
@@ -970,10 +970,10 @@ class TcpSMBServer:
             self._pool, workers, self.core.stats.registry
         )
         # Completions posted by pool tasks; the loop drains after a
-        # wakeup byte.  (conn, request, response) — response None means
-        # the handler crashed and the connection must be closed.
+        # wakeup byte.  (conn, response) — response None means the
+        # handler crashed and the connection must be closed.
         self._completions: Deque[
-            Tuple[_Connection, Message, Optional[Message]]
+            Tuple[_Connection, Optional[Message]]
         ] = deque()
         # Parked WAIT_UPDATEs, keyed by connection.  Registered and
         # expired on the loop thread; completed (claim-arbitrated) from
@@ -1112,13 +1112,13 @@ class TcpSMBServer:
         except OSError:
             return
         while self._completions:
-            conn, request, response = self._completions.popleft()
+            conn, response = self._completions.popleft()
             if conn.dead:
                 continue
             if response is None:
                 self._close_conn(conn)
                 continue
-            self._start_write(conn, request, response)
+            self._start_write(conn, response)
 
     def _service(self, conn: _Connection, mask: int) -> None:
         if conn.dead:
@@ -1300,7 +1300,7 @@ class TcpSMBServer:
             logger.exception("SMB handler crashed for peer %s", conn.peer)
             self._close_conn(conn)
             return
-        self._start_write(conn, request, response)
+        self._start_write(conn, response)
 
     def _process(
         self, conn: _Connection, request: Message, out: Optional[memoryview]
@@ -1313,7 +1313,7 @@ class TcpSMBServer:
         except Exception:  # noqa: BLE001 - keep the server alive
             logger.exception("SMB handler crashed for peer %s", conn.peer)
             response = None
-        self._completions.append((conn, request, response))
+        self._completions.append((conn, response))
         self._wake_loop()
 
     # -- WAIT_UPDATE, event-style ---------------------------------------
@@ -1341,7 +1341,7 @@ class TcpSMBServer:
                 raise ServerClosingError("server is shutting down")
             segment = self.core.pool.by_access_key(request.key)
         except SMBError as exc:
-            self._start_write(conn, request, Message(
+            self._start_write(conn, Message(
                 op=request.op, status=Status.ERROR, payload=to_wire(exc)
             ))
             return
@@ -1373,7 +1373,7 @@ class TcpSMBServer:
             with self._waiters_lock:
                 self._waiters.pop(conn, None)
             segment.remove_waiter(waiter)
-            self._start_write(conn, request, Message(
+            self._start_write(conn, Message(
                 op=request.op, status=Status.ERROR,
                 payload=to_wire(ServerClosingError("server is shutting down")),
             ))
@@ -1428,7 +1428,7 @@ class TcpSMBServer:
                 tel = _telemetry_current()
             if tel.enabled:
                 tel.registry.inc("smb/server/errors/TIMEOUT")
-            self._start_write(conn, pending.request, Message(
+            self._start_write(conn, Message(
                 op=pending.request.op, status=Status.TIMEOUT,
                 payload=str(exc).encode(),
             ))
@@ -1439,15 +1439,12 @@ class TcpSMBServer:
         if pending is not None and pending.waiter.claim():
             pending.segment.remove_waiter(pending.waiter)
 
-    def _start_write(
-        self, conn: _Connection, request: Message, response: Message
-    ) -> None:
+    def _start_write(self, conn: _Connection, response: Message) -> None:
         header = response.encode_header()
         view = response.payload_view()
         conn.out_views = [memoryview(header)]
         if view.nbytes:
             conn.out_views.append(view)
-        conn.close_after_write = request.op is Op.SHUTDOWN
         conn.state = _Connection.WRITE
         self._selector.register(conn.sock, selectors.EVENT_WRITE, conn)
         self._flush(conn)
@@ -1470,14 +1467,6 @@ class TcpSMBServer:
                     conn.out_views[0] = first[sent:]
                     sent = 0
         # Response fully flushed.
-        if conn.close_after_write:
-            self._close_conn(conn)
-            # A client-initiated SHUTDOWN stops the whole server — and
-            # unlike the threaded predecessor it also severs every *other*
-            # connection, so no peer stays parked in recv until process
-            # exit.  Teardown happens in _loop_main's finally.
-            self._stop.set()
-            return
         conn.request = None
         conn.state = _Connection.HEADER
         conn.have, conn.need = 0, HEADER_SIZE

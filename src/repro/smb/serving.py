@@ -1,25 +1,21 @@
-"""Parameter-serving read tier: replicas, snapshot rings, read caches.
+"""Parameter-serving read tier: replicas and their snapshot rings.
 
 Training hammers the primary SMB pool with writes and accumulates; the
 *serving* side of the house — evaluation jobs, checkpoint shippers, the
 HTTP model gateway — only ever reads, and mostly reads the same few
 segments (``W_g``) over and over.  Pointing that read fan-out at the
 primary steals bandwidth from the training loop.  This module adds the
-read tier the ShmCaffe deployment story implies:
+read tier the ShmCaffe deployment story implies.
 
-* :class:`ReadCache` — a byte-bounded LRU keyed by
-  ``(shm_key, version, nbytes)``.  Because a key names one immutable
-  version of a segment, entries never go stale: a new version is a new
-  key, and the old entry simply ages out.  Plugs into
-  :class:`~repro.smb.client.SMBClient` (``cache=``).
-* :class:`ReplicaServer` — subscribes to a configurable set of primary
-  segments with ``wait_update`` long-polls, mirrors each update into its
-  own read-only :class:`~repro.smb.server.SMBServer` core (stamping the
-  *primary's* version numbers via :meth:`Segment.install`), and retains
-  the last ``ring_depth`` versions per segment in a snapshot ring so
-  version-pinned reads keep working after the primary has moved on.
-  An applied version is one immutable ``bytes`` the ring and every
-  :meth:`ReplicaServer.read` share: a read copies and locks nothing.
+:class:`ReplicaServer` subscribes to a configurable set of primary
+segments with ``wait_update`` long-polls, publishes each update as one
+immutable ``bytes`` stamped with the *primary's* version number, and
+retains the last ``ring_depth`` versions per segment in a snapshot ring
+so version-pinned reads keep working after the primary has moved on.
+The ring and every :meth:`ReplicaServer.read` share that one object: an
+applied version is held once, and a read copies and locks nothing.  The
+replica opens no SMB port; :class:`~repro.serve.gateway.ModelGateway`
+is the read tier's only network door.
 
 The replica is where the wait/version bugfix sweep pays off: its
 subscription loops run ``wait_update(last_seen, timeout=None)`` forever,
@@ -48,16 +44,12 @@ from .errors import (
     VersionRegressionError,
     is_retryable,
 )
-from .memory import DEFAULT_POOL_CAPACITY, DEFAULT_TENANT
-from .server import SMBServer
+from .memory import DEFAULT_TENANT
 
 logger = logging.getLogger(__name__)
 
 #: Snapshot versions retained per mirrored segment.
 DEFAULT_RING_DEPTH = 8
-
-#: Default byte budget for a :class:`ReadCache` built from an ``int``.
-DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 
 
 class VersionNotAvailableError(SMBError):
@@ -76,102 +68,6 @@ class VersionNotAvailableError(SMBError):
         self.name = name
         self.requested = requested
         self.current = current
-
-
-class ReadCache:
-    """Thread-safe byte-bounded LRU of immutable segment snapshots.
-
-    Keys are ``(shm_key, version, nbytes)`` tuples; a hit returns the
-    exact bytes that segment held at that version.  Entries are immutable
-    by construction — a mutation on the server mints a new version and
-    therefore a new key — so the only invalidation that ever matters is
-    a server *recovery*, which may re-mint version numbers over different
-    bytes; :meth:`invalidate` handles that per segment.
-    """
-
-    def __init__(
-        self,
-        capacity_bytes: int = DEFAULT_CACHE_BYTES,
-        telemetry: Optional[TelemetrySession] = None,
-    ) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError(
-                f"cache capacity must be positive, got {capacity_bytes}"
-            )
-        self.capacity_bytes = capacity_bytes
-        self._telemetry = telemetry
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[int, int, int], bytes]" = (
-            OrderedDict()
-        )
-        self._used = 0
-        self.hits = 0
-        self.misses = 0
-
-    def _registry(self):
-        tel = self._telemetry
-        if tel is None:
-            tel = _telemetry_current()
-        return tel.registry if tel.enabled else None
-
-    def get(self, key: Tuple[int, int, int]) -> Optional[bytes]:
-        """Return the cached bytes for ``key``, or None on a miss."""
-        with self._lock:
-            data = self._entries.get(key)
-            if data is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
-        registry = self._registry()
-        if registry is not None:
-            registry.inc(
-                "serve/cache/hit" if data is not None else "serve/cache/miss"
-            )
-        return data
-
-    def put(self, key: Tuple[int, int, int], data: bytes) -> None:
-        """Insert one immutable snapshot; evicts LRU entries to fit.
-
-        An entry bigger than the whole cache is silently not cached —
-        thrashing the entire cache for one oversized read helps nobody.
-        """
-        nbytes = len(data)
-        if nbytes > self.capacity_bytes:
-            return
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._used -= len(old)
-            self._entries[key] = data
-            self._used += nbytes
-            while self._used > self.capacity_bytes:
-                _, evicted = self._entries.popitem(last=False)
-                self._used -= len(evicted)
-
-    def invalidate(self, shm_key: Optional[int] = None) -> None:
-        """Drop entries for one segment, or everything (``None``).
-
-        Called on server recovery: a recovered epoch re-mints version
-        numbers, so ``(shm_key, version)`` may now alias different bytes.
-        """
-        with self._lock:
-            if shm_key is None:
-                self._entries.clear()
-                self._used = 0
-                return
-            stale = [k for k in self._entries if k[0] == shm_key]
-            for key in stale:
-                self._used -= len(self._entries.pop(key))
-
-    @property
-    def used_bytes(self) -> int:
-        with self._lock:
-            return self._used
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 class _SnapshotRing:
@@ -219,12 +115,10 @@ class _Subscription:
 class ReplicaServer:
     """Read-only mirror of a chosen set of primary segments.
 
-    The replica owns an in-process :class:`SMBServer` core whose pool
-    holds the mirrored bytes at the *primary's* version numbers; expose
-    it over any transport (``TcpSMBServer(core=replica.core)``) or read
-    in-process through :meth:`read`.  One daemon thread per segment runs
-    the subscription loop: ``wait_update`` long-poll, ``read_into``,
-    :meth:`Segment.install`.
+    Read in-process through :meth:`read`, which returns the published
+    ``(version, bytes)`` pair at the *primary's* version numbers.  One
+    daemon thread per segment runs the subscription loop: ``wait_update``
+    long-poll, ``read_into``, publish.
 
     ``connect`` is a zero-argument factory returning a *fresh*
     :class:`SMBClient` bound to the primary — transport-agnostic and
@@ -244,7 +138,6 @@ class ReplicaServer:
         segments: Sequence[str],
         tenant: str = DEFAULT_TENANT,
         ring_depth: int = DEFAULT_RING_DEPTH,
-        capacity: int = DEFAULT_POOL_CAPACITY,
         telemetry: Optional[TelemetrySession] = None,
         name: str = "replica",
     ) -> None:
@@ -256,7 +149,6 @@ class ReplicaServer:
         self.tenant = tenant
         self._connect = connect
         self._telemetry = telemetry
-        self.core = SMBServer(capacity=capacity, telemetry=telemetry)
         self._subs: Dict[str, _Subscription] = {
             seg: _Subscription(seg, ring_depth) for seg in segments
         }
@@ -325,9 +217,6 @@ class ReplicaServer:
         if tenant is not None and tenant != self.tenant:
             return False
         return name in self._subs
-
-    def segment_names(self) -> List[str]:
-        return list(self._subs)
 
     def read(
         self,
@@ -487,10 +376,9 @@ class ReplicaServer:
         """One subscription session over one client connection."""
         shm_key, nbytes = client.lookup(sub.name)
         access_key = client.attach(shm_key, nbytes)
-        local = self._local_segment(sub.name, nbytes)
         buf = bytearray(nbytes)
         version = client.read_into(access_key, buf)
-        self._apply(sub, local, bytes(buf), version, force=False)
+        self._apply(sub, bytes(buf), version, force=False)
         while not self._stopping.is_set():
             try:
                 new = client.wait_update(access_key, sub.version, timeout=None)
@@ -498,8 +386,8 @@ class ReplicaServer:
                 continue
             except VersionRegressionError as regress:
                 # The primary recovered below our mirror.  Resync from
-                # the recovered state — forcing the install so the local
-                # version matches the primary again — but KEEP the ring:
+                # the recovered state — forcing the publish so our version
+                # matches the primary again — but KEEP the ring:
                 # pinned reads of pre-crash versions must still serve.
                 sub.resyncs += 1
                 self._record("serve/replica/resyncs")
@@ -508,7 +396,7 @@ class ReplicaServer:
                     self.name, sub.name, regress,
                 )
                 version = client.read_into(access_key, buf)
-                self._apply(sub, local, bytes(buf), version, force=True)
+                self._apply(sub, bytes(buf), version, force=True)
                 continue
             version = client.read_into(access_key, buf)
             if version < new:
@@ -517,27 +405,13 @@ class ReplicaServer:
                 # Treat it as a regression: force-resync to what we read.
                 sub.resyncs += 1
                 self._record("serve/replica/resyncs")
-                self._apply(sub, local, bytes(buf), version, force=True)
+                self._apply(sub, bytes(buf), version, force=True)
                 continue
-            self._apply(sub, local, bytes(buf), version, force=False)
-
-    def _local_segment(self, name: str, nbytes: int):
-        pool = self.core.pool
-        try:
-            return pool.by_name(name, tenant=self.tenant)
-        except UnknownKeyError:
-            try:
-                return pool.create(
-                    name, nbytes, owner=self.name, tenant=self.tenant
-                )
-            except SMBError:
-                # Raced another (re)subscription; the segment exists now.
-                return pool.by_name(name, tenant=self.tenant)
+            self._apply(sub, bytes(buf), version, force=False)
 
     def _apply(
         self,
         sub: _Subscription,
-        local,
         data: bytes,
         version: int,
         force: bool,
@@ -547,7 +421,6 @@ class ReplicaServer:
         previous = sub.version
         if not force and version <= previous and sub.ready.is_set():
             return
-        local.install(data, version, force=force)
         sub.ring.push(version, data)
         sub.current = (version, data)
         sub.last_update_at = monotonic()

@@ -56,7 +56,7 @@ import socket
 import struct
 import threading
 from multiprocessing import shared_memory
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from .errors import SMBConnectionError, SMBProtocolError
 from .memory import DEFAULT_TENANT
@@ -76,7 +76,7 @@ from .transport import ChannelTransport
 
 logger = logging.getLogger(__name__)
 
-#: Payload region offset inside the block (past the 42-byte header,
+#: Payload region offset inside the block (past the 46-byte header,
 #: rounded up for alignment).
 DATA_OFFSET = 64
 
@@ -393,7 +393,7 @@ class ShmSMBServer:
         conn: socket.socket,
         block: shared_memory.SharedMemory,
         tenant: str = DEFAULT_TENANT,
-    ) -> Tuple[shared_memory.SharedMemory, Op]:
+    ) -> shared_memory.SharedMemory:
         """Parse, dispatch and answer one request frame.
 
         All views into the block live and die inside this frame's scope,
@@ -437,7 +437,7 @@ class ShmSMBServer:
                 buf[DATA_OFFSET:DATA_OFFSET + nbytes] = view
         buf[:HEADER_SIZE] = resp_header
         _send_doorbell(conn, DATA_OFFSET + nbytes)
-        return block, op
+        return block
 
     def _serve_connection(self, conn: socket.socket) -> None:
         with self._conns_lock:
@@ -483,14 +483,7 @@ class ShmSMBServer:
                         min(max(-value, 2 * block.size), ceiling),
                     )
                     continue
-                block, op = self._serve_frame(conn, block, tenant)
-                if op is Op.SHUTDOWN:
-                    # Stop the whole server — from a helper thread, since
-                    # stop() joins this handler.
-                    threading.Thread(
-                        target=self.stop, name="smb-shm-stop", daemon=True
-                    ).start()
-                    break
+                block = self._serve_frame(conn, block, tenant)
         except SMBConnectionError:
             pass  # peer went away; normal teardown
         except Exception:  # noqa: BLE001 - keep the server alive

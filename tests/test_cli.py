@@ -58,6 +58,20 @@ class TestParser:
         )
         assert args.metrics == "run/metrics.json"
 
+    def test_serve_gateway_is_the_read_tiers_only_door(self):
+        """The replica has no SMB port and no pool to size: ``serve
+        replica`` and ``--capacity-mb`` are gone, not ignored."""
+        gateway = ["serve", "gateway", "--connect", "x:1", "--segments", "W_g"]
+        args = build_parser().parse_args(gateway)
+        assert args.segments == "W_g" and args.replicas == 2
+        for argv in (
+            ["serve", "replica", "--connect", "x:1", "--segments", "W_g"],
+            gateway + ["--capacity-mb", "1"],
+        ):
+            with pytest.raises(SystemExit) as refused:
+                build_parser().parse_args(argv)
+            assert refused.value.code == 2
+
 
 class TestExecution:
     def test_train_tiny_run(self, capsys):

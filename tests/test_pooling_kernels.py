@@ -11,6 +11,7 @@ Three things are pinned here:
   beyond the input.
 """
 
+import gc
 import sys
 
 import numpy as np
@@ -173,6 +174,9 @@ def count_c_calls(fn):
 
     ``fn`` runs once uncounted first: Python's ``issubclass`` caches and
     NumPy's lazy imports make a first call longer than every later one.
+    The collector is off while counting: a collection that fires inside
+    ``fn`` runs whatever ``gc.callbacks`` holds on this thread (hypothesis
+    installs a timing hook there), and those C calls are not ``fn``'s.
     """
     fn()
     calls = 0
@@ -183,11 +187,16 @@ def count_c_calls(fn):
             calls += 1
 
     previous = sys.getprofile()
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         fn()
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return calls
 
 

@@ -1,5 +1,9 @@
 """Tests for the SMB client API against an in-process server core."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -90,6 +94,58 @@ class TestRawOperations:
         stats = client.stats()
         assert stats["bytes_written"] >= 1024
         assert stats["bytes_read"] >= 1024
+
+
+class TestReadPairing:
+    def test_read_racing_a_writer_returns_the_version_of_its_bytes(
+        self, server
+    ):
+        """Write ``i`` stores ``float(i)`` everywhere as version ``i``,
+        so every ``(version, bytes)`` a READ returns must satisfy
+        ``bytes[0] == bytes[-1] == version``: the copy and the version
+        stamp come from one critical section, however the readers and
+        the writer interleave.  Time-bounded: the writer keeps going
+        until a reader sees a mismatch or the budget runs out."""
+        count, budget = 64, 1.5
+        writer = SMBClient.in_process(server)
+        array = writer.create_array("w", count)
+        problems, done = [], threading.Event()
+        ready = threading.Barrier(4)
+
+        def reader():
+            with SMBClient.in_process(server) as client:
+                view = client.attach_array("w", array.shm_key, count)
+                out = np.empty(count, dtype=np.float32)
+                ready.wait(timeout=10.0)
+                while not done.is_set():
+                    version = view.read_into(out)
+                    if not out[0] == out[-1] == version:
+                        problems.append((version, out[0], out[-1]))
+
+        readers = [threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            try:
+                ready.wait(timeout=10.0)
+                deadline = time.monotonic() + budget
+                version = 0
+                while not problems and time.monotonic() < deadline:
+                    version += 1
+                    assert array.write(
+                        np.full(count, float(version), dtype=np.float32)
+                    ) == version
+            finally:
+                done.set()
+                for thread in readers:
+                    thread.join(timeout=10.0)
+            assert not any(thread.is_alive() for thread in readers)
+        finally:
+            sys.setswitchinterval(interval)
+        writer.close()
+        assert not problems, problems[:3]
 
 
 class TestRemoteArray:

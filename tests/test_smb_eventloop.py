@@ -7,8 +7,8 @@ client).  These tests pin the behaviours the rewrite fixed:
 * ``stop()`` returns with **zero** live handler threads, idle
   connections included (the threaded server closed only the listener and
   left handlers parked in ``recv`` forever);
-* a ``SHUTDOWN`` from one client unblocks every *other* connected
-  client promptly;
+* ``stop()`` unblocks every client parked in a wait promptly, and no
+  frame a tenant can send stops the server (opcode 10 is refused);
 * ``STATS`` and ``LIST`` are themselves counted in the server stats;
 * ACCUMULATE byte accounting and arithmetic honour the element dtype
   (the old path hardcoded 4-byte float32 everywhere, so a float64
@@ -38,11 +38,11 @@ from repro.smb.protocol import (
 )
 
 
-def _raw_connect(address):
+def _raw_connect(address, tenant="default"):
     """A bare protocol connection, bypassing SMBClient (and its
     client-side wait slicing / retry machinery)."""
     sock = socket.create_connection(address, timeout=10.0)
-    sock.sendall(encode_hello())
+    sock.sendall(encode_hello(tenant))
     return sock
 
 
@@ -116,12 +116,14 @@ class TestServerLifecycle:
         waiter = threading.Thread(target=parked_wait)
         waiter.start()
         time.sleep(0.2)  # let the wait park server-side
-        first.shutdown_server()
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
         assert unblocked.wait(timeout=5.0), (
-            "peer stayed blocked after another client's SHUTDOWN"
+            "peer stayed blocked in its wait after server.stop()"
         )
         waiter.join(timeout=5.0)
-        server.stop()  # idempotent after client-driven shutdown
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive()
         first.close()
         second.close()
 
@@ -290,6 +292,28 @@ class TestDispatchRobustness:
                 arr.read(), np.arange(64, dtype=np.float32)
             )
             client.close()
+
+    def test_reserved_opcode_10_costs_one_connection(self):
+        """Opcode 10 used to stop the server for every tenant.  From
+        tenant ``alice`` it is now an unknown opcode: her connection is
+        dropped, and a default-tenant client that was connected all
+        along still completes a WRITE and a READ."""
+        with TcpSMBServer(capacity=1 << 22) as server:
+            server.core.pool.create_tenant("alice", quota=1 << 16)
+            victim = SMBClient.connect(server.address)
+            arr = victim.create_array("w", 64)
+            alice = _raw_connect(server.address, tenant="alice")
+            alice.sendall(struct.pack(
+                HEADER_FORMAT, 10, int(Status.OK), 0, 0, 0, 0, 1.0, 0,
+            ))
+            alice.settimeout(5.0)
+            assert alice.recv(1) == b"", "expected the connection severed"
+            alice.close()
+            arr.write(np.arange(64, dtype=np.float32))
+            assert np.array_equal(
+                arr.read(), np.arange(64, dtype=np.float32)
+            )
+            victim.close()
 
     def test_oversized_paylen_is_refused_before_allocating(self):
         """A header declaring ``paylen = 0xFFFFFFFF`` used to make the

@@ -1,4 +1,4 @@
-"""Parameter-serving read tier: replicas, pinned reads, cache, gateway.
+"""Parameter-serving read tier: replicas, pinned reads, gateway.
 
 Covers the serving data path end to end plus the wait/version contract
 fixes it leans on:
@@ -8,8 +8,6 @@ fixes it leans on:
 * :class:`VersionRegressionError` — a recovery that rolls a segment
   below a client's last-seen version surfaces a typed error instead of
   parking its subscription loop forever;
-* the client read cache — inserts keyed strictly by the wire-returned
-  version, hammered by concurrent writers;
 * :class:`ReplicaServer` — mirroring, the snapshot ring, resync across
   primary recovery (ring retained);
 * :class:`ModelGateway` — HTTP routes, ETag/304, placement fan-out, and
@@ -33,7 +31,6 @@ import pytest
 
 from repro.smb import (
     NotificationTimeout,
-    ReadCache,
     ReplicaServer,
     RetryPolicy,
     SMBClient,
@@ -44,6 +41,7 @@ from repro.smb import (
     VersionRegressionError,
 )
 from repro.smb.journal import RENDEZVOUS_NAME
+from repro.smb.memory import Segment
 from repro.serve import ModelGateway
 
 RECOVERY_RETRY = RetryPolicy(
@@ -258,140 +256,6 @@ class TestVersionRegression:
 
 
 # ---------------------------------------------------------------------------
-# ReadCache + satellite 3: insert strictly by wire version
-# ---------------------------------------------------------------------------
-
-
-class TestReadCache:
-    def test_lru_eviction_by_bytes(self):
-        cache = ReadCache(capacity_bytes=100)
-        cache.put((1, 1, 40), b"a" * 40)
-        cache.put((1, 2, 40), b"b" * 40)
-        cache.put((1, 3, 40), b"c" * 40)  # evicts (1, 1, 40)
-        assert cache.get((1, 1, 40)) is None
-        assert cache.get((1, 2, 40)) == b"b" * 40
-        assert cache.used_bytes == 80
-
-    def test_get_refreshes_recency(self):
-        cache = ReadCache(capacity_bytes=100)
-        cache.put((1, 1, 40), b"a" * 40)
-        cache.put((1, 2, 40), b"b" * 40)
-        assert cache.get((1, 1, 40)) is not None  # now most recent
-        cache.put((1, 3, 40), b"c" * 40)  # evicts (1, 2, 40)
-        assert cache.get((1, 2, 40)) is None
-        assert cache.get((1, 1, 40)) == b"a" * 40
-
-    def test_oversized_entry_not_cached(self):
-        cache = ReadCache(capacity_bytes=10)
-        cache.put((1, 1, 40), b"a" * 40)
-        assert len(cache) == 0
-
-    def test_invalidate_by_segment(self):
-        cache = ReadCache(capacity_bytes=1000)
-        cache.put((1, 1, 4), b"aaaa")
-        cache.put((2, 1, 4), b"bbbb")
-        cache.invalidate(shm_key=1)
-        assert cache.get((1, 1, 4)) is None
-        assert cache.get((2, 1, 4)) == b"bbbb"
-        cache.invalidate()
-        assert len(cache) == 0
-
-    def test_client_cached_read_skips_the_server(self):
-        server = SMBServer(capacity=1 << 20)
-        client = SMBClient.in_process(server, cache=1 << 20)
-        with client:
-            array = client.create_array("seg", 8)
-            array.write(np.arange(8, dtype=np.float32))
-            first = client.read(array.access_key, 32)
-            reads = server.stats.op_counts.get("READ", 0)
-            second = client.read(array.access_key, 32)
-            assert second == first
-            assert server.stats.op_counts.get("READ", 0) == reads
-
-    def test_notify_advance_invalidates_cached_read(self):
-        """The notify channel is the invalidation path: once wait_update
-        reports a new version, the next read misses and refetches."""
-        server = SMBServer(capacity=1 << 20)
-        writer = SMBClient.in_process(server)
-        reader = SMBClient.in_process(server, cache=1 << 20)
-        try:
-            array = writer.create_array("seg", 8)
-            array.write(np.full(8, 1.0, dtype=np.float32))
-            access = reader.attach(array.shm_key, 32)
-            stale = reader.read(access, 32)
-            array.write(np.full(8, 2.0, dtype=np.float32))
-            reader.wait_update(access, 1, timeout=5.0)
-            fresh = reader.read(access, 32)
-            assert np.frombuffer(stale, dtype=np.float32)[0] == 1.0
-            assert np.frombuffer(fresh, dtype=np.float32)[0] == 2.0
-        finally:
-            writer.close()
-            reader.close()
-
-    def test_hammer_inserts_are_keyed_by_wire_version(self):
-        """Satellite 3: two threads hammer read() while a writer mutates.
-        Every cache entry must hold the exact bytes of the version it is
-        keyed under — an insert keyed by 'latest seen' instead of the
-        wire-returned version would alias stale bytes to new versions."""
-        server = SMBServer(capacity=1 << 20)
-        cache = ReadCache(capacity_bytes=1 << 22)
-        writer = SMBClient.in_process(server)
-        readers = [
-            SMBClient.in_process(server, cache=cache) for _ in range(2)
-        ]
-        stop = threading.Event()
-        try:
-            array = writer.create_array("seg", 64)
-            accesses = [r.attach(array.shm_key, 256) for r in readers]
-
-            def write_loop():
-                for i in range(1, 300):
-                    array.write(np.full(64, float(i), dtype=np.float32))
-
-            def read_loop(reader, access):
-                while not stop.is_set():
-                    reader.read(access, 256)
-                    # Advance the attachment's view so later inserts use
-                    # newer versions (poll; never parks).
-                    try:
-                        reader.wait_update(access, 0, timeout=0.0)
-                    except NotificationTimeout:
-                        pass
-
-            writer_thread = threading.Thread(target=write_loop)
-            reader_threads = [
-                threading.Thread(target=read_loop, args=(r, a), daemon=True)
-                for r, a in zip(readers, accesses)
-            ]
-            for thread in reader_threads:
-                thread.start()
-            writer_thread.start()
-            writer_thread.join(timeout=30.0)
-            stop.set()
-            for thread in reader_threads:
-                thread.join(timeout=5.0)
-            # Every cached (shm_key, version, nbytes) must hold that
-            # version's canonical bytes: write v filled the array with v.
-            checked = 0
-            for (shm_key, version, nbytes), data in list(
-                cache._entries.items()
-            ):
-                values = np.frombuffer(data, dtype=np.float32)
-                assert values.shape == (64,)
-                assert np.all(values == float(version)), (
-                    f"cache poisoned: version {version} holds bytes of "
-                    f"write {values[0]:.0f}"
-                )
-                checked += 1
-            assert checked > 0, "hammer never populated the cache"
-        finally:
-            stop.set()
-            writer.close()
-            for reader in readers:
-                reader.close()
-
-
-# ---------------------------------------------------------------------------
 # ReplicaServer: mirroring, the ring, pinned reads
 # ---------------------------------------------------------------------------
 
@@ -476,6 +340,20 @@ class TestReplicaServer:
         finally:
             replica.stop()
             master.close()
+
+    def test_an_applied_version_is_held_once(self):
+        """The replica keeps no pool mirror, so there is no second store
+        to diverge from ``read()`` and no back door that sets a
+        segment's version; the client has no cache in front of READ."""
+        server, master, _ = self._primary()
+        replica = ReplicaServer(lambda: SMBClient.in_process(server), ["W_g"])
+        assert not hasattr(replica, "core")
+        assert not hasattr(Segment, "install")
+        with pytest.raises(TypeError):
+            ReplicaServer(lambda: master, ["W_g"], capacity=1 << 20)
+        with pytest.raises(TypeError):
+            SMBClient.connect(("127.0.0.1", 1), cache=1)
+        master.close()
 
     def test_tenant_scoped_mirroring(self):
         server = SMBServer(capacity=1 << 22)
@@ -775,9 +653,7 @@ class TestReadFanoutAcceptance:
             return SMBClient.connect(primary.address)
 
         replicas = [
-            ReplicaServer(
-                connect, ["W_g"], name=f"r{i}", capacity=size + (1 << 22)
-            ).start()
+            ReplicaServer(connect, ["W_g"], name=f"r{i}").start()
             for i in range(2)
         ]
         gateway = None
@@ -898,13 +774,8 @@ class TestSharedSnapshot:
     def test_version_never_goes_backwards_under_a_writer(self):
         """More readers than cores against a live subscription: a read
         is never older than the one before it, one version is always
-        one object, and its bytes are untorn.
-
-        The bytes may be *older* than the version beside them: the
-        primary stamps a READ's version after releasing the segment
-        lock, so a READ racing a WRITE reports the newer number.  That
-        is the primary's pairing, which the replica mirrors as given.
-        """
+        one object, and its bytes are exactly that version's (write
+        ``i`` stores ``float(i)`` as version ``i``)."""
         writes, problems, done = 150, [], threading.Event()
 
         def reader(replica):
@@ -916,7 +787,7 @@ class TestSharedSnapshot:
                     problems.append(f"v{seen} then v{version}")
                 if version == seen and data is not held:
                     problems.append(f"v{version} is two objects")
-                if value[0] != value[-1] or value[0] > version:
+                if value[0] != value[-1] or value[0] != version:
                     problems.append(f"v{version}: {value[0]}..{value[-1]}")
                 seen, held = version, data
 

@@ -12,15 +12,14 @@ import glob
 import socket
 import struct
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from repro.smb import ShmSMBServer, SMBClient, TcpSMBServer
 from repro.smb.errors import SMBError
-from repro.smb.protocol import encode_hello
-from repro.smb.shm_transport import DATA_OFFSET
+from repro.smb.protocol import HEADER_FORMAT, HEADER_SIZE, encode_hello
+from repro.smb.shm_transport import DATA_OFFSET, _ShmChannel
 
 
 @pytest.fixture
@@ -141,17 +140,32 @@ class TestWaitAndShutdown:
         client = SMBClient.connect_local(server.path)
         other = SMBClient.connect_local(server.path)
         arr = client.create_array("w", 64)
-        client.shutdown_server()
-        # Teardown of the *other* connection is asynchronous (a helper
-        # thread runs stop()); poll until it is observed.
-        deadline = time.monotonic() + 5.0
-        with pytest.raises(SMBError):
-            while time.monotonic() < deadline:
-                other.attach_array("w", arr.shm_key, 64)
-                time.sleep(0.05)
-        client.close()
-        other.close()
+        other.attach_array("w", arr.shm_key, 64)
+        server.stop()  # severs every open connection, idle ones included
+        for severed in (client, other):
+            with pytest.raises(SMBError):
+                severed.attach_array("w", arr.shm_key, 64)
+            severed.close()
         server.stop()  # idempotent
+
+    def test_reserved_opcode_10_costs_one_connection(self, shm_server):
+        """Opcode 10 used to stop the server for every tenant.  From
+        tenant ``alice`` it is now an unknown opcode: her connection is
+        dropped, and a default-tenant client that was connected all
+        along still completes a WRITE and a READ."""
+        shm_server.core.pool.create_tenant("alice", quota=1 << 16)
+        victim = SMBClient.connect_local(shm_server.path)
+        arr = victim.create_array("w", 64)
+        alice = _ShmChannel(shm_server.path, 5.0, tenant="alice")
+        alice.shm.buf[:HEADER_SIZE] = struct.pack(
+            HEADER_FORMAT, 10, 0, 0, 0, 0, 0, 1.0, 0
+        )
+        alice.sock.sendall(struct.pack("!q", DATA_OFFSET))
+        assert alice.sock.recv(8) == b"", "expected the connection severed"
+        alice.close()
+        arr.write(np.arange(64, dtype=np.float32))
+        assert np.array_equal(arr.read(), np.arange(64, dtype=np.float32))
+        victim.close()
 
     def test_concurrent_clients(self, shm_server):
         boot = SMBClient.connect_local(shm_server.path)

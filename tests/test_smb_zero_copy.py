@@ -31,8 +31,6 @@ from hypothesis import strategies as st
 
 from repro.smb import (
     DEFAULT_RETRY_POLICY,
-    FaultInjectingTransport,
-    FaultPlan,
     InProcTransport,
     Message,
     Op,
@@ -371,14 +369,11 @@ class TestDropConnectionStorm:
 
 
 class TestShardedAggregatesAndOverlap:
-    def _sharded(self, num_shards: int, count: int, plan=None):
+    def _sharded(self, num_shards: int, count: int, wrap=None):
         servers = [SMBServer(capacity=1 << 22) for _ in range(num_shards)]
         transports = [InProcTransport(server) for server in servers]
-        if plan is not None:
-            transports = [
-                FaultInjectingTransport(t, plan.for_rank(i))
-                for i, t in enumerate(transports)
-            ]
+        if wrap is not None:
+            transports = [wrap(t) for t in transports]
         clients = [SMBClient(t) for t in transports]
         return create_sharded_array(clients, "w", count)
 
@@ -407,36 +402,34 @@ class TestShardedAggregatesAndOverlap:
         )
 
     def test_parallel_fanout_overlaps_injected_latency(self):
-        """K delayed shards gather in ~1 delay, not K delays.
+        """K shard reads are in flight together, not one after another.
 
-        Injected latency (a GIL-releasing sleep) stands in for network
-        time, making the overlap assertion deterministic: the sequential
-        walk pays 4 x 80 ms, the fan-out must not.
+        Every shard's READ parks at a K-party barrier before it is
+        served: only a fan-out that has all K outstanding at once gets
+        past it (a sequential walk breaks the barrier on its timeout),
+        so the overlap is proved by a rendezvous, not by a wall clock.
         """
-        delay = 0.08
-        plan = FaultPlan(delay_rate=1.0, delay_seconds=delay)
-        array = self._sharded(4, 4096, plan=plan)
+        rendezvous = threading.Barrier(4, timeout=10.0)
+
+        class MeetAtRead:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def request(self, message, out=None):
+                if message.op is Op.READ:
+                    rendezvous.wait()
+                return self.inner.request(message, out)
+
+            def close(self):
+                self.inner.close()
+
+        array = self._sharded(4, 4096, wrap=MeetAtRead)
         values = np.arange(4096, dtype=np.float32)
         array.write(values)
         scratch = np.empty(4096, dtype=np.float32)
-
-        start = time.perf_counter()
         array.read(out=scratch)
-        parallel_wall = time.perf_counter() - start
         np.testing.assert_array_equal(scratch, values)  # bit-exact
-
-        flat = scratch.reshape(-1)
-        start = time.perf_counter()
-        for shard, (lo, hi) in zip(array.shards, array._bounds):
-            shard.read(out=flat[lo:hi])
-        sequential_wall = time.perf_counter() - start
-        np.testing.assert_array_equal(scratch, values)
-
-        assert sequential_wall >= 4 * delay
-        # Full overlap would be ~1 delay; allow generous scheduler slack
-        # while still proving the reads did not serialise.
-        assert parallel_wall < 2.5 * delay
-        assert parallel_wall < sequential_wall / 1.5
+        assert not rendezvous.broken
 
     def test_sharded_read_into_preallocated_full_roundtrip(self):
         array = self._sharded(5, 999)
