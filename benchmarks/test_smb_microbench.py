@@ -1,96 +1,224 @@
-"""SMB operation micro-benchmarks: read / write / accumulate latencies.
+"""The two SMB cells ``benchmarks/e2e`` does not measure yet.
 
-Not a paper figure, but the foundation the Fig. 7 claim rests on: the SMB
-server's per-operation cost.  Measures both transports — the in-process
-core (the RDMA stand-in) and real TCP framing — and the one timing
-assertion on two-tenant fairness (time is asserted here, behaviour in
-``tests/``).
+``benchmarks/e2e`` is the repo's one benchmark schema, compare tool and
+gate; its ladder already times READ / WRITE / ACCUMULATE on all three
+doorways.  Two cells have no equivalent there and park here, as plain
+functions, until a ``[benchmark]`` PR ports them into
+``benchmarks/e2e/layers.py``:
+
+* two-tenant fairness — a small tenant's 1 KiB READ p95 beside another
+  tenant's bulk ACCUMULATE stream (the one timing assertion in the repo:
+  time is asserted here, behaviour in ``tests/``);
+* N-client contention — 1 and 8 clients pushing into and reading one
+  ``W_g``; asserts that every push landed once and prints p50/p95.
 """
 
+import threading
+import time
+
 import numpy as np
-import pytest
 
-from repro.smb import SMBClient, SMBServer, TcpSMBServer
+from repro.smb import SMBClient, TcpSMBServer
+from repro.smb.memory import enter_bulk_priority
 
-PAYLOAD_ELEMENTS = 1 << 18  # 1 MiB of float32
+#: A stream big enough that the server-side accumulate dominates each
+#: round trip; below it the cell measures loopback client churn instead
+#: of server dispatch.
+TENANCY_BULK_SIZE = 1 << 24
+TENANCY_SMALL_SIZE = 1 << 10
+TENANCY_BULK_STREAMS = 4
+TENANCY_SAMPLES = 150
 
-
-@pytest.fixture(scope="module")
-def inproc():
-    server = SMBServer(capacity=1 << 26)
-    client = SMBClient.in_process(server)
-    array = client.create_array("bench", PAYLOAD_ELEMENTS)
-    delta = client.create_array("bench_delta", PAYLOAD_ELEMENTS)
-    delta.write(np.ones(PAYLOAD_ELEMENTS, dtype=np.float32))
-    return client, array, delta
-
-
-@pytest.fixture(scope="module")
-def tcp():
-    server = TcpSMBServer(capacity=1 << 26).start()
-    client = SMBClient.connect(server.address)
-    array = client.create_array("bench", PAYLOAD_ELEMENTS)
-    delta = client.create_array("bench_delta", PAYLOAD_ELEMENTS)
-    delta.write(np.ones(PAYLOAD_ELEMENTS, dtype=np.float32))
-    yield client, array, delta
-    client.close()
-    server.stop()
+#: A 1 MiB ACCUMULATE is the paper's eq.-(7) push at AlexNet-fc scale:
+#: big enough to hit the chunked-accumulate path.
+CONTENTION_SIZE = 1 << 20
+CONTENTION_CLIENTS = (1, 8)
+CONTENTION_PUSHES = 20
 
 
-class TestInProcessOps:
-    def test_read_1mib(self, benchmark, inproc):
-        _, array, _ = inproc
-        out = benchmark(array.read)
-        assert out.size == PAYLOAD_ELEMENTS
+def _measure_tenancy():
+    """``(uncontended, contended)`` small-READ p95 seconds on one TCP server.
 
-    def test_write_1mib(self, benchmark, inproc):
-        _, array, _ = inproc
-        payload = np.zeros(PAYLOAD_ELEMENTS, dtype=np.float32)
-        benchmark(array.write, payload)
+    Tenant ``small`` measures its 1 KiB READ latency twice: first on an
+    otherwise idle server (the uncontended floor), then while tenant
+    ``bulk`` keeps four connections saturated with full-segment
+    ACCUMULATEs.  Both tenants get explicit grants, so the cell also
+    exercises the quota admission path end to end.
+    """
+    streams = TENANCY_BULK_STREAMS
+    count = TENANCY_BULK_SIZE // 4
+    server = TcpSMBServer(
+        capacity=(streams + 3) * TENANCY_BULK_SIZE + (1 << 22)
+    ).start()
+    admin = SMBClient.connect(server.address)
+    stop = threading.Event()
+    failures = []
+    try:
+        admin.create_tenant("bulk", quota=(streams + 2) * TENANCY_BULK_SIZE)
+        admin.create_tenant("small", quota=4 * TENANCY_SMALL_SIZE)
+        small_client = SMBClient.connect(server.address, tenant="small")
+        small = small_client.create_array(
+            "tenancy.ctl", TENANCY_SMALL_SIZE // 4
+        )
+        small.write(np.zeros(small.count, dtype=np.float32))
+        scratch = np.empty(small.count, dtype=np.float32)
 
-    def test_accumulate_1mib(self, benchmark, inproc):
-        _, array, delta = inproc
-        benchmark(delta.accumulate_into, array)
+        def sample(n):
+            out = np.empty(n, dtype=np.float64)
+            for i in range(n):
+                begin = time.perf_counter()
+                small.read(out=scratch)
+                out[i] = time.perf_counter() - begin
+            return out
 
+        sample(10)  # warmup
+        idle = sample(TENANCY_SAMPLES)
 
-class TestTcpOps:
-    def test_read_1mib(self, benchmark, tcp):
-        _, array, _ = tcp
-        out = benchmark(array.read)
-        assert out.size == PAYLOAD_ELEMENTS
+        boot = SMBClient.connect(server.address, tenant="bulk")
+        target = boot.create_array("tenancy.W_g", count)
+        target.write(np.zeros(count, dtype=np.float32))
+        ready = threading.Barrier(streams + 1)
 
-    def test_write_1mib(self, benchmark, tcp):
-        _, array, _ = tcp
-        payload = np.zeros(PAYLOAD_ELEMENTS, dtype=np.float32)
-        benchmark(array.write, payload)
+        def stream(index):
+            # In production the two tenants run on different machines; on
+            # this one-box cell the bulk tenant's *client* threads would
+            # otherwise compete with the small tenant's client for the
+            # same cores, measuring loopback co-scheduling rather than
+            # server dispatch.  Demote them like the server demotes its
+            # own bulk lane.
+            enter_bulk_priority()
+            client = SMBClient.connect(server.address, tenant="bulk")
+            try:
+                view = client.attach_array(
+                    "tenancy.W_g", target.shm_key, count
+                )
+                delta = client.create_array(f"tenancy.dW_{index}", count)
+                delta.write(np.ones(count, dtype=np.float32))
+                delta.accumulate_into(view)  # warmup
+                ready.wait(timeout=120)
+                while not stop.is_set():
+                    delta.accumulate_into(view)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                failures.append(exc)
+                ready.abort()
+            finally:
+                client.close()
 
-    def test_accumulate_1mib(self, benchmark, tcp):
-        # Accumulate ships no payload over the wire (server-side compute):
-        # it should be far cheaper than a write of the same region.
-        _, array, delta = tcp
-        benchmark(delta.accumulate_into, array)
+        threads = [
+            threading.Thread(target=stream, args=(i,), name=f"bench-bulk-{i}")
+            for i in range(streams)
+        ]
+        for thread in threads:
+            thread.start()
+        ready.wait(timeout=120)
+        contended = sample(TENANCY_SAMPLES)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=600)
+        if failures:
+            raise failures[0]
+        boot.close()
+        small_client.close()
+    finally:
+        stop.set()
+        admin.close()
+        server.stop()
+    return float(np.percentile(idle, 95)), float(np.percentile(contended, 95))
 
 
 class TestTenantFairness:
     def test_small_tenant_p95_stays_within_3x_under_bulk_load(self):
         """A small tenant's control-op p95 beside another tenant's bulk
-        stream, at bench-quick scale.
-
-        One retry absorbs scheduler noise on saturated CI runners; the
-        committed-baseline CI gate is the tight (2x) enforcement.
-        """
-        from repro.smb import bench
-
-        worst = None
+        stream.  One retry absorbs scheduler noise on a saturated box."""
         for _ in range(2):
-            result = bench._measure_tenancy(
-                bench.TENANCY_BULK_SIZE_QUICK, iterations=150
-            )
-            worst = result.fairness_ratio
+            uncontended, contended = _measure_tenancy()
+            worst = contended / max(uncontended, 1e-12)
             if worst < 3.0:
                 break
         assert worst < 3.0, (
-            f"contended p95 {result.contended_p95_s * 1e3:.3f} ms is "
-            f"{worst:.2f}x the uncontended "
-            f"{result.uncontended_p95_s * 1e3:.3f} ms"
+            f"contended p95 {contended * 1e3:.3f} ms is {worst:.2f}x the "
+            f"uncontended {uncontended * 1e3:.3f} ms"
         )
+
+
+def _measure_contention(num_clients):
+    """N clients push into and read one ``W_g`` on one TCP server.
+
+    Every client is a real socket connection with its own private delta
+    of ones, all targeting the one shared ``W_g`` — the paper's
+    many-workers-one-box topology — and starts behind a barrier so the
+    measured window is fully contended.  Returns ``W_g`` after the last
+    client has left and the per-request latencies by op.
+    """
+    count = CONTENTION_SIZE // 4
+    server = TcpSMBServer(
+        capacity=(num_clients + 2) * CONTENTION_SIZE + (1 << 22)
+    ).start()
+    boot = SMBClient.connect(server.address)
+    latencies = {"ACCUMULATE": [], "READ": []}
+    failures = []
+    try:
+        target = boot.create_array("contention.W_g", count)
+        target.write(np.zeros(count, dtype=np.float32))
+        start = threading.Barrier(num_clients)
+
+        def worker(index):
+            client = SMBClient.connect(server.address)
+            try:
+                view = client.attach_array(
+                    "contention.W_g", target.shm_key, count
+                )
+                delta = client.create_array(f"contention.dW_{index}", count)
+                delta.write(np.ones(count, dtype=np.float32))
+                scratch = np.empty(count, dtype=np.float32)
+                view.read(out=scratch)  # warmup; READ mutates nothing
+                start.wait(timeout=60)
+                for _ in range(CONTENTION_PUSHES):
+                    begin = time.perf_counter()
+                    delta.accumulate_into(view)
+                    pushed = time.perf_counter()
+                    view.read(out=scratch)
+                    latencies["READ"].append(time.perf_counter() - pushed)
+                    latencies["ACCUMULATE"].append(pushed - begin)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                failures.append(exc)
+                start.abort()
+            finally:
+                client.close()
+
+        threads = [
+            threading.Thread(
+                target=worker, args=(i,), name=f"bench-client-{i}"
+            )
+            for i in range(num_clients)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=600)
+        if failures:
+            raise failures[0]
+        assert not any(thread.is_alive() for thread in threads)
+        return target.read(), latencies
+    finally:
+        boot.close()
+        server.stop()
+
+
+class TestContention:
+    def test_every_push_lands_once_under_n_clients(self):
+        """Exclusive accumulate under load: ``W_g`` ends at exactly
+        ``clients x pushes`` in every element.  Latency is printed (run
+        with ``-s``), never asserted; the timeouts only bound a hang."""
+        for num_clients in CONTENTION_CLIENTS:
+            w_g, latencies = _measure_contention(num_clients)
+            np.testing.assert_array_equal(
+                w_g, np.float32(num_clients * CONTENTION_PUSHES)
+            )
+            for op, samples in latencies.items():
+                assert len(samples) == num_clients * CONTENTION_PUSHES
+                p50, p95 = np.percentile(samples, [50, 95])
+                print(
+                    f"\ncontention {num_clients:>2}c {op:<10} 1 MiB: "
+                    f"p50 {p50 * 1e3:.3f} ms  p95 {p95 * 1e3:.3f} ms"
+                )

@@ -135,11 +135,6 @@ def _cmd_smb_members(args: argparse.Namespace) -> int:
                       f"{entry.server.get('port')}")
             else:
                 print(f"  server:    {mode}")
-        if entry.servers:
-            fleet = ", ".join(
-                str(s.get("id", "?")) for s in entry.servers
-            )
-            print(f"  fleet:     {len(entry.servers)} server(s): {fleet}")
         if entry.job:
             print(f"  job:       namespace={entry.job.get('namespace', '')!r} "
                   f"count={entry.job.get('count')} "
@@ -367,63 +362,6 @@ def _cmd_smb_chaos(args: argparse.Namespace) -> int:
         return 1
     print(f"  outcome: {len(survivors)}/{args.workers} workers completed "
           f"training")
-    return 0
-
-
-def _cmd_smb_bench(args: argparse.Namespace) -> int:
-    """Measure the SMB data path and gate against a committed baseline."""
-    from .smb import bench
-
-    try:
-        config = bench.BenchConfig(
-            sizes=tuple(args.sizes) if args.sizes else bench.DEFAULT_SIZES,
-            ops=tuple(args.ops.split(",")) if args.ops else bench.OPS,
-            transports=(
-                tuple(args.transports.split(","))
-                if args.transports else bench.TRANSPORTS
-            ),
-            iterations=args.iterations,
-            sharded=args.sharded,
-            clients=(
-                tuple(int(n) for n in args.clients.split(","))
-                if args.clients else ()
-            ),
-            tenancy=args.tenancy,
-            serving=(
-                tuple(int(n) for n in args.serving.split(","))
-                if args.serving else ()
-            ),
-            quick=args.quick,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = bench.run_bench(config)
-    print(bench.format_table(payload))
-    if args.out:
-        bench.save(payload, args.out)
-        print(f"wrote {args.out}")
-    if args.compare:
-        try:
-            baseline = bench.load(args.compare)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        regressions = bench.compare(
-            payload, baseline, max_regression=args.max_regression
-        )
-        if regressions:
-            print(
-                f"REGRESSION: {len(regressions)} cell(s) exceed "
-                f"{args.max_regression:.1f}x the baseline p50:"
-            )
-            for regression in regressions:
-                print(f"  {regression.describe()}")
-            return 1
-        print(
-            f"no regressions vs {args.compare} "
-            f"(gate: {args.max_regression:.1f}x p50)"
-        )
     return 0
 
 
@@ -800,49 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     tenants.add_argument("--json", action="store_true",
                          help="dump the raw tenant-stats document")
     tenants.set_defaults(entry=_cmd_smb_tenants)
-
-    smb_bench = smb_sub.add_parser(
-        "bench",
-        help="benchmark SMB READ/WRITE/ACCUMULATE across payload sizes "
-             "and gate against a committed baseline",
-    )
-    smb_bench.add_argument("--quick", action="store_true",
-                           help="reduced sweep for CI smoke runs")
-    smb_bench.add_argument("--sizes", type=int, nargs="*", default=None,
-                           help="payload sizes in bytes (default: "
-                                "1 KiB..64 MiB sweep)")
-    smb_bench.add_argument("--ops", default=None,
-                           help="comma-separated ops "
-                                "(READ,WRITE,ACCUMULATE)")
-    smb_bench.add_argument("--transports", default=None,
-                           help="comma-separated transports (inproc,tcp)")
-    smb_bench.add_argument("--iterations", type=int, default=None,
-                           help="iterations per cell (default: "
-                                "auto-scaled by size)")
-    smb_bench.add_argument("--clients", default="",
-                           help="comma-separated client counts for the "
-                                "N-client contention sweep (e.g. 1,8,32); "
-                                "empty skips it")
-    smb_bench.add_argument("--sharded", type=int, default=0,
-                           help="also measure K-server ShardedArray "
-                                "overlap with this many shards")
-    smb_bench.add_argument("--tenancy", action="store_true",
-                           help="also run the two-tenant fairness cell "
-                                "(1 KiB READs vs a bulk ACCUMULATE "
-                                "stream); gated on the small tenant's "
-                                "contended p95")
-    smb_bench.add_argument("--serving", default="",
-                           help="comma-separated client counts for the "
-                                "read-fanout sweep against a replica "
-                                "mirror (e.g. 1,4,16); empty skips it")
-    smb_bench.add_argument("--out", default="",
-                           help="write BENCH_smb.json here")
-    smb_bench.add_argument("--compare", default="",
-                           help="baseline BENCH_smb.json to gate against")
-    smb_bench.add_argument("--max-regression", type=float, default=2.0,
-                           help="fail if any cell's p50 exceeds this "
-                                "factor of the baseline")
-    smb_bench.set_defaults(entry=_cmd_smb_bench)
 
     drill = smb_sub.add_parser(
         "drill",

@@ -49,7 +49,6 @@ from .fleet import (
     PlacementError,
     attach_sharded_array,
     create_sharded_array,
-    discover_locations,
     shard_counts,
 )
 from .protocol import Message, Op, Status
@@ -104,7 +103,6 @@ __all__ = [
     "VersionRegressionError",
     "attach_sharded_array",
     "create_sharded_array",
-    "discover_locations",
     "publish_json",
     "read_json",
     "read_rendezvous",

@@ -22,18 +22,10 @@ using multiple SMB servers".  This module implements that plan:
 * :class:`HashRingPlacement` — a consistent-hash ring with virtual
   nodes.  Each server owns ``replicas`` points on a 64-bit ring; a
   segment lands on the first point clockwise of its name's hash.
-  Adding or removing one server moves only ``~1/K`` of the segments,
-  which is what makes live rebalancing affordable once elastic
-  membership (:mod:`repro.smb.membership`) lets servers join or leave a
-  live run.
-* :func:`rebalance` — find every segment that sits on the wrong server
-  under a (new) placement and migrate it live with a **create → copy →
-  swap → free** sequence: the segment is created and written on its
-  target server *before* the source copy is freed, so a crash
-  mid-migration leaves a duplicate (harmless — the next rebalance
-  converges), never a hole.  Callers serialise migrations against
-  concurrent lookups by passing the membership registry's lock (or any
-  context manager) as ``lock``.
+  Adding or removing one server changes the home of only ``~1/K`` of
+  the names.  Growing the ring changes where *new* arrays land; nothing
+  here moves a live segment — that needs a write fence and a carried
+  version, which no part of the system offers.
 
 Striping is contiguous and balanced: shard ``i`` holds
 ``counts[i] ~ ceil(count / K)`` elements.  Accumulates remain per-shard
@@ -63,15 +55,11 @@ from __future__ import annotations
 import atexit
 import bisect
 import hashlib
-import logging
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import AbstractContextManager, nullcontext
-from dataclasses import dataclass
 from typing import (
     Callable,
-    Dict,
     List,
     Mapping,
     Optional,
@@ -85,8 +73,6 @@ import numpy as np
 
 from .client import RemoteArray, SMBClient
 from .errors import SMBError
-
-logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
@@ -107,9 +93,8 @@ _executor_lock = threading.Lock()
 def _fanout_executor() -> ThreadPoolExecutor:
     """The process-wide shard fan-out pool (created on first use).
 
-    :func:`shutdown_fanout_executor` tears it down (and is registered
-    via ``atexit`` so interpreter shutdown never races pool threads
-    against module teardown); a later shard op re-creates the pool.
+    Torn down at interpreter exit (``atexit``) so shutdown never races
+    pool threads against module teardown.
     """
     global _executor
     with _executor_lock:
@@ -121,20 +106,15 @@ def _fanout_executor() -> ThreadPoolExecutor:
         return _executor
 
 
-def shutdown_fanout_executor(wait: bool = True) -> None:
-    """Stop the shared fan-out pool; the next shard op recreates it.
-
-    Safe to call any number of times, from tests tearing down a fleet or
-    from embedders that want zero background threads between runs.
-    """
+def _shutdown_fanout_executor() -> None:
     global _executor
     with _executor_lock:
         executor, _executor = _executor, None
     if executor is not None:
-        executor.shutdown(wait=wait)
+        executor.shutdown(wait=False)
 
 
-atexit.register(shutdown_fanout_executor, wait=False)
+atexit.register(_shutdown_fanout_executor)
 
 
 def _fan_out(tasks: Sequence[Callable[[], T]]) -> List[T]:
@@ -319,7 +299,7 @@ DEFAULT_REPLICAS = 64
 
 
 class PlacementError(SMBError):
-    """A placement decision or migration could not be carried out."""
+    """A placement decision could not be carried out."""
 
 
 def _hash64(key: str) -> int:
@@ -406,15 +386,6 @@ class HashRingPlacement(Placement):
 
 # -- create / attach ---------------------------------------------------------
 
-def _require_clients(
-    clients: Mapping[str, SMBClient], placement: Placement
-) -> None:
-    """Every server the placement can name must have a client."""
-    missing = [server for server in placement.servers if server not in clients]
-    if missing:
-        raise PlacementError(f"no client for placement server(s) {missing}")
-
-
 def _stripe_homes(
     clients: Fleet,
     placement: Optional[Placement],
@@ -436,7 +407,9 @@ def _stripe_homes(
         return list(zip(names, clients))
     if not isinstance(clients, Mapping):
         raise PlacementError("a placement needs clients keyed by server id")
-    _require_clients(clients, placement)
+    missing = [server for server in placement.servers if server not in clients]
+    if missing:
+        raise PlacementError(f"no client for placement server(s) {missing}")
     return [
         (stripe, clients[placement.server_for(stripe)]) for stripe in names
     ]
@@ -497,92 +470,3 @@ def attach_sharded_array(
         ],
         name=name,
     )
-
-
-# -- live rebalancing --------------------------------------------------------
-
-@dataclass(frozen=True)
-class Move:
-    """One completed segment migration."""
-
-    name: str
-    source: str
-    target: str
-    nbytes: int
-    #: SHM key on the target after the move.
-    shm_key: int
-
-
-def discover_locations(
-    clients: Mapping[str, SMBClient],
-) -> Dict[str, Dict[str, int]]:
-    """Inventory the fleet: segment name -> {server id -> nbytes}.
-
-    One LIST per server, scoped to each client's tenant.  A name on two
-    servers is a duplicate left by an interrupted migration; rebalance
-    resolves it by keeping the placement's choice and freeing the rest.
-    """
-    found: Dict[str, Dict[str, int]] = {}
-    for server_id, client in clients.items():
-        for entry in client.list_segments()["segments"]:
-            found.setdefault(entry["name"], {})[server_id] = entry["nbytes"]
-    return found
-
-
-def rebalance(
-    clients: Mapping[str, SMBClient],
-    placement: Placement,
-    lock: Optional[Callable[[], AbstractContextManager]] = None,
-) -> List[Move]:
-    """Migrate every misplaced segment to its placement home, live.
-
-    For each misplaced segment: **create** it on the target server,
-    **copy** the bytes over (read from source, write to target),
-    **swap** — from here lookups on the target resolve — then **free**
-    the source copy.  The order means a crash at any point leaves at
-    least one complete copy; duplicates left behind are swept on the
-    next call (target copy wins, stale copies freed without a transfer).
-
-    ``lock`` is a *factory* of context managers — pass the registry's
-    :meth:`~repro.smb.membership.MembershipRegistry.lock` method itself,
-    not a single entered instance — invoked around each segment's
-    create/copy/swap/free so directory readers never observe the
-    mid-flight state; migrations between segments still interleave with
-    normal traffic.  Returns the completed moves (with target SHM keys).
-    """
-    _require_clients(clients, placement)
-    guard = lock if lock is not None else nullcontext
-    completed: List[Move] = []
-    for name, copies in sorted(discover_locations(clients).items()):
-        target = placement.server_for(name)
-        if target not in copies:
-            source = min(copies)  # deterministic pick among duplicates
-            nbytes = copies[source]
-            with guard():
-                src_client = clients[source]
-                shm_key, _ = src_client.lookup(name)
-                access_key = src_client.attach(shm_key, nbytes)
-                data = src_client.read(access_key, nbytes)
-                dst_client = clients[target]
-                new_key = dst_client.create_buffer(name, nbytes)
-                dst_client.write(dst_client.attach(new_key, nbytes), data)
-                src_client.free(shm_key)
-                copies.pop(source)
-                copies[target] = nbytes
-            completed.append(Move(
-                name=name, source=source, target=target,
-                nbytes=nbytes, shm_key=new_key,
-            ))
-            logger.info(
-                "rebalanced segment %r: %s -> %s (%d bytes)",
-                name, source, target, nbytes,
-            )
-        # Sweep stale duplicates (interrupted earlier migrations).
-        for extra in sorted(set(copies) - {target}):
-            with guard():
-                stale_key, _ = clients[extra].lookup(name)
-                clients[extra].free(stale_key)
-            logger.info(
-                "swept stale copy of %r from %s", name, extra
-            )
-    return completed

@@ -113,23 +113,18 @@ class MemberRecord:
 
 @dataclass
 class JobEntry:
-    """One namespace's job: endpoint, spec, fleet and member table."""
+    """One namespace's job: endpoint, spec and member table."""
 
     server: Dict[str, object] = field(default_factory=dict)
     job: Dict[str, object] = field(default_factory=dict)
     capacity: int = 0
     members: Dict[str, MemberRecord] = field(default_factory=dict)
-    #: SMB server fleet for this namespace, in placement order — what a
-    #: rebalancer (:func:`repro.smb.fleet.rebalance`) walks.  Each
-    #: entry is ``{"id": ..., "host": ..., "port": ...}``-shaped.
-    servers: List[Dict[str, object]] = field(default_factory=list)
 
     def to_doc(self) -> Dict[str, object]:
         return {
             "server": self.server,
             "job": self.job,
             "capacity": self.capacity,
-            "servers": self.servers,
             "members": {
                 member_id: record.to_doc()
                 for member_id, record in self.members.items()
@@ -143,14 +138,11 @@ class JobEntry:
         if isinstance(members_doc, dict):
             for member_id, entry in members_doc.items():
                 members[str(member_id)] = MemberRecord.from_doc(entry)
-        servers_doc = doc.get("servers", [])
         return cls(
             server=dict(doc.get("server", {})),  # type: ignore[arg-type]
             job=dict(doc.get("job", {})),  # type: ignore[arg-type]
             capacity=int(doc.get("capacity", 0)),  # type: ignore[arg-type]
             members=members,
-            servers=[dict(s) for s in servers_doc]  # type: ignore[union-attr]
-            if isinstance(servers_doc, list) else [],
         )
 
 
@@ -320,9 +312,8 @@ class MembershipRegistry:
     def lock(self) -> Iterator[None]:
         """Hold the registry's cross-process lock around external work.
 
-        The rebalancer (:func:`repro.smb.fleet.rebalance`) passes
-        this around each segment migration so directory readers never
-        resolve a name while its copy is mid-flight.
+        Every mutation of the registry takes the same lock, so nothing
+        is published while an out-of-band coordinator holds it.
         """
         self._acquire_lock()
         try:
@@ -431,25 +422,6 @@ class MembershipRegistry:
             entry.job = dict(job)
             entry.capacity = capacity
             entry.members = {}
-            view.epoch += 1
-
-        return self._mutate(apply)
-
-    def publish_servers(
-        self,
-        servers: List[Dict[str, object]],
-        namespace: str = DEFAULT_TENANT,
-    ) -> RegistryView:
-        """Record a namespace's SMB server fleet (placement order).
-
-        The rebalancer reads this list to build its placement and the
-        per-server clients; republishing it is how fleet growth/shrink
-        becomes visible to every worker.
-        """
-
-        def apply(view: RegistryView) -> None:
-            entry = view.entry(namespace, create=True)
-            entry.servers = [dict(s) for s in servers]
             view.epoch += 1
 
         return self._mutate(apply)

@@ -1228,8 +1228,12 @@ class TcpSMBServer:
             )
             self._close_conn(conn)
             return
+        # The pooled buffer is sized by the peer's ``count``, so only up
+        # to what the pool can hold; beyond that ``Segment.read`` range-
+        # checks before it allocates and the peer gets the typed error.
         out: Optional[memoryview] = None
-        if request.op is Op.READ and request.count > 0:
+        if (request.op is Op.READ
+                and 0 < request.count <= self.core.pool.capacity):
             if request.count > len(conn.read_buf):
                 conn.read_buf = bytearray(request.count)
             out = memoryview(conn.read_buf)
@@ -1242,9 +1246,11 @@ class TcpSMBServer:
         if request.op is Op.WAIT_UPDATE:
             self._begin_wait(conn, request)
         elif self._needs_offload(request):
+            # The same ceiling bounds the fairness charge: the lanes walk
+            # cost / QUANTUM rounds under their lock, on this thread.
             self._lanes.submit(
                 conn.tenant,
-                self._request_cost(request),
+                min(self._request_cost(request), self.core.pool.capacity),
                 lambda: self._process(conn, request, out),
             )
         else:

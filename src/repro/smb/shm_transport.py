@@ -206,8 +206,9 @@ class _ShmChannel:
         self, message: Message, out: Optional[memoryview] = None
     ) -> Message:
         payload = message.payload_view()
-        expect = message.count if message.op is Op.READ else 0
-        self.ensure(DATA_OFFSET + max(payload.nbytes, expect))
+        # Grow for what we send only: the server sizes its own responses
+        # (the switch loop below), after it has judged the request.
+        self.ensure(DATA_OFFSET + payload.nbytes)
         assert self.shm is not None
         request_nbytes = DATA_OFFSET + payload.nbytes
         buf = self.shm.buf

@@ -72,6 +72,13 @@ class TestParser:
                 build_parser().parse_args(argv)
             assert refused.value.code == 2
 
+    def test_smb_bench_is_gone(self):
+        """``benchmarks/e2e`` is the only ruler: no in-package benchmark
+        sub-command is left to run beside it."""
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(["smb", "bench", "--quick"])
+        assert refused.value.code == 2
+
 
 class TestExecution:
     def test_train_tiny_run(self, capsys):
@@ -124,52 +131,6 @@ class TestExecution:
         assert code == 0
         out = capsys.readouterr().out
         assert "phase timings (eq. 8)" in out
-
-    def test_smb_bench_smoke_writes_json_and_gates(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "BENCH_smb.json"
-        args = [
-            "smb", "bench", "--transports", "inproc", "--sizes", "4096",
-            "--iterations", "3", "--out", str(out_path),
-        ]
-        code = main(args)
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "GB/s" in stdout
-        payload = json.loads(out_path.read_text())
-        assert len(payload["cells"]) == 3  # READ/WRITE/ACCUMULATE at 4 KiB
-        for cell in payload["cells"]:
-            assert cell["p50_s"] > 0
-            assert cell["gb_per_s"] > 0
-
-        # Self-comparison never regresses...
-        code = main(args + ["--compare", str(out_path)])
-        assert code == 0
-        assert "no regressions" in capsys.readouterr().out
-
-        # ...but an impossibly fast baseline trips the gate.
-        fast = dict(payload)
-        fast["cells"] = [
-            dict(cell, p50_s=cell["p50_s"] / 1e6)
-            for cell in payload["cells"]
-        ]
-        baseline = tmp_path / "fast.json"
-        baseline.write_text(json.dumps(fast))
-        code = main(args + ["--compare", str(baseline)])
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_smb_bench_flag_parsing(self):
-        args = build_parser().parse_args(
-            ["smb", "bench", "--quick", "--sharded", "4",
-             "--max-regression", "3.5", "--tenancy"]
-        )
-        assert args.quick is True
-        assert args.sharded == 4
-        assert args.max_regression == pytest.approx(3.5)
-        assert args.tenancy is True
-        assert args.entry.__name__ == "_cmd_smb_bench"
 
     def test_smb_tenants_lists_quotas_and_usage(self, capsys):
         import json

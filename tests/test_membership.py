@@ -353,17 +353,6 @@ class TestMultiNamespaceRegistry:
         assert doc["format"] == 2
         assert doc["jobs"]["default"]["capacity"] == 3
 
-    def test_publish_servers_records_the_fleet(self, tmp_path):
-        registry = make_registry(tmp_path)
-        registry.publish_job(SERVER_DOC, JOB_DOC, capacity=2)
-        fleet = [
-            {"id": "s0", "host": "10.0.0.1", "port": 7000},
-            {"id": "s1", "host": "10.0.0.2", "port": 7000},
-        ]
-        registry.publish_servers(fleet)
-        view = registry.read()
-        assert view.entry().servers == fleet
-
     def test_wait_for_job_names_the_namespace(self, tmp_path):
         registry = make_registry(tmp_path)
         with pytest.raises(MembershipError, match="namespace 'alice'"):

@@ -14,7 +14,6 @@ from repro.smb import (
     TcpSMBServer,
     attach_sharded_array,
     create_sharded_array,
-    discover_locations,
     shard_counts,
 )
 
@@ -66,12 +65,16 @@ class TestShardedArray:
             assert servers[index].pool.by_name(
                 f"W_g.shard{index}"
             ).size == nbytes
-        fleet = {f"s{i}": client for i, client in enumerate(clients)}
-        assert discover_locations(fleet) == {
-            "W_g.shard0": {"s0": 16},
-            "W_g.shard1": {"s1": 12},
-            "W_g.shard2": {"s2": 12},
-        }
+        inventory = [
+            {
+                entry["name"]: entry["nbytes"]
+                for entry in client.list_segments()["segments"]
+            }
+            for client in clients
+        ]
+        assert inventory == [
+            {"W_g.shard0": 16}, {"W_g.shard1": 12}, {"W_g.shard2": 12},
+        ]
 
     def test_attach_by_broadcast_keys(self):
         servers, master_clients = make_clients(2)

@@ -339,6 +339,45 @@ class TestDispatchRobustness:
             )
             client.close()
 
+    def test_huge_read_count_costs_one_request(self):
+        """A READ's ``count`` is a signed 64-bit number the peer chose.
+        The loop used to size the pooled read buffer from it before any
+        range check: a 46-byte header with ``count = 1 << 50`` from
+        tenant ``alice`` raised ``MemoryError`` on the loop thread and
+        stopped the server for every tenant.  Now it costs her that one
+        request — a typed range error on a connection that still serves
+        — and a default-tenant client connected all along is served
+        before and after."""
+        with TcpSMBServer(capacity=1 << 22) as server:
+            server.core.pool.create_tenant("alice", quota=1 << 16)
+            victim = SMBClient.connect(server.address)
+            arr = victim.create_array("w", 64)
+            arr.write(np.zeros(64, dtype=np.float32))
+            owner = SMBClient.connect(server.address, tenant="alice")
+            access_key = owner.attach(owner.create_buffer("a", 256), 256)
+            alice = _raw_connect(server.address, tenant="alice")
+            alice.settimeout(5.0)
+            alice.sendall(Message(
+                op=Op.READ, key=access_key, count=1 << 50,
+            ).encode())
+            refused = _raw_response(alice)
+            assert refused.status is Status.ERROR
+            assert bytes(refused.payload).startswith(b"SegmentRangeError")
+            alice.sendall(Message(
+                op=Op.READ, key=access_key, count=256,
+            ).encode())
+            served = _raw_response(alice)
+            assert served.status is Status.OK
+            assert len(served.payload) == 256
+            alice.close()
+            owner.close()
+            arr.write(np.arange(64, dtype=np.float32))
+            assert np.array_equal(
+                arr.read(), np.arange(64, dtype=np.float32)
+            )
+            victim.close()
+            assert server._loop_thread.is_alive()
+
     def test_mutations_offload_when_journaled(self, tmp_path):
         """With a journal configured every mutation takes the journal
         lock — which an offloaded ACCUMULATE can hold across a whole

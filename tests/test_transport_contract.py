@@ -22,10 +22,12 @@ from repro.smb import (
     NotificationTimeout,
     SMBClient,
     SMBConnectionError,
+    SegmentRangeError,
     TransportClosedError,
 )
 from repro.smb.transport import WAIT_SLICE
 
+from .conftest import CAPACITY
 from .test_chaos import FAST_RETRY
 
 
@@ -56,6 +58,18 @@ class TestTransportContract:
         scratch = np.empty(count, dtype=np.float32)
         array.read(out=scratch)
         assert np.array_equal(scratch, data)
+
+    def test_oversize_read_is_a_typed_error(self, doorway):
+        """A READ no segment could satisfy is judged as a READ: the typed
+        range error comes back on the channel it went out on, and that
+        channel still serves."""
+        client = doorway.connect()
+        access_key = client.attach(client.create_buffer("seg", 1024), 1024)
+        client.write(access_key, bytes(range(256)) * 4)
+        with pytest.raises(SegmentRangeError):
+            client.read(access_key, CAPACITY + 4096)
+        assert client.transport.reconnects == 0
+        assert client.read(access_key, 1024) == bytes(range(256)) * 4
 
     def test_parked_wait_leaves_data_path_free(self, doorway):
         """The notification channel keeps commands flowing during a wait."""
