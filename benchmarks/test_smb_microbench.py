@@ -29,8 +29,7 @@ TENANCY_SMALL_SIZE = 1 << 10
 TENANCY_BULK_STREAMS = 4
 TENANCY_SAMPLES = 150
 
-#: A 1 MiB ACCUMULATE is the paper's eq.-(7) push at AlexNet-fc scale:
-#: big enough to hit the chunked-accumulate path.
+#: A 1 MiB ACCUMULATE is the paper's eq.-(7) push at AlexNet-fc scale.
 CONTENTION_SIZE = 1 << 20
 CONTENTION_CLIENTS = (1, 8)
 CONTENTION_PUSHES = 20

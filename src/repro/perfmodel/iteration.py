@@ -179,8 +179,9 @@ def seasgd_phase_expectations(
     The bridge between this analytic model and the telemetry
     subsystem's measured phase histograms: the four eq.-(8) exchange
     terms plus ``comp``, renamed from ``t_rgw``-style keys to the
-    ``rgw``-style phase taxonomy of :mod:`repro.telemetry.phases` so a
-    live run's report can be cross-validated line by line.
+    ``rgw``-style phase taxonomy of :mod:`repro.telemetry.phases` so
+    ``benchmarks/e2e``'s ``perfmodel.residual.*`` cells can divide one
+    by the other.
     """
     terms = _seasgd_exchange_terms(model, participants, hw)
     return {

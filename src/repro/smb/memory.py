@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait as _futures_wait
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
@@ -49,16 +48,8 @@ def _validate_tenant(tenant: str) -> None:
     if not tenant or "/" in tenant:
         raise ValueError(f"invalid tenant name: {tenant!r}")
 
-#: Accumulates moving at least this many bytes are split into chunks and
-#: applied on the shared worker pool below.  Numpy releases the GIL for
-#: the element-wise add, so disjoint chunks genuinely run in parallel;
-#: chunk results are bit-exact because each element is touched by exactly
-#: one chunk.  Below the threshold the fork/join overhead costs more than
-#: the copy saves.
-PARALLEL_ACCUMULATE_BYTES = 4 << 20  # 4 MiB
-
-#: CPU niceness of bulk-lane threads (accumulate chunk workers here, and
-#: the server's request worker pool).  Bulk transfers are
+#: CPU niceness of bulk-lane threads (the TCP front-end's ``smb-worker``
+#: request pool, the only pool on the SMB data path).  Bulk transfers are
 #: throughput-bound and tolerate scheduling delay; small control ops are
 #: latency-bound and do not.  Demoting only the bulk threads lets the OS
 #: scheduler enforce that split whenever the machine is CPU-saturated: a
@@ -67,10 +58,6 @@ PARALLEL_ACCUMULATE_BYTES = 4 << 20  # 4 MiB
 #: has no effect, so bulk throughput is unchanged when there is no one
 #: to be fair to.
 BULK_LANE_NICE = 10
-
-_ACCUMULATE_WORKERS = max(2, min(8, (os.cpu_count() or 2)))
-_accumulate_pool: Optional[ThreadPoolExecutor] = None
-_accumulate_pool_lock = threading.Lock()
 
 
 def enter_bulk_priority(nice: int = BULK_LANE_NICE) -> None:
@@ -87,51 +74,6 @@ def enter_bulk_priority(nice: int = BULK_LANE_NICE) -> None:
         )
     except (AttributeError, OSError):  # non-Linux, or denied by sandbox
         pass
-
-
-def _accumulate_executor() -> ThreadPoolExecutor:
-    global _accumulate_pool
-    if _accumulate_pool is None:
-        with _accumulate_pool_lock:
-            if _accumulate_pool is None:
-                _accumulate_pool = ThreadPoolExecutor(
-                    max_workers=_ACCUMULATE_WORKERS,
-                    thread_name_prefix="smb-accum",
-                    initializer=enter_bulk_priority,
-                )
-    return _accumulate_pool
-
-
-def _parallel_add(dst: np.ndarray, src: np.ndarray, scale: float) -> None:
-    """``dst += scale * src`` split over the accumulate pool.
-
-    Called with both segment locks held, so the per-destination
-    exclusivity the paper requires is preserved — only the element-wise
-    add itself is parallelised.  Chunks are disjoint element ranges, so
-    the result is bit-exact with the serial loop.
-    """
-    total = dst.size
-    chunks = min(_ACCUMULATE_WORKERS, max(1, total // (1 << 18)))
-    if chunks <= 1:
-        if scale == 1.0:
-            dst += src
-        else:
-            dst += scale * src
-        return
-    step = -(-total // chunks)  # ceil division
-
-    def _add(lo: int) -> None:
-        hi = min(lo + step, total)
-        if scale == 1.0:
-            dst[lo:hi] += src[lo:hi]
-        else:
-            dst[lo:hi] += scale * src[lo:hi]
-
-    pool = _accumulate_executor()
-    futures = [pool.submit(_add, lo) for lo in range(0, total, step)]
-    done, _ = _futures_wait(futures)
-    for future in done:
-        future.result()  # propagate the first chunk failure, if any
 
 
 class SegmentWaiter:
@@ -285,17 +227,11 @@ class Segment:
         with first.lock, second.lock:
             dst_view = self.buffer[offset:offset + nbytes].view(dtype)
             src_view = src.buffer[src_offset:src_offset + nbytes].view(dtype)
-            # Aliased operands (self-accumulate, or overlapping ranges of
-            # one segment) must take the serial path: numpy's ufunc
-            # overlap detection buffers the source there, while disjoint
-            # chunk threads would read ranges another chunk is writing.
-            # Both views are contiguous 1-D slices, so may_share_memory's
-            # bounds check is an exact interval-overlap test.
-            if nbytes >= PARALLEL_ACCUMULATE_BYTES and not np.may_share_memory(
-                dst_view, src_view
-            ):
-                _parallel_add(dst_view, src_view, scale)
-            elif scale == 1.0:
+            # One in-place add on the calling thread, at every size.
+            # Aliased operands (self-accumulate, overlapping ranges of one
+            # segment) are exact too: NumPy's ufunc overlap detection
+            # buffers the source.
+            if scale == 1.0:
                 dst_view += src_view
             else:
                 dst_view += scale * src_view

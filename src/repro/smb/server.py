@@ -326,22 +326,31 @@ class SMBServer:
             self._write_snapshot_locked()
 
     def close(self) -> None:
-        """Refuse new waits and wake every blocked WAIT_UPDATE handler.
+        """Refuse new waits and wake every blocked WAIT_UPDATE.
 
-        Long notification waits are the only place a handler thread can
-        park indefinitely; on shutdown they must unwind rather than pin
-        threads (and, for TCP, connections) forever.
+        A wait served through :meth:`handle` (an in-process caller, a
+        shm connection thread) sleeps on the segment's condition and
+        must unwind on shutdown rather than pin its thread; the TCP
+        front-end's waits hold no thread and are refused by the same
+        flag.
 
         With durability on, a final snapshot is written so a *clean*
         shutdown always restarts bit-exactly regardless of journal mode.
         """
+        self._close(snapshot=True)
+
+    def _close(self, snapshot: bool) -> None:
+        """The body of :meth:`close`.  ``snapshot=False`` is what a dying
+        process leaves (:meth:`TcpSMBServer.kill`): waits woken, the
+        journal handle released, no final snapshot."""
         self._closing.set()
         if self._store is not None:
-            try:
-                with self._journal_lock:
-                    self._write_snapshot_locked()
-            except OSError:
-                logger.exception("final snapshot failed during close")
+            if snapshot:
+                try:
+                    with self._journal_lock:
+                        self._write_snapshot_locked()
+                except OSError:
+                    logger.exception("final snapshot failed during close")
             self._store.close()
         def _wake(segment) -> None:
             with segment.lock:
@@ -949,15 +958,14 @@ class TcpSMBServer:
         self._loop_thread: Optional[threading.Thread] = None
         self._selector: Optional[selectors.BaseSelector] = None
         self._conns: Dict[socket.socket, _Connection] = {}
-        # Blocking-op pool.  Waits are cheap (they sleep), data ops are
-        # few; size generously enough that a fleet of waiters does not
-        # starve a bulk accumulate behind them.
+        # Blocking-op pool: bulk data ops, accumulates, snapshots and
+        # the completion of a woken wait (a parked wait holds no thread).
         if workers is None:
             workers = max(8, min(32, (os.cpu_count() or 4) * 2))
         # Pool threads run at background CPU priority: they carry only
-        # bulk transfers and parked waits, while the loop thread serves
-        # every latency-bound control op inline — so on a saturated host
-        # the scheduler keeps small ops fast instead of queueing them
+        # bulk and blocking work, while the loop thread serves every
+        # latency-bound control op inline — so on a saturated host the
+        # scheduler keeps small ops fast instead of queueing them
         # behind whole-model accumulates.
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="smb-worker",
@@ -1022,18 +1030,9 @@ class TcpSMBServer:
         Every connection — including idle ones whose peers are parked in
         ``recv`` — is severed, waits are woken through
         :meth:`SMBServer.close`, the worker pool is drained and the loop
-        thread joined.  (The threaded predecessor closed only the
-        listener, leaving handler threads pinned until process exit.)
+        thread joined.
         """
-        self._clean_stop = True
-        self._stop.set()
-        self._wake_loop()
-        if self._loop_thread is not None and self._loop_thread.is_alive():
-            self._loop_thread.join(timeout=10.0)
-        else:
-            # Never started (or already gone): release resources inline.
-            self._teardown(clean=True)
-        self._pool.shutdown(wait=True)
+        self._shutdown(clean=True)
 
     def kill(self) -> None:
         """Die abruptly: sever every connection, skip the clean-shutdown
@@ -1041,13 +1040,17 @@ class TcpSMBServer:
         in-process server — recovery must come from the journal
         directory, exactly as it would after a real process death.
         """
-        self._clean_stop = False
+        self._shutdown(clean=False)
+
+    def _shutdown(self, clean: bool) -> None:
+        self._clean_stop = clean
         self._stop.set()
         self._wake_loop()
         if self._loop_thread is not None and self._loop_thread.is_alive():
             self._loop_thread.join(timeout=10.0)
         else:
-            self._teardown(clean=False)
+            # Never started (or already gone): release resources inline.
+            self._teardown(clean)
         self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "TcpSMBServer":
@@ -1501,22 +1504,7 @@ class TcpSMBServer:
             self._listener.close()
         except OSError:
             pass
-        if clean:
-            # Final snapshot + refuse/wake waits.
-            self.core.close()
-        else:
-            # kill(): wake waits and release the journal file handle
-            # (mimicking the OS reclaiming it on death) WITHOUT the final
-            # snapshot that core.close() would write.
-            self.core._closing.set()
-            if self.core._store is not None:
-                self.core._store.close()
-
-            def _wake(segment) -> None:
-                with segment.lock:
-                    segment.updated.notify_all()
-
-            self.core.pool.for_each(_wake)
+        self.core._close(snapshot=clean)
         for conn in list(self._conns.values()):
             self._close_conn(conn)
         self._conns.clear()

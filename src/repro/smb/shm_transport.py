@@ -41,8 +41,10 @@ doorway the same command/notification channel pair, sliced waits and
 reconnect-on-loss as every other.
 
 The server end, :class:`ShmSMBServer`, serves each connection on its own
-thread — co-located workers are bounded by the node's core count, so the
-event-loop machinery of the TCP front-end would buy nothing here.  It
+thread: co-located workers are bounded by the node's core count, and the
+TCP front-end's selector loop was measured on this doorway and lost
+(``smb_mix_shm``: −32 % ops/s, 3.0× ``lat_ms_p50``; the table is in
+``docs/architecture.md``, "Threads of a running SMB server").  It
 can share an :class:`~repro.smb.server.SMBServer` core with a
 :class:`~repro.smb.server.TcpSMBServer`, giving one memory pool both a
 remote and a local doorway.
@@ -56,7 +58,7 @@ import socket
 import struct
 import threading
 from multiprocessing import shared_memory
-from typing import List, Optional, Union
+from typing import Dict, Optional, Union
 
 from .errors import SMBConnectionError, SMBProtocolError
 from .memory import DEFAULT_TENANT
@@ -273,9 +275,10 @@ class ShmSMBServer:
     TCP, co-located workers take the shm path, both see the same
     segments.
 
-    Each connection gets a dedicated thread and a dedicated block —
-    co-located clients are bounded by the node's cores, so threads are
-    the simple and adequate dispatch model here.
+    Each connection gets a dedicated thread and a dedicated block, and
+    every op runs start to finish on that thread: a doorbell costs one
+    wake-up, where the TCP front-end's loop → lane → pool → wake-up
+    path, tried here, tripled the median latency of ``smb_mix_shm``.
     """
 
     def __init__(
@@ -295,9 +298,11 @@ class ShmSMBServer:
         self._listener.listen(64)
         self._stop = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
-        self._conns: List[socket.socket] = []
+        # Live connections and the thread serving each.  The accept
+        # thread adds an entry before it starts that thread; the handler
+        # removes its own on the way out.
+        self._conns: Dict[socket.socket, threading.Thread] = {}
         self._conns_lock = threading.Lock()
-        self._handlers: List[threading.Thread] = []
 
     # -- lifecycle -------------------------------------------------------
 
@@ -309,11 +314,15 @@ class ShmSMBServer:
         return self
 
     def stop(self) -> None:
-        """Sever every connection and join every handler thread."""
+        """Sever every connection and join every handler thread.
+
+        Returns with no ``smb-shm*`` thread alive, so nothing a client
+        sends afterwards can be applied.
+        """
         self._stop.set()
         try:
-            # Closing alone does not wake a thread blocked in accept() on
-            # an AF_UNIX socket; shutdown() does (with EINVAL).
+            # Closing alone does not wake a thread blocked in accept() or
+            # recv() on an AF_UNIX socket; shutdown() does.
             self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
@@ -322,20 +331,17 @@ class ShmSMBServer:
         except OSError:
             pass
         self.core.close()
-        with self._conns_lock:
-            conns, self._conns = self._conns, []
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
-        # Snapshot only after the accept thread is gone, so no handler
-        # can be registered concurrently and slip past the join.
+        # The accept thread is gone, so the table can only shrink now.
         with self._conns_lock:
-            handlers, self._handlers = self._handlers, []
-        for handler in handlers:
+            conns = dict(self._conns)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its handler closed it first
+        for handler in conns.values():
             handler.join(timeout=5.0)
         if os.path.exists(self.path):
             try:
@@ -363,14 +369,9 @@ class ShmSMBServer:
                 name="smb-shm-conn",
                 daemon=True,
             )
-            handler.start()
-            # Prune the dead before tracking the new: the list stays
-            # bounded by *live* connections instead of growing forever.
-            # Under the lock, because stop() swaps the list out to join
-            # it and must not race a rebuild.
             with self._conns_lock:
-                self._handlers = [t for t in self._handlers if t.is_alive()]
-                self._handlers.append(handler)
+                self._conns[conn] = handler
+                handler.start()
 
     def _switch_block(
         self,
@@ -441,16 +442,6 @@ class ShmSMBServer:
         return block
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        with self._conns_lock:
-            if self._stop.is_set():
-                # stop() already severed its snapshot of connections; a
-                # late-accepted one must not survive it.
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                return
-            self._conns.append(conn)
         block: Optional[shared_memory.SharedMemory] = None
         try:
             # Bound the handshake, then block freely between frames (an
@@ -465,8 +456,10 @@ class ShmSMBServer:
                 return
             conn.settimeout(None)
             block = self._switch_block(conn, None, self._block_size)
-            while not self._stop.is_set():
+            while True:
                 value = _recv_doorbell(conn)
+                if self._stop.is_set():
+                    break  # a doorbell that raced stop() is not served
                 if value < 0:
                     # No valid frame is larger than the header region
                     # plus everything the pool can hold; refuse before
@@ -491,8 +484,7 @@ class ShmSMBServer:
             logger.exception("SMB shm handler crashed")
         finally:
             with self._conns_lock:
-                if conn in self._conns:
-                    self._conns.remove(conn)
+                self._conns.pop(conn, None)
             try:
                 conn.close()
             except OSError:

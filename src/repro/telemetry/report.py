@@ -1,17 +1,8 @@
-"""Reporting layer: summarize a telemetry run, cross-check the perf model.
+"""Reporting layer: summarize a telemetry run.
 
-Two consumers:
-
-* ``python -m repro telemetry report <metrics.json>`` — render the
-  per-worker phase histograms, SMB operation timings, and counters that
-  a run saved via :meth:`TelemetrySession.save`.
-* The perf-model cross-validation — compare the *measured* phase
-  decomposition against the analytic eq.-(8) terms from
-  :mod:`repro.perfmodel.iteration` (the paper's Fig. 10 comp/comm
-  split, now from live data).  Absolute times differ between the
-  paper's Infiniband testbed and this host-Python emulation, so the
-  comparison is over each phase's *share* of the exchange; the shares
-  are what eq. (8) predicts and what the overlap protocol acts on.
+``python -m repro telemetry report <metrics.json>`` renders the
+per-worker phase histograms, SMB operation timings, and counters that
+a run saved via :meth:`TelemetrySession.save`.
 """
 
 from __future__ import annotations
@@ -20,13 +11,12 @@ import json
 import re
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .phases import ALL_PHASES, PAPER_PHASES
+from .phases import ALL_PHASES
 
 __all__ = [
     "load",
     "phase_rows",
     "format_report",
-    "perfmodel_comparison_rows",
 ]
 
 _PHASE_RE = re.compile(r"^worker(\d+)/phase/([a-z_]+)$")
@@ -143,87 +133,6 @@ def _membership_section(metrics: MetricSnapshot) -> List[str]:
     return _table(["metric", "type", "value"], body)
 
 
-def _pooled_phase_means(metrics: MetricSnapshot) -> Dict[str, float]:
-    """Per-phase mean seconds pooled across workers (weighted by count)."""
-    total: Dict[str, float] = {}
-    count: Dict[str, int] = {}
-    for _worker, phase, snap in phase_rows(metrics):
-        total[phase] = total.get(phase, 0.0) + float(snap["sum"])
-        count[phase] = count.get(phase, 0) + int(snap["count"])
-    return {
-        phase: total[phase] / count[phase]
-        for phase in total if count[phase]
-    }
-
-
-def perfmodel_comparison_rows(
-    metrics: MetricSnapshot,
-    model: str,
-    workers: int,
-) -> List[Dict[str, object]]:
-    """Measured vs analytic eq.-(8) phase decomposition.
-
-    Returns one row per paper phase with the predicted time on the
-    paper's hardware, the measured pooled mean, and each side's share of
-    its own iteration total — the share columns are directly comparable
-    across the hardware gap.
-    """
-    from ..perfmodel.iteration import seasgd_phase_expectations
-    from ..perfmodel.models import model_profile
-
-    predicted = seasgd_phase_expectations(
-        model_profile(model), max(workers, 2)
-    )
-    measured = _pooled_phase_means(metrics)
-    pred_total = sum(predicted.values()) or 1.0
-    meas_total = sum(
-        measured.get(phase, 0.0) for phase in PAPER_PHASES
-    ) or 1.0
-    rows: List[Dict[str, object]] = []
-    for phase in PAPER_PHASES:
-        meas = measured.get(phase)
-        rows.append({
-            "phase": phase,
-            "predicted_ms": predicted[phase],
-            "predicted_share": predicted[phase] / pred_total,
-            "measured_ms": None if meas is None else meas * 1e3,
-            "measured_share": (
-                None if meas is None else meas / meas_total
-            ),
-        })
-    return rows
-
-
-def _comparison_section(
-    metrics: MetricSnapshot, model: str, workers: int
-) -> List[str]:
-    rows = perfmodel_comparison_rows(metrics, model, workers)
-    if all(row["measured_ms"] is None for row in rows):
-        return []
-    body = []
-    for row in rows:
-        measured_ms = row["measured_ms"]
-        measured_share = row["measured_share"]
-        body.append([
-            str(row["phase"]),
-            f"{row['predicted_ms']:.2f}",
-            f"{row['predicted_share'] * 100:.1f}%",
-            "-" if measured_ms is None else f"{measured_ms:.3f}",
-            "-" if measured_share is None
-            else f"{measured_share * 100:.1f}%",
-        ])
-    lines = _table(
-        ["phase", "model ms", "model share", "measured ms",
-         "measured share"],
-        body,
-    )
-    lines.append(
-        "note: 'model' columns are the analytic eq.-(8) terms on the "
-        "paper's hardware; compare *shares*, not absolute times."
-    )
-    return lines
-
-
 def format_report(payload: Dict[str, object]) -> str:
     """Render a saved telemetry payload as a human-readable report."""
     metrics: MetricSnapshot = payload.get("metrics", {})  # type: ignore
@@ -257,19 +166,6 @@ def format_report(payload: Dict[str, object]) -> str:
         sections.append(
             "== elastic membership ==\n" + "\n".join(membership)
         )
-
-    model = meta.get("model")
-    workers = meta.get("workers")
-    if isinstance(model, str) and isinstance(workers, int):
-        try:
-            lines = _comparison_section(metrics, model, workers)
-        except ValueError:
-            lines = []  # model not in the paper's Table IV
-        if lines:
-            sections.append(
-                "== measured vs perfmodel (Fig. 10 decomposition) ==\n"
-                + "\n".join(lines)
-            )
 
     return "\n\n".join(sections)
 

@@ -1,5 +1,7 @@
 """Shared fixtures: the three SMB doorways behind one handle."""
 
+import threading
+
 import pytest
 
 from repro.smb import (
@@ -22,7 +24,8 @@ class Doorway:
     one; everything opened is closed at teardown.  ``restart()`` stops
     the server and starts a fresh one on the same endpoint (there is no
     endpoint to come back on in-process, so ``restartable`` is false
-    there).
+    there).  ``server_threads()`` names the live threads its servers
+    started.
     """
 
     def __init__(self, kind, tmp_path):
@@ -30,6 +33,7 @@ class Doorway:
         self.restartable = kind != "inproc"
         self._path = tmp_path / "smb.sock"
         self._clients = []
+        self._foreign_threads = set(threading.enumerate())
         self._start(port=0)
 
     def _start(self, port):
@@ -51,6 +55,13 @@ class Doorway:
         client = SMBClient(self.transport(), retry_policy=retry_policy)
         self._clients.append(client)
         return client
+
+    def server_threads(self):
+        return sorted(
+            thread.name for thread in threading.enumerate()
+            if thread not in self._foreign_threads
+            and thread.name.startswith(("smb-shm", "smb-loop", "smb-worker"))
+        )
 
     def restart(self):
         assert self.restartable

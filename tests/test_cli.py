@@ -121,7 +121,6 @@ class TestExecution:
         assert code == 0
         out = capsys.readouterr().out
         assert "phase timings (eq. 8)" in out
-        assert "measured vs perfmodel" in out
         assert (tmp_path / "metrics.json").exists()
         assert (tmp_path / "trace.json").exists()
 

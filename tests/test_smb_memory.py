@@ -11,13 +11,26 @@ from repro.smb.errors import (
     SegmentRangeError,
     UnknownKeyError,
 )
-from repro.smb.memory import PARALLEL_ACCUMULATE_BYTES, MemoryPool, Segment
+from repro.smb import memory
+from repro.smb.memory import MemoryPool, Segment
 
 
 def make_segment(nbytes=64, name="seg", key=1):
     return Segment(
         name=name, shm_key=key, buffer=np.zeros(nbytes, dtype=np.uint8)
     )
+
+
+def make_random_pair(nbytes, seed):
+    """``(dst, src, base, step)``: two segments holding random float32s."""
+    dst = make_segment(nbytes, "dst", 1)
+    src = make_segment(nbytes, "src", 2)
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(nbytes // 4).astype(np.float32)
+    step = rng.standard_normal(nbytes // 4).astype(np.float32)
+    dst.write(0, base.tobytes())
+    src.write(0, step.tobytes())
+    return dst, src, base, step
 
 
 class TestSegment:
@@ -108,10 +121,9 @@ class TestSegment:
         np.testing.assert_allclose(out, 8 * 25)
 
     def test_self_accumulate_full_overlap_is_exact(self):
-        """dst and src are the *same* segment above the parallel
-        threshold: the chunked path would race reads against writes, so
-        aliasing must fall back to the serial (overlap-safe) path."""
-        nbytes = PARALLEL_ACCUMULATE_BYTES
+        """dst and src are the *same* bulk-sized segment: every element
+        must be doubled from its original value."""
+        nbytes = 4 << 20
         seg = make_segment(nbytes, "big", 1)
         rng = np.random.default_rng(7)
         data = rng.standard_normal(nbytes // 4).astype(np.float32)
@@ -122,11 +134,11 @@ class TestSegment:
 
     def test_overlapping_ranges_in_one_segment_are_exact(self):
         """Shifted overlap within one segment: every element must see the
-        *original* source values, as numpy's serial overlap buffering
-        guarantees — not values another chunk thread already rewrote."""
+        *original* source values, as numpy's overlap buffering
+        guarantees — not values the add already rewrote."""
         shift = 256  # elements
-        count = PARALLEL_ACCUMULATE_BYTES // 4
-        nbytes = PARALLEL_ACCUMULATE_BYTES + shift * 4
+        count = (4 << 20) // 4
+        nbytes = (4 << 20) + shift * 4
         seg = make_segment(nbytes, "big", 1)
         rng = np.random.default_rng(11)
         data = rng.standard_normal(nbytes // 4).astype(np.float32)
@@ -139,17 +151,23 @@ class TestSegment:
         np.testing.assert_array_equal(out[count:], data[count:])
 
     def test_disjoint_parallel_accumulate_still_exact(self):
-        """Non-aliased segments above the threshold keep the chunked
-        path and stay bit-exact with the serial result."""
-        nbytes = PARALLEL_ACCUMULATE_BYTES
-        dst = make_segment(nbytes, "dst", 1)
-        src = make_segment(nbytes, "src", 2)
-        rng = np.random.default_rng(13)
-        base = rng.standard_normal(nbytes // 4).astype(np.float32)
-        step = rng.standard_normal(nbytes // 4).astype(np.float32)
-        dst.write(0, base.tobytes())
-        src.write(0, step.tobytes())
+        """Non-aliased bulk-sized segments: bit-exact with ``base +
+        step`` computed directly."""
+        nbytes = 4 << 20
+        dst, src, base, step = make_random_pair(nbytes, seed=13)
         dst.accumulate_from(src)
+        out = np.frombuffer(dst.read(0, nbytes), dtype=np.float32)
+        np.testing.assert_array_equal(out, base + step)
+
+    def test_accumulate_runs_on_the_calling_thread(self):
+        """No size hands an accumulate to another thread: 16 MiB is one
+        in-place add, bit-equal to ``base + step``, and starts nothing."""
+        nbytes = 16 << 20
+        dst, src, base, step = make_random_pair(nbytes, seed=17)
+        before = set(threading.enumerate())
+        dst.accumulate_from(src)
+        assert set(threading.enumerate()) == before
+        assert not hasattr(memory, "_parallel_add")
         out = np.frombuffer(dst.read(0, nbytes), dtype=np.float32)
         np.testing.assert_array_equal(out, base + step)
 

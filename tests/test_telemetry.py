@@ -32,7 +32,6 @@ from repro.telemetry import (
 from repro.telemetry.report import (
     format_report,
     load,
-    perfmodel_comparison_rows,
     report_from_session,
 )
 from repro.telemetry.logconfig import setup_logging
@@ -317,7 +316,7 @@ class TestSeasgdSmoke:
             assert (worker, 1) in lanes  # update thread
         json.dumps(tel.trace.to_dict())  # serialisable end-to-end
 
-    def test_report_and_perfmodel_cross_validation(self, run_session):
+    def test_report_lists_every_phase(self, run_session):
         tel, _ = run_session
         meta = {"model": "inception_v1", "workers": 2,
                 "platform": "shmcaffe_a"}
@@ -325,16 +324,6 @@ class TestSeasgdSmoke:
         assert "phase timings (eq. 8)" in text
         for phase in ALL_PHASES:
             assert phase in text
-        assert "measured vs perfmodel" in text
-        rows = perfmodel_comparison_rows(
-            tel.registry.snapshot(), "inception_v1", 2
-        )
-        assert [row["phase"] for row in rows] == list(PAPER_PHASES)
-        measured = sum(
-            row["measured_share"] for row in rows
-            if row["measured_share"] is not None
-        )
-        assert measured == pytest.approx(1.0)
 
     def test_save_and_reload_roundtrip(self, run_session, tmp_path):
         tel, _ = run_session
@@ -344,7 +333,7 @@ class TestSeasgdSmoke:
         payload = load(paths["metrics"])
         assert payload["mode"] == "trace"
         text = format_report(payload)
-        assert "measured vs perfmodel" in text
+        assert "phase timings (eq. 8)" in text
         with open(paths["trace"], "r", encoding="utf-8") as handle:
             trace = json.load(handle)
         assert trace["traceEvents"]

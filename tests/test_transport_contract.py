@@ -22,6 +22,7 @@ from repro.smb import (
     NotificationTimeout,
     SMBClient,
     SMBConnectionError,
+    SMBError,
     SegmentRangeError,
     TransportClosedError,
 )
@@ -58,6 +59,23 @@ class TestTransportContract:
         scratch = np.empty(count, dtype=np.float32)
         array.read(out=scratch)
         assert np.array_equal(scratch, data)
+
+    def test_bulk_accumulate_starts_no_helper_thread(self, doorway):
+        """A 4 MiB ACCUMULATE is one add on the thread its doorway
+        dispatched it to; nothing splits it over a pool of its own."""
+        client = doorway.connect()
+        count = (4 << 20) // 4
+        total = client.create_array("total", count)
+        delta = client.create_array("delta", count)
+        step = np.random.default_rng(3).random(count).astype(np.float32)
+        delta.write(step)
+        delta.accumulate_into(total)
+        delta.accumulate_into(total)
+        assert np.array_equal(total.read(), step + step)
+        assert not [
+            thread.name for thread in threading.enumerate()
+            if thread.name.startswith("smb-accum")
+        ]
 
     def test_oversize_read_is_a_typed_error(self, doorway):
         """A READ no segment could satisfy is judged as a READ: the typed
@@ -142,6 +160,29 @@ class TestTransportContract:
         array.write(payload)
         np.testing.assert_array_equal(array.read(), payload)
         assert client.transport.reconnects == 1
+
+    def test_stop_severs_idle_clients(self, doorway):
+        """stop() returns with every connection severed and every server
+        thread gone, so nothing sent afterwards can be applied."""
+        if not doorway.restartable:
+            pytest.skip("an in-process core has no front-end to stop")
+        writer, idler = doorway.connect(), doorway.connect()
+        array = writer.create_array("seg", 16)
+        array.write(np.ones(16, dtype=np.float32))
+        idler.lookup("seg")
+        assert doorway.server_threads()
+        segment = doorway.server.core.pool.by_name("seg")
+        version, data = segment.version, segment.buffer.tobytes()
+        start = time.monotonic()
+        doorway.server.stop()
+        # A liveness bound: a stop() that cannot wake its own threads
+        # gives up on each join after 5 s.
+        assert time.monotonic() - start < 2.0
+        assert doorway.server_threads() == []
+        with pytest.raises(SMBError):
+            array.write(np.full(16, 7.0, dtype=np.float32))
+        assert segment.version == version
+        assert segment.buffer.tobytes() == data
 
     def test_injected_disconnect_really_drops(self, doorway):
         inner = doorway.transport()
