@@ -38,6 +38,9 @@ class ReLU(Layer):
     ) -> List[np.ndarray]:
         (top_diff,) = top_diffs
         (bottom,) = bottoms
+        if self.negative_slope == 0.0:
+            # bool * float32: the mask is its own 1.0 / 0.0.
+            return [top_diff * (bottom > 0)]
         grad = np.where(bottom > 0, 1.0, self.negative_slope).astype(
             np.float32
         )

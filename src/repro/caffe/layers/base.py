@@ -3,12 +3,14 @@
 Layers follow Caffe's contract: ``setup`` infers top shapes and allocates
 parameter blobs, ``forward`` maps bottom arrays to top arrays, ``backward``
 maps top gradients to bottom gradients and *accumulates* parameter
-gradients into each parameter blob's ``diff``.
+gradients into each parameter blob's ``diff``.  ``backward`` may return
+``None`` in place of the gradient of a bottom whose
+:attr:`Layer.propagate_down` entry is false: nobody reads it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +37,11 @@ class Layer:
         self.lr_mults: List[float] = []
         #: Per-parameter weight-decay multipliers (Caffe's ``decay_mult``).
         self.decay_mults: List[float] = []
+        #: Per bottom: does anybody read its gradient -- is anything
+        #: learnable below it?  (Caffe's ``propagate_down``.)  ``Net``
+        #: derives it from the graph at build time; empty -- a layer
+        #: driven directly -- means every bottom.
+        self.propagate_down: List[bool] = []
 
     def setup(
         self, bottom_shapes: Sequence[Shape], rng: np.random.Generator
@@ -53,7 +60,7 @@ class Layer:
         top_diffs: Sequence[np.ndarray],
         bottoms: Sequence[np.ndarray],
         tops: Sequence[np.ndarray],
-    ) -> List[np.ndarray]:
+    ) -> Sequence[Optional[np.ndarray]]:
         """Return bottom gradients; accumulate parameter gradients."""
         raise NotImplementedError
 

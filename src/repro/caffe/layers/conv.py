@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -16,6 +16,10 @@ IntPair = Tuple[int, int]
 @register_layer("Convolution")
 class Convolution(Layer):
     """2-D convolution lowered to GEMM via im2col, as BVLC Caffe does.
+
+    A 1x1 / stride 1 / pad 0 kernel is not lowered at all: its columns
+    *are* the bottom (Caffe's ``is_1x1_``), so both directions are a
+    reshape around the GEMM.
 
     Args:
         name: Layer name.
@@ -49,7 +53,19 @@ class Convolution(Layer):
             raise LayerError(f"bad conv geometry in {name!r}")
         self.num_output = num_output
         self.bias = bias
+        self.is_1x1 = (
+            self.kernel == self.stride == (1, 1) and self.pad == (0, 0)
+        )
         self._columns: np.ndarray | None = None
+
+    def _lower(self, bottom: np.ndarray) -> np.ndarray:
+        """``bottom`` as GEMM columns ``(N, C*kh*kw, out_h*out_w)``."""
+        if self.is_1x1 and bottom.flags.c_contiguous:
+            # A view.  (A strided bottom takes im2col's C-order copy: BLAS
+            # rounds a transposed operand differently.)
+            n, c, h, w = bottom.shape
+            return bottom.reshape(n, c, h * w)
+        return im2col(bottom, self.kernel, self.stride, self.pad)
 
     def _out_hw(self, h: int, w: int) -> IntPair:
         return (
@@ -81,7 +97,7 @@ class Convolution(Layer):
     ) -> List[np.ndarray]:
         (bottom,) = bottoms
         n = bottom.shape[0]
-        self._columns = im2col(bottom, self.kernel, self.stride, self.pad)
+        self._columns = self._lower(bottom)
         weight = self.params[0].data.reshape(self.num_output, -1)
         # (O, C*kh*kw) @ (N, C*kh*kw, HW) -> (N, O, HW)
         top = np.matmul(weight, self._columns)
@@ -95,27 +111,30 @@ class Convolution(Layer):
         top_diffs: Sequence[np.ndarray],
         bottoms: Sequence[np.ndarray],
         tops: Sequence[np.ndarray],
-    ) -> List[np.ndarray]:
+    ) -> List[Optional[np.ndarray]]:
         (top_diff,) = top_diffs
         (bottom,) = bottoms
         n = top_diff.shape[0]
         flat_diff = top_diff.reshape(n, self.num_output, -1)
 
         if self._columns is None:
-            self._columns = im2col(bottom, self.kernel, self.stride, self.pad)
+            self._columns = self._lower(bottom)
         # dW = sum_n top_diff @ columns^T
         grad_w = np.einsum("nop,ncp->oc", flat_diff, self._columns)
         self.params[0].diff += grad_w.reshape(self.params[0].shape)
         if self.bias:
             self.params[1].diff += flat_diff.sum(axis=(0, 2))
+        self._columns = None
+        if self.propagate_down == [False]:
+            return [None]
 
         weight = self.params[0].data.reshape(self.num_output, -1)
         col_diff = np.matmul(weight.T, flat_diff)
-        bottom_diff = col2im(
-            col_diff, bottom.shape, self.kernel, self.stride, self.pad
-        )
-        self._columns = None
-        return [bottom_diff]
+        if self.is_1x1:
+            return [col_diff.reshape(bottom.shape)]
+        return [
+            col2im(col_diff, bottom.shape, self.kernel, self.stride, self.pad)
+        ]
 
 
 @register_layer("InnerProduct")
@@ -166,7 +185,7 @@ class InnerProduct(Layer):
         top_diffs: Sequence[np.ndarray],
         bottoms: Sequence[np.ndarray],
         tops: Sequence[np.ndarray],
-    ) -> List[np.ndarray]:
+    ) -> List[Optional[np.ndarray]]:
         (top_diff,) = top_diffs
         (bottom,) = bottoms
         flat = bottom.reshape(bottom.shape[0], -1)
@@ -174,5 +193,7 @@ class InnerProduct(Layer):
         weight.diff += np.matmul(top_diff.T, flat, out=self._grad_scratch)
         if self.bias:
             self.params[1].diff += top_diff.sum(axis=0)
+        if self.propagate_down == [False]:
+            return [None]
         bottom_diff = top_diff @ weight.data
         return [bottom_diff.reshape(bottom.shape)]

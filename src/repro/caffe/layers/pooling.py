@@ -24,7 +24,8 @@ class PoolGeometry(NamedTuple):
 
     out_h: int
     out_w: int
-    kernel: int
+    kernel_h: int
+    kernel_w: int
     stride: int
     pad: int
 
@@ -93,12 +94,14 @@ class Pooling(Layer):
     def _geometry(self, shape: Shape) -> PoolGeometry:
         _, _, h, w = shape
         if self.global_pool:
-            return PoolGeometry(1, 1, h, 1, 0)  # kernel covers everything
+            return PoolGeometry(1, 1, h, w, 1, 0)  # one window: the plane
         out_h = pool_output_dim(h, self.kernel, self.stride, self.pad,
                                 ceil=self.ceil)
         out_w = pool_output_dim(w, self.kernel, self.stride, self.pad,
                                 ceil=self.ceil)
-        return PoolGeometry(out_h, out_w, self.kernel, self.stride, self.pad)
+        return PoolGeometry(
+            out_h, out_w, self.kernel, self.kernel, self.stride, self.pad
+        )
 
     def setup(
         self, bottom_shapes: Sequence[Shape], rng: np.random.Generator
@@ -112,7 +115,9 @@ class Pooling(Layer):
     ) -> List[np.ndarray]:
         (bottom,) = bottoms
         n, c, h, w = bottom.shape
-        out_h, out_w, kernel, stride, pad = self._geometry(bottom.shape)
+        out_h, out_w, kernel_h, kernel_w, stride, pad = self._geometry(
+            bottom.shape
+        )
         is_max = self.method == "max"
 
         if pad > 0:
@@ -135,8 +140,8 @@ class Pooling(Layer):
         )
         stn, stc, sty, stx = padded.strides
         for (oy, rows, win_h), (ox, cols, win_w) in product(
-            _window_runs(ph, out_h, kernel, stride),
-            _window_runs(pw, out_w, kernel, stride),
+            _window_runs(ph, out_h, kernel_h, stride),
+            _window_runs(pw, out_w, kernel_w, stride),
         ):
             y0, x0 = oy * stride, ox * stride
             windows = as_strided(
@@ -175,7 +180,9 @@ class Pooling(Layer):
         (top_diff,) = top_diffs
         (bottom,) = bottoms
         n, c, h, w = bottom.shape
-        out_h, out_w, kernel, stride, pad = self._geometry(bottom.shape)
+        out_h, out_w, kernel_h, kernel_w, stride, pad = self._geometry(
+            bottom.shape
+        )
         ph, pw = h + 2 * pad, w + 2 * pad
 
         if self.method == "max":
@@ -201,10 +208,10 @@ class Pooling(Layer):
             # walking the blocks downwards adds a cell's contributions in
             # the order a (oy, ox)-ascending walk over the windows would.
             # A lone window meets nobody: its whole kernel is one block.
-            step_y = stride if out_h > 1 else kernel
-            step_x = stride if out_w > 1 else kernel
-            blocks_y = -(-kernel // step_y)
-            blocks_x = -(-kernel // step_x)
+            step_y = stride if out_h > 1 else kernel_h
+            step_x = stride if out_w > 1 else kernel_w
+            blocks_y = -(-kernel_h // step_y)
+            blocks_x = -(-kernel_w // step_x)
             # Sized in whole steps: room for the clipped windows' overhang
             # and for the rows floor mode leaves uncovered.
             grid_h = max(out_h - 1 + blocks_y, -(-ph // step_y))
@@ -216,16 +223,16 @@ class Pooling(Layer):
 
             area = np.empty((out_h, out_w), dtype=np.float32)
             for (oy, rows, win_h), (ox, cols, win_w) in product(
-                _window_runs(ph, out_h, kernel, stride),
-                _window_runs(pw, out_w, kernel, stride),
+                _window_runs(ph, out_h, kernel_h, stride),
+                _window_runs(pw, out_w, kernel_w, stride),
             ):
                 area[oy:oy + rows, ox:ox + cols] = win_h * win_w
             share = (top_diff / area)[:, :, :, None, :, None]
             for by, bx in product(
                 reversed(range(blocks_y)), reversed(range(blocks_x))
             ):
-                block_h = min(step_y, kernel - by * step_y)
-                block_w = min(step_x, kernel - bx * step_x)
+                block_h = min(step_y, kernel_h - by * step_y)
+                block_w = min(step_x, kernel_w - bx * step_x)
                 grid[:, :, by:by + out_h, :block_h,
                      bx:bx + out_w, :block_w] += share
         if padded_diff.shape == bottom.shape:

@@ -7,7 +7,7 @@ layers, and gradients flow back in reverse order with fan-out summing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -42,6 +42,10 @@ class Net:
     def _build(self) -> None:
         # Validate connectivity and shapes once, allocation-free.
         inference = infer(self.spec)
+        # Blobs whose gradient somebody reads: a blob's does iff its
+        # producer learns or passes a gradient further down.  ``Input``
+        # tops never do.  Decided here, once, like Caffe's Net::Init.
+        needs_diff: Set[str] = set()
         for layer_spec in self.spec.layers:
             try:
                 cls = LAYER_REGISTRY[layer_spec.type_name]
@@ -62,6 +66,11 @@ class Net:
                         f"{shape}, inference says {expected}"
                     )
                 self.blob_shapes[name] = tuple(shape)
+            layer.propagate_down = [
+                name in needs_diff for name in layer_spec.bottoms
+            ]
+            if layer.params or any(layer.propagate_down):
+                needs_diff.update(layer_spec.tops)
             self.layers.append(layer)
             if layer_spec.type_name == "Input":
                 self.input_names.extend(layer_spec.tops)
@@ -191,6 +200,8 @@ class Net:
             tops = [self._activations[n] for n in layer_spec.tops]
             bottom_diffs = layer.backward(top_diffs, bottoms, tops)
             for name, diff in zip(layer_spec.bottoms, bottom_diffs):
+                if diff is None:
+                    continue  # propagate_down is false: nobody reads it
                 if name in blob_diffs:
                     blob_diffs[name] = blob_diffs[name] + diff
                 else:

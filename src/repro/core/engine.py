@@ -229,7 +229,9 @@ class TrainingEngine:
                     # published boundary must imply a durable state file.
                     self.checkpoint.maybe_checkpoint(iteration, self)
 
-                if strategy.should_stop(iteration):
+                with self.phases.phase("ctl"):
+                    stop = strategy.should_stop(iteration)
+                if stop:
                     break
                 if (
                     self.retire_signal is not None

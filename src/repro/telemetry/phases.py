@@ -6,7 +6,8 @@ The paper decomposes one SEASGD iteration into
 
 so the telemetry subsystem times exactly those terms, plus ``block`` for
 the eq.-(8) stall (the main thread waiting on the previous flush, paper
-step T.A5):
+step T.A5) and ``ctl`` for the per-iteration control-block traffic the
+model leaves out:
 
 ========  ==============================================================
 phase     meaning (paper term)
@@ -17,6 +18,8 @@ ugw       server-side accumulate of dW into W_g (T_ugw)
 rgw       read the global weights from SMB (T_rgw)
 ulw       elastic update of the local replica, eqs. (5)-(6) (T_ulw)
 block     main thread stalled on the previous exchange's flush
+ctl       publish progress + evaluate the Sec. III-E criterion -- the
+          control-block RPCs
 ========  ==============================================================
 
 ``PhaseTimer.phase(name)`` returns a context manager; with telemetry
@@ -34,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .trace import TraceRecorder
 
 __all__ = [
-    "PAPER_PHASES", "PHASE_BLOCK", "ALL_PHASES",
+    "PAPER_PHASES", "PHASE_BLOCK", "PHASE_CTL", "ALL_PHASES",
     "PhaseTimer", "NullPhaseTimer", "NULL_PHASE_TIMER",
 ]
 
@@ -44,8 +47,11 @@ PAPER_PHASES: Tuple[str, ...] = ("comp", "wwi", "ugw", "rgw", "ulw")
 #: The eq.-(8) stall: main thread blocked on the previous flush (T.A5).
 PHASE_BLOCK = "block"
 
-#: Every phase the reproduction times (paper terms + the stall).
-ALL_PHASES: Tuple[str, ...] = PAPER_PHASES + (PHASE_BLOCK,)
+#: ``strategy.should_stop``: progress published, stop criterion read.
+PHASE_CTL = "ctl"
+
+#: Every phase the reproduction times (paper terms, the stall, control).
+ALL_PHASES: Tuple[str, ...] = PAPER_PHASES + (PHASE_BLOCK, PHASE_CTL)
 
 
 def phase_metric(worker: int, phase: str) -> str:

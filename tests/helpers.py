@@ -40,7 +40,9 @@ def reference_pool_forward(layer, bottom):
     coordinates, as ``Pooling._argmax`` does.
     """
     n, c, h, w = bottom.shape
-    out_h, out_w, kernel, stride, pad = layer._geometry(bottom.shape)
+    out_h, out_w, kernel_h, kernel_w, stride, pad = layer._geometry(
+        bottom.shape
+    )
     is_max = layer.method == "max"
     if pad > 0:
         padded = np.full(
@@ -57,10 +59,10 @@ def reference_pool_forward(layer, bottom):
     ph, pw = padded.shape[2], padded.shape[3]
     for oy in range(out_h):
         y0 = oy * stride
-        y1 = min(y0 + kernel, ph)
+        y1 = min(y0 + kernel_h, ph)
         for ox in range(out_w):
             x0 = ox * stride
-            x1 = min(x0 + kernel, pw)
+            x1 = min(x0 + kernel_w, pw)
             flat = padded[:, :, y0:y1, x0:x1].reshape(n, c, -1)
             if is_max:
                 idx = flat.argmax(axis=2)
@@ -78,7 +80,9 @@ def reference_pool_forward(layer, bottom):
 def reference_pool_backward(layer, top_diff, bottom, argmax):
     """Bottom gradient of ``layer``, one window at a time."""
     n, c, h, w = bottom.shape
-    out_h, out_w, kernel, stride, pad = layer._geometry(bottom.shape)
+    out_h, out_w, kernel_h, kernel_w, stride, pad = layer._geometry(
+        bottom.shape
+    )
     ph, pw = h + 2 * pad, w + 2 * pad
     padded_diff = np.zeros((n, c, ph * pw), dtype=np.float32)
     if layer.method == "max":
@@ -94,10 +98,10 @@ def reference_pool_backward(layer, top_diff, bottom, argmax):
         padded_diff_2d = padded_diff.reshape(n, c, ph, pw)
         for oy in range(out_h):
             y0 = oy * stride
-            y1 = min(y0 + kernel, ph)
+            y1 = min(y0 + kernel_h, ph)
             for ox in range(out_w):
                 x0 = ox * stride
-                x1 = min(x0 + kernel, pw)
+                x1 = min(x0 + kernel_w, pw)
                 area = (y1 - y0) * (x1 - x0)
                 padded_diff_2d[:, :, y0:y1, x0:x1] += (
                     top_diff[:, :, oy:oy + 1, ox:ox + 1] / area

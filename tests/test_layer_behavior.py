@@ -24,6 +24,8 @@ from repro.caffe.layers import (
     softmax,
 )
 
+from .test_pooling_kernels import assert_bit_identical
+
 RNG = np.random.default_rng(3)
 
 
@@ -156,6 +158,20 @@ class TestActivations:
             [np.asarray([[-1.0, 0.0, 2.0]], dtype=np.float32)], train=True
         )
         np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
+
+    def test_relu_gradient_is_the_four_call_form_to_the_bit(self):
+        # Every special against every special, in both operands.
+        specials = np.array(
+            [-np.inf, -2.0, -0.0, 0.0, 0.5, np.inf, np.nan], dtype=np.float32
+        )
+        bottom, top_diff = (
+            np.ascontiguousarray(a) for a in np.meshgrid(specials, specials)
+        )
+        with np.errstate(invalid="ignore"):  # inf * 0
+            (got,) = ReLU("r").backward([top_diff], [bottom], [None])
+            want = top_diff * np.where(bottom > 0, 1.0, 0.0).astype(np.float32)
+        assert got.dtype == np.float32
+        assert_bit_identical(got, want)
 
     def test_sigmoid_extreme_inputs_stable(self):
         sig = Sigmoid("s")

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.caffe import FlatParams, Net, SGDSolver, SolverConfig
-from repro.caffe.layers import LayerError
+from repro.caffe.layers import Convolution, InnerProduct, LayerError
+from repro.caffe.models import scaled_spec
 from repro.caffe.netspec import NetSpec
 
 from .test_netspec import small_spec
@@ -101,6 +102,115 @@ class TestNet:
         assert net.blob("fc").shape == (2, 4)
         with pytest.raises(LayerError):
             net.blob("ghost")
+
+
+def conv_shaped_spec():
+    """The benchmark's ``conv_spec()``: 13 convolutions, 9 of them 1x1."""
+    return scaled_spec("inception_v1", batch_size=2, image_size=12)
+
+
+def mlp_shaped_spec():
+    """The benchmark's ``mlp_spec()`` with a narrower hidden layer."""
+    spec = NetSpec("mlp")
+    data = spec.input("data", (2, 3, 12, 12))
+    labels = spec.input("label", (2,))
+    hidden = spec.relu("relu1", spec.fc("fc1", data, 32))
+    spec.softmax_loss("loss", spec.fc("fc2", hidden, 10), labels)
+    return spec
+
+
+def mixed_fan_in_spec(join):
+    """An ``Input`` blob and a learnable branch meet in one ``join``."""
+    spec = NetSpec("mixed")
+    data = spec.input("data", (2, 3, 12, 12))
+    labels = spec.input("label", (2,))
+    pooled = spec.pool("pool0", data, method="ave", kernel=1, stride=1)
+    branch = spec.conv("branch", pooled, 3, kernel=1)
+    joined = spec.add(join, "join", [data, branch])[0]
+    spec.softmax_loss("loss", spec.fc("fc", joined, 10), labels)
+    return spec
+
+
+def param_diffs(net, inputs):
+    net.zero_param_diffs()
+    net.forward(inputs, train=True)
+    net.backward()
+    return net.param_diff.copy()
+
+
+class TestPropagateDown:
+    """``Net`` decides at build time which bottom gradients anyone reads."""
+
+    INPUTS = make_inputs(size=12, classes=10)
+
+    @pytest.mark.parametrize(
+        "spec_factory",
+        [conv_shaped_spec, mlp_shaped_spec,
+         lambda: mixed_fan_in_spec("Eltwise"),
+         lambda: mixed_fan_in_spec("Concat")],
+        ids=["conv", "mlp", "eltwise", "concat"],
+    )
+    def test_param_diffs_equal_those_of_a_net_that_skips_nothing(
+        self, spec_factory
+    ):
+        net = Net(spec_factory(), seed=3)
+        assert any(False in layer.propagate_down for layer in net.layers)
+        lean = param_diffs(net, self.INPUTS)
+        assert np.abs(lean).sum() > 0
+        for layer in net.layers:
+            layer.propagate_down = [True] * len(layer.propagate_down)
+        full = param_diffs(net, self.INPUTS)
+        assert lean.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec_factory", [conv_shaped_spec, mlp_shaped_spec], ids=["conv", "mlp"]
+    )
+    def test_only_input_bottoms_are_not_propagated_to(self, spec_factory):
+        net = Net(spec_factory(), seed=0)
+        for layer, layer_spec in zip(net.layers, net.spec.layers):
+            assert layer.propagate_down == [
+                name not in net.input_names for name in layer_spec.bottoms
+            ], layer.name
+
+    @pytest.mark.parametrize("join", ["Eltwise", "Concat"])
+    def test_a_join_of_an_input_and_a_branch_propagates_to_the_branch(
+        self, join
+    ):
+        net = Net(mixed_fan_in_spec(join), seed=0)
+        by_name = {layer.name: layer for layer in net.layers}
+        # Nothing learns below pool0's top, although it is no Input blob.
+        assert by_name["pool0"].propagate_down == [False]
+        assert by_name["branch"].propagate_down == [False]
+        assert by_name["join"].propagate_down == [False, True]
+        assert by_name["fc"].propagate_down == [True]
+        param_diffs(net, self.INPUTS)
+        assert np.abs(by_name["branch"].params[0].diff).sum() > 0
+
+    @pytest.mark.parametrize(
+        "make_layer",
+        [lambda: Convolution("c", 4, kernel=1),
+         lambda: Convolution("c", 4, kernel=3, pad=1),
+         lambda: InnerProduct("ip", 4)],
+        ids=["conv1x1", "conv3x3", "fc"],
+    )
+    def test_a_layer_driven_directly_returns_its_bottom_diff(
+        self, make_layer
+    ):
+        layer, shape = make_layer(), (2, 3, 5, 5)
+        rng = np.random.default_rng(0)
+        (top_shape,) = layer.setup([shape], rng)
+        bottom = rng.standard_normal(shape).astype(np.float32)
+        (top,) = layer.forward([bottom], train=True)
+        (bottom_diff,) = layer.backward([np.ones_like(top)], [bottom], [top])
+        assert bottom_diff.shape == shape
+        weight_diff = layer.params[0].diff.copy()
+
+        # Told not to, it returns None and learns exactly the same.
+        layer.propagate_down = [False]
+        layer.params[0].diff[...] = 0.0
+        (top,) = layer.forward([bottom], train=True)
+        assert layer.backward([np.ones_like(top)], [bottom], [top]) == [None]
+        np.testing.assert_array_equal(layer.params[0].diff, weight_diff)
 
 
 class TestSolverConfig:

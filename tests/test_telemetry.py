@@ -305,6 +305,13 @@ class TestSeasgdSmoke:
         # The eq.-(8) stall is timed too.
         assert snap[phase_metric(0, "block")]["count"] > 0
 
+    def test_control_traffic_is_timed_once_per_iteration(self, run_session):
+        tel, result = run_session
+        snap = tel.registry.snapshot()
+        for worker, history in enumerate(result.histories):
+            ctl = snap[phase_metric(worker, "ctl")]
+            assert ctl["count"] == history.completed_iterations
+
     def test_trace_shows_main_and_update_threads(self, run_session):
         tel, _ = run_session
         events = tel.trace.events()
