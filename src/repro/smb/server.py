@@ -686,6 +686,11 @@ class _Connection:
     protocol's strict request/response alternation and makes the pooled
     buffers safe to reuse: no new bytes can land in ``recv_buf`` until
     the response built from it (and from ``read_buf``) is fully flushed.
+
+    ``out_views`` belongs to whoever holds the connection: in BUSY the
+    thread that ran the request (the loop inline, a pool thread when
+    offloaded) sends what the socket takes without blocking; in WRITE the
+    loop sends the rest.  Only the loop registers the socket.
     """
 
     HELLO, HEADER, PAYLOAD, BUSY, WRITE = range(5)
@@ -717,6 +722,12 @@ class _Connection:
         self.request: Optional[Message] = None
         self.out_views: List[memoryview] = []
         self.dead = False
+
+    def expect_header(self) -> None:
+        """The response left whole: read the next request's header."""
+        self.request = None
+        self.state = _Connection.HEADER
+        self.have, self.need = 0, HEADER_SIZE
 
 
 class _PendingWait:
@@ -907,9 +918,11 @@ class TcpSMBServer:
       held across a whole accumulate plus snapshot), and
     * bulk data ops moving more than :data:`OFFLOAD_BYTES`
 
-    are executed on a small shared worker pool; the completion is posted
-    back to the loop through a wakeup pipe and the response written
-    non-blockingly.  Small control ops (attach, version, a control-block
+    are executed on a small shared worker pool, and the pool thread that
+    ran the op also sends its response, non-blockingly, as far as the
+    socket takes it; the loop is woken only to re-arm the connection or
+    to finish a send the socket refused, so no pool thread ever waits on
+    a slow reader.  Small control ops (attach, version, a control-block
     read) are served inline — no handoff latency on the fast path.
 
     ``WAIT_UPDATE`` takes neither path: a wait registers an event-style
@@ -919,9 +932,9 @@ class TcpSMBServer:
     mutation that will wake them.  Timeouts are expired by the loop
     (the ``select`` timeout tracks the nearest wait deadline).
 
-    Lifecycle: :meth:`stop` severs *every* connection (idle ones
-    included), wakes parked waits, drains the worker pool and joins the
-    loop thread — it returns with zero live handler threads, and no
+    Lifecycle: :meth:`stop` wakes parked waits, drains the worker pool,
+    severs *every* connection (idle ones included) and joins the loop
+    thread — it returns with zero live handler threads, and no
     peer stays blocked in ``recv``.  :meth:`kill` is the abrupt variant
     for chaos drills.  No wire op stops the server: stopping is the
     operator's call on the server object, never a tenant's.
@@ -977,11 +990,12 @@ class TcpSMBServer:
         self._lanes = _TenantLanes(
             self._pool, workers, self.core.stats.registry
         )
-        # Completions posted by pool tasks; the loop drains after a
-        # wakeup byte.  (conn, response) — response None means the
-        # handler crashed and the connection must be closed.
+        # Send outcomes posted by pool tasks; the loop drains after a
+        # wakeup byte.  (conn, sent) — True: the response left whole,
+        # False: the socket refused the rest, None: the handler crashed
+        # or the peer is gone, and the connection must be closed.
         self._completions: Deque[
-            Tuple[_Connection, Optional[Message]]
+            Tuple[_Connection, Optional[bool]]
         ] = deque()
         # Parked WAIT_UPDATEs, keyed by connection.  Registered and
         # expired on the loop thread; completed (claim-arbitrated) from
@@ -1051,7 +1065,6 @@ class TcpSMBServer:
         else:
             # Never started (or already gone): release resources inline.
             self._teardown(clean)
-        self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "TcpSMBServer":
         return self.start()
@@ -1115,13 +1128,9 @@ class TcpSMBServer:
         except OSError:
             return
         while self._completions:
-            conn, response = self._completions.popleft()
-            if conn.dead:
-                continue
-            if response is None:
-                self._close_conn(conn)
-                continue
-            self._start_write(conn, response)
+            conn, sent = self._completions.popleft()
+            if not conn.dead:
+                self._rearm(conn, sent)
 
     def _service(self, conn: _Connection, mask: int) -> None:
         if conn.dead:
@@ -1215,8 +1224,7 @@ class TcpSMBServer:
                 pass  # falls through to the rejection below
             else:
                 self._handshaking.discard(conn)
-                conn.state = _Connection.HEADER
-                conn.have, conn.need = 0, HEADER_SIZE
+                conn.expect_header()
                 return True
         logger.warning("rejecting non-SMB client from %s", conn.peer)
         self._close_conn(conn)
@@ -1314,15 +1322,15 @@ class TcpSMBServer:
     def _process(
         self, conn: _Connection, request: Message, out: Optional[memoryview]
     ) -> None:
-        """Worker-pool body: run one request, post the completion."""
+        """Worker-pool body: run one request, send its response from this
+        thread as far as the socket takes it, post how far it got."""
+        sent: Optional[bool] = None
         try:
-            response: Optional[Message] = self.core.handle(
-                request, out, tenant=conn.tenant
-            )
+            response = self.core.handle(request, out, tenant=conn.tenant)
+            sent = self._try_send(conn, response)
         except Exception:  # noqa: BLE001 - keep the server alive
             logger.exception("SMB handler crashed for peer %s", conn.peer)
-            response = None
-        self._completions.append((conn, response))
+        self._completions.append((conn, sent))
         self._wake_loop()
 
     # -- WAIT_UPDATE, event-style ---------------------------------------
@@ -1449,37 +1457,56 @@ class TcpSMBServer:
             pending.segment.remove_waiter(pending.waiter)
 
     def _start_write(self, conn: _Connection, response: Message) -> None:
-        header = response.encode_header()
+        self._rearm(conn, self._try_send(conn, response))
+
+    def _try_send(self, conn: _Connection, response: Message) -> Optional[bool]:
+        """Send ``response`` from the thread holding the BUSY connection."""
+        conn.out_views = [memoryview(response.encode_header())]
         view = response.payload_view()
-        conn.out_views = [memoryview(header)]
         if view.nbytes:
             conn.out_views.append(view)
-        conn.state = _Connection.WRITE
-        self._selector.register(conn.sock, selectors.EVENT_WRITE, conn)
-        self._flush(conn)
+        return self._send(conn)
 
-    def _flush(self, conn: _Connection) -> None:
-        while conn.out_views:
+    def _send(self, conn: _Connection) -> Optional[bool]:
+        """Send ``conn.out_views`` without blocking: ``True`` once all gone,
+        ``False`` if the socket refused the rest, ``None`` if the peer is gone."""
+        views = conn.out_views
+        while views:
             try:
-                sent = conn.sock.sendmsg(conn.out_views)
+                sent = conn.sock.sendmsg(views)
             except (BlockingIOError, InterruptedError):
-                return  # selector will call back when writable
+                return False
             except OSError:
-                self._close_conn(conn)
-                return
+                return None
             while sent:
-                first = conn.out_views[0]
+                first = views[0]
                 if sent >= first.nbytes:
                     sent -= first.nbytes
-                    conn.out_views.pop(0)
+                    views.pop(0)
                 else:
-                    conn.out_views[0] = first[sent:]
+                    views[0] = first[sent:]
                     sent = 0
-        # Response fully flushed.
-        conn.request = None
-        conn.state = _Connection.HEADER
-        conn.have, conn.need = 0, HEADER_SIZE
-        self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+        return True
+
+    def _rearm(self, conn: _Connection, sent: Optional[bool]) -> None:
+        """After a response's first send, one ``register``: for the next
+        request, or for the rest of the response (loop thread)."""
+        if sent is None:
+            self._close_conn(conn)
+        elif sent:
+            conn.expect_header()
+            self._selector.register(conn.sock, selectors.EVENT_READ, conn)
+        else:
+            conn.state = _Connection.WRITE
+            self._selector.register(conn.sock, selectors.EVENT_WRITE, conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        sent = self._send(conn)  # False: the selector calls back
+        if sent is None:
+            self._close_conn(conn)
+        elif sent:
+            conn.expect_header()
+            self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
 
     def _close_conn(self, conn: _Connection) -> None:
         if conn.dead:
@@ -1505,6 +1532,9 @@ class TcpSMBServer:
         except OSError:
             pass
         self.core._close(snapshot=clean)
+        # Pool threads send on their requests' sockets: let them finish
+        # first, so none sends on a closed (or re-issued) descriptor.
+        self._pool.shutdown(wait=True)
         for conn in list(self._conns.values()):
             self._close_conn(conn)
         self._conns.clear()

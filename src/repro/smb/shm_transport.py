@@ -233,6 +233,12 @@ class _ShmChannel:
             return Message.decode(header, out[:paylen])
         return Message.decode(header, bytes(buf[DATA_OFFSET:DATA_OFFSET + paylen]))
 
+    def interrupt(self) -> None:
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected, or already closed
+
     def close(self) -> None:
         try:
             self.sock.close()

@@ -81,13 +81,16 @@ class Channel(Protocol):
     """One handshaken connection: where a frame's bytes live.
 
     ``exchange`` raises :class:`SMBConnectionError` when the connection
-    is lost; ``close`` is idempotent and, called from another thread,
-    interrupts an ``exchange`` blocked on the peer.
+    is lost; ``interrupt``, from another thread, makes an ``exchange``
+    blocked on the peer raise (closing a socket wakes nobody blocked in
+    ``recv`` on Linux); ``close`` is idempotent.
     """
 
     def exchange(
         self, message: Message, out: Optional[memoryview] = None
     ) -> Message: ...
+
+    def interrupt(self) -> None: ...
 
     def close(self) -> None: ...
 
@@ -194,19 +197,19 @@ class ChannelTransport:
         The command channel is dropped under its lock, *between*
         exchanges: an in-flight ACCUMULATE must not be torn mid-request
         and then retried into a double application.  The notification
-        channel is closed without the lock — that is what interrupts a
+        channel is interrupted without the lock — that is what ends a
         waiter parked in its exchange (which holds the lock for up to a
-        wait slice) — and its slot is cleared under the lock only if it
-        still holds the channel just closed.
+        wait slice) — and closed under the lock only if the slot still
+        holds it (the interrupted waiter discards it itself).
         """
         with self._cmd.lock:
             self._discard(self._cmd)
         notify = self._notify.channel
         if notify is not None:
-            notify.close()
+            notify.interrupt()
         with self._notify.lock:
             if self._notify.channel is notify:
-                self._notify.channel = None
+                self._discard(self._notify)
 
     # -- request path -----------------------------------------------------
 
@@ -252,12 +255,13 @@ class ChannelTransport:
 
     def close(self) -> None:
         self._closed.set()
-        # Lock-free on purpose: closing a channel wakes a thread blocked
-        # in its exchange (which holds the slot lock), so shutdown never
-        # waits a slice.  Whoever holds the lock forgets the dead channel.
+        # Lock-free on purpose: interrupting wakes a thread blocked in its
+        # exchange (which holds the slot lock), so shutdown never waits a
+        # slice.  Whoever holds the lock forgets the dead channel.
         for slot in (self._cmd, self._notify):
             channel = slot.channel
             if channel is not None:
+                channel.interrupt()
                 channel.close()
 
 
@@ -271,6 +275,9 @@ class _InProcChannel:
 
     def __init__(self, server: SMBServer, tenant: str) -> None:
         self.exchange = functools.partial(server.handle, tenant=tenant)
+
+    def interrupt(self) -> None:
+        pass
 
     def close(self) -> None:
         pass
@@ -294,6 +301,12 @@ class _TcpChannel:
     ) -> Message:
         send_message(self._sock, message)
         return recv_message(self._sock, out)
+
+    def interrupt(self) -> None:
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected, or already closed
 
     def close(self) -> None:
         try:

@@ -9,6 +9,9 @@ client).  These tests pin the behaviours the rewrite fixed:
   left handlers parked in ``recv`` forever);
 * ``stop()`` unblocks every client parked in a wait promptly, and no
   frame a tenant can send stops the server (opcode 10 is refused);
+* an offloaded op's response leaves from the pool thread that ran it,
+  a slow reader never holds that thread, and stopping mid-response is
+  a severed connection, not a crash;
 * ``STATS`` and ``LIST`` are themselves counted in the server stats;
 * ACCUMULATE byte accounting and arithmetic honour the element dtype
   (the old path hardcoded 4-byte float32 everywhere, so a float64
@@ -19,6 +22,7 @@ client).  These tests pin the behaviours the rewrite fixed:
 
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -26,7 +30,11 @@ import numpy as np
 import pytest
 
 from repro.smb import SMBClient, TcpSMBServer
-from repro.smb.errors import NotificationTimeout, SMBError
+from repro.smb.errors import (
+    NotificationTimeout,
+    SMBConnectionError,
+    SMBError,
+)
 from repro.smb.protocol import (
     HEADER_FORMAT,
     HEADER_SIZE,
@@ -399,6 +407,210 @@ class TestDispatchRobustness:
         finally:
             journaled.stop()
             plain.stop()
+
+
+class TestResponsePath:
+    """The pool thread that ran an offloaded op sends its response itself,
+    as far as the socket takes it without blocking; the loop only re-arms
+    the connection, or finishes a send the socket refused."""
+
+    def test_offloaded_response_leaves_from_the_thread_that_ran_it(
+        self, monkeypatch
+    ):
+        count = (4 << 20) // 4
+        with TcpSMBServer(capacity=1 << 24) as server:
+            client = SMBClient.connect(server.address)
+            target = client.create_array("w", count)
+            delta = client.create_array("d", count)
+            delta.write(np.ones(count, dtype=np.float32))
+            target.write(np.zeros(count, dtype=np.float32))
+            senders = []
+            sendmsg = socket.socket.sendmsg
+
+            def spy(sock, buffers, *args):
+                name = threading.current_thread().name
+                if name.startswith("smb-"):  # the server's side only
+                    nbytes = sum(memoryview(b).nbytes for b in buffers)
+                    senders.append((name, nbytes))
+                return sendmsg(sock, buffers, *args)
+
+            monkeypatch.setattr(socket.socket, "sendmsg", spy)
+            for _ in range(20):
+                delta.accumulate_into(target)  # payload-less both ways
+            sent_by = list(senders)
+            monkeypatch.undo()
+            assert np.array_equal(
+                target.read(), np.full(count, 20.0, dtype=np.float32)
+            )
+            client.close()
+        assert len(sent_by) == 20
+        assert {nbytes for _, nbytes in sent_by} == {HEADER_SIZE}
+        assert all(name.startswith("smb-worker") for name, _ in sent_by), (
+            sent_by
+        )
+
+    def test_slow_reader_never_holds_a_pool_thread(self):
+        """Four peers each ask for 16 MiB — more than the loopback socket
+        buffers hold — and read nothing for a second, against a two-thread
+        pool.  A pool thread whose send is refused hands the rest to the
+        loop, so another client's bulk ops still run; afterwards every
+        slow peer gets exactly its bytes."""
+        big = 16 << 20
+        count = (4 << 20) // 4
+        with TcpSMBServer(capacity=1 << 25, workers=2) as server:
+            client = SMBClient.connect(server.address)
+            blob = client.create_array("blob", big // 4)
+            pattern = np.arange(big // 4, dtype=np.float32)
+            blob.write(pattern)
+            target = client.create_array("w", count)
+            delta = client.create_array("d", count)
+            delta.write(np.ones(count, dtype=np.float32))
+            target.write(np.zeros(count, dtype=np.float32))
+            slow = []
+            try:
+                for _ in range(4):
+                    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                    sock.setsockopt(
+                        socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 16
+                    )
+                    sock.settimeout(10.0)
+                    sock.connect(server.address)
+                    sock.sendall(encode_hello("default"))
+                    sock.sendall(Message(
+                        op=Op.READ, key=blob.access_key, count=big,
+                    ).encode())
+                    slow.append(sock)
+                start = time.monotonic()
+                delta.accumulate_into(target)
+                assert np.array_equal(
+                    target.read(), np.ones(count, dtype=np.float32)
+                )
+                # A liveness bound, not a timing claim.
+                assert time.monotonic() - start < 5.0
+                time.sleep(max(0.0, 1.0 - (time.monotonic() - start)))
+                parked = [
+                    conn for conn in list(server._conns.values())
+                    if conn.state == conn.WRITE
+                ]
+                assert len(parked) == 4  # the loop holds every refused send
+                for sock in slow:
+                    response = _raw_response(sock)
+                    assert response.status is Status.OK
+                    assert np.array_equal(
+                        np.frombuffer(response.payload, dtype=np.float32),
+                        pattern,
+                    )
+            finally:
+                for sock in slow:
+                    sock.close()
+                client.close()
+
+    def test_handoff_holds_under_a_short_switch_interval(self):
+        """Eight clients — more than the cores of a small box — interleave
+        offloaded ACCUMULATEs and 4 MiB READs (more than one non-blocking
+        send takes, so the loop finishes many of them) with inline
+        VERSIONs while the interpreter switches threads every
+        microsecond: every READ is one whole version, and no push is lost
+        or applied twice."""
+        count = (4 << 20) // 4
+        clients, pushes = 8, 10
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with TcpSMBServer(capacity=1 << 26, workers=4) as server:
+                boot = SMBClient.connect(server.address)
+                target = boot.create_array("w", count)
+                target.write(np.zeros(count, dtype=np.float32))
+                errors = []
+
+                def worker(index):
+                    try:
+                        client = SMBClient.connect(server.address)
+                        view = client.attach_array("w", target.shm_key, count)
+                        delta = client.create_array(f"d{index}", count)
+                        delta.write(np.ones(count, dtype=np.float32))
+                        for _ in range(pushes):
+                            delta.accumulate_into(view)
+                            seen = view.read()
+                            assert np.all(seen == seen[0]), "torn READ"
+                            assert 1 <= seen[0] <= clients * pushes
+                            view.version()
+                        client.close()
+                    except Exception as exc:  # pragma: no cover - diagnostic
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=worker, args=(i,))
+                    for i in range(clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert np.array_equal(
+                    target.read(),
+                    np.full(count, clients * pushes, dtype=np.float32),
+                )
+                boot.close()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("how", ["stop", "kill"])
+    def test_stop_and_kill_mid_response_are_quiet(
+        self, how, caplog, monkeypatch
+    ):
+        """Stopping the server while pool threads are sending 4 MiB READ
+        responses is a severed connection for each client — not a crash
+        record, not an uncaught thread exception, not a hang, and no
+        server thread left behind."""
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        before = set(map(id, _smb_threads()))
+        count = (4 << 20) // 4
+        server = TcpSMBServer(capacity=1 << 24).start()
+        boot = SMBClient.connect(server.address)
+        array = boot.create_array("w", count)
+        array.write(np.ones(count, dtype=np.float32))
+        streaming = threading.Barrier(5, timeout=10.0)
+        errors = []
+
+        def stream():
+            client = SMBClient.connect(server.address)
+            view = client.attach_array("w", array.shm_key, count)
+            out = np.empty(count, dtype=np.float32)
+            view.read(out=out)
+            streaming.wait()
+            try:
+                while True:
+                    view.read(out=out)
+            except SMBError as exc:
+                errors.append(exc)
+            finally:
+                client.close()
+
+        readers = [threading.Thread(target=stream) for _ in range(4)]
+        for reader in readers:
+            reader.start()
+        streaming.wait()
+        time.sleep(0.1)
+        getattr(server, how)()
+        for reader in readers:
+            reader.join(timeout=10.0)
+        boot.close()
+        assert not any(reader.is_alive() for reader in readers)
+        assert len(errors) == 4
+        assert all(isinstance(exc, SMBConnectionError) for exc in errors), (
+            errors
+        )
+        assert uncaught == []
+        assert not [
+            record for record in caplog.records
+            if "crashed" in record.getMessage()
+        ]
+        leftover = [t for t in _smb_threads() if id(t) not in before]
+        assert leftover == [], f"threads survived {how}(): {leftover}"
 
 
 class TestStatsAccounting:

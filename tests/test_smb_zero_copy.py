@@ -14,7 +14,8 @@ Three families of guarantees from the data-path rebuild:
 * **Concurrency** — the two-channel TCP transport survives a
   ``drop_connection`` storm under two hammering threads without
   deadlock or data corruption (reconnect accounting itself is in
-  ``tests/test_transport_contract.py``), and the sharded fan-out
+  ``tests/test_transport_contract.py``), a drop ends a parked wait even
+  when the server never answers it, and the sharded fan-out
   overlaps per-shard latencies while staying bit-exact with the
   sequential gather.
 """
@@ -41,13 +42,14 @@ from repro.smb import (
     TcpSMBServer,
     create_sharded_array,
 )
-from repro.smb.errors import from_wire, to_wire
+from repro.smb.errors import SMBConnectionError, from_wire, to_wire
 from repro.smb.protocol import (
     HEADER_SIZE,
     recv_exact,
     recv_message,
     send_message,
 )
+from repro.smb.transport import ChannelTransport, _TcpChannel
 
 
 def _recv_all(sock: socket.socket, nbytes: int) -> bytes:
@@ -366,6 +368,49 @@ class TestDropConnectionStorm:
         assert not errors, f"hammer threads failed: {errors}"
         assert storms >= 10
         assert transport.reconnects >= 1
+
+    def test_drop_ends_a_wait_the_server_never_answers(self):
+        """Closing a socket another thread is blocked in ``recv`` on wakes
+        nobody on Linux (and frees a descriptor the next socket may take
+        under that ``recv``), so ``drop_connection`` must end a parked
+        wait itself — here against a peer that never answers."""
+        peers = []
+
+        def open_channel():
+            ours, theirs = socket.socketpair()
+            peers.append(theirs)
+            return _TcpChannel(ours)
+
+        transport = ChannelTransport(open_channel)
+        failed = []
+
+        def wait():
+            try:
+                transport.request(Message(op=Op.WAIT_UPDATE, key=1))
+            except SMBConnectionError as exc:
+                failed.append(exc)
+
+        waiter = threading.Thread(target=wait, daemon=True)
+        dropper = threading.Thread(
+            target=transport.drop_connection, daemon=True
+        )
+        try:
+            waiter.start()
+            deadline = time.monotonic() + 5.0
+            while len(peers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)  # the notification channel opens lazily
+            peers[1].settimeout(5.0)
+            _recv_all(peers[1], HEADER_SIZE)  # the wait is on the wire
+            dropper.start()
+            dropper.join(timeout=5.0)
+            assert not dropper.is_alive(), "drop_connection hung on the wait"
+            waiter.join(timeout=5.0)
+            assert not waiter.is_alive()
+            assert len(failed) == 1
+        finally:
+            for peer in peers:
+                peer.close()  # releases a waiter the drop failed to end
+            transport.close()
 
 
 class TestShardedAggregatesAndOverlap:
