@@ -1,35 +1,9 @@
 """Durability for the SMB server: snapshots, an op journal, rendezvous.
 
-The Soft Memory Box is the one component every worker depends on; losing
-the server process must not discard ``W_g`` (the elastic centre EASGD
-anchors the fleet to).  This module gives a server a *journal directory*
-holding three kinds of files:
-
-* ``snapshot-<seq>.npz`` — an atomically written, versioned image of the
-  whole memory pool: every segment's bytes, name, SHM key, version and
-  owner, plus the pool's key-mint counters and the server *epoch*.
-  Snapshots are written on an interval and on the ``SNAPSHOT`` opcode.
-* ``journal-<seq>.log`` — an append-only log of every mutating operation
-  (CREATE/WRITE/ACCUMULATE/FREE) applied *after* snapshot ``seq``, framed
-  as ordinary protocol :class:`~repro.smb.protocol.Message` records with
-  **SHM keys** in the key slots (access keys die with the process).
-  Replaying the journal on top of its snapshot reproduces the pool
-  bit-exactly, versions included, so a ``kill -9`` loses nothing.
-* ``endpoint.json`` — the rendezvous file: the address (and epoch) the
-  live server currently listens on.  A restarted server may land on a
-  new port; clients re-resolve through this file during their
-  ``server_down`` grace window.
-
-Atomicity: snapshots go through ``<name>.tmp`` + fsync + ``os.replace``;
-journal appends are flushed to the kernel per record (not fsynced: a
-killed process loses nothing, a power loss may lose the tail) and a
-truncated tail record (a crash mid-append) is tolerated — replay stops
-at the first incomplete record, which by construction is an operation
-whose response was never sent.
-
-Recovery picks the highest-``seq`` snapshot that loads cleanly, replays
-its journal, and bumps the epoch, so every restart is observable to
-clients that care (the ``ATTACH`` response carries the epoch).
+What a journal directory holds, what an append survives and how recovery
+replays it are stated once, in ``docs/fault_tolerance.md``, "Durable
+state".  This module frames records and never interprets one: replay
+feeds them to the server's own apply step.
 """
 
 from __future__ import annotations
@@ -41,12 +15,12 @@ import struct
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import SMBError
-from .protocol import HEADER_FORMAT, HEADER_SIZE, Message, Op
+from .protocol import HEADER_FORMAT, HEADER_SIZE, Message
 
 logger = logging.getLogger(__name__)
 
@@ -59,10 +33,17 @@ SNAPSHOT_FORMAT = 2
 SNAPSHOT_PATTERN = "snapshot-{seq:08d}.npz"
 JOURNAL_PATTERN = "journal-{seq:08d}.log"
 RENDEZVOUS_NAME = "endpoint.json"
+_GENERATION_GLOBS = ("snapshot-*.npz", "journal-*.log")
+
+
+def _seq(path: Path) -> int:
+    """The generation a snapshot or journal file name carries."""
+    return int(path.stem.rpartition("-")[2])
 
 
 class JournalError(SMBError):
-    """A journal directory held no usable state or corrupt metadata."""
+    """A journal directory held no usable state, corrupt metadata, or a
+    record the pool rejects on replay."""
 
 
 # -- atomic JSON publication -------------------------------------------------
@@ -209,7 +190,13 @@ class DurabilityStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.journal_ops = journal_ops
-        self.seq = 0
+        # Continue above every generation on disk, readable or not, so no
+        # later snapshot or journal re-uses a dead life's file name.
+        self.seq = max(
+            (_seq(path) for pattern in _GENERATION_GLOBS
+             for path in self.directory.glob(pattern)),
+            default=0,
+        )
         self._journal_file = None
 
     # -- write path -------------------------------------------------------
@@ -262,16 +249,13 @@ class DurabilityStore:
         if not self.journal_ops:
             return
         path = self.directory / JOURNAL_PATTERN.format(seq=seq)
-        self._journal_file = open(path, "ab")
+        # Exclusive create: no record is ever appended to a file an
+        # earlier life wrote.
+        self._journal_file = open(path, "xb")
 
     def append(self, record: Message) -> None:
-        """Log one mutating operation (SHM keys in key slots).
-
-        The header and the payload view are written as they are — no
-        joined copy of a model-sized payload.  ``flush()`` hands the
-        record to the kernel, not to the disk (there is no ``fsync``
-        per record): it survives a ``kill -9`` of the server, not a
-        power loss or a kernel crash.
+        """Log one mutation in its journal form (SHM keys in key slots);
+        what that survives: ``docs/fault_tolerance.md``, "Durable state".
         """
         if self._journal_file is None:
             return
@@ -281,8 +265,8 @@ class DurabilityStore:
 
     def _prune(self, keep_before: int) -> None:
         """Drop superseded snapshot/journal generations (keep latest 2)."""
-        for kind in ("snapshot-*.npz", "journal-*.log"):
-            for path in sorted(self.directory.glob(kind))[:-2]:
+        for pattern in _GENERATION_GLOBS:
+            for path in sorted(self.directory.glob(pattern))[:-2]:
                 try:
                     path.unlink()
                 except OSError:
@@ -299,13 +283,13 @@ class DurabilityStore:
         """Whether the directory holds at least one snapshot."""
         return bool(sorted(self.directory.glob("snapshot-*.npz")))
 
-    def recover(self) -> PoolImage:
-        """Load the newest usable snapshot and replay its journal.
+    def recover(self) -> Tuple[PoolImage, Iterator[Message]]:
+        """Load the newest usable snapshot and the records to replay on it.
 
-        Returns the recovered :class:`PoolImage` (journal already
-        applied); raises :class:`JournalError` when no snapshot loads.
-        The store's own seq counter continues from the recovered seq so
-        the next snapshot supersedes it.
+        The records are those of every journal from the snapshot's seq
+        up to the newest on disk, oldest first, so a fallback past an
+        unreadable snapshot still replays what was journaled after it.
+        Raises :class:`JournalError` when no snapshot loads.
         """
         candidates = sorted(self.directory.glob("snapshot-*.npz"),
                             reverse=True)
@@ -318,11 +302,12 @@ class DurabilityStore:
                 logger.warning("skipping unreadable snapshot %s: %s",
                                path.name, exc)
                 continue
-            journal = self.directory / JOURNAL_PATTERN.format(seq=image.seq)
-            if journal.exists():
-                _replay_journal(journal, image)
-            self.seq = image.seq
-            return image
+            return image, (
+                record
+                for journal in sorted(self.directory.glob("journal-*.log"))
+                if _seq(journal) >= image.seq
+                for record in _records(journal)
+            )
         raise JournalError(
             f"no usable snapshot in {self.directory}"
             + (f" (last error: {last_error})" if last_error else "")
@@ -362,93 +347,21 @@ def _load_snapshot(path: Path) -> PoolImage:
     )
 
 
-def _replay_journal(path: Path, image: PoolImage) -> None:
-    """Apply journal records to a pool image, in order, tolerating a
-    truncated tail (the crash may have landed mid-append)."""
-    by_key: Dict[int, SegmentImage] = {
-        seg.shm_key: seg for seg in image.segments
-    }
+def _records(path: Path) -> Iterator[Message]:
+    """Yield a journal's records in order.  A truncated or corrupt tail
+    ends the journal: the crash landed mid-append, so that op was never
+    acknowledged."""
     data = path.read_bytes()
     offset = 0
-    applied = 0
     while offset + HEADER_SIZE <= len(data):
         header = data[offset:offset + HEADER_SIZE]
         paylen = struct.unpack(HEADER_FORMAT, header)[-1]
         end = offset + HEADER_SIZE + paylen
         if end > len(data):
-            break  # truncated tail record: op never acked, drop it
+            return
         try:
             record = Message.decode(header, data[offset + HEADER_SIZE:end])
         except SMBError:
-            break  # corrupt tail; everything before it already applied
-        offset = end
-        _apply_record(record, image, by_key)
-        applied += 1
-    if applied:
-        logger.info("replayed %d journaled op(s) from %s", applied, path.name)
-
-
-def _apply_record(
-    record: Message,
-    image: PoolImage,
-    by_key: Dict[int, SegmentImage],
-) -> None:
-    if record.op is Op.CREATE:
-        seg = SegmentImage(
-            name=bytes(record.payload).decode(),
-            shm_key=record.key,
-            data=np.zeros(record.count, dtype=np.uint8),
-            version=0,
-        )
-        image.segments.append(seg)
-        by_key[seg.shm_key] = seg
-        image.shm_minted += 1
-        return
-    if record.op is Op.FREE:
-        seg = by_key.pop(record.key, None)
-        if seg is not None:
-            image.segments.remove(seg)
-        return
-    if record.op is Op.TENANT_CREATE:
-        name = record.payload.decode()
-        quota: Optional[int] = record.count if record.count > 0 else None
-        for entry in image.tenants:
-            if entry.get("name") == name:
-                entry["quota"] = quota
-                return
-        image.tenants.append({"name": name, "quota": quota})
-        return
-    seg = by_key.get(record.key)
-    if seg is None:
-        logger.warning("journal references unknown SHM key %#x; skipping",
-                       record.key)
-        return
-    if record.op is Op.WRITE:
-        seg.data[record.offset:record.offset + len(record.payload)] = (
-            np.frombuffer(record.payload, dtype=np.uint8)
-        )
-        seg.version += 1
-        return
-    if record.op is Op.ACCUMULATE:
-        src = by_key.get(record.key2)
-        if src is None:
-            logger.warning(
-                "journal ACCUMULATE references unknown source %#x; skipping",
-                record.key2,
-            )
             return
-        # The record payload carries the element dtype name; empty means
-        # float32, exactly as on the wire.
-        dtype = bytes(record.payload).decode() if record.payload_nbytes else "float32"
-        itemsize = np.dtype(dtype).itemsize
-        count = record.count or (src.data.nbytes // itemsize)
-        nbytes = count * itemsize
-        dst_view = seg.data[record.offset:record.offset + nbytes].view(dtype)
-        src_view = src.data[:nbytes].view(dtype)
-        if record.scale == 1.0:
-            dst_view += src_view
-        else:
-            dst_view += record.scale * src_view
-        seg.version += 1
-        return
-    logger.warning("unexpected journal opcode %r; skipping", record.op)
+        offset = end
+        yield record

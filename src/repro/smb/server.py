@@ -56,6 +56,7 @@ from .errors import (
 from .journal import (
     RENDEZVOUS_NAME,
     DurabilityStore,
+    JournalError,
     PoolImage,
     SegmentImage,
     write_rendezvous,
@@ -85,6 +86,20 @@ logger = logging.getLogger(__name__)
 
 #: Trace-lane pid for the SMB server (workers occupy their rank).
 SMB_SERVER_TRACE_PID = 9999
+
+_FLOAT32 = np.dtype(np.float32)
+
+
+def _accumulate_dtype(message: Message) -> np.dtype:
+    """An ACCUMULATE's element dtype: its payload names it, and an empty
+    payload means float32, so the hot-path frame is header-only."""
+    if not message.payload_nbytes:
+        return _FLOAT32
+    name = bytes(message.payload).decode()
+    try:
+        return np.dtype(name)
+    except TypeError as exc:
+        raise SMBError(f"bad accumulate dtype {name!r}: {exc}") from exc
 
 
 class ServerStats:
@@ -226,9 +241,11 @@ class SMBServer:
                 self._write_snapshot_locked()
 
     def _recover(self) -> None:
-        """Rehydrate pool, key table, versions and epoch from disk."""
+        """Rehydrate pool, key table, versions and epoch from disk: the
+        snapshot is restored, then every journaled record goes through
+        :meth:`_apply`, the step the live dispatcher takes."""
         assert self._store is not None
-        image = self._store.recover()
+        image, records = self._store.recover()
         for entry in image.tenants:
             self.pool.create_tenant(
                 str(entry["name"]),
@@ -243,6 +260,16 @@ class SMBServer:
                 owner=seg.owner,
             )
         self.pool.advance_keys(image.shm_minted, image.access_minted)
+        replayed = 0
+        for record in records:
+            try:
+                self._apply(record)
+            except (SMBError, ValueError) as exc:
+                raise JournalError(
+                    f"journaled {record.op.name} of key {record.key:#x} "
+                    f"does not replay: {exc}"
+                ) from exc
+            replayed += 1
         self.epoch = image.epoch + 1
         # Attaches are not journaled, so ``access_minted`` undershoots
         # whatever the dead life handed out after its last snapshot;
@@ -250,12 +277,12 @@ class SMBServer:
         # of merely unlikely.
         self.pool.reseed_access_keys(self.epoch)
         self.stats.registry.inc("smb/recovery/recoveries")
-        self.stats.registry.inc(
-            "smb/recovery/restored_segments", len(image.segments)
-        )
+        restored = len(self.pool.segments())
+        self.stats.registry.inc("smb/recovery/restored_segments", restored)
         logger.info(
-            "recovered %d segment(s) from %s (epoch %d)",
-            len(image.segments), self._store.directory, self.epoch,
+            "recovered %d segment(s) from %s, %d journaled op(s) replayed "
+            "(epoch %d)", restored, self._store.directory, replayed,
+            self.epoch,
         )
         # The recovered image plus any replayed journal becomes the new
         # baseline snapshot, so the next crash recovers from one file.
@@ -316,6 +343,55 @@ class SMBServer:
         if self._store is None:
             return contextlib.nullcontext()
         return self._journal_lock
+
+    def _apply(self, record: Message, tenant: Optional[str] = None) -> int:
+        """Apply one mutation, given in its journal form (SHM keys,
+        qualified names), with the one pool or segment call it names;
+        returns the new version, or 0 for ops without one.
+
+        The dispatcher reaches it through :meth:`_commit`; recovery feeds
+        it every journaled record.  It never journals.  ``tenant`` scopes
+        a FREE to its owner (a replayed FREE was checked while live).
+        """
+        op = record.op
+        if op is Op.WRITE:
+            segment = self.pool.by_shm_key(record.key)
+            return segment.write(record.offset, record.payload)
+        if op is Op.ACCUMULATE:
+            dst = self.pool.by_shm_key(record.key)
+            return dst.accumulate_from(
+                self.pool.by_shm_key(record.key2),
+                dtype=_accumulate_dtype(record),
+                scale=record.scale,
+                offset=record.offset,
+                count=record.count or None,
+            )
+        if op is Op.FREE:
+            self.pool.free(record.key, tenant)
+            return 0
+        if op is Op.TENANT_CREATE:
+            self.pool.create_tenant(
+                bytes(record.payload).decode(),
+                record.count if record.count > 0 else None,
+            )
+            return 0
+        if op is Op.CREATE:
+            # Reached by replay only: a live CREATE mints its key through
+            # this same pool.create call before it has a record to journal.
+            ns, bare = MemoryPool.split_name(bytes(record.payload).decode())
+            key = self.pool.create(bare, record.count, tenant=ns).shm_key
+            if key != record.key:
+                raise JournalError(f"the pool minted {key:#x} instead")
+            return 0
+        raise SMBError(f"not a mutation: {op!r}")
+
+    def _commit(self, record: Message, tenant: Optional[str] = None) -> int:
+        """Apply a live mutation and journal that same record, both under
+        :meth:`_mutation_guard`; returns what :meth:`_apply` returns."""
+        with self._mutation_guard():
+            version = self._apply(record, tenant)
+            self._journal(record)
+        return version
 
     def _journal(self, record: Message) -> None:
         """Append one mutation record; caller holds the journal lock."""
@@ -494,28 +570,21 @@ class SMBServer:
 
         if req.op is Op.WRITE:
             segment = self.pool.by_access_key(req.key)
-            with self._mutation_guard():
-                version = segment.write(req.offset, req.payload)
-                self._journal(Message(op=Op.WRITE, key=segment.shm_key,
-                                      offset=req.offset,
-                                      payload=req.payload))
+            version = self._commit(Message(
+                op=Op.WRITE, key=segment.shm_key, offset=req.offset,
+                payload=req.payload,
+            ))
             self.stats.record(req.op, len(req.payload), tenant=tenant)
             return Message(op=req.op, key=req.key, count=version)
 
         if req.op is Op.ACCUMULATE:
             dst = self.pool.by_access_key(req.key)
             src = self.pool.by_access_key(req.key2)
-            # Optional payload: the element dtype name.  Absent means
-            # float32, so the hot-path frame is header-only.
-            dtype = "float32"
-            if req.payload_nbytes:
-                dtype = bytes(req.payload).decode()
-            try:
-                itemsize = int(np.dtype(dtype).itemsize)
-            except TypeError as exc:
-                raise SMBError(
-                    f"bad accumulate dtype {dtype!r}: {exc}"
-                ) from exc
+            itemsize = _accumulate_dtype(req).itemsize
+            record = Message(op=Op.ACCUMULATE, key=dst.shm_key,
+                             key2=src.shm_key, offset=req.offset,
+                             count=req.count, scale=req.scale,
+                             payload=bytes(req.payload))
             # The SMB server "exclusively processes the cumulative update
             # requests of global weights from each worker" (paper T.A3).
             # Exclusivity is *per destination segment* — the lock taken
@@ -524,18 +593,7 @@ class SMBServer:
             # concurrently instead of queueing behind one global lock.
             self._track_accumulate_queue(+1)
             try:
-                with self._mutation_guard():
-                    version = dst.accumulate_from(
-                        src,
-                        dtype=dtype,
-                        scale=req.scale,
-                        offset=req.offset,
-                        count=req.count or None,
-                    )
-                    self._journal(Message(op=Op.ACCUMULATE, key=dst.shm_key,
-                                          key2=src.shm_key, offset=req.offset,
-                                          count=req.count, scale=req.scale,
-                                          payload=bytes(req.payload)))
+                version = self._commit(record)
             finally:
                 self._track_accumulate_queue(-1)
             # Byte accounting is dtype-aware: ``count`` is in elements of
@@ -548,9 +606,7 @@ class SMBServer:
             return Message(op=req.op, key=req.key, count=version)
 
         if req.op is Op.FREE:
-            with self._mutation_guard():
-                self.pool.free(req.key, tenant)
-                self._journal(Message(op=Op.FREE, key=req.key))
+            self._commit(Message(op=Op.FREE, key=req.key), tenant)
             self.stats.record(req.op, tenant=tenant)
             return Message(op=req.op)
 
@@ -635,18 +691,14 @@ class SMBServer:
             return Message(op=req.op, payload=payload)
 
         if req.op is Op.TENANT_CREATE:
-            name = bytes(req.payload).decode()
-            quota = req.count if req.count > 0 else None
             try:
-                with self._mutation_guard():
-                    grant = self.pool.create_tenant(name, quota)
-                    self._journal(Message(op=Op.TENANT_CREATE,
-                                          count=req.count,
-                                          payload=req.payload))
+                self._commit(Message(op=Op.TENANT_CREATE, count=req.count,
+                                     payload=req.payload))
             except ValueError as exc:
                 raise SMBProtocolError(str(exc)) from exc
             self.stats.record(req.op, tenant=tenant)
-            return Message(op=req.op, count=grant.quota or 0)
+            # The granted quota; 0 is "bounded by pool capacity only".
+            return Message(op=req.op, count=max(req.count, 0))
 
         if req.op is Op.TENANT_STATS:
             import json

@@ -52,7 +52,7 @@ from repro.smb import (
     UnknownKeyError,
     read_rendezvous,
 )
-from repro.smb.journal import RENDEZVOUS_NAME
+from repro.smb.journal import RENDEZVOUS_NAME, JournalError
 from repro.smb.transport import TcpTransport
 
 from .test_engine_equivalence import golden_dataset
@@ -192,6 +192,108 @@ class TestServerDurability:
         with SMBClient.in_process(server) as client:
             with pytest.raises(SMBError, match="journal"):
                 client.request_snapshot()
+
+    def test_fallback_snapshot_replays_every_later_journal(self, tmp_path):
+        """The newest snapshot does not load, so recovery falls back to
+        the one before it — and still replays every journal written
+        after that one.  The next life writes only new files, so across
+        three lives no acknowledged ACCUMULATE is lost or applied twice."""
+        def w_g(server):
+            segment = server.pool.by_name("W_g")
+            return float(segment.buffer.view(np.float32)[0]), segment.version
+
+        first = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
+        with SMBClient.in_process(first) as client:
+            w = client.attach(client.create_buffer("W_g", 4))
+            d = client.attach(client.create_buffer("d", 4))
+            client.write(w, np.ones(1, dtype=np.float32))
+            client.write(d, np.ones(1, dtype=np.float32))
+            client.request_snapshot()
+            client.accumulate(w, d)
+        assert w_g(first) == (2.0, 2)
+        self._crash(first)
+        sorted(tmp_path.glob("snapshot-*.npz"))[-1].write_bytes(b"torn")
+
+        second = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
+        assert w_g(second) == (2.0, 2)
+        with SMBClient.in_process(second) as client:
+            w = client.attach(client.lookup("W_g")[0])
+            d = client.attach(client.lookup("d")[0])
+            client.accumulate(w, d)
+        assert w_g(second) == (3.0, 3)
+        self._crash(second)
+
+        third = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
+        assert w_g(third) == (3.0, 3)
+        third.close()
+
+    @pytest.mark.parametrize(
+        "mode", ["journal_only", "snapshot_midway", "torn_tail"]
+    )
+    def test_every_mutation_recovers_to_the_live_pool(self, tmp_path, mode):
+        """A history holding every mutating opcode recovers to exactly
+        the pool the live server held: per segment name, SHM key,
+        version, bytes and tenant, plus tenant stats and the key-mint
+        cursor.  A record torn mid-append was never acknowledged, so
+        with it cut short the pool is the live one before that op."""
+        def state(server):
+            pool = server.pool
+            segments = {
+                name: (seg.shm_key, seg.version, seg.buffer.tobytes(),
+                       seg.tenant)
+                for name, seg in pool.segments().items()
+            }
+            return segments, pool.tenant_stats(), pool.shm_minted
+
+        server = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
+        admin = SMBClient.in_process(server)
+        alice = SMBClient.in_process(server, tenant="alice")
+        admin.create_tenant("alice", quota=4096)
+        admin.create_tenant("alice", quota=2048)  # a re-grant
+        w = admin.attach(admin.create_buffer("w", 64))
+        a = alice.attach(alice.create_buffer("a", 128))
+        d = alice.attach(alice.create_buffer("d", 128))
+        admin.write(w, np.arange(8, dtype=np.float32), offset=16)
+        alice.write(a, np.linspace(-1.0, 1.0, 16))
+        alice.write(d, np.linspace(2.0, 3.0, 16))
+        if mode == "snapshot_midway":
+            admin.request_snapshot()
+        step_key = admin.create_buffer("step", 64)
+        step = admin.attach(step_key)
+        admin.write(step, np.full(16, 0.5, dtype=np.float32))
+        admin.accumulate(w, step, count=8, scale=-0.25, offset=16)
+        alice.accumulate(a, d, scale=3.0, dtype="float64")
+        before_free = state(server)
+        admin.free(step_key)
+        live = state(server)
+        assert "step" not in live[0] and live[0]["alice/a"][1] == 2
+        admin.close()
+        alice.close()
+        self._crash(server)
+        if mode == "torn_tail":
+            journal = sorted(tmp_path.glob("journal-*.log"))[-1]
+            journal.write_bytes(journal.read_bytes()[:-1])
+            live = before_free
+
+        recovered = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
+        assert state(recovered) == live
+        recovered.close()
+
+    @pytest.mark.parametrize("record", [
+        Message(op=Op.FREE, key=0x7777),
+        Message(op=Op.CREATE, key=0x7777, count=8, payload=b"ghost"),
+    ], ids=["free_of_unknown_key", "create_under_a_key_never_minted"])
+    def test_a_record_that_does_not_replay_stops_recovery(
+        self, tmp_path, record
+    ):
+        """The journal holds only records that applied live, so one the
+        pool rejects on replay means a lost or doubled apply: start-up
+        stops and names the op instead of skipping or re-keying it."""
+        server = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
+        server._store.append(record)
+        self._crash(server)
+        with pytest.raises(JournalError, match=record.op.name):
+            SMBServer(capacity=1 << 20, journal_dir=tmp_path)
 
 
 # ---------------------------------------------------------------------------
