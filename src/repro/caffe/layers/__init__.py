@@ -15,7 +15,7 @@ from .base import (
 )
 from .common import Concat, Dropout, Eltwise, Flatten, Input, Split
 from .conv import Convolution, InnerProduct
-from .im2col import col2im, im2col
+from .im2col import im2col
 from .loss import Accuracy, SoftmaxWithLoss, softmax
 from .misc import Power, Scale, Softmax
 from .normalization import LRN, BatchNorm
@@ -44,7 +44,6 @@ __all__ = [
     "SoftmaxWithLoss",
     "Split",
     "TanH",
-    "col2im",
     "conv_output_dim",
     "im2col",
     "pool_output_dim",

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..blob import Blob, Shape, xavier_fill
 from .base import Layer, LayerError, conv_output_dim, register_layer
-from .im2col import as_pair, col2im, im2col
+from .im2col import as_pair, im2col
 
 IntPair = Tuple[int, int]
 
@@ -119,22 +119,44 @@ class Convolution(Layer):
 
         if self._columns is None:
             self._columns = self._lower(bottom)
-        # dW = sum_n top_diff @ columns^T
-        grad_w = np.einsum("nop,ncp->oc", flat_diff, self._columns)
-        self.params[0].diff += grad_w.reshape(self.params[0].shape)
+        # dW = sum_n top_diff @ columns^T: one batched GEMM, then a sum.
+        grad_w = np.matmul(flat_diff, self._columns.transpose(0, 2, 1))
+        self.params[0].diff += grad_w.sum(axis=0).reshape(self.params[0].shape)
         if self.bias:
             self.params[1].diff += flat_diff.sum(axis=(0, 2))
         self._columns = None
         if self.propagate_down == [False]:
             return [None]
 
-        weight = self.params[0].data.reshape(self.num_output, -1)
-        col_diff = np.matmul(weight.T, flat_diff)
+        weight = self.params[0].data
         if self.is_1x1:
+            col_diff = np.matmul(weight.reshape(self.num_output, -1).T, flat_diff)
             return [col_diff.reshape(bottom.shape)]
-        return [
-            col2im(col_diff, bottom.shape, self.kernel, self.stride, self.pad)
-        ]
+        # dX as cuDNN's backward-data computes it: the top diff, zero-stuffed
+        # into a buffer kernel - 1 larger than the unpadded bottom, correlated
+        # at stride 1 with the flipped, (C, O)-transposed filter.
+        n, c, h, w = bottom.shape
+        kh, kw = self.kernel
+        stuffed = np.zeros((n, self.num_output, h + kh - 1, w + kw - 1), top_diff.dtype)
+        (by, ty), (bx, tx) = map(
+            _stuffed, top_diff.shape[2:], (h, w), self.kernel, self.stride, self.pad
+        )
+        stuffed[:, :, by, bx] = top_diff[:, :, ty, tx]
+        flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        bottom_diff = np.matmul(flipped, im2col(stuffed, self.kernel, 1, 0))
+        return [bottom_diff.reshape(bottom.shape)]
+
+
+def _stuffed(out: int, size: int, kernel: int, stride: int, pad: int):
+    """``(buffer slice, top slice)`` of one axis of the stuffed top diff.
+
+    Top cell ``o`` sits at buffer index ``o * stride + kernel - 1 - pad``;
+    cells outside ``[0, size + kernel - 1)`` see only padding and are cut.
+    """
+    first = max(0, -((kernel - 1 - pad) // stride))
+    stop = min(out, (size - 1 + pad) // stride + 1)
+    start = first * stride + kernel - 1 - pad
+    return slice(start, start + (stop - first) * stride, stride), slice(first, stop)
 
 
 @register_layer("InnerProduct")

@@ -1,4 +1,4 @@
-"""im2col / col2im: the lowering Caffe uses to turn convolution into GEMM.
+"""im2col: the lowering Caffe uses to turn convolution into GEMM.
 
 Kernels, strides and paddings are ``(height, width)`` pairs so asymmetric
 factorised convolutions (1x7, 7x1 in Inception-ResNet-v2) are supported.
@@ -58,34 +58,3 @@ def im2col(
     return np.ascontiguousarray(windows).reshape(
         n, c * kh * kw, out_h * out_w
     )
-
-
-def col2im(
-    columns: np.ndarray,
-    image_shape: tuple,
-    kernel: Union[int, IntPair],
-    stride: Union[int, IntPair],
-    pad: Union[int, IntPair],
-) -> np.ndarray:
-    """Fold GEMM columns back into images, summing overlaps.
-
-    The adjoint of :func:`im2col`; used by convolution backward to produce
-    bottom gradients.
-    """
-    kh, kw = as_pair(kernel)
-    sh, sw = as_pair(stride)
-    ph, pw = as_pair(pad)
-    n, c, h, w = image_shape
-    out_h = (h + 2 * ph - kh) // sh + 1
-    out_w = (w + 2 * pw - kw) // sw + 1
-
-    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=columns.dtype)
-    cols = columns.reshape(n, c, kh, kw, out_h, out_w)
-    for ky in range(kh):
-        y_end = ky + sh * out_h
-        for kx in range(kw):
-            x_end = kx + sw * out_w
-            padded[:, :, ky:y_end:sh, kx:x_end:sw] += cols[:, :, ky, kx, :, :]
-    if ph > 0 or pw > 0:
-        return padded[:, :, ph:ph + h, pw:pw + w]
-    return padded

@@ -283,6 +283,10 @@ class DurabilityStore:
         """Whether the directory holds at least one snapshot."""
         return bool(sorted(self.directory.glob("snapshot-*.npz")))
 
+    def snapshots_after(self, seq: int) -> int:
+        """How many snapshot files on disk are newer than generation ``seq``."""
+        return sum(_seq(path) > seq for path in self.directory.glob("snapshot-*.npz"))
+
     def recover(self) -> Tuple[PoolImage, Iterator[Message]]:
         """Load the newest usable snapshot and the records to replay on it.
 

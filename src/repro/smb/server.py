@@ -270,7 +270,10 @@ class SMBServer:
                     f"does not replay: {exc}"
                 ) from exc
             replayed += 1
-        self.epoch = image.epoch + 1
+        # Every life writes at least its baseline snapshot, so each newer
+        # (hence unreadable) one may be a life that announced one more
+        # epoch: repeating it would re-mint that life's access keys.
+        self.epoch = image.epoch + 1 + self._store.snapshots_after(image.seq)
         # Attaches are not journaled, so ``access_minted`` undershoots
         # whatever the dead life handed out after its last snapshot;
         # epoch-salting the sequence makes collisions impossible instead

@@ -119,3 +119,55 @@ def reference_im2col(images, kernel, stride, pad):
         mode="constant",
     )
     return im2col(padded, kernel, stride, 0)
+
+
+# The lowering ``Convolution.backward`` ran before its two GEMMs: weight
+# gradient by ``einsum``, bottom gradient by folding the weightᵀ GEMM's
+# columns back with ``col2im``'s per-tap loop.  Oracle of
+# ``tests/test_pooling_kernels.py``, held to within a stated bound rather
+# than to the bit (the GEMMs sum in another order); never edited.
+
+
+def col2im(columns, image_shape, kernel, stride, pad):
+    """Fold GEMM columns back into images, summing overlaps.
+
+    The adjoint of :func:`~repro.caffe.layers.im2col.im2col`.
+    """
+    kh, kw = as_pair(kernel)
+    sh, sw = as_pair(stride)
+    ph, pw = as_pair(pad)
+    n, c, h, w = image_shape
+    out_h = (h + 2 * ph - kh) // sh + 1
+    out_w = (w + 2 * pw - kw) // sw + 1
+
+    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=columns.dtype)
+    cols = columns.reshape(n, c, kh, kw, out_h, out_w)
+    for ky in range(kh):
+        y_end = ky + sh * out_h
+        for kx in range(kw):
+            x_end = kx + sw * out_w
+            padded[:, :, ky:y_end:sh, kx:x_end:sw] += cols[:, :, ky, kx, :, :]
+    if ph > 0 or pw > 0:
+        return padded[:, :, ph:ph + h, pw:pw + w]
+    return padded
+
+
+def reference_conv_backward(layer, top_diff, bottom):
+    """``(weight diff, bias diff, bottom diff)`` of conv ``layer``.
+
+    The gradients one backward pass adds, from a zero start; the bias
+    diff is ``None`` for a bias-free layer.
+    """
+    geometry = (layer.kernel, layer.stride, layer.pad)
+    n = top_diff.shape[0]
+    flat_diff = top_diff.reshape(n, layer.num_output, -1)
+    columns = im2col(bottom, *geometry)
+    grad_w = np.einsum("nop,ncp->oc", flat_diff, columns)
+    grad_b = flat_diff.sum(axis=(0, 2)) if layer.bias else None
+    weight = layer.params[0].data.reshape(layer.num_output, -1)
+    col_diff = np.matmul(weight.T, flat_diff)
+    return (
+        grad_w.reshape(layer.params[0].shape),
+        grad_b,
+        col2im(col_diff, bottom.shape, *geometry),
+    )

@@ -19,11 +19,11 @@ from repro.caffe.layers import (
     ReLU,
     Sigmoid,
     SoftmaxWithLoss,
-    col2im,
     im2col,
     softmax,
 )
 
+from .helpers import col2im
 from .test_pooling_kernels import assert_bit_identical
 
 RNG = np.random.default_rng(3)

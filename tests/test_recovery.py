@@ -227,6 +227,29 @@ class TestServerDurability:
         assert w_g(third) == (3.0, 3)
         third.close()
 
+    def test_fallback_recovery_never_repeats_an_epoch(self, tmp_path):
+        """Regression: a life that falls back past an unreadable snapshot
+        must not reuse the epoch the life that wrote it announced — the
+        epoch salts the access-key sequence, so a key that life handed
+        out would resolve again, to whatever segment is attached first."""
+        first = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
+        first.pool.create("x", 8)
+        first.pool.create("y", 8)
+        first.take_snapshot()
+        self._crash(first)
+
+        second = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
+        held = second.pool.attach(second.pool.by_name("x").shm_key)
+        self._crash(second)
+        sorted(tmp_path.glob("snapshot-*.npz"))[-1].write_bytes(b"torn")
+
+        third = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
+        assert third.epoch > second.epoch
+        third.pool.attach(third.pool.by_name("y").shm_key)
+        with pytest.raises(UnknownKeyError):
+            third.pool.by_access_key(held)
+        third.close()
+
     @pytest.mark.parametrize(
         "mode", ["journal_only", "snapshot_midway", "torn_tail"]
     )
