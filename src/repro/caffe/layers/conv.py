@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..blob import Blob, Shape, xavier_fill
 from .base import Layer, LayerError, conv_output_dim, register_layer
-from .im2col import as_pair, im2col
+from .im2col import as_pair, gather_table, im2col
 
 IntPair = Tuple[int, int]
 
@@ -67,18 +68,12 @@ class Convolution(Layer):
             return bottom.reshape(n, c, h * w)
         return im2col(bottom, self.kernel, self.stride, self.pad)
 
-    def _out_hw(self, h: int, w: int) -> IntPair:
-        return (
-            conv_output_dim(h, self.kernel[0], self.stride[0], self.pad[0]),
-            conv_output_dim(w, self.kernel[1], self.stride[1], self.pad[1]),
-        )
-
     def setup(
         self, bottom_shapes: Sequence[Shape], rng: np.random.Generator
     ) -> List[Shape]:
         (shape,) = bottom_shapes
         n, c, h, w = shape
-        out_h, out_w = self._out_hw(h, w)
+        out_h, out_w = _out_hw(h, w, self.kernel, self.stride, self.pad)
         weight_shape = (self.num_output, c, self.kernel[0], self.kernel[1])
         self._register_param(
             Blob(weight_shape, f"{self.name}.weight",
@@ -103,7 +98,7 @@ class Convolution(Layer):
         top = np.matmul(weight, self._columns)
         if self.bias:
             top += self.params[1].data[None, :, None]
-        out_h, out_w = self._out_hw(bottom.shape[2], bottom.shape[3])
+        out_h, out_w = _out_hw(*bottom.shape[2:], self.kernel, self.stride, self.pad)
         return [top.reshape(n, self.num_output, out_h, out_w)]
 
     def backward(
@@ -119,11 +114,12 @@ class Convolution(Layer):
 
         if self._columns is None:
             self._columns = self._lower(bottom)
-        # dW = sum_n top_diff @ columns^T: one batched GEMM, then a sum.
+        # dW = sum_n top_diff @ columns^T: one batched GEMM, then a sum
+        # (``np.add.reduce`` is what ``ndarray.sum`` calls, one frame later).
         grad_w = np.matmul(flat_diff, self._columns.transpose(0, 2, 1))
-        self.params[0].diff += grad_w.sum(axis=0).reshape(self.params[0].shape)
+        self.params[0].diff += np.add.reduce(grad_w, axis=0).reshape(self.params[0].shape)
         if self.bias:
-            self.params[1].diff += flat_diff.sum(axis=(0, 2))
+            self.params[1].diff += np.add.reduce(flat_diff, axis=(0, 2))
         self._columns = None
         if self.propagate_down == [False]:
             return [None]
@@ -134,29 +130,44 @@ class Convolution(Layer):
             return [col_diff.reshape(bottom.shape)]
         # dX as cuDNN's backward-data computes it: the top diff, zero-stuffed
         # into a buffer kernel - 1 larger than the unpadded bottom, correlated
-        # at stride 1 with the flipped, (C, O)-transposed filter.
+        # at stride 1 with the flipped, (C, O)-transposed filter.  That
+        # buffer's columns are one gather from the top diff extended by one
+        # zero per image.
         n, c, h, w = bottom.shape
-        kh, kw = self.kernel
-        stuffed = np.zeros((n, self.num_output, h + kh - 1, w + kw - 1), top_diff.dtype)
-        (by, ty), (bx, tx) = map(
-            _stuffed, top_diff.shape[2:], (h, w), self.kernel, self.stride, self.pad
-        )
-        stuffed[:, :, by, bx] = top_diff[:, :, ty, tx]
+        table = gather_table(_backward_data_cells, self.num_output, *top_diff.shape[2:],
+                             h, w, self.kernel, self.stride, self.pad)
+        extended = np.zeros((n, top_diff.size // n + 1), top_diff.dtype)
+        extended[:, :-1] = top_diff.reshape(n, -1)
         flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        bottom_diff = np.matmul(flipped, im2col(stuffed, self.kernel, 1, 0))
+        bottom_diff = np.matmul(flipped, extended.take(table, axis=1))
         return [bottom_diff.reshape(bottom.shape)]
 
 
-def _stuffed(out: int, size: int, kernel: int, stride: int, pad: int):
-    """``(buffer slice, top slice)`` of one axis of the stuffed top diff.
+@lru_cache(maxsize=256)
+def _out_hw(h: int, w: int, kernel: IntPair, stride: IntPair, pad: IntPair) -> IntPair:
+    return (
+        conv_output_dim(h, kernel[0], stride[0], pad[0]),
+        conv_output_dim(w, kernel[1], stride[1], pad[1]),
+    )
 
-    Top cell ``o`` sits at buffer index ``o * stride + kernel - 1 - pad``;
-    cells outside ``[0, size + kernel - 1)`` see only padding and are cut.
+
+def _backward_data_cells(o, out_h, out_w, h, w, kernel, stride, pad) -> np.ndarray:
+    """``(O*kh*kw, h*w)``: each column of the stuffed top diff's stride-1
+    lowering, as a flat index into one image's top diff.
+
+    Top cell ``t`` sits at stuffed index ``t * stride + kernel - 1 - pad``.
+    A cell that lands on stuffing or padding reads index ``O*out_h*out_w``,
+    the zero each image is extended by.
     """
-    first = max(0, -((kernel - 1 - pad) // stride))
-    stop = min(out, (size - 1 + pad) // stride + 1)
-    start = first * stride + kernel - 1 - pad
-    return slice(start, start + (stop - first) * stride, stride), slice(first, stop)
+    def axis(out, size, k, s, p):
+        top, off = np.divmod(np.arange(k)[:, None] + np.arange(size) + p - k + 1, s)
+        return top, (off == 0) & (top >= 0) & (top < out)
+
+    (ty, real_y), (tx, real_x) = map(axis, (out_h, out_w), (h, w), kernel, stride, pad)
+    cells = (np.arange(o)[:, None, None, None, None] * (out_h * out_w)
+             + (ty * out_w)[:, None, :, None] + tx[:, None, :])
+    real = real_y[:, None, :, None] & real_x[:, None, :]
+    return np.where(real, cells, o * out_h * out_w).reshape(-1, h * w)
 
 
 @register_layer("InnerProduct")

@@ -1,10 +1,12 @@
 """Max and average pooling layers (Caffe ceil-mode geometry).
 
 Both directions cost a fixed number of NumPy calls whatever the spatial
-extent: windows are read through one strided view per run of equal-sized
-windows, never cell by cell.  Outputs, argmax tie-breaks, NaN handling
-and gradients are bit-identical to the per-cell loops kept as oracles in
-``tests/helpers.py``.
+extent, never one per cell.  Max pooling gathers every window with one
+``take`` through an index table built once per geometry; average pooling
+reads one strided view per run of equal-sized windows, so a clipped
+window's mean sums its own cells.  Outputs, argmax tie-breaks, NaN
+handling and gradients are bit-identical to the per-cell loops kept as
+oracles in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from ..blob import Shape
 from .base import Layer, LayerError, pool_output_dim, register_layer
+from .im2col import gather_table
 
 
 class PoolGeometry(NamedTuple):
@@ -46,6 +49,17 @@ def _window_runs(
     if out == 1:
         return [(0, 1, last)]
     return [(0, out - 1, kernel), (out - 1, 1, last)]
+
+
+def _max_pool_cells(ph, pw, out_h, out_w, kernel_h, kernel_w, stride) -> np.ndarray:
+    """``(out_h*out_w, kernel_h*kernel_w)``: each window's cells, row-major,
+    as flat indices into one padded plane; a cell a ceil-clipped window
+    lacks reads ``ph*pw``, the cell past the plane."""
+    ys = (np.arange(out_h) * stride)[:, None] + np.arange(kernel_h)
+    xs = (np.arange(out_w) * stride)[:, None] + np.arange(kernel_w)
+    cells = (ys * pw)[:, None, :, None] + xs[:, None, :]
+    inside = (ys < ph)[:, None, :, None] & (xs < pw)[:, None, :]
+    return np.where(inside, cells, ph * pw).reshape(out_h * out_w, -1)
 
 
 def _plane_offsets(n: int, c: int, plane: int) -> np.ndarray:
@@ -83,6 +97,10 @@ class Pooling(Layer):
         super().__init__(name)
         if method not in ("max", "ave"):
             raise LayerError(f"unknown pooling method {method!r}")
+        if not global_pool and pad >= kernel:
+            # Caffe's CHECK_LT(pad, kernel): a window wholly in the padding
+            # would pool nothing but the fill value.
+            raise LayerError(f"pad {pad} >= kernel {kernel} in {name!r}")
         self.method = method
         self.kernel = kernel
         self.stride = stride
@@ -118,58 +136,52 @@ class Pooling(Layer):
         out_h, out_w, kernel_h, kernel_w, stride, pad = self._geometry(
             bottom.shape
         )
-        is_max = self.method == "max"
+        ph, pw = h + 2 * pad, w + 2 * pad
+
+        if self.method == "max":
+            # Each (n, c) plane, padded with -inf and extended by one -inf
+            # cell that the clipped windows' missing cells read.  A
+            # window's first cell is always real, so that cell never wins
+            # the first-wins argmax.
+            planes = np.empty((n * c, ph * pw + 1), dtype=bottom.dtype)
+            planes.fill(-np.inf)
+            padded = planes[:, :-1].reshape(n, c, ph, pw)
+            padded[:, :, pad:pad + h, pad:pad + w] = bottom
+            table = gather_table(_max_pool_cells, ph, pw, out_h, out_w,
+                                 kernel_h, kernel_w, stride)
+            first = planes.take(table, axis=1).argmax(axis=2)
+            first += np.arange(0, table.size, table.shape[1])
+            self._argmax = table.take(first).reshape(n, c, out_h, out_w)
+            return [planes.take(self._argmax + _plane_offsets(n, c, ph * pw + 1))]
 
         if pad > 0:
-            padded = np.full(
-                (n, c, h + 2 * pad, w + 2 * pad),
-                -np.inf if is_max else 0.0,
-                dtype=bottom.dtype,
-            )
+            padded = np.zeros((n, c, ph, pw), dtype=bottom.dtype)
             padded[:, :, pad:pad + h, pad:pad + w] = bottom
         else:
             padded = bottom
-        ph, pw = padded.shape[2], padded.shape[3]
 
         # One pass per run of equal-sized windows: the full windows, plus
         # the ceil-mode windows clipped at the bottom / right / corner.
-        # ``out`` holds argmax positions in padded coordinates for max,
-        # the means themselves for ave.
-        out = np.empty(
-            (n, c, out_h, out_w), dtype=np.int64 if is_max else bottom.dtype
-        )
+        # A mean sums each clipped window's own cells, in their own order.
+        top = np.empty((n, c, out_h, out_w), dtype=bottom.dtype)
         stn, stc, sty, stx = padded.strides
         for (oy, rows, win_h), (ox, cols, win_w) in product(
             _window_runs(ph, out_h, kernel_h, stride),
             _window_runs(pw, out_w, kernel_w, stride),
         ):
-            y0, x0 = oy * stride, ox * stride
             windows = as_strided(
-                padded[:, :, y0:, x0:],
+                padded[:, :, oy * stride:, ox * stride:],
                 shape=(n, c, rows, cols, win_h, win_w),
                 strides=(stn, stc, sty * stride, stx * stride, sty, stx),
                 writeable=False,
             )
             # The copy lays every window out row-major along the last
-            # axis, so ties, NaNs and summation order come out as they do
-            # for a window sliced out on its own.
-            flat = windows.reshape(n, c, rows, cols, win_h * win_w)
-            cells = out[:, :, oy:oy + rows, ox:ox + cols]
-            if is_max:
-                local_y, local_x = np.divmod(flat.argmax(axis=4), win_w)
-                win_y0 = np.arange(y0, y0 + rows * stride, stride)
-                win_x0 = np.arange(x0, x0 + cols * stride, stride)
-                np.add(
-                    (local_y + win_y0[:, None]) * pw, local_x + win_x0,
-                    out=cells,
-                )
-            else:
-                flat.mean(axis=4, out=cells)
-        if not is_max:
-            return [out]
-        self._argmax = out
-        planes = _plane_offsets(n, c, ph * pw)
-        return [np.take(padded.reshape(-1), out + planes)]
+            # axis, so the summation order comes out as it does for a
+            # window sliced out on its own.
+            windows.reshape(n, c, rows, cols, win_h * win_w).mean(
+                axis=4, out=top[:, :, oy:oy + rows, ox:ox + cols]
+            )
+        return [top]
 
     def backward(
         self,

@@ -3,8 +3,9 @@
 kernels the vectorised ones are held bit-identical to."""
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from repro.caffe.layers.im2col import as_pair, im2col
+from repro.caffe.layers.im2col import as_pair
 from repro.core import TrainingEngine, make_exchange
 
 
@@ -27,10 +28,11 @@ def build_engine(rank, net, config, global_weights, increment_buffer,
 
 # --- Reference layer kernels -------------------------------------------
 #
-# The per-cell position loops ``Pooling`` ran, and the ``np.pad`` lowering
-# ``im2col`` ran, before both became O(1) NumPy calls in the spatial
-# extent.  They are the bit-identity oracles of
-# ``tests/test_pooling_kernels.py``: slow, obviously right, never edited.
+# The per-cell position loops ``Pooling`` ran, and the ``np.pad`` plus
+# strided-view lowering ``im2col`` ran, before both became O(1) NumPy calls
+# in the spatial extent and then gathers through index tables.  They are
+# the bit-identity oracles of ``tests/test_pooling_kernels.py``: slow,
+# obviously right, never edited.
 
 
 def reference_pool_forward(layer, bottom):
@@ -111,6 +113,25 @@ def reference_pool_backward(layer, top_diff, bottom, argmax):
     return padded_diff_2d
 
 
+def strided_im2col(images, kernel, stride):
+    """Unpadded ``im2col`` through one strided view and its C-order copy."""
+    kh, kw = as_pair(kernel)
+    sh, sw = as_pair(stride)
+    n, c, h, w = images.shape
+    out_h = (h - kh) // sh + 1
+    out_w = (w - kw) // sw + 1
+    stn, stc, sth, stw = images.strides
+    windows = as_strided(
+        images,
+        shape=(n, c, kh, kw, out_h, out_w),
+        strides=(stn, stc, sth, stw, sth * sh, stw * sw),
+        writeable=False,
+    )
+    return np.ascontiguousarray(windows).reshape(
+        n, c * kh * kw, out_h * out_w
+    )
+
+
 def reference_im2col(images, kernel, stride, pad):
     """``im2col`` with its padding done by ``np.pad``."""
     pad_h, pad_w = as_pair(pad)
@@ -118,7 +139,7 @@ def reference_im2col(images, kernel, stride, pad):
         images, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)),
         mode="constant",
     )
-    return im2col(padded, kernel, stride, 0)
+    return strided_im2col(padded, kernel, stride)
 
 
 # The lowering ``Convolution.backward`` ran before its two GEMMs: weight
@@ -161,7 +182,7 @@ def reference_conv_backward(layer, top_diff, bottom):
     geometry = (layer.kernel, layer.stride, layer.pad)
     n = top_diff.shape[0]
     flat_diff = top_diff.reshape(n, layer.num_output, -1)
-    columns = im2col(bottom, *geometry)
+    columns = reference_im2col(bottom, *geometry)
     grad_w = np.einsum("nop,ncp->oc", flat_diff, columns)
     grad_b = flat_diff.sum(axis=(0, 2)) if layer.bias else None
     weight = layer.params[0].data.reshape(layer.num_output, -1)

@@ -1,7 +1,7 @@
 """The spatial layer kernels against their per-cell reference loops.
 
 ``Pooling`` and ``im2col`` cost O(1) NumPy calls in the spatial extent.
-Six things are pinned here:
+Seven things are pinned here:
 
 * bit-identity with the position loops they replaced (kept in
   ``tests/helpers.py``): tops, argmax tie-breaks, NaN / inf handling and
@@ -11,6 +11,9 @@ Six things are pinned here:
   beyond the input;
 * a global pool covering the whole plane whatever its aspect (oracle:
   NumPy's own ``mean`` / ``max`` over the plane, not ``_geometry``);
+* the index tables the window ops gather through: built once per
+  geometry whatever the batch, read-only, in a bounded cache; and a pool
+  refusing a pad that is not below its kernel, as Caffe does;
 * the work a net decides away at build time: a 1x1 ``Convolution`` is
   bit-identical to the general lowered path it skips, and a whole
   training step stays under its C-call budget;
@@ -28,6 +31,9 @@ from hypothesis import strategies as st
 
 from repro.caffe import Net, SGDSolver, SolverConfig
 from repro.caffe.layers import Convolution, LayerError, Pooling, im2col
+from repro.caffe.layers.conv import _backward_data_cells
+from repro.caffe.layers.im2col import _im2col_cells, gather_table
+from repro.caffe.layers.pooling import _max_pool_cells
 from repro.caffe.models import scaled_spec
 
 from .helpers import (
@@ -35,6 +41,7 @@ from .helpers import (
     reference_im2col,
     reference_pool_backward,
     reference_pool_forward,
+    strided_im2col,
 )
 
 #: Few distinct values, so windows are full of ties, and every special.
@@ -200,16 +207,106 @@ def test_global_pool_covers_a_plane_of_any_aspect(h, w):
         np.testing.assert_array_equal(bottom_diff, want_diff)
 
 
+# --- pad below kernel, tables built once per geometry --------------------
+
+
+@pytest.mark.parametrize("method", ["max", "ave"])
+def test_pooling_refuses_a_pad_that_is_not_below_its_kernel(method):
+    # Caffe's CHECK_LT(pad, kernel).  A 2x2/2 pool padded by 2 on a 4x4
+    # bottom used to pool windows lying wholly in the padding: a first row
+    # and column of -inf (max) or 0 (ave) for every later layer to eat.
+    for kernel, pad in ((2, 2), (3, 4), (1, 1)):
+        with pytest.raises(LayerError):
+            Pooling("p", method, kernel=kernel, stride=2, pad=pad)
+    Pooling("p", method, kernel=3, stride=2, pad=2)
+    Pooling("p", method, global_pool=True)
+
+
+@pytest.mark.parametrize(
+    "build, geometry",
+    [
+        (_im2col_cells, (2, 5, 4, (3, 2), (1, 2), (1, 0))),
+        (_backward_data_cells, (3, 3, 2, 5, 4, (3, 2), (2, 2), (1, 0))),
+        (_max_pool_cells, (6, 6, 3, 3, 3, 3, 2)),
+    ],
+    ids=["im2col", "backward-data", "max pool"],
+)
+def test_a_table_is_built_once_and_read_only(build, geometry):
+    table = gather_table(build, *geometry)
+    assert gather_table(build, *geometry) is table
+    assert table.dtype == np.intp
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[...] = 0
+
+
+@pytest.mark.parametrize(
+    "op, tables", [("im2col", 1), ("conv", 2), ("max pool", 1)]
+)
+def test_one_table_serves_every_batch_size(op, tables):
+    # A geometry no other test draws, so the first batch builds the tables
+    # (conv: the forward lowering and backward-data) and the second finds
+    # them.
+    rng = np.random.default_rng(3)
+
+    def run(n):
+        bottom = rng.standard_normal((n, 2, 17, 19)).astype(np.float32)
+        if op == "im2col":
+            columns = im2col(bottom, (3, 2), (2, 1), (1, 0))
+            want = reference_im2col(bottom, (3, 2), (2, 1), (1, 0))
+            assert_bit_identical(columns, want)
+            return
+        if op == "conv":
+            layer = Convolution("c", 3, (2, 3), (1, 2), (0, 1))
+        else:
+            layer = Pooling("p", "max", kernel=3, stride=2, pad=1)
+        (shape,) = layer.setup([bottom.shape], rng)
+        (top,) = layer.forward([bottom], train=True)
+        layer.backward([np.ones(shape, np.float32)], [bottom], [top])
+
+    misses = gather_table.cache_info().misses
+    run(1)
+    assert gather_table.cache_info().misses == misses + tables
+    run(4)
+    assert gather_table.cache_info().misses == misses + tables
+
+
+def test_the_table_cache_is_bounded():
+    maxsize = gather_table.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    for w in range(1, maxsize + 9):
+        gather_table(_im2col_cells, 1, 1, w, 1, 1, 0)
+    assert gather_table.cache_info().currsize == maxsize
+
+
+@pytest.mark.parametrize("h, w", [(2, 5), (5, 2), (3, 7)])
+def test_global_max_pool_gathers_the_plane_as_one_window(h, w):
+    rng = np.random.default_rng(11)
+    bottom = draw_array(rng, (2, 3, h, w), np.float32, tame=False)
+    layer = Pooling("p", "max", global_pool=True)
+    layer.setup([bottom.shape], rng)
+    want_top, want_argmax = reference_pool_forward(layer, bottom)
+    layer.forward([bottom], train=True)
+    hits = gather_table.cache_info().hits
+    (top,) = layer.forward([bottom], train=True)
+    assert gather_table.cache_info().hits == hits + 1
+    assert_bit_identical(top, want_top)
+    assert_bit_identical(layer._argmax, want_argmax)
+    table = gather_table(_max_pool_cells, h, w, 1, 1, h, w, 1)
+    np.testing.assert_array_equal(table, np.arange(h * w)[None])
+
+
 # --- a 1x1 convolution is not lowered ------------------------------------
 
 
 def lowered_conv(layer, bottom, top_diff):
     """``layer`` forward + backward through the general, lowered path.
 
-    ``Convolution``'s path for every geometry, spelt out with the module
-    functions: the top and the weight gradient are GEMMs on ``im2col``'s
-    columns; the bottom gradient is a stride-1 correlation of the
-    zero-stuffed top diff with the flipped, ``(C, O)``-transposed filter.
+    ``Convolution``'s path for every geometry, spelt out with the
+    strided-view lowering of ``tests/helpers.py`` (never production's
+    ``im2col``): the top and the weight gradient are GEMMs on its columns;
+    the bottom gradient is a stride-1 correlation of the zero-stuffed top
+    diff with the flipped, ``(C, O)``-transposed filter.
     What a 1x1 layer must equal to the bit without running it.  Returns
     ``(top, weight diff, bias diff, bottom diff)``.
     """
@@ -217,7 +314,7 @@ def lowered_conv(layer, bottom, top_diff):
     n, c, h, w = bottom.shape
     o = layer.num_output
     weight = layer.params[0].data
-    columns = im2col(bottom, layer.kernel, layer.stride, layer.pad)
+    columns = reference_im2col(bottom, layer.kernel, layer.stride, layer.pad)
     top = np.matmul(weight.reshape(o, -1), columns)
     top += layer.params[1].data[None, :, None]
     flat_diff = top_diff.reshape(top.shape)
@@ -233,7 +330,7 @@ def lowered_conv(layer, bottom, top_diff):
     stuffed = stuffed[:, :, ph:ph + h + kh - 1, pw:pw + w + kw - 1]
     flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     bottom_diff = np.matmul(
-        flipped.reshape(c, -1), im2col(stuffed, (kh, kw), 1, 0)
+        flipped.reshape(c, -1), strided_im2col(stuffed, (kh, kw), 1)
     )
     return (
         top.reshape(top_diff.shape),
@@ -461,8 +558,9 @@ def test_1x1_convolution_makes_no_lowering_calls():
     # 21 when the layer went through im2col / col2im, 11 while the weight
     # gradient was one ``einsum``; its batched GEMM adds a ``transpose``
     # and a ``sum`` (``matmul`` and ``+=`` are slots, not C calls: no
-    # side counts them).
-    assert len(names) == 13
+    # side counts them): 13; 11 since both sums call ``np.add.reduce``,
+    # which ``ndarray.sum`` reached through a second call.
+    assert len(names) == 11
     # ``as_strided`` is Python; ``array`` / ``asarray`` are its C calls.
     assert not {"array", "asarray", "ascontiguousarray", "zeros"} & set(names)
 
@@ -471,7 +569,9 @@ def test_conv_training_step_stays_under_its_call_budget():
     # The benchmark's conv net (``conv_spec()``): 542 C calls a step when
     # every convolution was lowered, ReLU's gradient took four calls and
     # conv1 computed a data gradient nobody reads; 443 after that; 505
-    # since backward became two GEMMs, while the step got ~20 % faster.
+    # since backward became two GEMMs, while the step got ~20 % faster;
+    # 412 since im2col, backward-data and max pooling are one gather
+    # each through a table built once per geometry.
     # Slot operations (``matmul``, ``+=``, indexing) are invisible to
     # this count: ``col2im``'s 9-25 strided ``+=`` a layer never showed
     # up in it, so it bounds Python-level calls, not work.
@@ -482,4 +582,4 @@ def test_conv_training_step_stays_under_its_call_budget():
         "data": rng.standard_normal((10, 3, 12, 12)).astype(np.float32),
         "label": rng.integers(0, 10, 10),
     }
-    assert count_c_calls(lambda: solver.step(inputs)) <= 512
+    assert count_c_calls(lambda: solver.step(inputs)) <= 420
