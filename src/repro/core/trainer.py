@@ -5,12 +5,18 @@ processing using the MPI programming model and performs parameter exchange
 handling using the remote shared memory library provided by the SMB
 library".  Concretely:
 
-1. every rank builds an identical model replica;
-2. the master (rank 0) creates the ``W_g`` segment on the SMB server,
+1. the master (rank 0) creates the ``W_g`` segment on the SMB server,
    seeds it with the initial weights, creates the shared control block,
-   and **broadcasts the SHM keys over MPI** (paper Fig. 2);
-3. every SEASGD participant attaches ``W_g``, allocates its private
-   ``dW_x`` segment, and runs its worker loop;
+   and writes the **job document** (namespace, model size, the SHM keys,
+   slot capacity) that it **broadcasts over MPI** (paper Fig. 2) and
+   publishes in the membership registry when there is one;
+2. every participant — launch rank or late joiner — is built by one
+   function from that document: replica, client, attach by SHM key,
+   registry slot, warm start from ``W_g``, private ``dW_x`` segment,
+   strategy and engine.  A launch rank gets the document over MPI and
+   its group id as slot; a joiner reads the registry and takes the
+   lowest free slot;
+3. launch ranks meet at one barrier before anyone trains;
 4. histories are gathered back to the caller.
 
 ``group_size == 1`` yields ShmCaffe-A (pure SEASGD); ``group_size > 1``
@@ -19,11 +25,12 @@ yields ShmCaffe-H with one SEASGD participant (the group root) per group.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +60,20 @@ from .config import ShmCaffeConfig, TerminationCriterion
 from .engine import TrainingEngine, WorkerHistory
 from .exchange import HybridExchange, make_exchange
 from .termination import TerminationCoordinator
+
+#: The job document the master writes (and publishes in the registry):
+#: namespace, model size, the SHM keys of ``W_g`` and the control block,
+#: slot capacity and the exchange hyper-parameters.
+Job = Dict[str, Any]
+
+#: Where a participant's job document comes from — the MPI broadcast or
+#: the registry — given its client and replica.  The master, which
+#: creates the segments, also hands over its own ``W_g`` and control
+#: block handles.
+JobSource = Callable[
+    [Optional[SMBClient], FlatParams],
+    Tuple[Job, Optional[Tuple[RemoteArray, ControlBlock]]],
+]
 
 
 @dataclass
@@ -178,8 +199,6 @@ class DistributedTrainingManager:
         max_workers: Slot capacity of an elastic run (>= ``num_workers``);
             defaults to ``num_workers`` (an elastic run that cannot grow,
             only churn).
-        registry_lease: Seconds a member record survives without a
-            heartbeat before being presumed dead and evicted.
     """
 
     def __init__(
@@ -210,7 +229,6 @@ class DistributedTrainingManager:
         registry_dir: Optional[str] = None,
         elastic: bool = False,
         max_workers: Optional[int] = None,
-        registry_lease: float = 30.0,
     ) -> None:
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
@@ -326,9 +344,8 @@ class DistributedTrainingManager:
         #: one slot per SEASGD participant for a fixed fleet.
         self.control_capacity = self.max_workers if elastic else self.num_groups
         self.registry: Optional[MembershipRegistry] = (
-            MembershipRegistry(
-                registry_dir, lease=registry_lease, telemetry=self.telemetry
-            ) if registry_dir is not None else None
+            MembershipRegistry(registry_dir, telemetry=self.telemetry)
+            if registry_dir is not None else None
         )
         self._job_ready = threading.Event()
         self._spawn_counter = itertools.count()
@@ -359,17 +376,22 @@ class DistributedTrainingManager:
             )
         return client
 
-    def _reclaim_array(
+    def _create_array(
         self, client: SMBClient, name: str, count: int,
         dtype: str = "float32",
     ) -> RemoteArray:
-        """Attach to a segment that survived a server recovery.
+        """CREATE a segment; on resume, adopt one a recovery left behind.
 
         Resuming a job against a journal-recovered server finds its old
         segments still allocated (SHM keys are stable across restarts);
         instead of failing the CREATE, the run adopts them — after
         checking the size still matches the model being resumed.
         """
+        try:
+            return client.create_array(name, count, dtype)
+        except smb_errors.SegmentExistsError:
+            if self._resume_info is None:
+                raise
         shm_key, nbytes = client.lookup(name)
         expected = count * np.dtype(dtype).itemsize
         if nbytes != expected:
@@ -379,221 +401,263 @@ class DistributedTrainingManager:
             )
         return client.attach_array(name, shm_key, count, dtype)
 
-    def _create_array(
-        self, client: SMBClient, name: str, count: int,
-        dtype: str = "float32",
-    ) -> RemoteArray:
-        """CREATE a segment; on resume, reclaim one a recovery left behind."""
-        try:
-            return client.create_array(name, count, dtype)
-        except smb_errors.SegmentExistsError:
-            if self._resume_info is None:
-                raise
-            return self._reclaim_array(client, name, count, dtype)
+    # -- bring-up --------------------------------------------------------------
 
-    # -- per-rank entry point ----------------------------------------------
+    def _announce(
+        self, client: SMBClient, flat: FlatParams
+    ) -> Tuple[Job, Tuple[RemoteArray, ControlBlock]]:
+        """Master-side: create the job's segments and write its document.
+
+        Creates and seeds ``W_g``, creates (or, on resume, reclaims) the
+        control block, and publishes the job document in the registry
+        when there is one.  Returns the document plus the master's own
+        handles on the two segments.
+        """
+        ns = self.namespace
+        resume = self._resume_info
+        global_array = self._create_array(client, f"{ns}W_g", flat.count)
+        # On resume W_g continues from the checkpointed elastic centre,
+        # NOT from the master's replica — they differ under EASGD and
+        # conflating them would perturb every worker.
+        global_array.write(
+            resume.load_global_weights() if resume is not None
+            else flat.get_vector()
+        )
+        capacity = self.control_capacity
+        control = ControlBlock(self._create_array(
+            client, f"{ns}control", 2 * capacity + 1, "int64"
+        ), capacity)
+        # Elastic fleets start with every slot FREE and claim explicitly;
+        # fixed fleets pre-claim all slots.  An adopted segment is wiped
+        # too: a previous run's Iter_x counters and stop flag must not
+        # leak into the resumed fleet's termination decisions.
+        control.reset(0 if self.elastic else None)
+        job: Job = {
+            "namespace": ns,
+            "count": flat.count,
+            "w_g_key": global_array.shm_key,
+            "control_key": control.shm_key,
+            "capacity": capacity,
+            "num_launch_workers": self.num_workers,
+            "algorithm": self.config.algorithm,
+            "max_iterations": self.config.max_iterations,
+            "moving_rate": self.config.moving_rate,
+            "update_interval": self.config.update_interval,
+            "elastic": self.elastic,
+        }
+        if self.registry is not None:
+            server_doc: Dict[str, object] = {"mode": "inproc"}
+            if self.server_address is not None:
+                host, port = self.server_address
+                server_doc = {"mode": "tcp", "host": host, "port": port}
+                if self.rendezvous:
+                    server_doc["rendezvous"] = self.rendezvous
+            self.registry.publish_job(server_doc, job, capacity)
+        return job, (global_array, control)
 
     def _rank_main(self, comm: mpi.Communicator) -> WorkerHistory:
-        rank = comm.rank
-        net = Net(self.spec_factory(), seed=self.seed)
-        flat = FlatParams(net)
-        if self.initial_weights is not None:
-            flat.set_vector(self.initial_weights)  # warm start
-        solver = SGDSolver(net, self.config.solver)
-        start_iteration = 0
-        cursor = 0
-        resume = self._resume_info
-        if resume is not None:
-            state_path = resume.rank_state_path(rank)
-            if state_path.exists():
-                # Local weights, momentum, iteration counter, RNG state
-                # — and the dataset cursor to fast-forward the batch
-                # stream — all continue from the saved boundary.
-                saved_cursor = load_solver_state(solver, state_path)
-                start_iteration = solver.iteration
-                cursor = (
-                    saved_cursor if saved_cursor is not None
-                    else start_iteration
-                )
-            else:
-                # This rank had died (or never saved) before the
-                # checkpoint was sealed: restart it fresh from the saved
-                # global weights, like a late joiner.
-                flat.set_vector(resume.load_global_weights())
-        client = self._make_client(rank=rank)
+        """A launch rank: the job document arrives over MPI."""
 
-        ns = self.namespace
-        capacity = self.control_capacity
-        # Elastic fleets start with every slot FREE and claim explicitly;
-        # fixed fleets pre-claim all slots.
-        preclaimed = 0 if self.elastic else None
-        if comm.is_master:
-            global_array = self._create_array(client, f"{ns}W_g", flat.count)
-            if resume is not None:
-                # W_g continues from the checkpointed elastic centre,
-                # NOT from the master's replica — they differ under
-                # EASGD and conflating them would perturb every worker.
-                global_array.write(resume.load_global_weights())
-            else:
-                global_array.write(flat.get_vector())
-            try:
-                control = ControlBlock.create(
-                    client, f"{ns}control", capacity, preclaimed
-                )
-            except smb_errors.SegmentExistsError:
-                if resume is None:
-                    raise
-                # Adopt the recovered control segment, but wipe it: the
-                # previous run's Iter_x counters and stop flag must not
-                # leak into the resumed fleet's termination decisions.
-                array = self._reclaim_array(
-                    client, f"{ns}control", 2 * capacity + 1, "int64"
-                )
-                control = ControlBlock(array, capacity)
-                control.reset(preclaimed)
-            if self.registry is not None:
-                self._publish_job(global_array, control, flat.count)
-            keys = {
-                "W_g": global_array.shm_key,
-                "control": control.shm_key,
-            }
-            mpi.bcast(comm, keys)
-        else:
-            keys = mpi.bcast(comm, None)
-            global_array = None
-            control = None
+        def job_over_mpi(client: Optional[SMBClient], flat: FlatParams):
+            if not comm.is_master:
+                return mpi.bcast(comm, None), None
+            assert client is not None
+            job, own = self._announce(client, flat)
+            mpi.bcast(comm, job)
+            return job, own
 
-        group_id = rank // self.group_size
-        group_rank = rank % self.group_size
-        is_seasgd_participant = group_rank == 0
+        def launch_barrier() -> None:
+            # Everyone is attached before anyone starts mutating W_g.
+            mpi.barrier(comm)
+            if comm.is_master:
+                # Only now are the launch fleet's slots all claimed and
+                # registered — opening the gate earlier would let a
+                # spawned joiner race a launch rank for its slot.
+                self._job_ready.set()
 
-        member_id = f"rank{rank}"
-        claim: Optional[SlotClaim] = None
-        if is_seasgd_participant:
-            if global_array is None:
-                global_array = client.attach_array(
-                    f"{ns}W_g", keys["W_g"], flat.count
-                )
-            if control is None:
-                control = ControlBlock.attach(
-                    client, f"{ns}control", keys["control"], capacity
-                )
-            if self.registry is not None:
-                # Launch workers take their deterministic slot (== group
-                # id); the registry serialises the record, the claim
-                # stamps the slot's generation.
-                if self.elastic:
-                    claim = control.claim(slot=group_id)
-                self.registry.join(
-                    member_id, slot=group_id,
-                    generation=claim.generation if claim else 1,
-                )
-            increment = self._create_array(
-                client, f"{ns}dW_{rank}", flat.count
-            )
-            termination = TerminationCoordinator(
-                control,
-                rank=group_id,
-                criterion=self.config.termination,
-                target_iterations=self.config.max_iterations,
-                generation=claim.generation if claim else None,
-            )
-        else:
-            increment = None
-            termination = None
-
-        batches = self.dataset.minibatches(
-            self.batch_size,
-            seed=self.seed + 1000 + rank,
-            rank=rank,
-            num_shards=self.num_workers,
-            skip=cursor,
+        return self._participant(
+            comm.rank, f"rank{comm.rank}", job_over_mpi, launch_barrier
         )
-        prefetcher = None
-        if self.prefetch:
-            # ShmCaffe "prefetches 10 sets of minibatch training data";
-            # wrap the shard stream in the background prefetcher.
-            from ..caffe.data import Prefetcher
 
-            prefetcher = Prefetcher(batches)
-            batches = iter(prefetcher.next_batch, None)
-        on_iteration = self._make_monitor(net) if (
-            comm.is_master and self.eval_every
-        ) else None
-        retire_event: Optional[threading.Event] = None
-        if self.registry is not None and is_seasgd_participant:
-            retire_event = threading.Event()
-            with self._elastic_lock:
-                self._retire_events[member_id] = retire_event
-            on_iteration = self._membership_monitor(
-                member_id, retire_event, on_iteration
-            )
+    def _participant(
+        self,
+        rank: int,
+        member_id: str,
+        job_source: JobSource,
+        ready: Callable[[], None] = lambda: None,
+        on_claim: Callable[[SlotClaim], None] = lambda claim: None,
+    ) -> WorkerHistory:
+        """Build, run and retire one participant, launch rank or joiner.
 
-        if self.group_size == 1:
-            strategy = make_exchange(
-                self.config,
-                global_weights=global_array,
-                increment_buffer=increment,
-                fleet=control.live_count if self.elastic else None,
+        ``job_source`` hands over the job document; ``ready`` runs just
+        before training.  Launch ranks are ``0 .. num_workers - 1`` and
+        joiners continue the sequence, so ``rank`` decides the rest of
+        what differs: a launch rank asks for its group id as slot and
+        carries the checkpoint coordinator, whose barrier counts
+        ``num_workers``; rank 0 runs the eval monitor; HSGD non-roots
+        touch no SMB segment.  Every client opened here is closed on
+        every exit path, and so is the registry record.
+        """
+        launch = rank < self.num_workers
+        group_id, group_rank = divmod(rank, self.group_size)
+        with contextlib.ExitStack() as stack:
+            net = Net(self.spec_factory(), seed=self.seed)
+            flat = FlatParams(net)
+            if self.initial_weights is not None:
+                flat.set_vector(self.initial_weights)
+            solver = SGDSolver(net, self.config.solver)
+            cursor = 0
+            resume = self._resume_info
+            restored = False
+            if resume is not None and resume.rank_state_path(rank).exists():
+                # Local weights, momentum, iteration counter, RNG state —
+                # and the dataset cursor to fast-forward the batch stream
+                # — all continue from the saved boundary.
+                saved = load_solver_state(
+                    solver, resume.rank_state_path(rank)
+                )
+                cursor = solver.iteration if saved is None else saved
+                restored = True
+            client = (
+                stack.enter_context(self._make_client(rank=rank))
+                if group_rank == 0 else None
             )
-        else:
-            strategy = HybridExchange(
-                group=self._rings[group_id],
-                group_rank=group_rank,
-                global_weights=global_array,
-                increment_buffer=increment,
+            job, own = job_source(client, flat)
+            ns, count = job["namespace"], job["count"]
+            if count != flat.count:
+                raise smb_errors.MembershipError(
+                    f"job model has {count} weights, local spec builds "
+                    f"{flat.count}"
+                )
+
+            global_array = increment = control = None
+            termination = claim = retire_event = None
+            if client is not None:
+                global_array, control = own or (
+                    client.attach_array(f"{ns}W_g", job["w_g_key"], count),
+                    ControlBlock.attach(
+                        client, f"{ns}control", job["control_key"],
+                        job["capacity"],
+                    ),
+                )
+                slot = group_id
+                if self.registry is not None:
+                    # A fixed fleet's slots are pre-claimed at generation
+                    # 1; an elastic participant records what its claim
+                    # returns.
+                    member = self.registry.join(
+                        member_id, slot=group_id if launch else None,
+                        generation=0 if self.elastic else 1,
+                    )
+                    retire_event = threading.Event()
+                    with self._elastic_lock:
+                        self._retire_events[member_id] = retire_event
+                    stack.callback(self._leave, member_id)
+                    slot = member.slot
+                    if self.elastic:
+                        claim = control.claim(slot=slot)
+                        self.registry.update_member(
+                            member_id, generation=claim.generation
+                        )
+                        on_claim(claim)
+                if not restored:
+                    # The replica starts from the current elastic centre:
+                    # the master's seed at launch, the checkpointed centre
+                    # on resume, wherever the fleet has moved for a joiner.
+                    flat.set_vector(global_array.read())
+                increment = self._create_array(
+                    client, f"{ns}dW_{member_id}", count
+                )
+                termination = TerminationCoordinator(
+                    control,
+                    rank=slot,
+                    criterion=self.config.termination,
+                    target_iterations=self.config.max_iterations,
+                    generation=claim.generation if claim else None,
+                )
+
+            # Joiners share a launch shard (distinct batch order via the
+            # rank-salted seed): the shard layout is fixed at launch.
+            batches = self.dataset.minibatches(
+                self.batch_size,
+                seed=self.seed + 1000 + rank,
+                rank=rank % self.num_workers,
+                num_shards=self.num_workers,
+                skip=cursor,
             )
-        coordinator = None
-        if self.checkpoint_dir is not None:
-            coordinator = CheckpointCoordinator(
-                directory=self.checkpoint_dir,
-                every=self.checkpoint_every,
+            if self.prefetch:
+                # ShmCaffe "prefetches 10 sets of minibatch training
+                # data"; wrap the shard stream in the background
+                # prefetcher.
+                from ..caffe.data import Prefetcher
+
+                prefetcher = Prefetcher(batches)
+                stack.callback(prefetcher.stop)
+                batches = iter(prefetcher.next_batch, None)
+            on_iteration = None
+            if rank == 0 and self.eval_every:
+                # W_g attached once, on the monitor's own clean client:
+                # chaos aimed at the rank must not reach it.
+                on_iteration = self._make_monitor(
+                    stack.enter_context(self._make_client()).attach_array(
+                        f"{ns}W_g", job["w_g_key"], count
+                    )
+                )
+            if retire_event is not None:
+                on_iteration = self._membership_monitor(
+                    member_id, retire_event, on_iteration
+                )
+
+            if self.group_size == 1:
+                strategy = make_exchange(
+                    self.config,
+                    global_weights=global_array,
+                    increment_buffer=increment,
+                    fleet=control.live_count if self.elastic else None,
+                )
+            else:
+                strategy = HybridExchange(
+                    group=self._rings[group_id],
+                    group_rank=group_rank,
+                    global_weights=global_array,
+                    increment_buffer=increment,
+                )
+            coordinator = None
+            if launch and self.checkpoint_dir is not None:
+                coordinator = CheckpointCoordinator(
+                    directory=self.checkpoint_dir,
+                    every=self.checkpoint_every,
+                    rank=rank,
+                    num_workers=self.num_workers,
+                    global_weights=global_array if rank == 0 else None,
+                    termination=termination,
+                    metadata=self.checkpoint_metadata,
+                    telemetry=self.telemetry,
+                )
+            engine = TrainingEngine(
                 rank=rank,
-                num_workers=self.num_workers,
-                global_weights=global_array if rank == 0 else None,
+                net=net,
+                config=self.config,
+                batches=batches,
+                strategy=strategy,
                 termination=termination,
-                metadata=self.checkpoint_metadata,
+                on_iteration=on_iteration,
                 telemetry=self.telemetry,
+                solver=solver,
+                checkpoint=coordinator,
+                start_iteration=solver.iteration,
+                retire_signal=retire_event.is_set if self.elastic else None,
             )
-        engine = TrainingEngine(
-            rank=rank,
-            net=net,
-            config=self.config,
-            batches=batches,
-            strategy=strategy,
-            termination=termination,
-            on_iteration=on_iteration,
-            telemetry=self.telemetry,
-            solver=solver,
-            checkpoint=coordinator,
-            start_iteration=start_iteration,
-            retire_signal=(
-                retire_event.is_set if (
-                    self.elastic and retire_event is not None
-                ) else None
-            ),
-        )
-        # Everyone is attached before anyone starts mutating W_g.
-        mpi.barrier(comm)
-        if comm.is_master and self.registry is not None:
-            # Only now are the launch fleet's slots all claimed and
-            # registered — opening the gate earlier would let a spawned
-            # joiner race a launch worker for its deterministic slot.
-            self._job_ready.set()
-        try:
+            ready()
             history = engine.run()
-        finally:
-            if prefetcher is not None:
-                prefetcher.stop()
-        if is_seasgd_participant and control is not None:
-            self._depart(control, member_id, claim, history)
+            if history.retired:
+                self._depart(member_id, claim, control, increment)
         return history
 
-    def _make_monitor(self, net: Net):
+    def _make_monitor(self, global_weights: RemoteArray):
         """Rank-0 callback snapshotting global-weight test metrics."""
         eval_net = Net(self.spec_factory(), seed=self.seed)
         eval_flat = FlatParams(eval_net)
-        client = self._make_client()
         test_batches = [
             b.as_inputs()
             for b in self.dataset.test_batches(self.eval_batch_size)
@@ -603,11 +667,7 @@ class DistributedTrainingManager:
         def monitor(rank: int, iteration: int, stats: Dict[str, float]) -> None:
             if iteration % manager.eval_every != 0:
                 return
-            shm_key, _ = client.lookup(f"{manager.namespace}W_g")
-            array = client.attach_array(
-                f"{manager.namespace}W_g", shm_key, eval_flat.count
-            )
-            eval_flat.set_vector(array.read())
+            eval_flat.set_vector(global_weights.read())
             totals: Dict[str, float] = {}
             for batch in test_batches:
                 outputs = eval_net.forward(batch, train=False)
@@ -627,36 +687,6 @@ class DistributedTrainingManager:
         return monitor
 
     # -- elastic membership ----------------------------------------------------
-
-    def _publish_job(
-        self, global_array: RemoteArray, control: ControlBlock, count: int
-    ) -> None:
-        """Master-side: announce this job in the membership registry."""
-        assert self.registry is not None
-        if self.server_address is not None:
-            server_doc: Dict[str, object] = {
-                "mode": "tcp",
-                "host": self.server_address[0],
-                "port": self.server_address[1],
-            }
-            if self.rendezvous:
-                server_doc["rendezvous"] = self.rendezvous
-        else:
-            server_doc = {"mode": "inproc"}
-        job = {
-            "namespace": self.namespace,
-            "count": count,
-            "w_g_key": global_array.shm_key,
-            "control_key": control.shm_key,
-            "capacity": self.control_capacity,
-            "num_launch_workers": self.num_workers,
-            "algorithm": self.config.algorithm,
-            "max_iterations": self.config.max_iterations,
-            "moving_rate": self.config.moving_rate,
-            "update_interval": self.config.update_interval,
-            "elastic": self.elastic,
-        }
-        self.registry.publish_job(server_doc, job, self.control_capacity)
 
     def _membership_monitor(
         self,
@@ -690,33 +720,35 @@ class DistributedTrainingManager:
 
     def _depart(
         self,
-        control: ControlBlock,
         member_id: str,
-        claim: Optional[SlotClaim],
-        history: WorkerHistory,
+        claim: SlotClaim,
+        control: ControlBlock,
+        increment: RemoteArray,
     ) -> None:
-        """Post-run membership bookkeeping for one participant.
+        """A retired participant's exit: slot back to FREE, increment freed.
 
-        A *retired* worker releases its slot back to FREE (reclaimable by
-        a later joiner, excluded from every criterion).  A worker that
-        *completed* keeps its final progress in the slot — the mean the
-        fleet terminates on includes it, exactly like the fixed fleet.  A
-        *failed* worker's dead encoding likewise stays (survivors rescale
-        over it; the slot remains claimable).  In every case the registry
-        record goes away.
+        The slot becomes reclaimable by a later joiner and is excluded
+        from every criterion; the increment is dead weight on the server.
+        A participant that *completed* keeps both — its final progress
+        stays in the mean the fleet terminates on, exactly like the fixed
+        fleet — and a *failed* one keeps its dead encoding (survivors
+        rescale over it; the slot remains claimable).
         """
-        if self.registry is None:
-            return
         try:
-            if history.retired and claim is not None:
-                control.release(claim.slot, claim.generation)
+            control.release(claim.slot, claim.generation)
+            increment.free()
         except smb_errors.SMBError as exc:
             logging.getLogger(__name__).warning(
                 "slot release for %s failed: %s", member_id, exc
             )
+
+    def _leave(self, member_id: str) -> None:
+        """Drop a participant's registry record, on every exit path."""
+        assert self.registry is not None
         try:
             self.registry.leave(member_id)
-        except smb_errors.MembershipError as exc:
+        except (smb_errors.MembershipError, OSError) as exc:
+            # The registry directory may already be torn down.
             logging.getLogger(__name__).warning(
                 "registry leave for %s failed: %s", member_id, exc
             )
@@ -740,18 +772,17 @@ class DistributedTrainingManager:
             )
         seq = next(self._spawn_counter)
         handle = ElasticWorkerHandle(member_id=f"elastic-{seq}", seq=seq)
-        retire_event = threading.Event()
-        with self._elastic_lock:
-            self._retire_events[handle.member_id] = retire_event
-            self._elastic_handles.append(handle)
-        thread = threading.Thread(
+        handle.thread = threading.Thread(
             target=self._elastic_member_main,
-            args=(handle, retire_event),
+            args=(handle,),
             name=handle.member_id,
             daemon=True,
         )
-        handle.thread = thread
-        thread.start()
+        with self._elastic_lock:
+            self._elastic_handles.append(handle)
+        handle.thread.start()
+        if self.telemetry.enabled:
+            self.telemetry.registry.inc("smb/membership/spawned")
         return handle
 
     def retire_worker(self, member_id: Optional[str] = None) -> bool:
@@ -787,121 +818,34 @@ class DistributedTrainingManager:
             event.set()
         return True
 
-    def _elastic_member_main(
-        self, handle: ElasticWorkerHandle, retire_event: threading.Event
-    ) -> None:
-        """A late joiner's whole life: discover, join, claim, train, leave.
+    def _elastic_member_main(self, handle: ElasticWorkerHandle) -> None:
+        """A late joiner: the job document comes from the registry.
 
-        Mirrors ``_rank_main`` minus MPI: the job document replaces the
-        key broadcast, the registry replaces the launch-time rank
-        assignment, and ``W_g`` (the current elastic centre) replaces the
-        identical-seed replica init — the paper's warm start for a worker
-        that missed bring-up.
+        Its rank continues the launch sequence, so per-worker telemetry
+        and fault seeds stay distinct; a failure is recorded on the
+        handle instead of raised.
         """
         registry = self.registry
         assert registry is not None
-        member_id = handle.member_id
-        joined = False
-        client: Optional[SMBClient] = None
-        try:
-            view = registry.wait_for_job()
-            job = view.entry().job
-            ns = str(job.get("namespace", ""))
-            count = int(job["count"])                # type: ignore[arg-type]
-            capacity = int(job["capacity"])          # type: ignore[arg-type]
-            launch = int(job.get("num_launch_workers", self.num_workers))  # type: ignore[arg-type]
-            # Telemetry/fault identity: continues the rank sequence past
-            # the launch fleet so per-worker metrics stay distinct.
-            rank_id = launch + handle.seq
-            client = self._make_client(rank=rank_id)
-            member = registry.join(member_id)
-            joined = True
-            control = ControlBlock.attach(
-                client, f"{ns}control",
-                int(job["control_key"]), capacity,    # type: ignore[arg-type]
-            )
-            claim = control.claim(slot=member.slot)
-            registry.update_member(member_id, generation=claim.generation)
+
+        def job_from_registry(
+            client: Optional[SMBClient], flat: FlatParams
+        ) -> Tuple[Dict[str, object], None]:
+            return registry.wait_for_job().entry().job, None
+
+        def claimed(claim: SlotClaim) -> None:
             handle.slot, handle.generation = claim.slot, claim.generation
 
-            net = Net(self.spec_factory(), seed=self.seed)
-            flat = FlatParams(net)
-            global_array = client.attach_array(
-                f"{ns}W_g", int(job["w_g_key"]), count,  # type: ignore[arg-type]
+        try:
+            handle.history = self._participant(
+                self.num_workers + handle.seq, handle.member_id,
+                job_from_registry, on_claim=claimed,
             )
-            if flat.count != count:
-                raise smb_errors.MembershipError(
-                    f"job model has {count} weights, local spec builds "
-                    f"{flat.count}"
-                )
-            # Seed the replica from the current elastic centre, not from
-            # the launch-time init: the fleet has moved on.
-            flat.set_vector(global_array.read())
-            increment = client.create_array(
-                f"{ns}dW_{member_id}", count
-            )
-            strategy = make_exchange(
-                self.config,
-                global_weights=global_array,
-                increment_buffer=increment,
-                fleet=control.live_count,
-            )
-            termination = TerminationCoordinator(
-                control,
-                rank=claim.slot,
-                criterion=self.config.termination,
-                target_iterations=self.config.max_iterations,
-                generation=claim.generation,
-            )
-            # Late joiners share a launch shard (distinct batch order via
-            # the rank-salted seed): the shard layout is fixed at launch.
-            batches = self.dataset.minibatches(
-                self.batch_size,
-                seed=self.seed + 1000 + rank_id,
-                rank=rank_id % self.num_workers,
-                num_shards=self.num_workers,
-            )
-            engine = TrainingEngine(
-                rank=rank_id,
-                net=net,
-                config=self.config,
-                batches=batches,
-                strategy=strategy,
-                termination=termination,
-                on_iteration=self._membership_monitor(
-                    member_id, retire_event, None
-                ),
-                telemetry=self.telemetry,
-                retire_signal=retire_event.is_set,
-            )
-            if self.telemetry.enabled:
-                self.telemetry.registry.inc("smb/membership/spawned")
-            history = engine.run()
-            handle.history = history
-            self._depart(control, member_id, claim, history)
-            if history.retired:
-                # A retired joiner's private segment is dead weight on
-                # the server; completed workers keep theirs (symmetrical
-                # with the launch fleet, freed with the server).
-                try:
-                    increment.free()
-                except smb_errors.SMBError:
-                    pass
         except Exception as exc:  # noqa: BLE001 - reported via the handle
             handle.error = f"{type(exc).__name__}: {exc}"
             logging.getLogger(__name__).warning(
-                "elastic member %s died: %s", member_id, handle.error
+                "elastic member %s died: %s", handle.member_id, handle.error
             )
-            if joined:
-                try:
-                    registry.leave(member_id)
-                except (smb_errors.MembershipError, OSError):
-                    pass  # registry dir may already be torn down
-            with self._elastic_lock:
-                self._retire_events.pop(member_id, None)
-        finally:
-            if client is not None and self.server_address is not None:
-                client.close()
 
     def drain_elastic(self, timeout: float = 120.0) -> List[WorkerHistory]:
         """Wait for every spawned worker and collect their histories."""
@@ -952,11 +896,11 @@ class DistributedTrainingManager:
                 "%d survivor(s) completed training",
                 lost, len(histories) - len(lost),
             )
-        reader = self._make_client()
-        shm_key, nbytes = reader.lookup(f"{self.namespace}W_g")
-        final = reader.attach_array(
-            f"{self.namespace}W_g", shm_key, nbytes // 4
-        ).read()
+        with self._make_client() as reader:
+            shm_key, nbytes = reader.lookup(f"{self.namespace}W_g")
+            final = reader.attach_array(
+                f"{self.namespace}W_g", shm_key, nbytes // 4
+            ).read()
         return TrainingResult(
             histories=histories,
             final_global_weights=final,

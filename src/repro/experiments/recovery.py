@@ -30,9 +30,10 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 from time import monotonic, sleep
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 from ..caffe import SolverConfig, SyntheticImageDataset
+from ..caffe.data import Minibatch
 from ..caffe.netspec import NetSpec
 from ..core import (
     DistributedTrainingManager,
@@ -197,6 +198,34 @@ def build_manager(
     )
 
 
+class _HeldDataset(SyntheticImageDataset):
+    """A dataset that holds every rank at one minibatch until released.
+
+    The server-loss drill holds the fleet at the first minibatch after
+    the kill boundary until ``kill()`` has returned, so every rank's next
+    control WRITE provably meets the dead server.
+    """
+
+    def __init__(
+        self, hold_at: int, released: threading.Event, timeout: float,
+        **kwargs: Any,
+    ) -> None:
+        super().__init__(**kwargs)
+        self.hold_at = hold_at
+        self.released = released
+        self.timeout = timeout
+
+    def minibatches(
+        self, batch_size: int, seed: int = 0, rank: int = 0,
+        num_shards: int = 1, skip: int = 0,
+    ) -> Iterator[Minibatch]:
+        stream = super().minibatches(batch_size, seed, rank, num_shards, skip)
+        for number, batch in enumerate(stream, start=skip + 1):
+            if number == self.hold_at:
+                self.released.wait(self.timeout)
+            yield batch
+
+
 @dataclass
 class DrillReport:
     """What :func:`run_server_loss_drill` observed."""
@@ -241,7 +270,11 @@ def run_server_loss_drill(
     fleet has sealed a checkpoint at ``kill_at_iteration`` (so the kill
     provably lands mid-run, with durable state behind it), then
     ``kill()``-s the server — no clean-shutdown snapshot; recovery must
-    come from the journal.  After ``outage`` seconds a replacement
+    come from the journal.  Every rank waits at minibatch
+    ``kill_at_iteration + 1`` until ``kill()`` has returned, so each
+    one's next control WRITE meets the dead server (the watcher's
+    deadline releases the hold if no checkpoint is ever sealed).  After
+    ``outage`` seconds a replacement
     server recovers from the same directory on a fresh ephemeral port
     and republishes the rendezvous file.  Workers re-attach
     transparently and the run completes.
@@ -270,6 +303,7 @@ def run_server_loss_drill(
         session_ctx = telemetry_session("metrics")
     replacement: Dict[str, TcpSMBServer] = {}
     server: Optional[TcpSMBServer] = None
+    killed = threading.Event()
     try:
         with session_ctx as tel:
             server = TcpSMBServer(
@@ -290,6 +324,7 @@ def run_server_loss_drill(
                         break
                     sleep(0.02)
                 server.kill()
+                killed.set()
                 sleep(outage)
                 replacement["server"] = TcpSMBServer(
                     port=0, journal_dir=journal_dir,
@@ -305,6 +340,9 @@ def run_server_loss_drill(
                 server_down_grace=grace,
                 retry_policy=policy,
                 telemetry=tel,
+            )
+            manager.dataset = _HeldDataset(
+                kill_at_iteration + 1, killed, timeout, **metadata["dataset"]
             )
             watcher = threading.Thread(
                 target=_watch_and_kill, name="drill-killer", daemon=True

@@ -388,10 +388,19 @@ class SMBServer:
             return 0
         raise SMBError(f"not a mutation: {op!r}")
 
+    def _refuse_if_closing(self) -> None:
+        """Refuse a mutation once :meth:`close` began.  The caller holds
+        :meth:`_mutation_guard`, as the close does: a mutation journals
+        before the store closes or is refused, never acknowledged and
+        lost."""
+        if self._closing.is_set():
+            raise ServerClosingError("server is shutting down")
+
     def _commit(self, record: Message, tenant: Optional[str] = None) -> int:
         """Apply a live mutation and journal that same record, both under
         :meth:`_mutation_guard`; returns what :meth:`_apply` returns."""
         with self._mutation_guard():
+            self._refuse_if_closing()
             version = self._apply(record, tenant)
             self._journal(record)
         return version
@@ -405,7 +414,7 @@ class SMBServer:
             self._write_snapshot_locked()
 
     def close(self) -> None:
-        """Refuse new waits and wake every blocked WAIT_UPDATE.
+        """Refuse new waits and mutations; wake every blocked WAIT_UPDATE.
 
         A wait served through :meth:`handle` (an in-process caller, a
         shm connection thread) sleeps on the segment's condition and
@@ -421,16 +430,17 @@ class SMBServer:
     def _close(self, snapshot: bool) -> None:
         """The body of :meth:`close`.  ``snapshot=False`` is what a dying
         process leaves (:meth:`TcpSMBServer.kill`): waits woken, the
-        journal handle released, no final snapshot."""
-        self._closing.set()
-        if self._store is not None:
-            if snapshot:
-                try:
-                    with self._journal_lock:
+        journal handle released, no final snapshot.  Every later mutation
+        is refused with :class:`ServerClosingError`."""
+        with self._mutation_guard():
+            self._closing.set()
+            if self._store is not None:
+                if snapshot:
+                    try:
                         self._write_snapshot_locked()
-                except OSError:
-                    logger.exception("final snapshot failed during close")
-            self._store.close()
+                    except OSError:
+                        logger.exception("final snapshot failed during close")
+                self._store.close()
         def _wake(segment) -> None:
             with segment.lock:
                 segment.updated.notify_all()
@@ -524,6 +534,7 @@ class SMBServer:
         if req.op is Op.CREATE:
             name = bytes(req.payload).decode()
             with self._mutation_guard():
+                self._refuse_if_closing()
                 try:
                     segment = self.pool.create(
                         name, req.count, tenant=tenant
@@ -1586,10 +1597,12 @@ class TcpSMBServer:
             self._listener.close()
         except OSError:
             pass
-        self.core._close(snapshot=clean)
-        # Pool threads send on their requests' sockets: let them finish
-        # first, so none sends on a closed (or re-issued) descriptor.
+        # Drain the pool before closing the core: an offloaded mutation
+        # (every mutation of a journaled server) then commits *and*
+        # journals before the store closes, and its pool thread sends its
+        # own answer before the sockets below close or are re-issued.
         self._pool.shutdown(wait=True)
+        self.core._close(snapshot=clean)
         for conn in list(self._conns.values()):
             self._close_conn(conn)
         self._conns.clear()

@@ -14,6 +14,7 @@ from repro.core import (
     ShmCaffeConfig,
     TerminationCriterion,
 )
+from repro.smb import SMBServer
 
 from .test_netspec import small_spec
 
@@ -79,6 +80,21 @@ class TestAsyncManager:
         iteration, metrics = result.eval_records[0]
         assert iteration == 5
         assert "loss" in metrics and "acc" in metrics
+
+    def test_eval_monitor_attaches_w_g_once(self, dataset):
+        """Every ATTACH mints an access key that lives as long as the
+        segment, so the monitor attaches W_g once: the server's ATTACH
+        count does not grow with the number of evaluations."""
+        attaches = []
+        for eval_every in (5, 1):
+            server = SMBServer(capacity=1 << 24)
+            result = make_manager(
+                dataset, 2, 1, iterations=10, eval_every=eval_every,
+                server=server,
+            ).run(timeout=120)
+            assert len(result.eval_records) >= 10 // eval_every
+            attaches.append(server.stats.op_counts["ATTACH"])
+        assert attaches[0] == attaches[1]
 
     def test_total_iterations_property(self, dataset):
         result = make_manager(dataset, 2, 1).run(timeout=120)

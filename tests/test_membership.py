@@ -12,10 +12,14 @@ from time import monotonic, sleep
 import numpy as np
 import pytest
 
+from repro.caffe import SolverConfig, SyntheticImageDataset
 from repro.core import (
     AutoscaleController,
     AutoscalePolicy,
     AutoscaleSupervisor,
+    DistributedTrainingManager,
+    ShmCaffeConfig,
+    TerminationCriterion,
 )
 from repro.core.autoscale import GROW, HOLD, SHRINK
 from repro.experiments.elastic import run_elastic_drill
@@ -31,6 +35,8 @@ from repro.smb import (
     read_json,
 )
 from repro.telemetry import TelemetrySession
+
+from .test_netspec import small_spec
 
 
 @pytest.fixture()
@@ -623,3 +629,65 @@ class TestElasticDrill:
         assert report.membership_counters.get(
             "smb/membership/retires", 0
         ) >= 1
+
+
+class TestLaunchRankRetire:
+    """``retire_worker`` falls back to launch ranks: one drains out."""
+
+    def test_retired_launch_rank_hands_back_slot_record_and_increment(
+        self, tmp_path, server
+    ):
+        iterations = 40
+        manager = DistributedTrainingManager(
+            spec_factory=lambda: small_spec(batch=4),
+            config=ShmCaffeConfig(
+                solver=SolverConfig(base_lr=0.05, momentum=0.9),
+                moving_rate=0.2,
+                max_iterations=iterations,
+                termination=TerminationCriterion.AVERAGE_ITERATIONS,
+            ),
+            dataset=SyntheticImageDataset(
+                num_classes=4, image_size=8, train_per_class=40,
+                test_per_class=8, noise=0.7, seed=3,
+            ),
+            batch_size=4,
+            num_workers=3,
+            server=server,
+            seed=3,
+            registry_dir=str(tmp_path / "registry"),
+            elastic=True,
+        )
+        registry = manager.registry
+        retired = []
+
+        def retire_rank2():
+            manager._job_ready.wait(60.0)
+            deadline = monotonic() + 60.0
+            while monotonic() < deadline:
+                record = registry.read().entry().members.get("rank2")
+                if record is not None and record.heartbeats >= 2:
+                    retired.append(manager.retire_worker("rank2"))
+                    return
+                sleep(0.005)
+
+        retirer = threading.Thread(target=retire_rank2, daemon=True)
+        retirer.start()
+        result = manager.run(timeout=120)
+        retirer.join(timeout=60.0)
+
+        assert retired == [True]
+        assert not result.failed_ranks
+        rank2 = result.histories[2]
+        assert rank2.retired and rank2.completed_iterations < iterations
+        # The survivors alone carried the AVERAGE criterion to its target.
+        survivors = [h.completed_iterations for h in result.histories[:2]]
+        assert np.mean(survivors) >= iterations
+        # Slot 2 is FREE again, its record is gone, its increment freed.
+        client = SMBClient.in_process(server)
+        shm_key, _ = client.lookup("control")
+        control = ControlBlock.attach(client, "control", shm_key, 3)
+        assert int(control.read_progress()[2]) == ControlBlock.FREE
+        assert "rank2" not in registry.read().entry().members
+        assert sorted(server.pool.segments()) == [
+            "W_g", "control", "dW_rank0", "dW_rank1",
+        ]

@@ -48,6 +48,7 @@ from repro.smb import (
     SMBClient,
     SMBError,
     SMBServer,
+    Status,
     TcpSMBServer,
     UnknownKeyError,
     read_rendezvous,
@@ -160,6 +161,72 @@ class TestServerDurability:
             capacity=1 << 20, journal_dir=tmp_path, journal_ops=False
         )
         assert bytes(second.pool.by_name("buf").buffer) == b"\x07" * 8
+
+    @pytest.mark.parametrize("stop", [
+        lambda server: server.close(),
+        lambda server: server._close(snapshot=False),
+    ], ids=["close", "kill"])
+    def test_mutation_after_close_is_refused_not_lost(self, tmp_path, stop):
+        """Once the server began closing, a mutation is refused: an OK
+        would be a promise the closed journal no longer keeps."""
+        first = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
+        with SMBClient.in_process(first) as client:
+            key = client.attach(client.create_buffer("buf", 8))
+            client.write(key, b"\x01" * 8)
+        stop(first)
+        response = first.handle(
+            Message(op=Op.WRITE, key=key, payload=b"\x02" * 8)
+        )
+        assert response.status is Status.ERROR
+        assert b"shutting down" in bytes(response.payload)
+        recovered = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
+        segment = recovered.pool.by_name("buf")
+        recovered.close()
+        assert (segment.version, bytes(segment.buffer)) == (1, b"\x01" * 8)
+
+    def test_kill_drains_in_flight_mutations_into_the_journal(
+        self, tmp_path
+    ):
+        """A mutation already on a pool thread when ``kill()`` lands
+        commits, journals and is answered before the journal closes, so
+        every acknowledged version survives recovery."""
+        server = TcpSMBServer(
+            port=0, capacity=1 << 20, journal_dir=tmp_path
+        ).start()
+        client = SMBClient.connect(server.address)
+        array = client.create_array("buf", 2)
+        array.write(np.ones(2, dtype=np.float32))
+        segment = server.core.pool.by_name("buf")
+        acked = []
+        segment.lock.acquire()  # park the next WRITE on its pool thread
+        try:
+            writer = threading.Thread(
+                target=lambda: acked.append(
+                    array.write(np.full(2, 2.0, dtype=np.float32))
+                ),
+                daemon=True,
+            )
+            writer.start()
+            killer = threading.Thread(target=server.kill, daemon=True)
+            deadline = time.monotonic() + 10.0
+            # The WRITE holds the journal lock while it waits for ours.
+            while (
+                not server.core._journal_lock.locked()
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            killer.start()
+            time.sleep(0.2)  # the kill is under way while the WRITE waits
+        finally:
+            segment.lock.release()
+        killer.join(timeout=10.0)
+        writer.join(timeout=10.0)
+        assert not killer.is_alive() and not writer.is_alive()
+        client.close()
+        recovered = SMBServer(capacity=1 << 20, journal_dir=tmp_path)
+        version = recovered.pool.by_name("buf").version
+        recovered.close()
+        assert acked and version >= acked[0]
 
     def test_snapshot_op_forces_durability(self, tmp_path):
         server = SMBServer(capacity=1 << 20, journal_dir=tmp_path)

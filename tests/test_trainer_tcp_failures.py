@@ -1,5 +1,9 @@
 """End-to-end TCP training and failure-injection tests."""
 
+import gc
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +75,35 @@ class TestTcpTrainer:
                 )
                 result = manager.run(timeout=300)
                 assert result.histories[0].completed_iterations >= 3
+
+    def test_runs_leave_no_connection_behind(self, dataset):
+        """Every client a run opens — each rank's, the eval monitor's and
+        the final-weights reader's — is closed before ``run()`` returns:
+        repeated runs leave the server with no connection and the
+        interpreter with no unclosed socket."""
+        with TcpSMBServer(capacity=1 << 26) as server:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                for namespace in ("job1.", "job2."):
+                    DistributedTrainingManager(
+                        spec_factory=lambda: small_spec(batch=4),
+                        config=make_config(iterations=3),
+                        dataset=dataset,
+                        batch_size=4,
+                        num_workers=2,
+                        server_address=server.address,
+                        namespace=namespace,
+                        eval_every=1,
+                        seed=1,
+                    ).run(timeout=300)
+                    deadline = time.monotonic() + 5.0
+                    while server._conns and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    assert not server._conns
+                gc.collect()
+        assert not [
+            w for w in caught if issubclass(w.category, ResourceWarning)
+        ]
 
     def test_hybrid_over_tcp(self, dataset):
         with TcpSMBServer(capacity=1 << 26) as server:
