@@ -420,7 +420,8 @@ def _parse_address(value: str):
 
 
 def _resolve_primary(args: argparse.Namespace):
-    """Primary endpoint from --connect or --rendezvous (serve commands)."""
+    """Primary endpoint from --rendezvous or --connect (serve gateway,
+    checkpoint save)."""
     from .smb import read_rendezvous
 
     if args.rendezvous:
@@ -507,19 +508,10 @@ def _cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
 
 def _cmd_checkpoint_save(args: argparse.Namespace) -> int:
     """Force a journaled SMB server to write a durable snapshot now."""
-    from .smb import SMBClient, errors, read_rendezvous
+    from .smb import SMBClient, errors
 
-    if args.rendezvous:
-        address = read_rendezvous(args.rendezvous)
-        if address is None:
-            print(f"error: no readable rendezvous at {args.rendezvous}",
-                  file=sys.stderr)
-            return 1
-    elif args.connect:
-        address = _parse_address(args.connect)
-    else:
-        print("error: one of --connect or --rendezvous is required",
-              file=sys.stderr)
+    address = _resolve_primary(args)
+    if address is None:
         return 1
     with SMBClient.connect(address) as client:
         try:

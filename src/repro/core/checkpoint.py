@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
@@ -49,6 +48,7 @@ import numpy as np
 
 from ..caffe.snapshot import save_solver_state
 from ..smb.client import RemoteArray
+from ..smb.journal import atomic_replace
 from ..telemetry import TelemetrySession
 from ..telemetry import current as _telemetry_current
 from .termination import TerminationCoordinator
@@ -66,27 +66,13 @@ RANK_STATE_PATTERN = "rank{rank:04d}.state.npz"
 GLOBAL_NAME = "global.npz"
 MANIFEST_NAME = "manifest.json"
 
+#: Upper bound on the master's fleet wait; on timeout a best-effort
+#: checkpoint is still written and marked ``barrier_ok: false``.
+BARRIER_TIMEOUT = 120.0
+
 
 class CheckpointError(Exception):
     """A checkpoint directory was missing, incomplete, or mismatched."""
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass
@@ -201,9 +187,6 @@ class CheckpointCoordinator:
         metadata: Arbitrary JSON-serialisable job description stored in
             each manifest so ``repro checkpoint resume`` can rebuild the
             run without the original command line.
-        barrier_timeout: Upper bound on the master's fleet wait; on
-            timeout a best-effort checkpoint is still written and marked
-            ``barrier_ok: false``.
     """
 
     def __init__(
@@ -215,7 +198,6 @@ class CheckpointCoordinator:
         global_weights: Optional[RemoteArray] = None,
         termination: Optional[TerminationCoordinator] = None,
         metadata: Optional[Dict[str, Any]] = None,
-        barrier_timeout: float = 120.0,
         telemetry: Optional[TelemetrySession] = None,
     ) -> None:
         if rank == 0 and every > 0 and global_weights is None:
@@ -229,7 +211,6 @@ class CheckpointCoordinator:
         self.global_weights = global_weights
         self.termination = termination
         self.metadata = dict(metadata or {})
-        self.barrier_timeout = barrier_timeout
         self._telemetry = telemetry
         self.saved: List[int] = []
 
@@ -262,25 +243,11 @@ class CheckpointCoordinator:
         seq_dir = self.directory / SEQ_PATTERN.format(seq=self._seq(iteration))
         seq_dir.mkdir(parents=True, exist_ok=True)
         path = seq_dir / RANK_STATE_PATTERN.format(rank=self.rank)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(seq_dir), prefix=path.name, suffix=".tmp"
-        )
-        try:
-            # Write through the open handle (np.savez would append .npz
-            # to a bare path and sidestep the atomic-rename dance).  The
-            # dataset cursor equals completed iterations: the engine
-            # consumes exactly one minibatch per train_step.
-            with os.fdopen(fd, "wb") as handle:
-                save_solver_state(engine.solver, handle, cursor=iteration)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        # Write through the open handle (np.savez would append .npz to a
+        # bare path).  The dataset cursor equals completed iterations:
+        # the engine consumes exactly one minibatch per train_step.
+        with atomic_replace(path) as handle:
+            save_solver_state(engine.solver, handle, cursor=iteration)
         self.saved.append(iteration)
         tel = self._tel()
         if tel.enabled:
@@ -293,33 +260,19 @@ class CheckpointCoordinator:
         barrier_ok = True
         if self.termination is not None and self.num_workers > 1:
             barrier_ok = self.termination.wait_for_fleet(
-                iteration, timeout=self.barrier_timeout
+                iteration, timeout=BARRIER_TIMEOUT
             )
             if not barrier_ok:
                 logger.warning(
                     "checkpoint barrier at iteration %d did not converge "
                     "within %.1fs; sealing best-effort",
-                    iteration, self.barrier_timeout,
+                    iteration, BARRIER_TIMEOUT,
                 )
         seq = self._seq(iteration)
         seq_dir = self.directory / SEQ_PATTERN.format(seq=seq)
         seq_dir.mkdir(parents=True, exist_ok=True)
-        global_path = seq_dir / GLOBAL_NAME
-        fd, tmp = tempfile.mkstemp(
-            dir=str(seq_dir), prefix=GLOBAL_NAME, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, W_g=self.global_weights.read())
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, global_path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_replace(seq_dir / GLOBAL_NAME) as handle:
+            np.savez(handle, W_g=self.global_weights.read())
         manifest = {
             "format": CHECKPOINT_FORMAT,
             "seq": seq,
@@ -332,10 +285,8 @@ class CheckpointCoordinator:
             ),
             "metadata": self.metadata,
         }
-        _atomic_write_bytes(
-            seq_dir / MANIFEST_NAME,
-            json.dumps(manifest, indent=2).encode(),
-        )
+        with atomic_replace(seq_dir / MANIFEST_NAME) as handle:
+            handle.write(json.dumps(manifest, indent=2).encode())
         tel = self._tel()
         if tel.enabled:
             tel.registry.inc("run/checkpoints")

@@ -121,7 +121,77 @@ class BaseExchange:
             )
 
 
-class SEASGDExchange(BaseExchange):
+class _SMBExchange(BaseExchange):
+    """What every strategy that exchanges with ``W_g`` through a private
+    increment segment shares: the two buffers, the optional live-fleet
+    source, one model-sized scratch for each direction (allocated in
+    :meth:`bind`, refilled in place), the Fig.-6 overlap driver when
+    ``overlap_updates`` is on, and the write side, :meth:`_flush`."""
+
+    #: The one dW_x buffer, allocated in :meth:`bind`, refilled in place.
+    _increment: np.ndarray
+
+    def __init__(
+        self,
+        global_weights: ParameterBuffer,
+        increment_buffer: ParameterBuffer,
+        fleet: Optional[FleetSource] = None,
+    ) -> None:
+        self.global_weights = global_weights
+        self.increment_buffer = increment_buffer
+        self.fleet = fleet
+        self.driver: Optional[OverlapDriver] = None
+        self._global_scratch: Optional[np.ndarray] = None
+
+    def bind(self, engine: "TrainingEngine") -> None:
+        super().bind(engine)
+        self.check_buffer(self.global_weights, engine.flat.count, "global")
+        self.check_buffer(
+            self.increment_buffer, engine.flat.count, "increment"
+        )
+        # One model-sized destination for every W_g read and one for
+        # every dW_x: the steady-state exchange allocates nothing.  A
+        # single increment buffer is enough because the Fig.-6 ping-pong
+        # (wait_for_flush precedes every refill) guarantees the update
+        # thread has finished sending it before it is overwritten.
+        self._global_scratch = np.empty(
+            self.global_weights.count, dtype=self.global_weights.dtype
+        )
+        self._increment = np.empty_like(engine.flat.vector)
+        if engine.config.overlap_updates:
+            self.driver = OverlapDriver(engine.rank, engine.telemetry)
+
+    def _read_global(self) -> np.ndarray:
+        """T.A5 then T1: wait for the previous flush, read ``W_g``."""
+        engine = self.engine
+        if self.driver is not None:
+            self.driver.wait_for_flush(engine.phases)
+        with engine.phases.phase("rgw"):
+            return self.global_weights.read(out=self._global_scratch)
+
+    def _flush(
+        self, increment: np.ndarray, phases: "PhaseTimer | NullPhaseTimer"
+    ) -> None:
+        """T.A1-T.A3: write dW_x and accumulate it into W_g (eq. (7))."""
+        with phases.phase("wwi"):
+            self.increment_buffer.write(increment)
+        with phases.phase("ugw"):
+            self.increment_buffer.accumulate_into(self.global_weights)
+
+    def _submit(self, increment: np.ndarray) -> None:
+        """Hand the write side to the driver, or run it inline."""
+        driver = self.driver
+        if driver is not None:
+            driver.submit(lambda: self._flush(increment, driver.phases))
+        else:
+            self._flush(increment, self.engine.phases)
+
+    def close(self) -> None:
+        if self.driver is not None:
+            self.driver.stop()
+
+
+class SEASGDExchange(_SMBExchange):
     """The paper's SEASGD exchange (eqs. (5)-(7)) with Fig.-6 overlap.
 
     Per exchange: wait for the previous flush (T.A5, the eq.-(8)
@@ -143,21 +213,6 @@ class SEASGDExchange(BaseExchange):
     ``config.moving_rate`` is ``alpha`` directly (the fixed-fleet case).
     """
 
-    #: The one dW_x buffer, allocated in :meth:`bind`, refilled in place.
-    _increment: np.ndarray
-
-    def __init__(
-        self,
-        global_weights: ParameterBuffer,
-        increment_buffer: ParameterBuffer,
-        fleet: Optional[FleetSource] = None,
-    ) -> None:
-        self.global_weights = global_weights
-        self.increment_buffer = increment_buffer
-        self.fleet = fleet
-        self.driver: Optional[OverlapDriver] = None
-        self._global_scratch: Optional[np.ndarray] = None
-
     def moving_rate(self) -> float:
         """The alpha applied this exchange (live ``beta / p`` if elastic)."""
         rate = self.engine.config.moving_rate
@@ -165,55 +220,15 @@ class SEASGDExchange(BaseExchange):
             return rate
         return rate / max(int(self.fleet()), 1)
 
-    def bind(self, engine: "TrainingEngine") -> None:
-        super().bind(engine)
-        self.check_buffer(self.global_weights, engine.flat.count, "global")
-        self.check_buffer(
-            self.increment_buffer, engine.flat.count, "increment"
-        )
-        # One model-sized destination for every W_g read and one for
-        # every dW_x: the steady-state exchange allocates nothing.  A
-        # single increment buffer is enough because the Fig.-6 ping-pong
-        # (wait_for_flush precedes every exchange) guarantees the update
-        # thread has finished sending it before it is overwritten.
-        self._global_scratch = np.empty(
-            self.global_weights.count, dtype=self.global_weights.dtype
-        )
-        self._increment = np.empty_like(engine.flat.vector)
-        if engine.config.overlap_updates:
-            self.driver = OverlapDriver(engine.rank, engine.telemetry)
-
-    def _flush(
-        self, increment: np.ndarray, phases: "PhaseTimer | NullPhaseTimer"
-    ) -> None:
-        """T.A1-T.A3: write dW_x and accumulate it into W_g (eq. (7))."""
-        with phases.phase("wwi"):
-            self.increment_buffer.write(increment)
-        with phases.phase("ugw"):
-            self.increment_buffer.accumulate_into(self.global_weights)
-
     def exchange(self, iteration: int) -> None:
+        global_now = self._read_global()                               # T.A5, T1
         engine = self.engine
-        driver = self.driver
-        if driver is not None:
-            driver.wait_for_flush(engine.phases)                       # T.A5
-        with engine.phases.phase("rgw"):
-            global_now = self.global_weights.read(                     # T1
-                out=self._global_scratch
-            )
         with engine.phases.phase("ulw"):
             increment = elastic_pull_(                                 # T2
                 engine.flat.vector, global_now, self.moving_rate(),
                 out=self._increment,
             )
-        if driver is not None:
-            driver.submit(lambda: self._flush(increment, driver.phases))
-        else:
-            self._flush(increment, engine.phases)
-
-    def close(self) -> None:
-        if self.driver is not None:
-            self.driver.stop()
+        self._submit(increment)                                        # T3
 
 
 class StaleReadExchange(SEASGDExchange):
@@ -391,7 +406,7 @@ class HybridExchange(BaseExchange):
             self._inner.close()
 
 
-class SMBAsgdExchange(BaseExchange):
+class SMBAsgdExchange(_SMBExchange):
     """Downpour ASGD — the related-work comparator — on SMB primitives.
 
     The demonstration that the strategy seam admits a genuinely different
@@ -413,48 +428,11 @@ class SMBAsgdExchange(BaseExchange):
     same way) but unused: the update rule is natively elastic.
     """
 
-    def __init__(
-        self,
-        global_weights: ParameterBuffer,
-        increment_buffer: ParameterBuffer,
-        fleet: Optional[FleetSource] = None,
-    ) -> None:
-        self.global_weights = global_weights
-        self.increment_buffer = increment_buffer
-        self.fleet = fleet
-        self.driver: Optional[OverlapDriver] = None
-        self._global_scratch: Optional[np.ndarray] = None
-
-    def bind(self, engine: "TrainingEngine") -> None:
-        super().bind(engine)
-        self.check_buffer(self.global_weights, engine.flat.count, "global")
-        self.check_buffer(
-            self.increment_buffer, engine.flat.count, "increment"
-        )
-        self._global_scratch = np.empty(
-            self.global_weights.count, dtype=self.global_weights.dtype
-        )
-        self._delta = np.empty_like(engine.flat.vector)
-        if engine.config.overlap_updates:
-            self.driver = OverlapDriver(engine.rank, engine.telemetry)
-
-    def _push(
-        self, delta: np.ndarray, phases: "PhaseTimer | NullPhaseTimer"
-    ) -> None:
-        with phases.phase("wwi"):
-            self.increment_buffer.write(delta)
-        with phases.phase("ugw"):
-            self.increment_buffer.accumulate_into(self.global_weights)
-
     def exchange(self, iteration: int) -> None:
         """The Downpour fetch: replace the replica with the server state."""
-        engine = self.engine
-        if self.driver is not None:
-            self.driver.wait_for_flush(engine.phases)
-        with engine.phases.phase("rgw"):
-            global_now = self.global_weights.read(out=self._global_scratch)
-        with engine.phases.phase("ulw"):
-            engine.flat.set_vector(global_now)
+        global_now = self._read_global()
+        with self.engine.phases.phase("ulw"):
+            self.engine.flat.set_vector(global_now)
 
     def train_step(self) -> Dict[str, float]:
         """Compute a gradient, push ``-lr * g``, step the local replica."""
@@ -463,19 +441,15 @@ class SMBAsgdExchange(BaseExchange):
             batch = next(engine.batches)
             stats = engine.solver.compute_gradients(batch.as_inputs())
             lr = engine.solver.learning_rate
-        driver = self.driver
-        if driver is not None:
+        if self.driver is not None:
             # Before the delta buffer is overwritten: the previous push
             # must have left it.
-            driver.wait_for_flush(engine.phases)
+            self.driver.wait_for_flush(engine.phases)
         with engine.phases.phase("comp"):
             delta = np.multiply(
-                -lr, engine.flat.grad_vector, out=self._delta
+                -lr, engine.flat.grad_vector, out=self._increment
             )
-        if driver is not None:
-            driver.submit(lambda: self._push(delta, driver.phases))
-        else:
-            self._push(delta, engine.phases)
+        self._submit(delta)
         # The local replica also steps so inter-fetch iterations make
         # progress (Downpour keeps training between fetches).
         with engine.phases.phase("comp"):
@@ -483,10 +457,6 @@ class SMBAsgdExchange(BaseExchange):
             engine.solver.advance_iteration()
         stats["lr"] = lr
         return stats
-
-    def close(self) -> None:
-        if self.driver is not None:
-            self.driver.stop()
 
 
 #: The named exchange strategies for SEASGD-style participants (one

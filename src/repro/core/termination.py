@@ -27,6 +27,10 @@ from .config import TerminationCriterion
 STOP_MASTER_DONE = 1
 STOP_FIRST_FINISHER = 2
 
+#: Seconds between :meth:`TerminationCoordinator.wait_for_fleet` reads of
+#: the control block.
+FLEET_POLL = 0.05
+
 
 class TerminationCoordinator:
     """One worker's view of the shared stop protocol.
@@ -82,12 +86,7 @@ class TerminationCoordinator:
             self.rank, completed_iterations, generation=self.generation
         )
 
-    def wait_for_fleet(
-        self,
-        minimum: int,
-        timeout: float = 120.0,
-        poll: float = 0.05,
-    ) -> bool:
+    def wait_for_fleet(self, minimum: int, timeout: float) -> bool:
         """Block until every *live* worker's progress reaches ``minimum``.
 
         The coordinated-checkpoint barrier: the master waits here before
@@ -110,7 +109,7 @@ class TerminationCoordinator:
                 return False
             if monotonic() >= deadline:
                 return False
-            sleep(poll)
+            sleep(FLEET_POLL)
 
     def should_stop(self, completed_iterations: int) -> bool:
         """Evaluate the active criterion after an iteration.

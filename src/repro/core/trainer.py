@@ -61,6 +61,9 @@ from .engine import TrainingEngine, WorkerHistory
 from .exchange import HybridExchange, make_exchange
 from .termination import TerminationCoordinator
 
+#: Minibatch size of rank 0's global-weight evaluations (``eval_every``).
+EVAL_BATCH_SIZE = 50
+
 #: The job document the master writes (and publishes in the registry):
 #: namespace, model size, the SHM keys of ``W_g`` and the control block,
 #: slot capacity and the exchange hyper-parameters.
@@ -151,8 +154,8 @@ class DistributedTrainingManager:
         prefetch: Stage each worker's minibatches through the 10-deep
             background prefetcher, as ShmCaffe's data layer does.
         eval_every: If set, rank 0 evaluates the *global* weights on the
-            test split every this many of its own iterations.
-        eval_batch_size: Batch size for those evaluations.
+            test split every this many of its own iterations, in
+            minibatches of :data:`EVAL_BATCH_SIZE`.
         telemetry: Session propagated to the SMB server, every client,
             and every worker, so one run's metrics and trace land in one
             place; defaults to :func:`repro.telemetry.current`.
@@ -216,7 +219,6 @@ class DistributedTrainingManager:
         initial_weights: Optional[np.ndarray] = None,
         prefetch: bool = False,
         eval_every: Optional[int] = None,
-        eval_batch_size: int = 50,
         telemetry: Optional[TelemetrySession] = None,
         retry_policy: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -299,7 +301,6 @@ class DistributedTrainingManager:
         )
         self.prefetch = prefetch
         self.eval_every = eval_every
-        self.eval_batch_size = eval_batch_size
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
         self.rendezvous = rendezvous
@@ -660,7 +661,7 @@ class DistributedTrainingManager:
         eval_flat = FlatParams(eval_net)
         test_batches = [
             b.as_inputs()
-            for b in self.dataset.test_batches(self.eval_batch_size)
+            for b in self.dataset.test_batches(EVAL_BATCH_SIZE)
         ]
         manager = self
 

@@ -8,19 +8,19 @@ feeds them to the server's own apply step.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
-import struct
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import SMBError
-from .protocol import HEADER_FORMAT, HEADER_SIZE, Message
+from .protocol import HEADER_SIZE, Message, payload_length
 
 logger = logging.getLogger(__name__)
 
@@ -46,35 +46,46 @@ class JournalError(SMBError):
     record the pool rejects on replay."""
 
 
-# -- atomic JSON publication -------------------------------------------------
+# -- atomic file replacement -------------------------------------------------
 #
-# Shared by the rendezvous file and the elastic-membership registry
-# (:mod:`repro.smb.membership`): both are small JSON documents that other
-# processes poll while a writer republishes them, so every publication
-# must go write-temp + ``os.replace`` — a reader either sees the previous
-# complete document or the new complete document, never a partial write.
+# Every file another process may read while it is rewritten goes
+# write-temp + ``os.replace``: the rendezvous file and the elastic-membership
+# registry (:mod:`repro.smb.membership`), snapshots, and checkpoint files
+# (:mod:`repro.core.checkpoint`).  A reader sees either the previous
+# complete file or the new complete file, never a partial write.
 
-def publish_json(path: PathLike, document: Dict[str, object]) -> None:
-    """Atomically replace ``path`` with ``document`` serialised as JSON.
+@contextlib.contextmanager
+def atomic_replace(path: PathLike, fsync: bool = True) -> Iterator[BinaryIO]:
+    """Yield a binary handle whose contents replace ``path`` whole, or not
+    at all.
 
     The temp file lands in the destination directory (``os.replace``
     requires same-filesystem) and is unlinked on failure, so a crashed
-    writer leaves the previous published document untouched.
+    writer leaves the previous file untouched.  With ``fsync`` the bytes
+    reach the disk before the rename.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(
         dir=str(path.parent), prefix=path.name, suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps(document))
+        with os.fdopen(fd, "wb") as handle:
+            yield handle
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp, path)
-    except OSError:
-        try:
+    except BaseException:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
+
+
+def publish_json(path: PathLike, document: Dict[str, object]) -> None:
+    """Atomically replace ``path`` with ``document`` serialised as JSON
+    (not fsynced: a polled document, not durable state)."""
+    with atomic_replace(path, fsync=False) as handle:
+        handle.write(json.dumps(document).encode())
 
 
 def read_json(path: PathLike) -> Optional[Dict[str, object]]:
@@ -153,24 +164,6 @@ class PoolImage:
     tenants: List[Dict[str, object]] = field(default_factory=list)
 
 
-def _atomic_savez(path: Path, payload: Dict[str, np.ndarray]) -> None:
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(handle, **payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 class DurabilityStore:
     """Snapshot + journal persistence for one server's memory pool.
 
@@ -237,7 +230,8 @@ class DurabilityStore:
         for seg in image.segments:
             payload[f"seg/{seg.name}"] = seg.data
         path = self.directory / SNAPSHOT_PATTERN.format(seq=self.seq)
-        _atomic_savez(path, payload)
+        with atomic_replace(path) as handle:
+            np.savez(handle, **payload)
         self._open_journal(self.seq)
         self._prune(keep_before=self.seq)
         return self.seq
@@ -359,8 +353,7 @@ def _records(path: Path) -> Iterator[Message]:
     offset = 0
     while offset + HEADER_SIZE <= len(data):
         header = data[offset:offset + HEADER_SIZE]
-        paylen = struct.unpack(HEADER_FORMAT, header)[-1]
-        end = offset + HEADER_SIZE + paylen
+        end = offset + HEADER_SIZE + payload_length(header)
         if end > len(data):
             return
         try:

@@ -67,6 +67,11 @@ REGISTRY_FORMAT = 2
 REGISTRY_NAME = "registry.json"
 REGISTRY_LOCK_NAME = "registry.lock"
 
+#: Seconds to wait for the cross-process lock before declaring the
+#: registry wedged; a lock file older than this is treated as leaked by a
+#: dead process and broken.
+LOCK_TIMEOUT = 10.0
+
 #: Default lease duration; generous against this emulation's iteration
 #: times so only a genuinely wedged worker expires.
 DEFAULT_LEASE = 30.0
@@ -228,9 +233,6 @@ class MembershipRegistry:
             defaults to the process-wide session (no-ops when disabled).
         clock: Injectable time source (tests freeze it to drive lease
             expiry deterministically).
-        lock_timeout: Seconds to wait for the cross-process lock before
-            declaring the registry wedged; a lock file older than this is
-            treated as leaked by a dead process and broken.
     """
 
     def __init__(
@@ -239,7 +241,6 @@ class MembershipRegistry:
         lease: float = DEFAULT_LEASE,
         telemetry: Optional[TelemetrySession] = None,
         clock: Callable[[], float] = time.time,
-        lock_timeout: float = 10.0,
     ) -> None:
         if lease <= 0:
             raise ValueError(f"lease must be > 0, got {lease}")
@@ -248,7 +249,6 @@ class MembershipRegistry:
         self.path = self.directory / REGISTRY_NAME
         self._lock_path = self.directory / REGISTRY_LOCK_NAME
         self.lease = lease
-        self.lock_timeout = lock_timeout
         self._clock = clock
         self._telemetry = (
             telemetry if telemetry is not None else _telemetry_current()
@@ -271,7 +271,7 @@ class MembershipRegistry:
     # -- locking -----------------------------------------------------------
 
     def _acquire_lock(self) -> None:
-        deadline = time.monotonic() + self.lock_timeout
+        deadline = time.monotonic() + LOCK_TIMEOUT
         while True:
             try:
                 fd = os.open(
@@ -289,16 +289,16 @@ class MembershipRegistry:
                         age = time.time() - self._lock_path.stat().st_mtime
                     except OSError:
                         continue  # holder just released; retry
-                    if age >= self.lock_timeout:
+                    if age >= LOCK_TIMEOUT:
                         try:
                             os.unlink(self._lock_path)
                         except OSError:
                             pass
-                        deadline = time.monotonic() + self.lock_timeout
+                        deadline = time.monotonic() + LOCK_TIMEOUT
                         continue
                     raise MembershipError(
                         f"registry lock {self._lock_path} held for "
-                        f">{self.lock_timeout:.1f}s"
+                        f">{LOCK_TIMEOUT:.1f}s"
                     )
                 time.sleep(0.002)
 

@@ -79,10 +79,10 @@ def enter_bulk_priority(nice: int = BULK_LANE_NICE) -> None:
 class SegmentWaiter:
     """One registered update-notification callback (:meth:`Segment.add_waiter`).
 
-    Three things race to finish a waiter — the version bump that
-    satisfies it, a timeout, and connection teardown — so completion is
-    claim-based: :meth:`claim` returns ``True`` exactly once, and only
-    the winner acts.
+    Four things race to finish a waiter — the version bump that
+    satisfies it, the end of the segment's waits (:meth:`Segment.end_waits`),
+    a timeout, and connection teardown — so completion is claim-based:
+    :meth:`claim` returns ``True`` exactly once, and only the winner acts.
     """
 
     __slots__ = ("threshold", "_callback", "_lock", "_claimed")
@@ -136,13 +136,10 @@ class Segment:
     tenant: str = DEFAULT_TENANT
     version: int = 0
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
-    updated: threading.Condition = field(init=False, repr=False)
     _waiters: List[SegmentWaiter] = field(
         init=False, default_factory=list, repr=False
     )
-
-    def __post_init__(self) -> None:
-        self.updated = threading.Condition(self.lock)
+    _waits_ended: bool = field(init=False, default=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -182,7 +179,6 @@ class Segment:
                 data, dtype=np.uint8
             )
             self.version += 1
-            self.updated.notify_all()
             version = self.version
             ready = self._take_ready_waiters()
         for waiter in ready:
@@ -236,7 +232,6 @@ class Segment:
             else:
                 dst_view += scale * src_view
             self.version += 1
-            self.updated.notify_all()
             version = self.version
             ready = self._take_ready_waiters()
         for waiter in ready:
@@ -246,37 +241,51 @@ class Segment:
     def wait_for_update(
         self, version: int, timeout: Optional[float] = None
     ) -> int:
-        """Block until the segment version exceeds ``version``.
+        """Block until the segment version exceeds ``version``, or until
+        its waits end (:meth:`end_waits`).
 
-        Returns the current version, which may still equal ``version`` if
-        ``timeout`` expired; callers decide whether that is an error.
+        A blocking wrapper over :meth:`add_waiter`.  Returns the current
+        version, which may still equal ``version`` if ``timeout`` expired
+        or the waits ended; callers decide whether that is an error.
         """
-        with self.lock:
-            self.updated.wait_for(
-                lambda: self.version > version, timeout=timeout
-            )
-            return self.version
+        fired = threading.Event()
+        waiter = self.add_waiter(version, lambda _version: fired.set())
+        if waiter is not None and not fired.wait(timeout):
+            self.remove_waiter(waiter)
+        return self.version
 
     def add_waiter(
         self, version: int, callback: Callable[[int], None]
     ) -> Optional[SegmentWaiter]:
         """Register ``callback(new_version)`` to fire once the segment
-        version exceeds ``version``.
+        version exceeds ``version``, or once its waits end.
 
-        This is the non-blocking counterpart of :meth:`wait_for_update`:
-        an event-loop server registers a waiter instead of parking a
-        thread on the condition.  Returns the waiter handle, or ``None``
-        if the version has already advanced (the caller should answer
-        immediately).  The callback runs on the mutating thread with
-        **no segment locks held**; timeouts and cancellation are the
-        caller's job (:meth:`SegmentWaiter.claim` arbitrates the race).
+        The one notification primitive: an event-loop server registers a
+        waiter instead of parking a thread, and :meth:`wait_for_update`
+        parks one on it.  Returns the waiter handle, or ``None`` if the
+        version has already advanced or the waits have ended (the caller
+        should answer immediately).  The callback runs on the mutating
+        thread with **no segment locks held**; timeouts and cancellation
+        are the caller's job (:meth:`SegmentWaiter.claim` arbitrates the
+        race).
         """
         with self.lock:
-            if self.version > version:
+            if self.version > version or self._waits_ended:
                 return None
             waiter = SegmentWaiter(version, callback)
             self._waiters.append(waiter)
             return waiter
+
+    def end_waits(self) -> None:
+        """Fire every waiter now, and answer every later :meth:`add_waiter`
+        at once: the segment was freed, or its server is closing.  Each
+        waiter's owner then re-checks and finds out which."""
+        with self.lock:
+            self._waits_ended = True
+            ended, self._waiters = self._waiters, []
+            version = self.version
+        for waiter in ended:
+            waiter.fire(version)
 
     def remove_waiter(self, waiter: SegmentWaiter) -> None:
         """Deregister a waiter (timeout or connection teardown)."""
@@ -533,7 +542,8 @@ class MemoryPool:
                 raise UnknownKeyError(0) from None
 
     def free(self, shm_key: int, tenant: Optional[str] = None) -> None:
-        """Release a segment and every access key pointing at it.
+        """Release a segment and every access key pointing at it, then end
+        its waits: a parked WAIT_UPDATE wakes and finds its key gone.
 
         ``tenant`` scopes the release: a namespace may only free its own
         segments (``None`` skips the check — server internals).
@@ -560,6 +570,7 @@ class MemoryPool:
             if grant is not None:
                 grant.used = max(0, grant.used - segment.size)
                 grant.segments = max(0, grant.segments - 1)
+        segment.end_waits()
 
     @property
     def shm_minted(self) -> int:

@@ -45,6 +45,14 @@ from .memory import DEFAULT_TENANT
 #: opcode(B) status(B) key(q) key2(q) offset(q) count(q) scale(d) paylen(I)
 HEADER_FORMAT = "!BBqqqqdI"
 HEADER_SIZE = struct.calcsize(HEADER_FORMAT)
+_HEADER = struct.Struct(HEADER_FORMAT)
+
+
+def payload_length(header: Buffer) -> int:
+    """The payload byte count a frame header declares: what a reader must
+    take next.  ``header`` may run past the header's end."""
+    return _HEADER.unpack_from(header)[-1]
+
 
 #: Seconds a freshly accepted connection gets to complete the handshake
 #: below before the server gives up on it — a peer that connects and never

@@ -28,11 +28,11 @@ Fig. 7 bandwidth benchmark reads.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import logging
 import os
 import selectors
 import socket
-import struct
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -71,15 +71,16 @@ from .memory import (
 )
 from .protocol import (
     HANDSHAKE_TIMEOUT,
-    HEADER_FORMAT,
     HEADER_SIZE,
     HELLO,
     MAX_TENANT_NAME,
     TENANT_LEN_STRUCT,
+    WAIT_SCALE_POLL,
     Message,
     Op,
     Status,
     decode_tenant_record,
+    payload_length,
 )
 
 logger = logging.getLogger(__name__)
@@ -414,13 +415,13 @@ class SMBServer:
             self._write_snapshot_locked()
 
     def close(self) -> None:
-        """Refuse new waits and mutations; wake every blocked WAIT_UPDATE.
+        """Refuse mutations; answer every parked and later WAIT_UPDATE
+        whose segment has not changed with :class:`ServerClosingError`.
 
-        A wait served through :meth:`handle` (an in-process caller, a
-        shm connection thread) sleeps on the segment's condition and
-        must unwind on shutdown rather than pin its thread; the TCP
-        front-end's waits hold no thread and are refused by the same
-        flag.
+        Every segment's waits end (:meth:`~repro.smb.memory.Segment.end_waits`):
+        a wait blocked in :meth:`handle` (an in-process caller, a shm
+        connection thread) wakes, and a wait parked in a
+        :class:`TcpSMBServer` on this core is handed back as a poll.
 
         With durability on, a final snapshot is written so a *clean*
         shutdown always restarts bit-exactly regardless of journal mode.
@@ -441,10 +442,7 @@ class SMBServer:
                     except OSError:
                         logger.exception("final snapshot failed during close")
                 self._store.close()
-        def _wake(segment) -> None:
-            with segment.lock:
-                segment.updated.notify_all()
-        self.pool.for_each(_wake)
+        self.pool.for_each(Segment.end_waits)
 
     def handle(
         self,
@@ -625,32 +623,24 @@ class SMBServer:
             return Message(op=req.op)
 
         if req.op is Op.WAIT_UPDATE:
-            segment = self.pool.by_access_key(req.key)
             # scale > 0: bounded wait; scale == 0: wait forever;
-            # scale < 0: poll — one immediate version check that never
-            # parks a handler thread.
-            if req.scale < 0:
+            # scale < 0: poll — one version check that never blocks.
+            # A FREE or close() ends the segment's waits, so every wake
+            # re-resolves the key and re-checks the closing flag.
+            deadline = _monotonic() + req.scale if req.scale > 0 else None
+            while True:
+                segment = self.pool.by_access_key(req.key)
                 version = segment.version
-                if version <= req.count:
-                    raise NotificationTimeout(req.key, req.count, 0.0)
-                self.stats.record(req.op, tenant=tenant)
-                return Message(op=req.op, key=req.key, count=version)
-            timeout = req.scale if req.scale > 0 else None
-            # Wait in bounded slices so close() can interrupt a handler
-            # parked on a notification that will never come.
-            deadline = _monotonic() + timeout if timeout is not None else None
-            version = segment.version
-            while version <= req.count:
+                if version > req.count:
+                    break
                 if self._closing.is_set():
                     raise ServerClosingError("server is shutting down")
-                wait = 0.5
-                if deadline is not None:
-                    wait = min(wait, deadline - _monotonic())
-                    if wait <= 0:
-                        raise NotificationTimeout(
-                            req.key, req.count, timeout or 0.0
-                        )
-                version = segment.wait_for_update(req.count, wait)
+                remaining = None if deadline is None else deadline - _monotonic()
+                if req.scale < 0 or (remaining is not None and remaining <= 0):
+                    raise NotificationTimeout(
+                        req.key, req.count, max(req.scale, 0.0)
+                    )
+                segment.wait_for_update(req.count, remaining)
             self.stats.record(req.op, tenant=tenant)
             return Message(op=req.op, key=req.key, count=version)
 
@@ -797,23 +787,22 @@ class _Connection:
 
 
 class _PendingWait:
-    """Bookkeeping for one parked WAIT_UPDATE (see ``_begin_wait``)."""
+    """Bookkeeping for one parked WAIT_UPDATE (see ``_begin_wait``):
+    the request rewritten as the poll that answers it."""
 
-    __slots__ = ("request", "segment", "waiter", "deadline", "timeout")
+    __slots__ = ("poll", "segment", "waiter", "deadline")
 
     def __init__(
         self,
-        request: Message,
+        poll: Message,
         segment: Segment,
         waiter: SegmentWaiter,
         deadline: Optional[float],
-        timeout: Optional[float],
     ) -> None:
-        self.request = request
+        self.poll = poll
         self.segment = segment
         self.waiter = waiter
         self.deadline = deadline
-        self.timeout = timeout
 
 
 class _TenantLanes:
@@ -996,11 +985,12 @@ class TcpSMBServer:
     and the loop moves on — a parked wait costs a dict entry, not a pool
     thread, so any number of waiters leaves the pool free for the
     mutation that will wake them.  Timeouts are expired by the loop
-    (the ``select`` timeout tracks the nearest wait deadline).
+    (the ``select`` timeout tracks the nearest wait deadline); however a
+    wait ends, the core answers it as a poll.
 
-    Lifecycle: :meth:`stop` wakes parked waits, drains the worker pool,
-    severs *every* connection (idle ones included) and joins the loop
-    thread — it returns with zero live handler threads, and no
+    Lifecycle: :meth:`stop` drains the worker pool, closes the core,
+    severs *every* connection (idle and parked ones included) and joins
+    the loop thread — it returns with zero live handler threads, and no
     peer stays blocked in ``recv``.  :meth:`kill` is the abrupt variant
     for chaos drills.  No wire op stops the server: stopping is the
     operator's call on the server object, never a tenant's.
@@ -1237,9 +1227,7 @@ class TcpSMBServer:
                 if not self._advance_hello(conn):
                     return
             elif conn.state == _Connection.HEADER:
-                paylen = struct.unpack(
-                    HEADER_FORMAT, conn.hbuf[:HEADER_SIZE]
-                )[-1]
+                paylen = payload_length(conn.hbuf)
                 if paylen == 0:
                     self._begin_request(conn, b"")
                     return
@@ -1404,62 +1392,50 @@ class TcpSMBServer:
     def _begin_wait(self, conn: _Connection, request: Message) -> None:
         """Park a WAIT_UPDATE without occupying any thread.
 
-        A waiter callback is registered on the segment; when a mutation
-        advances the version past the threshold, the callback re-submits
-        the request to the pool, where ``handle`` now returns without
-        blocking (the version check is first).  Until then the wait is
-        one ``_waiters`` entry — hundreds of parked waiters leave the
-        worker pool entirely free for the ops that wake them.
-
-        A poll (``scale < 0``) never parks: the core answers it inline
-        (version check first, ``TIMEOUT`` otherwise), so a ``0.0`` poll
-        returns promptly instead of becoming an immortal waiter whose
-        ``deadline=None`` expiry would never fire.
+        The loop only parks and expires waits; the core answers every
+        one.  A waiter callback is registered on the segment, and until
+        it fires the wait is one ``_waiters`` entry — hundreds of parked
+        waiters leave the worker pool entirely free for the ops that
+        wake them.  Whenever the wait ends here — already satisfied, or
+        no segment to park on, woken by a mutation, a FREE or the core's
+        close, or expired — the core is handed the request rewritten as
+        a poll, so its answer (OK, ``UnknownKeyError``,
+        ``ServerClosingError``, ``TIMEOUT``) and its telemetry are the
+        ones every doorway gets.
         """
         if request.scale < 0:
             self._handle_inline(conn, request, None)
             return
+        poll = dataclasses.replace(request, scale=WAIT_SCALE_POLL)
         try:
-            if self.core._closing.is_set():
-                raise ServerClosingError("server is shutting down")
             segment = self.core.pool.by_access_key(request.key)
-        except SMBError as exc:
-            self._start_write(conn, Message(
-                op=request.op, status=Status.ERROR, payload=to_wire(exc)
-            ))
+        except SMBError:
+            self._handle_inline(conn, poll, None)  # the core raises it too
             return
-        timeout = request.scale if request.scale > 0 else None
-        deadline = _monotonic() + timeout if timeout is not None else None
+        deadline = _monotonic() + request.scale if request.scale > 0 else None
 
         def _on_update(_version: int) -> None:
-            # Runs on whichever thread bumped the version; the lane hop
-            # keeps response encoding/stats off the mutator's hot path
+            # Runs on whichever thread bumped the version or ended the
+            # waits; the lane hop keeps response encoding off that thread
             # (and a woken wait queues fairly behind its tenant's bulk).
             with self._waiters_lock:
                 self._waiters.pop(conn, None)
             self._lanes.submit(
                 conn.tenant,
                 _TenantLanes.MIN_COST,
-                lambda: self._process(conn, request, None),
+                lambda: self._process(conn, poll, None),
             )
 
-        waiter = segment.add_waiter(request.count, _on_update)
-        if waiter is None:  # already satisfied — answer inline, no block
-            self._handle_inline(conn, request, None)
-            return
-        pending = _PendingWait(request, segment, waiter, deadline, timeout)
+        # Registered under the lock the callback takes first, so a wake
+        # that races the registration still finds the entry to pop.
         with self._waiters_lock:
-            self._waiters[conn] = pending
-        # close() may have raced the registration: its condition broadcast
-        # fires no callbacks, so finish the wait here or it parks forever.
-        if self.core._closing.is_set() and waiter.claim():
-            with self._waiters_lock:
-                self._waiters.pop(conn, None)
-            segment.remove_waiter(waiter)
-            self._start_write(conn, Message(
-                op=request.op, status=Status.ERROR,
-                payload=to_wire(ServerClosingError("server is shutting down")),
-            ))
+            waiter = segment.add_waiter(request.count, _on_update)
+            if waiter is not None:
+                self._waiters[conn] = _PendingWait(
+                    poll, segment, waiter, deadline
+                )
+        if waiter is None:  # satisfied, freed or closing: answer now
+            self._handle_inline(conn, poll, None)
 
     def _next_wait_deadline(self) -> Optional[float]:
         with self._waiters_lock:
@@ -1502,19 +1478,7 @@ class TcpSMBServer:
                 # and pops the entry itself.
         for conn, pending in expired:
             pending.segment.remove_waiter(pending.waiter)
-            exc = NotificationTimeout(
-                pending.request.key, pending.request.count,
-                pending.timeout or 0.0,
-            )
-            tel = self.core._telemetry
-            if tel is None:
-                tel = _telemetry_current()
-            if tel.enabled:
-                tel.registry.inc("smb/server/errors/TIMEOUT")
-            self._start_write(conn, Message(
-                op=pending.request.op, status=Status.TIMEOUT,
-                payload=str(exc).encode(),
-            ))
+            self._handle_inline(conn, pending.poll, None)
 
     def _cancel_wait(self, conn: _Connection) -> None:
         with self._waiters_lock:

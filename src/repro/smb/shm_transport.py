@@ -64,12 +64,12 @@ from .errors import SMBConnectionError, SMBProtocolError
 from .memory import DEFAULT_TENANT
 from .protocol import (
     HANDSHAKE_TIMEOUT,
-    HEADER_FORMAT,
     HEADER_SIZE,
     Message,
     Op,
     Status,
     encode_hello,
+    payload_length,
     read_hello,
     recv_exact,
 )
@@ -227,7 +227,7 @@ class _ShmChannel:
             value = _recv_doorbell(self.sock)
         buf = self.shm.buf
         header = bytes(buf[:HEADER_SIZE])
-        paylen = struct.unpack(HEADER_FORMAT, header)[-1]
+        paylen = payload_length(header)
         if out is not None and paylen <= len(out):
             out[:paylen] = buf[DATA_OFFSET:DATA_OFFSET + paylen]
             return Message.decode(header, out[:paylen])
@@ -410,7 +410,7 @@ class ShmSMBServer:
         """
         buf = block.buf
         header = bytes(buf[:HEADER_SIZE])
-        paylen = struct.unpack(HEADER_FORMAT, header)[-1]
+        paylen = payload_length(header)
         request = Message.decode(
             header, buf[DATA_OFFSET:DATA_OFFSET + paylen]
         )
