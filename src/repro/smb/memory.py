@@ -14,15 +14,25 @@ Segments are byte-addressed (the SMB server stores bytes, not tensors); the
 client library layers dtype views on top.  Each segment carries a
 monotonically increasing *version* so workers can wait for updates, which is
 how ShmCaffe shares training-progress control info.
+
+Every pool segment is one anonymous ``memfd`` mapping: a
+:data:`HEADER_BYTES` header, then the data (:attr:`Segment.buffer`).
+Header word 0 is a seqlock — ``2 × version``, plus 1 while a WRITE or
+ACCUMULATE is in flight — and word 1 is set once the segment's waits end
+(FREE, server close).  A co-located reader handed the memfd
+(:meth:`Segment.share_fd`) copies the data without the server: read
+word 0, copy, re-read word 0 (:mod:`repro.smb.shm_transport`).
 """
 
 from __future__ import annotations
 
 import itertools
+import mmap
 import os
 import threading
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -107,6 +117,47 @@ class SegmentWaiter:
             self._callback(version)
 
 
+#: Bytes in front of a segment's data in its mapping (one cache line, so
+#: the data stays 64-byte aligned).  Word 0 is the seqlock, word 1 the
+#: "waits ended" flag; the rest is reserved.
+HEADER_BYTES = 64
+#: Header word indices (uint64 words).
+SEQ_WORD = 0
+ENDED_WORD = 1
+
+
+def _standalone_words() -> np.ndarray:
+    """Header words of a segment built on a caller's buffer (no mapping)."""
+    return np.zeros(HEADER_BYTES // 8, dtype=np.uint64)
+
+
+def _map_segment(nbytes: int) -> Tuple[int, np.ndarray, np.ndarray]:
+    """Allocate one segment mapping: ``(memfd, header words, data)``.
+
+    The memfd has no name in any filesystem, so nothing outlives the
+    last mapping and the last descriptor, whoever holds them.  Pages are
+    zero until first written, as ``np.zeros`` was.  Without
+    ``memfd_create`` (non-Linux) the mapping is anonymous and ``fd`` is
+    ``-1``: the segment cannot be handed to another process.
+    """
+    size = HEADER_BYTES + nbytes
+    memfd_create = getattr(os, "memfd_create", None)
+    if memfd_create is None:
+        fd, mapping = -1, mmap.mmap(-1, size)
+    else:
+        fd = memfd_create("smb-segment", os.MFD_CLOEXEC)
+        try:
+            os.ftruncate(fd, size)
+            mapping = mmap.mmap(fd, size)
+        except OSError:
+            os.close(fd)
+            raise
+    words = np.frombuffer(mapping, dtype=np.uint64, count=HEADER_BYTES // 8)
+    data = np.frombuffer(mapping, dtype=np.uint8, count=nbytes,
+                         offset=HEADER_BYTES)
+    return fd, words, data
+
+
 def _key_sequence(start: int) -> Iterator[int]:
     """Yield an endless stream of distinct integer keys.
 
@@ -127,6 +178,9 @@ class Segment:
         buffer: Backing byte storage.  Dtype views are layered client-side.
         version: Bumped on every mutation; supports update notification.
         owner: Identifier of the creating client (informational).
+        words: The header words a one-sided reader checks (module
+            docstring); the mapping's header for a pool segment
+            (:meth:`mapped`), a private array for one built on a buffer.
     """
 
     name: str
@@ -136,15 +190,55 @@ class Segment:
     tenant: str = DEFAULT_TENANT
     version: int = 0
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
+    words: np.ndarray = field(default_factory=_standalone_words, repr=False)
     _waiters: List[SegmentWaiter] = field(
         init=False, default_factory=list, repr=False
     )
     _waits_ended: bool = field(init=False, default=False, repr=False)
+    #: The mapping's memfd, ``-1`` once its waits ended (or never mapped);
+    #: ``_close_fd`` closes it exactly once, at the latest on collection.
+    _fd: int = field(init=False, default=-1, repr=False)
+    _close_fd: Optional[Callable[[], None]] = field(
+        init=False, default=None, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        self.words[SEQ_WORD] = 2 * self.version
+
+    @classmethod
+    def mapped(
+        cls, name: str, shm_key: int, nbytes: int, **fields: object
+    ) -> "Segment":
+        """A segment of ``nbytes`` zero bytes in its own memfd mapping."""
+        fd, words, data = _map_segment(nbytes)
+        segment = cls(name=name, shm_key=shm_key, buffer=data, words=words,
+                      **fields)  # type: ignore[arg-type]
+        if fd >= 0:
+            segment._fd = fd
+            segment._close_fd = weakref.finalize(segment, os.close, fd)
+        return segment
 
     @property
     def size(self) -> int:
         """Segment size in bytes."""
         return int(self.buffer.nbytes)
+
+    def share_fd(self) -> Optional[int]:
+        """A duplicate of the mapping's memfd for a co-located one-sided
+        reader (the caller closes it), or ``None`` once the segment's
+        waits ended or when it has no memfd."""
+        with self.lock:
+            return os.dup(self._fd) if self._fd >= 0 else None
+
+    def _begin_mutation(self) -> None:
+        """Mark a mutation in flight (segment lock held): word 0 goes odd."""
+        self.words[SEQ_WORD] = 2 * self.version + 1
+
+    def _end_mutation(self) -> int:
+        """Publish the next version (segment lock held): word 0 goes even."""
+        self.version += 1
+        self.words[SEQ_WORD] = 2 * self.version
+        return self.version
 
     def _check_range(self, offset: int, nbytes: int) -> None:
         if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
@@ -175,11 +269,11 @@ class Segment:
         """Store ``data`` at ``offset`` (RDMA Write); returns new version."""
         self._check_range(offset, len(data))
         with self.lock:
+            self._begin_mutation()
             self.buffer[offset:offset + len(data)] = np.frombuffer(
                 data, dtype=np.uint8
             )
-            self.version += 1
-            version = self.version
+            version = self._end_mutation()
             ready = self._take_ready_waiters()
         for waiter in ready:
             waiter.fire(version)
@@ -227,12 +321,12 @@ class Segment:
             # Aliased operands (self-accumulate, overlapping ranges of one
             # segment) are exact too: NumPy's ufunc overlap detection
             # buffers the source.
+            self._begin_mutation()
             if scale == 1.0:
                 dst_view += src_view
             else:
                 dst_view += scale * src_view
-            self.version += 1
-            version = self.version
+            version = self._end_mutation()
             ready = self._take_ready_waiters()
         for waiter in ready:
             waiter.fire(version)
@@ -279,9 +373,17 @@ class Segment:
     def end_waits(self) -> None:
         """Fire every waiter now, and answer every later :meth:`add_waiter`
         at once: the segment was freed, or its server is closing.  Each
-        waiter's owner then re-checks and finds out which."""
+        waiter's owner then re-checks and finds out which.
+
+        One-sided readers end too: header word 1 sends them back to the
+        RPC READ, and the memfd is closed, so no new reader maps it.
+        """
         with self.lock:
             self._waits_ended = True
+            self.words[ENDED_WORD] = 1
+            if self._close_fd is not None:
+                self._close_fd()
+                self._fd = -1
             ended, self._waiters = self._waiters, []
             version = self.version
         for waiter in ended:
@@ -478,12 +580,9 @@ class MemoryPool:
                 )
             if self._used + nbytes > self._capacity:
                 raise CapacityError(nbytes, self._capacity - self._used)
-            segment = Segment(
-                name=qualified,
-                shm_key=next(self._shm_keys),
-                buffer=np.zeros(nbytes, dtype=np.uint8),
-                owner=owner,
-                tenant=tenant,
+            segment = Segment.mapped(
+                qualified, next(self._shm_keys), nbytes,
+                owner=owner, tenant=tenant,
             )
             self._shm_minted += 1
             self._by_shm_key[segment.shm_key] = segment
@@ -612,14 +711,13 @@ class MemoryPool:
                 raise SegmentExistsError(f"shm_key {shm_key:#x}")
             if self._used + nbytes > self._capacity:
                 raise CapacityError(nbytes, self._capacity - self._used)
-            segment = Segment(
-                name=name,
-                shm_key=shm_key,
-                buffer=np.ascontiguousarray(data, dtype=np.uint8).reshape(-1),
-                owner=owner,
-                tenant=tenant,
+            segment = Segment.mapped(
+                name, shm_key, nbytes,
+                owner=owner, tenant=tenant, version=version,
             )
-            segment.version = version
+            segment.buffer[:] = np.frombuffer(
+                np.ascontiguousarray(data), dtype=np.uint8
+            )
             self._by_shm_key[shm_key] = segment
             self._by_name[name] = segment
             self._used += nbytes

@@ -19,6 +19,18 @@ co-located clients that path:
 So a 64 MiB READ costs one ``memcpy`` plus two 8-byte socket round-trips,
 instead of 64 MiB through loopback TCP in both kernels.
 
+**One-sided READ.**  Only the first READ of a segment on a connection
+goes through the server that way.  Its response doorbell carries the
+segment's memfd (``SCM_RIGHTS``, see :mod:`repro.smb.memory`), and the
+client maps it read-only.  Every later READ of that access key is the
+RDMA Read of the paper: the client copies straight out of the segment
+under its seqlock (read word 0, copy, re-read word 0) and no server
+thread wakes.  It falls back to the RPC READ when the range does not
+fit, the doorbell socket is not quiet (a dead server shows HUP), the
+segment's waits ended (FREE, server close), or :data:`ONE_SIDED_TRIES`
+copies all raced a mutation.  The server does not count a one-sided
+READ; the client's telemetry does.
+
 **Doorbell protocol** (8-byte signed big-endian int):
 
 * client → server, positive ``n``: a request frame of ``n`` bytes is in
@@ -30,7 +42,9 @@ instead of 64 MiB through loopback TCP in both kernels.
   ``n`` bytes.  Sent at handshake, as the grow acknowledgement, and
   spontaneously before a response too large for the current block.
 * server → client, positive ``n``: a response frame of ``n`` bytes is in
-  the (possibly just-switched) block.
+  the (possibly just-switched) block.  The response to a connection's
+  first successful READ of an access key carries that segment's memfd
+  as ancillary data; a client that does not map it drops it unread.
 
 Strict request/response means the block is always quiescent when it is
 replaced, so growth never migrates in-flight data.
@@ -53,15 +67,20 @@ remote and a local doorway.
 from __future__ import annotations
 
 import logging
+import mmap
 import os
+import platform
+import select
 import socket
 import struct
 import threading
 from multiprocessing import shared_memory
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .errors import SMBConnectionError, SMBProtocolError
-from .memory import DEFAULT_TENANT
+import numpy as np
+
+from .errors import SMBConnectionError, SMBProtocolError, UnknownKeyError
+from .memory import DEFAULT_TENANT, ENDED_WORD, HEADER_BYTES, SEQ_WORD
 from .protocol import (
     HANDSHAKE_TIMEOUT,
     HEADER_SIZE,
@@ -85,6 +104,19 @@ DATA_OFFSET = 64
 #: Initial per-connection block size; grown geometrically on demand.
 DEFAULT_BLOCK_SIZE = 1 << 20  # 1 MiB
 
+#: Seqlock copies a one-sided READ tries before it falls back to the RPC.
+ONE_SIDED_TRIES = 4
+
+#: The seqlock read relies on x86-64 keeping loads in order and stores in
+#: order (Python has no fences); elsewhere every READ stays an RPC.
+ONE_SIDED = platform.machine().lower() in ("x86_64", "amd64")
+
+#: One-sided copies of at least this many bytes go through NumPy, which
+#: releases the GIL for them, so the server's and other clients' threads
+#: keep running through a 4 MiB copy (``smb_mix_shm`` ``ops_per_s`` +8 %,
+#: 9 / 10 pairs); smaller ones are a memoryview copy, which costs less.
+GIL_FREE_COPY_BYTES = 1 << 16
+
 _DOORBELL = struct.Struct("!q")
 
 
@@ -95,12 +127,46 @@ def _send_all(sock: socket.socket, data: bytes) -> None:
         raise SMBConnectionError(f"doorbell socket failed: {exc}") from exc
 
 
-def _send_doorbell(sock: socket.socket, value: int) -> None:
-    _send_all(sock, _DOORBELL.pack(value))
+def _send_doorbell(
+    sock: socket.socket, value: int, fd: Optional[int] = None
+) -> None:
+    """Ring ``value``; ``fd`` rides along as ``SCM_RIGHTS`` when given."""
+    data = _DOORBELL.pack(value)
+    if fd is not None:
+        try:
+            sent = socket.send_fds(sock, [data], [fd])
+        except OSError as exc:
+            raise SMBConnectionError(f"doorbell socket failed: {exc}") from exc
+        data = data[sent:]
+    if data:
+        _send_all(sock, data)
 
 
 def _recv_doorbell(sock: socket.socket) -> int:
     return _DOORBELL.unpack(recv_exact(sock, _DOORBELL.size))[0]
+
+
+def _recv_response_doorbell(
+    sock: socket.socket, hand_off: bool
+) -> Tuple[int, List[int]]:
+    """Receive one doorbell, with the descriptors sent along only when
+    ``hand_off`` (the kernel closes those a plain receive leaves)."""
+    if not hand_off:
+        return _recv_doorbell(sock), []
+    try:
+        data, fds, _flags, _addr = socket.recv_fds(sock, _DOORBELL.size, 1)
+    except OSError as exc:
+        raise SMBConnectionError(f"socket receive failed: {exc}") from exc
+    try:
+        if not data:
+            raise SMBConnectionError("connection closed mid-message")
+        if len(data) < _DOORBELL.size:
+            data += recv_exact(sock, _DOORBELL.size - len(data))
+    except SMBConnectionError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    return _DOORBELL.unpack(data)[0], fds
 
 
 def _send_name_record(sock: socket.socket, name: str) -> None:
@@ -157,8 +223,61 @@ def _close_block(
 # ---------------------------------------------------------------------------
 
 
+class _SegmentMapping:
+    """A client's read-only mapping of one segment: header words + data.
+
+    The mapping (and the descriptor ``mmap`` keeps) goes with the last
+    reference to it, so a READ racing the channel's ``close()`` still
+    finishes on a valid mapping.
+    """
+
+    __slots__ = ("words", "data", "array")
+
+    def __init__(self, fd: int) -> None:
+        mapping = mmap.mmap(fd, 0, prot=mmap.PROT_READ)
+        view = memoryview(mapping)
+        self.words = view[:HEADER_BYTES].cast("Q")
+        self.data = view[HEADER_BYTES:]
+        self.array = np.frombuffer(mapping, dtype=np.uint8, offset=HEADER_BYTES)
+
+    @property
+    def ended(self) -> bool:
+        """Whether the segment's waits ended (FREE or server close)."""
+        return bool(self.words[ENDED_WORD])
+
+    def read(self, message: Message, out: memoryview) -> Optional[Message]:
+        """One seqlock READ of ``message``'s range into ``out``, or
+        ``None`` when every try raced a mutation or the waits ended."""
+        offset, count = message.offset, message.count
+        dst = out[:count]
+        src: "memoryview | np.ndarray"
+        target: "memoryview | np.ndarray"
+        if count >= GIL_FREE_COPY_BYTES:
+            src = self.array[offset:offset + count]
+            target = np.frombuffer(dst, dtype=np.uint8)
+        else:
+            src, target = self.data[offset:offset + count], dst
+        words = self.words
+        for _ in range(ONE_SIDED_TRIES):
+            seq = words[SEQ_WORD]
+            if words[ENDED_WORD]:
+                return None
+            if seq & 1:
+                continue  # a mutation is in flight
+            target[:] = src
+            if words[SEQ_WORD] == seq and not words[ENDED_WORD]:
+                return Message(op=Op.READ, key=message.key, count=seq >> 1,
+                               payload=dst)
+        return None
+
+
 class _ShmChannel:
-    """One doorbell socket plus its shared-memory block (client end)."""
+    """One doorbell socket plus its shared-memory block (client end).
+
+    It also holds the segment mappings this connection was handed
+    (access key → :class:`_SegmentMapping`) and serves READs of them
+    one-sided (module docstring).
+    """
 
     def __init__(
         self,
@@ -169,6 +288,9 @@ class _ShmChannel:
         self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self.sock.settimeout(timeout)
         self.shm: Optional[shared_memory.SharedMemory] = None
+        self._maps: Dict[int, _SegmentMapping] = {}
+        self._poller = select.poll()
+        self._poller.register(self.sock, select.POLLIN)
         try:
             self.sock.connect(os.fspath(path))
             self.sock.sendall(encode_hello(tenant))
@@ -207,6 +329,47 @@ class _ShmChannel:
     def exchange(
         self, message: Message, out: Optional[memoryview] = None
     ) -> Message:
+        if message.op is Op.READ and ONE_SIDED:
+            mapping = self._maps.get(message.key)
+            if mapping is None:
+                return self._rpc(message, out, hand_off=True)
+            if (
+                out is not None
+                and 0 < message.count <= len(out)
+                and 0 <= message.offset
+                and message.offset + message.count <= len(mapping.data)
+                and not self._poller.poll(0)
+            ):
+                response = mapping.read(message, out)
+                if response is not None:
+                    return response
+            if mapping.ended:
+                self._maps.pop(message.key, None)
+        response = self._rpc(message, out)
+        if message.op is Op.FREE:
+            # The freed segment's mapping is dead weight from now on.
+            self._maps = {k: m for k, m in self._maps.items() if not m.ended}
+        return response
+
+    def _map(self, key: int, fds: List[int]) -> None:
+        """Map the memfd a READ response carried (and close every fd)."""
+        try:
+            if fds and key not in self._maps:
+                self._maps[key] = _SegmentMapping(fds[0])
+        except (OSError, ValueError) as exc:
+            logger.warning("cannot map segment of key %#x: %s", key, exc)
+        finally:
+            for fd in fds:
+                os.close(fd)
+
+    def _rpc(
+        self,
+        message: Message,
+        out: Optional[memoryview] = None,
+        hand_off: bool = False,
+    ) -> Message:
+        """One request through the block; ``hand_off`` receives (and
+        maps) the memfd a successful READ's response may carry."""
         payload = message.payload_view()
         # Grow for what we send only: the server sizes its own responses
         # (the switch loop below), after it has judged the request.
@@ -221,14 +384,18 @@ class _ShmChannel:
         # a large response, and a block with exported views cannot close.
         buf = None
         _send_doorbell(self.sock, request_nbytes)
-        value = _recv_doorbell(self.sock)
+        value, fds = _recv_response_doorbell(self.sock, hand_off)
         while value < 0:  # server grew the block for a large response
             self._attach_switch()
-            value = _recv_doorbell(self.sock)
+            value, fds = _recv_response_doorbell(self.sock, hand_off)
+        if fds:
+            self._map(message.key, fds)
         buf = self.shm.buf
         header = bytes(buf[:HEADER_SIZE])
         paylen = payload_length(header)
-        if out is not None and paylen <= len(out):
+        # As over TCP, an error payload never lands in ``out``: it is
+        # decoded from bytes.  (Header byte 1 is the status.)
+        if out is not None and header[1] == Status.OK and paylen <= len(out):
             out[:paylen] = buf[DATA_OFFSET:DATA_OFFSET + paylen]
             return Message.decode(header, out[:paylen])
         return Message.decode(header, bytes(buf[DATA_OFFSET:DATA_OFFSET + paylen]))
@@ -246,6 +413,7 @@ class _ShmChannel:
             pass
         _close_block(self.shm)
         self.shm = None
+        self._maps = {}  # each mapping goes with its last reader
 
 
 def ShmTransport(
@@ -396,17 +564,30 @@ class ShmSMBServer:
         _close_block(old, unlink=True)
         return block
 
+    def _shared_fd(self, access_key: int) -> Optional[int]:
+        """A duplicate memfd of the segment behind ``access_key``, or
+        ``None`` if it is gone or no longer handed out."""
+        try:
+            return self.core.pool.by_access_key(access_key).share_fd()
+        except UnknownKeyError:
+            return None
+
     def _serve_frame(
         self,
         conn: socket.socket,
         block: shared_memory.SharedMemory,
-        tenant: str = DEFAULT_TENANT,
+        tenant: str,
+        handed: Set[int],
     ) -> shared_memory.SharedMemory:
         """Parse, dispatch and answer one request frame.
 
         All views into the block live and die inside this frame's scope,
         so the caller's loop can always switch or retire the block
         between frames without tripping over exported buffers.
+
+        ``handed`` holds the access keys whose memfd this connection was
+        already sent: the first successful READ of any other key sends
+        it with the response doorbell.
         """
         buf = block.buf
         header = bytes(buf[:HEADER_SIZE])
@@ -419,6 +600,12 @@ class ShmSMBServer:
         if op is Op.READ and count > 0:
             out = buf[DATA_OFFSET:]
         response = self.core.handle(request, out, tenant=tenant)
+        hand_off = (
+            op is Op.READ
+            and response.status is Status.OK
+            and request.key not in handed
+        )
+        key = request.key
         view = response.payload_view()
         nbytes = view.nbytes
         resp_header = response.encode_header()
@@ -444,11 +631,20 @@ class ShmSMBServer:
             if nbytes and not in_place:
                 buf[DATA_OFFSET:DATA_OFFSET + nbytes] = view
         buf[:HEADER_SIZE] = resp_header
-        _send_doorbell(conn, DATA_OFFSET + nbytes)
+        fd: Optional[int] = None
+        if hand_off:
+            handed.add(key)
+            fd = self._shared_fd(key)
+        try:
+            _send_doorbell(conn, DATA_OFFSET + nbytes, fd)
+        finally:
+            if fd is not None:
+                os.close(fd)
         return block
 
     def _serve_connection(self, conn: socket.socket) -> None:
         block: Optional[shared_memory.SharedMemory] = None
+        handed: Set[int] = set()
         try:
             # Bound the handshake, then block freely between frames (an
             # idle-but-handshaken client is a legitimate parked worker).
@@ -483,7 +679,7 @@ class ShmSMBServer:
                         min(max(-value, 2 * block.size), ceiling),
                     )
                     continue
-                block = self._serve_frame(conn, block, tenant)
+                block = self._serve_frame(conn, block, tenant, handed)
         except SMBConnectionError:
             pass  # peer went away; normal teardown
         except Exception:  # noqa: BLE001 - keep the server alive
