@@ -21,11 +21,17 @@ Header word 0 is a seqlock — ``2 × version``, plus 1 while a WRITE or
 ACCUMULATE is in flight — and word 1 is set once the segment's waits end
 (FREE, server close).  A co-located reader handed the memfd
 (:meth:`Segment.share_fd`) copies the data without the server: read
-word 0, copy, re-read word 0 (:mod:`repro.smb.shm_transport`).
+word 0, copy, re-read word 0 (:mod:`repro.smb.shm_transport`).  The
+memfd is sealed (:data:`SEGMENT_SEALS`) before anyone else can hold it:
+a reader can neither resize it nor write it, so the seqlock, the journal
+and exclusive accumulate see every mutation.  :func:`map_memfd` is the
+one allocator of shared memory; the shm doorway's connection blocks come
+from it too.
 """
 
 from __future__ import annotations
 
+import fcntl
 import itertools
 import mmap
 import os
@@ -131,31 +137,42 @@ def _standalone_words() -> np.ndarray:
     return np.zeros(HEADER_BYTES // 8, dtype=np.uint64)
 
 
-def _map_segment(nbytes: int) -> Tuple[int, np.ndarray, np.ndarray]:
-    """Allocate one segment mapping: ``(memfd, header words, data)``.
+#: Linux memfd seal bits (Python's ``fcntl`` names all but
+#: ``F_SEAL_FUTURE_WRITE``, and only on Linux).  A memfd sealed with
+#: FUTURE_WRITE keeps the writable mappings it already has but grants no
+#: new one and no ``write``.
+F_SEAL_SEAL, F_SEAL_SHRINK, F_SEAL_GROW, F_SEAL_FUTURE_WRITE = 0x1, 0x2, 0x4, 0x10
 
-    The memfd has no name in any filesystem, so nothing outlives the
-    last mapping and the last descriptor, whoever holds them.  Pages are
-    zero until first written, as ``np.zeros`` was.  Without
-    ``memfd_create`` (non-Linux) the mapping is anonymous and ``fd`` is
-    ``-1``: the segment cannot be handed to another process.
+#: A segment never changes size and only the server's own mapping writes
+#: it: a handed-out descriptor maps read-only or not at all.
+SEGMENT_SEALS = F_SEAL_SHRINK | F_SEAL_GROW | F_SEAL_FUTURE_WRITE | F_SEAL_SEAL
+
+
+def map_memfd(size: int, seals: int) -> Tuple[int, mmap.mmap]:
+    """Allocate ``size`` zero bytes of shared memory: ``(memfd, mapping)``.
+
+    The one allocator behind every piece of shared memory the SMB server
+    hands out (segments here, connection blocks in
+    :mod:`repro.smb.shm_transport`).  The memfd has no name in any
+    filesystem, so nothing outlives the last mapping and the last
+    descriptor, whoever holds them, and no resource tracker is involved.
+    ``seals`` are added after the caller's read-write mapping exists, so
+    a write seal binds only the mappings made from descriptors it hands
+    out.  Without ``memfd_create`` (non-Linux) the mapping is anonymous
+    and ``fd`` is ``-1``: nothing can be handed to another process.
     """
-    size = HEADER_BYTES + nbytes
     memfd_create = getattr(os, "memfd_create", None)
     if memfd_create is None:
-        fd, mapping = -1, mmap.mmap(-1, size)
-    else:
-        fd = memfd_create("smb-segment", os.MFD_CLOEXEC)
-        try:
-            os.ftruncate(fd, size)
-            mapping = mmap.mmap(fd, size)
-        except OSError:
-            os.close(fd)
-            raise
-    words = np.frombuffer(mapping, dtype=np.uint64, count=HEADER_BYTES // 8)
-    data = np.frombuffer(mapping, dtype=np.uint8, count=nbytes,
-                         offset=HEADER_BYTES)
-    return fd, words, data
+        return -1, mmap.mmap(-1, size)
+    fd = memfd_create("smb", os.MFD_CLOEXEC | os.MFD_ALLOW_SEALING)
+    try:
+        os.ftruncate(fd, size)
+        mapping = mmap.mmap(fd, size)
+        fcntl.fcntl(fd, fcntl.F_ADD_SEALS, seals)
+    except OSError:
+        os.close(fd)
+        raise
+    return fd, mapping
 
 
 def _key_sequence(start: int) -> Iterator[int]:
@@ -209,8 +226,13 @@ class Segment:
     def mapped(
         cls, name: str, shm_key: int, nbytes: int, **fields: object
     ) -> "Segment":
-        """A segment of ``nbytes`` zero bytes in its own memfd mapping."""
-        fd, words, data = _map_segment(nbytes)
+        """A segment of ``nbytes`` zero bytes in its own sealed memfd
+        mapping: the header, then the data."""
+        fd, mapping = map_memfd(HEADER_BYTES + nbytes, SEGMENT_SEALS)
+        words = np.frombuffer(mapping, dtype=np.uint64,
+                              count=HEADER_BYTES // 8)
+        data = np.frombuffer(mapping, dtype=np.uint8, count=nbytes,
+                             offset=HEADER_BYTES)
         segment = cls(name=name, shm_key=shm_key, buffer=data, words=words,
                       **fields)  # type: ignore[arg-type]
         if fd >= 0:

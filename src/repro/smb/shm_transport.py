@@ -5,9 +5,10 @@ memory; a worker on the *same* node as the memory server should not pay
 the TCP stack to reach memory it could simply map.  This transport gives
 co-located clients that path:
 
-* the server creates one :class:`multiprocessing.shared_memory.SharedMemory`
-  block per connection and hands its name to the client over a UNIX
-  domain socket;
+* the server creates one connection block per connection — a memfd from
+  the allocator segments use (:func:`repro.smb.memory.map_memfd`) — and
+  hands its descriptor to the client on the handshake doorbell over a
+  UNIX domain socket (``SCM_RIGHTS``);
 * a request is the normal wire :class:`~repro.smb.protocol.Message` frame
   written *into* the block (header at offset 0, payload at
   :data:`DATA_OFFSET`) followed by an 8-byte **doorbell** over the UNIX
@@ -31,23 +32,26 @@ segment's waits ended (FREE, server close), or :data:`ONE_SIDED_TRIES`
 copies all raced a mutation.  The server does not count a one-sided
 READ; the client's telemetry does.
 
-**Doorbell protocol** (8-byte signed big-endian int):
+**Doorbell protocol** (8-byte big-endian int, always positive):
 
-* client → server, positive ``n``: a request frame of ``n`` bytes is in
-  the block.
-* client → server, negative ``-n``: grow the block to at least ``n``
-  bytes before the next request.
-* server → client, negative ``-n``: *switch blocks* — a name record
-  (u16 length + UTF-8 name) follows on the socket; the new block is
-  ``n`` bytes.  Sent at handshake, as the grow acknowledgement, and
-  spontaneously before a response too large for the current block.
-* server → client, positive ``n``: a response frame of ``n`` bytes is in
-  the (possibly just-switched) block.  The response to a connection's
-  first successful READ of an access key carries that segment's memfd
-  as ancillary data; a client that does not map it drops it unread.
+* server → client, at handshake: the block is ``n`` bytes; its memfd
+  rides along.
+* client → server: a request frame of ``n`` bytes is in the block.
+* server → client: a response frame of ``n`` bytes is in the block.  The
+  response to a connection's first successful READ of an access key
+  carries that segment's memfd as ancillary data; a client that does not
+  map it drops it unread.
 
-Strict request/response means the block is always quiescent when it is
-replaced, so growth never migrates in-flight data.
+**Growth in place.**  The block starts at :data:`BLOCK_SIZE` bytes and
+is sealed against shrinking, so a mapping never outruns the file.  A
+side about to write a frame that does not fit grows the file
+(``ftruncate``, never smaller) and remaps; a side rung with an ``n``
+past its mapping remaps.  The client grows only for what it sends: the
+server sizes its responses, after it has judged the request.  The server
+drops a connection whose doorbell is not positive, is above
+``DATA_OFFSET + pool.capacity`` or is above the file's size, before it
+maps anything.  An outgrown mapping goes with its last view; no block is
+closed while its connection lives.
 
 The client end is a :class:`_ShmChannel` (doorbell socket + block) under
 the one :class:`~repro.smb.transport.ChannelTransport`, which gives this
@@ -74,13 +78,21 @@ import select
 import socket
 import struct
 import threading
-from multiprocessing import shared_memory
+import weakref
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from .errors import SMBConnectionError, SMBProtocolError, UnknownKeyError
-from .memory import DEFAULT_TENANT, ENDED_WORD, HEADER_BYTES, SEQ_WORD
+from .memory import (
+    DEFAULT_TENANT,
+    ENDED_WORD,
+    F_SEAL_SEAL,
+    F_SEAL_SHRINK,
+    HEADER_BYTES,
+    SEQ_WORD,
+    map_memfd,
+)
 from .protocol import (
     HANDSHAKE_TIMEOUT,
     HEADER_SIZE,
@@ -101,8 +113,13 @@ logger = logging.getLogger(__name__)
 #: rounded up for alignment).
 DATA_OFFSET = 64
 
-#: Initial per-connection block size; grown geometrically on demand.
-DEFAULT_BLOCK_SIZE = 1 << 20  # 1 MiB
+#: Initial per-connection block size; grown in place on demand.
+BLOCK_SIZE = 1 << 20  # 1 MiB
+
+#: A block may grow but never shrink (so no mapping of it outruns the
+#: file and a client's truncation cannot fault the server), and its seals
+#: are final.
+BLOCK_SEALS = F_SEAL_SHRINK | F_SEAL_SEAL
 
 #: Seqlock copies a one-sided READ tries before it falls back to the RPC.
 ONE_SIDED_TRIES = 4
@@ -120,26 +137,18 @@ GIL_FREE_COPY_BYTES = 1 << 16
 _DOORBELL = struct.Struct("!q")
 
 
-def _send_all(sock: socket.socket, data: bytes) -> None:
-    try:
-        sock.sendall(data)
-    except OSError as exc:
-        raise SMBConnectionError(f"doorbell socket failed: {exc}") from exc
-
-
 def _send_doorbell(
     sock: socket.socket, value: int, fd: Optional[int] = None
 ) -> None:
     """Ring ``value``; ``fd`` rides along as ``SCM_RIGHTS`` when given."""
     data = _DOORBELL.pack(value)
-    if fd is not None:
-        try:
-            sent = socket.send_fds(sock, [data], [fd])
-        except OSError as exc:
-            raise SMBConnectionError(f"doorbell socket failed: {exc}") from exc
-        data = data[sent:]
-    if data:
-        _send_all(sock, data)
+    try:
+        if fd is not None:
+            data = data[socket.send_fds(sock, [data], [fd]):]
+        if data:
+            sock.sendall(data)
+    except OSError as exc:
+        raise SMBConnectionError(f"doorbell socket failed: {exc}") from exc
 
 
 def _recv_doorbell(sock: socket.socket) -> int:
@@ -149,8 +158,9 @@ def _recv_doorbell(sock: socket.socket) -> int:
 def _recv_response_doorbell(
     sock: socket.socket, hand_off: bool
 ) -> Tuple[int, List[int]]:
-    """Receive one doorbell, with the descriptors sent along only when
-    ``hand_off`` (the kernel closes those a plain receive leaves)."""
+    """Receive one doorbell (a response, or the handshake), with the
+    descriptors sent along only when ``hand_off`` (the kernel closes
+    those a plain receive leaves)."""
     if not hand_off:
         return _recv_doorbell(sock), []
     try:
@@ -169,53 +179,32 @@ def _recv_response_doorbell(
     return _DOORBELL.unpack(data)[0], fds
 
 
-def _send_name_record(sock: socket.socket, name: str) -> None:
-    encoded = name.encode()
-    _send_all(sock, struct.pack("!H", len(encoded)) + encoded)
+class _Block:
+    """One connection's block as one side maps it: the memfd and a view.
 
-
-def _recv_name_record(sock: socket.socket) -> str:
-    (length,) = struct.unpack("!H", recv_exact(sock, 2))
-    return recv_exact(sock, length).decode()
-
-
-def _attach_block(name: str) -> shared_memory.SharedMemory:
-    """Attach to a server-created block without resource tracking.
-
-    The *server* owns the block's lifetime (it unlinks on connection
-    teardown); the attaching side must not also claim it.  Python 3.13
-    has ``track=False`` for exactly this.  On earlier versions a plain
-    attach is the least-bad option: registration is set-based, so in the
-    common same-process case (tests, benchmarks, in-process co-location)
-    the server's ``unlink`` still balances the books; a separate client
-    process may log a spurious leaked-object note from its resource
-    tracker at exit.
+    The descriptor is closed when the last reference to the block goes,
+    and each outgrown mapping with its last view, so a frame racing the
+    channel's ``close()`` still finishes on valid memory.
     """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13
-        return shared_memory.SharedMemory(name=name)
 
+    __slots__ = ("fd", "buf", "__weakref__")
 
-def _close_block(
-    block: Optional[shared_memory.SharedMemory], unlink: bool = False
-) -> None:
-    if block is None:
-        return
-    try:
-        block.close()
-    except BufferError:
-        # A view into the mapping is still alive somewhere; the mapping
-        # stays until process exit, which is harmless — but the name must
-        # still be released below.
-        logger.warning("shm block %s closed with live views", block.name)
-    except OSError:
-        pass
-    if unlink:
-        try:
-            block.unlink()
-        except (FileNotFoundError, OSError):
-            pass
+    def __init__(self, fd: int, mapping: Optional[mmap.mmap] = None) -> None:
+        self.fd = fd
+        weakref.finalize(self, os.close, fd)
+        self.buf = memoryview(mmap.mmap(fd, 0) if mapping is None else mapping)
+
+    def fit(self, nbytes: int, grow: bool) -> bool:
+        """Map at least ``nbytes`` of the block.  A writer (``grow``)
+        extends a shorter file first; a reader gets ``False`` instead."""
+        if nbytes <= len(self.buf):
+            return True
+        if os.fstat(self.fd).st_size < nbytes:
+            if not grow:
+                return False
+            os.ftruncate(self.fd, nbytes)
+        self.buf = memoryview(mmap.mmap(self.fd, nbytes))
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +261,7 @@ class _SegmentMapping:
 
 
 class _ShmChannel:
-    """One doorbell socket plus its shared-memory block (client end).
+    """One doorbell socket plus its connection block (client end).
 
     It also holds the segment mappings this connection was handed
     (access key → :class:`_SegmentMapping`) and serves READs of them
@@ -287,20 +276,21 @@ class _ShmChannel:
     ) -> None:
         self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self.sock.settimeout(timeout)
-        self.shm: Optional[shared_memory.SharedMemory] = None
         self._maps: Dict[int, _SegmentMapping] = {}
         self._poller = select.poll()
         self._poller.register(self.sock, select.POLLIN)
         try:
             self.sock.connect(os.fspath(path))
             self.sock.sendall(encode_hello(tenant))
-            # Handshake is a switch record like any other.
-            value = _recv_doorbell(self.sock)
-            if value >= 0:
+            # The handshake doorbell carries the block's memfd.
+            value, fds = _recv_response_doorbell(self.sock, hand_off=True)
+            if value <= 0 or not fds:
+                for fd in fds:
+                    os.close(fd)
                 raise SMBConnectionError(
                     f"bad shm handshake doorbell {value}"
                 )
-            self._attach_switch()
+            self.block = _Block(fds[0])
         except (OSError, SMBConnectionError) as exc:
             self.close()
             if isinstance(exc, SMBConnectionError):
@@ -308,23 +298,6 @@ class _ShmChannel:
             raise SMBConnectionError(
                 f"cannot connect to SMB shm server at {path}: {exc}"
             ) from exc
-
-    def _attach_switch(self) -> None:
-        """Follow a switch record: attach the named block, drop the old."""
-        new = _attach_block(_recv_name_record(self.sock))
-        _close_block(self.shm)
-        self.shm = new
-
-    def ensure(self, nbytes: int) -> None:
-        """Make the block at least ``nbytes`` (the server over-allocates
-        geometrically, inside its ceiling)."""
-        if self.shm is not None and nbytes <= self.shm.size:
-            return
-        _send_doorbell(self.sock, -nbytes)
-        value = _recv_doorbell(self.sock)
-        if value >= 0:
-            raise SMBConnectionError(f"bad grow acknowledgement {value}")
-        self._attach_switch()
 
     def exchange(
         self, message: Message, out: Optional[memoryview] = None
@@ -370,27 +343,23 @@ class _ShmChannel:
     ) -> Message:
         """One request through the block; ``hand_off`` receives (and
         maps) the memfd a successful READ's response may carry."""
+        block = self.block
         payload = message.payload_view()
-        # Grow for what we send only: the server sizes its own responses
-        # (the switch loop below), after it has judged the request.
-        self.ensure(DATA_OFFSET + payload.nbytes)
-        assert self.shm is not None
         request_nbytes = DATA_OFFSET + payload.nbytes
-        buf = self.shm.buf
+        # Grow for what we send only: the server sizes its own responses,
+        # after it has judged the request.
+        block.fit(request_nbytes, grow=True)
+        buf = block.buf
         buf[:HEADER_SIZE] = message.encode_header()
         if payload.nbytes:
-            buf[DATA_OFFSET:DATA_OFFSET + payload.nbytes] = payload
-        # Drop our view before ringing: the server may switch blocks for
-        # a large response, and a block with exported views cannot close.
-        buf = None
+            buf[DATA_OFFSET:request_nbytes] = payload
         _send_doorbell(self.sock, request_nbytes)
         value, fds = _recv_response_doorbell(self.sock, hand_off)
-        while value < 0:  # server grew the block for a large response
-            self._attach_switch()
-            value, fds = _recv_response_doorbell(self.sock, hand_off)
         if fds:
             self._map(message.key, fds)
-        buf = self.shm.buf
+        if value < DATA_OFFSET or not block.fit(value, grow=False):
+            raise SMBConnectionError(f"bad shm response doorbell {value}")
+        buf = block.buf
         header = bytes(buf[:HEADER_SIZE])
         paylen = payload_length(header)
         # As over TCP, an error payload never lands in ``out``: it is
@@ -411,8 +380,6 @@ class _ShmChannel:
             self.sock.close()
         except OSError:
             pass
-        _close_block(self.shm)
-        self.shm = None
         self._maps = {}  # each mapping goes with its last reader
 
 
@@ -460,11 +427,14 @@ class ShmSMBServer:
         path: Union[str, os.PathLike],
         capacity: int = DEFAULT_POOL_CAPACITY,
         core: Optional[SMBServer] = None,
-        block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> None:
+        if not hasattr(os, "memfd_create"):
+            raise RuntimeError(
+                "ShmSMBServer needs os.memfd_create (Linux): each "
+                "connection's block is a memfd handed to the client"
+            )
         self.core = core if core is not None else SMBServer(capacity)
         self.path = os.fspath(path)
-        self._block_size = block_size
         if os.path.exists(self.path):
             os.unlink(self.path)
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -547,23 +517,6 @@ class ShmSMBServer:
                 self._conns[conn] = handler
                 handler.start()
 
-    def _switch_block(
-        self,
-        conn: socket.socket,
-        old: Optional[shared_memory.SharedMemory],
-        size: int,
-    ) -> shared_memory.SharedMemory:
-        """Allocate a fresh block, announce it, retire the old one.
-
-        Only called between frames (strict request/response), so no views
-        into ``old`` exist and it closes cleanly.
-        """
-        block = shared_memory.SharedMemory(create=True, size=size)
-        _send_doorbell(conn, -block.size)
-        _send_name_record(conn, block.name)
-        _close_block(old, unlink=True)
-        return block
-
     def _shared_fd(self, access_key: int) -> Optional[int]:
         """A duplicate memfd of the segment behind ``access_key``, or
         ``None`` if it is gone or no longer handed out."""
@@ -575,15 +528,11 @@ class ShmSMBServer:
     def _serve_frame(
         self,
         conn: socket.socket,
-        block: shared_memory.SharedMemory,
+        block: _Block,
         tenant: str,
         handed: Set[int],
-    ) -> shared_memory.SharedMemory:
+    ) -> None:
         """Parse, dispatch and answer one request frame.
-
-        All views into the block live and die inside this frame's scope,
-        so the caller's loop can always switch or retire the block
-        between frames without tripping over exported buffers.
 
         ``handed`` holds the access keys whose memfd this connection was
         already sent: the first successful READ of any other key sends
@@ -595,44 +544,27 @@ class ShmSMBServer:
         request = Message.decode(
             header, buf[DATA_OFFSET:DATA_OFFSET + paylen]
         )
-        op, count = request.op, request.count
+        op, count, key = request.op, request.count, request.key
         out: Optional[memoryview] = None
         if op is Op.READ and count > 0:
             out = buf[DATA_OFFSET:]
         response = self.core.handle(request, out, tenant=tenant)
-        hand_off = (
-            op is Op.READ
-            and response.status is Status.OK
-            and request.key not in handed
-        )
-        key = request.key
+        ok = response.status is Status.OK
         view = response.payload_view()
         nbytes = view.nbytes
-        resp_header = response.encode_header()
-        if DATA_OFFSET + nbytes > block.size:
-            # Response (a STATS/LIST/SNAPSHOT body, typically) outgrew
-            # the block: materialise it, drop every view into the old
-            # block, switch, then land it in the new one.
-            data = bytes(view)
-            del view, request, response, out, buf
-            block = self._switch_block(conn, block, DATA_OFFSET + len(data))
+        # A successful READ served through ``out`` is already in the
+        # block (that is the one-copy path); anything else still needs
+        # the payload landed.
+        in_place = op is Op.READ and out is not None and count <= len(out)
+        if nbytes and not (in_place and ok):
+            # A response that outgrew the block (a connection's first
+            # large READ, a STATS/LIST body) grows it first.
+            block.fit(DATA_OFFSET + nbytes, grow=True)
             buf = block.buf
-            buf[DATA_OFFSET:DATA_OFFSET + len(data)] = data
-        else:
-            # A successful READ served through ``out`` is already in the
-            # block (that is the one-copy path); anything else still
-            # needs the payload landed.
-            in_place = (
-                op is Op.READ
-                and out is not None
-                and count <= len(out)
-                and response.status is Status.OK
-            )
-            if nbytes and not in_place:
-                buf[DATA_OFFSET:DATA_OFFSET + nbytes] = view
-        buf[:HEADER_SIZE] = resp_header
+            buf[DATA_OFFSET:DATA_OFFSET + nbytes] = view
+        buf[:HEADER_SIZE] = response.encode_header()
         fd: Optional[int] = None
-        if hand_off:
+        if op is Op.READ and ok and key not in handed:
             handed.add(key)
             fd = self._shared_fd(key)
         try:
@@ -640,10 +572,8 @@ class ShmSMBServer:
         finally:
             if fd is not None:
                 os.close(fd)
-        return block
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        block: Optional[shared_memory.SharedMemory] = None
         handed: Set[int] = set()
         try:
             # Bound the handshake, then block freely between frames (an
@@ -657,29 +587,26 @@ class ShmSMBServer:
                 )
                 return
             conn.settimeout(None)
-            block = self._switch_block(conn, None, self._block_size)
+            fd, mapping = map_memfd(BLOCK_SIZE, BLOCK_SEALS)
+            block = _Block(fd, mapping)
+            _send_doorbell(conn, BLOCK_SIZE, fd)
+            # No valid frame is larger than the header region plus
+            # everything the pool can hold.
+            ceiling = DATA_OFFSET + self.core.pool.capacity
             while True:
                 value = _recv_doorbell(conn)
                 if self._stop.is_set():
                     break  # a doorbell that raced stop() is not served
-                if value < 0:
-                    # No valid frame is larger than the header region
-                    # plus everything the pool can hold; refuse before
-                    # the length costs memory.
-                    ceiling = DATA_OFFSET + self.core.pool.capacity
-                    if -value > ceiling:
-                        logger.warning(
-                            "shm client asked for a %d-byte block (pool "
-                            "allows %d); dropping connection",
-                            -value, ceiling,
-                        )
-                        break
-                    block = self._switch_block(
-                        conn, block,
-                        min(max(-value, 2 * block.size), ceiling),
+                # Judge the length before it is mapped: the shm twin of
+                # the TCP ``paylen`` bound.
+                if not 0 < value <= ceiling or not block.fit(value, grow=False):
+                    logger.warning(
+                        "shm client rang a %d-byte frame (pool allows %d, "
+                        "its block holds %d); dropping connection",
+                        value, ceiling, os.fstat(fd).st_size,
                     )
-                    continue
-                block = self._serve_frame(conn, block, tenant, handed)
+                    break
+                self._serve_frame(conn, block, tenant, handed)
         except SMBConnectionError:
             pass  # peer went away; normal teardown
         except Exception:  # noqa: BLE001 - keep the server alive
@@ -691,4 +618,3 @@ class ShmSMBServer:
                 conn.close()
             except OSError:
                 pass
-            _close_block(block, unlink=True)

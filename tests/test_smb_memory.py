@@ -1,5 +1,7 @@
 """Unit tests for SMB segments and the server-side memory pool."""
 
+import mmap
+import os
 import threading
 
 import numpy as np
@@ -343,3 +345,36 @@ class TestMemoryPool:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             MemoryPool(capacity=0)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "memfd_create"), reason="segment memfds need Linux"
+)
+class TestSegmentSeals:
+    """A descriptor the server hands out reads the segment and nothing
+    more: every change goes through the server's own mapping, under the
+    seqlock, the journal and exclusive accumulate."""
+
+    def test_handed_out_fd_is_read_only_and_fixed_size(self):
+        pool = MemoryPool(capacity=1 << 16)
+        segment = pool.create("W_g", 4096)
+        segment.write(0, np.full(1024, 1.0, dtype=np.float32).tobytes())
+        fd = segment.share_fd()
+        try:
+            with pytest.raises(PermissionError):
+                os.ftruncate(fd, 0)
+            with pytest.raises(PermissionError):
+                os.ftruncate(fd, 1 << 20)
+            with pytest.raises(PermissionError):
+                mmap.mmap(fd, 0)
+            with pytest.raises(PermissionError):
+                os.pwrite(fd, b"\x00" * 4, memory.HEADER_BYTES)
+            view = mmap.mmap(fd, 0, prot=mmap.PROT_READ)
+            values = np.frombuffer(view, dtype=np.float32,
+                                   offset=memory.HEADER_BYTES)
+            assert (values == 1.0).all()
+            assert np.frombuffer(view, dtype=np.uint64, count=1)[0] == 2
+        finally:
+            os.close(fd)
+        # The server's own mapping still writes.
+        assert segment.write(0, b"\x00" * 4) == 2

@@ -1,25 +1,28 @@
 """Local shared-memory transport: correctness against the TCP path.
 
 The shm doorway must be a drop-in third transport: bit-exact with TCP on
-the same data, correct across block growth (both client-requested for
-large requests and server-initiated for large responses, with the grow
-doorbell bounded by the pool), and clean on shutdown.  What it shares
-with the other doorways — waits off the data path, reconnect, close — is
-``tests/test_transport_contract.py``.
+the same data, correct across block growth in place (by the client for
+large requests, by the server for large responses), closed to a client
+that rings past its block or the pool or shrinks the block, and clean on
+shutdown.  What it shares with the other doorways — waits off the data
+path, reconnect, close — is ``tests/test_transport_contract.py``.
 """
 
-import glob
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import repro
 from repro.smb import ShmSMBServer, SMBClient, TcpSMBServer
 from repro.smb.errors import SMBError
 from repro.smb.protocol import HEADER_FORMAT, HEADER_SIZE, encode_hello
-from repro.smb.shm_transport import DATA_OFFSET, _ShmChannel
+from repro.smb.shm_transport import BLOCK_SIZE, DATA_OFFSET, _ShmChannel
 
 
 @pytest.fixture
@@ -71,59 +74,90 @@ class TestRoundTrip:
         client.close()
 
 
-class TestBlockGrowth:
-    def test_client_requested_growth(self, tmp_path):
-        """Requests bigger than the initial block trigger a grow."""
-        with ShmSMBServer(
-            tmp_path / "smb.sock", capacity=1 << 24, block_size=4096
-        ) as server:
-            client = SMBClient.connect_local(server.path)
-            count = 1 << 18  # 1 MiB >> 4 KiB initial block
-            arr = client.create_array("big", count)
-            data = np.random.default_rng(3).random(count).astype(np.float32)
-            arr.write(data)
-            assert np.array_equal(arr.read(), data)
-            client.close()
+#: A 4 MiB frame: past the 1 MiB initial block.
+BIG = 1 << 20  # float32 elements
 
-    def test_server_initiated_growth_for_large_response(self, tmp_path):
-        """A response body that outgrows the block switches blocks."""
-        tiny = DATA_OFFSET + 192
-        with ShmSMBServer(
-            tmp_path / "smb.sock", capacity=1 << 24, block_size=tiny
-        ) as server:
-            client = SMBClient.connect_local(server.path)
-            for index in range(8):
-                client.create_array(f"segment-with-a-long-name-{index}", 16)
-            listing = client.list_segments()
-            assert len(listing["segments"]) >= 8
-            client.close()
+
+def _block(client):
+    """The block of ``client``'s command channel."""
+    return client.transport._cmd.channel.block
+
+
+def _block_size(block):
+    return os.fstat(block.fd).st_size
+
+
+def _raw_client(path):
+    """A handshaken raw socket and the block memfd it was handed."""
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.settimeout(5.0)
+    raw.connect(path)
+    raw.sendall(encode_hello())
+    data, fds, _flags, _addr = socket.recv_fds(raw, 8, 1)
+    (size,) = struct.unpack("!q", data)
+    assert size == BLOCK_SIZE and len(fds) == 1
+    return raw, fds[0]
+
+
+def _assert_dropped(raw, value, caplog):
+    with caplog.at_level("WARNING", logger="repro.smb.shm_transport"):
+        raw.sendall(struct.pack("!q", value))
+        assert raw.recv(8) == b""  # closed, not answered
+    raw.close()
+    assert "dropping connection" in caplog.text
+
+
+def _write_read(array, value):
+    data = np.full(array.count, value, dtype=np.float32)
+    array.write(data)
+    assert np.array_equal(array.read(), data)
+
+
+class TestBlockGrowth:
+    def test_client_requested_growth(self, shm_server):
+        """A request bigger than the block grows the same memfd."""
+        client = SMBClient.connect_local(shm_server.path)
+        block = _block(client)
+        fd = block.fd
+        assert _block_size(block) == BLOCK_SIZE
+        arr = client.create_array("big", BIG)
+        data = np.random.default_rng(3).random(BIG).astype(np.float32)
+        arr.write(data)
+        assert np.array_equal(arr.read(), data)
+        assert _block(client) is block and block.fd == fd
+        assert _block_size(block) == DATA_OFFSET + 4 * BIG
+        client.close()
+
+    def test_server_initiated_growth_for_large_response(self, shm_server):
+        """A fresh connection's first 4 MiB READ: its requests are all
+        header-only, so the server grows the block for the response."""
+        writer = SMBClient.connect_local(shm_server.path)
+        arr = writer.create_array("big", BIG)
+        data = np.arange(BIG, dtype=np.float32)
+        arr.write(data)
+        reader = SMBClient.connect_local(shm_server.path)
+        block = _block(reader)
+        view = reader.attach_array("big", arr.shm_key, BIG)
+        assert _block_size(block) == BLOCK_SIZE
+        assert np.array_equal(view.read(), data)
+        assert _block_size(block) == DATA_OFFSET + 4 * BIG
+        assert len(block.buf) == DATA_OFFSET + 4 * BIG
+        writer.close()
+        reader.close()
 
 
     def test_grow_doorbell_above_the_pool_is_refused(self, tmp_path, caplog):
         """No valid frame outgrows the header region plus the whole pool,
-        so a bigger grow request allocates nothing and costs only the
-        connection that sent it — while a legitimate client can still
-        grow its block all the way to that ceiling."""
+        so a bigger doorbell maps nothing and costs only the connection
+        that rang it — while a legitimate client can still grow its
+        block all the way to that ceiling."""
         capacity = 1 << 20
         with ShmSMBServer(tmp_path / "smb.sock", capacity=capacity) as server:
-            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            raw.settimeout(5.0)
-            raw.connect(server.path)
-            raw.sendall(encode_hello())
-            (switch,) = struct.unpack("!q", raw.recv(8, socket.MSG_WAITALL))
-            assert switch < 0  # handshake = a switch record, then its name
-            (length,) = struct.unpack("!H", raw.recv(2, socket.MSG_WAITALL))
-            raw.recv(length, socket.MSG_WAITALL)
-            blocks = set(glob.glob("/dev/shm/psm_*"))
-            with caplog.at_level("WARNING", logger="repro.smb.shm_transport"):
-                raw.sendall(struct.pack("!q", -(2 << 30)))
-                assert raw.recv(8) == b""  # closed, not acknowledged
-            raw.close()
-            assert "dropping connection" in caplog.text
-            assert not set(glob.glob("/dev/shm/psm_*")) - blocks
-            # The server keeps serving, up to a full-capacity frame: the
-            # 1 MiB default block must grow to DATA_OFFSET + capacity,
-            # not to a doubled size past the ceiling.
+            raw, fd = _raw_client(server.path)
+            os.ftruncate(fd, 4 << 30)  # the file is not what is judged
+            os.close(fd)
+            _assert_dropped(raw, 2 << 30, caplog)
+            # The server keeps serving, up to a full-capacity frame.
             client = SMBClient.connect_local(server.path)
             count = capacity // 4
             arr = client.create_array("full", count)
@@ -131,6 +165,68 @@ class TestBlockGrowth:
             arr.write(data)
             assert np.array_equal(arr.read(), data)
             client.close()
+
+
+class TestBlockSeals:
+    """A client can break only its own connection."""
+
+    def test_block_cannot_shrink(self, shm_server):
+        raw, fd = _raw_client(shm_server.path)
+        try:
+            with pytest.raises(PermissionError):
+                os.ftruncate(fd, 0)
+            with pytest.raises(PermissionError):
+                os.ftruncate(fd, BLOCK_SIZE - 1)
+            os.ftruncate(fd, 2 * BLOCK_SIZE)  # growing is the protocol
+        finally:
+            os.close(fd)
+            raw.close()
+
+    @pytest.mark.parametrize("file_size, value", [
+        (BLOCK_SIZE, BLOCK_SIZE + 1),
+        (4 << 24, DATA_OFFSET + (1 << 24) + 1),
+        (BLOCK_SIZE, 0),
+        (BLOCK_SIZE, -DATA_OFFSET),
+    ], ids=["past-the-file", "past-the-pool", "zero", "negative"])
+    def test_bad_doorbell_costs_one_connection(
+        self, shm_server, caplog, file_size, value
+    ):
+        """Judged before anything is mapped; a client connected all along
+        keeps completing WRITE + READ."""
+        bystander = SMBClient.connect_local(shm_server.path)
+        arr = bystander.create_array("w", 256)
+        _write_read(arr, 1.0)
+        raw, fd = _raw_client(shm_server.path)
+        os.ftruncate(fd, file_size)
+        os.close(fd)
+        _assert_dropped(raw, value, caplog)
+        _write_read(arr, 2.0)
+        bystander.close()
+
+
+class TestCrossProcess:
+    def test_spawned_client_exits_clean(self, shm_server):
+        """A client process leaves no resource-tracker note behind: the
+        block is a memfd, not a named POSIX block."""
+        writer = SMBClient.connect_local(shm_server.path)
+        arr = writer.create_array("w", 256)
+        _write_read(arr, 3.0)
+        code = (
+            "import sys; from repro.smb import SMBClient\n"
+            "c = SMBClient.connect_local(sys.argv[1])\n"
+            "a = c.attach_array('w', int(sys.argv[2]), 256)\n"
+            "assert (a.read() == 3.0).all()\n"
+            "c.close()\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", code, shm_server.path, str(arr.shm_key)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "resource_tracker" not in result.stderr
+        writer.close()
 
 
 class TestWaitAndShutdown:
@@ -157,7 +253,7 @@ class TestWaitAndShutdown:
         victim = SMBClient.connect_local(shm_server.path)
         arr = victim.create_array("w", 64)
         alice = _ShmChannel(shm_server.path, 5.0, tenant="alice")
-        alice.shm.buf[:HEADER_SIZE] = struct.pack(
+        alice.block.buf[:HEADER_SIZE] = struct.pack(
             HEADER_FORMAT, 10, 0, 0, 0, 0, 0, 1.0, 0
         )
         alice.sock.sendall(struct.pack("!q", DATA_OFFSET))
