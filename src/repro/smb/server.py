@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import json
 import logging
 import os
 import selectors
@@ -43,7 +44,7 @@ from time import monotonic as _monotonic
 
 import numpy as np
 
-from ..telemetry import MetricsRegistry, TelemetrySession
+from ..telemetry import Counter, Gauge, MetricsRegistry, TelemetrySession
 from ..telemetry import current as _telemetry_current
 from .errors import (
     NotificationTimeout,
@@ -104,21 +105,38 @@ def _accumulate_dtype(message: Message) -> np.dtype:
 
 
 class ServerStats:
-    """Counters the server maintains for bandwidth/benchmark reporting.
+    """Counters one server maintains for bandwidth/benchmark reporting.
 
-    Backed by a :class:`~repro.telemetry.MetricsRegistry` — its own
-    private one by default, or a shared session registry so a
-    telemetry-enabled run folds the server counters into its snapshot.
-    Byte totals and per-op counts live in *separate namespaces*
+    They live in this server's own :class:`~repro.telemetry.MetricsRegistry`,
+    which STATS, TENANT_STATS and every reader below see.  Given the
+    registry of a recording telemetry ``session``, each instrument is
+    mirrored into it under the same name, so the session sums every
+    server in it.  :meth:`record` resolves the counters of an ``(op,
+    tenant)`` pair once: after that an op is one dict lookup and one
+    ``Counter.inc`` per counter, no name built and no registry lock
+    taken.  Byte totals and per-op counts live in *separate namespaces*
     (``bytes_read`` vs ``ops/READ``), so an opcode can never shadow the
-    byte counters the Fig. 7 benchmark reads (the key-collision hazard
-    of the old flat-dict implementation).
+    byte counters the Fig. 7 benchmark reads.
     """
 
-    _RESERVED = ("bytes_read", "bytes_written")
+    def __init__(self, session: Optional[MetricsRegistry] = None) -> None:
+        self.registry = MetricsRegistry()
+        self._registries = tuple(r for r in (self.registry, session) if r is not None)
+        # (op, tenant) -> (counters bumped by 1, counters bumped by nbytes)
+        self._resolved: Dict[Tuple[Op, Optional[str]], Tuple[Tuple[Counter, ...], ...]] = {}
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def counters_of(self, *names: str) -> Tuple[Counter, ...]:
+        """Counters ``names`` of this server, and of the session if any."""
+        return tuple(r.counter(n) for n in names for r in self._registries)
+
+    def gauges_of(self, name: str) -> Tuple[Gauge, ...]:
+        """Gauge ``name`` of this server, and of the session if any."""
+        return tuple(r.gauge(name) for r in self._registries)
+
+    def inc(self, name: str, amount: int = 1) -> None:
+        """Bump counter ``name`` off the op path (recovery, denials)."""
+        for counter in self.counters_of(name):
+            counter.inc(amount)
 
     def record(
         self, op: Op, nbytes: int = 0, tenant: Optional[str] = None
@@ -129,32 +147,34 @@ class ServerStats:
         per-namespace counters (``smb/tenant/<ns>/*``) that back
         TENANT_STATS and the multi-tenant billing view.
         """
-        self.registry.inc(f"smb/server/ops/{op.name}")
-        if op is Op.READ:
-            self.registry.inc("smb/server/bytes_read", nbytes)
-        elif op in (Op.WRITE, Op.ACCUMULATE):
-            self.registry.inc("smb/server/bytes_written", nbytes)
-        if tenant is not None:
-            self.registry.inc(f"smb/tenant/{tenant}/ops")
-            if op is Op.READ:
-                self.registry.inc(f"smb/tenant/{tenant}/bytes_read", nbytes)
-            elif op in (Op.WRITE, Op.ACCUMULATE):
-                self.registry.inc(
-                    f"smb/tenant/{tenant}/bytes_written", nbytes
-                )
+        resolved = self._resolved.get((op, tenant))
+        if resolved is None:
+            # Racing threads resolve the same counters: the registry
+            # creates each name once.
+            scopes = ["smb/server/"] + ([] if tenant is None else [f"smb/tenant/{tenant}/"])
+            direction = ("bytes_read" if op is Op.READ else "bytes_written"
+                         if op in (Op.WRITE, Op.ACCUMULATE) else "")
+            moved = [scope + direction for scope in scopes] if direction else []
+            resolved = self._resolved[(op, tenant)] = (
+                self.counters_of(f"smb/server/ops/{op.name}",
+                                 *[scope + "ops" for scope in scopes[1:]]),
+                self.counters_of(*moved),
+            )
+        ops, moved_by = resolved
+        for counter in ops:
+            counter.inc()
+        for counter in moved_by:
+            counter.inc(nbytes)
 
     def tenant_counters(self, tenant: str) -> Dict[str, float]:
-        """Per-namespace telemetry: ops, bytes, denials, queue depth."""
+        """Per-namespace telemetry of this server: ops, bytes, denials,
+        queue depth (its registry holds counters and gauges only)."""
         prefix = f"smb/tenant/{tenant}/"
-        data: Dict[str, float] = {}
-        for name in self.registry.names():
-            if not name.startswith(prefix):
-                continue
-            metric = self.registry.get(name)
-            value = getattr(metric, "value", None)
-            if value is not None:
-                data[name[len(prefix):]] = value
-        return data
+        return {
+            name[len(prefix):]: getattr(self.registry.get(name), "value")
+            for name in self.registry.names()
+            if name.startswith(prefix)
+        }
 
     @property
     def bytes_read(self) -> int:
@@ -177,20 +197,11 @@ class ServerStats:
         }
 
     def counters(self) -> Dict[str, int]:
-        """Return a plain-dict copy safe to serialise.
-
-        Shape is unchanged from the original dataclass implementation
-        (``bytes_read``/``bytes_written`` plus one key per opcode), which
-        the Fig. 7 benchmark and ``SMBClient.stats()`` rely on.  An op
-        name that would collide with a reserved key is emitted under an
-        ``op/`` prefix instead of silently overwriting it.
-        """
-        data = {"bytes_read": self.bytes_read,
-                "bytes_written": self.bytes_written}
-        for name, count in self.op_counts.items():
-            key = name if name not in self._RESERVED else f"op/{name}"
-            data[key] = count
-        return data
+        """A plain-dict copy safe to serialise: ``bytes_read``,
+        ``bytes_written`` and one key per opcode (no opcode is named like a
+        byte counter), the shape ``SMBClient.stats()`` relies on."""
+        return {"bytes_read": self.bytes_read,
+                "bytes_written": self.bytes_written, **self.op_counts}
 
 
 class SMBServer:
@@ -212,17 +223,14 @@ class SMBServer:
         self.pool = MemoryPool(capacity)
         self._telemetry = telemetry
         tel = telemetry if telemetry is not None else _telemetry_current()
-        # Fold server counters into the session registry when one is
-        # recording, so `telemetry report` sees them; otherwise the
-        # stats keep their own private registry (always-on counting —
-        # the Fig. 7 benchmark reads them regardless of telemetry mode).
+        # Always-on counting (the Fig. 7 benchmark reads it regardless of
+        # telemetry mode), mirrored into a recording session's registry.
         self.stats = ServerStats(tel.registry if tel.enabled else None)
         # Requests waiting on (or holding) a destination segment's
-        # accumulate exclusivity; exported as the
-        # ``smb/server/queue/accumulate`` gauge — the autoscale
-        # controller's direct read on the serialised-T.A3 bottleneck.
-        self._accumulate_pending = 0
-        self._accumulate_pending_lock = threading.Lock()
+        # accumulate exclusivity, moved by ±1 so a session's copy sums its
+        # servers — the autoscale controller's direct read on the
+        # serialised-T.A3 bottleneck.
+        self._accumulate_queue = self.stats.gauges_of("smb/server/queue/accumulate")
         self._closing = threading.Event()
         # -- durability (off unless a journal directory is given) --------
         #: Restart counter: 0 for a fresh pool, +1 per recovery.  Carried
@@ -280,9 +288,9 @@ class SMBServer:
         # epoch-salting the sequence makes collisions impossible instead
         # of merely unlikely.
         self.pool.reseed_access_keys(self.epoch)
-        self.stats.registry.inc("smb/recovery/recoveries")
+        self.stats.inc("smb/recovery/recoveries")
         restored = len(self.pool.segments())
-        self.stats.registry.inc("smb/recovery/restored_segments", restored)
+        self.stats.inc("smb/recovery/restored_segments", restored)
         logger.info(
             "recovered %d segment(s) from %s, %d journaled op(s) replayed "
             "(epoch %d)", restored, self._store.directory, replayed,
@@ -324,7 +332,7 @@ class SMBServer:
         assert self._store is not None
         seq = self._store.write_snapshot(self._pool_image())
         self._last_snapshot = _monotonic()
-        self.stats.registry.inc("smb/recovery/snapshots")
+        self.stats.inc("smb/recovery/snapshots")
         return seq
 
     def take_snapshot(self) -> int:
@@ -510,18 +518,14 @@ class SMBServer:
                            payload=str(exc).encode())
         except SMBError as exc:
             if isinstance(exc, QuotaExceededError):
-                self.stats.registry.inc(
-                    f"smb/tenant/{exc.tenant}/quota_denials"
-                )
+                self.stats.inc(f"smb/tenant/{exc.tenant}/quota_denials")
             return Message(op=request.op, status=Status.ERROR,
                            payload=to_wire(exc))
 
     def _track_accumulate_queue(self, delta: int) -> None:
-        """Maintain the ``smb/server/queue/accumulate`` depth gauge."""
-        with self._accumulate_pending_lock:
-            self._accumulate_pending += delta
-            depth = self._accumulate_pending
-        self.stats.registry.set("smb/server/queue/accumulate", depth)
+        """Move the ``smb/server/queue/accumulate`` depth gauge."""
+        for gauge in self._accumulate_queue:
+            gauge.add(delta)
 
     def _dispatch(
         self,
@@ -650,8 +654,6 @@ class SMBServer:
             return Message(op=req.op, key=req.key, count=segment.version)
 
         if req.op is Op.STATS:
-            import json
-
             # Record *before* serialising so the returned counters see
             # this very request — keeps op_counts consistent with every
             # other opcode (they were silently uncounted before).
@@ -665,8 +667,6 @@ class SMBServer:
             return Message(op=req.op, key=seq, key2=self.epoch)
 
         if req.op is Op.LIST:
-            import json
-
             self.stats.record(req.op, tenant=tenant)
             # Scoped to the caller's namespace; names are reported
             # tenant-local (the names the tenant created them under).
@@ -705,8 +705,6 @@ class SMBServer:
             return Message(op=req.op, count=max(req.count, 0))
 
         if req.op is Op.TENANT_STATS:
-            import json
-
             self.stats.record(req.op, tenant=tenant)
             stats = self.pool.tenant_stats()
             for ns, entry in stats.items():
@@ -834,12 +832,13 @@ class _TenantLanes:
         self,
         pool: ThreadPoolExecutor,
         max_inflight: int,
-        registry: Optional[MetricsRegistry] = None,
+        stats: ServerStats,
     ) -> None:
         self._pool = pool
         self._max_inflight = max(1, max_inflight)
         self._tenant_cap = max(1, self._max_inflight - 2)
-        self._registry = registry
+        self._stats = stats
+        self._depth_gauges: Dict[str, Tuple[Gauge, ...]] = {}
         self._lock = threading.Lock()
         self._queues: Dict[str, Deque[Tuple[int, Callable[[], None]]]] = {}
         self._deficits: Dict[str, int] = {}
@@ -859,6 +858,9 @@ class _TenantLanes:
             queue = self._queues.get(tenant)
             if queue is None:
                 queue = self._queues[tenant] = deque()
+                self._depth_gauges[tenant] = self._stats.gauges_of(
+                    f"smb/tenant/{tenant}/queue_depth"
+                )
             if not queue and tenant not in self._active:
                 self._active.append(tenant)
                 self._deficits.setdefault(tenant, 0)
@@ -872,12 +874,9 @@ class _TenantLanes:
             return len(queue) if queue else 0
 
     def _note_depth(self, tenant: str) -> None:
-        if self._registry is not None:
-            queue = self._queues.get(tenant)
-            self._registry.set(
-                f"smb/tenant/{tenant}/queue_depth",
-                len(queue) if queue else 0,
-            )
+        depth = len(self._queues[tenant])
+        for gauge in self._depth_gauges[tenant]:
+            gauge.set(depth)
 
     def _capped_locked(self, tenant: str) -> bool:
         """Monopoly guard: at the cap *and* someone else is waiting."""
@@ -1043,9 +1042,7 @@ class TcpSMBServer:
         # Slow lane: offloaded (bulk / blocking) work drains through a
         # per-tenant deficit-round-robin queue, so no tenant's burst can
         # monopolize the pool threads while others have work queued.
-        self._lanes = _TenantLanes(
-            self._pool, workers, self.core.stats.registry
-        )
+        self._lanes = _TenantLanes(self._pool, workers, self.core.stats)
         # Send outcomes posted by pool tasks; the loop drains after a
         # wakeup byte.  (conn, sent) — True: the response left whole,
         # False: the socket refused the rest, None: the handler crashed

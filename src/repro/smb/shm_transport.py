@@ -128,13 +128,22 @@ ONE_SIDED_TRIES = 4
 #: order (Python has no fences); elsewhere every READ stays an RPC.
 ONE_SIDED = platform.machine().lower() in ("x86_64", "amd64")
 
-#: One-sided copies of at least this many bytes go through NumPy, which
-#: releases the GIL for them, so the server's and other clients' threads
-#: keep running through a 4 MiB copy (``smb_mix_shm`` ``ops_per_s`` +8 %,
-#: 9 / 10 pairs); smaller ones are a memoryview copy, which costs less.
+#: Every payload copy on this doorway (:func:`_copy`) of at least this
+#: many bytes goes through NumPy, which releases the GIL for it, so the
+#: server's and other clients' threads keep running through a 4 MiB
+#: copy; smaller ones are a memoryview copy, which costs less.
 GIL_FREE_COPY_BYTES = 1 << 16
 
 _DOORBELL = struct.Struct("!q")
+
+
+def _copy(dst: memoryview, src: memoryview) -> None:
+    """Copy the byte view ``src`` into the byte view ``dst`` of its size:
+    the one copy path of this doorway (:data:`GIL_FREE_COPY_BYTES`)."""
+    if src.nbytes >= GIL_FREE_COPY_BYTES:
+        np.frombuffer(dst, np.uint8)[:] = np.frombuffer(src, np.uint8)
+    else:
+        dst[:] = src
 
 
 def _send_doorbell(
@@ -220,14 +229,12 @@ class _SegmentMapping:
     finishes on a valid mapping.
     """
 
-    __slots__ = ("words", "data", "array")
+    __slots__ = ("words", "data")
 
     def __init__(self, fd: int) -> None:
-        mapping = mmap.mmap(fd, 0, prot=mmap.PROT_READ)
-        view = memoryview(mapping)
+        view = memoryview(mmap.mmap(fd, 0, prot=mmap.PROT_READ))
         self.words = view[:HEADER_BYTES].cast("Q")
         self.data = view[HEADER_BYTES:]
-        self.array = np.frombuffer(mapping, dtype=np.uint8, offset=HEADER_BYTES)
 
     @property
     def ended(self) -> bool:
@@ -238,14 +245,7 @@ class _SegmentMapping:
         """One seqlock READ of ``message``'s range into ``out``, or
         ``None`` when every try raced a mutation or the waits ended."""
         offset, count = message.offset, message.count
-        dst = out[:count]
-        src: "memoryview | np.ndarray"
-        target: "memoryview | np.ndarray"
-        if count >= GIL_FREE_COPY_BYTES:
-            src = self.array[offset:offset + count]
-            target = np.frombuffer(dst, dtype=np.uint8)
-        else:
-            src, target = self.data[offset:offset + count], dst
+        dst, src = out[:count], self.data[offset:offset + count]
         words = self.words
         for _ in range(ONE_SIDED_TRIES):
             seq = words[SEQ_WORD]
@@ -253,7 +253,7 @@ class _SegmentMapping:
                 return None
             if seq & 1:
                 continue  # a mutation is in flight
-            target[:] = src
+            _copy(dst, src)
             if words[SEQ_WORD] == seq and not words[ENDED_WORD]:
                 return Message(op=Op.READ, key=message.key, count=seq >> 1,
                                payload=dst)
@@ -352,7 +352,7 @@ class _ShmChannel:
         buf = block.buf
         buf[:HEADER_SIZE] = message.encode_header()
         if payload.nbytes:
-            buf[DATA_OFFSET:request_nbytes] = payload
+            _copy(buf[DATA_OFFSET:request_nbytes], payload)
         _send_doorbell(self.sock, request_nbytes)
         value, fds = _recv_response_doorbell(self.sock, hand_off)
         if fds:
@@ -365,7 +365,7 @@ class _ShmChannel:
         # As over TCP, an error payload never lands in ``out``: it is
         # decoded from bytes.  (Header byte 1 is the status.)
         if out is not None and header[1] == Status.OK and paylen <= len(out):
-            out[:paylen] = buf[DATA_OFFSET:DATA_OFFSET + paylen]
+            _copy(out[:paylen], buf[DATA_OFFSET:DATA_OFFSET + paylen])
             return Message.decode(header, out[:paylen])
         return Message.decode(header, bytes(buf[DATA_OFFSET:DATA_OFFSET + paylen]))
 
@@ -561,7 +561,7 @@ class ShmSMBServer:
             # large READ, a STATS/LIST body) grows it first.
             block.fit(DATA_OFFSET + nbytes, grow=True)
             buf = block.buf
-            buf[DATA_OFFSET:DATA_OFFSET + nbytes] = view
+            _copy(buf[DATA_OFFSET:DATA_OFFSET + nbytes], view)
         buf[:HEADER_SIZE] = response.encode_header()
         fd: Optional[int] = None
         if op is Op.READ and ok and key not in handed:

@@ -19,10 +19,14 @@ import numpy as np
 import pytest
 
 import repro
-from repro.smb import ShmSMBServer, SMBClient, TcpSMBServer
-from repro.smb.errors import SMBError
-from repro.smb.protocol import HEADER_FORMAT, HEADER_SIZE, encode_hello
-from repro.smb.shm_transport import BLOCK_SIZE, DATA_OFFSET, _ShmChannel
+from repro.smb import ShmSMBServer, SMBClient, TcpSMBServer, shm_transport
+from repro.smb.errors import QuotaExceededError, SMBError
+from repro.smb.protocol import (
+    HEADER_FORMAT, HEADER_SIZE, Message, Op, encode_hello,
+)
+from repro.smb.shm_transport import (
+    BLOCK_SIZE, DATA_OFFSET, GIL_FREE_COPY_BYTES, _ShmChannel,
+)
 
 
 @pytest.fixture
@@ -293,3 +297,117 @@ class TestWaitAndShutdown:
             target.read(), np.full(1024, 40, dtype=np.float32)
         )
         boot.close()
+
+
+#: Payload sizes on both sides of the NumPy copy threshold, and 4 MiB.
+COPY_SIZES = [
+    GIL_FREE_COPY_BYTES - 4, GIL_FREE_COPY_BYTES, GIL_FREE_COPY_BYTES + 4,
+    4 << 20,
+]
+
+
+class TestCopyPath:
+    """Every payload copy on the doorway goes through one helper, and
+    each of its two branches is bit-exact on every READ path."""
+
+    @pytest.mark.parametrize("offset", [0, 8])
+    @pytest.mark.parametrize("nbytes", COPY_SIZES)
+    def test_write_then_every_read_path_is_bit_exact(
+        self, shm_server, nbytes, offset
+    ):
+        writer = SMBClient.connect_local(shm_server.path)
+        shm_key = writer.create_buffer("w", offset + nbytes + 64)
+        data = np.random.default_rng(nbytes + offset).bytes(nbytes)
+        writer.write(writer.attach(shm_key), data, offset=offset)
+        reader = SMBClient.connect_local(shm_server.path)
+        key = reader.attach(shm_key)
+        out = bytearray(nbytes)
+        reader.read_into(key, out, offset=offset)  # served by the server
+        assert out == data
+        out = bytearray(nbytes)
+        reader.read_into(key, out, offset=offset)  # one-sided where mapped
+        assert out == data
+        # A fresh connection's first READ (RPC) and a mapped one, each
+        # into an ``out`` longer than the payload: the tail is untouched.
+        longer = SMBClient.connect_local(shm_server.path)
+        long_key = longer.attach(shm_key)
+        for _ in range(2):
+            out = bytearray(b"\xa5" * (nbytes + 16))
+            response = longer.transport.request(
+                Message(op=Op.READ, key=long_key, offset=offset,
+                        count=nbytes),
+                out=memoryview(out),
+            )
+            assert bytes(response.payload) == data
+            assert out[:nbytes] == data and out[nbytes:] == b"\xa5" * 16
+        for client in (writer, reader, longer):
+            client.close()
+
+    def test_bulk_payloads_take_the_helper_once(self, shm_server, monkeypatch):
+        """A request payload and an RPC response payload of 64 KiB or
+        more each cross the helper once (the server serves the READ in
+        place, so the client's copy out is the only one)."""
+        copies = []
+        real_copy = shm_transport._copy
+
+        def spy(dst, src):
+            copies.append(src.nbytes)
+            real_copy(dst, src)
+
+        nbytes = 4 * GIL_FREE_COPY_BYTES
+        data = np.random.default_rng(5).bytes(nbytes)
+        writer = SMBClient.connect_local(shm_server.path)
+        shm_key = writer.create_buffer("w", nbytes)
+        key = writer.attach(shm_key)
+        reader = SMBClient.connect_local(shm_server.path)
+        read_key = reader.attach(shm_key)
+        monkeypatch.setattr(shm_transport, "_copy", spy)
+        writer.write(key, data)
+        assert copies == [nbytes]
+        out = bytearray(nbytes)
+        reader.read_into(read_key, out)
+        assert copies == [nbytes, nbytes] and out == data
+        writer.close()
+        reader.close()
+
+
+class TestServerStats:
+    def test_scripted_ops_on_two_tenants(self, shm_server):
+        """STATS and TENANT_STATS after a fixed op sequence, denial
+        included: the values are the ones counters looked up by name on
+        every op reported.  One READ per connection and key, so every
+        READ is served by the server on any platform."""
+        shm_server.core.pool.create_tenant("bob", quota=1024)
+        alice = SMBClient.connect_local(shm_server.path, tenant="alice")
+        bob = SMBClient.connect_local(shm_server.path, tenant="bob")
+        w = alice.create_array("w", 256)
+        w.write(np.ones(256, dtype=np.float32))
+        d = alice.create_array("d", 256)
+        d.write(np.full(256, 2.0, dtype=np.float32))
+        d.accumulate_into(w, scale=0.5)
+        assert np.array_equal(w.read(), np.full(256, 2.0, dtype=np.float32))
+        b = bob.create_array("w", 64)
+        b.write(np.zeros(64, dtype=np.float32))
+        b.version()
+        with pytest.raises(QuotaExceededError):
+            bob.create_buffer("big", 4096)
+        b.free()
+        with pytest.raises(SMBError):
+            bob.lookup("w")  # an error is not counted
+        assert alice.stats() == {
+            "bytes_read": 1024, "bytes_written": 3328, "ACCUMULATE": 1,
+            "ATTACH": 3, "CREATE": 3, "FREE": 1, "READ": 1, "STATS": 1,
+            "VERSION": 1, "WRITE": 3,
+        }
+        assert bob.tenant_stats() == {
+            "alice": {"quota": None, "used": 2048, "segments": 2,
+                      "counters": {"bytes_read": 1024,
+                                   "bytes_written": 3072, "ops": 8}},
+            "bob": {"quota": 1024, "used": 0, "segments": 0,
+                    "counters": {"bytes_written": 256, "ops": 6,
+                                 "quota_denials": 1}},
+            "default": {"quota": None, "used": 0, "segments": 0,
+                        "counters": {}},
+        }
+        alice.close()
+        bob.close()
