@@ -327,6 +327,15 @@ class Prefetcher:
                 break
         self._thread.join(timeout=5.0)
 
+    def __iter__(self) -> "Prefetcher":
+        return self
+
+    def __next__(self) -> Minibatch:
+        batch = self.next_batch()
+        if batch is None:
+            raise StopIteration
+        return batch
+
     def __enter__(self) -> "Prefetcher":
         return self
 

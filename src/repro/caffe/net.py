@@ -7,7 +7,7 @@ layers, and gradients flow back in reverse order with fan-out summing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -211,6 +211,22 @@ class Net:
         """Sum of all loss blobs from the latest (or given) forward pass."""
         source = outputs if outputs is not None else self._activations
         return float(sum(source[name].ravel()[0] for name in self.loss_names))
+
+    def evaluate(
+        self, batches: Sequence[Dict[str, np.ndarray]]
+    ) -> Dict[str, float]:
+        """Average loss and metrics over test-phase batches."""
+        if not batches:
+            raise ValueError("need at least one evaluation batch")
+        totals: Dict[str, float] = {}
+        for batch in batches:
+            outputs = self.forward(batch, train=False)
+            totals["loss"] = totals.get("loss", 0.0) + self.total_loss(outputs)
+            for name in self.metric_names:
+                totals[name] = totals.get(name, 0.0) + float(
+                    outputs[name].ravel()[0]
+                )
+        return {key: value / len(batches) for key, value in totals.items()}
 
     def blob(self, name: str) -> np.ndarray:
         """Access an activation from the latest forward pass."""

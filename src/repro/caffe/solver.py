@@ -102,15 +102,11 @@ class SGDSolver:
 
         Returns a dict with ``loss``, every metric blob, and ``lr``.
         """
-        self.net.zero_param_diffs()
-        outputs = self.net.forward(inputs, train=True)
-        self.net.backward()
+        result = self.compute_gradients(inputs)
         lr = self.learning_rate
         self.apply_update(lr)
-        self.iteration += 1
-        result = {"loss": self.net.total_loss(outputs), "lr": lr}
-        for name in self.net.metric_names:
-            result[name] = float(outputs[name].ravel()[0])
+        self.advance_iteration()
+        result["lr"] = lr
         return result
 
     def compute_gradients(
@@ -180,22 +176,3 @@ class SGDSolver:
     def advance_iteration(self) -> None:
         """Bump the LR clock without running a step (sync platforms)."""
         self.iteration += 1
-
-    def evaluate(
-        self,
-        batches: Sequence[Dict[str, np.ndarray]],
-    ) -> Dict[str, float]:
-        """Average loss/metrics over test-phase batches."""
-        if not batches:
-            raise ValueError("need at least one evaluation batch")
-        totals: Dict[str, float] = {}
-        for batch in batches:
-            outputs = self.net.forward(batch, train=False)
-            totals["loss"] = totals.get("loss", 0.0) + self.net.total_loss(
-                outputs
-            )
-            for name in self.net.metric_names:
-                totals[name] = totals.get(name, 0.0) + float(
-                    outputs[name].ravel()[0]
-                )
-        return {key: value / len(batches) for key, value in totals.items()}

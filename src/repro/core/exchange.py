@@ -8,9 +8,11 @@ implementation driven by the shared
   Fig.-6 write-side overlap when ``config.overlap_updates`` is on;
 * :class:`StaleReadExchange` — the ablation that hides the *read* side
   too (the delayed-parameter behaviour the paper refuses);
-* :class:`HybridExchange` — HSGD: intra-group ring allreduce, root-only
-  SEASGD against the SMB server, weight broadcast back to the group.
-  Roots honor ``overlap_updates``;
+* :class:`BaseExchange` — standalone Caffe: the local solver step;
+* :class:`SyncSGDExchange` — synchronous SGD (BVLC multi-GPU, MPICaffe);
+* :class:`HybridExchange` — HSGD: that step over the intra-group ring,
+  root-only SEASGD against the SMB server, weight broadcast back to the
+  group.  Roots honor ``overlap_updates``;
 * :class:`SMBAsgdExchange` — the Downpour rule (the related-work
   parameter-server comparator) on the SMB accumulate primitive, proving
   the seam admits new update rules without a new worker class.
@@ -86,7 +88,7 @@ class ExchangeStrategy(Protocol):
 
 
 class BaseExchange:
-    """Shared plumbing: engine binding, default step and stop rules."""
+    """Standalone Caffe; shared plumbing: binding, step and stop rules."""
 
     engine: "TrainingEngine"
 
@@ -94,7 +96,7 @@ class BaseExchange:
         self.engine = engine
 
     def exchange(self, iteration: int) -> None:
-        raise NotImplementedError
+        pass
 
     def train_step(self) -> Dict[str, float]:
         """T4-T5: train one minibatch with the local solver."""
@@ -279,7 +281,46 @@ class StaleReadExchange(SEASGDExchange):
         driver.submit(deferred)
 
 
-class HybridExchange(BaseExchange):
+class SyncSGDExchange(BaseExchange):
+    """Synchronous SGD: average the gradient over every rank, apply the
+    same update.
+
+    ``average`` is the collective (timed as ``phase``) mapping the live
+    gradient vector to the mean over ranks; nobody writes that vector
+    until every rank has its copy of the mean.
+    """
+
+    def __init__(
+        self,
+        average: Callable[[np.ndarray], np.ndarray],
+        phase: str = "nccl",
+    ) -> None:
+        self.average = average
+        self.phase = phase
+
+    def train_step(self) -> Dict[str, float]:
+        """Compute the local gradient, average it, apply the update."""
+        engine = self.engine
+        with engine.phases.phase("comp"):
+            batch = next(engine.batches)
+            stats = engine.solver.compute_gradients(batch.as_inputs())
+        stats["lr"] = self.update()
+        return stats
+
+    def update(self) -> float:
+        """Aggregate the stored gradients and step; returns the lr used."""
+        engine = self.engine
+        with engine.phases.phase(self.phase):
+            averaged = self.average(engine.flat.grad_vector)
+        with engine.phases.phase("comp"):
+            engine.flat.set_grad_vector(averaged)
+            lr = engine.solver.learning_rate
+            engine.solver.apply_update(lr)
+            engine.solver.advance_iteration()
+        return lr
+
+
+class HybridExchange(SyncSGDExchange):
     """HSGD: intra-group SSGD + root-only SEASGD (paper Sec. III-D).
 
     Group members contribute gradients to the ring allreduce and receive
@@ -300,11 +341,12 @@ class HybridExchange(BaseExchange):
         global_weights: Optional[ParameterBuffer] = None,
         increment_buffer: Optional[ParameterBuffer] = None,
     ) -> None:
+        super().__init__(
+            lambda grad: group.allreduce(group_rank, grad, average=True)
+        )
         self.group = group
         self.group_rank = group_rank
         self.is_root = group_rank == 0
-        self.global_weights = global_weights
-        self.increment_buffer = increment_buffer
         self._inner: Optional[SEASGDExchange] = None
         if self.is_root:
             if global_weights is None or increment_buffer is None:
@@ -352,28 +394,6 @@ class HybridExchange(BaseExchange):
             with engine.phases.phase("nccl"):
                 synced = self.group.broadcast(self.group_rank, None, root=0)
         engine.flat.set_vector(synced)
-
-    def train_step(self) -> Dict[str, float]:
-        """Intra-group synchronous SGD: average gradients, same update."""
-        engine = self.engine
-        with engine.phases.phase("comp"):
-            batch = next(engine.batches)
-            stats = engine.solver.compute_gradients(batch.as_inputs())
-        # The NCCL phase: the intra-group ring allreduce (the part of an
-        # HSGD iteration SEASGD never pays).  It reads the live gradient
-        # vector (nobody writes it until every member has its own copy
-        # of the result).
-        with engine.phases.phase("nccl"):
-            averaged = self.group.allreduce(
-                self.group_rank, engine.flat.grad_vector, average=True
-            )
-        with engine.phases.phase("comp"):
-            engine.flat.set_grad_vector(averaged)
-            lr = engine.solver.learning_rate
-            engine.solver.apply_update(lr)
-            engine.solver.advance_iteration()
-        stats["lr"] = lr
-        return stats
 
     def should_stop(self, iteration: int) -> bool:
         """The root decides for the whole group; members follow the flag."""

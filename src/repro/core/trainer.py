@@ -592,9 +592,7 @@ class DistributedTrainingManager:
                 # prefetcher.
                 from ..caffe.data import Prefetcher
 
-                prefetcher = Prefetcher(batches)
-                stack.callback(prefetcher.stop)
-                batches = iter(prefetcher.next_batch, None)
+                batches = stack.enter_context(Prefetcher(batches))
             on_iteration = None
             if rank == 0 and self.eval_every:
                 # W_g attached once, on the monitor's own clean client:
@@ -669,20 +667,7 @@ class DistributedTrainingManager:
             if iteration % manager.eval_every != 0:
                 return
             eval_flat.set_vector(global_weights.read())
-            totals: Dict[str, float] = {}
-            for batch in test_batches:
-                outputs = eval_net.forward(batch, train=False)
-                totals["loss"] = totals.get(
-                    "loss", 0.0
-                ) + eval_net.total_loss(outputs)
-                for name in eval_net.metric_names:
-                    totals[name] = totals.get(name, 0.0) + float(
-                        outputs[name].ravel()[0]
-                    )
-            metrics = {
-                key: value / len(test_batches)
-                for key, value in totals.items()
-            }
+            metrics = eval_net.evaluate(test_batches)
             manager._eval_records.append((iteration, metrics))
 
         return monitor

@@ -1,5 +1,8 @@
 """The four deep-learning platforms compared in the paper's Sec. IV.
 
+Every platform trains on :class:`~repro.core.engine.TrainingEngine`; they
+differ only in the exchange strategy underneath:
+
 * :mod:`repro.platforms.bvlc_caffe` — standalone + multi-GPU NCCL SSGD;
 * :mod:`repro.platforms.caffe_mpi` — Inspur-style star-topology SSGD;
 * :mod:`repro.platforms.mpi_caffe` — MPI_Allreduce SSGD;
@@ -10,7 +13,6 @@ from . import bvlc_caffe, caffe_mpi, mpi_caffe, shmcaffe
 from .base import (
     EvalRecord,
     PlatformResult,
-    evaluate_net,
     evaluate_weights,
     iterations_per_epoch,
 )
@@ -20,7 +22,6 @@ __all__ = [
     "PlatformResult",
     "bvlc_caffe",
     "caffe_mpi",
-    "evaluate_net",
     "evaluate_weights",
     "iterations_per_epoch",
     "mpi_caffe",

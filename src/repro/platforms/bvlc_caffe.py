@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .. import mpi
 from ..caffe.data import SyntheticImageDataset
-from ..caffe.net import Net
-from ..caffe.params import FlatParams
-from ..caffe.solver import SGDSolver, SolverConfig
+from ..caffe.solver import SolverConfig
+from ..core.exchange import BaseExchange, SyncSGDExchange
 from ..nccl.ring import RingGroup
-from .base import PlatformResult, SpecFactory, evaluate_net
+from .base import PlatformResult, SpecFactory, launch
 
 
 def train_standalone(
@@ -36,31 +34,11 @@ def train_standalone(
     data it changes nothing numerically (the batch sequence is identical)
     but exercises the production data path.
     """
-    net = Net(spec_factory(), seed=seed)
-    solver = SGDSolver(net, solver_config)
-    batches = dataset.minibatches(batch_size, seed=seed + 1)
-    result = PlatformResult(platform="caffe", num_workers=1)
-
-    from ..caffe.data import Prefetcher
-    from .base import EvalRecord
-
-    prefetcher = Prefetcher(batches) if prefetch else None
-    try:
-        for iteration in range(1, iterations + 1):
-            batch = (
-                prefetcher.next_batch() if prefetcher else next(batches)
-            )
-            stats = solver.step(batch.as_inputs())
-            result.losses.append(stats["loss"])
-            if eval_every and iteration % eval_every == 0:
-                result.evals.append(
-                    EvalRecord(iteration, evaluate_net(net, dataset))
-                )
-    finally:
-        if prefetcher is not None:
-            prefetcher.stop()
-    result.final_weights = FlatParams(net).get_vector()
-    return result
+    return launch(
+        "caffe", spec_factory, dataset, solver_config, batch_size,
+        iterations, num_workers=1, make_strategy=lambda comm: BaseExchange(),
+        eval_every=eval_every, seed=seed, prefetch=prefetch,
+    )
 
 
 def train_multi_gpu(
@@ -81,36 +59,11 @@ def train_multi_gpu(
     if num_workers < 2:
         raise ValueError("use train_standalone for a single worker")
     ring = RingGroup(num_workers)
-    result = PlatformResult(platform="caffe", num_workers=num_workers)
-
-    from .base import EvalRecord
-
-    def rank_main(comm: mpi.Communicator) -> PlatformResult:
-        rank = comm.rank
-        net = Net(spec_factory(), seed=seed)  # identical replicas
-        solver = SGDSolver(net, solver_config)
-        flat = FlatParams(net)
-        batches = dataset.minibatches(
-            batch_size, seed=seed + 1 + rank, rank=rank,
-            num_shards=num_workers,
-        )
-        for iteration in range(1, iterations + 1):
-            stats = solver.compute_gradients(next(batches).as_inputs())
-            averaged = ring.allreduce(
-                rank, flat.get_grad_vector(), average=True
-            )
-            flat.set_grad_vector(averaged)
-            solver.apply_update()
-            solver.advance_iteration()
-            if rank == 0:
-                result.losses.append(stats["loss"])
-                if eval_every and iteration % eval_every == 0:
-                    result.evals.append(
-                        EvalRecord(iteration, evaluate_net(net, dataset))
-                    )
-        if rank == 0:
-            result.final_weights = flat.get_vector()
-        return result
-
-    mpi.run_spmd(num_workers, rank_main)
-    return result
+    return launch(
+        "caffe", spec_factory, dataset, solver_config, batch_size,
+        iterations, num_workers,
+        make_strategy=lambda comm: SyncSGDExchange(
+            lambda grad: ring.allreduce(comm.rank, grad, average=True)
+        ),
+        eval_every=eval_every, seed=seed,
+    )

@@ -13,16 +13,50 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from .. import mpi
 from ..caffe.data import SyntheticImageDataset
-from ..caffe.net import Net
-from ..caffe.params import FlatParams
-from ..caffe.solver import SGDSolver, SolverConfig
-from .base import EvalRecord, PlatformResult, SpecFactory, evaluate_net
+from ..caffe.solver import SolverConfig
+from ..core.exchange import SyncSGDExchange
+from .base import PlatformResult, SpecFactory, launch
 
 #: Point-to-point tags of the star protocol.
 TAG_GRADIENT = 100
 TAG_WEIGHTS = 101
+
+
+class StarExchange(SyncSGDExchange):
+    """The star step: the master sums gradients in rank order (so a seeded
+    run does not depend on thread timing), updates, and sends its weights;
+    slaves send gradients and take those weights."""
+
+    def __init__(self, comm: mpi.Communicator) -> None:
+        super().__init__(self._gather_mean, phase="mpi")
+        self.comm = comm
+
+    def _gather_mean(self, grad: np.ndarray) -> np.ndarray:
+        total = grad.copy()
+        for source in range(1, self.comm.size):
+            total += self.comm.recv(source=source, tag=TAG_GRADIENT)
+        return total / self.comm.size
+
+    def update(self) -> float:
+        engine = self.engine
+        comm = self.comm
+        if comm.is_master:
+            lr = super().update()
+            with engine.phases.phase(self.phase):
+                weights = engine.flat.get_vector()
+                for dest in range(1, comm.size):
+                    comm.send(weights, dest, tag=TAG_WEIGHTS)
+            return lr
+        lr = engine.solver.learning_rate
+        with engine.phases.phase(self.phase):
+            comm.send(engine.flat.get_grad_vector(), 0, tag=TAG_GRADIENT)
+            engine.flat.set_vector(comm.recv(source=0, tag=TAG_WEIGHTS))
+        engine.solver.advance_iteration()
+        return lr
 
 
 def train(
@@ -38,44 +72,8 @@ def train(
     """Run Caffe-MPI-style SSGD; returns the master's history."""
     if num_workers < 2:
         raise ValueError("Caffe-MPI needs a master and at least one slave")
-    result = PlatformResult(platform="caffe_mpi", num_workers=num_workers)
-
-    def rank_main(comm: mpi.Communicator) -> None:
-        rank = comm.rank
-        net = Net(spec_factory(), seed=seed)
-        solver = SGDSolver(net, solver_config)
-        flat = FlatParams(net)
-        batches = dataset.minibatches(
-            batch_size, seed=seed + 1 + rank, rank=rank,
-            num_shards=num_workers,
-        )
-        for iteration in range(1, iterations + 1):
-            stats = solver.compute_gradients(next(batches).as_inputs())
-            if comm.is_master:
-                # Gather slave gradients one by one (star fan-in), average
-                # into the master's diffs, update master weights.
-                total = flat.get_grad_vector()
-                for _ in range(num_workers - 1):
-                    total += comm.recv(source=mpi.ANY_SOURCE,
-                                       tag=TAG_GRADIENT)
-                flat.set_grad_vector(total / num_workers)
-                solver.apply_update()
-                solver.advance_iteration()
-                weights = flat.get_vector()
-                for dest in range(1, num_workers):
-                    comm.send(weights, dest, tag=TAG_WEIGHTS)
-                result.losses.append(stats["loss"])
-                if eval_every and iteration % eval_every == 0:
-                    result.evals.append(
-                        EvalRecord(iteration, evaluate_net(net, dataset))
-                    )
-            else:
-                comm.send(flat.get_grad_vector(), 0, tag=TAG_GRADIENT)
-                weights = comm.recv(source=0, tag=TAG_WEIGHTS)
-                flat.set_vector(weights)
-                solver.advance_iteration()
-        if comm.is_master:
-            result.final_weights = flat.get_vector()
-
-    mpi.run_spmd(num_workers, rank_main)
-    return result
+    return launch(
+        "caffe_mpi", spec_factory, dataset, solver_config, batch_size,
+        iterations, num_workers, make_strategy=StarExchange,
+        eval_every=eval_every, seed=seed,
+    )

@@ -13,10 +13,9 @@ from typing import Optional
 
 from .. import mpi
 from ..caffe.data import SyntheticImageDataset
-from ..caffe.net import Net
-from ..caffe.params import FlatParams
-from ..caffe.solver import SGDSolver, SolverConfig
-from .base import EvalRecord, PlatformResult, SpecFactory, evaluate_net
+from ..caffe.solver import SolverConfig
+from ..core.exchange import SyncSGDExchange
+from .base import PlatformResult, SpecFactory, launch
 
 
 def train(
@@ -32,33 +31,12 @@ def train(
     """Run MPICaffe-style allreduce SSGD; returns rank 0's history."""
     if num_workers < 2:
         raise ValueError("MPICaffe needs at least two workers")
-    result = PlatformResult(platform="mpi_caffe", num_workers=num_workers)
-
-    def rank_main(comm: mpi.Communicator) -> None:
-        rank = comm.rank
-        net = Net(spec_factory(), seed=seed)
-        solver = SGDSolver(net, solver_config)
-        flat = FlatParams(net)
-        batches = dataset.minibatches(
-            batch_size, seed=seed + 1 + rank, rank=rank,
-            num_shards=num_workers,
-        )
-        for iteration in range(1, iterations + 1):
-            stats = solver.compute_gradients(next(batches).as_inputs())
-            averaged = mpi.allreduce(comm, flat.get_grad_vector()) / (
-                num_workers
-            )
-            flat.set_grad_vector(averaged)
-            solver.apply_update()
-            solver.advance_iteration()
-            if comm.is_master:
-                result.losses.append(stats["loss"])
-                if eval_every and iteration % eval_every == 0:
-                    result.evals.append(
-                        EvalRecord(iteration, evaluate_net(net, dataset))
-                    )
-        if comm.is_master:
-            result.final_weights = flat.get_vector()
-
-    mpi.run_spmd(num_workers, rank_main)
-    return result
+    return launch(
+        "mpi_caffe", spec_factory, dataset, solver_config, batch_size,
+        iterations, num_workers,
+        make_strategy=lambda comm: SyncSGDExchange(
+            lambda grad: mpi.allreduce(comm, grad) / num_workers,
+            phase="mpi",
+        ),
+        eval_every=eval_every, seed=seed,
+    )

@@ -359,15 +359,14 @@ class TestSGDSolver:
 
     def test_evaluate_averages_batches(self):
         net = Net(small_spec(), seed=0)
-        solver = SGDSolver(net)
         batches = [make_inputs(seed=s) for s in range(3)]
-        metrics = solver.evaluate(batches)
+        metrics = net.evaluate(batches)
         assert set(metrics) >= {"loss", "acc"}
 
     def test_evaluate_requires_batches(self):
         net = Net(small_spec(), seed=0)
         with pytest.raises(ValueError):
-            SGDSolver(net).evaluate([])
+            net.evaluate([])
 
 
 class TestFlatParams:

@@ -90,6 +90,32 @@ class TestMultiGpuEquivalence:
             a.final_weights, b.final_weights, rtol=1e-3, atol=1e-4
         )
 
+    def test_synchronous_baselines_are_bit_identical_and_repeatable(
+        self, dataset
+    ):
+        """Ring, allreduce and star all sum the gradients in rank order:
+        one seeded run gives the same bytes on every platform, and the
+        star gives them again on a second run whatever the thread
+        timing."""
+        common = dict(
+            spec_factory=spec_factory, dataset=dataset,
+            solver_config=SOLVER, batch_size=4, iterations=8,
+            num_workers=4, seed=3,
+        )
+        runs = [
+            bvlc_caffe.train_multi_gpu(**common),
+            mpi_caffe.train(**common),
+            caffe_mpi.train(**common),
+            caffe_mpi.train(**common),
+        ]
+        reference = runs[0]
+        for result in runs[1:]:
+            assert (
+                result.final_weights.tobytes()
+                == reference.final_weights.tobytes()
+            )
+            assert result.losses == reference.losses
+
     def test_multi_gpu_requires_multiple_workers(self, dataset):
         with pytest.raises(ValueError):
             bvlc_caffe.train_multi_gpu(
