@@ -1,51 +1,39 @@
 """Mini-MPI: an in-process SPMD substrate with MPI-shaped semantics.
 
 ShmCaffe uses MPI only for bring-up (rank discovery, SHM-key broadcast);
-the baseline platforms additionally use collectives for gradient exchange.
-This package provides both with ranks as threads:
+Caffe-MPI's star exchanges gradients with ``send``/``recv`` and MPICaffe
+with ``allreduce``.  This package provides exactly that with ranks as
+threads:
 
     from repro import mpi
 
     def main(comm):
         keys = mpi.bcast(comm, {"W_g": 42} if comm.is_master else None)
-        total = mpi.allreduce(comm, comm.rank)
-        return keys, total
+        mpi.barrier(comm)
+        if comm.is_master:
+            total = sum(comm.recv(source=r, tag=1) for r in range(1, comm.size))
+        else:
+            comm.send(comm.rank, dest=0, tag=1)
+            total = None
+        return keys, total, mpi.allreduce(comm, comm.rank)
 
     results = mpi.run_spmd(4, main)
 """
 
-from .collectives import (
-    REDUCE_OPS,
-    allgather,
-    allreduce,
-    alltoall,
-    barrier,
-    bcast,
-    gather,
-    reduce,
-    scatter,
-)
-from .communicator import ANY_SOURCE, ANY_TAG, Communicator, World
+from .collectives import allreduce, barrier, bcast
+from .communicator import Communicator, World
 from .errors import MPIAbortError, MPIError, MPITimeoutError, RankError
 from .launcher import run_spmd
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "Communicator",
     "MPIAbortError",
     "MPIError",
     "MPITimeoutError",
     "RankError",
-    "REDUCE_OPS",
     "World",
-    "allgather",
     "allreduce",
-    "alltoall",
     "barrier",
     "bcast",
-    "gather",
-    "reduce",
     "run_spmd",
-    "scatter",
 ]

@@ -1,43 +1,34 @@
 """Blocking collectives over the mini-MPI point-to-point layer.
 
-These mirror the MPI operations the paper's platforms rely on:
+These are the MPI operations the paper's platforms rely on:
 
 * ``bcast``   — ShmCaffe's master broadcasts SMB SHM keys (Fig. 2);
-* ``gather``/``scatter`` — Caffe-MPI's star topology (master gathers
-  gradients, averages, scatters weights back);
-* ``allreduce`` — MPICaffe's SSGD gradient aggregation;
-* ``barrier`` — epoch alignment in the synchronous baselines.
+* ``barrier`` — bring-up alignment once every rank holds the keys;
+* ``allreduce`` — MPICaffe's SSGD gradient aggregation (Sec. IV-C).
+
+Caffe-MPI's star needs no collective: its master receives each slave's
+gradient with ``recv`` in rank order and sends the weights back with
+``send``.
 
 All collectives are implemented on reserved negative tags with a per-rank
 sequence counter: SPMD programs invoke collectives in identical order on
 every rank, so counters agree and tags match without global coordination
-(the same trick real MPI implementations use for context ids).
+(the same trick real MPI implementations use for context ids).  They talk
+only through the communicator's ``_send_internal`` / ``_recv_internal``,
+so a different world underneath leaves this module unchanged.
 
-Reductions operate on NumPy arrays (or scalars, which are promoted).  Trees
-are avoided: with at most a few dozen thread-ranks, flat fan-in is simpler
-and plenty fast, and the *modelled* costs live in :mod:`repro.perfmodel`
-rather than here.
+Trees are avoided: with at most a few dozen thread-ranks, flat fan-in is
+simpler and plenty fast, and the *modelled* costs live in
+:mod:`repro.perfmodel` rather than here.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any
 
 import numpy as np
 
 from .communicator import Communicator
-
-#: Reduction operators understood by (all)reduce.
-REDUCE_OPS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "sum": lambda acc, x: acc + x,
-    "max": np.maximum,
-    "min": np.minimum,
-    "prod": lambda acc, x: acc * x,
-}
-
-
-def _as_array(value: Any) -> np.ndarray:
-    return np.asarray(value)
 
 
 def barrier(comm: Communicator) -> None:
@@ -45,115 +36,44 @@ def barrier(comm: Communicator) -> None:
     tag = comm._next_collective_tag()
     if comm.rank == 0:
         for source in range(1, comm.size):
-            comm.world.mailbox(0).get(
-                source, tag, comm.world.abort_flag, None
-            )
+            comm._recv_internal(source, tag)
         for dest in range(1, comm.size):
             comm._send_internal(None, dest, tag)
     else:
         comm._send_internal(None, 0, tag)
-        comm.world.mailbox(comm.rank).get(
-            0, tag, comm.world.abort_flag, None
-        )
+        comm._recv_internal(0, tag)
 
 
-def bcast(comm: Communicator, value: Any = None, root: int = 0) -> Any:
-    """Broadcast ``value`` from ``root``; every rank returns it."""
+def bcast(comm: Communicator, value: Any = None) -> Any:
+    """Broadcast rank 0's ``value``; every rank returns it."""
     tag = comm._next_collective_tag()
-    if comm.rank == root:
-        for dest in range(comm.size):
-            if dest != root:
-                comm._send_internal(value, dest, tag)
+    if comm.rank == 0:
+        for dest in range(1, comm.size):
+            comm._send_internal(value, dest, tag)
         return value
-    _, _, payload = comm.world.mailbox(comm.rank).get(
-        root, tag, comm.world.abort_flag, None
-    )
-    return payload
+    return comm._recv_internal(0, tag)
 
 
-def gather(comm: Communicator, value: Any, root: int = 0) -> Optional[List[Any]]:
-    """Collect one value per rank at ``root`` (rank order preserved)."""
-    tag = comm._next_collective_tag()
-    if comm.rank == root:
-        values: List[Any] = [None] * comm.size
-        values[root] = value
-        for _ in range(comm.size - 1):
-            source, _, payload = comm.world.mailbox(root).get(
-                -1, tag, comm.world.abort_flag, None
-            )
-            values[source] = payload
-        return values
-    comm._send_internal(value, root, tag)
-    return None
-
-
-def allgather(comm: Communicator, value: Any) -> List[Any]:
-    """Every rank receives the rank-ordered list of all values."""
-    gathered = gather(comm, value, root=0)
-    return bcast(comm, gathered, root=0)
-
-
-def scatter(
-    comm: Communicator, values: Optional[Sequence[Any]] = None, root: int = 0
-) -> Any:
-    """Distribute ``values[i]`` to rank ``i`` from ``root``."""
-    tag = comm._next_collective_tag()
-    if comm.rank == root:
-        if values is None or len(values) != comm.size:
-            raise ValueError(
-                f"root must supply exactly {comm.size} values"
-            )
-        for dest in range(comm.size):
-            if dest != root:
-                comm._send_internal(values[dest], dest, tag)
-        return values[root]
-    _, _, payload = comm.world.mailbox(comm.rank).get(
-        root, tag, comm.world.abort_flag, None
-    )
-    return payload
-
-
-def reduce(
-    comm: Communicator, value: Any, op: str = "sum", root: int = 0
-) -> Optional[np.ndarray]:
-    """Reduce arrays across ranks onto ``root``."""
-    if op not in REDUCE_OPS:
-        raise ValueError(f"unknown reduce op {op!r}; use one of {sorted(REDUCE_OPS)}")
-    contributions = gather(comm, _as_array(value), root=root)
-    if contributions is None:
-        return None
-    reducer = REDUCE_OPS[op]
-    accumulator = np.array(contributions[0], dtype=np.result_type(
-        *[c.dtype for c in contributions]
-    ))
-    for contribution in contributions[1:]:
-        accumulator = reducer(accumulator, contribution)
-    return accumulator
-
-
-def allreduce(comm: Communicator, value: Any, op: str = "sum") -> np.ndarray:
-    """Reduce arrays across ranks; every rank gets the result.
+def allreduce(comm: Communicator, value: Any) -> np.ndarray:
+    """Sum arrays (or scalars) across ranks; every rank gets the total.
 
     This is the MPI_Allreduce that MPICaffe uses in place of NCCL for
-    gradient aggregation.
+    gradient aggregation.  Rank 0 receives ranks 1 … n-1 in rank order
+    and adds each into a copy of its own value, so the float sum is
+    ``((v0 + v1) + v2) + …`` whatever order the messages arrive in, and
+    no rank's input is mutated.
     """
-    reduced = reduce(comm, value, op=op, root=0)
-    return bcast(comm, reduced, root=0)
-
-
-def alltoall(comm: Communicator, values: Sequence[Any]) -> List[Any]:
-    """Personalised exchange: rank i sends ``values[j]`` to rank j."""
-    if len(values) != comm.size:
-        raise ValueError(f"need exactly {comm.size} values, got {len(values)}")
     tag = comm._next_collective_tag()
-    for dest in range(comm.size):
-        if dest != comm.rank:
-            comm._send_internal(values[dest], dest, tag)
-    received: List[Any] = [None] * comm.size
-    received[comm.rank] = values[comm.rank]
-    for _ in range(comm.size - 1):
-        source, _, payload = comm.world.mailbox(comm.rank).get(
-            -1, tag, comm.world.abort_flag, None
-        )
-        received[source] = payload
-    return received
+    if comm.rank != 0:
+        comm._send_internal(np.asarray(value), 0, tag)
+        return bcast(comm)
+    contributions = [np.asarray(value)] + [
+        comm._recv_internal(source, tag) for source in range(1, comm.size)
+    ]
+    total = np.array(
+        contributions[0],
+        dtype=np.result_type(*[c.dtype for c in contributions]),
+    )
+    for contribution in contributions[1:]:
+        total += contribution
+    return bcast(comm, total)

@@ -2,15 +2,16 @@
 
 ShmCaffe "exchanges initialization messages between the distributed
 processes using MPI" (paper Sec. III-A): the master (rank 0) creates SMB
-buffers and broadcasts SHM keys; baselines (Caffe-MPI, MPICaffe) additionally
-use MPI collectives for gradient exchange.  This module provides the same
-programming model with ranks as threads in one process:
+buffers and broadcasts SHM keys.  Caffe-MPI's star sends and receives
+gradients point to point, and MPICaffe all-reduces them.  This module
+provides that programming model with ranks as threads in one process:
 
 * :class:`World` — shared state for ``size`` ranks: one mailbox per rank and
   an abort flag so a crash in any rank unblocks everyone.
 * :class:`Communicator` — the per-rank handle (``comm.rank``, ``comm.size``)
-  exposing point-to-point in :mod:`repro.mpi.p2p` style and collectives via
-  :class:`repro.mpi.collectives.Collectives`.
+  with exact-match ``send``/``recv``.  The collectives in
+  :mod:`repro.mpi.collectives` go through its ``_send_internal`` /
+  ``_recv_internal`` pair, so this is the one module that knows a mailbox.
 
 Message payloads are arbitrary Python objects; large NumPy arrays pass by
 reference, which matches the zero-copy spirit of the RDMA setting (receivers
@@ -20,70 +21,54 @@ must copy if they intend to mutate, as with real MPI buffer reuse rules).
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .errors import MPIAbortError, MPITimeoutError, RankError
 
-#: Matches any source rank in a receive.
-ANY_SOURCE = -1
-#: Matches any tag in a receive.
-ANY_TAG = -1
-
-#: How often blocked receives re-check the abort flag (seconds).
-_POLL_INTERVAL = 0.05
-
 
 class _Mailbox:
-    """One rank's incoming-message queue with (source, tag) matching."""
+    """One rank's incoming messages: a FIFO per ``(source, tag)``."""
 
-    def __init__(self) -> None:
+    def __init__(self, world: World) -> None:
+        self._world = world
         self._lock = threading.Lock()
         self._arrived = threading.Condition(self._lock)
-        self._messages: Deque[Tuple[int, int, Any]] = deque()
+        self._queues: Dict[Tuple[int, int], Deque[Any]] = {}
 
     def put(self, source: int, tag: int, payload: Any) -> None:
         with self._lock:
-            self._messages.append((source, tag, payload))
+            self._queues.setdefault((source, tag), deque()).append(payload)
             self._arrived.notify_all()
 
-    def _match(self, source: int, tag: int) -> Optional[int]:
-        for index, (src, msg_tag, _) in enumerate(self._messages):
-            if source not in (ANY_SOURCE, src):
-                continue
-            if tag not in (ANY_TAG, msg_tag):
-                continue
-            return index
-        return None
-
-    def get(
-        self,
-        source: int,
-        tag: int,
-        abort: threading.Event,
-        timeout: Optional[float] = None,
-    ) -> Tuple[int, int, Any]:
-        """Pop the first message matching (source, tag); FIFO per match."""
-        deadline = None if timeout is None else (
-            threading.TIMEOUT_MAX if timeout <= 0 else timeout
-        )
-        waited = 0.0
+    def get(self, source: int, tag: int, timeout: Optional[float]) -> Any:
+        """Pop the oldest payload from ``source`` with ``tag``."""
+        key = (source, tag)
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             while True:
-                index = self._match(source, tag)
-                if index is not None:
-                    message = self._messages[index]
-                    del self._messages[index]
-                    return message
-                if abort.is_set():
-                    raise MPIAbortError()
-                if deadline is not None and waited >= deadline:
+                queue = self._queues.get(key)
+                if queue:
+                    payload = queue.popleft()
+                    if not queue:  # each collective's tag is used once
+                        del self._queues[key]
+                    return payload
+                # World.abort sets the flag before it takes this lock to
+                # wake us, so checking it here and then waiting cannot miss
+                # an abort.
+                if self._world.abort_flag.is_set():
+                    raise MPIAbortError(self._world.abort_reason or "aborted")
+                if deadline is None:
+                    self._arrived.wait()
+                    continue
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
                     raise MPITimeoutError(
                         f"no message from source={source} tag={tag} "
-                        f"after {waited:.1f}s"
+                        f"after {timeout:.1f}s"
                     )
-                self._arrived.wait(_POLL_INTERVAL)
-                waited += _POLL_INTERVAL
+                self._arrived.wait(remaining)
 
 
 class World:
@@ -95,7 +80,7 @@ class World:
         self.size = size
         self.abort_flag = threading.Event()
         self.abort_reason: Optional[str] = None
-        self._mailboxes: List[_Mailbox] = [_Mailbox() for _ in range(size)]
+        self._mailboxes: List[_Mailbox] = [_Mailbox(self) for _ in range(size)]
 
     def mailbox(self, rank: int) -> _Mailbox:
         if not 0 <= rank < self.size:
@@ -139,32 +124,19 @@ class Communicator:
 
     def send(self, payload: Any, dest: int, tag: int = 0) -> None:
         """Deliver ``payload`` to ``dest`` (non-blocking, always buffers)."""
-        if self.world.abort_flag.is_set():
-            raise MPIAbortError(self.world.abort_reason or "aborted")
         if tag < 0:
             raise ValueError(f"user tags must be non-negative, got {tag}")
-        self.world.mailbox(dest).put(self.rank, tag, payload)
+        self._send_internal(payload, dest, tag)
 
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: Optional[float] = None,
-    ) -> Any:
-        """Blocking receive; returns the payload."""
-        _, _, payload = self.recv_with_status(source, tag, timeout)
-        return payload
+    def recv(self, source: int, tag: int, timeout: Optional[float] = None) -> Any:
+        """Blocking receive of the oldest message from ``source`` with ``tag``.
 
-    def recv_with_status(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: Optional[float] = None,
-    ) -> Tuple[int, int, Any]:
-        """Blocking receive; returns ``(source, tag, payload)``."""
-        return self.world.mailbox(self.rank).get(
-            source, tag, self.world.abort_flag, timeout
-        )
+        Raises :class:`MPITimeoutError` once ``timeout`` seconds have passed,
+        however many other messages arrive meanwhile.
+        """
+        if not 0 <= source < self.size:
+            raise RankError(source, self.size)
+        return self._recv_internal(source, tag, timeout)
 
     # -- internals used by collectives ------------------------------------
 
@@ -177,6 +149,7 @@ class Communicator:
             raise MPIAbortError(self.world.abort_reason or "aborted")
         self.world.mailbox(dest).put(self.rank, tag, payload)
 
-    def abort(self, reason: str = "rank requested abort") -> None:
-        """Abort the whole world (like ``MPI_Abort``)."""
-        self.world.abort(f"rank {self.rank}: {reason}")
+    def _recv_internal(
+        self, source: int, tag: int, timeout: Optional[float] = None
+    ) -> Any:
+        return self.world.mailbox(self.rank).get(source, tag, timeout)

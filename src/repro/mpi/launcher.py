@@ -10,10 +10,15 @@ hanging, and the first exception is re-raised in the caller.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Callable, List, Optional, Sequence
 
 from .communicator import Communicator, World
 from .errors import MPIAbortError, MPIError
+
+
+def _remaining(deadline: Optional[float]) -> Optional[float]:
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
 
 
 class _RankThread(threading.Thread):
@@ -57,7 +62,8 @@ def run_spmd(
         size: Number of ranks (threads) to launch.
         target: Rank entry point; receives its ``Communicator`` first.
         *args: Extra positional arguments passed to every rank.
-        timeout: Overall wall-clock bound; the world is aborted on expiry.
+        timeout: Wall-clock bound on the whole job, not on each rank; the
+            world is aborted on expiry.
 
     Returns:
         Rank-ordered list of return values.
@@ -68,14 +74,16 @@ def run_spmd(
     """
     world = World(size)
     threads = [_RankThread(world, rank, target, args) for rank in range(size)]
+    deadline = None if timeout is None else time.monotonic() + timeout
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join(timeout)
+        thread.join(_remaining(deadline))
         if thread.is_alive():
             world.abort("launcher timeout")
+            grace = time.monotonic() + 5.0  # for all ranks to unwind
             for straggler in threads:
-                straggler.join(5.0)
+                straggler.join(_remaining(grace))
             raise MPIError(f"SPMD job exceeded {timeout}s")
 
     primary = next(

@@ -49,8 +49,9 @@ class TestMessageStorm:
                 for dest in range(comm.size):
                     if dest != comm.rank:
                         comm.send(comm.rank + round_index, dest, tag=7)
-                for _ in range(comm.size - 1):
-                    total += comm.recv(tag=7)
+                for source in range(comm.size):
+                    if source != comm.rank:
+                        total += comm.recv(source, tag=7)
             return total
 
         results = mpi.run_spmd(4, main)

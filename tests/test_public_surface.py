@@ -23,7 +23,7 @@ def _sources():
         yield "\n".join(re.findall(r"```.*?```", path.read_text(), flags=re.S))
 
 
-@pytest.mark.parametrize("package", ["smb", "core"])
+@pytest.mark.parametrize("package", ["smb", "core", "mpi"])
 def test_every_export_is_imported_through_its_package(package):
     # ``from repro.smb import X``, ``from ..smb import X`` or ``smb.X``.
     from_import = re.compile(
