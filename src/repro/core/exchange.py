@@ -124,11 +124,11 @@ class BaseExchange:
 
 
 class _SMBExchange(BaseExchange):
-    """What every strategy that exchanges with ``W_g`` through a private
-    increment segment shares: the two buffers, the optional live-fleet
-    source, one model-sized scratch for each direction (allocated in
-    :meth:`bind`, refilled in place), the Fig.-6 overlap driver when
-    ``overlap_updates`` is on, and the write side, :meth:`_flush`."""
+    """What every strategy that exchanges with ``W_g`` shares: the buffer,
+    the optional live-fleet source, one model-sized scratch for each
+    direction (allocated in :meth:`bind`, refilled in place), the Fig.-6
+    overlap driver when ``overlap_updates`` is on, and the write side,
+    :meth:`_flush`."""
 
     #: The one dW_x buffer, allocated in :meth:`bind`, refilled in place.
     _increment: np.ndarray
@@ -136,11 +136,9 @@ class _SMBExchange(BaseExchange):
     def __init__(
         self,
         global_weights: ParameterBuffer,
-        increment_buffer: ParameterBuffer,
         fleet: Optional[FleetSource] = None,
     ) -> None:
         self.global_weights = global_weights
-        self.increment_buffer = increment_buffer
         self.fleet = fleet
         self.driver: Optional[OverlapDriver] = None
         self._global_scratch: Optional[np.ndarray] = None
@@ -148,9 +146,6 @@ class _SMBExchange(BaseExchange):
     def bind(self, engine: "TrainingEngine") -> None:
         super().bind(engine)
         self.check_buffer(self.global_weights, engine.flat.count, "global")
-        self.check_buffer(
-            self.increment_buffer, engine.flat.count, "increment"
-        )
         # One model-sized destination for every W_g read and one for
         # every dW_x: the steady-state exchange allocates nothing.  A
         # single increment buffer is enough because the Fig.-6 ping-pong
@@ -174,11 +169,11 @@ class _SMBExchange(BaseExchange):
     def _flush(
         self, increment: np.ndarray, phases: "PhaseTimer | NullPhaseTimer"
     ) -> None:
-        """T.A1-T.A3: write dW_x and accumulate it into W_g (eq. (7))."""
-        with phases.phase("wwi"):
-            self.increment_buffer.write(increment)
+        """T.A1-T.A3 in one request: ``W_g += dW_x`` (eq. (7)), with
+        ``dW_x`` carried by the request itself, so one ``ugw`` span covers
+        ``T_wwi + T_ugw``."""
         with phases.phase("ugw"):
-            self.increment_buffer.accumulate_into(self.global_weights)
+            self.global_weights.accumulate(increment)
 
     def _submit(self, increment: np.ndarray) -> None:
         """Hand the write side to the driver, or run it inline."""
@@ -199,9 +194,9 @@ class SEASGDExchange(_SMBExchange):
     Per exchange: wait for the previous flush (T.A5, the eq.-(8)
     ``block``), read ``W_g`` (T1, ``rgw``), compute the elastic increment
     and pull the replica in place (T2, ``ulw`` — the three sweeps of
-    :func:`~repro.core.seasgd.elastic_pull_`), then hand the write side — the
-    ``wwi`` segment write and the ``ugw`` server accumulate of eq. (7) —
-    to the :class:`~repro.core.overlap.OverlapDriver` (T3) so it hides
+    :func:`~repro.core.seasgd.elastic_pull_`), then hand the write side —
+    one server accumulate of eq. (7) carrying ``dW_x``, timed as ``ugw``
+    — to the :class:`~repro.core.overlap.OverlapDriver` (T3) so it hides
     behind the next minibatch.  With ``overlap_updates=False`` the write
     side runs inline on the main thread, giving the deterministic
     single-threaded exchange the correctness tests rely on.
@@ -339,7 +334,6 @@ class HybridExchange(SyncSGDExchange):
         group: RingGroup,
         group_rank: int,
         global_weights: Optional[ParameterBuffer] = None,
-        increment_buffer: Optional[ParameterBuffer] = None,
     ) -> None:
         super().__init__(
             lambda grad: group.allreduce(group_rank, grad, average=True)
@@ -349,9 +343,9 @@ class HybridExchange(SyncSGDExchange):
         self.is_root = group_rank == 0
         self._inner: Optional[SEASGDExchange] = None
         if self.is_root:
-            if global_weights is None or increment_buffer is None:
-                raise WorkerError("group root needs SMB buffers")
-            self._inner = SEASGDExchange(global_weights, increment_buffer)
+            if global_weights is None:
+                raise WorkerError("group root needs the SMB buffer")
+            self._inner = SEASGDExchange(global_weights)
         self._smb_failed = False
 
     def bind(self, engine: "TrainingEngine") -> None:
@@ -432,10 +426,9 @@ class SMBAsgdExchange(_SMBExchange):
     The demonstration that the strategy seam admits a genuinely different
     update rule: ``exchange`` *replaces* the replica with ``W_g`` (the
     Downpour fetch; ``update_interval`` plays ``fetch_interval``), and
-    every step pushes ``-lr * gradient`` through the worker's private
-    segment into the server-side accumulate — apply-on-arrival, no
-    elastic averaging, hence the delayed-gradient problem the paper
-    argues against.  The write side rides the same
+    every step pushes ``-lr * gradient`` in one server-side accumulate —
+    apply-on-arrival, no elastic averaging, hence the delayed-gradient
+    problem the paper argues against.  The write side rides the same
     :class:`OverlapDriver` as SEASGD when ``overlap_updates`` is on.
 
     A limitation the baseline faithfully inherits: gradient pushes never
@@ -480,7 +473,7 @@ class SMBAsgdExchange(_SMBExchange):
 
 
 #: The named exchange strategies for SEASGD-style participants (one
-#: worker, two SMB buffers, optionally a live-fleet source for elastic
+#: worker, the ``W_g`` buffer, optionally a live-fleet source for elastic
 #: runs); ``ShmCaffeConfig.algorithm`` selects by name.
 _EXCHANGES: Dict[str, Callable[..., BaseExchange]] = {
     "seasgd": SEASGDExchange,
@@ -491,7 +484,6 @@ _EXCHANGES: Dict[str, Callable[..., BaseExchange]] = {
 def make_exchange(
     config: ShmCaffeConfig,
     global_weights: ParameterBuffer,
-    increment_buffer: ParameterBuffer,
     fleet: Optional[FleetSource] = None,
 ) -> BaseExchange:
     """Build the configured strategy for a direct SMB participant.
@@ -500,7 +492,7 @@ def make_exchange(
     """
     if config.stale_global_read:
         # A SEASGD ablation; the config refuses it with any other rule.
-        return StaleReadExchange(global_weights, increment_buffer, fleet)
+        return StaleReadExchange(global_weights, fleet)
     try:
         factory = _EXCHANGES[config.algorithm]
     except KeyError:
@@ -508,4 +500,4 @@ def make_exchange(
             f"unknown exchange algorithm {config.algorithm!r}; "
             f"registered: {sorted(_EXCHANGES)}"
         ) from None
-    return factory(global_weights, increment_buffer, fleet)
+    return factory(global_weights, fleet)

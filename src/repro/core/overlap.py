@@ -13,7 +13,7 @@ SEASGD workers, HSGD group roots, the stale-read ablation (which hides
 the read too), and the SMB-ASGD gradient push all reuse the same driver.
 
 Spans executed on the driver run against the worker's ``update``
-telemetry track (trace tid 1), so ``wwi``/``ugw`` flushes are visibly
+telemetry track (trace tid 1), so ``ugw`` flushes are visibly
 overlapped with ``comp`` in the Chrome trace regardless of which strategy
 submitted them.
 """
@@ -59,7 +59,7 @@ class OverlapDriver:
         tel = telemetry if telemetry is not None else _telemetry_current()
         self.rank = rank
         #: Phase timer for spans running on the update thread; strategies
-        #: use it so their deferred ``wwi``/``ugw`` land on the right track.
+        #: use it so their deferred ``ugw`` lands on the right track.
         self.phases: "PhaseTimer | NullPhaseTimer" = tel.phase_timer(
             rank, thread_label
         )

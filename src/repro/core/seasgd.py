@@ -11,10 +11,10 @@ EASGD background (eqs. (2)-(4)): after a local SGD step
 
 ShmCaffe recasts this for a server that can only *accumulate* (eqs.
 (5)-(7)): the worker computes the increment ``dW_x = alpha * (W'_x - W_g)``
-once, applies ``W''_x = W'_x - dW_x`` locally, writes ``dW_x`` to its
-private SMB segment, and asks the server for ``W_g += dW_x``.  The elastic
-symmetry of EASGD is preserved exactly, with zero server-side logic beyond
-vector addition.
+once, applies ``W''_x = W'_x - dW_x`` locally, and asks the server for
+``W_g += dW_x`` (the paper writes ``dW_x`` to a private SMB segment first;
+here it rides in the accumulate request).  The elastic symmetry of EASGD
+is preserved exactly, with zero server-side logic beyond vector addition.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ library".  Concretely:
    publishes in the membership registry when there is one;
 2. every participant — launch rank or late joiner — is built by one
    function from that document: replica, client, attach by SHM key,
-   registry slot, warm start from ``W_g``, private ``dW_x`` segment,
-   strategy and engine.  A launch rank gets the document over MPI and
-   its group id as slot; a joiner reads the registry and takes the
-   lowest free slot;
+   registry slot, warm start from ``W_g``, strategy and engine (a
+   worker's ``dW_x`` rides in its accumulate, so it needs no segment).
+   A launch rank gets the document over MPI and its group id as slot; a
+   joiner reads the registry and takes the lowest free slot;
 3. launch ranks meet at one barrier before anyone trains;
 4. histories are gathered back to the caller.
 
@@ -531,7 +531,7 @@ class DistributedTrainingManager:
                     f"{flat.count}"
                 )
 
-            global_array = increment = control = None
+            global_array = control = None
             termination = claim = retire_event = None
             if client is not None:
                 global_array, control = own or (
@@ -566,9 +566,6 @@ class DistributedTrainingManager:
                     # the master's seed at launch, the checkpointed centre
                     # on resume, wherever the fleet has moved for a joiner.
                     flat.set_vector(global_array.read())
-                increment = self._create_array(
-                    client, f"{ns}dW_{member_id}", count
-                )
                 termination = TerminationCoordinator(
                     control,
                     rank=slot,
@@ -611,7 +608,6 @@ class DistributedTrainingManager:
                 strategy = make_exchange(
                     self.config,
                     global_weights=global_array,
-                    increment_buffer=increment,
                     fleet=control.live_count if self.elastic else None,
                 )
             else:
@@ -619,7 +615,6 @@ class DistributedTrainingManager:
                     group=self._rings[group_id],
                     group_rank=group_rank,
                     global_weights=global_array,
-                    increment_buffer=increment,
                 )
             coordinator = None
             if launch and self.checkpoint_dir is not None:
@@ -650,7 +645,7 @@ class DistributedTrainingManager:
             ready()
             history = engine.run()
             if history.retired:
-                self._depart(member_id, claim, control, increment)
+                self._depart(member_id, claim, control)
         return history
 
     def _make_monitor(self, global_weights: RemoteArray):
@@ -709,20 +704,17 @@ class DistributedTrainingManager:
         member_id: str,
         claim: SlotClaim,
         control: ControlBlock,
-        increment: RemoteArray,
     ) -> None:
-        """A retired participant's exit: slot back to FREE, increment freed.
+        """A retired participant's exit: its slot goes back to FREE.
 
         The slot becomes reclaimable by a later joiner and is excluded
-        from every criterion; the increment is dead weight on the server.
-        A participant that *completed* keeps both — its final progress
-        stays in the mean the fleet terminates on, exactly like the fixed
-        fleet — and a *failed* one keeps its dead encoding (survivors
-        rescale over it; the slot remains claimable).
+        from every criterion.  A participant that *completed* keeps it —
+        its final progress stays in the mean the fleet terminates on,
+        exactly like the fixed fleet — and a *failed* one keeps its dead
+        encoding (survivors rescale over it; the slot remains claimable).
         """
         try:
             control.release(claim.slot, claim.generation)
-            increment.free()
         except smb_errors.SMBError as exc:
             logging.getLogger(__name__).warning(
                 "slot release for %s failed: %s", member_id, exc

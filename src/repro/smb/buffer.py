@@ -2,8 +2,9 @@
 
 The SEASGD training stack programs against remote parameter storage
 through exactly six capabilities — typed whole-buffer ``read``/``write``,
-the server-side ``accumulate_into`` that implements eq. (7), the element
-``count``, the element ``dtype``, and the mutation ``version`` counter.
+the server-side ``accumulate`` that implements eq. (7) in one request, the
+element ``count``, the element ``dtype``, and the mutation ``version``
+counter.
 Two backends provide them today:
 
 * :class:`repro.smb.client.RemoteArray` — one segment on one SMB server
@@ -55,11 +56,12 @@ class ParameterBuffer(Protocol):
         """Overwrite the whole buffer; returns the new version."""
         ...
 
-    def accumulate_into(self, dst: "ParameterBuffer", scale: float = 1.0) -> int:
-        """Server-side ``dst += scale * self`` (the eq.-(7) primitive).
+    def accumulate(self, values: np.ndarray, scale: float = 1.0) -> int:
+        """Server-side ``self += scale * values`` (the eq.-(7) primitive).
 
-        Both buffers must live on the same backend (same server, or the
-        same stripe layout for sharded buffers).
+        ``values`` (``count`` elements) travels in the request itself, so
+        the write side of an exchange is one request and needs no
+        increment segment; returns the new version.
         """
         ...
 

@@ -2,14 +2,15 @@
 
 This is the API ShmCaffe's distributed training manager programs against
 (paper Sec. III-A/III-B): create remote shared memory, attach by SHM key,
-RDMA-style read/write, server-side accumulation between segments, and update
-notification.
+RDMA-style read/write, server-side accumulation (from another segment, or
+from the request's own payload), and update notification.
 
 Two convenience layers sit on top of the raw byte operations:
 
 * :class:`RemoteArray` — a typed window onto a segment, reading and writing
-  NumPy arrays.  The global weight buffer ``W_g`` and each worker's private
-  increment buffer ``ΔW_x`` (paper Fig. 5) are ``RemoteArray`` instances.
+  NumPy arrays.  The global weight buffer ``W_g`` (paper Fig. 5) is a
+  ``RemoteArray``; a worker's ``ΔW_x`` rides in the request that adds it
+  (:meth:`RemoteArray.accumulate`).
 * :class:`ControlBlock` — a small int64 segment used for sharing training
   progress (``Iter_x`` counters and a stop flag) between workers, which is
   how ShmCaffe aligns termination (paper Sec. III-E).
@@ -66,8 +67,9 @@ def _aliases(payload: Buffer, view: memoryview) -> bool:
     return isinstance(payload, memoryview) and payload.obj is view.obj
 
 
-#: Ops whose ``key`` slot carries an access key (``key2`` too for
-#: ACCUMULATE) and therefore must be re-mapped after a server restart.
+#: Ops whose ``key`` slot carries an access key (``key2`` too for a
+#: segment-form ACCUMULATE; 0, the payload form's mark, maps to itself)
+#: and therefore must be re-mapped after a server restart.
 _ACCESS_KEY_OPS = frozenset(
     {Op.READ, Op.WRITE, Op.ACCUMULATE, Op.VERSION, Op.WAIT_UPDATE}
 )
@@ -242,7 +244,9 @@ class SMBClient:
         tel.registry.observe(f"smb/client/time/{name}", elapsed)
         if request.op is Op.READ:
             tel.registry.inc("smb/client/bytes_read", len(response.payload))
-        elif request.op is Op.WRITE:
+        elif request.op is Op.WRITE or (
+            request.op is Op.ACCUMULATE and not request.key2
+        ):
             tel.registry.inc(
                 "smb/client/bytes_written", request.payload_nbytes
             )
@@ -539,9 +543,10 @@ class SMBClient:
     ) -> int:
         """Server-side ``dst += scale * src`` over ``count`` elements.
 
-        ``count == 0`` means "the whole source segment".  This implements the
-        paper's eq. (7): the worker first writes ``ΔW_x`` to its private
-        segment, then asks the server to fold it into ``W_g``.
+        ``count == 0`` means "the whole source segment".  This is the
+        segment form of the paper's eq. (7), where a worker has written
+        ``ΔW_x`` to its private segment; :meth:`accumulate_values` sends
+        the elements themselves.
 
         ``dtype`` names the element type both regions are interpreted as;
         it rides in the (otherwise unused) request payload, and an empty
@@ -556,6 +561,34 @@ class SMBClient:
                 count=count,
                 scale=scale,
                 payload=b"" if dtype == "float32" else dtype.encode(),
+            )
+        )
+        return response.count
+
+    def accumulate_values(
+        self,
+        dst_access_key: int,
+        values: np.ndarray,
+        scale: float = 1.0,
+        offset: int = 0,
+    ) -> int:
+        """Server-side ``dst += scale * values`` in one request.
+
+        The payload form of eq. (7): the float32 ``values`` ride in the
+        request (``key2 == 0`` marks it, ``count`` is their number) and
+        the server adds them straight from the doorway's buffer, so
+        ``W_g += ΔW_x`` needs no ``ΔW_x`` segment.  ``offset`` is a byte
+        offset into ``dst``.  Returns the new version of ``dst``.
+        """
+        values = np.ascontiguousarray(values, dtype=np.float32)
+        response = self._call(
+            Message(
+                op=Op.ACCUMULATE,
+                key=dst_access_key,
+                offset=offset,
+                count=values.size,
+                scale=scale,
+                payload=memoryview(values).cast("B"),
             )
         )
         return response.count
@@ -685,7 +718,7 @@ class SMBClient:
 
 
 class RemoteArray:
-    """Typed view of one remote segment (e.g. ``W_g`` or a ``ΔW_x``)."""
+    """Typed view of one remote segment (e.g. ``W_g``)."""
 
     def __init__(
         self,
@@ -766,8 +799,26 @@ class RemoteArray:
             )
         return self._client.write(self.access_key, values)
 
+    def accumulate(self, values: np.ndarray, scale: float = 1.0) -> int:
+        """Server-side ``self += scale * values`` in one request (eq. (7)).
+
+        ``values`` (``count`` float32 elements) rides in the request, so
+        a contiguous float32 array is sent without a userspace copy.
+        """
+        if self.dtype != np.float32:
+            raise ValueError(
+                f"payload accumulate adds float32, segment is {self.dtype}"
+            )
+        if np.size(values) != self.count:
+            raise ValueError(
+                f"expected {self.count} elements, got {np.size(values)}"
+            )
+        return self._client.accumulate_values(
+            self.access_key, values, scale=scale
+        )
+
     def accumulate_into(self, dst: "RemoteArray", scale: float = 1.0) -> int:
-        """Server-side ``dst += scale * self`` (eq. (7))."""
+        """Server-side ``dst += scale * self`` (eq. (7), segment form)."""
         if dst.count != self.count:
             raise ValueError(
                 f"element count mismatch: {self.count} vs {dst.count}"

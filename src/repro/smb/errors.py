@@ -73,17 +73,19 @@ class SMBProtocolError(SMBError):
 
 
 class PayloadSizeError(SMBProtocolError):
-    """A response payload did not match the byte count the request asked for.
+    """A payload did not match the byte count its message declares.
 
     A short (or oversized) READ payload silently yields a wrong-sized —
     or stale — array downstream, which is far harder to debug than a
     loud protocol failure at the call site.  The client validates every
-    READ/read_into payload length and raises this instead.
+    READ/read_into payload length and raises this instead; the server
+    refuses a payload ACCUMULATE whose payload is not ``count`` float32
+    elements with it, before touching memory.
     """
 
     def __init__(self, op: str, expected: int, got: int) -> None:
         super().__init__(
-            f"{op} returned {got} payload byte(s), expected {expected}"
+            f"{op} carried {got} payload byte(s), expected {expected}"
         )
         self.op = op
         self.expected = expected

@@ -9,9 +9,10 @@ using multiple SMB servers".  This module implements that plan:
 
 * :class:`ShardedArray` — one logical float32 vector striped over K
   segments, each on its own SMB server.  It exposes the same
-  ``read`` / ``write`` / ``accumulate_into`` / ``version`` surface as
-  :class:`~repro.smb.client.RemoteArray`, so the SEASGD worker runs on it
-  unchanged (duck typing is the integration test).
+  ``read`` / ``write`` / ``accumulate`` / ``accumulate_into`` /
+  ``version`` surface as :class:`~repro.smb.client.RemoteArray`, so the
+  SEASGD worker runs on it unchanged (duck typing is the integration
+  test).
 * :func:`create_sharded_array` / :func:`attach_sharded_array` — the
   master/slave sides of the Fig. 2 choreography, generalised to K
   servers: creation returns one SHM key per shard, and those keys are
@@ -43,9 +44,9 @@ of a sequential walk that re-serialises the very bottleneck striping was
 meant to remove.  Stripes are disjoint slices of the logical vector, so
 parallel execution is bit-exact with the sequential order.
 
-**Version aggregation.**  ``write`` / ``accumulate_into`` return the
-*sum* of the new per-shard versions — the same monotone scale as
-:meth:`ShardedArray.version` (which also sums) — so version-based
+**Version aggregation.**  ``write`` / ``accumulate`` / ``accumulate_into``
+return the *sum* of the new per-shard versions — the same monotone scale
+as :meth:`ShardedArray.version` (which also sums) — so version-based
 wait/update logic observes every stripe, not just the last one written.
 Per-stripe detail is available from :meth:`ShardedArray.shard_versions`.
 """
@@ -245,6 +246,26 @@ class ShardedArray:
         ])
         return sum(versions)
 
+    def accumulate(self, values: np.ndarray, scale: float = 1.0) -> int:
+        """Per-shard server-side ``self += scale * values`` (eq. (7), K-way).
+
+        Each stripe's slice of ``values`` rides in one payload ACCUMULATE
+        to its own server; the K requests run concurrently.  Returns the
+        sum of the new per-shard versions.
+        """
+        values = np.ascontiguousarray(values, dtype=self.dtype)
+        if values.size != self.count:
+            raise ValueError(
+                f"expected {self.count} elements, got {values.size}"
+            )
+        versions = _fan_out([
+            (lambda s=shard, lo=lo, hi=hi: s.accumulate(
+                values[lo:hi], scale=scale
+            ))
+            for shard, (lo, hi) in zip(self.shards, self._bounds)
+        ])
+        return sum(versions)
+
     def accumulate_into(self, dst: "ShardedArray", scale: float = 1.0) -> int:
         """Per-shard server-side ``dst += scale * self`` (eq. (7), K-way).
 
@@ -278,9 +299,9 @@ class ShardedArray:
     def version(self) -> int:
         """Sum of shard versions (monotone under any mutation).
 
-        The same aggregate :meth:`write` and :meth:`accumulate_into`
-        return, so ``array.write(v) == array.version()`` holds in the
-        absence of concurrent mutators.
+        The same aggregate :meth:`write`, :meth:`accumulate` and
+        :meth:`accumulate_into` return, so ``array.write(v) ==
+        array.version()`` holds in the absence of concurrent mutators.
         """
         return sum(self.shard_versions())
 

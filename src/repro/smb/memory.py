@@ -301,6 +301,20 @@ class Segment:
             waiter.fire(version)
         return version
 
+    def accumulate(
+        self, values: np.ndarray, scale: float = 1.0, offset: int = 0
+    ) -> int:
+        """Add ``scale * values`` into this segment from byte ``offset``.
+
+        The payload form of eq. (7) (``W_g += ΔW_x`` with ``ΔW_x`` carried
+        by the request itself): ``values`` is a 1-D array, typically a
+        view of the request's payload, and its dtype is the element type.
+
+        Returns:
+            This segment's new version number.
+        """
+        return self._add(values, scale, offset, self, self)
+
     def accumulate_from(
         self,
         src: "Segment",
@@ -312,10 +326,10 @@ class Segment:
     ) -> int:
         """Add ``scale * src`` into this segment element-wise.
 
-        This is the one piece of compute the SMB server offers (eq. (7) of
-        the paper runs here: ``W_g += ΔW_x``).  Locks are taken in a global
-        order (by ``shm_key``) so concurrent accumulates between overlapping
-        segment pairs cannot deadlock.
+        The segment form of eq. (7), the paper's op: the source is another
+        segment.  Locks are taken in a global order (by ``shm_key``) so
+        concurrent accumulates between overlapping segment pairs cannot
+        deadlock.
 
         Args:
             src: Source segment whose contents are added into this one.
@@ -332,22 +346,36 @@ class Segment:
         if count is None:
             count = (src.size - src_offset) // itemsize
         nbytes = count * itemsize
-        self._check_range(offset, nbytes)
         src._check_range(src_offset, nbytes)
-
+        values = src.buffer[src_offset:src_offset + nbytes].view(dtype)
         first, second = sorted((self, src), key=lambda s: s.shm_key)
+        return self._add(values, scale, offset, first, second)
+
+    def _add(
+        self,
+        values: np.ndarray,
+        scale: float,
+        offset: int,
+        first: "Segment",
+        second: "Segment",
+    ) -> int:
+        """The one add kernel of both ACCUMULATE forms: ``values`` goes in
+        at ``offset`` under ``first``'s then ``second``'s lock (the
+        source segment and this one in ``shm_key`` order, or this one
+        twice for a payload — the lock is re-entrant)."""
+        nbytes = values.nbytes
+        self._check_range(offset, nbytes)
         with first.lock, second.lock:
-            dst_view = self.buffer[offset:offset + nbytes].view(dtype)
-            src_view = src.buffer[src_offset:src_offset + nbytes].view(dtype)
+            dst_view = self.buffer[offset:offset + nbytes].view(values.dtype)
             # One in-place add on the calling thread, at every size.
             # Aliased operands (self-accumulate, overlapping ranges of one
             # segment) are exact too: NumPy's ufunc overlap detection
             # buffers the source.
             self._begin_mutation()
             if scale == 1.0:
-                dst_view += src_view
+                dst_view += values
             else:
-                dst_view += scale * src_view
+                dst_view += scale * values
             version = self._end_mutation()
             ready = self._take_ready_waiters()
         for waiter in ready:

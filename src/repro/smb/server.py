@@ -7,10 +7,12 @@ Two layers live here:
   :class:`~repro.smb.protocol.Op` onto pool/segment operations.  Cumulative
   global-weight updates are processed **exclusively** per destination
   segment, exactly as the paper requires for eq. (7): the per-segment lock
-  taken inside :meth:`~repro.smb.memory.Segment.accumulate_from` is the
-  unit of exclusivity, so accumulates into *different* destinations run
-  concurrently (the paper's T.A3 only requires exclusivity per
-  global-weight segment).
+  taken by the one add kernel behind both ACCUMULATE forms
+  (:meth:`~repro.smb.memory.Segment.accumulate` for a payload,
+  :meth:`~repro.smb.memory.Segment.accumulate_from` for a source segment)
+  is the unit of exclusivity, so accumulates into *different*
+  destinations run concurrently (the paper's T.A3 only requires
+  exclusivity per global-weight segment).
 * :class:`TcpSMBServer` — a selector-based event-loop TCP front-end.  One
   loop thread owns every socket (non-blocking, per-connection state
   machines reusing pooled receive/read buffers); operations that may block
@@ -48,6 +50,7 @@ from ..telemetry import Counter, Gauge, MetricsRegistry, TelemetrySession
 from ..telemetry import current as _telemetry_current
 from .errors import (
     NotificationTimeout,
+    PayloadSizeError,
     QuotaExceededError,
     ServerClosingError,
     SMBError,
@@ -102,6 +105,22 @@ def _accumulate_dtype(message: Message) -> np.dtype:
         return np.dtype(name)
     except TypeError as exc:
         raise SMBError(f"bad accumulate dtype {name!r}: {exc}") from exc
+
+
+def _payload_values(message: Message) -> np.ndarray:
+    """The float32 elements a payload-form ACCUMULATE (``key2 == 0``)
+    carries, refused unless ``count > 0`` and the payload holds exactly
+    ``count`` of them.  The destination range is checked by the add."""
+    nbytes = message.payload_nbytes
+    if message.count <= 0:
+        raise SMBProtocolError(
+            f"payload ACCUMULATE needs count > 0, got {message.count}"
+        )
+    if nbytes != message.count * _FLOAT32.itemsize:
+        raise PayloadSizeError(
+            Op.ACCUMULATE.name, message.count * _FLOAT32.itemsize, nbytes
+        )
+    return np.frombuffer(message.payload, dtype=_FLOAT32)
 
 
 class ServerStats:
@@ -371,6 +390,12 @@ class SMBServer:
             return segment.write(record.offset, record.payload)
         if op is Op.ACCUMULATE:
             dst = self.pool.by_shm_key(record.key)
+            if not record.key2:
+                return dst.accumulate(
+                    _payload_values(record),
+                    scale=record.scale,
+                    offset=record.offset,
+                )
             return dst.accumulate_from(
                 self.pool.by_shm_key(record.key2),
                 dtype=_accumulate_dtype(record),
@@ -595,29 +620,36 @@ class SMBServer:
 
         if req.op is Op.ACCUMULATE:
             dst = self.pool.by_access_key(req.key)
-            src = self.pool.by_access_key(req.key2)
-            itemsize = _accumulate_dtype(req).itemsize
+            if req.key2:
+                # Segment form: the source is another segment.  Byte
+                # accounting is dtype-aware: ``count`` is in elements of
+                # ``dtype`` (and ``src.size`` is already nbytes), so a
+                # float64 accumulate does not under-count by 2x in the
+                # Fig. 7 bandwidth numbers.
+                src = self.pool.by_access_key(req.key2)
+                itemsize = _accumulate_dtype(req).itemsize
+                nbytes = (req.count * itemsize) if req.count \
+                    else (src.size // itemsize) * itemsize
+                src_key, payload = src.shm_key, bytes(req.payload)
+            else:
+                # Payload form: the elements ride in this request and are
+                # added (and journaled) straight from the doorway's buffer.
+                nbytes, src_key, payload = req.payload_nbytes, 0, req.payload
             record = Message(op=Op.ACCUMULATE, key=dst.shm_key,
-                             key2=src.shm_key, offset=req.offset,
+                             key2=src_key, offset=req.offset,
                              count=req.count, scale=req.scale,
-                             payload=bytes(req.payload))
+                             payload=payload)
             # The SMB server "exclusively processes the cumulative update
             # requests of global weights from each worker" (paper T.A3).
             # Exclusivity is *per destination segment* — the lock taken
-            # inside accumulate_from — so pushes into different segments
-            # (per-worker deltas, striped W_g shards, other tenants) run
-            # concurrently instead of queueing behind one global lock.
+            # inside the add — so pushes into different segments (striped
+            # W_g shards, other tenants) run concurrently instead of
+            # queueing behind one global lock.
             self._track_accumulate_queue(+1)
             try:
                 version = self._commit(record)
             finally:
                 self._track_accumulate_queue(-1)
-            # Byte accounting is dtype-aware: ``count`` is in elements of
-            # ``dtype`` (and ``src.size`` is already nbytes), so a float64
-            # accumulate no longer under-counts by 2x in the Fig. 7
-            # bandwidth numbers.
-            nbytes = (req.count * itemsize) if req.count \
-                else (src.size // itemsize) * itemsize
             self.stats.record(req.op, nbytes, tenant=tenant)
             return Message(op=req.op, key=req.key, count=version)
 
@@ -729,6 +761,26 @@ _ALWAYS_OFFLOAD = frozenset({Op.SNAPSHOT})
 #: duration.  ACCUMULATE always offloads regardless of size — it can
 #: block on the destination segment's exclusivity.
 OFFLOAD_BYTES = 64 * 1024
+
+
+#: Payload bytes a request that carries a name (segment or tenant) may
+#: declare.
+MAX_NAME_PAYLOAD = 4096
+
+#: Ops whose requests carry a name payload; WRITE and ACCUMULATE carry
+#: data (up to the pool's capacity) and every other op carries nothing.
+_NAME_OPS = frozenset({Op.CREATE, Op.LOOKUP, Op.TENANT_CREATE})
+_KNOWN_OPS = frozenset(Op)
+
+
+def _payload_bound(opcode: int, capacity: int) -> Optional[int]:
+    """The most payload bytes a request of ``opcode`` may declare, or
+    ``None`` for an opcode the server does not know."""
+    if opcode in (Op.WRITE, Op.ACCUMULATE):
+        return capacity
+    if opcode in _NAME_OPS:
+        return MAX_NAME_PAYLOAD
+    return 0 if opcode in _KNOWN_OPS else None
 
 
 class _Connection:
@@ -1225,18 +1277,19 @@ class TcpSMBServer:
                     return
             elif conn.state == _Connection.HEADER:
                 paylen = payload_length(conn.hbuf)
-                if paylen == 0:
-                    self._begin_request(conn, b"")
-                    return
-                if paylen > self.core.pool.capacity:
-                    # No valid request carries more bytes than the pool
-                    # can hold; refuse before the length costs memory.
+                bound = _payload_bound(conn.hbuf[0], self.core.pool.capacity)
+                if bound is None or paylen > bound:
+                    # Refuse before the length costs memory: no valid
+                    # request of this op carries more payload bytes.
                     logger.warning(
-                        "frame from %s declares %d payload bytes (pool "
-                        "holds %d); dropping connection",
-                        conn.peer, paylen, self.core.pool.capacity,
+                        "frame from %s declares %d payload bytes for "
+                        "opcode %d (bound %s); dropping connection",
+                        conn.peer, paylen, conn.hbuf[0], bound,
                     )
                     self._close_conn(conn)
+                    return
+                if paylen == 0:
+                    self._begin_request(conn, b"")
                     return
                 if paylen > len(conn.recv_buf):
                     conn.recv_buf = bytearray(paylen)

@@ -13,8 +13,10 @@ model leaves out:
 phase     meaning (paper term)
 ========  ==============================================================
 comp      minibatch fetch + forward/backward/local SGD step (T_comp)
-wwi       write the weight increment to the worker's SMB segment (T_wwi)
-ugw       server-side accumulate of dW into W_g (T_ugw)
+wwi       write the weight increment to the worker's SMB segment (T_wwi);
+          training records none: dW rides in the ugw request
+ugw       server-side accumulate of dW into W_g, dW carried by the
+          request (T_wwi + T_ugw)
 rgw       read the global weights from SMB (T_rgw)
 ulw       elastic update of the local replica, eqs. (5)-(6) (T_ulw)
 block     main thread stalled on the previous exchange's flush

@@ -9,19 +9,15 @@ from repro.caffe.layers.im2col import as_pair
 from repro.core import TrainingEngine, make_exchange
 
 
-def build_engine(rank, net, config, global_weights, increment_buffer,
-                 batches, **engine_kwargs):
+def build_engine(rank, net, config, global_weights, batches,
+                 **engine_kwargs):
     """A :class:`TrainingEngine` driving the strategy ``config`` selects."""
     return TrainingEngine(
         rank=rank,
         net=net,
         config=config,
         batches=batches,
-        strategy=make_exchange(
-            config,
-            global_weights=global_weights,
-            increment_buffer=increment_buffer,
-        ),
+        strategy=make_exchange(config, global_weights=global_weights),
         **engine_kwargs,
     )
 

@@ -125,13 +125,12 @@ class TestIncrementConservation:
 
         from repro.smb.client import RemoteArray
 
-        original_write = RemoteArray.write
+        original_accumulate = RemoteArray.accumulate
 
-        def spying_write(self, values):
-            if self.name.startswith("dW_"):
-                with pushed_lock:
-                    pushed.append(np.array(values, copy=True))
-            return original_write(self, values)
+        def spying_accumulate(self, values, scale=1.0):
+            with pushed_lock:
+                pushed.append(scale * np.array(values, copy=True))
+            return original_accumulate(self, values, scale)
 
         manager = DistributedTrainingManager(
             spec_factory=lambda: small_spec(batch=4),
@@ -149,11 +148,11 @@ class TestIncrementConservation:
         net = Net(small_spec(batch=4), seed=1)
         initial = FlatParams(net).get_vector()
 
-        RemoteArray.write = spying_write
+        RemoteArray.accumulate = spying_accumulate
         try:
             result = manager.run(timeout=300)
         finally:
-            RemoteArray.write = original_write
+            RemoteArray.accumulate = original_accumulate
 
         drift = result.final_global_weights - initial
         total_pushed = np.sum(pushed, axis=0)

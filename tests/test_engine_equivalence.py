@@ -235,14 +235,12 @@ class TestValidation:
 
         count = FlatParams(net).count
         global_array = client.create_array("W_g", count)
-        increment = client.create_array("dW_0", count)
         with pytest.raises(ValueError, match="unknown exchange algorithm"):
             build_engine(
                 rank=0,
                 net=net,
                 config=ShmCaffeConfig(algorithm="definitely_not_real"),
                 global_weights=global_array,
-                increment_buffer=increment,
                 batches=iter([]),
             )
 
@@ -276,9 +274,8 @@ class TestParameterBufferProtocol:
         server = SMBServer(capacity=1 << 20)
         client = SMBClient.in_process(server)
         a = client.create_array("a", 8)
-        b = client.create_array("b", 8)
-        assert isinstance(SEASGDExchange(a, b), ExchangeStrategy)
-        assert isinstance(SMBAsgdExchange(a, b), ExchangeStrategy)
+        assert isinstance(SEASGDExchange(a), ExchangeStrategy)
+        assert isinstance(SMBAsgdExchange(a), ExchangeStrategy)
 
 
 class TestHsgdRootOverlap:
@@ -296,9 +293,10 @@ class TestHsgdRootOverlap:
             (e["pid"], e["tid"], e["name"])
             for e in events if e.get("ph") == "X"
         }
-        # Root = rank 0: its flushes run on the update-thread lane (tid 1).
-        assert (0, 1, "wwi") in spans
+        # Root = rank 0: its flushes run on the update-thread lane (tid 1),
+        # one ugw span each (dW_x rides in the accumulate: no wwi).
         assert (0, 1, "ugw") in spans
+        assert not any(name == "wwi" for _, _, name in spans)
         # The read side stays deliberately synchronous on the main lane.
         assert (0, 0, "rgw") in spans
         assert (0, 0, "block") in spans
@@ -318,8 +316,8 @@ class TestHsgdRootOverlap:
             (e["pid"], e["tid"], e["name"])
             for e in events if e.get("ph") == "X"
         }
-        assert (0, 0, "wwi") in spans
         assert (0, 0, "ugw") in spans
+        assert not any(name == "wwi" for _, _, name in spans)
         assert not any(tid == 1 for _, tid, _ in spans)
 
 
@@ -357,12 +355,12 @@ class TestSmbAsgdExchange:
         from repro.core import make_exchange
 
         client = SMBClient.in_process(SMBServer(capacity=1 << 20))
-        buffers = client.create_array("a", 8), client.create_array("b", 8)
+        global_weights = client.create_array("a", 8)
         for algorithm, strategy in (
             ("seasgd", SEASGDExchange), ("smb_asgd", SMBAsgdExchange),
         ):
             built = make_exchange(
-                ShmCaffeConfig(algorithm=algorithm), *buffers
+                ShmCaffeConfig(algorithm=algorithm), global_weights
             )
             assert type(built) is strategy
 

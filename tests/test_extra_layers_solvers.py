@@ -262,7 +262,6 @@ class TestAsgdBaseline:
                 overlap_updates=False, algorithm="smb_asgd",
             ),
             global_weights=global_w,
-            increment_buffer=client.create_array("dW_0", flat.count),
             batches=dataset.minibatches(4, seed=1),
         )
         expected = flat.get_vector()

@@ -682,12 +682,11 @@ class TestLaunchRankRetire:
         # The survivors alone carried the AVERAGE criterion to its target.
         survivors = [h.completed_iterations for h in result.histories[:2]]
         assert np.mean(survivors) >= iterations
-        # Slot 2 is FREE again, its record is gone, its increment freed.
+        # Slot 2 is FREE again and its record is gone; no participant
+        # ever owned a segment (dW_x rides in its accumulate).
         client = SMBClient.in_process(server)
         shm_key, _ = client.lookup("control")
         control = ControlBlock.attach(client, "control", shm_key, 3)
         assert int(control.read_progress()[2]) == ControlBlock.FREE
         assert "rank2" not in registry.read().entry().members
-        assert sorted(server.pool.segments()) == [
-            "W_g", "control", "dW_rank0", "dW_rank1",
-        ]
+        assert sorted(server.pool.segments()) == ["W_g", "control"]

@@ -371,9 +371,7 @@ class TestSteadyStateAllocatesNothingModelSized:
                     overlap_updates=overlap,
                 ),
                 batches=dataset.minibatches(4, seed=1),
-                strategy=SEASGDExchange(
-                    global_weights, client.create_array("dW_0", flat.count)
-                ),
+                strategy=SEASGDExchange(global_weights),
             )
             strategy = engine.strategy
 

@@ -156,7 +156,6 @@ class TestWorkerOnShardedBuffers:
         flat = FlatParams(net)
         global_w = create_sharded_array(clients, "W_g", flat.count)
         global_w.write(flat.get_vector())
-        delta = create_sharded_array(clients, "dW_0", flat.count)
 
         worker = build_engine(
             rank=0,
@@ -167,7 +166,6 @@ class TestWorkerOnShardedBuffers:
                 max_iterations=6,
             ),
             global_weights=global_w,
-            increment_buffer=delta,
             batches=dataset.minibatches(4, seed=1),
         )
         history = worker.run()

@@ -8,7 +8,9 @@ client).  These tests pin the behaviours the rewrite fixed:
   connections included (the threaded server closed only the listener and
   left handlers parked in ``recv`` forever);
 * ``stop()`` unblocks every client parked in a wait promptly, and no
-  frame a tenant can send stops the server (opcode 10 is refused);
+  frame a tenant can send stops the server (opcode 10 is refused, and a
+  frame declaring more payload than its op may carry costs only its
+  connection);
 * an offloaded op's response leaves from the pool thread that ran it,
   a slow reader never holds that thread, and stopping mid-response is
   a severed connection, not a crash;
@@ -44,6 +46,7 @@ from repro.smb.protocol import (
     Status,
     encode_hello,
 )
+from repro.smb.server import MAX_NAME_PAYLOAD
 
 
 def _raw_connect(address, tenant="default"):
@@ -345,6 +348,43 @@ class TestDispatchRobustness:
             assert np.array_equal(
                 arr.read(), np.ones(count, dtype=np.float32)
             )
+            client.close()
+
+    @pytest.mark.parametrize(
+        "opcode, paylen",
+        [
+            (int(Op.VERSION), 200 << 20),
+            (int(Op.READ), 1),
+            (int(Op.CREATE), MAX_NAME_PAYLOAD + 1),
+            (0, 1 << 20),
+        ],
+        ids=["version-200MiB", "read-1B", "create-long-name", "unknown-op"],
+    )
+    def test_paylen_is_bounded_by_op(self, opcode, paylen):
+        """Only WRITE and ACCUMULATE carry up to the pool's capacity; a
+        name op carries a short name and every other op nothing.  A
+        VERSION frame declaring 200 MiB used to make the loop allocate a
+        200 MiB receive buffer for that connection, before one payload
+        byte arrived, and keep it.  Now any frame over its op's bound
+        (or of an unknown op) costs its connection and no allocation,
+        and a second client is still served."""
+        with TcpSMBServer(capacity=1 << 28) as server:
+            bad = _raw_connect(server.address)
+            bad.sendall(struct.pack(
+                HEADER_FORMAT, opcode, int(Status.OK), 0, 0, 0, 0, 0.0,
+                paylen,
+            ))
+            bad.settimeout(5.0)
+            assert bad.recv(1) == b"", "expected the connection severed"
+            bad.close()
+            client = SMBClient.connect(server.address)
+            arr = client.create_array("w", 64)
+            arr.accumulate(np.ones(64, dtype=np.float32))
+            assert np.array_equal(arr.read(), np.ones(64, dtype=np.float32))
+            # Every live connection still has its initial receive buffer.
+            assert [len(c.recv_buf) for c in server._conns.values()] == [
+                1 << 16
+            ]
             client.close()
 
     def test_huge_read_count_costs_one_request(self):

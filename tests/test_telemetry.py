@@ -267,7 +267,9 @@ class TestServerStatsMigration:
 
 
 class TestSeasgdSmoke:
-    """Acceptance: a 2-worker run emits all five paper phases + trace."""
+    """Acceptance: a 2-worker run emits the paper phases + trace.  The
+    write side is one request, so its ``ugw`` span covers ``T_wwi +
+    T_ugw`` and no ``wwi`` span is recorded."""
 
     @pytest.fixture(scope="class")
     def run_session(self):
@@ -300,6 +302,9 @@ class TestSeasgdSmoke:
         for worker in range(2):
             for phase in PAPER_PHASES:
                 name = phase_metric(worker, phase)
+                if phase == "wwi":
+                    assert name not in snap, f"unexpected {name}"
+                    continue
                 assert name in snap, f"missing {name}"
                 assert snap[name]["count"] > 0
         # The eq.-(8) stall is timed too.
@@ -330,7 +335,8 @@ class TestSeasgdSmoke:
         text = report_from_session(tel, meta)
         assert "phase timings (eq. 8)" in text
         for phase in ALL_PHASES:
-            assert phase in text
+            if phase != "wwi":
+                assert phase in text
 
     def test_save_and_reload_roundtrip(self, run_session, tmp_path):
         tel, _ = run_session

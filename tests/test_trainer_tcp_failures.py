@@ -15,7 +15,14 @@ from repro.core import (
     TerminationCriterion,
 )
 from repro.core.engine import WorkerError
-from repro.smb import CapacityError, SMBClient, SMBServer, TcpSMBServer
+from repro.smb import (
+    CapacityError,
+    FaultInjectingTransport,
+    FaultPlan,
+    SMBClient,
+    SMBServer,
+    TcpSMBServer,
+)
 
 from .helpers import build_engine
 from .test_netspec import small_spec
@@ -123,24 +130,25 @@ class TestTcpTrainer:
 
 class TestFailureInjection:
     def test_update_thread_failure_surfaces_as_worker_error(self, dataset):
-        """If the flush path dies (e.g. segment freed under the worker),
-        the main thread reports it instead of hanging."""
+        """If the flush path dies (here: every ACCUMULATE fails), the
+        main thread reports it instead of hanging."""
         server = SMBServer(capacity=1 << 22)
         client = SMBClient.in_process(server)
         net = Net(small_spec(batch=4), seed=0)
         flat = FlatParams(net)
         global_w = client.create_array("W_g", flat.count)
         global_w.write(flat.get_vector())
-        delta = client.create_array("dW_0", flat.count)
         worker = build_engine(
             rank=0,
             net=net,
             config=make_config(iterations=10),
             global_weights=global_w,
-            increment_buffer=delta,
             batches=dataset.minibatches(4, seed=1),
         )
-        delta.free()  # sabotage the increment segment
+        # Sabotage the write side only: reads of W_g still succeed.
+        client.transport = FaultInjectingTransport(
+            client.transport, FaultPlan(error_rate=1.0, ops=("ACCUMULATE",))
+        )
         with pytest.raises(WorkerError, match="update thread failed"):
             worker.run()
 

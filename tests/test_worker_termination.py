@@ -33,7 +33,6 @@ def make_worker(server, dataset, rank=0, overlap=True, iterations=5,
     except Exception:
         global_array = client.create_array("W_g", flat.count)
         global_array.write(flat.get_vector())
-    increment = client.create_array(f"dW_{rank}", flat.count)
     config = ShmCaffeConfig(
         solver=SolverConfig(base_lr=0.05, momentum=0.9),
         moving_rate=moving_rate,
@@ -47,7 +46,6 @@ def make_worker(server, dataset, rank=0, overlap=True, iterations=5,
         net=net,
         config=config,
         global_weights=global_array,
-        increment_buffer=increment,
         batches=dataset.minibatches(4, seed=rank + 10),
     )
     return worker, global_array
@@ -113,14 +111,13 @@ class TestWorker:
         initial_global = global_array.read()
         pushed = []
 
-        increment = worker.strategy.increment_buffer
-        original = increment.write
+        original = global_array.accumulate
 
         def spy(values):
             pushed.append(np.array(values, copy=True))
             return original(values)
 
-        increment.write = spy
+        global_array.accumulate = spy
         worker.run()
         drift = global_array.read() - initial_global
         np.testing.assert_allclose(
@@ -133,14 +130,12 @@ class TestWorker:
         net = Net(small_spec(batch=4), seed=0)
         flat_count = FlatParams(net).count
         bad_global = client.create_array("W_g_bad", flat_count + 1)
-        increment = client.create_array("dW", flat_count)
         with pytest.raises(WorkerError):
             build_engine(
                 rank=0,
                 net=net,
                 config=ShmCaffeConfig(),
                 global_weights=bad_global,
-                increment_buffer=increment,
                 batches=dataset.minibatches(4, seed=0),
             )
 
