@@ -6,7 +6,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..blob import Shape
 from .base import Layer, register_layer
 
 
@@ -17,10 +16,6 @@ class ReLU(Layer):
     def __init__(self, name: str, negative_slope: float = 0.0) -> None:
         super().__init__(name)
         self.negative_slope = negative_slope
-
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
-        (shape,) = bottom_shapes
-        return [shape]
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool
@@ -51,10 +46,6 @@ class ReLU(Layer):
 class Sigmoid(Layer):
     """Logistic sigmoid."""
 
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
-        (shape,) = bottom_shapes
-        return [shape]
-
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool
     ) -> List[np.ndarray]:
@@ -81,10 +72,6 @@ class Sigmoid(Layer):
 @register_layer("TanH")
 class TanH(Layer):
     """Hyperbolic tangent."""
-
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
-        (shape,) = bottom_shapes
-        return [shape]
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool

@@ -1,16 +1,23 @@
 """Layer interface for the NumPy Caffe substrate.
 
-Layers follow Caffe's contract: ``setup`` infers top shapes and allocates
-parameter blobs, ``forward`` maps bottom arrays to top arrays, ``backward``
-maps top gradients to bottom gradients and *accumulates* parameter
-gradients into each parameter blob's ``diff``.  ``backward`` may return
-``None`` in place of the gradient of a bottom whose
-:attr:`Layer.propagate_down` entry is false: nobody reads it.
+Layers follow Caffe's contract.  ``geometry`` is the layer's one shape
+rule (Caffe's ``Reshape`` plus the param shapes): it validates the bottom
+shapes and returns the top shapes and the learnable blobs the layer wants,
+allocating nothing, so :func:`repro.caffe.netspec.infer` sizes a
+138 M-parameter VGG16 from the same rule a :class:`~repro.caffe.net.Net`
+builds it with.  ``setup`` runs the rule and allocates those blobs,
+``forward`` maps bottom arrays to top arrays, ``backward`` maps top
+gradients to bottom gradients and *accumulates* parameter gradients into
+each parameter blob's ``diff``.  ``backward`` may return ``None`` in place
+of the gradient of a bottom whose :attr:`Layer.propagate_down` entry is
+false: nobody reads it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -21,14 +28,39 @@ class LayerError(Exception):
     """A layer was configured or invoked inconsistently."""
 
 
+class ParamDecl(NamedTuple):
+    """One learnable blob a layer's geometry asks for.
+
+    ``fill`` is a constant or a filler ``(shape, rng) -> array`` such as
+    :func:`~repro.caffe.blob.xavier_fill`; it runs only at ``setup``.
+    """
+
+    name: str
+    shape: Shape
+    fill: Union[float, Callable[[Shape, np.random.Generator], np.ndarray]] = 0.0
+    lr_mult: float = 1.0
+    decay_mult: float = 1.0
+
+
+#: A geometry rule's answer: top shapes and param declarations.
+Geometry = Tuple[List[Shape], List[ParamDecl]]
+
+
 class Layer:
     """Base class for all layers.
 
-    Subclasses set :attr:`params` during :meth:`setup` if they learn
-    anything.  ``phase`` is ``"train"`` or ``"test"``; layers that behave
+    A subclass states its geometry in :meth:`_reshape`; the default is
+    Caffe's neuron layer (one top shaped like the bottom, nothing to
+    learn).  ``phase`` is ``"train"`` or ``"test"``; layers that behave
     differently (dropout, batch-norm) consult it each forward call via the
     ``train`` argument.
     """
+
+    #: Bottoms the layer takes (Caffe's ``ExactNumBottomBlobs``); ``None``
+    #: leaves the count to the layer's own rule.
+    num_bottoms: Optional[int] = 1
+    #: Ranks the first bottom may have; ``None``: any.
+    bottom_ranks: Optional[Tuple[int, ...]] = None
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -43,11 +75,48 @@ class Layer:
         #: driven directly -- means every bottom.
         self.propagate_down: List[bool] = []
 
+    def geometry(self, bottom_shapes: Sequence[Shape]) -> Geometry:
+        """Validate the bottoms; return top shapes and param declarations.
+
+        Allocation-free.  A wrong bottom count or rank is a
+        :class:`LayerError` naming the layer, never an unpacking error.
+        """
+        kind = type(self).__name__
+        count = len(bottom_shapes)
+        if self.num_bottoms is not None and count != self.num_bottoms:
+            raise LayerError(
+                f"{self.name!r}: {kind} takes {self.num_bottoms} bottom(s), "
+                f"got {count}"
+            )
+        if self.bottom_ranks is not None and bottom_shapes and (
+            len(bottom_shapes[0]) not in self.bottom_ranks
+        ):
+            raise LayerError(
+                f"{self.name!r}: {kind} needs a bottom of rank "
+                f"{' or '.join(map(str, self.bottom_ranks))}, "
+                f"got {tuple(bottom_shapes[0])}"
+            )
+        return self._reshape([tuple(shape) for shape in bottom_shapes])
+
+    def _reshape(self, bottom_shapes: List[Shape]) -> Geometry:
+        return [bottom_shapes[0]], []
+
     def setup(
         self, bottom_shapes: Sequence[Shape], rng: np.random.Generator
     ) -> List[Shape]:
-        """Validate bottoms, allocate params, and return top shapes."""
-        raise NotImplementedError
+        """Run :meth:`geometry`, allocate its params in order; return tops."""
+        top_shapes, decls = self.geometry(bottom_shapes)
+        for decl in decls:
+            if callable(decl.fill):
+                data = decl.fill(decl.shape, rng)
+            else:
+                data = np.full(decl.shape, decl.fill, dtype=np.float32)
+            self.params.append(
+                Blob(decl.shape, f"{self.name}.{decl.name}", data)
+            )
+            self.lr_mults.append(decl.lr_mult)
+            self.decay_mults.append(decl.decay_mult)
+        return top_shapes
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool
@@ -63,21 +132,6 @@ class Layer:
     ) -> Sequence[Optional[np.ndarray]]:
         """Return bottom gradients; accumulate parameter gradients."""
         raise NotImplementedError
-
-    def param_count(self) -> int:
-        """Learnable scalar count (used for model-size accounting)."""
-        return sum(p.count for p in self.params)
-
-    def _register_param(
-        self,
-        blob: Blob,
-        lr_mult: float = 1.0,
-        decay_mult: float = 1.0,
-    ) -> Blob:
-        self.params.append(blob)
-        self.lr_mults.append(lr_mult)
-        self.decay_mults.append(decay_mult)
-        return blob
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

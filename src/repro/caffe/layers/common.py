@@ -7,21 +7,26 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..blob import Shape
-from .base import Layer, LayerError, register_layer
+from .base import Geometry, Layer, LayerError, register_layer
 
 
 @register_layer("Input")
 class Input(Layer):
     """Declares an externally fed blob (images or labels)."""
 
+    num_bottoms = 0
+
     def __init__(self, name: str, shape: Sequence[int]) -> None:
         super().__init__(name)
         self.declared_shape: Shape = tuple(int(d) for d in shape)
+        if not self.declared_shape or min(self.declared_shape) <= 0:
+            raise LayerError(
+                f"{name!r}: Input dims must be positive, "
+                f"got {self.declared_shape}"
+            )
 
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
-        if bottom_shapes:
-            raise LayerError(f"{self.name!r}: Input takes no bottoms")
-        return [self.declared_shape]
+    def _reshape(self, bottom_shapes: List[Shape]) -> Geometry:
+        return [self.declared_shape], []
 
     def forward(self, bottoms, train) -> List[np.ndarray]:
         raise LayerError(
@@ -39,15 +44,16 @@ class Dropout(Layer):
     def __init__(self, name: str, ratio: float = 0.5) -> None:
         super().__init__(name)
         if not 0.0 <= ratio < 1.0:
-            raise LayerError(f"dropout ratio must be in [0,1), got {ratio}")
+            raise LayerError(
+                f"{name!r}: dropout ratio must be in [0,1), got {ratio}"
+            )
         self.ratio = ratio
         self._mask: Optional[np.ndarray] = None
         self._rng: Optional[np.random.Generator] = None
 
     def setup(self, bottom_shapes, rng) -> List[Shape]:
-        (shape,) = bottom_shapes
         self._rng = rng
-        return [shape]
+        return super().setup(bottom_shapes, rng)
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool
@@ -75,17 +81,17 @@ class Dropout(Layer):
 class Concat(Layer):
     """Concatenate bottoms along the channel axis (Inception modules)."""
 
+    num_bottoms = None
+
     def __init__(self, name: str, axis: int = 1) -> None:
         super().__init__(name)
         self.axis = axis
-        self._splits: List[int] = []
 
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
+    def _reshape(self, bottom_shapes: List[Shape]) -> Geometry:
         if not bottom_shapes:
             raise LayerError(f"{self.name!r}: Concat needs bottoms")
         reference = list(bottom_shapes[0])
         total = 0
-        self._splits = []
         for shape in bottom_shapes:
             if len(shape) != len(reference):
                 raise LayerError(f"{self.name!r}: rank mismatch in Concat")
@@ -96,9 +102,8 @@ class Concat(Layer):
                         f"got {shape} vs {tuple(reference)}"
                     )
             total += shape[self.axis]
-            self._splits.append(shape[self.axis])
         reference[self.axis] = total
-        return [tuple(reference)]
+        return [tuple(reference)], []
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool
@@ -107,7 +112,7 @@ class Concat(Layer):
 
     def backward(self, top_diffs, bottoms, tops) -> List[np.ndarray]:
         (top_diff,) = top_diffs
-        offsets = np.cumsum([0] + self._splits)
+        offsets = np.cumsum([0] + [bottom.shape[self.axis] for bottom in bottoms])
         slicer: List[slice] = [slice(None)] * top_diff.ndim
         outputs = []
         for start, stop in zip(offsets[:-1], offsets[1:]):
@@ -125,6 +130,8 @@ class Eltwise(Layer):
     scaling (e.g. ``coeffs=(0.17, 1.0)``).
     """
 
+    num_bottoms = None
+
     def __init__(
         self,
         name: str,
@@ -133,14 +140,14 @@ class Eltwise(Layer):
     ) -> None:
         super().__init__(name)
         if operation not in ("sum", "prod", "max"):
-            raise LayerError(f"unknown eltwise op {operation!r}")
+            raise LayerError(f"{name!r}: unknown eltwise op {operation!r}")
         if coeffs is not None and operation != "sum":
-            raise LayerError("coeffs only apply to the sum operation")
+            raise LayerError(f"{name!r}: coeffs only apply to the sum operation")
         self.operation = operation
         self.coeffs = tuple(coeffs) if coeffs is not None else None
         self._argmax: Optional[np.ndarray] = None
 
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
+    def _reshape(self, bottom_shapes: List[Shape]) -> Geometry:
         if len(bottom_shapes) < 2:
             raise LayerError(f"{self.name!r}: Eltwise needs >=2 bottoms")
         first = bottom_shapes[0]
@@ -153,7 +160,7 @@ class Eltwise(Layer):
                 f"{self.name!r}: {len(self.coeffs)} coeffs for "
                 f"{len(bottom_shapes)} bottoms"
             )
-        return [first]
+        return [first], []
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool
@@ -202,9 +209,9 @@ class Eltwise(Layer):
 class Flatten(Layer):
     """Flatten all trailing dims into one (before a classifier)."""
 
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
-        (shape,) = bottom_shapes
-        return [(shape[0], int(np.prod(shape[1:])))]
+    def _reshape(self, bottom_shapes: List[Shape]) -> Geometry:
+        ((n, *rest),) = bottom_shapes
+        return [(n, int(np.prod(rest)))], []
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool
@@ -225,12 +232,11 @@ class Split(Layer):
     def __init__(self, name: str, num_tops: int = 2) -> None:
         super().__init__(name)
         if num_tops < 1:
-            raise LayerError(f"num_tops must be >=1, got {num_tops}")
+            raise LayerError(f"{name!r}: num_tops must be >=1, got {num_tops}")
         self.num_tops = num_tops
 
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
-        (shape,) = bottom_shapes
-        return [shape] * self.num_tops
+    def _reshape(self, bottom_shapes: List[Shape]) -> Geometry:
+        return bottom_shapes * self.num_tops, []
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool

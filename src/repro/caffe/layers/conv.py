@@ -7,8 +7,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..blob import Blob, Shape, xavier_fill
-from .base import Layer, LayerError, conv_output_dim, register_layer
+from ..blob import Shape, xavier_fill
+from .base import (
+    Geometry, Layer, LayerError, ParamDecl, conv_output_dim, register_layer,
+)
 from .im2col import as_pair, gather_table, im2col
 
 IntPair = Tuple[int, int]
@@ -31,6 +33,8 @@ class Convolution(Layer):
         pad: Zero padding, int or pair.
         bias: Learn an additive per-channel bias.
     """
+
+    bottom_ranks = (4,)
 
     def __init__(
         self,
@@ -68,24 +72,12 @@ class Convolution(Layer):
             return bottom.reshape(n, c, h * w)
         return im2col(bottom, self.kernel, self.stride, self.pad)
 
-    def setup(
-        self, bottom_shapes: Sequence[Shape], rng: np.random.Generator
-    ) -> List[Shape]:
-        (shape,) = bottom_shapes
-        n, c, h, w = shape
+    def _reshape(self, bottom_shapes: List[Shape]) -> Geometry:
+        ((n, c, h, w),) = bottom_shapes
         out_h, out_w = _out_hw(h, w, self.kernel, self.stride, self.pad)
-        weight_shape = (self.num_output, c, self.kernel[0], self.kernel[1])
-        self._register_param(
-            Blob(weight_shape, f"{self.name}.weight",
-                 data=xavier_fill(weight_shape, rng))
+        return [(n, self.num_output, out_h, out_w)], _weights_and_bias(
+            (self.num_output, c) + self.kernel, self.bias
         )
-        if self.bias:
-            self._register_param(
-                Blob((self.num_output,), f"{self.name}.bias"),
-                lr_mult=2.0,
-                decay_mult=0.0,
-            )
-        return [(n, self.num_output, out_h, out_w)]
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool
@@ -143,6 +135,16 @@ class Convolution(Layer):
         return [bottom_diff.reshape(bottom.shape)]
 
 
+def _weights_and_bias(weight_shape: Shape, bias: bool) -> List[ParamDecl]:
+    """A xavier-filled weight, then Caffe's zero bias at 2x lr, no decay."""
+    params = [ParamDecl("weight", weight_shape, xavier_fill)]
+    if bias:
+        params.append(
+            ParamDecl("bias", weight_shape[:1], lr_mult=2.0, decay_mult=0.0)
+        )
+    return params
+
+
 @lru_cache(maxsize=256)
 def _out_hw(h: int, w: int, kernel: IntPair, stride: IntPair, pad: IntPair) -> IntPair:
     return (
@@ -181,27 +183,20 @@ class InnerProduct(Layer):
         self.num_output = num_output
         self.bias = bias
 
+    def _reshape(self, bottom_shapes: List[Shape]) -> Geometry:
+        ((n, *rest),) = bottom_shapes
+        return [(n, self.num_output)], _weights_and_bias(
+            (self.num_output, int(np.prod(rest))), self.bias
+        )
+
     def setup(
         self, bottom_shapes: Sequence[Shape], rng: np.random.Generator
     ) -> List[Shape]:
-        (shape,) = bottom_shapes
-        n = shape[0]
-        dim = int(np.prod(shape[1:]))
-        weight_shape = (self.num_output, dim)
-        self._register_param(
-            Blob(weight_shape, f"{self.name}.weight",
-                 data=xavier_fill(weight_shape, rng))
-        )
-        if self.bias:
-            self._register_param(
-                Blob((self.num_output,), f"{self.name}.bias"),
-                lr_mult=2.0,
-                decay_mult=0.0,
-            )
+        top_shapes = super().setup(bottom_shapes, rng)
         # dW lands here before it is accumulated into the weight diff, so
         # backward allocates nothing weight-sized.
-        self._grad_scratch = np.empty(weight_shape, dtype=np.float32)
-        return [(n, self.num_output)]
+        self._grad_scratch = np.empty(self.params[0].shape, dtype=np.float32)
+        return top_shapes
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool

@@ -13,7 +13,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..blob import Shape
-from .base import Layer, LayerError, register_layer
+from .base import Geometry, Layer, LayerError, register_layer
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -36,23 +36,22 @@ class SoftmaxWithLoss(Layer):
             auxiliary Inception heads use 0.3).
     """
 
+    num_bottoms = 2
+    bottom_ranks = (2,)
+
     def __init__(self, name: str, loss_weight: float = 1.0) -> None:
         super().__init__(name)
         self.loss_weight = loss_weight
         self._prob: np.ndarray | None = None
         self._labels: np.ndarray | None = None
 
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
+    def _reshape(self, bottom_shapes: List[Shape]) -> Geometry:
         logits_shape, labels_shape = bottom_shapes
-        if len(logits_shape) != 2:
-            raise LayerError(
-                f"{self.name!r}: logits must be (N, K), got {logits_shape}"
-            )
         if labels_shape[0] != logits_shape[0]:
             raise LayerError(
                 f"{self.name!r}: batch mismatch {logits_shape} vs {labels_shape}"
             )
-        return [(1,)]
+        return [(1,)], []
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool
@@ -92,13 +91,16 @@ class Accuracy(Layer):
     experiments report top-1 unless configured otherwise.
     """
 
+    num_bottoms = 2
+    bottom_ranks = (2,)
+
     def __init__(self, name: str, top_k: int = 1) -> None:
         super().__init__(name)
         if top_k <= 0:
-            raise LayerError(f"top_k must be positive, got {top_k}")
+            raise LayerError(f"{name!r}: top_k must be positive, got {top_k}")
         self.top_k = top_k
 
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
+    def _reshape(self, bottom_shapes: List[Shape]) -> Geometry:
         logits_shape, labels_shape = bottom_shapes
         if labels_shape[0] != logits_shape[0]:
             raise LayerError(
@@ -108,7 +110,7 @@ class Accuracy(Layer):
             raise LayerError(
                 f"{self.name!r}: top_k={self.top_k} > classes={logits_shape[1]}"
             )
-        return [(1,)]
+        return [(1,)], []
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool

@@ -13,8 +13,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..blob import Blob, Shape
-from .base import Layer, LayerError, register_layer
+from ..blob import Shape
+from .base import Geometry, Layer, LayerError, ParamDecl, register_layer
 from .loss import softmax as _softmax
 
 
@@ -25,25 +25,18 @@ class Scale(Layer):
     def __init__(self, name: str, bias: bool = True) -> None:
         super().__init__(name)
         self.bias = bias
-        self.channels = 0
 
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
+    def _reshape(self, bottom_shapes: List[Shape]) -> Geometry:
         (shape,) = bottom_shapes
         if len(shape) < 2:
             raise LayerError(f"{self.name!r}: Scale needs >= 2 dims")
-        self.channels = shape[1]
-        gamma = Blob((self.channels,), f"{self.name}.gamma")
-        gamma.data.fill(1.0)
-        self._register_param(gamma, decay_mult=0.0)
+        params = [ParamDecl("gamma", shape[1:2], fill=1.0, decay_mult=0.0)]
         if self.bias:
-            self._register_param(
-                Blob((self.channels,), f"{self.name}.beta"), decay_mult=0.0
-            )
-        return [shape]
+            params.append(ParamDecl("beta", shape[1:2], decay_mult=0.0))
+        return [shape], params
 
     def _expand(self, vector: np.ndarray, ndim: int) -> np.ndarray:
-        shape = [1, self.channels] + [1] * (ndim - 2)
-        return vector.reshape(shape)
+        return vector.reshape((1, -1) + (1,) * (ndim - 2))
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool
@@ -74,10 +67,6 @@ class Scale(Layer):
 @register_layer("Softmax")
 class Softmax(Layer):
     """Probabilities over the last axis (inference head, no loss)."""
-
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
-        (shape,) = bottom_shapes
-        return [shape]
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool
@@ -114,10 +103,6 @@ class Power(Layer):
         self.scale = scale
         self.shift = shift
         self._base: Optional[np.ndarray] = None
-
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
-        (shape,) = bottom_shapes
-        return [shape]
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool

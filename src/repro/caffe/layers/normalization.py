@@ -6,8 +6,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..blob import Blob, Shape
-from .base import Layer, LayerError, register_layer
+from ..blob import Shape
+from .base import Geometry, Layer, LayerError, ParamDecl, register_layer
 
 
 @register_layer("BatchNorm")
@@ -20,6 +20,8 @@ class BatchNorm(Layer):
     moving-average-fraction update and are used at test time.
     """
 
+    bottom_ranks = (2, 4)
+
     def __init__(
         self,
         name: str,
@@ -29,47 +31,36 @@ class BatchNorm(Layer):
     ) -> None:
         super().__init__(name)
         if not 0.0 < momentum < 1.0:
-            raise LayerError(f"momentum must be in (0,1), got {momentum}")
+            raise LayerError(f"{name!r}: momentum must be in (0,1), got {momentum}")
         self.affine = affine
         self.momentum = momentum
         self.eps = eps
-        self.channels = 0
         self._cache: Optional[tuple] = None
 
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
+    def _reshape(self, bottom_shapes: List[Shape]) -> Geometry:
         (shape,) = bottom_shapes
-        if len(shape) not in (2, 4):
-            raise LayerError(
-                f"{self.name!r}: BatchNorm needs (N,C) or (N,C,H,W), "
-                f"got {shape}"
-            )
-        self.channels = shape[1]
+        channels = shape[1:2]
+        params = []
         if self.affine:
-            gamma = Blob((self.channels,), f"{self.name}.gamma")
-            gamma.data.fill(1.0)
-            self._register_param(gamma, decay_mult=0.0)
-            self._register_param(
-                Blob((self.channels,), f"{self.name}.beta"), decay_mult=0.0
-            )
+            params += [
+                ParamDecl("gamma", channels, fill=1.0, decay_mult=0.0),
+                ParamDecl("beta", channels, decay_mult=0.0),
+            ]
         # Running statistics are parameter blobs with lr_mult=0, exactly as
         # in Caffe: the solver never touches them, but parameter-sharing
         # code (FlatParams / SEASGD / allreduce broadcasts) carries them
         # between replicas so a model restored from shared weights
         # evaluates correctly.
-        mean_blob = self._register_param(
-            Blob((self.channels,), f"{self.name}.running_mean"),
-            lr_mult=0.0,
-            decay_mult=0.0,
-        )
-        var_blob = self._register_param(
-            Blob((self.channels,), f"{self.name}.running_var"),
-            lr_mult=0.0,
-            decay_mult=0.0,
-        )
-        var_blob.data.fill(1.0)
-        self._mean_blob = mean_blob
-        self._var_blob = var_blob
-        return [shape]
+        params += [
+            ParamDecl("running_mean", channels, lr_mult=0.0, decay_mult=0.0),
+            ParamDecl("running_var", channels, fill=1.0, lr_mult=0.0, decay_mult=0.0),
+        ]
+        return [shape], params
+
+    def setup(self, bottom_shapes, rng) -> List[Shape]:
+        top_shapes = super().setup(bottom_shapes, rng)
+        self._mean_blob, self._var_blob = self.params[-2:]
+        return top_shapes
 
     @property
     def running_mean(self) -> np.ndarray:
@@ -162,6 +153,8 @@ class LRN(Layer):
     ``local_size`` channels centred on ``c``.
     """
 
+    bottom_ranks = (4,)
+
     def __init__(
         self,
         name: str,
@@ -172,18 +165,12 @@ class LRN(Layer):
     ) -> None:
         super().__init__(name)
         if local_size % 2 == 0:
-            raise LayerError(f"local_size must be odd, got {local_size}")
+            raise LayerError(f"{name!r}: local_size must be odd, got {local_size}")
         self.local_size = local_size
         self.alpha = alpha
         self.beta = beta
         self.k = k
         self._scale: Optional[np.ndarray] = None
-
-    def setup(self, bottom_shapes, rng) -> List[Shape]:
-        (shape,) = bottom_shapes
-        if len(shape) != 4:
-            raise LayerError(f"{self.name!r}: LRN needs (N,C,H,W), got {shape}")
-        return [shape]
 
     def _window_sum(self, squares: np.ndarray) -> np.ndarray:
         c = squares.shape[1]

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..blob import Shape
-from .base import Layer, LayerError, pool_output_dim, register_layer
+from .base import Geometry, Layer, LayerError, pool_output_dim, register_layer
 from .im2col import gather_table
 
 
@@ -84,6 +84,8 @@ class Pooling(Layer):
             expect, so stride-2 pools align with stride-2 valid convs.
     """
 
+    bottom_ranks = (4,)
+
     def __init__(
         self,
         name: str,
@@ -96,7 +98,7 @@ class Pooling(Layer):
     ) -> None:
         super().__init__(name)
         if method not in ("max", "ave"):
-            raise LayerError(f"unknown pooling method {method!r}")
+            raise LayerError(f"{name!r}: unknown pooling method {method!r}")
         if not global_pool and pad >= kernel:
             # Caffe's CHECK_LT(pad, kernel): a window wholly in the padding
             # would pool nothing but the fill value.
@@ -121,12 +123,10 @@ class Pooling(Layer):
             out_h, out_w, self.kernel, self.kernel, self.stride, self.pad
         )
 
-    def setup(
-        self, bottom_shapes: Sequence[Shape], rng: np.random.Generator
-    ) -> List[Shape]:
+    def _reshape(self, bottom_shapes: List[Shape]) -> Geometry:
         (shape,) = bottom_shapes
         geo = self._geometry(shape)
-        return [(shape[0], shape[1], geo.out_h, geo.out_w)]
+        return [(shape[0], shape[1], geo.out_h, geo.out_w)], []
 
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool

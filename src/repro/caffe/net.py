@@ -12,8 +12,8 @@ from typing import Dict, List, Optional, Sequence, Set
 import numpy as np
 
 from .blob import Blob, Shape
-from .layers.base import LAYER_REGISTRY, Layer, LayerError
-from .netspec import NetSpec, infer
+from .layers.base import Layer, LayerError
+from .netspec import NetSpec, walk
 
 
 class Net:
@@ -31,7 +31,6 @@ class Net:
         self.name = spec.name
         self._rng = np.random.default_rng(seed)
         self.layers: List[Layer] = []
-        self.blob_shapes: Dict[str, Shape] = {}
         self.input_names: List[str] = []
         self.loss_names: List[str] = []
         self.metric_names: List[str] = []
@@ -40,32 +39,13 @@ class Net:
         self._activations: Dict[str, np.ndarray] = {}
 
     def _build(self) -> None:
-        # Validate connectivity and shapes once, allocation-free.
-        inference = infer(self.spec)
         # Blobs whose gradient somebody reads: a blob's does iff its
         # producer learns or passes a gradient further down.  ``Input``
         # tops never do.  Decided here, once, like Caffe's Net::Init.
         needs_diff: Set[str] = set()
-        for layer_spec in self.spec.layers:
-            try:
-                cls = LAYER_REGISTRY[layer_spec.type_name]
-            except KeyError:
-                raise LayerError(
-                    f"unknown layer type {layer_spec.type_name!r}"
-                ) from None
-            layer = cls(layer_spec.name, **layer_spec.kwargs)
-            bottom_shapes = [
-                self.blob_shapes[name] for name in layer_spec.bottoms
-            ]
+
+        def place(layer_spec, layer, bottom_shapes):
             top_shapes = layer.setup(bottom_shapes, self._rng)
-            for name, shape in zip(layer_spec.tops, top_shapes):
-                expected = inference.blob_shapes[name]
-                if tuple(shape) != tuple(expected):
-                    raise LayerError(
-                        f"shape drift on blob {name!r}: net computed "
-                        f"{shape}, inference says {expected}"
-                    )
-                self.blob_shapes[name] = tuple(shape)
             layer.propagate_down = [
                 name in needs_diff for name in layer_spec.bottoms
             ]
@@ -78,6 +58,9 @@ class Net:
                 self.loss_names.extend(layer_spec.tops)
             elif layer_spec.type_name == "Accuracy":
                 self.metric_names.extend(layer_spec.tops)
+            return top_shapes
+
+        self.blob_shapes: Dict[str, Shape] = walk(self.spec, place)
 
     # -- parameters --------------------------------------------------------
 

@@ -10,8 +10,8 @@ same spec serves two purposes:
   full-size Inception/ResNet/VGG graphs are sized for the performance model
   (VGG16's 138 M floats are never materialised).
 
-The two paths are kept honest by tests that instantiate small specs and
-compare counts against :func:`infer`.
+Both go through :func:`walk` and ask each layer its own geometry rule, so
+there is one copy of every layer's shapes.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from .blob import Shape
-from .layers.base import LayerError, conv_output_dim, pool_output_dim
-from .layers.im2col import as_pair
+from .layers.base import LAYER_REGISTRY, Layer, LayerError
 
 
 @dataclass
@@ -157,163 +156,9 @@ class NetSpec:
         return self.add("Accuracy", name, [logits, labels], top_k=top_k)[0]
 
 
-# ---------------------------------------------------------------------------
-# Allocation-free inference
-# ---------------------------------------------------------------------------
-
-#: type_name -> fn(bottom_shapes, kwargs) -> top_shapes
-_SHAPE_FNS: Dict[str, Callable[..., List[Shape]]] = {}
-#: type_name -> fn(bottom_shapes, kwargs) -> list of param shapes
-_PARAM_FNS: Dict[str, Callable[..., List[Shape]]] = {}
-
-
-def _shapes(type_name: str):
-    def deco(fn):
-        _SHAPE_FNS[type_name] = fn
-        return fn
-    return deco
-
-
-def _params(type_name: str):
-    def deco(fn):
-        _PARAM_FNS[type_name] = fn
-        return fn
-    return deco
-
-
-@_shapes("Input")
-def _input_shape(bottoms, kw):
-    return [tuple(kw["shape"])]
-
-
-@_shapes("Convolution")
-def _conv_shape(bottoms, kw):
-    n, _, h, w = bottoms[0]
-    kh, kw_ = as_pair(kw["kernel"])
-    sh, sw = as_pair(kw.get("stride", 1))
-    ph, pw = as_pair(kw.get("pad", 0))
-    return [(
-        n, kw["num_output"],
-        conv_output_dim(h, kh, sh, ph), conv_output_dim(w, kw_, sw, pw),
-    )]
-
-
-@_params("Convolution")
-def _conv_params(bottoms, kw):
-    c = bottoms[0][1]
-    kh, kw_ = as_pair(kw["kernel"])
-    shapes = [(kw["num_output"], c, kh, kw_)]
-    if kw.get("bias", True):
-        shapes.append((kw["num_output"],))
-    return shapes
-
-
-@_shapes("InnerProduct")
-def _ip_shape(bottoms, kw):
-    n = bottoms[0][0]
-    return [(n, kw["num_output"])]
-
-
-@_params("InnerProduct")
-def _ip_params(bottoms, kw):
-    dim = int(np.prod(bottoms[0][1:]))
-    shapes = [(kw["num_output"], dim)]
-    if kw.get("bias", True):
-        shapes.append((kw["num_output"],))
-    return shapes
-
-
-@_shapes("Pooling")
-def _pool_shape(bottoms, kw):
-    n, c, h, w = bottoms[0]
-    if kw.get("global_pool", False):
-        return [(n, c, 1, 1)]
-    k = kw.get("kernel", 2)
-    s = kw.get("stride", 2)
-    p = kw.get("pad", 0)
-    ceil = kw.get("ceil", True)
-    return [(
-        n, c,
-        pool_output_dim(h, k, s, p, ceil=ceil),
-        pool_output_dim(w, k, s, p, ceil=ceil),
-    )]
-
-
-@_shapes("BatchNorm")
-def _bn_shape(bottoms, kw):
-    return [bottoms[0]]
-
-
-@_params("BatchNorm")
-def _bn_params(bottoms, kw):
-    c = bottoms[0][1]
-    stats = [(c,), (c,)]  # running mean/var travel with the model (Caffe)
-    if kw.get("affine", True):
-        return [(c,), (c,)] + stats
-    return stats
-
-
-@_shapes("Concat")
-def _concat_shape(bottoms, kw):
-    axis = kw.get("axis", 1)
-    for shape in bottoms[1:]:
-        for dim, (a, b) in enumerate(zip(shape, bottoms[0])):
-            if dim != axis and a != b:
-                raise LayerError(
-                    f"concat: non-concat dims must match, got {shape} "
-                    f"vs {bottoms[0]}"
-                )
-    out = list(bottoms[0])
-    out[axis] = sum(shape[axis] for shape in bottoms)
-    return [tuple(out)]
-
-
-@_shapes("Eltwise")
-def _eltwise_shape(bottoms, kw):
-    return [bottoms[0]]
-
-
-@_shapes("Flatten")
-def _flatten_shape(bottoms, kw):
-    shape = bottoms[0]
-    return [(shape[0], int(np.prod(shape[1:])))]
-
-
-@_shapes("Split")
-def _split_shape(bottoms, kw):
-    return [bottoms[0]] * int(kw.get("num_tops", 2))
-
-
-@_shapes("SoftmaxWithLoss")
-def _loss_shape(bottoms, kw):
-    return [(1,)]
-
-
-@_shapes("Accuracy")
-def _acc_shape(bottoms, kw):
-    return [(1,)]
-
-
-def _identity_shape(bottoms, kw):
-    return [bottoms[0]]
-
-
-for _type in ("ReLU", "Sigmoid", "TanH", "Dropout", "LRN", "Softmax",
-              "Power", "Scale"):
-    _SHAPE_FNS[_type] = _identity_shape
-
-
-@_params("Scale")
-def _scale_params(bottoms, kw):
-    c = bottoms[0][1]
-    if kw.get("bias", True):
-        return [(c,), (c,)]
-    return [(c,)]
-
-
 @dataclass
 class InferenceResult:
-    """Outcome of walking a spec without instantiating it."""
+    """Outcome of walking a spec without allocating its parameters."""
 
     blob_shapes: Dict[str, Shape]
     param_shapes: Dict[str, List[Shape]]  # layer name -> shapes
@@ -333,38 +178,61 @@ class InferenceResult:
         return self.param_count * 4
 
 
+def walk(
+    spec: NetSpec,
+    place: Callable[[LayerSpec, Layer, List[Shape]], List[Shape]],
+) -> Dict[str, Shape]:
+    """Instantiate each layer in spec order; return every blob's shape.
+
+    ``place(layer_spec, layer, bottom_shapes)`` answers the layer's top
+    shapes: :func:`infer` asks the layer's geometry rule, a
+    :class:`~repro.caffe.net.Net` sets the layer up.  Either way a bad
+    spec is a :class:`LayerError` naming the layer.
+    """
+    blob_shapes: Dict[str, Shape] = {}
+    for layer_spec in spec.layers:
+        try:
+            cls = LAYER_REGISTRY[layer_spec.type_name]
+        except KeyError:
+            raise LayerError(
+                f"unknown layer type {layer_spec.type_name!r}"
+            ) from None
+        try:
+            layer = cls(layer_spec.name, **layer_spec.kwargs)
+        except TypeError as exc:  # an unknown or missing kwarg
+            raise LayerError(f"layer {layer_spec.name!r}: {exc}") from None
+        try:
+            bottoms = [blob_shapes[name] for name in layer_spec.bottoms]
+        except KeyError as exc:
+            raise LayerError(
+                f"layer {layer_spec.name!r} consumes undefined blob {exc}"
+            ) from None
+        tops = place(layer_spec, layer, bottoms)
+        if len(tops) != len(layer_spec.tops):
+            raise LayerError(
+                f"layer {layer_spec.name!r} declares {len(layer_spec.tops)} "
+                f"tops but produces {len(tops)}"
+            )
+        blob_shapes.update(zip(layer_spec.tops, tops))
+    return blob_shapes
+
+
 def infer(spec: NetSpec) -> InferenceResult:
     """Shape-check a spec and count parameters without allocating them.
 
+    Each layer answers through its own geometry rule
+    (:meth:`~repro.caffe.layers.base.Layer.geometry`), the one ``Net``
+    builds with, so ``infer`` accepts exactly the specs ``Net`` accepts.
+
     Raises:
-        LayerError: On unknown layer types, missing bottoms, or any
-            geometry error the real layers would also reject.
+        LayerError: On unknown layer types or kwargs, missing bottoms, or
+            any geometry error the layers reject.
     """
-    blob_shapes: Dict[str, Shape] = {}
     param_shapes: Dict[str, List[Shape]] = {}
-    for layer in spec.layers:
-        try:
-            shape_fn = _SHAPE_FNS[layer.type_name]
-        except KeyError:
-            raise LayerError(
-                f"no shape rule for layer type {layer.type_name!r}"
-            ) from None
-        try:
-            bottoms = [blob_shapes[name] for name in layer.bottoms]
-        except KeyError as exc:
-            raise LayerError(
-                f"layer {layer.name!r} consumes undefined blob {exc}"
-            ) from None
-        tops = shape_fn(bottoms, layer.kwargs)
-        if len(tops) != len(layer.tops):
-            raise LayerError(
-                f"layer {layer.name!r} declares {len(layer.tops)} tops "
-                f"but produces {len(tops)}"
-            )
-        for name, shape in zip(layer.tops, tops):
-            blob_shapes[name] = shape
-        param_fn = _PARAM_FNS.get(layer.type_name)
-        param_shapes[layer.name] = (
-            param_fn(bottoms, layer.kwargs) if param_fn else []
-        )
-    return InferenceResult(blob_shapes, param_shapes)
+
+    def place(layer_spec, layer, bottom_shapes):
+        top_shapes, params = layer.geometry(bottom_shapes)
+        param_shapes[layer_spec.name] = [param.shape for param in params]
+        return top_shapes
+
+    return InferenceResult(walk(spec, place), param_shapes)

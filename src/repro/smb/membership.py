@@ -31,7 +31,8 @@ A late joiner's protocol (`docs/membership.md`):
    the member record with a fresh lease);
 3. attach ``W_g`` and the control block by the SHM keys in the job
    document, :meth:`~repro.smb.client.ControlBlock.claim` the allocated
-   slot, seed the replica from ``W_g``, mint a private ``dW`` segment;
+   slot, seed the replica from ``W_g`` (its ``ΔW_x`` rides a payload
+   ACCUMULATE into ``W_g``, so it creates no segment of its own);
 4. train; heartbeat on iteration boundaries; on retire/finish,
    release the slot and :meth:`MembershipRegistry.leave`.
 
