@@ -181,10 +181,7 @@ class AutoscaleController:
         decision = self._decide(signals)
         if decision.action != HOLD:
             self._cooldown = self.policy.cooldown_steps
-        if self.telemetry.enabled:
-            self.telemetry.registry.inc(
-                f"autoscale/decisions/{decision.action}"
-            )
+        self.telemetry.registry.inc(f"autoscale/decisions/{decision.action}")
         return decision
 
     def _decide(self, signals: FleetSignals) -> ScaleDecision:

@@ -49,8 +49,7 @@ import numpy as np
 from ..caffe.snapshot import save_solver_state
 from ..smb.client import RemoteArray
 from ..smb.journal import atomic_replace
-from ..telemetry import TelemetrySession
-from ..telemetry import current as _telemetry_current
+from ..telemetry import TelemetrySession, resolve as _resolve_telemetry
 from .termination import TerminationCoordinator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -211,7 +210,7 @@ class CheckpointCoordinator:
         self.global_weights = global_weights
         self.termination = termination
         self.metadata = dict(metadata or {})
-        self._telemetry = telemetry
+        self._registry = _resolve_telemetry(telemetry).registry
         self.saved: List[int] = []
 
     # -- engine hook -------------------------------------------------------
@@ -249,9 +248,7 @@ class CheckpointCoordinator:
         with atomic_replace(path) as handle:
             save_solver_state(engine.solver, handle, cursor=iteration)
         self.saved.append(iteration)
-        tel = self._tel()
-        if tel.enabled:
-            tel.registry.inc(f"worker{self.rank}/checkpoints")
+        self._registry.inc(f"worker{self.rank}/checkpoints")
         return path
 
     def seal(self, iteration: int) -> Path:
@@ -287,17 +284,10 @@ class CheckpointCoordinator:
         }
         with atomic_replace(seq_dir / MANIFEST_NAME) as handle:
             handle.write(json.dumps(manifest, indent=2).encode())
-        tel = self._tel()
-        if tel.enabled:
-            tel.registry.inc("run/checkpoints")
-            tel.registry.set("run/checkpoints/last_iteration", iteration)
+        self._registry.inc("run/checkpoints")
+        self._registry.set("run/checkpoints/last_iteration", iteration)
         logger.info("sealed checkpoint seq %d at iteration %d", seq, iteration)
         return seq_dir
 
     def _seq(self, iteration: int) -> int:
         return iteration // self.every if self.every > 0 else 0
-
-    def _tel(self) -> TelemetrySession:
-        if self._telemetry is not None:
-            return self._telemetry
-        return _telemetry_current()

@@ -34,8 +34,7 @@ from ..caffe.net import Net
 from ..caffe.params import FlatParams
 from ..caffe.solver import SGDSolver
 from ..smb import errors as smb_errors
-from ..telemetry import TelemetrySession
-from ..telemetry import current as _telemetry_current
+from ..telemetry import TelemetrySession, resolve as _resolve_telemetry
 from .config import ShmCaffeConfig
 from .termination import TerminationCoordinator
 
@@ -127,7 +126,8 @@ class TrainingEngine:
             live monitoring (the convergence experiments use it to
             snapshot accuracy against wall-clock).
         telemetry: Session receiving the eq.-(8) phase timings; defaults
-            to the process-wide :func:`repro.telemetry.current` session.
+            to the process-wide :func:`repro.telemetry.current` session
+            at construction.
         solver: Pre-built solver to reuse (one is created from
             ``config.solver`` when omitted).
         checkpoint: Optional
@@ -179,8 +179,7 @@ class TrainingEngine:
         self.retire_signal = retire_signal
         self.history = WorkerHistory(rank=rank)
 
-        tel = telemetry if telemetry is not None else _telemetry_current()
-        self.telemetry = tel
+        self.telemetry = tel = _resolve_telemetry(telemetry)
         #: Main-thread phase timer (Fig.-6 trace tid 0); strategies that
         #: overlap their write side get a second timer from their
         #: :class:`~repro.core.overlap.OverlapDriver`.
@@ -273,8 +272,7 @@ class TrainingEngine:
         """
         self.history.failed = True
         self.history.failure = f"{type(exc).__name__}: {exc}"
-        if self.telemetry.enabled:
-            self.telemetry.registry.inc(f"worker{self.rank}/faults/fatal")
+        self.telemetry.registry.inc(f"worker{self.rank}/faults/fatal")
         if self.termination is not None:
             try:
                 self.termination.mark_failed(iteration)

@@ -23,8 +23,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional
 
-from ..telemetry import TelemetrySession
-from ..telemetry import current as _telemetry_current
+from ..telemetry import TelemetrySession, resolve as _resolve_telemetry
 from ..telemetry.phases import NullPhaseTimer, PhaseTimer
 from .engine import FlushTimeoutError, WorkerError
 
@@ -42,7 +41,7 @@ class OverlapDriver:
     Args:
         rank: Worker rank (labels the telemetry track).
         telemetry: Session receiving the update-thread phase spans;
-            defaults to the process-wide session.
+            defaults to the process-wide session current at construction.
         thread_label: Telemetry lane name (``update`` = trace tid 1).
     """
 
@@ -56,7 +55,7 @@ class OverlapDriver:
         telemetry: Optional[TelemetrySession] = None,
         thread_label: str = "update",
     ) -> None:
-        tel = telemetry if telemetry is not None else _telemetry_current()
+        tel = _resolve_telemetry(telemetry)
         self.rank = rank
         #: Phase timer for spans running on the update thread; strategies
         #: use it so their deferred ``ugw`` lands on the right track.

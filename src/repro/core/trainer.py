@@ -48,8 +48,7 @@ from ..smb.faults import FaultInjectingTransport, FaultPlan
 from ..smb.membership import MembershipRegistry
 from ..smb.retry import RetryPolicy
 from ..smb.server import SMBServer
-from ..telemetry import TelemetrySession
-from ..telemetry import current as _telemetry_current
+from ..telemetry import TelemetrySession, resolve as _resolve_telemetry
 from .checkpoint import (
     CheckpointCoordinator,
     CheckpointError,
@@ -157,8 +156,9 @@ class DistributedTrainingManager:
             test split every this many of its own iterations, in
             minibatches of :data:`EVAL_BATCH_SIZE`.
         telemetry: Session propagated to the SMB server, every client,
-            and every worker, so one run's metrics and trace land in one
-            place; defaults to :func:`repro.telemetry.current`.
+            every worker and every fault injector, so one run's metrics
+            and trace land in one place; defaults to the
+            :func:`repro.telemetry.current` session at construction.
         retry_policy: Transient-fault policy installed in every worker's
             SMB client (see :class:`~repro.smb.retry.RetryPolicy`);
             ``None`` keeps the fail-fast default.
@@ -283,9 +283,7 @@ class DistributedTrainingManager:
         self.num_workers = num_workers
         self.group_size = group_size
         self.num_groups = num_workers // group_size
-        self.telemetry = (
-            telemetry if telemetry is not None else _telemetry_current()
-        )
+        self.telemetry = _resolve_telemetry(telemetry)
         self.server_address = server_address
         if server_address is not None:
             self.server = None
@@ -373,7 +371,8 @@ class DistributedTrainingManager:
             client = SMBClient.in_process(self.server, self.telemetry, policy)
         if rank is not None and self.fault_plan is not None:
             client.transport = FaultInjectingTransport(
-                client.transport, self.fault_plan.for_rank(rank)
+                client.transport, self.fault_plan.for_rank(rank),
+                self.telemetry,
             )
         return client
 
@@ -759,8 +758,7 @@ class DistributedTrainingManager:
         with self._elastic_lock:
             self._elastic_handles.append(handle)
         handle.thread.start()
-        if self.telemetry.enabled:
-            self.telemetry.registry.inc("smb/membership/spawned")
+        self.telemetry.registry.inc("smb/membership/spawned")
         return handle
 
     def retire_worker(self, member_id: Optional[str] = None) -> bool:
@@ -854,20 +852,18 @@ class DistributedTrainingManager:
             self._elastic_handles = []
             self._retire_events = {}
         tel = self.telemetry
-        if tel.enabled:
-            tel.registry.set("run/workers", self.num_workers)
-            tel.registry.set("run/group_size", self.group_size)
+        tel.registry.set("run/workers", self.num_workers)
+        tel.registry.set("run/group_size", self.group_size)
         with tel.timed("run/time/total", trace_name="training-run"):
             histories = mpi.run_spmd(
                 self.num_workers, self._rank_main, timeout=timeout
             )
             histories = list(histories) + self.drain_elastic()
         lost = [h.rank for h in histories if h.failed]
-        if tel.enabled:
-            tel.registry.set("run/workers_lost", len(lost))
-            for h in histories:
-                if h.failed:
-                    tel.registry.inc(f"worker{h.rank}/faults/lost")
+        tel.registry.set("run/workers_lost", len(lost))
+        for h in histories:
+            if h.failed:
+                tel.registry.inc(f"worker{h.rank}/faults/lost")
         if lost:
             logging.getLogger(__name__).warning(
                 "run degraded: worker(s) %s lost their SMB path; "

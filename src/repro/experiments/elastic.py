@@ -235,16 +235,12 @@ def run_elastic_drill(
         result = manager.run(timeout=timeout)
         driver.join(timeout=timeout)
 
-        counters: Dict[str, int] = {}
-        if tel.enabled:
-            for name in tel.registry.names():
-                if name.startswith("smb/membership/") or name.startswith(
-                    "autoscale/decisions/"
-                ):
-                    metric = tel.registry.get(name)
-                    value = getattr(metric, "value", None)
-                    if value is not None:
-                        counters[name] = int(value)
+        counters = {
+            name: int(metric["value"])
+            for name, metric in tel.registry.snapshot().items()
+            if name.startswith(("smb/membership/", "autoscale/decisions/"))
+            and "value" in metric
+        }
         final_epoch = registry.read().epoch
 
     return ElasticDrillReport(

@@ -350,7 +350,7 @@ def run_server_loss_drill(
             watcher.start()
             result = manager.run(timeout=timeout)
             watcher.join(timeout=timeout)
-            counters = tel.registry.snapshot() if tel.enabled else {}
+            counters = tel.registry.snapshot()
     finally:
         new_server = replacement.get("server")
         if new_server is not None:

@@ -41,8 +41,7 @@ from ..smb.errors import SMBError, UnknownKeyError
 from ..smb.fleet import HashRingPlacement, Placement
 from ..smb.protocol import sendall_vectored
 from ..smb.serving import ReplicaServer, VersionNotAvailableError
-from ..telemetry import TelemetrySession
-from ..telemetry import current as _telemetry_current
+from ..telemetry import TelemetrySession, resolve as _resolve_telemetry
 
 logger = logging.getLogger(__name__)
 
@@ -64,8 +63,8 @@ class ModelGateway:
             :class:`HashRingPlacement` so growing the fleet only moves
             ``~1/K`` of the segment keyspace.
         telemetry: Session for the per-tenant read counters
-            (``serve/gateway/tenant/<t>/reads``); falls back to the
-            ambient session.
+            (``serve/gateway/tenant/<t>/reads``); defaults to the
+            process-wide session current at construction.
     """
 
     def __init__(
@@ -87,7 +86,7 @@ class ModelGateway:
         self._placement = (
             placement if placement is not None else HashRingPlacement(names)
         )
-        self._telemetry = telemetry
+        self._registry = _resolve_telemetry(telemetry).registry
         self._failover = [self._replicas[name] for name in sorted(names)]
         self._server = _Server((host, port), self)
         self._thread: Optional[threading.Thread] = None
@@ -183,13 +182,10 @@ class ModelGateway:
         }
 
     def _count_read(self, tenant: str, nbytes: int) -> None:
-        tel = self._telemetry
-        if tel is None:
-            tel = _telemetry_current()
-        if tel.enabled:
-            tel.registry.inc("serve/gateway/reads")
-            tel.registry.inc(f"serve/gateway/tenant/{tenant}/reads")
-            tel.registry.inc("serve/gateway/bytes_read", nbytes)
+        registry = self._registry
+        registry.inc("serve/gateway/reads")
+        registry.inc(f"serve/gateway/tenant/{tenant}/reads")
+        registry.inc("serve/gateway/bytes_read", nbytes)
 
 
 class _Server(socketserver.ThreadingTCPServer):

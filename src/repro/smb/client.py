@@ -29,8 +29,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..telemetry import TelemetrySession
-from ..telemetry import current as _telemetry_current
+from ..telemetry import TelemetrySession, resolve as _resolve_telemetry
 from . import errors
 from .memory import DEFAULT_TENANT
 from .protocol import Buffer, Message, Op, Status, encode_wait_timeout
@@ -108,7 +107,7 @@ class SMBClient:
     Args:
         transport: The request/response channel to the server.
         telemetry: Session receiving op timings/byte counters; defaults
-            to the process-wide session.
+            to the process-wide session current at construction.
         retry_policy: Transient-fault handling (see
             :class:`~repro.smb.retry.RetryPolicy`).  The default fails
             fast (no retries), preserving pre-fault-tolerance semantics;
@@ -130,7 +129,7 @@ class SMBClient:
         #: transport carries it on the wire (the hello); this copy
         #: is informational — shown in telemetry and admin tooling.
         self.tenant = tenant
-        self._telemetry = telemetry
+        self._telemetry = _resolve_telemetry(telemetry)
         self._retry = retry_policy if retry_policy is not None else NO_RETRY
         self._retry_rng = self._retry.make_rng()
         # held access key -> attachment record / current server key.  The
@@ -233,8 +232,6 @@ class SMBClient:
         self, request: Message, out: Optional[memoryview] = None
     ) -> Message:
         tel = self._telemetry
-        if tel is None:
-            tel = _telemetry_current()
         if not tel.enabled:
             return self._call_raw(request, out)
         start = _perf_counter()
@@ -398,20 +395,13 @@ class SMBClient:
             self._key_map[record.held_key] = response.key
             self.server_epoch = new_epoch
             self.reattachments += 1
-        tel = self._telemetry
-        if tel is None:
-            tel = _telemetry_current()
-        if tel.enabled:
-            tel.registry.inc("smb/recovery/reattach")
+        self._telemetry.registry.inc("smb/recovery/reattach")
         return True
 
     def _count_retry(self, op: Op) -> None:
-        tel = self._telemetry
-        if tel is None:
-            tel = _telemetry_current()
-        if tel.enabled:
-            tel.registry.inc("smb/client/retries")
-            tel.registry.inc(f"smb/client/retries/{op.name}")
+        registry = self._telemetry.registry
+        registry.inc("smb/client/retries")
+        registry.inc(f"smb/client/retries/{op.name}")
 
     def create_buffer(self, name: str, nbytes: int) -> int:
         """Create a named segment; returns its SHM key (master worker)."""

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from ..telemetry import current as _telemetry_current
+from ..telemetry import TelemetrySession, resolve as _resolve_telemetry
 from .errors import FaultInjectedError, TransportClosedError
 from .protocol import Message
 from .transport import ChannelTransport
@@ -88,11 +88,16 @@ class FaultInjectingTransport:
     Thread-safe: fault decisions are drawn under a lock so two worker
     threads sharing one client consume one well-defined random stream.
     Injection counts are kept locally in :attr:`stats` and mirrored into
-    the telemetry registry (``smb/faults/<kind>``) when a session is
-    recording.
+    the ``telemetry`` session (``smb/faults/<kind>``): the one given,
+    else the one current at construction, fixed from then on.
     """
 
-    def __init__(self, inner: ChannelTransport, plan: FaultPlan) -> None:
+    def __init__(
+        self,
+        inner: ChannelTransport,
+        plan: FaultPlan,
+        telemetry: Optional[TelemetrySession] = None,
+    ) -> None:
         self.inner = inner
         self.plan = plan
         self._rng = random.Random(plan.seed)
@@ -100,12 +105,11 @@ class FaultInjectingTransport:
         self._requests = 0
         self._killed = False
         self.stats: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
+        self._registry = _resolve_telemetry(telemetry).registry
 
     def _count(self, kind: str) -> None:
         self.stats[kind] += 1
-        tel = _telemetry_current()
-        if tel.enabled:
-            tel.registry.inc(f"smb/faults/{kind}")
+        self._registry.inc(f"smb/faults/{kind}")
 
     def _decide(self, message: Message) -> Optional[str]:
         """Pick at most one fault for this request (None = clean)."""

@@ -51,8 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
-from ..telemetry import TelemetrySession
-from ..telemetry import current as _telemetry_current
+from ..telemetry import TelemetrySession, resolve as _resolve_telemetry
 from .errors import MembershipError, SlotsExhaustedError
 from .journal import publish_json, read_json
 from .memory import DEFAULT_TENANT
@@ -231,7 +230,7 @@ class MembershipRegistry:
             ``registry.json`` plus its lock file.
         lease: Seconds a member record stays valid without a heartbeat.
         telemetry: Session receiving the ``smb/membership/*`` counters;
-            defaults to the process-wide session (no-ops when disabled).
+            defaults to the process-wide session current at construction.
         clock: Injectable time source (tests freeze it to drive lease
             expiry deterministically).
     """
@@ -251,23 +250,18 @@ class MembershipRegistry:
         self._lock_path = self.directory / REGISTRY_LOCK_NAME
         self.lease = lease
         self._clock = clock
-        self._telemetry = (
-            telemetry if telemetry is not None else _telemetry_current()
-        )
+        self._registry = _resolve_telemetry(telemetry).registry
 
     # -- telemetry ---------------------------------------------------------
 
     def _count(self, event: str, amount: int = 1) -> None:
-        if self._telemetry.enabled:
-            self._telemetry.registry.inc(f"smb/membership/{event}", amount)
+        self._registry.inc(f"smb/membership/{event}", amount)
 
     def _publish(self, view: RegistryView) -> None:
         view.version += 1
         publish_json(self.path, view.to_doc())
-        if self._telemetry.enabled:
-            registry = self._telemetry.registry
-            registry.set("smb/membership/epoch", view.epoch)
-            registry.set("smb/membership/live", view.total_members())
+        self._registry.set("smb/membership/epoch", view.epoch)
+        self._registry.set("smb/membership/live", view.total_members())
 
     # -- locking -----------------------------------------------------------
 

@@ -47,7 +47,7 @@ from time import monotonic as _monotonic
 import numpy as np
 
 from ..telemetry import Counter, Gauge, MetricsRegistry, TelemetrySession
-from ..telemetry import current as _telemetry_current
+from ..telemetry import resolve as _resolve_telemetry
 from .errors import (
     NotificationTimeout,
     PayloadSizeError,
@@ -97,14 +97,18 @@ _FLOAT32 = np.dtype(np.float32)
 
 def _accumulate_dtype(message: Message) -> np.dtype:
     """An ACCUMULATE's element dtype: its payload names it, and an empty
-    payload means float32, so the hot-path frame is header-only."""
+    payload means float32, so the hot-path frame is header-only.  Only a
+    floating type is a gradient; anything else is refused."""
     if not message.payload_nbytes:
         return _FLOAT32
-    name = bytes(message.payload).decode()
+    name = bytes(message.payload).decode(errors="replace")
     try:
-        return np.dtype(name)
+        dtype = np.dtype(name)
     except TypeError as exc:
         raise SMBError(f"bad accumulate dtype {name!r}: {exc}") from exc
+    if dtype.kind != "f":
+        raise SMBError(f"accumulate dtype {name!r} is not a floating type")
+    return dtype
 
 
 def _payload_values(message: Message) -> np.ndarray:
@@ -240,8 +244,7 @@ class SMBServer:
         journal_ops: bool = True,
     ) -> None:
         self.pool = MemoryPool(capacity)
-        self._telemetry = telemetry
-        tel = telemetry if telemetry is not None else _telemetry_current()
+        self._telemetry = tel = _resolve_telemetry(telemetry)
         # Always-on counting (the Fig. 7 benchmark reads it regardless of
         # telemetry mode), mirrored into a recording session's registry.
         self.stats = ServerStats(tel.registry if tel.enabled else None)
@@ -502,8 +505,6 @@ class SMBServer:
         the response payload is a view of ``out``.
         """
         tel = self._telemetry
-        if tel is None:
-            tel = _telemetry_current()
         if not tel.enabled:
             return self._handle(request, out, tenant)
         trace = tel.trace

@@ -33,8 +33,7 @@ from collections import OrderedDict
 from time import monotonic
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..telemetry import TelemetrySession
-from ..telemetry import current as _telemetry_current
+from ..telemetry import TelemetrySession, resolve as _resolve_telemetry
 from .client import SMBClient
 from .errors import (
     NotificationTimeout,
@@ -148,7 +147,7 @@ class ReplicaServer:
         self.name = name
         self.tenant = tenant
         self._connect = connect
-        self._telemetry = telemetry
+        self._registry = _resolve_telemetry(telemetry).registry
         self._subs: Dict[str, _Subscription] = {
             seg: _Subscription(seg, ring_depth) for seg in segments
         }
@@ -248,7 +247,7 @@ class ReplicaServer:
             return published
         snapshot = sub.ring.get(version)
         if snapshot is not None:
-            self._record("serve/replica/ring_hit")
+            self._registry.inc("serve/replica/ring_hit")
             self._count_read(len(snapshot))
             return version, snapshot
         return self._primary_fallback(sub, version, current)
@@ -262,7 +261,7 @@ class ReplicaServer:
         primary just minted): the primary is still at that version, so
         the read both serves the request and warms the mirror.
         """
-        self._record("serve/replica/fallback")
+        self._registry.inc("serve/replica/fallback")
         try:
             client = self._fallback_client()
             shm_key, nbytes = client.lookup(sub.name)
@@ -307,23 +306,11 @@ class ReplicaServer:
 
     # -- subscription machinery -------------------------------------------
 
-    def _registry(self):
-        tel = self._telemetry
-        if tel is None:
-            tel = _telemetry_current()
-        return tel.registry if tel.enabled else None
-
-    def _record(self, counter: str, value: int = 1) -> None:
-        registry = self._registry()
-        if registry is not None:
-            registry.inc(counter, value)
-
     def _count_read(self, nbytes: int) -> None:
-        registry = self._registry()
-        if registry is not None:
-            registry.inc("serve/replica/reads")
-            registry.inc(f"serve/replica/tenant/{self.tenant}/reads")
-            registry.inc("serve/replica/bytes_read", nbytes)
+        registry = self._registry
+        registry.inc("serve/replica/reads")
+        registry.inc(f"serve/replica/tenant/{self.tenant}/reads")
+        registry.inc("serve/replica/bytes_read", nbytes)
 
     def _make_client(self) -> Optional[SMBClient]:
         """One subscription client, tracked so stop() can wake its wait."""
@@ -390,7 +377,7 @@ class ReplicaServer:
                 # matches the primary again — but KEEP the ring:
                 # pinned reads of pre-crash versions must still serve.
                 sub.resyncs += 1
-                self._record("serve/replica/resyncs")
+                self._registry.inc("serve/replica/resyncs")
                 logger.warning(
                     "replica %s: primary regressed for %r (%s); resyncing",
                     self.name, sub.name, regress,
@@ -404,7 +391,7 @@ class ReplicaServer:
                 # wait reported; a *recovery* between the two calls can.
                 # Treat it as a regression: force-resync to what we read.
                 sub.resyncs += 1
-                self._record("serve/replica/resyncs")
+                self._registry.inc("serve/replica/resyncs")
                 self._apply(sub, bytes(buf), version, force=True)
                 continue
             self._apply(sub, bytes(buf), version, force=False)
@@ -424,14 +411,12 @@ class ReplicaServer:
         sub.ring.push(version, data)
         sub.current = (version, data)
         sub.last_update_at = monotonic()
-        registry = self._registry()
-        if registry is not None:
-            registry.inc("serve/replica/updates")
-            if version > previous:
-                # How many primary versions this apply coalesced: 0 means
-                # the mirror saw every update, N means N were skipped
-                # while we were reading/applying the previous one.
-                registry.observe(
-                    "serve/replica/lag", float(version - previous - 1)
-                )
+        self._registry.inc("serve/replica/updates")
+        if version > previous:
+            # How many primary versions this apply coalesced: 0 means
+            # the mirror saw every update, N means N were skipped
+            # while we were reading/applying the previous one.
+            self._registry.observe(
+                "serve/replica/lag", float(version - previous - 1)
+            )
         sub.ready.set()

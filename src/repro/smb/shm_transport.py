@@ -104,7 +104,7 @@ from .protocol import (
     read_hello,
     recv_exact,
 )
-from .server import DEFAULT_POOL_CAPACITY, SMBServer
+from .server import DEFAULT_POOL_CAPACITY, SMBServer, _payload_bound
 from .transport import ChannelTransport
 
 logger = logging.getLogger(__name__)
@@ -531,16 +531,17 @@ class ShmSMBServer:
         block: _Block,
         tenant: str,
         handed: Set[int],
+        header: bytes,
+        paylen: int,
     ) -> None:
-        """Parse, dispatch and answer one request frame.
+        """Dispatch and answer one request frame, whose ``header``
+        declares ``paylen`` payload bytes.
 
         ``handed`` holds the access keys whose memfd this connection was
         already sent: the first successful READ of any other key sends
         it with the response doorbell.
         """
         buf = block.buf
-        header = bytes(buf[:HEADER_SIZE])
-        paylen = payload_length(header)
         request = Message.decode(
             header, buf[DATA_OFFSET:DATA_OFFSET + paylen]
         )
@@ -606,7 +607,18 @@ class ShmSMBServer:
                         value, ceiling, os.fstat(fd).st_size,
                     )
                     break
-                self._serve_frame(conn, block, tenant, handed)
+                # Then the header, by the TCP doorway's per-op rule.
+                header = bytes(block.buf[:HEADER_SIZE])
+                paylen = payload_length(header)
+                bound = _payload_bound(header[0], self.core.pool.capacity)
+                if bound is None or paylen > bound:
+                    logger.warning(
+                        "shm frame declares %d payload bytes for opcode %d "
+                        "(bound %s); dropping connection",
+                        paylen, header[0], bound,
+                    )
+                    break
+                self._serve_frame(conn, block, tenant, handed, header, paylen)
         except SMBConnectionError:
             pass  # peer went away; normal teardown
         except Exception:  # noqa: BLE001 - keep the server alive

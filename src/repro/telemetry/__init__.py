@@ -13,11 +13,14 @@ The observability backbone of the reproduction.  Three layers:
   overlap is directly visible.
 
 A :class:`TelemetrySession` bundles all three under an ``off`` /
-``metrics`` / ``trace`` mode; instrumented components default to the
-process-wide :func:`current` session (install one with
-:func:`configure`, or scope one with the :func:`session` context
-manager).  :mod:`repro.telemetry.report` renders saved runs and
-cross-validates measured phase times against the analytic perf model.
+``metrics`` / ``trace`` mode.  A component records into its
+``telemetry=`` session, else into the process-wide :func:`current` one
+as it stood at construction (:func:`resolve`; install one with
+:func:`configure`, or scope one with :func:`session`).  The binding is
+fixed at construction, and an ``off`` session's instruments are no-ops
+(:class:`NullRegistry`), so call sites record unconditionally.
+:mod:`repro.telemetry.report` renders saved runs and cross-validates
+measured phase times against the analytic perf model.
 """
 
 from .logconfig import LOG_LEVELS, setup_logging
@@ -30,8 +33,8 @@ from .phases import (
     PhaseTimer,
     phase_metric,
 )
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .runtime import MODES, TelemetrySession, configure, current, session
+from .registry import Counter, Gauge, Histogram, MetricsRegistry, NullRegistry
+from .runtime import MODES, TelemetrySession, configure, current, resolve, session
 from .trace import TraceRecorder
 
 __all__ = [
@@ -44,6 +47,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_PHASE_TIMER",
     "NullPhaseTimer",
+    "NullRegistry",
     "PAPER_PHASES",
     "PHASE_BLOCK",
     "PhaseTimer",
@@ -52,6 +56,7 @@ __all__ = [
     "configure",
     "current",
     "phase_metric",
+    "resolve",
     "session",
     "setup_logging",
 ]

@@ -19,7 +19,7 @@ import math
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry"]
 
 #: Geometric growth factor between histogram bucket boundaries.
 BUCKET_GROWTH = 1.1
@@ -266,3 +266,24 @@ class MetricsRegistry:
                 sorted(self._metrics.items())
             )
         return {name: metric.snapshot() for name, metric in items}
+
+
+class NullRegistry(MetricsRegistry):
+    """An ``off`` session's registry: records nothing, snapshots to ``{}``.
+
+    The registry-level twin of :data:`~repro.telemetry.NULL_PHASE_TIMER`,
+    so call sites record unconditionally.  An instrument asked for by
+    name is a detached one that no snapshot ever sees.
+    """
+
+    def _get_or_create(self, name: str, cls: type) -> object:
+        return cls(name)
+
+    def inc(self, name: str, amount: int = 1) -> None:
+        pass
+
+    def set(self, name: str, value: float) -> None:
+        pass
+
+    def observe(self, name: str, value: float) -> None:
+        pass

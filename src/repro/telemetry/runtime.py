@@ -3,17 +3,17 @@
 A :class:`TelemetrySession` bundles a metrics registry with an optional
 trace recorder under one of three modes:
 
-* ``off``     — every instrument call is a no-op (the default; the
-  instrumented hot paths cost two empty method calls per span);
+* ``off``     — every instrument call is a no-op (the default; a
+  :class:`~repro.telemetry.registry.NullRegistry`);
 * ``metrics`` — counters/gauges/histograms record, no trace events;
 * ``trace``   — metrics *plus* Chrome-trace events for every span.
 
-Instrumented components (SMB server/client, workers, the training
-manager) accept an explicit session and fall back to the process-wide
-:func:`current` one, so ``python -m repro --telemetry trace train ...``
-lights everything up without threading a session through every
-constructor.  Tests use the :func:`session` context manager to install
-an isolated session and restore the previous one on exit.
+A component records into the ``telemetry=`` session it was given, else
+into the :func:`current` one as it stood at construction (:func:`resolve`),
+and never looks :func:`current` up again.  ``python -m repro --telemetry
+trace train ...`` installs its session before it builds anything.  Tests
+use the :func:`session` context manager to install an isolated session
+and restore the previous one on exit.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ import time
 from typing import Dict, Iterator, Optional, Tuple
 
 from .phases import NULL_PHASE_TIMER, NullPhaseTimer, PhaseTimer
-from .registry import MetricsRegistry
+from .registry import MetricsRegistry, NullRegistry
 from .trace import DEFAULT_MAX_EVENTS, TraceRecorder
 
 __all__ = [
-    "MODES", "TelemetrySession", "current", "configure", "session",
+    "MODES", "TelemetrySession", "current", "configure", "resolve", "session",
 ]
 
 #: Valid telemetry modes, least to most detailed.
@@ -53,7 +53,7 @@ class TelemetrySession:
                 f"telemetry mode must be one of {MODES}, got {mode!r}"
             )
         self.mode = mode
-        self.registry = MetricsRegistry()
+        self.registry = NullRegistry() if mode == "off" else MetricsRegistry()
         self.trace: Optional[TraceRecorder] = (
             TraceRecorder(max_trace_events) if mode == "trace" else None
         )
@@ -171,6 +171,12 @@ _current_lock = threading.Lock()
 def current() -> TelemetrySession:
     """The process-wide session instrumented code falls back to."""
     return _current
+
+
+def resolve(telemetry: Optional[TelemetrySession] = None) -> TelemetrySession:
+    """The session a component built now records into: ``telemetry``
+    if given, else the :func:`current` one, fixed from here on."""
+    return telemetry if telemetry is not None else _current
 
 
 def configure(

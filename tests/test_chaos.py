@@ -154,9 +154,9 @@ class TestRetryPolicy:
 
     def test_fatal_server_errors_are_not_retried(self):
         """Deterministic rejections must not burn the retry budget."""
-        server = SMBServer(capacity=1 << 20)
-        client = SMBClient.in_process(server, retry_policy=FAST_RETRY)
         with telemetry.session("metrics") as tel:
+            server = SMBServer(capacity=1 << 20)
+            client = SMBClient.in_process(server, retry_policy=FAST_RETRY)
             with pytest.raises(UnknownKeyError):
                 client.version(0xDEAD)
             assert tel.registry.counter("smb/client/retries").value == 0
@@ -260,6 +260,26 @@ class TestChaosTraining:
             snapshot = tel.registry.snapshot()
             assert snapshot["smb/faults/error"]["value"] > 0
             assert snapshot["smb/client/retries"]["value"] > 0
+
+    def test_fault_counters_reach_an_explicit_session(self, dataset):
+        """A manager's own session, never installed as current, gets the
+        fault injectors' counts beside its clients' retries."""
+        tel = telemetry.TelemetrySession("metrics")
+        manager = DistributedTrainingManager(
+            spec_factory=lambda: small_spec(batch=4),
+            config=make_config(iterations=6),
+            dataset=dataset,
+            batch_size=4,
+            num_workers=2,
+            seed=1,
+            telemetry=tel,
+            retry_policy=FAST_RETRY,
+            fault_plan=FaultPlan(seed=1234, error_rate=0.2),
+        )
+        manager.run(timeout=300)
+        snapshot = tel.registry.snapshot()
+        assert snapshot["smb/faults/error"]["value"] > 0
+        assert snapshot["smb/client/retries"]["value"] > 0
 
     def test_worker_death_survivors_complete(self, dataset):
         """Acceptance scenario: 1 of 4 workers dies mid-run under >=5%

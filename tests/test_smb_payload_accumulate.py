@@ -16,10 +16,12 @@ from repro.smb import (
     PayloadSizeError,
     SegmentRangeError,
     SMBClient,
+    SMBError,
     SMBProtocolError,
     SMBServer,
     TcpSMBServer,
 )
+from repro.smb.errors import is_retryable
 from repro.smb.protocol import Message, Op
 from repro.telemetry import TelemetrySession
 
@@ -123,6 +125,36 @@ class TestOracle:
         # The connection keeps serving.
         ones = np.ones(COUNT, dtype=np.float32)
         assert array.accumulate(ones) == version + 1
+
+    @pytest.mark.parametrize(
+        "dtype", [b"object", b"S4", b"bool", b"\xff"],
+        ids=["object", "S4", "bool", "not-utf8"],
+    )
+    def test_a_segment_accumulate_of_no_float_dtype_is_refused(
+        self, doorway, dtype
+    ):
+        """Only a floating dtype is a gradient.  ``object`` used to escape
+        ``handle`` as a raw ``TypeError`` (over TCP: a dropped connection
+        the client would retry), ``S4`` / ``bool`` were applied, and a
+        name that is not UTF-8 escaped as a ``UnicodeDecodeError``."""
+        client = doorway.connect()
+        array = client.create_array("W_g", 16)
+        source = client.create_array("dW", 16)
+        before = np.arange(16, dtype=np.float32)
+        array.write(before)
+        source.write(np.ones(16, dtype=np.float32))
+        version = array.version()
+        with pytest.raises(SMBError) as excinfo:
+            client._call(Message(
+                op=Op.ACCUMULATE, key=array.access_key,
+                key2=source.access_key, payload=dtype,
+            ))
+        assert not is_retryable(excinfo.value)
+        assert array.read().tobytes() == before.tobytes()
+        assert array.version() == version
+        assert client.accumulate(array.access_key, source.access_key) == (
+            version + 1
+        )
 
 
 class TestDurability:

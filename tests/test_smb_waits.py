@@ -182,13 +182,19 @@ class TestBlockingWaitStress:
         assert all(isinstance(e, UnknownKeyError) for e in outcomes.values())
 
 
+@pytest.fixture
+def metrics_session():
+    """A recording session opened before ``doorway``: its server binds it."""
+    with telemetry.session("metrics") as tel:
+        yield tel
+
+
 class TestTimedOutWaitTelemetry:
-    def test_a_timed_out_wait_is_recorded_once(self, doorway):
+    def test_a_timed_out_wait_is_recorded_once(self, metrics_session, doorway):
         client = doorway.connect()
         array = client.create_array("w", 16)
-        with telemetry.session("metrics") as tel:
-            with pytest.raises(NotificationTimeout):
-                array.wait_update(array.version(), timeout=0.1)
-            snapshot = tel.registry.snapshot()
+        with pytest.raises(NotificationTimeout):
+            array.wait_update(array.version(), timeout=0.1)
+        snapshot = metrics_session.registry.snapshot()
         assert snapshot["smb/server/time/WAIT_UPDATE"]["count"] == 1
         assert snapshot["smb/server/errors/TIMEOUT"]["value"] == 1

@@ -19,6 +19,9 @@ from repro.caffe.data import SyntheticImageDataset
 from repro.caffe.models import scaled_spec
 from repro.core.config import ShmCaffeConfig
 from repro.core.trainer import DistributedTrainingManager
+from repro.serve import ModelGateway
+from repro.smb import ReplicaServer, SMBClient
+from repro.smb.memory import DEFAULT_TENANT
 from repro.smb.protocol import Op
 from repro.smb.server import ServerStats, SMBServer
 from repro.telemetry import (
@@ -221,6 +224,99 @@ class TestSessionScoping:
             assert telemetry.current() is installed
         finally:
             runtime._current = original  # restore for other tests
+
+
+def _record_server(server):
+    client = SMBClient.in_process(server, TelemetrySession("off"))
+    array = client.create_array("w", 16)
+    array.write(np.ones(16, dtype=np.float32))
+    array.read()
+
+
+def _serving_primary(**replica_kwargs):
+    """A primary holding ``W_g`` and a replica of it; only the replica
+    may record (where ``replica_kwargs`` says)."""
+    quiet = TelemetrySession("off")
+    server = SMBServer(capacity=1 << 20, telemetry=quiet)
+    master = SMBClient.in_process(server, quiet)
+    master.create_array("W_g", 16).write(np.ones(16, dtype=np.float32))
+    replica = ReplicaServer(
+        lambda: SMBClient.in_process(server, quiet), ["W_g"], name="r0",
+        **replica_kwargs,
+    )
+    return master, replica
+
+
+# Each builder makes one component under test (bound to whatever
+# session is current) and returns (record, close, a metric it records).
+
+def _build_server():
+    server = SMBServer(capacity=1 << 20)
+    return lambda: _record_server(server), lambda: None, "smb/server/ops/WRITE"
+
+
+def _build_client():
+    server = SMBServer(capacity=1 << 20, telemetry=TelemetrySession("off"))
+    client = SMBClient.in_process(server)
+
+    def record():
+        array = client.create_array("w", 16)
+        array.write(np.ones(16, dtype=np.float32))
+    return record, client.close, "smb/client/time/WRITE"
+
+
+def _build_replica():
+    master, replica = _serving_primary()
+
+    def record():
+        replica.start()
+        assert replica.wait_ready(5.0)
+        replica.read("W_g")
+    return record, lambda: (replica.stop(), master.close()), "serve/replica/reads"
+
+
+def _build_gateway():
+    master, replica = _serving_primary(telemetry=TelemetrySession("off"))
+    gateway = ModelGateway([replica])
+
+    def record():
+        replica.start()
+        assert replica.wait_ready(5.0)
+        gateway.read(DEFAULT_TENANT, "W_g")
+    return record, lambda: (replica.stop(), master.close()), "serve/gateway/reads"
+
+
+class TestOneBinding:
+    """A component records into the session it was built with."""
+
+    def test_off_registry_records_nothing(self):
+        registry = TelemetrySession("off").registry
+        registry.inc("c")
+        registry.set("g", 1.0)
+        registry.observe("h", 0.5)
+        registry.counter("c2").inc()
+        assert registry.snapshot() == {}
+
+    @pytest.mark.parametrize(
+        "build", [_build_server, _build_client, _build_replica, _build_gateway],
+        ids=["server", "client", "replica", "gateway"],
+    )
+    def test_records_into_the_session_it_was_built_in(self, build):
+        with telemetry.session("metrics") as built_in:
+            record, close, metric = build()
+            try:
+                with telemetry.session("metrics") as later:
+                    record()
+            finally:
+                close()
+        assert metric in built_in.registry.snapshot()
+        assert later.registry.snapshot() == {}
+
+    def test_a_server_built_outside_a_session_records_none_of_it(self):
+        server = SMBServer(capacity=1 << 20)
+        with telemetry.session("metrics") as tel:
+            _record_server(server)
+        assert tel.registry.snapshot() == {}
 
 
 class TestServerStatsMigration:

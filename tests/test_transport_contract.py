@@ -26,6 +26,7 @@ from repro.smb import (
     SegmentRangeError,
     TransportClosedError,
 )
+from repro.smb.protocol import Message, Op
 from repro.smb.transport import WAIT_SLICE
 
 from .conftest import CAPACITY
@@ -49,6 +50,31 @@ def _parked_waiter(array, outcome):
 
 
 class TestTransportContract:
+    @pytest.mark.parametrize("doorway", ["tcp", "shm"], indirect=True)
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            Message(op=Op.LOOKUP, payload=b"n" * (64 << 10)),
+            Message(op=Op.VERSION, payload=bytes(100_000)),
+        ],
+        ids=["lookup-64KiB-name", "version-100KB-payload"],
+    )
+    def test_a_frame_over_its_op_bound_costs_its_connection(
+        self, doorway, frame
+    ):
+        """A name op carries at most ``MAX_NAME_PAYLOAD`` bytes and
+        VERSION none: both doorways judge the header by that one rule
+        and drop the connection before decoding, and serve the next."""
+        bad = doorway.transport()
+        try:
+            with pytest.raises(SMBConnectionError):
+                bad.request(frame)
+        finally:
+            bad.close()
+        array = doorway.connect().create_array("w", 16)
+        array.write(np.ones(16, dtype=np.float32))
+        assert np.array_equal(array.read(), np.ones(16, dtype=np.float32))
+
     def test_round_trip_is_bit_exact(self, doorway):
         client = doorway.connect()
         count = 1 << 16
