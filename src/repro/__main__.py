@@ -179,20 +179,30 @@ def _cmd_smb_tenants(args: argparse.Namespace) -> int:
 
 def _cmd_smb_elastic_drill(args: argparse.Namespace) -> int:
     """The ``--scenario elastic`` branch of ``smb chaos``."""
+    import inspect
     import tempfile
 
     from .experiments.elastic import run_elastic_drill
 
+    # The chaos flags default per scenario: the drill gets only what was
+    # set and keeps its own defaults otherwise.
+    flags = (("num_workers", args.workers), ("iterations", args.iterations))
+    overrides = {name: value for name, value in flags if value is not None}
+    drill_defaults = inspect.signature(run_elastic_drill).parameters
+    workers = overrides.get("num_workers", drill_defaults["num_workers"].default)
+    if workers >= args.max_workers:
+        print(f"error: {workers} launch workers leave the joiner no slot under "
+              f"--max-workers {args.max_workers}", file=sys.stderr)
+        return 2
     workdir = args.workdir or tempfile.mkdtemp(prefix="elastic-drill-")
-    print(f"elastic drill: {args.workers} launch workers, "
+    print(f"elastic drill: {workers} launch workers, "
           f"ceiling {args.max_workers}, seed {args.seed}")
     print(f"  join after {args.join_at} heartbeat(s), retire after "
           f"{args.retire_after}; workdir {workdir}")
     report = run_elastic_drill(
         workdir,
-        num_workers=args.workers,
+        **overrides,
         max_workers=args.max_workers,
-        iterations=args.iterations,
         join_at=args.join_at,
         retire_after=args.retire_after,
         seed=args.seed,
@@ -278,6 +288,8 @@ def _cmd_smb_chaos(args: argparse.Namespace) -> int:
     """
     if args.scenario == "elastic":
         return _cmd_smb_elastic_drill(args)
+    workers = 4 if args.workers is None else args.workers
+    iterations = 6 if args.iterations is None else args.iterations
     from .caffe import SolverConfig, SyntheticImageDataset
     from .core import (
         DistributedTrainingManager,
@@ -312,10 +324,10 @@ def _cmd_smb_chaos(args: argparse.Namespace) -> int:
     config = ShmCaffeConfig(
         solver=SolverConfig(base_lr=0.05, momentum=0.9),
         moving_rate=0.2,
-        max_iterations=args.iterations,
+        max_iterations=iterations,
         termination=TerminationCriterion.AVERAGE_ITERATIONS,
     )
-    print(f"chaos drill: {args.workers} workers x {args.iterations} iters, "
+    print(f"chaos drill: {workers} workers x {iterations} iters, "
           f"seed {args.seed}")
     print(f"  plan:   error={plan.error_rate:.0%} delay={plan.delay_rate:.0%} "
           f"disconnect={plan.disconnect_rate:.0%} "
@@ -328,7 +340,7 @@ def _cmd_smb_chaos(args: argparse.Namespace) -> int:
             config=config,
             dataset=dataset,
             batch_size=args.batch_size,
-            num_workers=args.workers,
+            num_workers=workers,
             seed=args.seed,
             telemetry=tel,
             retry_policy=policy,
@@ -360,7 +372,7 @@ def _cmd_smb_chaos(args: argparse.Namespace) -> int:
     if not survivors:
         print("  outcome: every worker died")
         return 1
-    print(f"  outcome: {len(survivors)}/{args.workers} workers completed "
+    print(f"  outcome: {len(survivors)}/{workers} workers completed "
           f"training")
     return 0
 
@@ -675,8 +687,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="faults: seeded fault injection; elastic: "
                             "join a worker mid-run, retire one, reclaim "
                             "its slot")
-    chaos.add_argument("--workers", type=int, default=4)
-    chaos.add_argument("--iterations", type=int, default=6)
+    chaos.add_argument("--workers", type=int, default=None,
+                       help="default: 4 for faults, the drill's own for elastic")
+    chaos.add_argument("--iterations", type=int, default=None,
+                       help="default: 6 for faults, the drill's own for elastic")
     chaos.add_argument("--batch-size", type=int, default=4)
     chaos.add_argument("--seed", type=int, default=0,
                        help="seed for data, faults, and retry jitter")

@@ -69,7 +69,7 @@ class Blob:
     def _rebindable(
         self, value: np.ndarray, current: np.ndarray, which: str
     ) -> np.ndarray:
-        # ``blob.diff += g`` re-assigns the very same array; anything else
+        # ``blob.data -= v`` re-assigns the very same array; anything else
         # must still be a same-shaped window onto the homed storage.
         if value is current or not self._homed:
             return value
@@ -108,7 +108,7 @@ class Blob:
         return self._count * 4
 
     def zero_diff(self) -> None:
-        """Clear accumulated gradients (start of a solver step)."""
+        """Clear the gradient."""
         self._diff.fill(0.0)
 
     def copy_from(self, other: "Blob", copy_diff: bool = False) -> None:

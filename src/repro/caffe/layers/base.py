@@ -7,10 +7,10 @@ allocating nothing, so :func:`repro.caffe.netspec.infer` sizes a
 138 M-parameter VGG16 from the same rule a :class:`~repro.caffe.net.Net`
 builds it with.  ``setup`` runs the rule and allocates those blobs,
 ``forward`` maps bottom arrays to top arrays, ``backward`` maps top
-gradients to bottom gradients and *accumulates* parameter gradients into
-each parameter blob's ``diff``.  ``backward`` may return ``None`` in place
-of the gradient of a bottom whose :attr:`Layer.propagate_down` entry is
-false: nobody reads it.
+gradients to bottom gradients and *writes* parameter gradients into
+each parameter blob's ``diff`` (see :meth:`repro.caffe.net.Net.backward`).
+``backward`` may return ``None`` in place of the gradient of a bottom
+whose :attr:`Layer.propagate_down` entry is false: nobody reads it.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class Layer:
         bottoms: Sequence[np.ndarray],
         tops: Sequence[np.ndarray],
     ) -> Sequence[Optional[np.ndarray]]:
-        """Return bottom gradients; accumulate parameter gradients."""
+        """Return bottom gradients; write parameter gradients."""
         raise NotImplementedError
 
     def __repr__(self) -> str:

@@ -109,9 +109,9 @@ class Convolution(Layer):
         # dW = sum_n top_diff @ columns^T: one batched GEMM, then a sum
         # (``np.add.reduce`` is what ``ndarray.sum`` calls, one frame later).
         grad_w = np.matmul(flat_diff, self._columns.transpose(0, 2, 1))
-        self.params[0].diff += np.add.reduce(grad_w, axis=0).reshape(self.params[0].shape)
+        np.add.reduce(grad_w, axis=0, out=self.params[0].diff.reshape(grad_w.shape[1:]))
         if self.bias:
-            self.params[1].diff += np.add.reduce(flat_diff, axis=(0, 2))
+            np.add.reduce(flat_diff, axis=(0, 2), out=self.params[1].diff)
         self._columns = None
         if self.propagate_down == [False]:
             return [None]
@@ -189,21 +189,14 @@ class InnerProduct(Layer):
             (self.num_output, int(np.prod(rest))), self.bias
         )
 
-    def setup(
-        self, bottom_shapes: Sequence[Shape], rng: np.random.Generator
-    ) -> List[Shape]:
-        top_shapes = super().setup(bottom_shapes, rng)
-        # dW lands here before it is accumulated into the weight diff, so
-        # backward allocates nothing weight-sized.
-        self._grad_scratch = np.empty(self.params[0].shape, dtype=np.float32)
-        return top_shapes
-
     def forward(
         self, bottoms: Sequence[np.ndarray], train: bool
     ) -> List[np.ndarray]:
         (bottom,) = bottoms
         flat = bottom.reshape(bottom.shape[0], -1)
-        top = flat @ self.params[0].data.T
+        # ``W @ flat^T``, not ``flat @ W^T``: the same dot products, in the
+        # operand order OpenBLAS's fast kernel takes at a small batch.
+        top = np.ascontiguousarray(np.matmul(self.params[0].data, flat.T).T)
         if self.bias:
             top += self.params[1].data
         return [top]
@@ -218,9 +211,9 @@ class InnerProduct(Layer):
         (bottom,) = bottoms
         flat = bottom.reshape(bottom.shape[0], -1)
         weight = self.params[0]
-        weight.diff += np.matmul(top_diff.T, flat, out=self._grad_scratch)
+        np.matmul(top_diff.T, flat, out=weight.diff)
         if self.bias:
-            self.params[1].diff += top_diff.sum(axis=0)
+            np.add.reduce(top_diff, axis=0, out=self.params[1].diff)
         if self.propagate_down == [False]:
             return [None]
         bottom_diff = top_diff @ weight.data

@@ -56,9 +56,9 @@ class Scale(Layer):
         (top_diff,) = top_diffs
         (bottom,) = bottoms
         axes = tuple(a for a in range(bottom.ndim) if a != 1)
-        self.params[0].diff += (top_diff * bottom).sum(axis=axes)
+        np.add.reduce(top_diff * bottom, axis=axes, out=self.params[0].diff)
         if self.bias:
-            self.params[1].diff += top_diff.sum(axis=axes)
+            np.add.reduce(top_diff, axis=axes, out=self.params[1].diff)
         return [
             top_diff * self._expand(self.params[0].data, bottom.ndim)
         ]

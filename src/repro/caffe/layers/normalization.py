@@ -128,8 +128,8 @@ class BatchNorm(Layer):
 
         if self.affine:
             gamma = self.params[0].data
-            self.params[0].diff += (top_diff * normalised).sum(axis=axes)
-            self.params[1].diff += top_diff.sum(axis=axes)
+            np.add.reduce(top_diff * normalised, axis=axes, out=self.params[0].diff)
+            np.add.reduce(top_diff, axis=axes, out=self.params[1].diff)
             d_norm = top_diff * self._expand(gamma, top_diff.ndim)
         else:
             d_norm = top_diff

@@ -81,9 +81,10 @@ class Net:
         ]
         self._params = [blob for blob, _, _ in self._param_entries]
         total = sum(blob.count for blob in self._params)
-        #: All learnable values / gradients, in layer order.
+        #: All learnable values / gradients, in layer order.  The gradients
+        #: start at zero and nothing clears them (see :meth:`backward`).
         self.param_data = np.empty(total, dtype=np.float32)
-        self.param_diff = np.empty(total, dtype=np.float32)
+        self.param_diff = np.zeros(total, dtype=np.float32)
         #: Where blob ``i`` of :attr:`params` lives in the arenas.
         self.param_slices: List[slice] = []
         offset = 0
@@ -106,10 +107,6 @@ class Net:
     def param_count(self) -> int:
         """Total learnable scalars."""
         return self.param_data.size
-
-    def zero_param_diffs(self) -> None:
-        """Clear accumulated gradients before a new solver step."""
-        self.param_diff.fill(0.0)
 
     def copy_params_from(self, other: "Net") -> None:
         """Clone another replica's weights (same spec required)."""
@@ -156,7 +153,15 @@ class Net:
         return activations
 
     def backward(self) -> None:
-        """Back-propagate from every loss blob; accumulates param diffs."""
+        """Back-propagate from every loss blob; writes the param diffs.
+
+        Each param layer writes its gradient into its diff (``out=``):
+        Caffe's ``ClearParamDiffs`` + ``beta = 1`` result without the
+        clear, because nothing shares a param blob or sums over
+        ``iter_size``, and a param layer runs backward on every step or
+        on none.  One with no path to a loss keeps the zero its diff was
+        allocated with; BatchNorm's running statistics never get one.
+        """
         if not self._activations:
             raise LayerError("backward called before forward")
         blob_diffs: Dict[str, np.ndarray] = {}

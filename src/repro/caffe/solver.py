@@ -113,7 +113,6 @@ class SGDSolver:
         self, inputs: Dict[str, np.ndarray]
     ) -> Dict[str, float]:
         """Forward+backward only (synchronous platforms aggregate first)."""
-        self.net.zero_param_diffs()
         outputs = self.net.forward(inputs, train=True)
         self.net.backward()
         result = {"loss": self.net.total_loss(outputs)}

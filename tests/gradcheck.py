@@ -21,7 +21,6 @@ def check_net_gradients(
     relative error of each sampled entry must stay under ``tol``.
     """
     net = Net(spec, seed=0)
-    net.zero_param_diffs()
     net.forward(inputs, train=True)
     net.backward()
     analytic = {

@@ -1,5 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import functools
+import inspect
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -205,3 +208,63 @@ class TestExecution:
         assert code == 1
         err = capsys.readouterr().err
         assert "not a telemetry metrics dump" in err
+
+
+class TestChaosScenarioDefaults:
+    """``--workers`` / ``--iterations`` default per ``smb chaos`` scenario."""
+
+    class Recorded(Exception):
+        pass
+
+    @pytest.fixture
+    def drill_calls(self, monkeypatch):
+        """Record the elastic drill's kwargs instead of running it."""
+        from repro.experiments import elastic
+
+        calls = []
+
+        @functools.wraps(elastic.run_elastic_drill)
+        def record(workdir, **kwargs):
+            calls.append(kwargs)
+            raise self.Recorded
+
+        monkeypatch.setattr(elastic, "run_elastic_drill", record)
+        return calls
+
+    def test_elastic_defaults_leave_the_joiner_a_slot(
+        self, drill_calls, tmp_path
+    ):
+        from repro.experiments.elastic import run_elastic_drill
+
+        defaults = inspect.signature(run_elastic_drill).parameters
+        with pytest.raises(self.Recorded):
+            main(["smb", "chaos", "--scenario", "elastic",
+                  "--workdir", str(tmp_path)])
+        (kwargs,) = drill_calls
+        workers = kwargs.get("num_workers", defaults["num_workers"].default)
+        assert workers < kwargs["max_workers"]
+        iterations = kwargs.get("iterations", defaults["iterations"].default)
+        assert iterations >= defaults["iterations"].default
+
+    def test_elastic_passes_on_what_the_user_set(self, drill_calls, tmp_path):
+        with pytest.raises(self.Recorded):
+            main(["smb", "chaos", "--scenario", "elastic", "--workers", "3",
+                  "--iterations", "80", "--workdir", str(tmp_path)])
+        (kwargs,) = drill_calls
+        assert (kwargs["num_workers"], kwargs["iterations"]) == (3, 80)
+
+    @pytest.mark.parametrize("flags", [["--workers", "4"],
+                                       ["--max-workers", "2"]])
+    def test_elastic_refuses_a_fleet_with_no_free_slot(
+        self, drill_calls, tmp_path, capsys, flags
+    ):
+        code = main(["smb", "chaos", "--scenario", "elastic", *flags,
+                     "--workdir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert drill_calls == []
+
+    def test_faults_keeps_four_workers_and_six_iterations(self, capsys):
+        assert main(["smb", "chaos"]) == 0
+        assert "chaos drill: 4 workers x 6 iters" in capsys.readouterr().out

@@ -33,7 +33,6 @@ def test_full_graph_forward_backward(name, image):
         ),
         "label": np.asarray([3]),
     }
-    net.zero_param_diffs()
     outputs = net.forward(inputs, train=True)
     loss = net.total_loss(outputs)
     assert np.isfinite(loss)
@@ -59,7 +58,6 @@ def test_inception_v1_aux_heads_receive_gradients():
     spec = models.full_spec("inception_v1", batch_size=1, image_size=112)
     net = Net(spec, seed=0)
     rng = np.random.default_rng(1)
-    net.zero_param_diffs()
     net.forward(
         {
             "data": rng.standard_normal((1, 3, 112, 112)).astype(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.caffe import FlatParams, Net, SGDSolver, SolverConfig
@@ -11,6 +11,7 @@ from repro.caffe.models import scaled_spec
 from repro.caffe.netspec import NetSpec
 
 from .test_netspec import small_spec
+from .test_pooling_kernels import assert_bit_identical
 
 
 def make_inputs(batch=2, channels=3, size=8, classes=4, seed=0):
@@ -67,7 +68,6 @@ class TestNet:
 
     def test_backward_fills_param_diffs(self):
         net = Net(small_spec(), seed=0)
-        net.zero_param_diffs()
         net.forward(make_inputs(), train=True)
         net.backward()
         assert any(np.abs(p.diff).sum() > 0 for p in net.params)
@@ -132,7 +132,6 @@ def mixed_fan_in_spec(join):
 
 
 def param_diffs(net, inputs):
-    net.zero_param_diffs()
     net.forward(inputs, train=True)
     net.backward()
     return net.param_diff.copy()
@@ -211,6 +210,102 @@ class TestPropagateDown:
         (top,) = layer.forward([bottom], train=True)
         assert layer.backward([np.ones_like(top)], [bottom], [top]) == [None]
         np.testing.assert_array_equal(layer.params[0].diff, weight_diff)
+
+
+def one_param_layer_spec(kind):
+    """``kind`` between the input and a pooled InnerProduct head."""
+    spec = NetSpec(kind)
+    data = spec.input("data", (2, 3, 6, 6))
+    labels = spec.input("label", (2,))
+    if kind == "conv":
+        top = spec.conv("layer", data, 4, kernel=3, stride=2, pad=1)
+    elif kind == "conv1x1":
+        top = spec.conv("layer", data, 4, kernel=1)
+    elif kind == "scale":
+        top = spec.add("Scale", "layer", [data], bias=True)[0]
+    elif kind == "batchnorm":
+        top = spec.add("BatchNorm", "layer", [data])[0]
+    else:
+        top = data
+    top = spec.pool("gp", top, method="ave", global_pool=True)
+    spec.softmax_loss("loss", spec.fc("fc", top, 4), labels)
+    return spec
+
+
+def dead_branch_spec():
+    """``dead`` learns nothing: its top feeds only a metric."""
+    spec = NetSpec("dead")
+    data = spec.input("data", (2, 3, 4, 4))
+    labels = spec.input("label", (2,))
+    spec.softmax_loss("loss", spec.fc("live", data, 4), labels)
+    spec.accuracy("acc", spec.fc("dead", data, 4), labels)
+    return spec
+
+
+class TestGradientWrite:
+    """Backward writes each param gradient; nothing clears the diffs."""
+
+    @pytest.mark.parametrize(
+        "kind", ["fc", "conv", "conv1x1", "scale", "batchnorm"]
+    )
+    def test_two_backwards_equal_one(self, kind):
+        net = Net(one_param_layer_spec(kind), seed=0)
+        inputs = make_inputs(size=6)
+        net.forward(inputs, train=True)
+        net.backward()
+        once = net.param_diff.copy()
+        for blob, lr_mult, _ in net.param_entries:
+            assert lr_mult == 0.0 or np.abs(blob.diff).sum() > 0, blob.name
+        net.forward(inputs, train=True)
+        net.backward()
+        assert_bit_identical(net.param_diff, once)
+
+    def test_a_dead_branch_keeps_a_zero_diff_and_its_weights(self):
+        net = Net(dead_branch_spec(), seed=0)
+        solver = SGDSolver(net, SolverConfig(base_lr=0.1, momentum=0.9))
+        dead = next(layer for layer in net.layers if layer.name == "dead")
+        weights = [blob.data.copy() for blob in dead.params]
+        inputs = make_inputs(size=4)
+        for _ in range(3):
+            solver.step(inputs)
+            for blob, before in zip(dead.params, weights):
+                assert not np.any(blob.diff)
+                assert_bit_identical(blob.data, before)
+        live = next(layer for layer in net.layers if layer.name == "live")
+        assert np.any(live.params[0].diff)
+
+
+class TestInnerProductForward:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 48), inputs=st.integers(1, 64),
+        outputs=st.integers(1, 48), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, inputs=7, outputs=5, seed=0)
+    @example(n=9, inputs=3, outputs=5, seed=0)
+    def test_matches_a_float64_oracle_within_its_bound(
+        self, n, inputs, outputs, seed
+    ):
+        """Each top value is a length-``in`` float32 dot product plus the
+        bias, so it lies within ``(in + 1) * eps`` of the exact value,
+        relative to the same sum over magnitudes (the standard bound for
+        recursive summation; blocked or FMA kernels only do better).  No
+        operand order is assumed: another CPU family's BLAS may round
+        differently."""
+        rng = np.random.default_rng(seed)
+        layer = InnerProduct("ip", outputs)
+        layer.setup([(n, inputs)], rng)
+        weight, bias = (blob.data for blob in layer.params)
+        bias[...] = rng.standard_normal(outputs)
+        bottom = rng.standard_normal((n, inputs)).astype(np.float32)
+        (top,) = layer.forward([bottom], train=True)
+        assert top.dtype == np.float32 and top.flags.c_contiguous
+        assert top.shape == (n, outputs)
+        wide = bottom.astype(np.float64), weight.astype(np.float64)
+        exact = wide[0] @ wide[1].T + bias
+        magnitude = np.abs(wide[0]) @ np.abs(wide[1]).T + np.abs(bias)
+        bound = (inputs + 1) * np.finfo(np.float32).eps * magnitude
+        assert np.all(np.abs(top - exact) <= bound)
 
 
 class TestSolverConfig:

@@ -299,7 +299,6 @@ class TestArenaSolverMatchesPerBlobLoop:
         inputs = batch_for(net)
         for iteration in range(4):
             solver.step(inputs)
-            shadow.zero_param_diffs()
             shadow.forward(inputs, train=True)
             shadow.backward()
             self.reference_update(
