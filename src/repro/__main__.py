@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .telemetry import LOG_LEVELS, MODES, configure, current, setup_logging
 
@@ -109,9 +109,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_smb_members(args: argparse.Namespace) -> int:
     """Inspect an elastic run's membership registry."""
     import json as json_mod
+    import os
 
     from .smb import MembershipRegistry
 
+    if not os.path.isdir(args.registry):
+        print(f"error: no registry directory at {args.registry}",
+              file=sys.stderr)
+        return 1
     registry = MembershipRegistry(args.registry)
     view = registry.read()
     if args.json:
@@ -152,13 +157,14 @@ def _cmd_smb_tenants(args: argparse.Namespace) -> int:
     """Per-namespace usage, quotas and op counters of a live server."""
     import json as json_mod
 
-    from .smb import SMBClient
+    from .smb import SMBClient, errors
 
-    client = SMBClient.connect(_parse_address(args.address))
     try:
-        stats = client.tenant_stats()
-    finally:
-        client.close()
+        with SMBClient.connect(_parse_address(args.address)) as client:
+            stats = client.tenant_stats()
+    except errors.SMBError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(json_mod.dumps(stats, indent=2, sort_keys=True))
         return 0
@@ -426,9 +432,23 @@ def _cmd_smb_drill(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_address(value: str):
-    host, _, port = value.partition(":")
+def _parse_address(value: str) -> Tuple[str, int]:
+    """``host:port`` as a socket address."""
+    host, _, port = value.rpartition(":")
+    if not host or not port.isdigit() or not 0 < int(port) < 1 << 16:
+        raise ValueError(f"expected host:port, got {value!r}")
     return host, int(port)
+
+
+def _endpoint(value: str) -> str:
+    """argparse ``type`` of every ``host:port`` flag: a malformed value
+    is a usage error (exit 2); the flag keeps the string."""
+    if value:
+        try:
+            _parse_address(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _resolve_primary(args: argparse.Namespace):
@@ -525,12 +545,12 @@ def _cmd_checkpoint_save(args: argparse.Namespace) -> int:
     address = _resolve_primary(args)
     if address is None:
         return 1
-    with SMBClient.connect(address) as client:
-        try:
+    try:
+        with SMBClient.connect(address) as client:
             seq, epoch = client.request_snapshot()
-        except errors.SMBError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    except errors.SMBError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"snapshot seq {seq} written (server epoch {epoch})")
     return 0
 
@@ -575,10 +595,7 @@ def _cmd_checkpoint_resume(args: argparse.Namespace) -> int:
 def _cmd_bandwidth(args: argparse.Namespace) -> int:
     from .perfmodel import measure_smb_bandwidth, modeled_bandwidth_gbs
 
-    address = None
-    if args.connect:
-        host, _, port = args.connect.partition(":")
-        address = (host, int(port))
+    address = _parse_address(args.connect) if args.connect else None
     print(f"{'procs':>6s} {'modeled GB/s':>13s} {'measured GB/s':>14s}")
     for processes in (2, 4, 8, 16, 32):
         sample = measure_smb_bandwidth(
@@ -739,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-namespace usage, quotas and op counters of a live "
              "TCP server",
     )
-    tenants.add_argument("--address", required=True,
+    tenants.add_argument("--address", required=True, type=_endpoint,
                          help="server endpoint as host:port")
     tenants.add_argument("--json", action="store_true",
                          help="dump the raw tenant-stats document")
@@ -782,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="HTTP/REST front end over an in-process replica fleet "
              "(GET /v1/models/<tenant>/<name>?version=N)",
     )
-    gateway.add_argument("--connect", default="",
+    gateway.add_argument("--connect", default="", type=_endpoint,
                          help="host:port of the primary SMB server")
     gateway.add_argument("--rendezvous", default="",
                          help="primary's endpoint.json (alternative "
@@ -820,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
         "save",
         help="ask a journaled SMB server to write a durable snapshot now",
     )
-    ckpt_save.add_argument("--connect", default="",
+    ckpt_save.add_argument("--connect", default="", type=_endpoint,
                            help="host:port of the server")
     ckpt_save.add_argument("--rendezvous", default="",
                            help="endpoint.json written by a journaled "
@@ -833,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_resume.add_argument("directory")
     ckpt_resume.add_argument("--iterations", type=int, default=0,
                              help="override the stored iteration target")
-    ckpt_resume.add_argument("--connect", default="",
+    ckpt_resume.add_argument("--connect", default="", type=_endpoint,
                              help="host:port of an SMB server to resume "
                                   "against (default: fresh in-process)")
     ckpt_resume.add_argument("--rendezvous", default="",
@@ -848,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bandwidth", help="Fig. 7 bandwidth sweep against an SMB server"
     )
     bandwidth.add_argument(
-        "--connect", default="",
+        "--connect", default="", type=_endpoint,
         help="host:port of a running server (default: in-process)",
     )
     bandwidth.add_argument("--buffer-mb", type=float, default=2.0)

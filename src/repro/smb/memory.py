@@ -82,7 +82,7 @@ def enter_bulk_priority(nice: int = BULK_LANE_NICE) -> None:
     Linux exposes per-thread niceness through ``setpriority`` on the
     thread id; lowering priority never needs privileges.  Platforms (or
     sandboxes) without the call simply keep default priority — fairness
-    then degrades gracefully to the deficit-round-robin queueing alone.
+    then rests on the tenants taking turns at the pool alone.
     """
     try:
         os.setpriority(  # type: ignore[attr-defined]

@@ -857,29 +857,17 @@ class _PendingWait:
 
 
 class _TenantLanes:
-    """Per-tenant deficit-round-robin queue in front of the worker pool.
+    """The *slow lane*: per-tenant FIFOs in front of the worker pool.
 
-    The *slow lane*: every offloaded request is enqueued under its
-    connection's tenant, and lanes drain into the pool in DRR order.
-    Each tenant earns :data:`QUANTUM` bytes of service credit per round
-    and pays a request's transfer size per dispatch, so a tenant
-    streaming 64 MiB ACCUMULATEs collects credit across ~64 rounds per
-    dispatch while a tenant issuing 64 KiB reads dispatches every round:
-    byte-fair, not op-fair ("RPC Considered Harmful" — bulk transfers
-    must not queue ahead of another tenant's control traffic).
-
-    A monopoly guard additionally holds any one tenant at
-    ``max_inflight - 2`` pool threads *while another tenant has work
-    queued*; a solo tenant still gets the whole pool, so single-job
-    deployments behave exactly as before.
-
-    Small control ops never come here — they run inline on the loop
-    thread (the *fast lane*).  Queue depths are exported as
-    ``smb/tenant/<ns>/queue_depth`` gauges.
+    Tenants take turns: a free pool thread gets the oldest request of
+    the tenant at the front of ``_turns``, which goes to the back while
+    it has work left.  So a request waits behind at most one request of
+    each other tenant, never behind another tenant's whole backlog
+    ("RPC Considered Harmful"), and a solo tenant gets the whole pool.
+    Small control ops run inline on the loop thread instead (the *fast
+    lane*).  ``smb/tenant/<ns>/queue_depth`` counts a tenant's queued
+    requests, moved by ±1 so a session sums several servers.
     """
-
-    QUANTUM = 1 << 20   # bytes of service credit per tenant per round
-    MIN_COST = 1 << 10  # floor, so header-only ops still pay something
 
     def __init__(
         self,
@@ -889,22 +877,16 @@ class _TenantLanes:
     ) -> None:
         self._pool = pool
         self._max_inflight = max(1, max_inflight)
-        self._tenant_cap = max(1, self._max_inflight - 2)
         self._stats = stats
         self._depth_gauges: Dict[str, Tuple[Gauge, ...]] = {}
         self._lock = threading.Lock()
-        self._queues: Dict[str, Deque[Tuple[int, Callable[[], None]]]] = {}
-        self._deficits: Dict[str, int] = {}
-        self._active: Deque[str] = deque()
+        self._queues: Dict[str, Deque[Callable[[], None]]] = {}
+        self._turns: Deque[str] = deque()
         self._inflight = 0
-        self._inflight_by: Dict[str, int] = {}
         self._closed = False
 
-    def submit(
-        self, tenant: str, cost: int, task: Callable[[], None]
-    ) -> None:
-        """Enqueue one offloaded request for ``tenant`` (any thread)."""
-        cost = max(int(cost), self.MIN_COST)
+    def submit(self, tenant: str, task: Callable[[], None]) -> None:
+        """Queue one offloaded request for ``tenant`` (any thread)."""
         with self._lock:
             if self._closed:
                 return
@@ -914,92 +896,44 @@ class _TenantLanes:
                 self._depth_gauges[tenant] = self._stats.gauges_of(
                     f"smb/tenant/{tenant}/queue_depth"
                 )
-            if not queue and tenant not in self._active:
-                self._active.append(tenant)
-                self._deficits.setdefault(tenant, 0)
-            queue.append((cost, task))
-            self._note_depth(tenant)
+            if not queue:
+                self._turns.append(tenant)
+            queue.append(task)
+            self._move_depth(tenant, 1)
             self._pump_locked()
 
-    def queue_depth(self, tenant: str) -> int:
-        with self._lock:
-            queue = self._queues.get(tenant)
-            return len(queue) if queue else 0
-
-    def _note_depth(self, tenant: str) -> None:
-        depth = len(self._queues[tenant])
+    def _move_depth(self, tenant: str, delta: int) -> None:
         for gauge in self._depth_gauges[tenant]:
-            gauge.set(depth)
-
-    def _capped_locked(self, tenant: str) -> bool:
-        """Monopoly guard: at the cap *and* someone else is waiting."""
-        if self._inflight_by.get(tenant, 0) < self._tenant_cap:
-            return False
-        return any(
-            other != tenant and self._queues.get(other)
-            for other in self._active
-        )
-
-    def _pick_locked(
-        self,
-    ) -> Optional[Tuple[str, Callable[[], None]]]:
-        while self._active:
-            tenant = self._active[0]
-            queue = self._queues.get(tenant)
-            if not queue:
-                # Burst over: leave the round and surrender leftover
-                # credit, so an idle tenant cannot hoard deficit.
-                self._active.popleft()
-                self._deficits[tenant] = 0
-                continue
-            if self._capped_locked(tenant):
-                if not any(
-                    self._queues.get(other)
-                    and not self._capped_locked(other)
-                    for other in self._active
-                ):
-                    return None  # everyone runnable is capped; wait
-                self._active.rotate(-1)
-                continue
-            cost, task = queue[0]
-            if self._deficits[tenant] >= cost:
-                queue.popleft()
-                self._deficits[tenant] -= cost
-                self._note_depth(tenant)
-                return tenant, task
-            self._deficits[tenant] += self.QUANTUM
-            self._active.rotate(-1)
-        return None
+            gauge.add(delta)
 
     def _pump_locked(self) -> None:
-        while self._inflight < self._max_inflight:
-            picked = self._pick_locked()
-            if picked is None:
-                return
-            tenant, task = picked
+        while self._turns and self._inflight < self._max_inflight:
+            tenant = self._turns.popleft()
+            queue = self._queues[tenant]
+            task = queue.popleft()
+            if queue:
+                self._turns.append(tenant)
+            self._move_depth(tenant, -1)
             self._inflight += 1
-            self._inflight_by[tenant] = self._inflight_by.get(tenant, 0) + 1
             try:
-                self._pool.submit(self._run, tenant, task)
+                self._pool.submit(self._run, task)
             except RuntimeError:
                 # Pool shut down mid-stop: drop the queues; teardown
                 # severs every connection they would have answered.
                 self._closed = True
                 self._inflight -= 1
-                self._inflight_by[tenant] -= 1
-                self._queues.clear()
-                self._active.clear()
+                for dropped, backlog in self._queues.items():
+                    self._move_depth(dropped, -len(backlog))
+                    backlog.clear()
+                self._turns.clear()
                 return
 
-    def _run(self, tenant: str, task: Callable[[], None]) -> None:
+    def _run(self, task: Callable[[], None]) -> None:
         try:
             task()
         finally:
             with self._lock:
                 self._inflight -= 1
-                self._inflight_by[tenant] = max(
-                    0, self._inflight_by.get(tenant, 1) - 1
-                )
                 self._pump_locked()
 
 
@@ -1025,12 +959,13 @@ class TcpSMBServer:
       held across a whole accumulate plus snapshot), and
     * bulk data ops moving more than :data:`OFFLOAD_BYTES`
 
-    are executed on a small shared worker pool, and the pool thread that
-    ran the op also sends its response, non-blockingly, as far as the
-    socket takes it; the loop is woken only to re-arm the connection or
-    to finish a send the socket refused, so no pool thread ever waits on
-    a slow reader.  Small control ops (attach, version, a control-block
-    read) are served inline — no handoff latency on the fast path.
+    queue per tenant, tenants taking turns (:class:`_TenantLanes`), for
+    a small shared worker pool.  The pool thread that ran the op also
+    sends its response, non-blockingly, as far as the socket takes it;
+    the loop is woken only to re-arm the connection or to finish a send
+    the socket refused, so no pool thread ever waits on a slow reader.
+    Small control ops (attach, version, a control-block read) are
+    served inline — no handoff latency on the fast path.
 
     ``WAIT_UPDATE`` takes neither path: a wait registers an event-style
     waiter on the segment (:meth:`~repro.smb.memory.Segment.add_waiter`)
@@ -1092,9 +1027,7 @@ class TcpSMBServer:
             max_workers=workers, thread_name_prefix="smb-worker",
             initializer=enter_bulk_priority,
         )
-        # Slow lane: offloaded (bulk / blocking) work drains through a
-        # per-tenant deficit-round-robin queue, so no tenant's burst can
-        # monopolize the pool threads while others have work queued.
+        # Slow lane: offloaded work queues per tenant, tenants in turn.
         self._lanes = _TenantLanes(self._pool, workers, self.core.stats)
         # Send outcomes posted by pool tasks; the loop drains after a
         # wakeup byte.  (conn, sent) — True: the response left whole,
@@ -1362,33 +1295,11 @@ class TcpSMBServer:
         if request.op is Op.WAIT_UPDATE:
             self._begin_wait(conn, request)
         elif self._needs_offload(request):
-            # The same ceiling bounds the fairness charge: the lanes walk
-            # cost / QUANTUM rounds under their lock, on this thread.
             self._lanes.submit(
-                conn.tenant,
-                min(self._request_cost(request), self.core.pool.capacity),
-                lambda: self._process(conn, request, out),
+                conn.tenant, lambda: self._process(conn, request, out)
             )
         else:
             self._handle_inline(conn, request, out)
-
-    @staticmethod
-    def _request_cost(request: Message) -> int:
-        """Approximate transfer bytes a request moves (DRR accounting)."""
-        op = request.op
-        if op in (Op.READ, Op.CREATE):
-            return request.count
-        if op is Op.WRITE:
-            return request.payload_nbytes
-        if op is Op.ACCUMULATE:
-            # ``count`` is in elements; float32 is the wire default and
-            # close enough for fairness accounting.  count == 0 means
-            # "whole source segment" — charge a full quantum.
-            return request.count * 4 if request.count \
-                else _TenantLanes.QUANTUM
-        if op is Op.SNAPSHOT:
-            return _TenantLanes.QUANTUM
-        return _TenantLanes.MIN_COST
 
     def _needs_offload(self, request: Message) -> bool:
         op = request.op
@@ -1468,13 +1379,11 @@ class TcpSMBServer:
         def _on_update(_version: int) -> None:
             # Runs on whichever thread bumped the version or ended the
             # waits; the lane hop keeps response encoding off that thread
-            # (and a woken wait queues fairly behind its tenant's bulk).
+            # (and a woken wait takes its tenant's turn like any offload).
             with self._waiters_lock:
                 self._waiters.pop(conn, None)
             self._lanes.submit(
-                conn.tenant,
-                _TenantLanes.MIN_COST,
-                lambda: self._process(conn, poll, None),
+                conn.tenant, lambda: self._process(conn, poll, None)
             )
 
         # Registered under the lock the callback takes first, so a wake

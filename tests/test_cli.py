@@ -2,6 +2,7 @@
 
 import functools
 import inspect
+import socket
 
 import pytest
 
@@ -208,6 +209,50 @@ class TestExecution:
         assert code == 1
         err = capsys.readouterr().err
         assert "not a telemetry metrics dump" in err
+
+
+def _error_lines(err):
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+class TestEndpointFlags:
+    """Every ``host:port`` flag is read by one parser: a malformed value
+    is a usage error, an unreachable server one ``error:`` line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["smb", "tenants", "--address", "localhost"],
+        ["smb", "tenants", "--address", "127.0.0.1:port"],
+        ["bandwidth", "--connect", "10.0.0.1"],
+        ["checkpoint", "save", "--connect", ":7000"],
+        ["serve", "gateway", "--connect", "127.0.0.1:99999",
+         "--segments", "W_g", "--sync-timeout", "0.1"],
+    ])
+    def test_malformed_endpoint_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert len(_error_lines(capsys.readouterr().err)) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["smb", "tenants", "--address"],
+        ["checkpoint", "save", "--connect"],
+    ])
+    def test_unreachable_server_is_one_error_line(self, command, capsys):
+        with socket.socket() as closed:  # bound, never listening
+            closed.bind(("127.0.0.1", 0))
+            host, port = closed.getsockname()
+            code = main(command + [f"{host}:{port}"])
+        assert code == 1
+        assert len(_error_lines(capsys.readouterr().err)) == 1
+
+    def test_members_of_a_missing_registry_creates_nothing(
+        self, capsys, tmp_path
+    ):
+        missing = tmp_path / "registry"
+        code = main(["smb", "members", "--registry", str(missing)])
+        assert code == 1
+        assert len(_error_lines(capsys.readouterr().err)) == 1
+        assert not missing.exists()
 
 
 class TestChaosScenarioDefaults:

@@ -11,6 +11,8 @@ client).  These tests pin the behaviours the rewrite fixed:
   frame a tenant can send stops the server (opcode 10 is refused, and a
   frame declaring more payload than its op may carry costs only its
   connection);
+* offloaded requests queue per tenant and tenants take turns, so one
+  tenant's backlog does not queue ahead of another tenant's request;
 * an offloaded op's response leaves from the pool thread that ran it,
   a slow reader never holds that thread, and stopping mid-response is
   a severed connection, not a crash;
@@ -47,6 +49,7 @@ from repro.smb.protocol import (
     encode_hello,
 )
 from repro.smb.server import MAX_NAME_PAYLOAD
+from repro.telemetry import TelemetrySession
 
 
 def _raw_connect(address, tenant="default"):
@@ -256,6 +259,78 @@ class TestEventStyleWaits:
                 arr.wait_update(arr.version(), timeout=0.4)
             assert time.monotonic() - start < 5.0
             client.close()
+
+
+def _wait_until(predicate, timeout=10.0):
+    """Poll ``predicate`` until it holds; time only caps the wait."""
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return predicate()
+
+
+class TestTenantTurns:
+    """Offloaded requests queue per tenant and tenants take turns, so a
+    tenant's request waits behind at most one request of another
+    tenant, never behind that tenant's whole backlog."""
+
+    def test_a_tenant_is_not_queued_behind_another_backlog(self):
+        session = TelemetrySession("metrics")
+        gauge = session.registry.gauge
+        server = TcpSMBServer(
+            capacity=1 << 20, workers=2, telemetry=session
+        ).start()
+        clients = []
+
+        def attach(tenant):
+            client = SMBClient.connect(server.address, tenant=tenant)
+            clients.append(client)
+            return client.attach_array("W_g", w_g.shm_key, 16)
+
+        try:
+            owner = SMBClient.connect(server.address, tenant="a")
+            clients.append(owner)
+            w_g = owner.create_array("W_g", 16)
+            pushers = [attach("a") for _ in range(6)]
+            late = attach("b")
+            versions = {}
+
+            def push(name, array):
+                versions[name] = array.accumulate(
+                    np.ones(16, dtype=np.float32)
+                )
+
+            threads = [
+                threading.Thread(target=push, args=(f"a{i}", array))
+                for i, array in enumerate(pushers)
+            ]
+            with server.core.pool.by_shm_key(w_g.shm_key).lock:
+                for thread in threads:
+                    thread.start()
+                # Two of a's ACCUMULATEs hold both pool threads, parked
+                # on the lock; four more wait in a's queue.
+                assert _wait_until(lambda: (
+                    gauge("smb/server/queue/accumulate").value == 2
+                    and gauge("smb/tenant/a/queue_depth").value == 4
+                ))
+                threads.append(
+                    threading.Thread(target=push, args=("b", late))
+                )
+                threads[-1].start()
+                assert _wait_until(
+                    lambda: gauge("smb/tenant/b/queue_depth").value == 1
+                )
+            for thread in threads:
+                thread.join(10.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert sorted(versions.values()) == list(range(1, 8))
+            # Behind the two in service, b's one request waits for at
+            # most one of a's four queued ones (a FIFO would give it 7).
+            assert versions["b"] <= 4
+        finally:
+            for client in clients:
+                client.close()
+            server.stop()
 
 
 class TestHandshakeDeadline:

@@ -3,8 +3,9 @@
 Each server's STATS and TENANT_STATS count that server's ops only; a
 recording session gets a mirror of every server's counters, so it sums
 them.  The accumulate-queue gauge the autoscale controller reads from
-the session is likewise a sum over the session's servers, never the
-depth of whichever server touched it last.
+the session, and each tenant's queue-depth gauge, are likewise sums over
+the session's servers, never the depth of whichever server touched them
+last.
 """
 
 import sys
@@ -84,6 +85,54 @@ def test_accumulate_gauge_sums_the_session_servers():
     assert not waiting.is_alive()
     assert gauge.value == 0
     assert np.array_equal(dst_a.read(), np.ones(16, dtype=np.float32))
+
+
+def test_tenant_queue_gauge_sums_the_session_servers():
+    """Each server holds one queued ACCUMULATE of tenant ``t``: each
+    server's gauge reads 1, and the session's reads their sum."""
+    session = TelemetrySession("metrics")
+    servers = [
+        TcpSMBServer(capacity=1 << 20, workers=2, telemetry=session).start()
+        for _ in range(2)
+    ]
+    clients, threads, held = [], [], []
+    name = "smb/tenant/t/queue_depth"
+    try:
+        for server in servers:
+            owner = SMBClient.connect(server.address, tenant="t")
+            clients.append(owner)
+            dst = owner.create_array("w", 16)
+            lock = server.core.pool.by_shm_key(dst.shm_key).lock
+            lock.acquire()
+            held.append(lock)
+            # Two ACCUMULATEs hold both pool threads; the third queues.
+            for _ in range(3):
+                client = SMBClient.connect(server.address, tenant="t")
+                clients.append(client)
+                array = client.attach_array("w", dst.shm_key, 16)
+                thread = threading.Thread(
+                    target=array.accumulate,
+                    args=(np.ones(16, dtype=np.float32),),
+                )
+                thread.start()
+                threads.append(thread)
+            gauge = server.core.stats.registry.gauge(name)
+            deadline = time.monotonic() + 10.0
+            while gauge.value < 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+        assert [s.core.stats.registry.gauge(name).value for s in servers] == [1, 1]
+        assert session.registry.gauge(name).value == 2
+    finally:
+        for lock in held:
+            lock.release()
+        for thread in threads:
+            thread.join(10.0)
+        for client in clients:
+            client.close()
+        for server in servers:
+            server.stop()
+    assert not any(thread.is_alive() for thread in threads)
+    assert session.registry.gauge(name).value == 0
 
 
 def test_concurrent_first_use_loses_no_update():

@@ -115,6 +115,63 @@ class TestTransportContract:
         assert client.transport.reconnects == 0
         assert client.read(access_key, 1024) == bytes(range(256)) * 4
 
+    def test_bulk_does_not_starve_small(self, doorway):
+        """While every ACCUMULATE into ``W_g`` is parked on its segment
+        lock, another client's small ops keep completing; once the lock
+        is released, every push lands exactly once."""
+        core = getattr(doorway.server, "core", doorway.server)
+        count, pushes = 256, 10
+        w_g = doorway.connect().create_array("W_g", count)
+        pushers = [
+            doorway.connect().attach_array("W_g", w_g.shm_key, count)
+            for _ in range(pushes)
+        ]
+        small = doorway.connect()
+        other = small.create_array("other", count)
+        data = np.arange(count, dtype=np.float32)
+        queued = core.stats.registry.gauge("smb/server/queue/accumulate")
+        # What can be in service at once: every push in-process and over
+        # shm (a thread each), the worker pool's threads over TCP.
+        in_service = pushes if doorway.kind != "tcp" else min(
+            pushes, doorway.server._pool._max_workers
+        )
+        threads = [
+            threading.Thread(
+                target=pusher.accumulate,
+                args=(np.ones(count, dtype=np.float32),),
+            )
+            for pusher in pushers
+        ]
+        rounds = []
+
+        def small_rounds():
+            for _ in range(20):
+                other.write(data)
+                assert np.array_equal(other.read(), data)
+                assert small.lookup("other") == (other.shm_key, 4 * count)
+                other.version()
+                rounds.append(True)
+
+        with core.pool.by_shm_key(w_g.shm_key).lock:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 10.0
+            while queued.value < in_service and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert queued.value == in_service
+            # Bounded by count; the join only caps a starved client.
+            small_client = threading.Thread(target=small_rounds)
+            small_client.start()
+            small_client.join(10.0)
+            assert len(rounds) == 20
+            assert all(thread.is_alive() for thread in threads)
+        for thread in threads:
+            thread.join(10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert np.array_equal(
+            w_g.read(), np.full(count, pushes, dtype=np.float32)
+        )
+
     def test_parked_wait_leaves_data_path_free(self, doorway):
         """The notification channel keeps commands flowing during a wait."""
         client = doorway.connect()
