@@ -12,10 +12,11 @@ library".  Concretely:
    publishes in the membership registry when there is one;
 2. every participant — launch rank or late joiner — is built by one
    function from that document: replica, client, attach by SHM key,
-   registry slot, warm start from ``W_g``, strategy and engine (a
-   worker's ``dW_x`` rides in its accumulate, so it needs no segment).
-   A launch rank gets the document over MPI and its group id as slot; a
-   joiner reads the registry and takes the lowest free slot;
+   slot claim recorded in the registry, warm start from ``W_g``, strategy
+   and engine (a worker's ``dW_x`` rides in its accumulate, so it needs
+   no segment).  A launch rank gets the document over MPI and its group
+   id as slot; a joiner reads the registry and the control block hands
+   it the lowest FREE or dead slot;
 3. launch ranks meet at one barrier before anyone trains;
 4. histories are gathered back to the caller.
 
@@ -26,6 +27,7 @@ yields ShmCaffe-H with one SEASGD participant (the group root) per group.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import logging
 import threading
@@ -350,7 +352,6 @@ class DistributedTrainingManager:
         self._spawn_counter = itertools.count()
         self._elastic_lock = threading.Lock()
         self._elastic_handles: List[ElasticWorkerHandle] = []
-        self._retire_events: Dict[str, threading.Event] = {}
 
     def _make_client(self, rank: Optional[int] = None) -> SMBClient:
         """A fresh SMB client on the configured transport.
@@ -542,23 +543,22 @@ class DistributedTrainingManager:
                 )
                 slot = group_id
                 if self.registry is not None:
-                    # A fixed fleet's slots are pre-claimed at generation
-                    # 1; an elastic participant records what its claim
-                    # returns.
-                    member = self.registry.join(
-                        member_id, slot=group_id if launch else None,
-                        generation=0 if self.elastic else 1,
-                    )
-                    retire_event = threading.Event()
-                    with self._elastic_lock:
-                        self._retire_events[member_id] = retire_event
+                    # The control block allocates the slot and the
+                    # registry records the claim.  A fixed fleet's slots
+                    # are pre-claimed at generation 1.
+                    take: Callable[[], SlotClaim]
+                    if not self.elastic:
+                        take = functools.partial(SlotClaim, group_id, 1)
+                    elif launch:
+                        take = functools.partial(control.claim, group_id)
+                    else:
+                        take = control.claim
+                    member = self.registry.join(member_id, take)
                     stack.callback(self._leave, member_id)
+                    retire_event = threading.Event()
                     slot = member.slot
                     if self.elastic:
-                        claim = control.claim(slot=slot)
-                        self.registry.update_member(
-                            member_id, generation=claim.generation
-                        )
+                        claim = SlotClaim(member.slot, member.generation)
                         on_claim(claim)
                 if not restored:
                     # The replica starts from the current elastic centre:
@@ -674,7 +674,7 @@ class DistributedTrainingManager:
         retire_event: threading.Event,
         inner: Optional[Callable[[int, int, Dict[str, float]], None]],
     ) -> Callable[[int, int, Dict[str, float]], None]:
-        """Per-iteration lease renewal + registry-driven retire pickup.
+        """Per-iteration lease renewal; its answer is the retire pickup.
 
         Heartbeats are best-effort: a worker must never die because the
         registry hiccuped — at worst its lease lapses and the fleet
@@ -688,8 +688,7 @@ class DistributedTrainingManager:
             if inner is not None:
                 inner(rank, iteration, stats)
             try:
-                registry.heartbeat(member_id)
-                if registry.retiring(member_id):
+                if registry.heartbeat(member_id):
                     retire_event.set()
             except smb_errors.MembershipError as exc:
                 logging.getLogger(__name__).warning(
@@ -729,8 +728,6 @@ class DistributedTrainingManager:
             logging.getLogger(__name__).warning(
                 "registry leave for %s failed: %s", member_id, exc
             )
-        with self._elastic_lock:
-            self._retire_events.pop(member_id, None)
 
     def spawn_worker(self, timeout: float = 30.0) -> ElasticWorkerHandle:
         """Add one worker to a live elastic run; returns its handle.
@@ -755,9 +752,11 @@ class DistributedTrainingManager:
             name=handle.member_id,
             daemon=True,
         )
+        # Started under the lock, so drain_elastic never joins a thread
+        # that has not started.
         with self._elastic_lock:
             self._elastic_handles.append(handle)
-        handle.thread.start()
+            handle.thread.start()
         self.telemetry.registry.inc("smb/membership/spawned")
         return handle
 
@@ -766,9 +765,10 @@ class DistributedTrainingManager:
 
         Without a ``member_id`` the youngest elastic joiner is picked,
         falling back to the highest-slot launch worker except the master
-        (slot 0 stays; it owns bring-up and the eval monitor).  The
-        member finishes its current iteration, releases its slot, and
-        leaves; returns False when there is nobody suitable to retire.
+        (slot 0 stays; it owns bring-up and the eval monitor).  Only the
+        registry is flagged: the member reads the flag from the
+        heartbeat that ends its current iteration, then releases its
+        slot and leaves.  Returns False when there is nobody suitable to retire.
         """
         if self.registry is None:
             raise ValueError("retire_worker requires a membership registry")
@@ -786,13 +786,7 @@ class DistributedTrainingManager:
             member_id = max(
                 pool, key=lambda m: (m.joined_at, m.slot)
             ).member_id
-        if not self.registry.request_retire(member_id):
-            return False
-        with self._elastic_lock:
-            event = self._retire_events.get(member_id)
-        if event is not None:
-            event.set()
-        return True
+        return self.registry.request_retire(member_id)
 
     def _elastic_member_main(self, handle: ElasticWorkerHandle) -> None:
         """A late joiner: the job document comes from the registry.
@@ -850,7 +844,6 @@ class DistributedTrainingManager:
         self._job_ready.clear()
         with self._elastic_lock:
             self._elastic_handles = []
-            self._retire_events = {}
         tel = self.telemetry
         tel.registry.set("run/workers", self.num_workers)
         tel.registry.set("run/group_size", self.group_size)

@@ -22,6 +22,7 @@ from ..core.autoscale import (
 )
 from ..core.config import ShmCaffeConfig, TerminationCriterion
 from ..core.trainer import DistributedTrainingManager
+from ..telemetry import TelemetrySession, resolve as _resolve_telemetry
 from .base import EvalRecord, PlatformResult, SpecFactory, evaluate_weights
 
 
@@ -71,8 +72,9 @@ def train(
             runs).
         autoscale: Drive :meth:`spawn_worker`/:meth:`retire_worker` from
             an :class:`~repro.core.autoscale.AutoscaleController` polling
-            the run's phase telemetry (needs an enabled telemetry
-            session to see any signal).
+            the run's phase telemetry and the registry's live count.  The
+            run records into the current telemetry session, or into a
+            ``metrics`` session of its own when that one is off.
     """
     if elastic:
         termination = TerminationCriterion.AVERAGE_ITERATIONS
@@ -86,6 +88,11 @@ def train(
         stale_global_read=stale_global_read,
         algorithm=algorithm,
     )
+    telemetry = _resolve_telemetry()
+    if autoscale and not telemetry.enabled:
+        # The controller decides on phase histograms an ``off`` session
+        # never records.
+        telemetry = TelemetrySession("metrics")
     manager = DistributedTrainingManager(
         spec_factory=spec_factory,
         config=config,
@@ -98,6 +105,7 @@ def train(
         registry_dir=registry_dir,
         elastic=elastic,
         max_workers=max_workers,
+        telemetry=telemetry,
     )
     supervisor = None
     if autoscale:

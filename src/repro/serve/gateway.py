@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from urllib.parse import parse_qs, unquote, urlparse
 
 from ..smb.errors import SMBError, UnknownKeyError
-from ..smb.fleet import HashRingPlacement, Placement
+from ..smb.fleet import HashRingPlacement
 from ..smb.protocol import sendall_vectored
 from ..smb.serving import ReplicaServer, VersionNotAvailableError
 from ..telemetry import TelemetrySession, resolve as _resolve_telemetry
@@ -57,11 +57,9 @@ class ModelGateway:
 
     Args:
         replicas: The fleet.  Each replica's ``name`` must be unique —
-            it is the placement key its virtual ring nodes hash under.
+            it is the placement key its virtual ring nodes hash under, so
+            growing the fleet only moves ``~1/K`` of the segment keyspace.
         host/port: Bind address (``port=0`` picks an ephemeral port).
-        placement: Routing policy over replica names; defaults to a
-            :class:`HashRingPlacement` so growing the fleet only moves
-            ``~1/K`` of the segment keyspace.
         telemetry: Session for the per-tenant read counters
             (``serve/gateway/tenant/<t>/reads``); defaults to the
             process-wide session current at construction.
@@ -72,7 +70,6 @@ class ModelGateway:
         replicas: Sequence[ReplicaServer],
         host: str = "127.0.0.1",
         port: int = 0,
-        placement: Optional[Placement] = None,
         telemetry: Optional[TelemetrySession] = None,
     ) -> None:
         if not replicas:
@@ -83,9 +80,7 @@ class ModelGateway:
         self._replicas: Dict[str, ReplicaServer] = {
             replica.name: replica for replica in replicas
         }
-        self._placement = (
-            placement if placement is not None else HashRingPlacement(names)
-        )
+        self._placement = HashRingPlacement(names)
         self._registry = _resolve_telemetry(telemetry).registry
         self._failover = [self._replicas[name] for name in sorted(names)]
         self._server = _Server((host, port), self)

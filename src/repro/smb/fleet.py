@@ -329,49 +329,35 @@ def _hash64(key: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-class Placement:
-    """Maps segment names onto servers of a fleet.
+class HashRingPlacement:
+    """Maps segment names onto servers of a fleet by consistent hashing.
 
-    A placement is a pure function over the current server set; it holds
-    no per-segment state, so every process that knows the fleet derives
-    the same answer — the property that lets workers locate stripes
-    without a directory service.
-    """
-
-    def __init__(self, servers: Sequence[str]) -> None:
-        if not servers:
-            raise PlacementError("placement needs at least one server")
-        if len(set(servers)) != len(servers):
-            raise PlacementError(f"duplicate server ids in {list(servers)}")
-        self._servers: List[str] = list(servers)
-
-    @property
-    def servers(self) -> List[str]:
-        """Current fleet, in registration order."""
-        return list(self._servers)
-
-    def server_for(self, name: str) -> str:
-        """The server id that should hold segment ``name``."""
-        raise NotImplementedError
-
-
-class HashRingPlacement(Placement):
-    """Consistent hashing with virtual nodes over the fleet.
-
-    ``replicas`` virtual points per server smooth the load; lookups are
-    a binary search over the sorted ring.  :meth:`add_server` and
-    :meth:`remove_server` rebuild the ring — O(K * replicas), trivially
-    cheap next to the data moves they imply.
+    The ring is a pure function over the current server set; it holds no
+    per-segment state, so every process that knows the fleet derives the
+    same answer — the property that lets workers locate stripes without
+    a directory service.  ``replicas`` virtual points per server smooth
+    the load; lookups are a binary search over the sorted ring.
+    :meth:`add_server` and :meth:`remove_server` rebuild the ring —
+    O(K * replicas), trivially cheap next to the data moves they imply.
     """
 
     def __init__(
         self, servers: Sequence[str], replicas: int = DEFAULT_REPLICAS
     ) -> None:
+        if not servers:
+            raise PlacementError("placement needs at least one server")
+        if len(set(servers)) != len(servers):
+            raise PlacementError(f"duplicate server ids in {list(servers)}")
         if replicas < 1:
             raise PlacementError(f"replicas must be >= 1, got {replicas}")
-        super().__init__(servers)
+        self._servers: List[str] = list(servers)
         self._replicas = replicas
         self._build_ring()
+
+    @property
+    def servers(self) -> List[str]:
+        """Current fleet, in registration order."""
+        return list(self._servers)
 
     def _build_ring(self) -> None:
         points = []
@@ -383,6 +369,7 @@ class HashRingPlacement(Placement):
         self._ring_owners = [owner for _, owner in points]
 
     def server_for(self, name: str) -> str:
+        """The server id that should hold segment ``name``."""
         index = bisect.bisect(self._ring_hashes, _hash64(name))
         if index == len(self._ring_hashes):
             index = 0  # wrap: past the last point lands on the first
@@ -409,7 +396,7 @@ class HashRingPlacement(Placement):
 
 def _stripe_homes(
     clients: Fleet,
-    placement: Optional[Placement],
+    placement: Optional[HashRingPlacement],
     name: str,
     num_stripes: int,
 ) -> List[Tuple[str, SMBClient]]:
@@ -441,7 +428,7 @@ def create_sharded_array(
     name: str,
     count: int,
     dtype: str = "float32",
-    placement: Optional[Placement] = None,
+    placement: Optional[HashRingPlacement] = None,
 ) -> ShardedArray:
     """Master-side creation: one stripe per server of the fleet.
 
@@ -477,7 +464,7 @@ def attach_sharded_array(
     shm_keys: Sequence[int],
     count: int,
     dtype: str = "float32",
-    placement: Optional[Placement] = None,
+    placement: Optional[HashRingPlacement] = None,
 ) -> ShardedArray:
     """Slave-side attachment from the broadcast per-shard SHM keys."""
     counts = shard_counts(count, len(shm_keys))

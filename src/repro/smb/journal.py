@@ -27,7 +27,7 @@ logger = logging.getLogger(__name__)
 PathLike = Union[str, os.PathLike]
 
 #: Current snapshot format; bumped on incompatible layout changes.
-SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
 
 #: File-name patterns inside a journal directory.
 SNAPSHOT_PATTERN = "snapshot-{seq:08d}.npz"
@@ -145,7 +145,6 @@ class SegmentImage:
     shm_key: int
     data: np.ndarray  # uint8 bytes
     version: int
-    owner: str = ""
 
 
 @dataclass
@@ -156,7 +155,6 @@ class PoolImage:
     epoch: int
     seq: int
     shm_minted: int
-    access_minted: int
     segments: List[SegmentImage] = field(default_factory=list)
     #: Tenant grants as ``{"name": str, "quota": Optional[int]}`` —
     #: usage is not stored; it is re-derived from the restored segments,
@@ -209,14 +207,12 @@ class DurabilityStore:
             "epoch": image.epoch,
             "capacity": image.capacity,
             "shm_minted": image.shm_minted,
-            "access_minted": image.access_minted,
             "tenants": image.tenants,
             "segments": [
                 {
                     "name": seg.name,
                     "shm_key": seg.shm_key,
                     "version": seg.version,
-                    "owner": seg.owner,
                     "nbytes": int(seg.data.nbytes),
                 }
                 for seg in image.segments
@@ -332,14 +328,12 @@ def _load_snapshot(path: Path) -> PoolImage:
                 shm_key=int(entry["shm_key"]),
                 data=data,
                 version=int(entry["version"]),
-                owner=str(entry.get("owner", "")),
             ))
     return PoolImage(
         capacity=int(meta["capacity"]),
         epoch=int(meta["epoch"]),
         seq=int(meta["seq"]),
         shm_minted=int(meta["shm_minted"]),
-        access_minted=int(meta["access_minted"]),
         segments=segments,
         tenants=[dict(entry) for entry in meta["tenants"]],
     )

@@ -8,38 +8,43 @@ a worker that was **not** part of the launch can join through:
 * the **job document** carries the server endpoint, the job spec (segment
   namespace, model element count, the ``W_g`` and control-block SHM keys,
   the slot capacity, hyper-parameters), published once by the master;
-* the **member table** holds one record per live worker — its slot, the
-  slot generation its claim returned, a ``status`` (``active`` or
-  ``retiring``), and a heartbeat-renewed lease.  A member whose lease
-  expires is presumed dead and evicted, freeing its slot for reclaim;
+* the **member table** holds one record per live worker — the slot and
+  generation its control-block claim returned, a ``status`` (``active``
+  or ``retiring``), and a heartbeat-renewed lease.  A member whose lease
+  expires is presumed dead and its record evicted; its slot stays as the
+  control block holds it;
 * a monotonic **membership epoch** bumps on every join/leave/eviction, so
   any observer can cheaply detect "the fleet changed" without diffing the
   table; a **version** bumps on *every* mutation (heartbeats included).
 
-The whole registry is one JSON document in a directory, published with
-the same write-temp + ``os.replace`` discipline as the rendezvous file
-(:func:`repro.smb.journal.publish_json`) so concurrent readers never see
-a partial document.  Cross-process mutual exclusion uses an
-``O_CREAT | O_EXCL`` lock file next to it; claims of control-block slots
-are serialised through this lock, which is what makes the (non-atomic)
-:meth:`~repro.smb.client.ControlBlock.claim` race-free in practice.
+Slots have one allocator, the control block
+(:meth:`~repro.smb.client.ControlBlock.claim`); the registry records the
+claim.  The whole registry is one JSON document in a directory,
+published with the same write-temp + ``os.replace`` discipline as the
+rendezvous file (:func:`repro.smb.journal.publish_json`) so concurrent
+readers never see a partial document.  Cross-process mutual exclusion
+uses an ``O_CREAT | O_EXCL`` lock file next to it; claims of
+control-block slots are serialised through this lock —
+:meth:`MembershipRegistry.join` runs the claim inside it — which is what
+makes the (non-atomic) claim race-free.
 
 A late joiner's protocol (`docs/membership.md`):
 
 1. :meth:`MembershipRegistry.read` until a job document appears;
-2. :meth:`MembershipRegistry.join` — allocates the lowest free slot (and
-   the member record with a fresh lease);
-3. attach ``W_g`` and the control block by the SHM keys in the job
-   document, :meth:`~repro.smb.client.ControlBlock.claim` the allocated
-   slot, seed the replica from ``W_g`` (its ``ΔW_x`` rides a payload
-   ACCUMULATE into ``W_g``, so it creates no segment of its own);
-4. train; heartbeat on iteration boundaries; on retire/finish,
-   release the slot and :meth:`MembershipRegistry.leave`.
+2. attach ``W_g`` and the control block by the SHM keys in the job
+   document;
+3. :meth:`MembershipRegistry.join` with the control block's
+   ``claim`` — it takes the lowest FREE or dead slot, and the registry
+   records that slot and generation with a fresh lease;
+4. seed the replica from ``W_g`` (its ``ΔW_x`` rides a payload
+   ACCUMULATE into ``W_g``, so it creates no segment of its own), train,
+   heartbeat on iteration boundaries (the heartbeat answers whether a
+   retire was requested); on retire, release the slot; on every exit,
+   :meth:`MembershipRegistry.leave`.
 
 Telemetry: mutations feed ``smb/membership/*`` counters (joins, leaves,
 retires, lease expiries) and gauges (epoch, live member count), which the
-``repro telemetry report`` membership section and the autoscale
-controller read.
+``repro telemetry report`` membership section reads.
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from ..telemetry import TelemetrySession, resolve as _resolve_telemetry
-from .errors import MembershipError, SlotsExhaustedError
+from .client import SlotClaim
+from .errors import MembershipError
 from .journal import publish_json, read_json
 from .memory import DEFAULT_TENANT
 
@@ -424,20 +430,23 @@ class MembershipRegistry:
     def join(
         self,
         member_id: str,
-        slot: Optional[int] = None,
-        generation: int = 0,
+        claim: Callable[[], SlotClaim],
         namespace: str = DEFAULT_TENANT,
     ) -> MemberRecord:
-        """Admit a worker: allocate a slot, mint a leased member record.
+        """Admit a worker: run its slot ``claim``, record what it returns.
 
-        Launch workers request their deterministic ``slot`` (== rank);
-        late joiners omit it and get the lowest slot not held by a live
-        member.  Raises :class:`~repro.smb.errors.SlotsExhaustedError`
-        at capacity and :class:`~repro.smb.errors.MembershipError` on a
-        duplicate id or an occupied requested slot.
+        The control block is the only slot allocator.  ``claim`` is the
+        worker's own claim — ``control.claim(rank)`` for an elastic
+        launch rank, ``control.claim()`` for a joiner, the pre-claimed
+        ``SlotClaim(group_id, 1)`` for a fixed-fleet member — and it
+        runs under the registry lock, so concurrent claims are
+        serialised.  The record takes the claim's slot and generation
+        and a fresh lease.  Raises
+        :class:`~repro.smb.errors.MembershipError` on a duplicate id or
+        before the job is published (without claiming); whatever the
+        claim raises propagates, and then nothing is published.
         """
-        record = MemberRecord(member_id=member_id, slot=-1,
-                              generation=generation)
+        record = MemberRecord(member_id=member_id, slot=-1, generation=0)
 
         def apply(view: RegistryView) -> None:
             entry = view.entry(namespace)
@@ -451,24 +460,8 @@ class MembershipRegistry:
                 raise MembershipError(
                     f"member id {member_id!r} already registered"
                 )
-            taken = {m.slot for m in entry.members.values()}
-            if slot is None:
-                open_slots = [
-                    s for s in range(entry.capacity) if s not in taken
-                ]
-                if not open_slots:
-                    raise SlotsExhaustedError(entry.capacity)
-                record.slot = open_slots[0]
-            else:
-                if not 0 <= slot < entry.capacity:
-                    raise MembershipError(
-                        f"slot {slot} out of range [0, {entry.capacity})"
-                    )
-                if slot in taken:
-                    raise MembershipError(
-                        f"slot {slot} is held by a live member"
-                    )
-                record.slot = slot
+            granted = claim()
+            record.slot, record.generation = granted.slot, granted.generation
             now = self._clock()
             record.joined_at = now
             record.lease_expires = now + self.lease
@@ -481,8 +474,13 @@ class MembershipRegistry:
 
     def heartbeat(
         self, member_id: str, namespace: str = DEFAULT_TENANT
-    ) -> None:
-        """Renew a member's lease (bumps version, not epoch)."""
+    ) -> bool:
+        """Renew a member's lease (bumps version, not epoch).
+
+        Returns whether a retire was requested for the member: the
+        heartbeat is its one registry call per iteration.
+        """
+        retiring: List[bool] = []
 
         def apply(view: RegistryView) -> None:
             record = view.entry(namespace).members.get(member_id)
@@ -493,30 +491,10 @@ class MembershipRegistry:
                 )
             record.lease_expires = self._clock() + self.lease
             record.heartbeats += 1
+            retiring.append(record.status == MEMBER_RETIRING)
 
         self._mutate(apply)
-
-    def update_member(
-        self,
-        member_id: str,
-        namespace: str = DEFAULT_TENANT,
-        **fields: object,
-    ) -> None:
-        """Patch a member record (e.g. the control-block generation the
-        worker's claim actually returned)."""
-
-        def apply(view: RegistryView) -> None:
-            record = view.entry(namespace).members.get(member_id)
-            if record is None:
-                raise MembershipError(f"unknown member {member_id!r}")
-            for key, value in fields.items():
-                if not hasattr(record, key):
-                    raise MembershipError(
-                        f"member record has no field {key!r}"
-                    )
-                setattr(record, key, value)
-
-        self._mutate(apply)
+        return retiring[0]
 
     def request_retire(
         self, member_id: str, namespace: str = DEFAULT_TENANT
@@ -539,17 +517,11 @@ class MembershipRegistry:
             self._count("retires")
         return bool(found)
 
-    def retiring(
-        self, member_id: str, namespace: str = DEFAULT_TENANT
-    ) -> bool:
-        """Whether a retire was requested for this member (poll point)."""
-        record = self.read().entry(namespace).members.get(member_id)
-        return record is not None and record.status == MEMBER_RETIRING
-
     def leave(
         self, member_id: str, namespace: str = DEFAULT_TENANT
     ) -> bool:
-        """Remove a member; its slot becomes allocatable again.
+        """Remove a member's record (its slot stays as the control block
+        holds it).
 
         Returns False when the record was already gone (expired).
         """

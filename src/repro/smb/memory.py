@@ -194,7 +194,6 @@ class Segment:
         shm_key: Creation key; broadcast to workers that should share this.
         buffer: Backing byte storage.  Dtype views are layered client-side.
         version: Bumped on every mutation; supports update notification.
-        owner: Identifier of the creating client (informational).
         words: The header words a one-sided reader checks (module
             docstring); the mapping's header for a pool segment
             (:meth:`mapped`), a private array for one built on a buffer.
@@ -203,7 +202,6 @@ class Segment:
     name: str
     shm_key: int
     buffer: np.ndarray
-    owner: str = ""
     tenant: str = DEFAULT_TENANT
     version: int = 0
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
@@ -512,11 +510,10 @@ class MemoryPool:
         self._tenants: Dict[str, TenantGrant] = {
             DEFAULT_TENANT: TenantGrant(DEFAULT_TENANT)
         }
-        # Counters of how many keys of each kind were ever minted, so a
-        # restored pool can advance its generators past every key a
-        # previous server life handed out (see advance_keys).
+        # How many SHM keys were ever minted, so a restored pool can
+        # advance its generator past every key a previous server life
+        # handed out (see advance_keys).
         self._shm_minted = 0
-        self._access_minted = 0
 
     # -- tenancy ------------------------------------------------------------
 
@@ -598,7 +595,6 @@ class MemoryPool:
         self,
         name: str,
         nbytes: int,
-        owner: str = "",
         tenant: str = DEFAULT_TENANT,
     ) -> Segment:
         """Create a named segment and return it (master-worker operation).
@@ -631,8 +627,7 @@ class MemoryPool:
             if self._used + nbytes > self._capacity:
                 raise CapacityError(nbytes, self._capacity - self._used)
             segment = Segment.mapped(
-                qualified, next(self._shm_keys), nbytes,
-                owner=owner, tenant=tenant,
+                qualified, next(self._shm_keys), nbytes, tenant=tenant
             )
             self._shm_minted += 1
             self._by_shm_key[segment.shm_key] = segment
@@ -654,7 +649,6 @@ class MemoryPool:
             raise SegmentRangeError(0, expected_nbytes, segment.size)
         with self._lock:
             access_key = next(self._access_keys)
-            self._access_minted += 1
             self._by_access_key[access_key] = segment
             return access_key
 
@@ -727,19 +721,12 @@ class MemoryPool:
         with self._lock:
             return self._shm_minted
 
-    @property
-    def access_minted(self) -> int:
-        """How many access keys this pool has ever minted."""
-        with self._lock:
-            return self._access_minted
-
     def restore_segment(
         self,
         name: str,
         shm_key: int,
         data: np.ndarray,
         version: int = 0,
-        owner: str = "",
     ) -> Segment:
         """Rebuild a segment from durable state, keeping its SHM key.
 
@@ -762,8 +749,7 @@ class MemoryPool:
             if self._used + nbytes > self._capacity:
                 raise CapacityError(nbytes, self._capacity - self._used)
             segment = Segment.mapped(
-                name, shm_key, nbytes,
-                owner=owner, tenant=tenant, version=version,
+                name, shm_key, nbytes, tenant=tenant, version=version
             )
             segment.buffer[:] = np.frombuffer(
                 np.ascontiguousarray(data), dtype=np.uint8
@@ -780,13 +766,12 @@ class MemoryPool:
         """Mint future access keys from a salted, disjoint subsequence.
 
         Access keys die with the server process, but clients may still
-        *present* pre-crash keys after a recovery.  The snapshot's
-        ``access_minted`` count undershoots (attaches are not journaled),
-        so advancing the generator is not enough: a recovered pool could
-        re-mint a key some client still holds for a *different* segment,
-        and that stale key would silently resolve instead of raising
-        :class:`UnknownKeyError` — the error the client re-attach logic
-        keys off.  Both key sequences are arithmetic with the same
+        *present* pre-crash keys after a recovery.  Attaches are not
+        journaled, so no count can advance the generator past them: a
+        recovered pool could re-mint a key some client still holds for a
+        *different* segment, and that stale key would silently resolve
+        instead of raising :class:`UnknownKeyError` — the error the
+        client re-attach logic keys off.  Both key sequences are arithmetic with the same
         stride, so any ``0 < salt < stride`` (the server uses the
         recovery epoch) yields a sequence provably disjoint from every
         earlier life's.
@@ -796,22 +781,19 @@ class MemoryPool:
         with self._lock:
             self._access_keys = _key_sequence(start=0x4143_0001 + salt)
 
-    def advance_keys(self, shm_minted: int, access_minted: int) -> None:
-        """Skip the key generators past a previous life's mint counts.
+    def advance_keys(self, shm_minted: int) -> None:
+        """Skip the SHM key generator past a previous life's mint count.
 
-        The generators are deterministic arithmetic sequences, so a
+        The generator is a deterministic arithmetic sequence, so a
         restored pool that replayed ``shm_minted`` creations would
-        otherwise re-mint exactly the keys the dead server handed out —
-        colliding with restored SHM keys and, worse, making a client's
-        stale access key silently resolve to the wrong segment.
+        otherwise re-mint exactly the keys the dead server handed out,
+        colliding with restored SHM keys.  Access keys are reseeded
+        instead (:meth:`reseed_access_keys`).
         """
         with self._lock:
             while self._shm_minted < shm_minted:
                 next(self._shm_keys)
                 self._shm_minted += 1
-            while self._access_minted < access_minted:
-                next(self._access_keys)
-                self._access_minted += 1
 
     def segments(self, tenant: Optional[str] = None) -> Dict[str, Segment]:
         """Snapshot of live segments keyed by (qualified) name.

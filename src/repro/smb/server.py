@@ -288,9 +288,8 @@ class SMBServer:
                 shm_key=seg.shm_key,
                 data=seg.data,
                 version=seg.version,
-                owner=seg.owner,
             )
-        self.pool.advance_keys(image.shm_minted, image.access_minted)
+        self.pool.advance_keys(image.shm_minted)
         replayed = 0
         for record in records:
             try:
@@ -305,10 +304,9 @@ class SMBServer:
         # (hence unreadable) one may be a life that announced one more
         # epoch: repeating it would re-mint that life's access keys.
         self.epoch = image.epoch + 1 + self._store.snapshots_after(image.seq)
-        # Attaches are not journaled, so ``access_minted`` undershoots
-        # whatever the dead life handed out after its last snapshot;
-        # epoch-salting the sequence makes collisions impossible instead
-        # of merely unlikely.
+        # Attaches are not journaled, so nothing on disk counts the access
+        # keys the dead life handed out; epoch-salting the sequence makes
+        # collisions with them impossible.
         self.pool.reseed_access_keys(self.epoch)
         self.stats.inc("smb/recovery/recoveries")
         restored = len(self.pool.segments())
@@ -329,7 +327,6 @@ class SMBServer:
                 shm_key=segment.shm_key,
                 data=segment.buffer.copy(),
                 version=segment.version,
-                owner=segment.owner,
             )
             for segment in self.pool.segments().values()
         ]
@@ -343,7 +340,6 @@ class SMBServer:
             epoch=self.epoch,
             seq=0,  # assigned by the store
             shm_minted=self.pool.shm_minted,
-            access_minted=self.pool.access_minted,
             segments=segments,
             tenants=tenants,
         )
@@ -708,7 +704,6 @@ class SMBServer:
                     "name": MemoryPool.split_name(segment.name)[1],
                     "nbytes": segment.size,
                     "version": segment.version,
-                    "owner": segment.owner,
                 }
                 for segment in self.pool.segments(tenant).values()
             ]

@@ -169,6 +169,7 @@ class TestExecution:
         import json
 
         from repro.smb import MembershipRegistry
+        from repro.smb.client import SlotClaim
         from repro.telemetry import TelemetrySession
 
         registry = MembershipRegistry(
@@ -181,8 +182,8 @@ class TestExecution:
             {"mode": "inproc"}, {"count": 8}, capacity=3,
             namespace="alice",
         )
-        registry.join("w0")
-        registry.join("w1", namespace="alice")
+        registry.join("w0", lambda: SlotClaim(0, 1))
+        registry.join("w1", lambda: SlotClaim(0, 1), namespace="alice")
         code = main(
             ["smb", "members", "--registry", str(tmp_path / "registry")]
         )

@@ -34,6 +34,7 @@ from repro.smb import (
     publish_json,
     read_json,
 )
+from repro.smb.client import SlotClaim
 from repro.telemetry import TelemetrySession
 
 from .test_netspec import small_spec
@@ -126,6 +127,17 @@ class TestAtomicPublication:
         assert read_json(path) == {"i": 4}
 
 
+def fixed(slot, generation=1):
+    """A pre-claimed slot's claim, as a fixed-fleet member passes it."""
+    return lambda: SlotClaim(slot, generation)
+
+
+@pytest.fixture()
+def control(client):
+    """An elastic control block: every slot FREE, claimed explicitly."""
+    return ControlBlock.create(client, "ctl", 3, preclaimed=0)
+
+
 class TestMembershipRegistry:
     def test_empty_view_before_first_publish(self, tmp_path):
         registry = make_registry(tmp_path)
@@ -134,71 +146,99 @@ class TestMembershipRegistry:
         assert view.version == 0
         assert view.entry().members == {}
 
-    def test_join_before_job_publication_rejected(self, tmp_path):
+    def test_join_before_job_publication_rejected(self, tmp_path, control):
         registry = make_registry(tmp_path)
         with pytest.raises(MembershipError):
-            registry.join("early-bird")
+            registry.join("early-bird", control.claim)
+        assert control.live_count() == 0  # refused before claiming
 
-    def test_publish_job_then_join_allocates_lowest_slot(self, tmp_path):
+    def test_publish_job_then_join_allocates_lowest_slot(
+        self, tmp_path, control
+    ):
         registry = make_registry(tmp_path)
         registry.publish_job(SERVER_DOC, JOB_DOC, capacity=3)
-        a = registry.join("a")
-        b = registry.join("b")
+        a = registry.join("a", control.claim)
+        b = registry.join("b", control.claim)
         assert (a.slot, b.slot) == (0, 1)
+        assert (a.generation, b.generation) == (1, 1)
         view = registry.read()
         entry = view.entry()
         assert entry.capacity == 3
         assert entry.job["count"] == 8
         assert set(entry.members) == {"a", "b"}
 
-    def test_launch_worker_requests_its_rank_slot(self, tmp_path):
+    def test_launch_worker_requests_its_rank_slot(self, tmp_path, control):
         registry = make_registry(tmp_path)
-        registry.publish_job(SERVER_DOC, JOB_DOC, capacity=4)
-        record = registry.join("rank2", slot=2)
+        registry.publish_job(SERVER_DOC, JOB_DOC, capacity=3)
+        record = registry.join("rank2", lambda: control.claim(2))
         assert record.slot == 2
-        # next anonymous joiner gets the lowest *free* slot, not 3
-        assert registry.join("late").slot == 0
+        # the next anonymous joiner gets the lowest *free* slot
+        assert registry.join("late", control.claim).slot == 0
 
-    def test_duplicate_member_id_rejected(self, tmp_path):
+    def test_duplicate_member_id_rejected(self, tmp_path, control):
         registry = make_registry(tmp_path)
         registry.publish_job(SERVER_DOC, JOB_DOC, capacity=2)
-        registry.join("a")
+        registry.join("a", control.claim)
         with pytest.raises(MembershipError, match="already registered"):
-            registry.join("a")
+            registry.join("a", control.claim)
+        assert control.live_count() == 1  # refused before claiming
 
-    def test_occupied_and_out_of_range_slots_rejected(self, tmp_path):
+    def test_occupied_and_out_of_range_slots_rejected(
+        self, tmp_path, control
+    ):
         registry = make_registry(tmp_path)
-        registry.publish_job(SERVER_DOC, JOB_DOC, capacity=2)
-        registry.join("a", slot=0)
-        with pytest.raises(MembershipError, match="held by a live member"):
-            registry.join("b", slot=0)
-        with pytest.raises(MembershipError, match="out of range"):
-            registry.join("b", slot=2)
-
-    def test_capacity_exhausted_raises_typed_error(self, tmp_path):
-        registry = make_registry(tmp_path)
-        registry.publish_job(SERVER_DOC, JOB_DOC, capacity=2)
-        registry.join("a")
-        registry.join("b")
+        registry.publish_job(SERVER_DOC, JOB_DOC, capacity=3)
+        registry.join("a", lambda: control.claim(0))
         with pytest.raises(SlotsExhaustedError):
-            registry.join("c")
+            registry.join("b", lambda: control.claim(0))
+        with pytest.raises(ValueError, match="out of range"):
+            registry.join("b", lambda: control.claim(3))
+        assert set(registry.read().entry().members) == {"a"}
 
-    def test_leave_frees_the_slot_and_bumps_epoch(self, tmp_path):
+    def test_capacity_exhausted_raises_typed_error(self, tmp_path, client):
         registry = make_registry(tmp_path)
         registry.publish_job(SERVER_DOC, JOB_DOC, capacity=2)
-        registry.join("a")
-        registry.join("b")
+        control = ControlBlock.create(client, "ctl", 2, preclaimed=0)
+        registry.join("a", control.claim)
+        registry.join("b", control.claim)
+        with pytest.raises(SlotsExhaustedError):
+            registry.join("c", control.claim)
+
+    def test_failed_claim_publishes_nothing(self, tmp_path):
+        registry = make_registry(tmp_path)
+        registry.publish_job(SERVER_DOC, JOB_DOC, capacity=2)
+        before = registry.read()
+
+        def refused():
+            raise SlotsExhaustedError(2)
+
+        with pytest.raises(SlotsExhaustedError):
+            registry.join("a", refused)
+        after = registry.read()
+        assert after.version == before.version
+        assert after.epoch == before.epoch
+        assert after.entry().members == {}
+
+    def test_leave_drops_the_record_and_bumps_epoch(
+        self, tmp_path, control
+    ):
+        registry = make_registry(tmp_path)
+        registry.publish_job(SERVER_DOC, JOB_DOC, capacity=3)
+        registry.join("a", control.claim)
+        registry.join("b", control.claim)
         epoch = registry.read().epoch
         assert registry.leave("a") is True
         view = registry.read()
         assert view.epoch == epoch + 1
-        assert registry.join("c").slot == 0  # reclaimed
+        assert set(view.entry().members) == {"b"}
+        # The slot is the control block's: a live holder keeps it.
+        assert registry.join("c", control.claim).slot == 2
         assert registry.leave("a") is False  # already gone
 
     def test_heartbeat_bumps_version_not_epoch(self, tmp_path):
         registry = make_registry(tmp_path)
         registry.publish_job(SERVER_DOC, JOB_DOC, capacity=2)
-        registry.join("a")
+        registry.join("a", fixed(0))
         before = registry.read()
         registry.heartbeat("a")
         after = registry.read()
@@ -212,12 +252,14 @@ class TestMembershipRegistry:
         with pytest.raises(MembershipError, match="unknown member"):
             registry.heartbeat("ghost")
 
-    def test_lease_expiry_evicts_and_frees_the_slot(self, tmp_path):
+    def test_lease_expiry_evicts_the_record_and_the_live_worker_keeps_its_slot(
+        self, tmp_path, control
+    ):
         clock = FakeClock()
         registry = make_registry(tmp_path, lease=10.0, clock=clock)
-        registry.publish_job(SERVER_DOC, JOB_DOC, capacity=2)
-        registry.join("wedged")
-        registry.join("healthy")
+        registry.publish_job(SERVER_DOC, JOB_DOC, capacity=3)
+        registry.join("wedged", control.claim)
+        registry.join("healthy", control.claim)
         assert registry.live_count() == 2
         clock.advance(6.0)
         registry.heartbeat("healthy")  # renews; "wedged" does not
@@ -228,13 +270,15 @@ class TestMembershipRegistry:
         view = registry.read()
         assert set(view.entry().members) == {"healthy"}
         assert view.epoch == epoch + 1
-        # the evicted member's slot is allocatable again
-        assert registry.join("replacement").slot == 0
+        # The record went, the slot did not: the wedged worker still
+        # holds slot 0 in the control block, so a replacement gets 2.
+        assert control.live_count() == 2
+        assert registry.join("replacement", control.claim).slot == 2
 
     def test_publish_job_supersedes_previous_fleet(self, tmp_path):
         registry = make_registry(tmp_path)
         registry.publish_job(SERVER_DOC, JOB_DOC, capacity=2)
-        registry.join("old")
+        registry.join("old", fixed(0))
         registry.publish_job(SERVER_DOC, dict(JOB_DOC, count=16), 2)
         view = registry.read()
         assert view.entry().members == {}
@@ -243,22 +287,12 @@ class TestMembershipRegistry:
     def test_retire_request_flags_the_member(self, tmp_path):
         registry = make_registry(tmp_path)
         registry.publish_job(SERVER_DOC, JOB_DOC, capacity=2)
-        registry.join("a")
-        assert registry.retiring("a") is False
+        registry.join("a", fixed(0))
+        assert registry.heartbeat("a") is False
         assert registry.request_retire("a") is True
-        assert registry.retiring("a") is True
+        assert registry.heartbeat("a") is True
+        assert registry.read().entry().members["a"].status == "retiring"
         assert registry.request_retire("ghost") is False
-
-    def test_update_member_patches_fields(self, tmp_path):
-        registry = make_registry(tmp_path)
-        registry.publish_job(SERVER_DOC, JOB_DOC, capacity=2)
-        registry.join("a")
-        registry.update_member("a", generation=7)
-        assert registry.read().entry().members["a"].generation == 7
-        with pytest.raises(MembershipError, match="no field"):
-            registry.update_member("a", bogus=1)
-        with pytest.raises(MembershipError, match="unknown member"):
-            registry.update_member("ghost", generation=1)
 
     def test_wait_for_job_times_out(self, tmp_path):
         registry = make_registry(tmp_path)
@@ -272,8 +306,8 @@ class TestMembershipRegistry:
             tmp_path, lease=10.0, telemetry=session, clock=clock
         )
         registry.publish_job(SERVER_DOC, JOB_DOC, capacity=3)
-        registry.join("a")
-        registry.join("b")
+        registry.join("a", fixed(0))
+        registry.join("b", fixed(1))
         registry.request_retire("b")
         registry.leave("b")
         clock.advance(11.0)
@@ -289,14 +323,18 @@ class TestMembershipRegistry:
 class TestMultiNamespaceRegistry:
     """One registry document, several concurrent job namespaces."""
 
-    def test_namespaces_do_not_share_slots(self, tmp_path):
+    def test_namespaces_do_not_share_slots(self, tmp_path, client):
         registry = make_registry(tmp_path)
         registry.publish_job(SERVER_DOC, JOB_DOC, capacity=2)
         registry.publish_job(
             SERVER_DOC, dict(JOB_DOC), capacity=2, namespace="alice"
         )
-        default_a = registry.join("a")
-        alice_a = registry.join("a", namespace="alice")
+        default_control = ControlBlock.create(client, "ctl", 2, 0)
+        alice_control = ControlBlock.create(client, "alice_ctl", 2, 0)
+        default_a = registry.join("a", default_control.claim)
+        alice_a = registry.join(
+            "a", alice_control.claim, namespace="alice"
+        )
         # Same member id, same slot index — different namespaces.
         assert default_a.slot == alice_a.slot == 0
         view = registry.read()
@@ -308,7 +346,7 @@ class TestMultiNamespaceRegistry:
     def test_publishing_one_namespace_keeps_the_others(self, tmp_path):
         registry = make_registry(tmp_path)
         registry.publish_job(SERVER_DOC, JOB_DOC, capacity=2)
-        registry.join("worker0")
+        registry.join("worker0", fixed(0))
         registry.publish_job(
             SERVER_DOC, dict(JOB_DOC), capacity=4, namespace="alice"
         )
@@ -323,8 +361,8 @@ class TestMultiNamespaceRegistry:
         registry.publish_job(
             SERVER_DOC, dict(JOB_DOC), capacity=2, namespace="alice"
         )
-        registry.join("w", namespace="alice")
-        registry.join("w")
+        registry.join("w", fixed(0), namespace="alice")
+        registry.join("w", fixed(0))
         clock.advance(8.0)
         registry.heartbeat("w", namespace="alice")  # only alice renews
         clock.advance(3.0)  # default's lease (10s) has now lapsed
@@ -690,3 +728,140 @@ class TestLaunchRankRetire:
         assert int(control.read_progress()[2]) == ControlBlock.FREE
         assert "rank2" not in registry.read().entry().members
         assert sorted(server.pool.segments()) == ["W_g", "control"]
+
+
+def elastic_manager(tmp_path, server, iterations=60):
+    """Two launch ranks, room for four, AVERAGE termination."""
+    return DistributedTrainingManager(
+        spec_factory=lambda: small_spec(batch=4),
+        config=ShmCaffeConfig(
+            solver=SolverConfig(base_lr=0.05, momentum=0.9),
+            moving_rate=0.2,
+            max_iterations=iterations,
+            termination=TerminationCriterion.AVERAGE_ITERATIONS,
+        ),
+        dataset=SyntheticImageDataset(
+            num_classes=4, image_size=8, train_per_class=40,
+            test_per_class=8, noise=0.7, seed=5,
+        ),
+        batch_size=4,
+        num_workers=2,
+        server=server,
+        seed=5,
+        registry_dir=str(tmp_path / "registry"),
+        elastic=True,
+        max_workers=4,
+    )
+
+
+class TestOneSlotTable:
+    """The control block allocates every slot; the registry records it.
+
+    Each case makes the registry's member table disagree with the
+    control block, as a finished rank or a lapsed lease does, and
+    checks a joiner still claims a free slot.
+    """
+
+    def _run_with_joiner(self, manager, spawn_when):
+        """Run ``manager``; spawn one joiner once ``spawn_when(view)``
+        holds (checked on every registry read, a minute's cap)."""
+        spawned = []
+
+        def spawner():
+            deadline = monotonic() + 60.0
+            while monotonic() < deadline:
+                if spawn_when(manager.registry.read()):
+                    spawned.append(manager.spawn_worker(timeout=60.0))
+                    return
+                sleep(0.002)
+
+        thread = threading.Thread(target=spawner, daemon=True)
+        thread.start()
+        result = manager.run(timeout=120)
+        thread.join(timeout=60.0)
+        assert spawned, "the spawn condition never held"
+        joiner = spawned[0]
+        assert joiner.join(120.0), "the joiner never finished"
+        return result, joiner
+
+    def test_joiner_after_a_launch_rank_finished_claims_a_free_slot(
+        self, tmp_path, server
+    ):
+        manager = elastic_manager(tmp_path, server)
+
+        def rank1_left(view):
+            # The job's publication and both launch joins bump the
+            # epoch to 3, so rank1 missing after that means it left.
+            return view.epoch >= 3 and "rank1" not in view.entry().members
+
+        result, joiner = self._run_with_joiner(manager, rank1_left)
+        assert not result.failed_ranks
+        # rank1 finished and keeps its slot (its progress stays in the
+        # mean); the joiner takes the lowest FREE one.
+        assert joiner.error is None
+        assert joiner.slot == 2
+
+    def test_live_rank_without_a_registry_record_keeps_its_slot(
+        self, tmp_path, server
+    ):
+        manager = elastic_manager(tmp_path, server)
+        registry = manager.registry
+
+        def rank1_record_dropped(view):
+            record = view.entry().members.get("rank1")
+            if record is None or record.heartbeats < 2:
+                return False
+            # What a lapsed lease does to a slow but live worker.
+            registry.leave("rank1")
+            return True
+
+        result, joiner = self._run_with_joiner(manager, rank1_record_dropped)
+        assert not result.failed_ranks
+        assert joiner.error is None
+        assert joiner.slot == 2
+        assert joiner.history is not None
+        assert joiner.history.completed_iterations > 0
+
+
+class TestAutoscaledRun:
+    def test_first_window_has_phase_samples_with_telemetry_off(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import telemetry
+        from repro.platforms import shmcaffe
+
+        controllers = []
+
+        class Idle:
+            """Keeps the controller; never steps it."""
+
+            def __init__(self, manager, controller):
+                controllers.append(controller)
+
+            def start(self):
+                return self
+
+            def stop(self):
+                pass
+
+        monkeypatch.setattr(shmcaffe, "AutoscaleSupervisor", Idle)
+        with telemetry.session("off"):
+            shmcaffe.train(
+                lambda: small_spec(batch=4),
+                SyntheticImageDataset(
+                    num_classes=4, image_size=8, train_per_class=10,
+                    test_per_class=4, seed=1,
+                ),
+                SolverConfig(base_lr=0.05),
+                batch_size=4,
+                iterations=4,
+                num_workers=2,
+                elastic=True,
+                max_workers=3,
+                registry_dir=str(tmp_path / "registry"),
+                autoscale=True,
+            )
+        (controller,) = controllers
+        signals = controller.signals()
+        assert signals.comm_ratio is not None
+        assert signals.live == 0  # every member has left
