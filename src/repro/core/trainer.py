@@ -453,7 +453,7 @@ class DistributedTrainingManager:
                 server_doc = {"mode": "tcp", "host": host, "port": port}
                 if self.rendezvous:
                     server_doc["rendezvous"] = self.rendezvous
-            self.registry.publish_job(server_doc, job, capacity)
+            self.registry.publish_job(server_doc, job)
         return job, (global_array, control)
 
     def _rank_main(self, comm: mpi.Communicator) -> WorkerHistory:
@@ -801,7 +801,7 @@ class DistributedTrainingManager:
         def job_from_registry(
             client: Optional[SMBClient], flat: FlatParams
         ) -> Tuple[Dict[str, object], None]:
-            return registry.wait_for_job().entry().job, None
+            return registry.wait_for_job().job, None
 
         def claimed(claim: SlotClaim) -> None:
             handle.slot, handle.generation = claim.slot, claim.generation

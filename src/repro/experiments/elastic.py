@@ -159,7 +159,7 @@ def run_elastic_drill(
         assert registry is not None
 
         def _beats(member_id: str) -> Optional[int]:
-            record = registry.read().entry().members.get(member_id)
+            record = registry.read().members.get(member_id)
             return None if record is None else record.heartbeats
 
         def _wait_beats(

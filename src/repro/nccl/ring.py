@@ -153,8 +153,3 @@ class RingGroup:
         """Sum arrays onto ``root``; other members return ``None``."""
         summed = self.allreduce(rank, values, average=average)
         return summed if rank == root else None
-
-    def barrier(self, rank: int) -> None:
-        """Synchronise the group without moving data."""
-        self._check_rank(rank)
-        self._wait()

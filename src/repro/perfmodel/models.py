@@ -39,11 +39,6 @@ class ModelProfile:
         """Parameter payload in bytes."""
         return int(self.param_mb * 1e6)
 
-    @property
-    def param_count(self) -> int:
-        """Approximate float32 parameter count."""
-        return self.param_bytes // 4
-
 
 #: Table IV of the reproduction.
 PAPER_MODELS: Dict[str, ModelProfile] = {

@@ -3,11 +3,14 @@
 The ``endpoint.json`` rendezvous (:mod:`repro.smb.journal`) answers one
 question — *where is the server right now* — for clients that were already
 part of the job.  Elastic membership generalises it into a small registry
-a worker that was **not** part of the launch can join through:
+a worker that was **not** part of the launch can join through.  One
+registry holds one job (paper Sec. III-E: one job's workers share one
+control block):
 
-* the **job document** carries the server endpoint, the job spec (segment
-  namespace, model element count, the ``W_g`` and control-block SHM keys,
-  the slot capacity, hyper-parameters), published once by the master;
+* the **server** map says where the SMB server is, and the **job
+  document** carries the job spec (segment-name prefix, model element
+  count, the ``W_g`` and control-block SHM keys, the slot capacity,
+  hyper-parameters); the master publishes both once;
 * the **member table** holds one record per live worker — the slot and
   generation its control-block claim returned, a ``status`` (``active``
   or ``retiring``), and a heartbeat-renewed lease.  A member whose lease
@@ -49,25 +52,23 @@ retires, lease expiries) and gauges (epoch, live member count), which the
 
 from __future__ import annotations
 
-import contextlib
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..telemetry import TelemetrySession, resolve as _resolve_telemetry
 from .client import SlotClaim
 from .errors import MembershipError
 from .journal import publish_json, read_json
-from .memory import DEFAULT_TENANT
 
 PathLike = Union[str, os.PathLike]
 
 #: Registry document schema version; bumped on incompatible changes.
-#: Job documents are keyed by *namespace* (multi-tenant fleets); any
-#: other format is refused with :class:`MembershipError`.
-REGISTRY_FORMAT = 2
+#: A document holds one job; any other format is refused with
+#: :class:`MembershipError`.
+REGISTRY_FORMAT = 3
 
 #: File names inside a registry directory.
 REGISTRY_NAME = "registry.json"
@@ -123,88 +124,30 @@ class MemberRecord:
 
 
 @dataclass
-class JobEntry:
-    """One namespace's job: endpoint, spec and member table."""
-
-    server: Dict[str, object] = field(default_factory=dict)
-    job: Dict[str, object] = field(default_factory=dict)
-    capacity: int = 0
-    members: Dict[str, MemberRecord] = field(default_factory=dict)
-
-    def to_doc(self) -> Dict[str, object]:
-        return {
-            "server": self.server,
-            "job": self.job,
-            "capacity": self.capacity,
-            "members": {
-                member_id: record.to_doc()
-                for member_id, record in self.members.items()
-            },
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Dict[str, object]) -> "JobEntry":
-        members_doc = doc.get("members", {})
-        members = {}
-        if isinstance(members_doc, dict):
-            for member_id, entry in members_doc.items():
-                members[str(member_id)] = MemberRecord.from_doc(entry)
-        return cls(
-            server=dict(doc.get("server", {})),  # type: ignore[arg-type]
-            job=dict(doc.get("job", {})),  # type: ignore[arg-type]
-            capacity=int(doc.get("capacity", 0)),  # type: ignore[arg-type]
-            members=members,
-        )
-
-
-@dataclass
 class RegistryView:
-    """A decoded snapshot of the registry document.
-
-    One registry hosts any number of concurrent jobs, keyed by
-    namespace (the SMB tenant); :meth:`entry` is the accessor.
-    """
+    """A decoded snapshot of the registry document: one job and its
+    member table."""
 
     version: int = 0
     epoch: int = 0
-    jobs: Dict[str, JobEntry] = field(default_factory=dict)
+    server: Dict[str, object] = field(default_factory=dict)
+    job: Dict[str, object] = field(default_factory=dict)
+    members: Dict[str, MemberRecord] = field(default_factory=dict)
 
-    def entry(
-        self, namespace: str = DEFAULT_TENANT, create: bool = False
-    ) -> JobEntry:
-        """The namespace's job entry; ``create`` vivifies a blank one."""
-        found = self.jobs.get(namespace)
-        if found is None:
-            found = JobEntry()
-            if create:
-                self.jobs[namespace] = found
-        return found
-
-    def namespaces(self) -> List[str]:
-        """Every namespace with a registered job, sorted."""
-        return sorted(self.jobs)
-
-    def total_members(self) -> int:
-        """Live member count across every namespace."""
-        return sum(len(entry.members) for entry in self.jobs.values())
-
-    def live_members(
-        self, namespace: str = DEFAULT_TENANT
-    ) -> List[MemberRecord]:
+    def live_members(self) -> List[MemberRecord]:
         """Members holding an unexpired record, join order."""
-        return sorted(
-            self.entry(namespace).members.values(),
-            key=lambda m: m.joined_at,
-        )
+        return sorted(self.members.values(), key=lambda m: m.joined_at)
 
     def to_doc(self) -> Dict[str, object]:
         return {
             "format": REGISTRY_FORMAT,
             "version": self.version,
             "epoch": self.epoch,
-            "jobs": {
-                namespace: entry.to_doc()
-                for namespace, entry in sorted(self.jobs.items())
+            "server": self.server,
+            "job": self.job,
+            "members": {
+                member_id: record.to_doc()
+                for member_id, record in self.members.items()
             },
         }
 
@@ -215,15 +158,17 @@ class RegistryView:
             raise MembershipError(
                 f"unsupported registry format {fmt!r}"
             )
-        jobs_doc = doc.get("jobs")
-        if not isinstance(jobs_doc, dict):
-            raise MembershipError("registry document has no job table")
+        members_doc = doc.get("members")
+        if not isinstance(members_doc, dict):
+            raise MembershipError("registry document has no member table")
         return cls(
             version=int(doc.get("version", 0)),  # type: ignore[arg-type]
             epoch=int(doc.get("epoch", 0)),  # type: ignore[arg-type]
-            jobs={
-                str(namespace): JobEntry.from_doc(entry)
-                for namespace, entry in jobs_doc.items()
+            server=dict(doc.get("server", {})),  # type: ignore[arg-type]
+            job=dict(doc.get("job", {})),  # type: ignore[arg-type]
+            members={
+                str(member_id): MemberRecord.from_doc(entry)
+                for member_id, entry in members_doc.items()
             },
         )
 
@@ -267,7 +212,7 @@ class MembershipRegistry:
         view.version += 1
         publish_json(self.path, view.to_doc())
         self._registry.set("smb/membership/epoch", view.epoch)
-        self._registry.set("smb/membership/live", view.total_members())
+        self._registry.set("smb/membership/live", len(view.members))
 
     # -- locking -----------------------------------------------------------
 
@@ -309,19 +254,6 @@ class MembershipRegistry:
         except OSError:
             pass
 
-    @contextlib.contextmanager
-    def lock(self) -> Iterator[None]:
-        """Hold the registry's cross-process lock around external work.
-
-        Every mutation of the registry takes the same lock, so nothing
-        is published while an out-of-band coordinator holds it.
-        """
-        self._acquire_lock()
-        try:
-            yield
-        finally:
-            self._release_lock()
-
     # -- read path ---------------------------------------------------------
 
     def read(self) -> RegistryView:
@@ -332,106 +264,78 @@ class MembershipRegistry:
         return RegistryView.from_doc(doc)
 
     def wait_for_job(
-        self,
-        timeout: float = 30.0,
-        poll: float = 0.01,
-        namespace: str = DEFAULT_TENANT,
+        self, timeout: float = 30.0, poll: float = 0.01
     ) -> RegistryView:
-        """Block until the master has published the namespace's job."""
+        """Block until the master has published the job."""
         deadline = time.monotonic() + timeout
         while True:
             view = self.read()
-            if view.entry(namespace).job:
+            if view.job:
                 return view
             if time.monotonic() >= deadline:
-                scope = (
-                    "" if namespace == DEFAULT_TENANT
-                    else f" for namespace {namespace!r}"
-                )
                 raise MembershipError(
-                    f"no job published{scope} in {self.path} "
+                    f"no job published in {self.path} "
                     f"within {timeout:.1f}s"
                 )
             time.sleep(poll)
 
-    def live_count(self, namespace: Optional[str] = DEFAULT_TENANT) -> int:
-        """Unexpired members right now; ``None`` counts every namespace."""
+    def live_count(self) -> int:
+        """The job's unexpired member records right now."""
         view = self.read()
         now = self._clock()
-        entries = (
-            view.jobs.values() if namespace is None
-            else [view.entry(namespace)]
-        )
-        return sum(
-            1 for entry in entries
-            for m in entry.members.values() if m.lease_expires > now
-        )
+        return sum(1 for m in view.members.values() if m.lease_expires > now)
 
     # -- mutations ---------------------------------------------------------
 
-    def _mutate(
-        self, fn: Callable[[RegistryView], None]
-    ) -> RegistryView:
-        """Read-modify-publish under the cross-process lock."""
+    def _mutate(self, fn: Callable[[RegistryView], None]) -> int:
+        """Read-modify-publish under the cross-process lock.
+
+        Returns how many lapsed records this critical section evicted.
+        """
         self._acquire_lock()
         try:
             view = self.read()
-            self._expire_locked(view)
+            expired = self._expire_locked(view)
             fn(view)
             self._publish(view)
-            return view
+            return expired
         finally:
             self._release_lock()
 
     def _expire_locked(self, view: RegistryView) -> int:
-        """Evict members whose lease lapsed (any namespace)."""
+        """Evict members whose lease lapsed."""
         now = self._clock()
-        expired_total = 0
-        for entry in view.jobs.values():
-            expired = [
-                member_id for member_id, record in entry.members.items()
-                if record.lease_expires <= now
-            ]
-            for member_id in expired:
-                del entry.members[member_id]
-            expired_total += len(expired)
-        if expired_total:
+        expired = [
+            member_id for member_id, record in view.members.items()
+            if record.lease_expires <= now
+        ]
+        for member_id in expired:
+            del view.members[member_id]
+        if expired:
             view.epoch += 1
-            self._count("lease_expiries", expired_total)
-        return expired_total
+            self._count("lease_expiries", len(expired))
+        return len(expired)
 
     def publish_job(
-        self,
-        server: Dict[str, object],
-        job: Dict[str, object],
-        capacity: int,
-        namespace: str = DEFAULT_TENANT,
-    ) -> RegistryView:
-        """Master-side: announce a job (endpoint, spec, slot capacity).
+        self, server: Dict[str, object], job: Dict[str, object]
+    ) -> None:
+        """Master-side: announce the job (endpoint and spec).
 
-        Members of any previous job *in this namespace* are dropped — a
-        new announcement definitionally supersedes the old fleet.  Other
-        namespaces' jobs are untouched: one registry directory now hosts
-        any number of concurrent tenants.
+        Members of any previous job are dropped — a new announcement
+        definitionally supersedes the old fleet.  The slot capacity is
+        the job document's ``capacity``.
         """
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
 
         def apply(view: RegistryView) -> None:
-            entry = view.entry(namespace, create=True)
-            entry.server = dict(server)
-            entry.job = dict(job)
-            entry.capacity = capacity
-            entry.members = {}
+            view.server = dict(server)
+            view.job = dict(job)
+            view.members = {}
             view.epoch += 1
 
-        return self._mutate(apply)
+        self._mutate(apply)
 
     def join(
-        self,
-        member_id: str,
-        claim: Callable[[], SlotClaim],
-        namespace: str = DEFAULT_TENANT,
+        self, member_id: str, claim: Callable[[], SlotClaim]
     ) -> MemberRecord:
         """Admit a worker: run its slot ``claim``, record what it returns.
 
@@ -449,14 +353,11 @@ class MembershipRegistry:
         record = MemberRecord(member_id=member_id, slot=-1, generation=0)
 
         def apply(view: RegistryView) -> None:
-            entry = view.entry(namespace)
-            if not entry.job:
+            if not view.job:
                 raise MembershipError(
                     "cannot join before the master publishes the job"
-                    + (f" for namespace {namespace!r}"
-                       if namespace != DEFAULT_TENANT else "")
                 )
-            if member_id in entry.members:
+            if member_id in view.members:
                 raise MembershipError(
                     f"member id {member_id!r} already registered"
                 )
@@ -465,16 +366,14 @@ class MembershipRegistry:
             now = self._clock()
             record.joined_at = now
             record.lease_expires = now + self.lease
-            entry.members[member_id] = record
+            view.members[member_id] = record
             view.epoch += 1
 
         self._mutate(apply)
         self._count("joins")
         return record
 
-    def heartbeat(
-        self, member_id: str, namespace: str = DEFAULT_TENANT
-    ) -> bool:
+    def heartbeat(self, member_id: str) -> bool:
         """Renew a member's lease (bumps version, not epoch).
 
         Returns whether a retire was requested for the member: the
@@ -483,7 +382,7 @@ class MembershipRegistry:
         retiring: List[bool] = []
 
         def apply(view: RegistryView) -> None:
-            record = view.entry(namespace).members.get(member_id)
+            record = view.members.get(member_id)
             if record is None:
                 raise MembershipError(
                     f"heartbeat from unknown member {member_id!r} "
@@ -496,9 +395,7 @@ class MembershipRegistry:
         self._mutate(apply)
         return retiring[0]
 
-    def request_retire(
-        self, member_id: str, namespace: str = DEFAULT_TENANT
-    ) -> bool:
+    def request_retire(self, member_id: str) -> bool:
         """Flag a member ``retiring``; it drains and leaves on its own.
 
         Returns False when the member is already gone (raced a leave or
@@ -507,7 +404,7 @@ class MembershipRegistry:
         found = []
 
         def apply(view: RegistryView) -> None:
-            record = view.entry(namespace).members.get(member_id)
+            record = view.members.get(member_id)
             if record is not None:
                 record.status = MEMBER_RETIRING
                 found.append(member_id)
@@ -517,9 +414,7 @@ class MembershipRegistry:
             self._count("retires")
         return bool(found)
 
-    def leave(
-        self, member_id: str, namespace: str = DEFAULT_TENANT
-    ) -> bool:
+    def leave(self, member_id: str) -> bool:
         """Remove a member's record (its slot stays as the control block
         holds it).
 
@@ -528,8 +423,7 @@ class MembershipRegistry:
         removed = []
 
         def apply(view: RegistryView) -> None:
-            entry = view.entry(namespace)
-            if entry.members.pop(member_id, None) is not None:
+            if view.members.pop(member_id, None) is not None:
                 view.epoch += 1
                 removed.append(member_id)
 
@@ -539,7 +433,6 @@ class MembershipRegistry:
         return bool(removed)
 
     def expire_stale(self) -> int:
-        """Evict every member whose lease lapsed; returns the count."""
-        before = self.read().total_members()
-        view = self._mutate(lambda _view: None)
-        return max(before - view.total_members(), 0)
+        """Evict every member whose lease lapsed; returns how many this
+        call evicted."""
+        return self._mutate(lambda _view: None)

@@ -192,12 +192,6 @@ class ReplicaServer:
             thread.join(timeout=5.0)
         self._threads.clear()
 
-    def __enter__(self) -> "ReplicaServer":
-        return self if self._started else self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
     def wait_ready(self, timeout: Optional[float] = None) -> bool:
         """Block until every subscription finished its initial sync."""
         deadline = monotonic() + timeout if timeout is not None else None

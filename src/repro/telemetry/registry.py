@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry"]
 
@@ -137,11 +137,6 @@ class Histogram:
         with self._lock:
             return self._sum
 
-    @property
-    def mean(self) -> float:
-        with self._lock:
-            return self._sum / self._count if self._count else 0.0
-
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile (0 <= q <= 1) from the buckets."""
         if not 0.0 <= q <= 1.0:
@@ -166,11 +161,6 @@ class Histogram:
                 return min(max(estimate, self._min), self._max)
             seen += in_bucket
         return self._max
-
-    def quantiles(self, qs: Iterable[float]) -> List[float]:
-        """Several quantiles under one lock acquisition."""
-        with self._lock:
-            return [self._quantile_locked(q) for q in qs]
 
     def snapshot(self) -> Dict[str, object]:
         """Serializable summary (count/sum/min/max plus p50/p95/p99)."""

@@ -77,31 +77,6 @@ class TraceRecorder:
                 self.dropped += 1
             self._events.append(event)
 
-    def instant(
-        self,
-        name: str,
-        pid: int,
-        tid: int,
-        cat: str = "mark",
-        args: Optional[Dict[str, object]] = None,
-    ) -> None:
-        """Record an instant ("i") marker at the current time."""
-        event: Dict[str, object] = {
-            "name": name,
-            "cat": cat,
-            "ph": "i",
-            "s": "t",  # thread-scoped marker
-            "pid": pid,
-            "tid": tid,
-            "ts": round(self.now_us(), 3),
-        }
-        if args:
-            event["args"] = args
-        with self._lock:
-            if len(self._events) == self._events.maxlen:
-                self.dropped += 1
-            self._events.append(event)
-
     # -- process/thread naming -------------------------------------------
 
     def name_process(self, pid: int, name: str) -> None:
