@@ -15,7 +15,7 @@ from repro.platforms import shmcaffe
 ALPHAS = (0.05, 0.2, 0.5, 0.9)
 
 
-def test_moving_rate_sweep(benchmark, record):
+def test_moving_rate_sweep(record):
     setup = ConvergenceSetup(
         epochs=4, train_per_class=100, noise=1.0, batch_size=10,
         base_lr=0.05,
@@ -45,7 +45,7 @@ def test_moving_rate_sweep(benchmark, record):
             )
         return result
 
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    result = sweep()
     record("ablation_moving_rate", result)
 
     accs = dict(zip(ALPHAS, result.column("final_acc")))

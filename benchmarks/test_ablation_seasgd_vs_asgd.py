@@ -16,7 +16,7 @@ from repro.experiments.report import ExperimentResult
 from repro.platforms import shmcaffe
 
 
-def test_seasgd_vs_plain_asgd(benchmark, record):
+def test_seasgd_vs_plain_asgd(record):
     setup = ConvergenceSetup(
         model="inception_v1",  # the scaled variant is BN-free: fair to ASGD
         epochs=8, train_per_class=160, noise=1.0, batch_size=10,
@@ -54,7 +54,7 @@ def test_seasgd_vs_plain_asgd(benchmark, record):
             )
         return result
 
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    result = sweep()
     record("ablation_seasgd_vs_asgd", result)
 
     for row in result.rows:

@@ -14,7 +14,7 @@ from repro.experiments.report import ExperimentResult
 from repro.platforms import shmcaffe
 
 
-def test_stale_read_hurts_or_matches(benchmark, record):
+def test_stale_read_hurts_or_matches(record):
     setup = ConvergenceSetup(
         epochs=10, train_per_class=240, noise=1.1, batch_size=10,
         base_lr=0.05,
@@ -48,7 +48,7 @@ def test_stale_read_hurts_or_matches(benchmark, record):
             )
         return result
 
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    result = sweep()
     record("ablation_stale_read", result)
 
     sync_acc, stale_acc = result.column("mean_final_acc")

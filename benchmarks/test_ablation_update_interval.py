@@ -16,7 +16,7 @@ from repro.platforms import shmcaffe
 INTERVALS = (1, 2, 4, 8)
 
 
-def test_update_interval_comm_amortisation(benchmark, record):
+def test_update_interval_comm_amortisation(record):
     model = model_profile("resnet_50")
     result = ExperimentResult(
         "ablation/update_interval",
@@ -38,10 +38,8 @@ def test_update_interval_comm_amortisation(benchmark, record):
     # Amortisation is roughly 1/k for the read-dominated regime.
     assert comm[0] / comm[-1] == pytest.approx(8.0, rel=0.35)
 
-    benchmark(lambda: shmcaffe_a(model, 8, update_interval=4))
 
-
-def test_update_interval_accuracy_tradeoff(benchmark, record):
+def test_update_interval_accuracy_tradeoff(record):
     setup = ConvergenceSetup(
         epochs=8, train_per_class=160, noise=1.0, batch_size=10,
         base_lr=0.05,
@@ -71,7 +69,7 @@ def test_update_interval_accuracy_tradeoff(benchmark, record):
             )
         return result
 
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    result = sweep()
     record("ablation_update_interval_training", result)
     accs = result.column("final_acc")
     # Both still learn; tight coupling must not be catastrophically worse.

@@ -1,6 +1,6 @@
 """Bench: the discrete-event SMB contention simulation itself.
 
-Times the queue-level simulation and records a side-by-side against the
+Runs the queue-level simulation and records a side-by-side against the
 calibrated analytic model — the gap between the two columns is the
 protocol/processing overhead the calibration folds into beta.
 """
@@ -13,7 +13,7 @@ from repro.perfmodel import (
 )
 
 
-def test_desim_vs_analytic(benchmark, record):
+def test_desim_vs_analytic(record):
     model = model_profile("inception_resnet_v2")
 
     result = ExperimentResult(
@@ -42,9 +42,3 @@ def test_desim_vs_analytic(benchmark, record):
     # The analytic model (protocol overheads included) upper-bounds the
     # bandwidth-only simulation at every scale.
     assert all(a >= d for d, a in zip(desim_col, analytic_col))
-
-    benchmark(
-        lambda: simulate_seasgd_contention(
-            model, 8, iterations=25, seed=0
-        )
-    )

@@ -3,21 +3,18 @@
 Shows the headline payoff of the paper's future work: the models that are
 communication-bound on one memory server (VGG16, Inception-ResNet-v2 at
 16 GPUs) drop back under the 50% comm-ratio line with a handful of
-servers.  Also times a live striped exchange across three in-process
 servers.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments.report import ExperimentResult
 from repro.perfmodel import model_profile, shmcaffe_a, shmcaffe_multi_server
-from repro.smb import SMBClient, SMBServer, create_sharded_array
 
 SERVER_COUNTS = (1, 2, 4, 8)
 
 
-def test_multi_server_scaling(benchmark, record):
+def test_multi_server_scaling(record):
     result = ExperimentResult(
         "ext/multi-smb",
         "ShmCaffe-A comm ratio vs number of SMB servers (16 workers)",
@@ -54,24 +51,3 @@ def test_multi_server_scaling(benchmark, record):
     for name in ("resnet_50", "inception_resnet_v2", "vgg16"):
         series = [rows[(name, k)]["comm_ms"] for k in SERVER_COUNTS]
         assert all(b < a for a, b in zip(series, series[1:]))
-
-    benchmark(lambda: shmcaffe_multi_server(model_profile("vgg16"), 16, 4))
-
-
-def test_striped_exchange_live(benchmark):
-    """Time one full striped SEASGD exchange over three servers."""
-    servers = [SMBServer(capacity=1 << 24) for _ in range(3)]
-    clients = [SMBClient.in_process(server) for server in servers]
-    count = 1 << 18  # 1 MiB of float32
-    global_w = create_sharded_array(clients, "W_g", count)
-    delta = create_sharded_array(clients, "dW", count)
-    payload = np.ones(count, dtype=np.float32)
-
-    def exchange():
-        global_now = global_w.read()
-        increment = 0.2 * (payload - global_now)
-        delta.write(increment)
-        delta.accumulate_into(global_w)
-
-    benchmark(exchange)
-    assert global_w.read().mean() > 0.0

@@ -1,8 +1,8 @@
 """Fig. 7 bench: SMB server aggregated R/W bandwidth vs process count.
 
-Regenerates the modelled paper-scale curve and measures this repo's SMB
-server live (in-process transport, the RDMA stand-in).  The benchmark
-timer wraps one full measurement round at 8 clients.
+Regenerates the modelled paper-scale curve beside a live measurement of
+this repo's SMB server (in-process transport, the RDMA stand-in), and
+checks that the live aggregate bandwidth saturates as clients are added.
 """
 
 import pytest
@@ -11,7 +11,7 @@ from repro.experiments import fig07_bandwidth
 from repro.perfmodel import measure_smb_bandwidth, modeled_bandwidth_gbs
 
 
-def test_fig7_bandwidth_table(benchmark, record):
+def test_fig7_bandwidth_table(record):
     result = fig07_bandwidth.run(
         measure=True, buffer_mb=1.0, operations=10
     )
@@ -22,12 +22,6 @@ def test_fig7_bandwidth_table(benchmark, record):
     modeled = result.column("modeled_gbs")
     assert all(b > a for a, b in zip(modeled, modeled[1:]))
     assert modeled[-1] == pytest.approx(6.72, rel=0.02)
-
-    benchmark(
-        lambda: measure_smb_bandwidth(
-            processes=8, buffer_mb=1.0, operations=6
-        )
-    )
 
 
 def test_fig7_measured_shape_saturates(record):

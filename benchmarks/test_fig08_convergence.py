@@ -13,12 +13,8 @@ import numpy as np
 from repro.experiments import fig08_convergence
 
 
-def test_fig8_convergence(benchmark, record):
-    result = benchmark.pedantic(
-        lambda: fig08_convergence.run(quick=True),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig8_convergence(record):
+    result = fig08_convergence.run(quick=True)
     record("fig08_convergence", result)
 
     accuracy = {

@@ -5,8 +5,8 @@ import pytest
 from repro.experiments import fig10_comp_comm
 
 
-def test_fig10_comp_comm(benchmark, record):
-    result = benchmark(fig10_comp_comm.run)
+def test_fig10_comp_comm(record):
+    result = fig10_comp_comm.run()
     record("fig10_comp_comm", result)
 
     rows = {(row["platform"], row["gpus"]): row for row in result.rows}

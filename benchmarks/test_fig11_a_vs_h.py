@@ -8,12 +8,8 @@ close to the single-GPU anchor.
 from repro.experiments import fig11_a_vs_h
 
 
-def test_fig11_async_vs_hybrid(benchmark, record):
-    result = benchmark.pedantic(
-        lambda: fig11_a_vs_h.run(quick=True, worker_counts=(4, 16)),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig11_async_vs_hybrid(record):
+    result = fig11_a_vs_h.run(quick=True, worker_counts=(4, 16))
     record("fig11_a_vs_h", result)
 
     accuracy = {

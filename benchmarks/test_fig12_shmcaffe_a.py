@@ -11,8 +11,8 @@ from repro.experiments import fig12_table5
 from repro.perfmodel import model_profile, simulate_seasgd_contention
 
 
-def test_table5_shmcaffe_a(benchmark, record):
-    result = benchmark(fig12_table5.run)
+def test_table5_shmcaffe_a(record):
+    result = fig12_table5.run()
     record("fig12_table5_shmcaffe_a", result)
 
     rows = {(row["model"], row["workers"]): row for row in result.rows}

@@ -5,8 +5,8 @@ import pytest
 from repro.experiments import fig14_table6
 
 
-def test_table6_shmcaffe_h(benchmark, record):
-    result = benchmark(fig14_table6.run)
+def test_table6_shmcaffe_h(record):
+    result = fig14_table6.run()
     record("fig14_table6_shmcaffe_h", result)
 
     rows = {(row["model"], row["config"]): row for row in result.rows}

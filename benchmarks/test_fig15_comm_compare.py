@@ -3,8 +3,8 @@
 from repro.experiments import fig15_comm_compare
 
 
-def test_fig15_a_vs_h(benchmark, record):
-    result = benchmark(fig15_comm_compare.run)
+def test_fig15_a_vs_h(record):
+    result = fig15_comm_compare.run()
     record("fig15_comm_compare", result)
 
     by_key = {(row["model"], row["gpus"]): row for row in result.rows}

@@ -1,8 +1,7 @@
 """Table IV bench: model parameter sizes and compute-time profiles.
 
-The timed section is the allocation-free inference over the full-size
-VGG16 graph — the operation that makes handling 138 M-parameter models
-cheap in this codebase.
+Every size comes from the allocation-free shape inference over the
+full-size graphs, so a 138 M-parameter VGG16 is sized without building it.
 """
 
 import pytest
@@ -12,7 +11,7 @@ from repro.caffe.netspec import infer
 from repro.experiments import table04_models
 
 
-def test_table4_model_profiles(benchmark, record):
+def test_table4_model_profiles(record):
     result = table04_models.run()
     record("table04_models", result)
 
@@ -24,10 +23,6 @@ def test_table4_model_profiles(benchmark, record):
     assert sizes["inception_v1"] < sizes["resnet_50"]
     assert sizes["resnet_50"] < sizes["inception_resnet_v2"]
     assert sizes["inception_resnet_v2"] < sizes["vgg16"]
-
-    benchmark(
-        lambda: infer(models.full_spec("vgg16", batch_size=1)).param_count
-    )
 
 
 def test_table4_resnet_twice_inception():

@@ -528,7 +528,14 @@ def _cmd_checkpoint_inspect(args: argparse.Namespace) -> int:
 
     from .core import inspect_checkpoint
 
-    print(json.dumps(inspect_checkpoint(args.directory), indent=2))
+    summary = inspect_checkpoint(args.directory)
+    if summary["generations"]:
+        # A torn save stays inspectable even though nothing can resume.
+        print(json.dumps(summary, indent=2))
+    if summary["latest"] is None:
+        print(f"error: no complete checkpoint under {args.directory}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -7,8 +7,9 @@ on live in :mod:`repro.smb` (remote shared memory), :mod:`repro.mpi`
 :mod:`repro.caffe` (the deep-learning engine).
 
 The training core is layered (see ``docs/architecture.md``):
-:class:`TrainingEngine` owns the iteration loop, an
-:class:`ExchangeStrategy` owns the parameter-sharing rule, and the
+:class:`TrainingEngine` owns the iteration loop, an exchange strategy
+(a :class:`~repro.core.exchange.BaseExchange` subclass) owns the
+parameter-sharing rule, and the
 :class:`OverlapDriver` owns the Fig.-6 update thread.
 """
 
@@ -16,14 +17,7 @@ from .autoscale import AutoscaleController, AutoscalePolicy, AutoscaleSupervisor
 from .checkpoint import CheckpointError, inspect_checkpoint, latest_checkpoint
 from .config import ShmCaffeConfig, TerminationCriterion
 from .engine import FlushTimeoutError, TrainingEngine, WorkerError
-from .exchange import (
-    ExchangeStrategy,
-    HybridExchange,
-    SEASGDExchange,
-    SMBAsgdExchange,
-    StaleReadExchange,
-    make_exchange,
-)
+from .exchange import SEASGDExchange, SMBAsgdExchange, make_exchange
 from .overlap import OverlapDriver
 from .trainer import (
     DistributedTrainingManager,
@@ -38,14 +32,11 @@ __all__ = [
     "CheckpointError",
     "DistributedTrainingManager",
     "ElasticWorkerHandle",
-    "ExchangeStrategy",
     "FlushTimeoutError",
-    "HybridExchange",
     "OverlapDriver",
     "SEASGDExchange",
     "SMBAsgdExchange",
     "ShmCaffeConfig",
-    "StaleReadExchange",
     "TerminationCriterion",
     "TrainingEngine",
     "TrainingResult",

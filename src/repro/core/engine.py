@@ -3,8 +3,8 @@
 :class:`TrainingEngine` is the single owner of the iteration loop,
 history recording, termination publishing and SMB-loss degradation;
 everything algorithm-specific — *how* parameters are exchanged and *how*
-a training step runs — lives behind the
-:class:`~repro.core.exchange.ExchangeStrategy` seam.
+a training step runs — lives in a
+:class:`~repro.core.exchange.BaseExchange` subclass.
 
 The engine's loop is the paper's worker skeleton:
 
@@ -19,9 +19,10 @@ The engine's loop is the paper's worker skeleton:
    ``strategy.should_stop``.
 
 A worker whose SMB path dies for good degrades gracefully: with a
-termination coordinator present it marks itself dead in the control block
-(survivors rescale their stop criteria) and returns a partial history with
-:attr:`WorkerHistory.failed` set; without one the error propagates.
+termination coordinator present it tries to mark itself dead in the
+control block (best effort, see :mod:`repro.core.termination`) and
+returns a partial history with :attr:`WorkerHistory.failed` set; without
+one the error propagates.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .termination import TerminationCoordinator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .checkpoint import CheckpointCoordinator
-    from .exchange import ExchangeStrategy
+    from .exchange import BaseExchange
 
 
 class WorkerError(Exception):
@@ -153,7 +154,7 @@ class TrainingEngine:
         net: Net,
         config: ShmCaffeConfig,
         batches: Iterator[Minibatch],
-        strategy: "ExchangeStrategy",
+        strategy: "BaseExchange",
         termination: Optional[TerminationCoordinator] = None,
         on_iteration: Optional[
             Callable[[int, int, Dict[str, float]], None]
@@ -266,9 +267,10 @@ class TrainingEngine:
         """Mark this worker dead after a terminal SMB-path loss.
 
         Sets the history's failure flags, bumps the fault counter, and
-        best-effort marks the control-block slot dead so survivors
-        rescale; when the control block is unreachable too, survivors
-        fall back on the 2x-target backstop.
+        tries to mark the control-block slot dead so survivors rescale.
+        The mark rides this worker's own transport, so when that is what
+        died (every ``FaultPlan`` kill) it raises, is swallowed here, and
+        survivors stop on the unrescaled criterion or the 2x backstop.
         """
         self.history.failed = True
         self.history.failure = f"{type(exc).__name__}: {exc}"

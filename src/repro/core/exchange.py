@@ -1,7 +1,7 @@
 """Pluggable parameter-exchange strategies for the training engine.
 
-Each platform's parameter-sharing rule is one :class:`ExchangeStrategy`
-implementation driven by the shared
+Each platform's parameter-sharing rule is one :class:`BaseExchange`
+subclass driven by the shared
 :class:`~repro.core.engine.TrainingEngine` loop:
 
 * :class:`SEASGDExchange` — the paper's SEASGD (eqs. (5)-(7)), with the
@@ -23,10 +23,8 @@ elastically runs it, in place, on the engine's live parameter vector
 (``engine.flat.vector`` — the net's own storage, see
 :mod:`repro.caffe.params`) and a buffer it allocated once in ``bind``.
 No strategy allocates anything model-sized per iteration.  Strategies
-are typed against
-:class:`~repro.smb.buffer.ParameterBuffer`, so they run unchanged on a
-single :class:`~repro.smb.client.RemoteArray` or a multi-server
-:class:`~repro.smb.fleet.ShardedArray`.
+exchange with one :class:`~repro.smb.client.RemoteArray`, the ``W_g``
+segment on the job's SMB server.
 
 ``ShmCaffeConfig.algorithm`` selects a strategy by name through
 :func:`make_exchange`.
@@ -34,20 +32,13 @@ single :class:`~repro.smb.client.RemoteArray` or a multi-server
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Optional,
-    Protocol,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 import numpy as np
 
 from ..nccl.ring import RingGroup
 from ..smb import errors as smb_errors
-from ..smb.buffer import ParameterBuffer
+from ..smb.client import RemoteArray
 from ..telemetry.phases import NullPhaseTimer, PhaseTimer
 from .config import ShmCaffeConfig
 from .engine import WorkerError, smb_path_lost
@@ -62,33 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 FleetSource = Callable[[], int]
 
 
-@runtime_checkable
-class ExchangeStrategy(Protocol):
-    """What the training engine needs from a parameter-sharing rule."""
-
-    def bind(self, engine: "TrainingEngine") -> None:
-        """Attach to the engine; validate buffers against the model."""
-        ...
-
-    def exchange(self, iteration: int) -> None:
-        """Run one parameter exchange (called every ``update_interval``)."""
-        ...
-
-    def train_step(self) -> Dict[str, float]:
-        """Run one training iteration; must return ``loss`` and ``lr``."""
-        ...
-
-    def should_stop(self, iteration: int) -> bool:
-        """Decide (possibly collectively) whether training ends now."""
-        ...
-
-    def close(self) -> None:
-        """Release strategy resources (e.g. the overlap driver)."""
-        ...
-
-
 class BaseExchange:
-    """Standalone Caffe; shared plumbing: binding, step and stop rules."""
+    """Standalone Caffe, and the base every strategy extends: the engine
+    calls ``bind``, ``exchange``, ``train_step``, ``should_stop`` and
+    ``close``; shared plumbing: binding, step and stop rules."""
 
     engine: "TrainingEngine"
 
@@ -114,7 +82,7 @@ class BaseExchange:
     # -- shared buffer helpers --------------------------------------------
 
     @staticmethod
-    def check_buffer(buffer: ParameterBuffer, count: int, label: str) -> None:
+    def check_buffer(buffer: RemoteArray, count: int, label: str) -> None:
         """Ctor-time shape validation."""
         if buffer.count != count:
             raise WorkerError(
@@ -135,7 +103,7 @@ class _SMBExchange(BaseExchange):
 
     def __init__(
         self,
-        global_weights: ParameterBuffer,
+        global_weights: RemoteArray,
         fleet: Optional[FleetSource] = None,
     ) -> None:
         self.global_weights = global_weights
@@ -326,14 +294,14 @@ class HybridExchange(SyncSGDExchange):
     The root decides termination for the whole group and shares the
     decision through a one-element broadcast so members stop in lockstep;
     on a terminal SMB-path loss the root keeps the lockstep broadcasts
-    alive, marks the group dead for the survivors, and winds down.
+    alive, marks the group dead (best effort), and winds down.
     """
 
     def __init__(
         self,
         group: RingGroup,
         group_rank: int,
-        global_weights: Optional[ParameterBuffer] = None,
+        global_weights: Optional[RemoteArray] = None,
     ) -> None:
         super().__init__(
             lambda grad: group.allreduce(group_rank, grad, average=True)
@@ -358,8 +326,9 @@ class HybridExchange(SyncSGDExchange):
 
         The group keeps its intra-node SSGD lockstep (the broadcasts the
         members are blocked on still happen) but stops exchanging with
-        the global weights and winds down at the next stop broadcast,
-        marked dead in the control block so other groups rescale.
+        the global weights and winds down at the next stop broadcast.
+        The control-block mark that would let other groups rescale is
+        best effort (:meth:`TrainingEngine.record_smb_failure`).
         """
         self._smb_failed = True
         self.engine.record_smb_failure(exc, iteration)
@@ -483,7 +452,7 @@ _EXCHANGES: Dict[str, Callable[..., BaseExchange]] = {
 
 def make_exchange(
     config: ShmCaffeConfig,
-    global_weights: ParameterBuffer,
+    global_weights: RemoteArray,
     fleet: Optional[FleetSource] = None,
 ) -> BaseExchange:
     """Build the configured strategy for a direct SMB participant.

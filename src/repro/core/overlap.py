@@ -7,8 +7,8 @@ events, giving exactly the paper's mutual exclusion: the main thread
 blocks before the next exchange (the eq.-(8) ``block`` stall, step T.A5)
 until the update thread has finished flushing the previous one.
 
-*Any* :class:`~repro.core.exchange.ExchangeStrategy` can hide its write
-side on it —
+*Any* :class:`~repro.core.exchange.BaseExchange` subclass can hide its
+write side on it —
 SEASGD workers, HSGD group roots, the stale-read ablation (which hides
 the read too), and the SMB-ASGD gradient push all reuse the same driver.
 

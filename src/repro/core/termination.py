@@ -7,13 +7,18 @@ progress counters through an SMB control segment and letting every worker
 apply one of three predefined stop criteria locally.
 
 Fault tolerance: a worker whose SMB path dies for good calls
-:meth:`TerminationCoordinator.mark_failed`, which flips its control-block
-slot to the dead encoding (see
-:class:`~repro.smb.client.ControlBlock`).  Survivors *rescale* their
-criteria over the live fleet — ``AVERAGE_ITERATIONS`` averages only live
-counters, and under ``MASTER_STOP`` a dead master is replaced by
-first-finisher semantics — so worker loss degrades the job rather than
-hanging or aborting it.
+:meth:`TerminationCoordinator.mark_failed`, which tries to flip its
+control-block slot to the dead encoding (see
+:class:`~repro.smb.client.ControlBlock`).  When the mark lands, survivors
+*rescale* their criteria over the live fleet — ``AVERAGE_ITERATIONS``
+averages only live counters, and under ``MASTER_STOP`` a dead master is
+replaced by first-finisher semantics.  The mark is best effort: it goes
+over the dying worker's own transport, and when that transport is what
+died (every ``FaultPlan`` kill) it fails.  Survivors then see a live slot
+whose count no longer moves: ``AVERAGE_ITERATIONS`` keeps the frozen
+count in its mean, and ``MASTER_STOP`` survivors run to the ``2 x
+target`` backstop.  Either way worker loss ends the job rather than
+hanging it.
 """
 
 from __future__ import annotations
@@ -79,8 +84,9 @@ class TerminationCoordinator:
     def mark_failed(self, completed_iterations: int) -> None:
         """Declare this worker dead after ``completed_iterations``.
 
-        Survivors observe the dead slot and rescale; this worker must not
-        publish again afterwards.
+        Survivors that observe the dead slot rescale; this worker must not
+        publish again afterwards.  The write goes over this worker's own
+        transport, so it raises when that transport is the one that died.
         """
         self.control.mark_dead(
             self.rank, completed_iterations, generation=self.generation

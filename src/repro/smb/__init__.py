@@ -18,7 +18,6 @@ Quick start::
     view = worker.attach_array("W_g", weights.shm_key, count=1000)
 """
 
-from .buffer import ParameterBuffer
 from .client import ControlBlock, RemoteArray, SMBClient
 from .errors import (
     AccessDeniedError,
@@ -74,7 +73,6 @@ __all__ = [
     "Message",
     "NotificationTimeout",
     "Op",
-    "ParameterBuffer",
     "PayloadSizeError",
     "PlacementError",
     "QuotaExceededError",

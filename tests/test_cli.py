@@ -268,6 +268,61 @@ class TestEndpointFlags:
         assert len(_error_lines(captured.err)) == 1
 
 
+class TestCheckpointInspect:
+    """``checkpoint inspect`` fails like ``checkpoint resume`` when nothing
+    can resume, and still prints the generations a torn save left."""
+
+    @staticmethod
+    def _generation(root, seq, manifest):
+        import json
+
+        from repro.core.checkpoint import MANIFEST_NAME, SEQ_PATTERN
+
+        seq_dir = root / SEQ_PATTERN.format(seq=seq)
+        seq_dir.mkdir(parents=True)
+        if manifest:
+            (seq_dir / MANIFEST_NAME).write_text(json.dumps(manifest))
+        return seq_dir
+
+    def test_missing_directory_is_one_error_line(self, capsys, tmp_path):
+        code = main(["checkpoint", "inspect", str(tmp_path / "missing")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(_error_lines(captured.err)) == 1
+
+    def test_torn_generation_is_listed_and_fails(self, capsys, tmp_path):
+        import json
+
+        self._generation(tmp_path, 1, None)
+        code = main(["checkpoint", "inspect", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert [g["complete"] for g in doc["generations"]] == [False]
+        assert doc["latest"] is None
+        assert len(_error_lines(captured.err)) == 1
+
+    def test_complete_generation_exits_zero(self, capsys, tmp_path):
+        import json
+
+        from repro.core.checkpoint import CHECKPOINT_FORMAT
+
+        self._generation(tmp_path, 1, None)
+        self._generation(tmp_path, 2, {
+            "format": CHECKPOINT_FORMAT, "seq": 2, "iteration": 8,
+            "num_workers": 2, "metadata": {"platform": "shmcaffe_a"},
+        })
+        code = main(["checkpoint", "inspect", str(tmp_path)])
+        assert code == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert [g["complete"] for g in doc["generations"]] == [False, True]
+        assert doc["latest"]["seq"] == 2
+        assert doc["latest"]["iteration"] == 8
+        assert captured.err == ""
+
+
 class TestChaosScenarioDefaults:
     """``--workers`` / ``--iterations`` default per ``smb chaos`` scenario."""
 

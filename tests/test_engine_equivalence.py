@@ -2,8 +2,7 @@
 
 The engine/strategy/driver refactor replaced ``ShmCaffeWorker`` and
 ``HybridWorker``'s welded-in loops with one ``TrainingEngine`` and
-pluggable ``ExchangeStrategy`` implementations.  These tests pin the
-refactor down:
+pluggable exchange strategies.  These tests pin the refactor down:
 
 * **golden equivalence** — seeded runs must reproduce, bit for bit, the
   per-iteration loss trajectories captured from the pre-refactor classes
@@ -14,9 +13,9 @@ refactor down:
   separately);
 * **validation** — misconfigurations that used to be silently ignored now
   raise;
-* **seams** — ``ParameterBuffer`` conformance, the ``smb_asgd`` strategy
-  end to end, HSGD root overlap on the update-thread telemetry track, and
-  the single-call-site rule for the eqs. (5)-(7) math.
+* **seams** — the ``smb_asgd`` strategy end to end, HSGD root overlap on
+  the update-thread telemetry track, and the single-call-site rule for
+  the eqs. (5)-(7) math.
 """
 
 import re
@@ -29,22 +28,13 @@ from repro import telemetry
 from repro.caffe import SolverConfig, SyntheticImageDataset
 from repro.core import (
     DistributedTrainingManager,
-    ExchangeStrategy,
-    HybridExchange,
     OverlapDriver,
     SEASGDExchange,
     ShmCaffeConfig,
     SMBAsgdExchange,
-    StaleReadExchange,
     TerminationCriterion,
 )
-from repro.smb import (
-    ParameterBuffer,
-    RetryPolicy,
-    SMBClient,
-    SMBServer,
-    create_sharded_array,
-)
+from repro.smb import RetryPolicy, SMBClient, SMBServer
 from repro.smb.faults import FaultPlan
 
 from .helpers import build_engine
@@ -245,39 +235,6 @@ class TestValidation:
             )
 
 
-class TestParameterBufferProtocol:
-    """Both SMB backends satisfy the formal buffer seam."""
-
-    def test_remote_array_conforms(self):
-        server = SMBServer(capacity=1 << 20)
-        client = SMBClient.in_process(server)
-        array = client.create_array("seg", 32)
-        assert isinstance(array, ParameterBuffer)
-
-    def test_sharded_array_conforms(self):
-        clients = [
-            SMBClient.in_process(SMBServer(capacity=1 << 20))
-            for _ in range(2)
-        ]
-        sharded = create_sharded_array(clients, "seg", 32)
-        assert isinstance(sharded, ParameterBuffer)
-
-    def test_arbitrary_object_does_not_conform(self):
-        assert not isinstance(object(), ParameterBuffer)
-
-    def test_strategies_satisfy_exchange_protocol(self):
-        for cls in (
-            SEASGDExchange, StaleReadExchange, SMBAsgdExchange,
-            HybridExchange,
-        ):
-            assert issubclass(cls, object)
-        server = SMBServer(capacity=1 << 20)
-        client = SMBClient.in_process(server)
-        a = client.create_array("a", 8)
-        assert isinstance(SEASGDExchange(a), ExchangeStrategy)
-        assert isinstance(SMBAsgdExchange(a), ExchangeStrategy)
-
-
 class TestHsgdRootOverlap:
     """HSGD roots now hide their write side on the Fig.-6 update thread."""
 
@@ -414,6 +371,32 @@ class TestEngineDegradation:
             for h in result.histories if not h.failed
         ]
         assert np.mean(survivor_iters) >= 6
+        assert np.isfinite(result.final_global_weights).all()
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_hsgd_root_loss_winds_its_group_down(self, overlap):
+        # Rank 2 roots the second group of two.  Its SMB path dies, so it
+        # stops exchanging with W_g, keeps the broadcasts its member is
+        # blocked on, and stops the group in lockstep; the other group
+        # trains on.
+        with telemetry.session("metrics") as tel:
+            result = run_job(
+                num_workers=4, group_size=2, iterations=8, overlap=overlap,
+                criterion=TerminationCriterion.AVERAGE_ITERATIONS,
+                retry_policy=self.FAST_RETRY,
+                fault_plan=FaultPlan(kill_rank=2, kill_after=12),
+                telemetry_session=tel,
+            )
+            fatal = tel.registry.counter("worker2/faults/fatal").value
+        histories = result.histories
+        assert result.failed_ranks == [2]
+        assert not histories[3].failed
+        assert (
+            histories[3].completed_iterations
+            == histories[2].completed_iterations
+        )
+        assert histories[2].failure.startswith("TransportClosedError")
+        assert fatal == 1
         assert np.isfinite(result.final_global_weights).all()
 
     def test_smb_asgd_kill_one_rank_survivors_complete(self):
