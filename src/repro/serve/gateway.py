@@ -58,7 +58,8 @@ class ModelGateway:
     Args:
         replicas: The fleet.  Each replica's ``name`` must be unique —
             it is the placement key its virtual ring nodes hash under, so
-            growing the fleet only moves ``~1/K`` of the segment keyspace.
+            gateways over two fleets one replica apart route only
+            ``~1/K`` of the segment keyspace differently.
         host/port: Bind address (``port=0`` picks an ephemeral port).
         telemetry: Session for the per-tenant read counters
             (``serve/gateway/tenant/<t>/reads``); defaults to the

@@ -111,6 +111,17 @@ def _accumulate_dtype(message: Message) -> np.dtype:
     return dtype
 
 
+def _payload_name(message: Message) -> str:
+    """The segment or tenant name a frame's payload carries, refused as
+    a protocol error unless it is UTF-8."""
+    try:
+        return bytes(message.payload).decode()
+    except UnicodeDecodeError as exc:
+        raise SMBProtocolError(
+            f"{message.op.name} name is not UTF-8: {exc}"
+        ) from exc
+
+
 def _payload_values(message: Message) -> np.ndarray:
     """The float32 elements a payload-form ACCUMULATE (``key2 == 0``)
     carries, refused unless ``count > 0`` and the payload holds exactly
@@ -407,14 +418,14 @@ class SMBServer:
             return 0
         if op is Op.TENANT_CREATE:
             self.pool.create_tenant(
-                bytes(record.payload).decode(),
+                _payload_name(record),
                 record.count if record.count > 0 else None,
             )
             return 0
         if op is Op.CREATE:
             # Reached by replay only: a live CREATE mints its key through
             # this same pool.create call before it has a record to journal.
-            ns, bare = MemoryPool.split_name(bytes(record.payload).decode())
+            ns, bare = MemoryPool.split_name(_payload_name(record))
             key = self.pool.create(bare, record.count, tenant=ns).shm_key
             if key != record.key:
                 raise JournalError(f"the pool minted {key:#x} instead")
@@ -556,7 +567,7 @@ class SMBServer:
         tenant: str = DEFAULT_TENANT,
     ) -> Message:
         if req.op is Op.CREATE:
-            name = bytes(req.payload).decode()
+            name = _payload_name(req)
             with self._mutation_guard():
                 self._refuse_if_closing()
                 try:
@@ -585,7 +596,7 @@ class SMBServer:
                            count=segment.version)
 
         if req.op is Op.LOOKUP:
-            segment = self.pool.by_name(bytes(req.payload).decode(), tenant)
+            segment = self.pool.by_name(_payload_name(req), tenant)
             self.stats.record(req.op, tenant=tenant)
             return Message(op=req.op, key=segment.shm_key,
                            count=segment.size)
@@ -1319,9 +1330,9 @@ class TcpSMBServer:
         self, conn: _Connection, request: Message, out: Optional[memoryview]
     ) -> None:
         """Serve a request on the loop thread, with the same crash guard
-        as the pool path: an unexpected exception from one frame — a
-        non-UTF-8 name payload, a bad dtype string — costs that one
-        connection, never the event loop."""
+        as the pool path: a handler bug that escapes ``handle`` for one
+        frame costs that one connection, never the event loop (a bad
+        frame is a typed ``ERROR`` reply, not an escape)."""
         try:
             response = self.core.handle(request, out, tenant=conn.tenant)
         except Exception:  # noqa: BLE001 - keep the server alive

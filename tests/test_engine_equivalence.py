@@ -355,12 +355,18 @@ class TestEngineDegradation:
     )
 
     def test_seasgd_kill_one_rank_survivors_complete(self):
+        # Rank 2's first three requests are its bring-up (two ATTACHes
+        # and the READ of W_g its replica starts from, all before the
+        # launch barrier and clean under seed 77); the fourth is
+        # iteration 0's READ of W_g, which it sends however late it
+        # starts.  Killing there, and not at a request of a later
+        # iteration, means the others cannot end the run before the kill.
         result = run_job(
             num_workers=4, iterations=6,
             criterion=TerminationCriterion.AVERAGE_ITERATIONS,
             retry_policy=self.FAST_RETRY,
             fault_plan=FaultPlan(
-                seed=77, error_rate=0.05, kill_rank=2, kill_after=15
+                seed=77, error_rate=0.05, kill_rank=2, kill_after=3
             ),
         )
         assert result.failed_ranks == [2]

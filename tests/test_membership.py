@@ -11,6 +11,14 @@ from time import monotonic, sleep
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.caffe import SolverConfig, SyntheticImageDataset
 from repro.core import (
@@ -565,6 +573,114 @@ class TestElasticControlBlock:
             assert not waiter.is_alive(), "waiter missed the churn wakeup"
         assert len(woke) == 2 and all(isinstance(v, int) for v in woke)
 
+
+FREE = ControlBlock.FREE
+CAPACITY = 3
+slots = st.integers(0, CAPACITY - 1)
+#: A stamp is the slot's current generation (0) or one a later claim
+#: superseded (how many claims ago).
+stamps = st.sampled_from([0, 1, 2, 5])
+
+
+class ControlBlockMachine(RuleBasedStateMachine):
+    """Every slot operation, current or stale, against a plain model.
+
+    The model holds each slot's raw value and generation.  After every
+    step the block must show the model's generations (which only rise),
+    decode to the model's progress and liveness, and count the model's
+    live slots.
+    """
+
+    @initialize(preclaimed=st.integers(0, CAPACITY))
+    def create(self, preclaimed):
+        self.client = SMBClient.in_process(SMBServer(capacity=1 << 16))
+        self.control = ControlBlock.create(
+            self.client, "ctl", CAPACITY, preclaimed=preclaimed
+        )
+        self.values = [0] * preclaimed + [FREE] * (CAPACITY - preclaimed)
+        self.generations = [1] * preclaimed + [0] * (CAPACITY - preclaimed)
+        self.seen = list(self.generations)
+
+    def _claimable(self, slot):
+        return self.values[slot] == FREE or self.values[slot] < 0
+
+    @rule(slot=st.none() | slots)
+    def claim(self, slot):
+        open_slots = [s for s in range(CAPACITY) if self._claimable(s)]
+        if slot is None and not open_slots or (
+            slot is not None and not self._claimable(slot)
+        ):
+            with pytest.raises(SlotsExhaustedError):
+                self.control.claim(slot)
+            return
+        claim = self.control.claim(slot)
+        expected = open_slots[0] if slot is None else slot
+        self.generations[expected] += 1
+        self.values[expected] = 0
+        assert claim == SlotClaim(expected, self.generations[expected])
+
+    def _stamped(self, slot, stale_by, call, value):
+        """Run ``call(generation)``: a stale stamp must be refused and
+        change nothing; the current one sets the slot to ``value``."""
+        generation = self.generations[slot] - stale_by
+        if stale_by:
+            with pytest.raises(StaleGenerationError):
+                call(generation)
+            return
+        call(generation)
+        self.values[slot] = value
+
+    @rule(slot=slots, stale_by=stamps)
+    def release(self, slot, stale_by):
+        self._stamped(
+            slot, stale_by,
+            lambda gen: self.control.release(slot, generation=gen), FREE,
+        )
+
+    @rule(slot=slots, iteration=st.integers(0, 1000), stale_by=stamps)
+    def publish_progress(self, slot, iteration, stale_by):
+        self._stamped(
+            slot, stale_by,
+            lambda gen: self.control.publish_progress(
+                slot, iteration, generation=gen
+            ),
+            iteration,
+        )
+
+    @rule(slot=slots, completed=st.integers(0, 1000), stale_by=stamps)
+    def mark_dead(self, slot, completed, stale_by):
+        self._stamped(
+            slot, stale_by,
+            lambda gen: self.control.mark_dead(
+                slot, completed, generation=gen
+            ),
+            -(completed + 1),
+        )
+
+    @invariant()
+    def matches_the_model(self):
+        generations = self.control.read_generations().tolist()
+        assert generations == self.generations
+        assert all(now >= then for now, then in zip(generations, self.seen))
+        self.seen = generations
+        raw = self.control.read_progress()
+        assert raw.tolist() == self.values
+        progress, alive = ControlBlock.decode_progress(raw)
+        assert alive.tolist() == [v >= 0 for v in self.values]
+        assert progress.tolist() == [
+            v if v >= 0 else 0 if v == FREE else -v - 1 for v in self.values
+        ]
+        assert self.control.live_count() == sum(v >= 0 for v in self.values)
+
+    def teardown(self):
+        if hasattr(self, "client"):
+            self.client.close()
+
+
+TestControlBlockMachine = ControlBlockMachine.TestCase
+TestControlBlockMachine.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None
+)
 
 def observe_phases(session, comp, comm, worker=0):
     """Record one window's worth of phase samples into the registry."""

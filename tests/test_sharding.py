@@ -57,8 +57,7 @@ class TestShardedArray:
         assert array.count == 100
 
     def test_stripes_live_on_their_own_servers(self):
-        """No placement = the static layout, segment for segment:
-        ``W_g.shard<i>`` on server ``i`` and nowhere else."""
+        """``W_g.shard<i>`` on server ``i`` and nowhere else."""
         servers, clients = make_clients(3)
         create_sharded_array(clients, "W_g", 10)
         for index, nbytes in enumerate((4 * 4, 3 * 4, 3 * 4)):
@@ -87,23 +86,6 @@ class TestShardedArray:
         )
         np.testing.assert_allclose(view.read(), 3.5)
 
-    def test_accumulate_into_striped_global(self):
-        _, clients = make_clients(2)
-        global_w = create_sharded_array(clients, "W_g", 16)
-        delta = create_sharded_array(clients, "dW_0", 16)
-        delta.write(np.ones(16, dtype=np.float32))
-        delta.accumulate_into(global_w)
-        delta.accumulate_into(global_w, scale=0.5)
-        np.testing.assert_allclose(global_w.read(), 1.5)
-
-    def test_layout_mismatch_rejected(self):
-        _, clients2 = make_clients(2)
-        _, clients3 = make_clients(3)
-        a = create_sharded_array(clients2, "a", 12)
-        b = create_sharded_array(clients3, "b", 12)
-        with pytest.raises(ValueError):
-            a.accumulate_into(b)
-
     def test_write_size_checked(self):
         _, clients = make_clients(2)
         array = create_sharded_array(clients, "W", 10)
@@ -117,9 +99,6 @@ class TestShardedArray:
             attach_sharded_array(clients, "x", [1], 10)
         with pytest.raises(PlacementError):
             attach_sharded_array(clients, "x", [1, 2, 3], 10)
-        # Server ids mean nothing without a placement to resolve them.
-        with pytest.raises(PlacementError):
-            create_sharded_array({"s0": clients[0]}, "x", 10)
 
     def test_version_monotone(self):
         _, clients = make_clients(2)

@@ -358,14 +358,24 @@ class TestHandshakeDeadline:
 
 class TestDispatchRobustness:
     def test_malformed_inline_frame_costs_one_connection(self):
-        """A CREATE whose name payload is not UTF-8 raises past the
-        SMBError net inside dispatch.  That must close the offending
-        connection only — never crash the event loop (which used to take
-        the whole server down for every client)."""
+        """A handler fault that escapes ``SMBServer.handle`` for one
+        inline frame must close the offending connection only — never
+        crash the event loop (which used to take the whole server down
+        for every client).  No real frame escapes ``handle`` (a non-UTF-8
+        name is a typed error, ``tests/test_transport_contract.py``), so
+        the fault is injected for the one CREATE of ``b"boom"``."""
         with TcpSMBServer(capacity=1 << 22) as server:
+            handle = server.core.handle
+
+            def faulty(request, out=None, **kwargs):
+                if request.op is Op.CREATE and request.payload == b"boom":
+                    raise RuntimeError("injected handler fault")
+                return handle(request, out, **kwargs)
+
+            server.core.handle = faulty
             bad = _raw_connect(server.address)
             bad.sendall(Message(
-                op=Op.CREATE, count=64, payload=b"\xff\xfe\xfd",
+                op=Op.CREATE, count=64, payload=b"boom",
             ).encode())
             bad.settimeout(5.0)
             assert bad.recv(1) == b"", "expected the connection severed"

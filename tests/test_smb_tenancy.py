@@ -328,12 +328,21 @@ class TestInlineDispatch:
 
     def test_malformed_name_kills_connection_not_server(self):
         server = TcpSMBServer(capacity=1 << 20).start()
+        handle = server.core.handle
+
+        def faulty(request, out=None, **kwargs):
+            if request.op is Op.LOOKUP and request.payload == b"boom":
+                raise RuntimeError("injected handler fault")
+            return handle(request, out, **kwargs)
+
+        server.core.handle = faulty
         try:
             healthy = SMBClient.connect(server.address)
             bad = _raw_connect(server.address)
-            # A LOOKUP whose name payload is not UTF-8 crashes the
-            # handler; the crash guard must contain it to this socket.
-            bad.sendall(Message(op=Op.LOOKUP, payload=b"\xff\xfe\xfd").encode())
+            # A LOOKUP that crashes the handler (injected: no real frame
+            # escapes ``handle``); the crash guard must contain it to
+            # this socket.
+            bad.sendall(Message(op=Op.LOOKUP, payload=b"boom").encode())
             with pytest.raises(ConnectionError):
                 _raw_recv_exact(bad, HEADER_SIZE)
             bad.close()

@@ -15,9 +15,8 @@ Three families of guarantees from the data-path rebuild:
   ``drop_connection`` storm under two hammering threads without
   deadlock or data corruption (reconnect accounting itself is in
   ``tests/test_transport_contract.py``), a drop ends a parked wait even
-  when the server never answers it, and the sharded fan-out
-  overlaps per-shard latencies while staying bit-exact with the
-  sequential gather.
+  when the server never answers it, and a striped array's versions and
+  gather stay exact.
 """
 
 import socket
@@ -414,12 +413,9 @@ class TestDropConnectionStorm:
 
 
 class TestShardedAggregatesAndOverlap:
-    def _sharded(self, num_shards: int, count: int, wrap=None):
+    def _sharded(self, num_shards: int, count: int):
         servers = [SMBServer(capacity=1 << 22) for _ in range(num_shards)]
-        transports = [InProcTransport(server) for server in servers]
-        if wrap is not None:
-            transports = [wrap(t) for t in transports]
-        clients = [SMBClient(t) for t in transports]
+        clients = [SMBClient(InProcTransport(server)) for server in servers]
         return create_sharded_array(clients, "w", count)
 
     def test_write_returns_sum_of_shard_versions(self):
@@ -431,50 +427,6 @@ class TestShardedAggregatesAndOverlap:
         # return would have reported 1 here instead of 4.
         assert array.shard_versions() == [1, 1, 1, 1]
         assert returned == 4
-
-    def test_accumulate_returns_destination_aggregate(self):
-        src = self._sharded(3, 300)
-        # Destination must share the stripe layout *and* servers.
-        dst = create_sharded_array(
-            [shard._client for shard in src.shards], "g", 300
-        )
-        src.write(np.ones(300, dtype=np.float32))
-        dst.write(np.zeros(300, dtype=np.float32))
-        returned = src.accumulate_into(dst, scale=2.0)
-        assert returned == dst.version()
-        np.testing.assert_array_equal(
-            dst.read(), np.full(300, 2.0, dtype=np.float32)
-        )
-
-    def test_parallel_fanout_overlaps_injected_latency(self):
-        """K shard reads are in flight together, not one after another.
-
-        Every shard's READ parks at a K-party barrier before it is
-        served: only a fan-out that has all K outstanding at once gets
-        past it (a sequential walk breaks the barrier on its timeout),
-        so the overlap is proved by a rendezvous, not by a wall clock.
-        """
-        rendezvous = threading.Barrier(4, timeout=10.0)
-
-        class MeetAtRead:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def request(self, message, out=None):
-                if message.op is Op.READ:
-                    rendezvous.wait()
-                return self.inner.request(message, out)
-
-            def close(self):
-                self.inner.close()
-
-        array = self._sharded(4, 4096, wrap=MeetAtRead)
-        values = np.arange(4096, dtype=np.float32)
-        array.write(values)
-        scratch = np.empty(4096, dtype=np.float32)
-        array.read(out=scratch)
-        np.testing.assert_array_equal(scratch, values)  # bit-exact
-        assert not rendezvous.broken
 
     def test_sharded_read_into_preallocated_full_roundtrip(self):
         array = self._sharded(5, 999)

@@ -9,11 +9,15 @@ way" means.  Doorway-specific behaviour (shm block growth, rendezvous
 re-resolution, non-SMB peers) is tested beside its doorway.
 """
 
+import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.smb import (
     DEFAULT_RETRY_POLICY,
@@ -23,10 +27,21 @@ from repro.smb import (
     SMBClient,
     SMBConnectionError,
     SMBError,
+    SMBProtocolError,
     SegmentRangeError,
     TransportClosedError,
 )
-from repro.smb.protocol import Message, Op
+from repro.smb.errors import from_wire
+from repro.smb.protocol import (
+    HEADER_FORMAT,
+    HEADER_SIZE,
+    Message,
+    Op,
+    Status,
+    encode_hello,
+)
+from repro.smb.server import _payload_bound
+from repro.smb.shm_transport import DATA_OFFSET, _ShmChannel
 from repro.smb.transport import WAIT_SLICE
 
 from .conftest import CAPACITY
@@ -114,6 +129,22 @@ class TestTransportContract:
             client.read(access_key, CAPACITY + 4096)
         assert client.transport.reconnects == 0
         assert client.read(access_key, 1024) == bytes(range(256)) * 4
+
+    @pytest.mark.parametrize(
+        "op", [Op.CREATE, Op.LOOKUP], ids=lambda op: op.name
+    )
+    def test_an_undecodable_name_is_a_typed_error(self, doorway, op):
+        """A name payload that is not UTF-8 is refused as a protocol
+        error on the channel it came in on; that channel still serves."""
+        client = doorway.connect()
+        response = client.transport.request(
+            Message(op=op, count=16, payload=b"\xff\xfe")
+        )
+        assert response.status is Status.ERROR
+        assert isinstance(from_wire(response.payload), SMBProtocolError)
+        assert client.transport.reconnects == 0
+        key = client.create_buffer("seg", 16)
+        assert client.lookup("seg") == (key, 16)
 
     def test_bulk_does_not_starve_small(self, doorway):
         """While every ACCUMULATE into ``W_g`` is parked on its segment
@@ -329,3 +360,82 @@ class TestTransportContract:
         assert isinstance(outcome["error"], TransportClosedError)
         assert len(opened) == 1 and opened[0].closes >= 1
         assert transport._notify.channel is None
+
+
+#: Payload bytes a fuzzed frame really carries; a header that declares
+#: more is sent short and its connection closed (an incomplete frame).
+_FUZZ_SENT = 1 << 16
+_INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
+
+
+@st.composite
+def raw_frames(draw):
+    """A request header with any opcode (the reserved 10 and unknown ones
+    included), random fields and a ``paylen`` within its op's bound,
+    plus the payload bytes actually sent."""
+    opcode = draw(st.one_of(
+        st.sampled_from([int(op) for op in Op]), st.just(10),
+        st.integers(0, 255),
+    ))
+    bound = _payload_bound(opcode, CAPACITY)
+    paylen = draw(st.integers(0, 4096 if bound is None else bound))
+    header = struct.pack(
+        HEADER_FORMAT, opcode, draw(st.integers(0, 255)),
+        draw(_INT64), draw(_INT64), draw(_INT64), draw(_INT64),
+        draw(st.floats()), paylen,
+    )
+    pattern = draw(st.binary(min_size=1, max_size=16))
+    sent = min(paylen, _FUZZ_SENT)
+    payload = (pattern * (sent // len(pattern) + 1))[:sent]
+    return header, payload, sent == paylen
+
+
+def _send_raw_frame(doorway, header, payload, complete):
+    """Send one frame on a fresh raw connection; read whatever answer
+    comes (a response, or the connection dropped), then close."""
+    if doorway.kind == "tcp":
+        sock = socket.create_connection(doorway.server.address, timeout=5.0)
+        try:
+            sock.sendall(encode_hello() + header + payload)
+            if complete:
+                sock.recv(HEADER_SIZE)
+        except OSError:
+            pass  # the server dropped the connection mid-frame
+        finally:
+            sock.close()
+        return
+    channel = _ShmChannel(doorway.server.path, 5.0)
+    try:
+        buf = channel.block.buf
+        buf[:HEADER_SIZE] = header
+        fits = min(len(payload), len(buf) - DATA_OFFSET)
+        buf[DATA_OFFSET:DATA_OFFSET + fits] = payload[:fits]
+        channel.sock.sendall(struct.pack("!q", DATA_OFFSET + fits))
+        channel.sock.recv(8)
+    except OSError:
+        pass
+    finally:
+        channel.close()
+
+
+class TestRawFrames:
+    @pytest.mark.parametrize("doorway", ["tcp", "shm"], indirect=True)
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(frame=raw_frames())
+    def test_a_bad_frame_costs_at_most_its_connection(self, doorway, frame):
+        """Whatever one header says, its connection is all it can cost:
+        a client connected throughout still WRITEs and READs bit-exact,
+        and every server thread that ran before still runs."""
+        if not hasattr(doorway, "bystander"):
+            doorway.bystander = doorway.connect().create_array("w", 4096)
+            doorway.threads_before = set(doorway.server_threads())
+        _send_raw_frame(doorway, *frame)
+        values = np.random.default_rng(len(frame[1])).random(4096)
+        doorway.bystander.write(values.astype(np.float32))
+        assert np.array_equal(
+            doorway.bystander.read(), values.astype(np.float32)
+        )
+        assert doorway.threads_before <= set(doorway.server_threads())
