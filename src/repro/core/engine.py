@@ -27,8 +27,14 @@ one the error propagates.
 
 from __future__ import annotations
 
+import os
+import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple,
+)
+
+import numpy as np
 
 from ..caffe.data import Minibatch
 from ..caffe.net import Net
@@ -76,12 +82,20 @@ def smb_path_lost(exc: BaseException) -> bool:
 
 @dataclass
 class IterationRecord:
-    """Per-iteration training telemetry."""
+    """Per-iteration training telemetry.
+
+    ``t`` is ``time.perf_counter()`` at the step's end (CLOCK_MONOTONIC,
+    one timeline for every process on the host) and ``cpu`` the rank
+    process's ``time.process_time()`` then, so records read from several
+    processes can be merged and charged.
+    """
 
     iteration: int
     loss: float
     learning_rate: float
     exchanged: bool
+    t: float
+    cpu: float
 
 
 @dataclass
@@ -98,10 +112,24 @@ class WorkerHistory:
     #: True when the worker left the run because a retire was requested
     #: (elastic membership) rather than because the criterion fired.
     retired: bool = False
+    #: The process the worker ran in (the records' ``cpu`` clock).
+    pid: int = field(default_factory=os.getpid)
+    #: Staleness τ of each push into ``W_g``, in push order; appended
+    #: when the push lands (see ``_SMBExchange._flush``), not per record.
+    staleness: List[int] = field(default_factory=list)
 
     @property
     def losses(self) -> List[float]:
         return [record.loss for record in self.records]
+
+    def staleness_percentiles(self) -> Tuple[int, int, int]:
+        """τ's ``(p50, p95, max)``; ``(0, 0, 0)`` before the first push."""
+        if not self.staleness:
+            return 0, 0, 0
+        p50, p95, top = np.percentile(
+            self.staleness, [50, 95, 100], method="lower"
+        )
+        return int(p50), int(p95), int(top)
 
 
 class TrainingEngine:
@@ -219,6 +247,8 @@ class TrainingEngine:
                         loss=stats["loss"],
                         learning_rate=stats["lr"],
                         exchanged=exchanged,
+                        t=time.perf_counter(),
+                        cpu=time.process_time(),
                     )
                 )
                 if self.on_iteration is not None:

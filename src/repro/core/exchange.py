@@ -95,10 +95,23 @@ class _SMBExchange(BaseExchange):
     """What every strategy that exchanges with ``W_g`` shares: the buffer,
     the optional live-fleet source, one model-sized scratch for each
     direction (allocated in :meth:`bind`, refilled in place), the Fig.-6
-    overlap driver when ``overlap_updates`` is on, and the write side,
-    :meth:`_flush`."""
+    overlap driver when ``overlap_updates`` is on, the read side,
+    :meth:`_read_scratch`, and the write side, :meth:`_flush`.
 
-    #: The one dW_x buffer, allocated in :meth:`bind`, refilled in place.
+    **Staleness.**  A read returns the version ``r`` of the ``W_g`` it
+    read and each push the version ``a`` its add produced.  ``_flush``
+    appends ``τ = (a - r) - k`` to the history, ``k`` counting this
+    worker's own pushes since that read, this one included: the number
+    of *other* mutations of ``W_g`` between the worker's read and its
+    own apply (Alistarh et al.'s delay).  SEASGD pushes once per read,
+    so ``k`` is 1; Downpour pushes every step between fetches.  A retried
+    push whose first attempt landed counts itself once more, so τ reads
+    one too high for it (the wire has no dedupe yet).
+    """
+
+    #: The one W_g and the one dW_x buffer, allocated in :meth:`bind`,
+    #: refilled in place.
+    _global_scratch: np.ndarray
     _increment: np.ndarray
 
     def __init__(
@@ -109,7 +122,10 @@ class _SMBExchange(BaseExchange):
         self.global_weights = global_weights
         self.fleet = fleet
         self.driver: Optional[OverlapDriver] = None
-        self._global_scratch: Optional[np.ndarray] = None
+        #: Version of the last W_g read (None before the first) and this
+        #: worker's pushes since it: the two terms of τ.
+        self._read_version: Optional[int] = None
+        self._own_pushes = 0
 
     def bind(self, engine: "TrainingEngine") -> None:
         super().bind(engine)
@@ -132,16 +148,31 @@ class _SMBExchange(BaseExchange):
         if self.driver is not None:
             self.driver.wait_for_flush(engine.phases)
         with engine.phases.phase("rgw"):
-            return self.global_weights.read(out=self._global_scratch)
+            return self._read_scratch()
+
+    def _read_scratch(self) -> np.ndarray:
+        """Read ``W_g`` into the scratch; its version starts a new τ."""
+        self._read_version = self.global_weights.read_into(
+            self._global_scratch
+        )
+        self._own_pushes = 0
+        return self._global_scratch
 
     def _flush(
         self, increment: np.ndarray, phases: "PhaseTimer | NullPhaseTimer"
     ) -> None:
         """T.A1-T.A3 in one request: ``W_g += dW_x`` (eq. (7)), with
         ``dW_x`` carried by the request itself, so one ``ugw`` span covers
-        ``T_wwi + T_ugw``."""
+        ``T_wwi + T_ugw``; then record the push's τ."""
         with phases.phase("ugw"):
-            self.global_weights.accumulate(increment)
+            applied = self.global_weights.accumulate(increment)
+        self._own_pushes += 1
+        # No read yet only when a resumed Downpour run pushes before its
+        # first fetch: that push has no τ.
+        if self._read_version is not None:
+            self.engine.history.staleness.append(
+                applied - self._read_version - self._own_pushes
+            )
 
     def _submit(self, increment: np.ndarray) -> None:
         """Hand the write side to the driver, or run it inline."""
@@ -226,9 +257,7 @@ class StaleReadExchange(SEASGDExchange):
         def deferred() -> None:
             phases = driver.phases
             with phases.phase("rgw"):
-                global_now = self.global_weights.read(
-                    out=self._global_scratch
-                )
+                global_now = self._read_scratch()
             # Same kernel as the faithful path; that it also pulls the
             # (now dead) snapshot is harmless.
             increment = elastic_pull_(

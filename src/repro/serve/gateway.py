@@ -13,10 +13,11 @@ Responses carry the segment version both as ``X-SMB-Version`` and as a
 strong ``ETag`` (``"v<version>"``), so ordinary HTTP conditional requests
 (``If-None-Match``) short-circuit to ``304 Not Modified`` without moving
 model bytes.  Requests are routed to a replica by consistent hashing
-(:class:`~repro.smb.fleet.HashRingPlacement`) over ``tenant/name``,
-with failover to any other replica that mirrors the segment, so the
-read fan-out spreads across the fleet and never touches the training
-primary (except a replica's own pinned-read fallback).
+(:class:`HashRingPlacement`, built once from the fleet's replica names)
+over ``tenant/name``, with failover to any other replica that mirrors
+the segment, so the read fan-out spreads across the fleet and never
+touches the training primary (except a replica's own pinned-read
+fallback).
 
 Stdlib only: a :class:`socketserver.ThreadingTCPServer` whose handler is
 a keep-alive HTTP/1.1 loop (bounded, hand-split head; one vectored send
@@ -26,6 +27,8 @@ public endpoint — put a real proxy in front for anything internet-facing.
 
 from __future__ import annotations
 
+import bisect
+import hashlib
 import json
 import logging
 import socket
@@ -38,7 +41,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from urllib.parse import parse_qs, unquote, urlparse
 
 from ..smb.errors import SMBError, UnknownKeyError
-from ..smb.fleet import HashRingPlacement
 from ..smb.protocol import sendall_vectored
 from ..smb.serving import ReplicaServer, VersionNotAvailableError
 from ..telemetry import TelemetrySession, resolve as _resolve_telemetry
@@ -51,15 +53,63 @@ _MAX_HEADERS = 100
 
 _REASONS = {status.value: status.phrase.encode() for status in HTTPStatus}
 
+#: Virtual nodes per replica on the hash ring.  Enough that per-replica
+#: load variance stays within a few percent for realistic fleets; small
+#: enough that ring construction is trivially cheap.
+RING_REPLICAS = 64
+
+
+def _hash64(key: str) -> int:
+    """Stable 64-bit hash of a ring key (not Python's salted ``hash``)."""
+    digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
+class HashRingPlacement:
+    """Maps names onto the members of a fixed fleet by consistent hashing.
+
+    The ring is a pure function of the member set; it holds no per-name
+    state, so every process that knows the fleet derives the same answer
+    without a directory service.  Each member owns :data:`RING_REPLICAS`
+    points on a 64-bit ring and a name lands on the first point
+    clockwise of its hash, so two rings built from fleets one member
+    apart disagree on only ``~1/K`` of the names.
+
+    Raises:
+        ValueError: The fleet is empty or names a member twice.
+    """
+
+    def __init__(self, servers: Sequence[str]) -> None:
+        if not servers:
+            raise ValueError("placement needs at least one server")
+        if len(set(servers)) != len(servers):
+            raise ValueError(f"duplicate server ids in {list(servers)}")
+        points = sorted(
+            (_hash64(f"{server}#{replica}"), server)
+            for server in servers
+            for replica in range(RING_REPLICAS)
+        )
+        self._ring_hashes = [point for point, _ in points]
+        self._ring_owners = [owner for _, owner in points]
+
+    def server_for(self, name: str) -> str:
+        """The server id that should hold ``name``."""
+        index = bisect.bisect(self._ring_hashes, _hash64(name))
+        if index == len(self._ring_hashes):
+            index = 0  # wrap: past the last point lands on the first
+        return self._ring_owners[index]
+
 
 class ModelGateway:
     """Routes versioned HTTP parameter reads onto a replica fleet.
 
     Args:
-        replicas: The fleet.  Each replica's ``name`` must be unique —
-            it is the placement key its virtual ring nodes hash under, so
-            gateways over two fleets one replica apart route only
-            ``~1/K`` of the segment keyspace differently.
+        replicas: The fleet, at least one.  Each replica's ``name`` must
+            be unique — it is the placement key its virtual ring nodes
+            hash under, so gateways over two fleets one replica apart
+            route only ``~1/K`` of the segment keyspace differently.  An
+            empty fleet or a repeated name is a ``ValueError``, raised
+            before any socket is bound.
         host/port: Bind address (``port=0`` picks an ephemeral port).
         telemetry: Session for the per-tenant read counters
             (``serve/gateway/tenant/<t>/reads``); defaults to the
@@ -73,15 +123,11 @@ class ModelGateway:
         port: int = 0,
         telemetry: Optional[TelemetrySession] = None,
     ) -> None:
-        if not replicas:
-            raise ValueError("gateway needs at least one replica")
         names = [replica.name for replica in replicas]
-        if len(set(names)) != len(names):
-            raise ValueError(f"replica names must be unique, got {names}")
+        self._placement = HashRingPlacement(names)  # checks the fleet
         self._replicas: Dict[str, ReplicaServer] = {
             replica.name: replica for replica in replicas
         }
-        self._placement = HashRingPlacement(names)
         self._registry = _resolve_telemetry(telemetry).registry
         self._failover = [self._replicas[name] for name in sorted(names)]
         self._server = _Server((host, port), self)

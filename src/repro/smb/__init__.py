@@ -44,12 +44,6 @@ from .faults import FaultInjectingTransport, FaultPlan
 from .journal import JournalError, publish_json, read_json, read_rendezvous
 from .membership import MembershipRegistry
 from .memory import DEFAULT_TENANT
-from .fleet import (
-    PlacementError,
-    attach_sharded_array,
-    create_sharded_array,
-    shard_counts,
-)
 from .protocol import Message, Op, Status
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from .server import SMBServer, TcpSMBServer
@@ -74,7 +68,6 @@ __all__ = [
     "NotificationTimeout",
     "Op",
     "PayloadSizeError",
-    "PlacementError",
     "QuotaExceededError",
     "RemoteArray",
     "ReplicaServer",
@@ -99,10 +92,7 @@ __all__ = [
     "UnknownKeyError",
     "VersionNotAvailableError",
     "VersionRegressionError",
-    "attach_sharded_array",
-    "create_sharded_array",
     "publish_json",
     "read_json",
     "read_rendezvous",
-    "shard_counts",
 ]

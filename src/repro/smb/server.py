@@ -650,8 +650,8 @@ class SMBServer:
             # The SMB server "exclusively processes the cumulative update
             # requests of global weights from each worker" (paper T.A3).
             # Exclusivity is *per destination segment* — the lock taken
-            # inside the add — so pushes into different segments (striped
-            # W_g shards, other tenants) run concurrently instead of
+            # inside the add — so pushes into different segments (another
+            # job's W_g, another tenant's) run concurrently instead of
             # queueing behind one global lock.
             self._track_accumulate_queue(+1)
             try:

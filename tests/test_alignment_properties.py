@@ -1,13 +1,11 @@
-"""Integration properties: straggler alignment, increment conservation,
-gradient clipping, and stripe-layout invariants (hypothesis)."""
+"""Integration properties: straggler alignment, increment conservation
+and gradient clipping."""
 
 import threading
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.caffe import Net, SGDSolver, SolverConfig, SyntheticImageDataset
 from repro.caffe.params import FlatParams
@@ -16,7 +14,7 @@ from repro.core import (
     ShmCaffeConfig,
     TerminationCriterion,
 )
-from repro.smb import SMBClient, SMBServer, shard_counts
+from repro.smb import SMBServer
 
 from .test_net_solver import make_inputs
 from .test_netspec import small_spec
@@ -199,42 +197,3 @@ class TestGradientClipping:
             stats = clipped.step(inputs)
         assert np.isfinite(stats["loss"])
 
-
-@settings(max_examples=50, deadline=None)
-@given(
-    count=st.integers(min_value=1, max_value=10_000),
-    shards=st.integers(min_value=1, max_value=16),
-)
-def test_shard_counts_partition_property(count, shards):
-    """Stripe sizes always sum to the total, differ by at most one, and
-    are all positive (when feasible)."""
-    if shards > count:
-        with pytest.raises(ValueError):
-            shard_counts(count, shards)
-        return
-    counts = shard_counts(count, shards)
-    assert sum(counts) == count
-    assert max(counts) - min(counts) <= 1
-    assert all(c > 0 for c in counts)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    count=st.integers(min_value=4, max_value=300),
-    shards=st.integers(min_value=1, max_value=4),
-    seed=st.integers(min_value=0, max_value=99),
-)
-def test_sharded_roundtrip_property(count, shards, seed):
-    """write->read over any stripe layout is the identity."""
-    from repro.smb import create_sharded_array
-
-    if shards > count:
-        return
-    servers = [SMBServer(capacity=1 << 20) for _ in range(shards)]
-    clients = [SMBClient.in_process(server) for server in servers]
-    array = create_sharded_array(clients, "W", count)
-    values = np.random.default_rng(seed).standard_normal(count).astype(
-        np.float32
-    )
-    array.write(values)
-    np.testing.assert_array_equal(array.read(), values)

@@ -6,6 +6,8 @@ discipline both rely on (`repro.smb.journal.publish_json`), the
 autoscale decision logic, and the seeded join/retire/reclaim drill.
 """
 
+import shutil
+import tempfile
 import threading
 from time import monotonic, sleep
 
@@ -679,6 +681,150 @@ class ControlBlockMachine(RuleBasedStateMachine):
 
 TestControlBlockMachine = ControlBlockMachine.TestCase
 TestControlBlockMachine.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None
+)
+
+
+LEASE = 10.0
+member_ids = st.sampled_from(["w0", "w1", "w2", "w3"])
+
+
+class RegistryMachine(RuleBasedStateMachine):
+    """Join, heartbeat, leave, expire and retire on a frozen clock,
+    against a model of the live records.
+
+    Every call first evicts the lapsed records (``lease_expires <= now``)
+    and publishes once, or, when it refuses, publishes nothing; the
+    epoch moves on a join, a leave or an eviction.  After every step the
+    document holds the model's records, version and epoch, and
+    ``live_count`` counts the unlapsed ones.
+    """
+
+    @initialize()
+    def publish(self):
+        self.directory = tempfile.mkdtemp(prefix="registry-machine-")
+        self.clock = FakeClock()
+        self.registry = MembershipRegistry(
+            self.directory, lease=LEASE, clock=self.clock,
+            telemetry=TelemetrySession("off"),
+        )
+        self.registry.publish_job(SERVER_DOC, JOB_DOC)
+        self.members = {}
+        self.version = self.epoch = 1
+        self.claims = 0
+
+    def _lapsed(self):
+        return [
+            member_id for member_id, record in self.members.items()
+            if record["lease_expires"] <= self.clock.now
+        ]
+
+    def _published(self):
+        """The model side of one published call: evict, bump version."""
+        lapsed = self._lapsed()
+        for member_id in lapsed:
+            del self.members[member_id]
+        self.epoch += bool(lapsed)
+        self.version += 1
+        return len(lapsed)
+
+    def _claim(self):
+        self.claims += 1
+        return SlotClaim(self.claims % 4, self.claims)
+
+    @rule(member_id=member_ids)
+    def join(self, member_id):
+        if member_id in self.members and member_id not in self._lapsed():
+            with pytest.raises(MembershipError):
+                self.registry.join(member_id, self._claim)
+            return
+        record = self.registry.join(member_id, self._claim)
+        self._published()
+        self.members[member_id] = {
+            "slot": self.claims % 4, "generation": self.claims,
+            "status": "active", "lease_expires": self.clock.now + LEASE,
+            "heartbeats": 0,
+        }
+        self.epoch += 1
+        assert (record.slot, record.generation) == (
+            self.claims % 4, self.claims,
+        )
+
+    @rule(member_id=member_ids)
+    def join_whose_claim_fails(self, member_id):
+        def exhausted():
+            raise SlotsExhaustedError("no FREE or dead slot")
+
+        expected = (
+            MembershipError
+            if member_id in self.members and member_id not in self._lapsed()
+            else SlotsExhaustedError
+        )
+        with pytest.raises(expected):
+            self.registry.join(member_id, exhausted)
+
+    @rule(member_id=member_ids)
+    def heartbeat(self, member_id):
+        if member_id not in self.members or member_id in self._lapsed():
+            with pytest.raises(MembershipError):
+                self.registry.heartbeat(member_id)
+            return
+        retiring = self.registry.heartbeat(member_id)
+        self._published()
+        record = self.members[member_id]
+        record["lease_expires"] = self.clock.now + LEASE
+        record["heartbeats"] += 1
+        assert retiring == (record["status"] == "retiring")
+
+    @rule(member_id=member_ids)
+    def request_retire(self, member_id):
+        found = self.registry.request_retire(member_id)
+        self._published()
+        assert found == (member_id in self.members)
+        if found:
+            self.members[member_id]["status"] = "retiring"
+
+    @rule(member_id=member_ids)
+    def leave(self, member_id):
+        removed = self.registry.leave(member_id)
+        self._published()
+        assert removed == (member_id in self.members)
+        if removed:
+            del self.members[member_id]
+            self.epoch += 1
+
+    @rule()
+    def expire_stale(self):
+        assert self.registry.expire_stale() == self._published()
+
+    @rule(seconds=st.sampled_from([1.0, 4.0, LEASE]))
+    def advance(self, seconds):
+        self.clock.advance(seconds)
+
+    @invariant()
+    def matches_the_model(self):
+        view = self.registry.read()
+        assert (view.version, view.epoch) == (self.version, self.epoch)
+        assert {
+            member_id: {
+                "slot": record.slot, "generation": record.generation,
+                "status": record.status,
+                "lease_expires": record.lease_expires,
+                "heartbeats": record.heartbeats,
+            }
+            for member_id, record in view.members.items()
+        } == self.members
+        assert self.registry.live_count() == len(self.members) - len(
+            self._lapsed()
+        )
+
+    def teardown(self):
+        if hasattr(self, "directory"):
+            shutil.rmtree(self.directory, ignore_errors=True)
+
+
+TestRegistryMachine = RegistryMachine.TestCase
+TestRegistryMachine.settings = settings(
     max_examples=60, stateful_step_count=25, deadline=None
 )
 

@@ -514,6 +514,25 @@ class TestModelGateway:
         gateway = ModelGateway([replica]).start()
         return server, master, array, replica, gateway
 
+    def test_an_empty_or_repeated_fleet_is_refused_before_binding(self):
+        """No replica, or two replicas under one name: ``ValueError``,
+        and the port the gateway was given is still free."""
+        server = SMBServer(capacity=1 << 20)
+        twins = [
+            ReplicaServer(
+                lambda: SMBClient.in_process(server), ["W_g"], name="r0"
+            )
+            for _ in range(2)
+        ]
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        for fleet in ([], twins):
+            with pytest.raises(ValueError):
+                ModelGateway(fleet, port=port)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", port))  # EADDRINUSE had it bound
+
     def test_get_current_with_etag(self):
         server, master, array, replica, gateway = self._stack()
         try:

@@ -15,7 +15,9 @@ layer contracts:
   and any other hello spelling is refused;
 * small control ops answered inline on the event loop survive malformed
   frames (one bad connection never kills the server);
-* tenants and quotas come back after a crash, from snapshot or journal.
+* tenants and quotas come back after a crash, from snapshot or journal;
+* generated histories of create, free (by the owner or by another
+  tenant) and re-grant conserve every quota (``TenantPoolMachine``).
 """
 
 import json
@@ -24,8 +26,18 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.smb import (
+    AccessDeniedError,
+    CapacityError,
     DEFAULT_TENANT,
     QuotaExceededError,
     SMBClient,
@@ -191,6 +203,101 @@ class TestQuotas:
             admin.close()
         finally:
             server.stop()
+
+
+POOL_BYTES = 16 << 10
+TENANTS = (DEFAULT_TENANT, "alice", "bob")
+tenants = st.sampled_from(TENANTS)
+
+
+class TenantPoolMachine(RuleBasedStateMachine):
+    """Create, free by the owner, free by another tenant and re-grant,
+    against a model of live segments.
+
+    After every step each grant's ``used`` and ``segments`` are the sums
+    over that tenant's live segments, the pool's used bytes are the sum
+    over all tenants, and a refused free has changed nothing.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.pool = MemoryPool(capacity=POOL_BYTES)
+        self.live = {}  # shm_key -> (tenant, nbytes)
+        self.quotas = {DEFAULT_TENANT: None}
+        self.created = 0
+
+    def _used(self, tenant=None):
+        return sum(
+            nbytes for owner, nbytes in self.live.values()
+            if tenant is None or owner == tenant
+        )
+
+    def _accounts(self):
+        return self.pool.used, self.pool.tenant_stats(), set(
+            segment.shm_key for segment in self.pool.segments().values()
+        )
+
+    @rule(tenant=tenants, nbytes=st.integers(1, 6 << 10))
+    def create(self, tenant, nbytes):
+        self.created += 1
+        name = f"s{self.created}"
+        quota = self.quotas.setdefault(tenant, None)  # first contact
+        refusal = None
+        if quota is not None and self._used(tenant) + nbytes > quota:
+            refusal = QuotaExceededError
+        elif self._used() + nbytes > POOL_BYTES:
+            refusal = CapacityError
+        if refusal is not None:
+            with pytest.raises(refusal):
+                self.pool.create(name, nbytes, tenant=tenant)
+            return
+        segment = self.pool.create(name, nbytes, tenant=tenant)
+        self.live[segment.shm_key] = (tenant, nbytes)
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def free_by_the_owner(self, data):
+        key = data.draw(st.sampled_from(sorted(self.live)))
+        self.pool.free(key, tenant=self.live.pop(key)[0])
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def free_by_another_tenant(self, data):
+        key = data.draw(st.sampled_from(sorted(self.live)))
+        owner = self.live[key][0]
+        thief = data.draw(st.sampled_from([t for t in TENANTS if t != owner]))
+        before = self._accounts()
+        with pytest.raises(AccessDeniedError):
+            self.pool.free(key, tenant=thief)
+        assert self._accounts() == before
+
+    @rule(tenant=tenants, quota=st.none() | st.integers(1, 12 << 10))
+    def create_tenant(self, tenant, quota):
+        self.pool.create_tenant(tenant, quota)
+        self.quotas[tenant] = quota
+
+    @invariant()
+    def quotas_are_conserved(self):
+        grants = self.pool.tenants()
+        assert set(grants) == set(self.quotas)
+        for tenant, grant in grants.items():
+            mine = [n for owner, n in self.live.values() if owner == tenant]
+            assert grant.quota == self.quotas[tenant]
+            assert grant.used == sum(mine)
+            assert grant.segments == len(mine)
+        assert self.pool.used == sum(g.used for g in grants.values())
+        assert self.pool.used == self._used()
+        assert self._accounts()[2] == set(self.live)
+
+    def teardown(self):
+        for key in list(self.live):
+            self.pool.free(key)
+
+
+TestTenantPoolMachine = TenantPoolMachine.TestCase
+TestTenantPoolMachine.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None
+)
 
 
 # -- the tenant handshake on every transport --------------------------------

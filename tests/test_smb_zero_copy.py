@@ -14,9 +14,8 @@ Three families of guarantees from the data-path rebuild:
 * **Concurrency** — the two-channel TCP transport survives a
   ``drop_connection`` storm under two hammering threads without
   deadlock or data corruption (reconnect accounting itself is in
-  ``tests/test_transport_contract.py``), a drop ends a parked wait even
-  when the server never answers it, and a striped array's versions and
-  gather stay exact.
+  ``tests/test_transport_contract.py``), and a drop ends a parked wait
+  even when the server never answers it.
 """
 
 import socket
@@ -39,7 +38,6 @@ from repro.smb import (
     SMBServer,
     Status,
     TcpSMBServer,
-    create_sharded_array,
 )
 from repro.smb.errors import SMBConnectionError, from_wire, to_wire
 from repro.smb.protocol import (
@@ -411,30 +409,3 @@ class TestDropConnectionStorm:
                 peer.close()  # releases a waiter the drop failed to end
             transport.close()
 
-
-class TestShardedAggregatesAndOverlap:
-    def _sharded(self, num_shards: int, count: int):
-        servers = [SMBServer(capacity=1 << 22) for _ in range(num_shards)]
-        clients = [SMBClient(InProcTransport(server)) for server in servers]
-        return create_sharded_array(clients, "w", count)
-
-    def test_write_returns_sum_of_shard_versions(self):
-        array = self._sharded(4, 1000)
-        returned = array.write(np.ones(1000, dtype=np.float32))
-        assert returned == sum(array.shard_versions())
-        assert returned == array.version()
-        # Every stripe advanced exactly once; the old last-shard-only
-        # return would have reported 1 here instead of 4.
-        assert array.shard_versions() == [1, 1, 1, 1]
-        assert returned == 4
-
-    def test_sharded_read_into_preallocated_full_roundtrip(self):
-        array = self._sharded(5, 999)
-        values = np.random.default_rng(0).standard_normal(999).astype(
-            np.float32
-        )
-        array.write(values)
-        out = np.empty(999, dtype=np.float32)
-        returned = array.read(out=out)
-        assert returned is out
-        np.testing.assert_array_equal(out, values)

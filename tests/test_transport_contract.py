@@ -9,6 +9,7 @@ way" means.  Doorway-specific behaviour (shm block growth, rendezvous
 re-resolution, non-SMB peers) is tested beside its doorway.
 """
 
+import shutil
 import socket
 import struct
 import threading
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.smb import (
+    AccessDeniedError,
     DEFAULT_RETRY_POLICY,
     FaultInjectingTransport,
     FaultPlan,
@@ -28,6 +30,7 @@ from repro.smb import (
     SMBConnectionError,
     SMBError,
     SMBProtocolError,
+    SMBServer,
     SegmentRangeError,
     TransportClosedError,
 )
@@ -145,6 +148,30 @@ class TestTransportContract:
         assert client.transport.reconnects == 0
         key = client.create_buffer("seg", 16)
         assert client.lookup("seg") == (key, 16)
+
+    def test_foreign_free_is_refused(self, journaled_doorway, tmp_path):
+        """A tenant cannot FREE another tenant's segment: the refusal is
+        typed, the owner's bytes and inventory stand, and nothing is
+        journaled, so a server restarted from the journal directory as
+        the refusal left it (no final snapshot) still holds them."""
+        alice = journaled_doorway.connect(tenant="alice")
+        bob = journaled_doorway.connect(tenant="bob")
+        array = alice.create_array("w", 16)
+        data = np.arange(16, dtype=np.float32)
+        array.write(data)
+        inventory = alice.list_segments()
+        with pytest.raises(AccessDeniedError):
+            bob.free(array.shm_key)
+        assert np.array_equal(array.read(), data)
+        assert alice.list_segments() == inventory
+        image = tmp_path / "crash-image"
+        shutil.copytree(journaled_doorway.journal_dir, image)
+        restarted = SMBServer(capacity=CAPACITY, journal_dir=image)
+        try:
+            segment = restarted.pool.by_name("w", tenant="alice")
+            assert segment.buffer.tobytes() == data.tobytes()
+        finally:
+            restarted.close()
 
     def test_bulk_does_not_starve_small(self, doorway):
         """While every ACCUMULATE into ``W_g`` is parked on its segment
