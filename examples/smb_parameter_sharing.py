@@ -61,7 +61,8 @@ def worker_main(address, shm_keys, rank, target, results):
         local = local - LEARNING_RATE * gradient
 
         iteration += 1
-        control.publish_progress(rank, iteration)
+        # Every slot of a fixed fleet is pre-claimed at generation 1.
+        control.publish_progress(rank, iteration, generation=1)
         if iteration >= ITERATIONS:
             control.signal_stop(2)  # first finisher stops everyone
         if control.stop_code() != ControlBlock.STOP_CLEAR:

@@ -19,9 +19,9 @@ The engine's loop is the paper's worker skeleton:
    ``strategy.should_stop``.
 
 A worker whose SMB path dies for good degrades gracefully: with a
-termination coordinator present it tries to mark itself dead in the
-control block (best effort, see :mod:`repro.core.termination`) and
-returns a partial history with :attr:`WorkerHistory.failed` set; without
+termination coordinator present it returns a partial history with
+:attr:`WorkerHistory.failed` set, and its launcher marks its
+control-block slot dead (see :mod:`repro.core.termination`); without
 one the error propagates.
 """
 
@@ -273,7 +273,7 @@ class TrainingEngine:
                     self.history.retired = True
                     break
         except (smb_errors.SMBError, WorkerError) as exc:
-            if not self._degrade(exc, iteration):
+            if not self._degrade(exc):
                 raise
         finally:
             strategy.close()
@@ -293,28 +293,23 @@ class TrainingEngine:
 
     # -- degradation -----------------------------------------------------------
 
-    def record_smb_failure(self, exc: BaseException, iteration: int) -> None:
-        """Mark this worker dead after a terminal SMB-path loss.
+    def record_smb_failure(self, exc: BaseException) -> None:
+        """Record a terminal SMB-path loss in this worker's history.
 
-        Sets the history's failure flags, bumps the fault counter, and
-        tries to mark the control-block slot dead so survivors rescale.
-        The mark rides this worker's own transport, so when that is what
-        died (every ``FaultPlan`` kill) it raises, is swallowed here, and
-        survivors stop on the unrescaled criterion or the 2x backstop.
+        Sets the history's failure flags and bumps the fault counter.
+        The control-block slot is marked dead once :meth:`run` returns,
+        by the launcher over a clean client
+        (``DistributedTrainingManager._participant``): this worker's own
+        transport is the one that died.
         """
         self.history.failed = True
         self.history.failure = f"{type(exc).__name__}: {exc}"
         self.telemetry.registry.inc(f"worker{self.rank}/faults/fatal")
-        if self.termination is not None:
-            try:
-                self.termination.mark_failed(iteration)
-            except smb_errors.SMBError:
-                pass
 
-    def _degrade(self, exc: BaseException, iteration: int) -> bool:
+    def _degrade(self, exc: BaseException) -> bool:
         """Try to absorb a terminal SMB failure as graceful worker loss.
 
-        Returns True when the worker marked itself dead (the caller then
+        Returns True when the failure was recorded (the caller then
         returns the partial history); False when the failure is not an
         SMB-path loss or there is no coordinator to inform.
         """
@@ -327,5 +322,5 @@ class TrainingEngine:
             return True
         if not smb_path_lost(exc):
             return False
-        self.record_smb_failure(exc, iteration)
+        self.record_smb_failure(exc)
         return True

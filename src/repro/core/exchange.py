@@ -323,7 +323,7 @@ class HybridExchange(SyncSGDExchange):
     The root decides termination for the whole group and shares the
     decision through a one-element broadcast so members stop in lockstep;
     on a terminal SMB-path loss the root keeps the lockstep broadcasts
-    alive, marks the group dead (best effort), and winds down.
+    alive and winds down; its launcher then marks the group dead.
     """
 
     def __init__(
@@ -350,17 +350,18 @@ class HybridExchange(SyncSGDExchange):
         if self._inner is not None:
             self._inner.bind(engine)
 
-    def _record_smb_failure(self, exc: BaseException, iteration: int) -> None:
+    def _record_smb_failure(self, exc: BaseException) -> None:
         """Root-only: the group's SMB path died; degrade, don't crash.
 
         The group keeps its intra-node SSGD lockstep (the broadcasts the
         members are blocked on still happen) but stops exchanging with
         the global weights and winds down at the next stop broadcast.
-        The control-block mark that would let other groups rescale is
-        best effort (:meth:`TrainingEngine.record_smb_failure`).
+        Once the group has wound down, the root's launcher marks the
+        group's control-block slot dead so the other groups rescale
+        (:meth:`TrainingEngine.record_smb_failure`).
         """
         self._smb_failed = True
-        self.engine.record_smb_failure(exc, iteration)
+        self.engine.record_smb_failure(exc)
 
     def exchange(self, iteration: int) -> None:
         """Inter-node SEASGD (root) + intra-group weight broadcast."""
@@ -376,7 +377,7 @@ class HybridExchange(SyncSGDExchange):
                     # shared predicate so non-SMB bugs still propagate.
                     if not smb_path_lost(exc):
                         raise
-                    self._record_smb_failure(exc, iteration)
+                    self._record_smb_failure(exc)
             with engine.phases.phase("nccl"):
                 # Straight from the live vector: broadcast copies it.
                 synced = self.group.broadcast(
@@ -394,7 +395,7 @@ class HybridExchange(SyncSGDExchange):
             stop = 0.0
             if self._smb_failed:
                 # The group cannot exchange with W_g any more; wind down
-                # in lockstep (mark_failed already ran).
+                # in lockstep; the launcher marks the slot dead after.
                 stop = 1.0
             elif engine.termination is not None:
                 try:
@@ -402,7 +403,7 @@ class HybridExchange(SyncSGDExchange):
                     if engine.termination.should_stop(iteration):
                         stop = 1.0
                 except smb_errors.SMBError as exc:
-                    self._record_smb_failure(exc, iteration)
+                    self._record_smb_failure(exc)
                     stop = 1.0
             elif iteration >= engine.config.max_iterations:
                 stop = 1.0

@@ -6,19 +6,14 @@ ShmCaffe avoids a master-side coordinator thread by sharing per-worker
 progress counters through an SMB control segment and letting every worker
 apply one of three predefined stop criteria locally.
 
-Fault tolerance: a worker whose SMB path dies for good calls
-:meth:`TerminationCoordinator.mark_failed`, which tries to flip its
-control-block slot to the dead encoding (see
-:class:`~repro.smb.client.ControlBlock`).  When the mark lands, survivors
-*rescale* their criteria over the live fleet — ``AVERAGE_ITERATIONS``
-averages only live counters, and under ``MASTER_STOP`` a dead master is
-replaced by first-finisher semantics.  The mark is best effort: it goes
-over the dying worker's own transport, and when that transport is what
-died (every ``FaultPlan`` kill) it fails.  Survivors then see a live slot
-whose count no longer moves: ``AVERAGE_ITERATIONS`` keeps the frozen
-count in its mean, and ``MASTER_STOP`` survivors run to the ``2 x
-target`` backstop.  Either way worker loss ends the job rather than
-hanging it.
+Fault tolerance: when a worker's SMB path dies for good, its launcher
+marks its control-block slot dead on its behalf, over a clean client
+(see :class:`~repro.smb.client.ControlBlock` and
+``DistributedTrainingManager._participant``).  Survivors *rescale* their
+criteria over the live fleet — ``AVERAGE_ITERATIONS`` averages only live
+counters, and under ``MASTER_STOP`` a dead master is replaced by
+first-finisher semantics — so worker loss ends the job rather than
+hanging it.  Every ``2 x target`` backstop stays as the last resort.
 """
 
 from __future__ import annotations
@@ -48,12 +43,11 @@ class TerminationCoordinator:
         target_iterations: The per-worker iteration budget; under
             ``AVERAGE_ITERATIONS`` it is the target for the *mean* progress
             of all workers instead.
-        generation: This worker's slot generation from its
-            :meth:`~repro.smb.client.ControlBlock.claim`.  When set, every
-            publish is generation-checked, so a worker whose slot was
-            reclaimed (elastic churn) fails loudly instead of corrupting
-            its successor's counter.  ``None`` keeps the unstamped
-            fixed-fleet behaviour.
+        generation: This worker's slot generation: its
+            :meth:`~repro.smb.client.ControlBlock.claim`'s, or 1 in a
+            fixed fleet.  Every publish is stamped with it, so a worker
+            whose slot was released, marked dead or reclaimed writes
+            words that count for nothing.
     """
 
     def __init__(
@@ -62,7 +56,7 @@ class TerminationCoordinator:
         rank: int,
         criterion: TerminationCriterion,
         target_iterations: int,
-        generation: "int | None" = None,
+        generation: int,
     ) -> None:
         if target_iterations < 1:
             raise ValueError(
@@ -78,17 +72,6 @@ class TerminationCoordinator:
     def publish(self, completed_iterations: int) -> None:
         """Report this worker's completed iteration count to everyone."""
         self.control.publish_progress(
-            self.rank, completed_iterations, generation=self.generation
-        )
-
-    def mark_failed(self, completed_iterations: int) -> None:
-        """Declare this worker dead after ``completed_iterations``.
-
-        Survivors that observe the dead slot rescale; this worker must not
-        publish again afterwards.  The write goes over this worker's own
-        transport, so it raises when that transport is the one that died.
-        """
-        self.control.mark_dead(
             self.rank, completed_iterations, generation=self.generation
         )
 

@@ -541,11 +541,10 @@ class DistributedTrainingManager:
                         job["capacity"],
                     ),
                 )
-                slot = group_id
+                claim = SlotClaim(group_id, 1)  # a fixed fleet's pre-claim
                 if self.registry is not None:
                     # The control block allocates the slot and the
-                    # registry records the claim.  A fixed fleet's slots
-                    # are pre-claimed at generation 1.
+                    # registry records the claim.
                     take: Callable[[], SlotClaim]
                     if not self.elastic:
                         take = functools.partial(SlotClaim, group_id, 1)
@@ -556,9 +555,8 @@ class DistributedTrainingManager:
                     member = self.registry.join(member_id, take)
                     stack.callback(self._leave, member_id)
                     retire_event = threading.Event()
-                    slot = member.slot
+                    claim = SlotClaim(member.slot, member.generation)
                     if self.elastic:
-                        claim = SlotClaim(member.slot, member.generation)
                         on_claim(claim)
                 if not restored:
                     # The replica starts from the current elastic centre:
@@ -567,10 +565,10 @@ class DistributedTrainingManager:
                     flat.set_vector(global_array.read())
                 termination = TerminationCoordinator(
                     control,
-                    rank=slot,
+                    rank=claim.slot,
                     criterion=self.config.termination,
                     target_iterations=self.config.max_iterations,
-                    generation=claim.generation if claim else None,
+                    generation=claim.generation,
                 )
 
             # Joiners share a launch shard (distinct batch order via the
@@ -643,8 +641,8 @@ class DistributedTrainingManager:
             )
             ready()
             history = engine.run()
-            if history.retired:
-                self._depart(member_id, claim, control)
+            if claim is not None and (history.retired or history.failed):
+                self._vacate(member_id, job, claim, history)
         return history
 
     def _make_monitor(self, global_weights: RemoteArray):
@@ -697,25 +695,41 @@ class DistributedTrainingManager:
 
         return monitor
 
-    def _depart(
+    def _vacate(
         self,
         member_id: str,
+        job: Job,
         claim: SlotClaim,
-        control: ControlBlock,
+        history: WorkerHistory,
     ) -> None:
-        """A retired participant's exit: its slot goes back to FREE.
+        """A retired or failed participant's exit from its slot.
 
-        The slot becomes reclaimable by a later joiner and is excluded
-        from every criterion.  A participant that *completed* keeps it —
-        its final progress stays in the mean the fleet terminates on,
-        exactly like the fixed fleet — and a *failed* one keeps its dead
-        encoding (survivors rescale over it; the slot remains claimable).
+        A retired one releases the slot: it becomes reclaimable by a
+        later joiner and is excluded from every criterion.  A failed one
+        is marked dead on its behalf with its completed count, so
+        survivors rescale over it (the slot stays claimable).  A
+        participant that *completed* keeps its slot — its final progress
+        stays in the mean the fleet terminates on, exactly like the
+        fixed fleet.  The write goes over a clean client (no rank, so no
+        fault plan applies): a failed worker's own transport is what
+        died.  An SMB error is logged and swallowed.
         """
         try:
-            control.release(claim.slot, claim.generation)
+            with self._make_client() as client:
+                control = ControlBlock.attach(
+                    client, f"{job['namespace']}control",
+                    job["control_key"], job["capacity"],
+                )
+                if history.failed:
+                    control.mark_dead(
+                        claim.slot, history.completed_iterations,
+                        claim.generation,
+                    )
+                else:
+                    control.release(claim.slot, claim.generation)
         except smb_errors.SMBError as exc:
             logging.getLogger(__name__).warning(
-                "slot release for %s failed: %s", member_id, exc
+                "slot exit for %s failed: %s", member_id, exc
             )
 
     def _leave(self, member_id: str) -> None:

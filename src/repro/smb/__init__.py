@@ -35,7 +35,6 @@ from .errors import (
     SMBConnectionError,
     SMBError,
     SMBProtocolError,
-    StaleGenerationError,
     TransportClosedError,
     UnknownKeyError,
     VersionRegressionError,
@@ -84,7 +83,6 @@ __all__ = [
     "SMBServer",
     "ShmSMBServer",
     "ShmTransport",
-    "StaleGenerationError",
     "Status",
     "TcpSMBServer",
     "TcpTransport",

@@ -855,45 +855,50 @@ class SlotClaim:
 class ControlBlock:
     """Shared training-progress block (paper Sec. III-E, "control info").
 
-    Layout (``2 * capacity + 1`` int64 values): one *progress* slot per
+    Layout (``2 * capacity + 1`` int64 values): one *progress* word per
     unit of capacity, then one *generation* counter per slot, then the
-    shared stop flag.  Workers publish their own progress slot and read
+    shared stop flag.  Workers publish their own progress word and read
     everyone's to decide when to terminate.
 
     Slots are **dynamically allocated** so the fleet can change size
-    mid-run (elastic membership):
+    mid-run (elastic membership).  The generation counters are the one
+    authority on who owns a slot, and only :meth:`claim`,
+    :meth:`release` and :meth:`mark_dead` write them — callers
+    serialise those (the membership registry's lock, or the launcher's
+    disjoint slot assignment):
 
-    * an unclaimed slot holds the :data:`FREE` sentinel and is invisible
-      to the termination criteria;
+    * a never-claimed slot is generation 0 and is FREE: invisible to the
+      termination criteria;
     * :meth:`claim` takes the lowest claimable slot (or a requested one),
-      bumps its generation counter and resets its progress to 0;
-    * :meth:`release` returns a retiring worker's slot to :data:`FREE` so
-      a later joiner can reclaim it — the generation counter is *kept*,
-      which is what makes reclaims detectable;
-    * a worker that loses its SMB path for good marks itself **dead** by
-      negating its slot: value ``-(completed + 1)``.  Survivors decode
-      that with :meth:`decode_progress` and rescale their termination
-      criteria over the live fleet.  Dead slots stay claimable: the dead
-      encoding survives until a re-joining worker claims the slot.
+      bumps its generation and resets its progress to 0;
+    * :meth:`release` bumps the generation of a retiring worker's slot,
+      which leaves it FREE for a later joiner;
+    * a worker that loses its SMB path for good is marked **dead**:
+      :meth:`mark_dead` bumps the generation and records the completed
+      count.  Survivors decode that with :meth:`decode_progress` and
+      rescale their termination criteria over the live fleet.  Dead
+      slots stay claimable.
+
+    Every progress word carries the generation it was written under
+    beside its state (live progress, or a dead worker's completed
+    count), so :meth:`publish_progress` is one WRITE with no READ
+    before it.  The reader checks the stamp: a word whose generation is
+    not its slot's counter decodes as FREE.  A stale writer — a retired
+    or dead worker's late publish — still lands, but it counts for
+    nothing and can never make a slot live.
 
     Fixed fleets are the degenerate case: :meth:`create` pre-claims every
     slot by default (progress 0, generation 1), which reproduces the
     historical one-slot-per-rank behaviour exactly.
-
-    Generation stamping: callers that pass their claim's ``generation``
-    to :meth:`publish_progress`/:meth:`mark_dead`/:meth:`release` get a
-    :class:`~repro.smb.errors.StaleGenerationError` if the slot was
-    reclaimed out from under them — a retired-then-forgotten worker fails
-    loudly instead of corrupting its successor's counter.  The check is a
-    read-then-write, so *claims* themselves must be serialised by the
-    caller (the membership registry does; the fixed-fleet launch path
-    claims disjoint slots).
     """
 
     STOP_CLEAR = 0
-    #: Sentinel marking an unclaimed progress slot (int64 min — never a
-    #: valid progress value and never a valid dead encoding).
-    FREE = int(np.iinfo(np.int64).min)
+    #: A progress word is its generation (below 2**23) above 40 bits of
+    #: state: the progress ``p`` (live) or ``-(completed + 1)`` (dead),
+    #: in 40-bit two's complement.
+    _STATE_BITS = 40
+    _MASK = (1 << _STATE_BITS) - 1
+    _SIGN = 1 << (_STATE_BITS - 1)
 
     def __init__(self, array: RemoteArray, capacity: int) -> None:
         expected = 2 * capacity + 1
@@ -937,8 +942,8 @@ class ControlBlock:
             raise ValueError(
                 f"preclaimed {claimed} out of range [0, {self.capacity}]"
             )
-        values = np.full(2 * self.capacity + 1, 0, dtype=np.int64)
-        values[claimed:self.capacity] = self.FREE
+        values = np.zeros(2 * self.capacity + 1, dtype=np.int64)
+        values[:claimed] = self._encode(1, 0)
         values[self.capacity:self.capacity + claimed] = 1  # generations
         self._array.write(values)
 
@@ -959,28 +964,41 @@ class ControlBlock:
 
     # -- raw slot IO -------------------------------------------------------
 
-    def _write_slot(self, slot: int, value: int) -> None:
+    @classmethod
+    def _encode(cls, generation: int, state: int) -> int:
+        return (generation << cls._STATE_BITS) | (state & cls._MASK)
+
+    @classmethod
+    def _decode(cls, words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Split progress words into ``(generations, states)``."""
+        words = np.asarray(words, dtype=np.int64)
+        states = ((words & cls._MASK) ^ cls._SIGN) - cls._SIGN
+        return words >> cls._STATE_BITS, states
+
+    def _write_word(self, index: int, value: int) -> None:
         data = np.asarray([value], dtype=np.int64)
         self._array._client.write(
-            self._array.access_key, data, offset=slot * 8
+            self._array.access_key, data, offset=index * 8
         )
 
-    def _write_generation(self, slot: int, generation: int) -> None:
-        data = np.asarray([generation], dtype=np.int64)
-        self._array._client.write(
-            self._array.access_key, data, offset=(self.capacity + slot) * 8
-        )
+    def _read(self) -> Tuple[np.ndarray, np.ndarray]:
+        """One READ: ``(progress words, generation counters)``."""
+        block = self._array.read()
+        return block[: self.capacity], block[self.capacity: 2 * self.capacity]
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.capacity:
             raise ValueError(f"rank {slot} out of range")
 
-    def _check_generation(self, slot: int, generation: Optional[int]) -> None:
-        if generation is None:
-            return
-        current = int(self.read_generations()[slot])
-        if current != generation:
-            raise errors.StaleGenerationError(slot, generation, current)
+    def _bump(self, slot: int, generation: int, state: Optional[int]) -> None:
+        """Move ``slot`` past ``generation``, if that is still its
+        counter; then stamp ``state`` (if any) under the new one."""
+        self._check_slot(slot)
+        if int(self.read_generations()[slot]) != generation:
+            return  # a stale holder: its exit counts for nothing
+        self._write_word(self.capacity + slot, generation + 1)
+        if state is not None:
+            self._write_word(slot, self._encode(generation + 1, state))
 
     # -- slot allocation ---------------------------------------------------
 
@@ -989,105 +1007,92 @@ class ControlBlock:
     ) -> SlotClaim:
         """Claim a slot for a (re)joining worker; returns its generation.
 
-        Claimable slots are :data:`FREE` ones and **dead** ones (a worker
-        that degraded out leaves its dead encoding behind; a re-joiner
-        takes the slot over).  Without an explicit ``slot`` the lowest
-        claimable slot wins; with one, that exact slot must be claimable.
-        Raises :class:`~repro.smb.errors.SlotsExhaustedError` when every
-        slot is held by a live worker.
+        Claimable slots are FREE ones and **dead** ones (a re-joiner
+        takes a dead worker's slot over).  Without an explicit ``slot``
+        the lowest claimable slot wins; with one, that exact slot must
+        be claimable.  Raises
+        :class:`~repro.smb.errors.SlotsExhaustedError` when every slot is
+        held by a live worker.
 
         Not atomic against concurrent claims — the membership registry
         (or the launcher's disjoint slot assignment) serialises them.
         """
-        values = self.read_progress()
-        claimable = (values == self.FREE) | (values < 0)
+        words, generations = self._read()
+        _, alive = self.decode_progress(words, generations)
         if slot is None:
-            open_slots = np.flatnonzero(claimable)
+            open_slots = np.flatnonzero(~alive)
             if open_slots.size == 0:
                 raise errors.SlotsExhaustedError(self.capacity)
             slot = int(open_slots[0])
         else:
             self._check_slot(slot)
-            if not bool(claimable[slot]):
+            if bool(alive[slot]):
                 raise errors.SlotsExhaustedError(self.capacity)
-        generation = int(self.read_generations()[slot]) + 1
-        self._write_generation(slot, generation)
-        self._write_slot(slot, 0)
+        generation = int(generations[slot]) + 1
+        self._write_word(self.capacity + slot, generation)
+        self._write_word(slot, self._encode(generation, 0))
         return SlotClaim(slot=slot, generation=generation)
 
-    def release(self, slot: int, generation: Optional[int] = None) -> None:
-        """Return a retiring worker's slot to the :data:`FREE` pool.
+    def release(self, slot: int, generation: int) -> None:
+        """Return a retiring worker's slot to the FREE pool.
 
-        The generation counter stays where the claim left it (strictly
-        monotonic per slot), so the next claim's bump still supersedes
-        every stamp this worker ever held.
+        Bumps the slot's generation past the holder's, so every stamp
+        that holder ever wrote — or still writes — decodes as FREE.  A
+        ``generation`` that is no longer the slot's changes nothing.
         """
-        self._check_slot(slot)
-        self._check_generation(slot, generation)
-        self._write_slot(slot, self.FREE)
+        self._bump(slot, generation, None)
 
     # -- progress protocol -------------------------------------------------
 
     def publish_progress(
-        self, rank: int, iteration: int,
-        generation: Optional[int] = None,
+        self, rank: int, iteration: int, generation: int
     ) -> None:
-        """Record that the worker on slot ``rank`` completed ``iteration``
-        iterations; with ``generation``, fail if the slot was reclaimed."""
+        """Record that the holder of slot ``rank`` at ``generation``
+        completed ``iteration`` iterations: one stamped WRITE."""
         self._check_slot(rank)
         if iteration < 0:
             raise ValueError(f"iteration must be >= 0, got {iteration}")
-        self._check_generation(rank, generation)
-        self._write_slot(rank, iteration)
-
-    def read_progress(self) -> np.ndarray:
-        """All slots' completed-iteration counters (raw slot values).
-
-        Dead workers appear as negative values and unclaimed slots as
-        :data:`FREE`; most callers want :meth:`decode_progress` instead.
-        """
-        return self._array.read()[: self.capacity]
+        self._write_word(rank, self._encode(generation, iteration))
 
     def read_generations(self) -> np.ndarray:
         """Every slot's current generation counter."""
-        return self._array.read()[self.capacity: 2 * self.capacity]
+        return self._read()[1]
 
     def mark_dead(
-        self, rank: int, completed_iterations: int,
-        generation: Optional[int] = None,
+        self, rank: int, completed_iterations: int, generation: int
     ) -> None:
-        """Record that slot ``rank`` lost its SMB path after
-        ``completed_iterations``.
+        """Record that the holder of slot ``rank`` at ``generation`` lost
+        its SMB path after ``completed_iterations``.
 
-        The slot keeps the completed count (negated, offset by one so even
-        0 iterations encodes as a distinct negative value); survivors see
-        the worker as dead and rescale their stop criteria.  The slot
-        stays claimable by a re-joining worker.
+        Bumps the generation (the dead worker's late writes count for
+        nothing) and stamps the completed count under the new one;
+        survivors see the worker as dead and rescale their stop
+        criteria.  The slot stays claimable by a re-joining worker.  A
+        ``generation`` that is no longer the slot's changes nothing.
         """
-        self._check_slot(rank)
-        self._check_generation(rank, generation)
-        self._write_slot(rank, -(completed_iterations + 1))
+        self._bump(rank, generation, -(completed_iterations + 1))
 
-    @staticmethod
-    def decode_progress(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Split raw slot values into ``(progress, alive)`` arrays.
+    @classmethod
+    def decode_progress(
+        cls, words: np.ndarray, generations: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Split progress words into ``(progress, alive)`` arrays.
 
         ``progress`` holds each worker's completed-iteration count whether
-        it is alive or dead; ``alive`` is the boolean liveness mask.
-        Unclaimed (:data:`FREE`) slots decode as not-alive with progress 0
-        — like dead slots, they are excluded from every criterion.
+        it is alive or dead; ``alive`` is the boolean liveness mask.  A
+        word stamped with anything but its slot's (nonzero) generation is
+        FREE: not alive, progress 0 — like dead slots, excluded from
+        every criterion.
         """
-        values = np.asarray(values, dtype=np.int64)
-        alive = values >= 0
-        dead = ~alive & (values != ControlBlock.FREE)
-        progress = np.zeros_like(values)
-        progress[alive] = values[alive]
-        progress[dead] = -values[dead] - 1
+        stamps, states = cls._decode(words)
+        held = (stamps == generations) & (generations > 0)
+        alive = held & (states >= 0)
+        progress = np.where(held, np.where(alive, states, -states - 1), 0)
         return progress, alive
 
     def live_progress(self) -> Tuple[np.ndarray, np.ndarray]:
         """Decoded ``(progress, alive)`` for the whole fleet."""
-        return self.decode_progress(self.read_progress())
+        return self.decode_progress(*self._read())
 
     def live_count(self) -> int:
         """How many slots are currently held by live workers.
@@ -1095,16 +1100,13 @@ class ControlBlock:
         The elastic exchange rescales eqs. (5)-(7) over this count (the
         EASGD ``alpha = beta / p`` stability rule with *p* read live).
         """
-        return int((self.read_progress() >= 0).sum())
+        return int(self.live_progress()[1].sum())
 
     def signal_stop(self, code: int = 1) -> None:
         """Raise the shared stop flag with a nonzero reason code."""
         if code == self.STOP_CLEAR:
             raise ValueError("stop code must be nonzero")
-        value = np.asarray([code], dtype=np.int64)
-        self._array._client.write(
-            self._array.access_key, value, offset=2 * self.capacity * 8
-        )
+        self._write_word(2 * self.capacity, code)
 
     def stop_code(self) -> int:
         """Current stop flag (0 means keep training)."""

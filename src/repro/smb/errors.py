@@ -222,25 +222,6 @@ class SlotsExhaustedError(MembershipError):
         self.capacity = capacity
 
 
-class StaleGenerationError(MembershipError):
-    """A worker used a slot generation that a later claim superseded.
-
-    Slots are generation-stamped: every claim bumps the slot's generation
-    counter, so a worker that was retired (or presumed dead) and whose
-    slot was reclaimed by a later joiner fails loudly here instead of
-    silently corrupting the new owner's progress counter.
-    """
-
-    def __init__(self, slot: int, held: int, current: int) -> None:
-        super().__init__(
-            f"slot {slot} generation moved on: held {held}, current "
-            f"{current} — the slot was reclaimed by a later joiner"
-        )
-        self.slot = slot
-        self.held = held
-        self.current = current
-
-
 # -- fault classification ---------------------------------------------------
 
 def is_retryable(exc: BaseException) -> bool:
@@ -273,7 +254,6 @@ _WIRE_ARGS: Dict[str, Tuple[str, ...]] = {
     "VersionRegressionError": ("shm_key", "last_seen", "current", "epoch"),
     "RetryExhaustedError": ("op", "attempts", "last_error"),
     "SlotsExhaustedError": ("capacity",),
-    "StaleGenerationError": ("slot", "held", "current"),
 }
 
 _WIRE_TYPES: Dict[str, Type[SMBError]] = {}

@@ -619,10 +619,13 @@ class MemoryPool:
         with self._lock:
             if qualified in self._by_name:
                 raise SegmentExistsError(qualified)
-            grant = self._grant(tenant)
-            if grant.quota is not None and grant.used + nbytes > grant.quota:
+            # A refused CREATE leaves no grant: vivify only on admission.
+            known = self._tenants.get(tenant)
+            if known is not None and known.quota is not None and (
+                known.used + nbytes > known.quota
+            ):
                 raise QuotaExceededError(
-                    tenant, nbytes, grant.quota, grant.used
+                    tenant, nbytes, known.quota, known.used
                 )
             if self._used + nbytes > self._capacity:
                 raise CapacityError(nbytes, self._capacity - self._used)
@@ -633,6 +636,7 @@ class MemoryPool:
             self._by_shm_key[segment.shm_key] = segment
             self._by_name[qualified] = segment
             self._used += nbytes
+            grant = self._grant(tenant)
             grant.used += nbytes
             grant.segments += 1
             return segment

@@ -546,6 +546,28 @@ class TestEngineDegradation:
         assert fatal == 1
         assert np.isfinite(result.final_global_weights).all()
 
+    def test_a_dead_master_hands_the_stop_to_the_first_finisher(self):
+        # Rank 0's first seven requests are its bring-up (CREATE, ATTACH
+        # and WRITE of W_g and of the control block, then the READ of
+        # W_g its replica starts from); the eighth is iteration 0's READ
+        # of W_g, which every schedule sends.  Its launcher marks slot 0
+        # dead over a clean client, so the survivors stop through
+        # first-finisher instead of running to the 2x backstop.
+        target = 5
+        result = run_job(
+            num_workers=3, iterations=target,
+            criterion=TerminationCriterion.MASTER_STOP,
+            retry_policy=self.FAST_RETRY,
+            fault_plan=FaultPlan(kill_rank=0, kill_after=7),
+        )
+        assert result.failed_ranks == [0]
+        assert result.histories[0].completed_iterations == 0
+        survivors = [
+            h.completed_iterations for h in result.histories if not h.failed
+        ]
+        assert max(survivors) >= target
+        assert max(survivors) < 2 * target
+
     def test_smb_asgd_kill_one_rank_survivors_complete(self):
         # The degradation path is strategy-agnostic: the new Downpour
         # strategy inherits it from the engine untouched.

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
+    Bundle,
     RuleBasedStateMachine,
+    consumes,
     initialize,
     invariant,
     rule,
@@ -40,7 +42,6 @@ from repro.smb import (
     SlotsExhaustedError,
     SMBClient,
     SMBServer,
-    StaleGenerationError,
     publish_json,
     read_json,
 )
@@ -474,26 +475,33 @@ class TestMembershipRegistry:
 class TestElasticControlBlock:
     """Satellite: dynamic slot allocation edge cases."""
 
-    def test_decode_zero_progress_vs_dead_vs_free(self):
-        """0 is a live worker at iteration 0; -1 is a *dead* worker at 0;
-        FREE is nobody at all — three states, one int64."""
-        values = np.asarray([0, -1, ControlBlock.FREE], dtype=np.int64)
-        progress, alive = ControlBlock.decode_progress(values)
+    def test_decode_zero_progress_vs_dead_vs_free(self, client):
+        """A live worker at iteration 0, a *dead* worker at 0 and a FREE
+        slot: three states, all with progress 0, only the first alive."""
+        control = ControlBlock.create(client, "ctl", capacity=3)
+        control.publish_progress(0, 0, generation=1)
+        control.mark_dead(1, 0, generation=1)
+        control.release(2, generation=1)
+        progress, alive = control.live_progress()
         np.testing.assert_array_equal(progress, [0, 0, 0])
         np.testing.assert_array_equal(alive, [True, False, False])
+        np.testing.assert_array_equal(control.read_generations(), [1, 2, 2])
 
     def test_default_create_preclaims_every_slot(self, client):
         control = ControlBlock.create(client, "ctl", capacity=3)
-        np.testing.assert_array_equal(control.read_progress(), [0, 0, 0])
+        progress, alive = control.live_progress()
+        np.testing.assert_array_equal(progress, [0, 0, 0])
+        assert alive.all()
         np.testing.assert_array_equal(control.read_generations(), [1, 1, 1])
         assert control.live_count() == 3
 
     def test_elastic_create_starts_all_free(self, client):
         control = ControlBlock.create(client, "ctl", 4, preclaimed=0)
         assert control.live_count() == 0
-        np.testing.assert_array_equal(
-            control.read_progress(), [ControlBlock.FREE] * 4
-        )
+        np.testing.assert_array_equal(control.read_generations(), [0] * 4)
+        # A never-claimed slot is generation 0: no stamp makes it live.
+        control.publish_progress(0, 5, generation=0)
+        assert control.live_count() == 0
 
     def test_claim_takes_lowest_free_slot_and_bumps_generation(
         self, client
@@ -512,10 +520,15 @@ class TestElasticControlBlock:
         claim = control.claim(slot=1)
         control.publish_progress(1, 9, generation=claim.generation)
         control.release(1, generation=claim.generation)
-        assert int(control.read_progress()[1]) == ControlBlock.FREE
+        assert control.live_count() == 0
+        # The releaser's own stamp is stale at once: a late publish
+        # lands but leaves the slot FREE.
+        control.publish_progress(1, 7, generation=claim.generation)
+        assert control.live_count() == 0
         reclaim = control.claim(slot=1)
-        assert reclaim.generation == claim.generation + 1
-        assert int(control.read_progress()[1]) == 0  # progress reset
+        assert reclaim.generation == claim.generation + 2
+        progress, alive = control.live_progress()
+        assert int(progress[1]) == 0 and bool(alive[1])  # progress reset
 
     def test_dead_slot_is_claimable_and_encoding_survives_until_then(
         self, client
@@ -529,7 +542,7 @@ class TestElasticControlBlock:
         )
         reclaim = control.claim()  # takes the dead slot over
         assert reclaim.slot == claim.slot
-        assert reclaim.generation == claim.generation + 1
+        assert reclaim.generation == claim.generation + 2
         assert control.live_count() == 1
 
     def test_claim_with_every_slot_live_raises_typed_error(self, client):
@@ -539,17 +552,46 @@ class TestElasticControlBlock:
         with pytest.raises(SlotsExhaustedError):
             control.claim(slot=1)
 
-    def test_stale_generation_fails_loudly_after_reclaim(self, client):
+    def test_stale_stamps_count_for_nothing_after_reclaim(self, client):
         control = ControlBlock.create(client, "ctl", 2, preclaimed=0)
         old = control.claim(slot=0)
         control.release(0, generation=old.generation)
-        control.claim(slot=0)  # successor bumps the generation
-        with pytest.raises(StaleGenerationError):
-            control.publish_progress(0, 3, generation=old.generation)
-        with pytest.raises(StaleGenerationError):
-            control.mark_dead(0, 3, generation=old.generation)
-        with pytest.raises(StaleGenerationError):
-            control.release(0, generation=old.generation)
+        new = control.claim(slot=0)  # successor bumps the generation
+        control.publish_progress(0, 3, generation=new.generation)
+        # A stale exit changes nothing: the successor stays live at 3.
+        control.mark_dead(0, 3, generation=old.generation)
+        control.release(0, generation=old.generation)
+        assert control.read_generations()[0] == new.generation
+        progress, alive = control.live_progress()
+        assert (int(progress[0]), bool(alive[0])) == (3, True)
+        # A stale publish lands, clobbering the word, but never reads
+        # as live: the slot decodes FREE until its holder publishes.
+        control.publish_progress(0, 9, generation=old.generation)
+        assert control.live_count() == 0
+        control.publish_progress(0, 4, generation=new.generation)
+        progress, alive = control.live_progress()
+        assert (int(progress[0]), bool(alive[0])) == (4, True)
+
+    def test_a_stamped_publish_is_one_write_and_no_read(self, doorway):
+        """The writer sends its stamp and the reader checks it, so a
+        publish costs the server one WRITE and nothing else."""
+        control = ControlBlock.create(doorway.connect(), "ctl", 2, 0)
+        claim = control.claim(slot=1)
+        # A fresh client has never READ the block, so on shm a READ
+        # would still go through the server and be counted.
+        worker = ControlBlock.attach(
+            doorway.connect(), "ctl", control.shm_key, 2
+        )
+        stats = getattr(doorway.server, "core", doorway.server).stats
+        before = stats.op_counts
+        worker.publish_progress(1, 7, generation=claim.generation)
+        after = stats.op_counts
+        assert {
+            op: after[op] - before.get(op, 0)
+            for op in after if after[op] != before.get(op, 0)
+        } == {"WRITE": 1}
+        progress, alive = control.live_progress()
+        assert (int(progress[1]), bool(alive[1])) == (7, True)
 
     def test_wait_update_wakes_on_membership_churn(self, client):
         """A worker blocked in WAIT_UPDATE on the control segment must
@@ -563,7 +605,7 @@ class TestElasticControlBlock:
 
         for mutate in (
             lambda: control.claim(),
-            lambda: control.release(0),
+            lambda: control.release(0, generation=1),
         ):
             version = control._array.version()
             waiter = threading.Thread(target=wait, args=(version,),
@@ -576,22 +618,26 @@ class TestElasticControlBlock:
         assert len(woke) == 2 and all(isinstance(v, int) for v in woke)
 
 
-FREE = ControlBlock.FREE
 CAPACITY = 3
 slots = st.integers(0, CAPACITY - 1)
-#: A stamp is the slot's current generation (0) or one a later claim
-#: superseded (how many claims ago).
+#: A stamp is the slot's current generation (0) or an older one (how
+#: many bumps ago); a stamp below 0 is clamped to 0, never-claimed.
 stamps = st.sampled_from([0, 1, 2, 5])
 
 
 class ControlBlockMachine(RuleBasedStateMachine):
     """Every slot operation, current or stale, against a plain model.
 
-    The model holds each slot's raw value and generation.  After every
-    step the block must show the model's generations (which only rise),
-    decode to the model's progress and liveness, and count the model's
-    live slots.
+    The model holds each slot's generation counter and the word last
+    written to it: the generation it was stamped with, and its state
+    (progress ``p``, or ``-(completed + 1)`` when dead).  A word counts
+    only while its stamp is the slot's nonzero counter; anything else
+    decodes as FREE.  After every step the block must show the model's
+    generations (which only rise), decode to the model's progress and
+    liveness, and count the model's live slots.
     """
+
+    taken = Bundle("taken")
 
     @initialize(preclaimed=st.integers(0, CAPACITY))
     def create(self, preclaimed):
@@ -599,18 +645,25 @@ class ControlBlockMachine(RuleBasedStateMachine):
         self.control = ControlBlock.create(
             self.client, "ctl", CAPACITY, preclaimed=preclaimed
         )
-        self.values = [0] * preclaimed + [FREE] * (CAPACITY - preclaimed)
         self.generations = [1] * preclaimed + [0] * (CAPACITY - preclaimed)
+        self.words = [(g, 0) for g in self.generations]
         self.seen = list(self.generations)
 
-    def _claimable(self, slot):
-        return self.values[slot] == FREE or self.values[slot] < 0
+    def _decoded(self, slot):
+        """The model's ``(progress, alive)`` for one slot."""
+        stamp, state = self.words[slot]
+        if stamp != self.generations[slot] or stamp == 0:
+            return 0, False
+        return (state, True) if state >= 0 else (-state - 1, False)
+
+    def _stamp(self, slot, stale_by):
+        return max(self.generations[slot] - stale_by, 0)
 
     @rule(slot=st.none() | slots)
     def claim(self, slot):
-        open_slots = [s for s in range(CAPACITY) if self._claimable(s)]
+        open_slots = [s for s in range(CAPACITY) if not self._decoded(s)[1]]
         if slot is None and not open_slots or (
-            slot is not None and not self._claimable(slot)
+            slot is not None and self._decoded(slot)[1]
         ):
             with pytest.raises(SlotsExhaustedError):
                 self.control.claim(slot)
@@ -618,46 +671,51 @@ class ControlBlockMachine(RuleBasedStateMachine):
         claim = self.control.claim(slot)
         expected = open_slots[0] if slot is None else slot
         self.generations[expected] += 1
-        self.values[expected] = 0
+        self.words[expected] = (self.generations[expected], 0)
         assert claim == SlotClaim(expected, self.generations[expected])
 
-    def _stamped(self, slot, stale_by, call, value):
-        """Run ``call(generation)``: a stale stamp must be refused and
-        change nothing; the current one sets the slot to ``value``."""
-        generation = self.generations[slot] - stale_by
-        if stale_by:
-            with pytest.raises(StaleGenerationError):
-                call(generation)
+    def _exit(self, slot, stamp, state):
+        """release/mark_dead: a stale stamp changes nothing; the current
+        one bumps the generation and, for a dead mark, stamps ``state``
+        under the new one."""
+        if stamp != self.generations[slot]:
             return
-        call(generation)
-        self.values[slot] = value
+        self.generations[slot] += 1
+        if state is not None:
+            self.words[slot] = (self.generations[slot], state)
 
     @rule(slot=slots, stale_by=stamps)
     def release(self, slot, stale_by):
-        self._stamped(
-            slot, stale_by,
-            lambda gen: self.control.release(slot, generation=gen), FREE,
-        )
-
-    @rule(slot=slots, iteration=st.integers(0, 1000), stale_by=stamps)
-    def publish_progress(self, slot, iteration, stale_by):
-        self._stamped(
-            slot, stale_by,
-            lambda gen: self.control.publish_progress(
-                slot, iteration, generation=gen
-            ),
-            iteration,
-        )
+        stamp = self._stamp(slot, stale_by)
+        self.control.release(slot, generation=stamp)
+        self._exit(slot, stamp, None)
 
     @rule(slot=slots, completed=st.integers(0, 1000), stale_by=stamps)
     def mark_dead(self, slot, completed, stale_by):
-        self._stamped(
-            slot, stale_by,
-            lambda gen: self.control.mark_dead(
-                slot, completed, generation=gen
-            ),
-            -(completed + 1),
-        )
+        stamp = self._stamp(slot, stale_by)
+        self.control.mark_dead(slot, completed, generation=stamp)
+        self._exit(slot, stamp, -(completed + 1))
+
+    def _publish(self, slot, stamp, iteration):
+        """One stamped write: it always lands, and counts only while
+        ``stamp`` is still the slot's generation."""
+        self.control.publish_progress(slot, iteration, generation=stamp)
+        self.words[slot] = (stamp, iteration)
+
+    @rule(slot=slots, iteration=st.integers(0, 1000), stale_by=stamps)
+    def publish_progress(self, slot, iteration, stale_by):
+        self._publish(slot, self._stamp(slot, stale_by), iteration)
+
+    @rule(target=taken, slot=slots)
+    def take_stamp(self, slot):
+        """A writer reads its stamp; other rules may run before it
+        writes (see :meth:`write_lands`)."""
+        return slot, self.generations[slot]
+
+    @rule(held=consumes(taken), iteration=st.integers(0, 1000))
+    def write_lands(self, held, iteration):
+        slot, stamp = held
+        self._publish(slot, stamp, iteration)
 
     @invariant()
     def matches_the_model(self):
@@ -665,14 +723,11 @@ class ControlBlockMachine(RuleBasedStateMachine):
         assert generations == self.generations
         assert all(now >= then for now, then in zip(generations, self.seen))
         self.seen = generations
-        raw = self.control.read_progress()
-        assert raw.tolist() == self.values
-        progress, alive = ControlBlock.decode_progress(raw)
-        assert alive.tolist() == [v >= 0 for v in self.values]
-        assert progress.tolist() == [
-            v if v >= 0 else 0 if v == FREE else -v - 1 for v in self.values
-        ]
-        assert self.control.live_count() == sum(v >= 0 for v in self.values)
+        progress, alive = self.control.live_progress()
+        decoded = [self._decoded(s) for s in range(CAPACITY)]
+        assert progress.tolist() == [p for p, _ in decoded]
+        assert alive.tolist() == [a for _, a in decoded]
+        assert self.control.live_count() == sum(a for _, a in decoded)
 
     def teardown(self):
         if hasattr(self, "client"):
@@ -1028,7 +1083,8 @@ class TestLaunchRankRetire:
         client = SMBClient.in_process(server)
         shm_key, _ = client.lookup("control")
         control = ControlBlock.attach(client, "control", shm_key, 3)
-        assert int(control.read_progress()[2]) == ControlBlock.FREE
+        progress, alive = control.live_progress()
+        assert (int(progress[2]), bool(alive[2])) == (0, False)
         assert "rank2" not in registry.read().members
         assert sorted(server.pool.segments()) == ["W_g", "control"]
 

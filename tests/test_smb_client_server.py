@@ -185,10 +185,11 @@ class TestRemoteArray:
 class TestControlBlock:
     def test_publish_and_read_progress(self, client):
         control = ControlBlock.create(client, "ctl", capacity=4)
-        control.publish_progress(0, 10)
-        control.publish_progress(3, 7)
+        # Every slot of a fixed fleet is pre-claimed at generation 1.
+        control.publish_progress(0, 10, generation=1)
+        control.publish_progress(3, 7, generation=1)
         np.testing.assert_array_equal(
-            control.read_progress(), [10, 0, 0, 7]
+            control.live_progress()[0], [10, 0, 0, 7]
         )
 
     def test_stop_flag(self, client):
@@ -205,12 +206,12 @@ class TestControlBlock:
     def test_rank_bounds(self, client):
         control = ControlBlock.create(client, "ctl", capacity=2)
         with pytest.raises(ValueError):
-            control.publish_progress(2, 1)
+            control.publish_progress(2, 1, generation=1)
 
     def test_attach_shares_progress(self, server):
         master = SMBClient.in_process(server)
         slave = SMBClient.in_process(server)
         control = ControlBlock.create(master, "ctl", capacity=2)
         view = ControlBlock.attach(slave, "ctl", control.shm_key, 2)
-        view.publish_progress(1, 42)
-        np.testing.assert_array_equal(control.read_progress(), [0, 42])
+        view.publish_progress(1, 42, generation=1)
+        np.testing.assert_array_equal(control.live_progress()[0], [0, 42])

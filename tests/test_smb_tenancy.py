@@ -184,6 +184,15 @@ class TestQuotas:
         pool.create("w", 128, tenant="alice")
         assert pool.tenants()["alice"].quota == 1024
 
+    def test_a_refused_create_leaves_no_grant(self):
+        server = SMBServer(capacity=1024)
+        before = server.pool.tenant_stats(), server._pool_image()
+        mallory = SMBClient.in_process(server, tenant="mallory")
+        with pytest.raises(CapacityError):
+            mallory.create_buffer("w", 4096)
+        assert (server.pool.tenant_stats(), server._pool_image()) == before
+        mallory.close()
+
     def test_tenant_stats_rollup(self):
         server = TcpSMBServer(capacity=1 << 22).start()
         try:
@@ -237,11 +246,14 @@ class TenantPoolMachine(RuleBasedStateMachine):
             segment.shm_key for segment in self.pool.segments().values()
         )
 
-    @rule(tenant=tenants, nbytes=st.integers(1, 6 << 10))
+    @rule(
+        tenant=tenants,
+        nbytes=st.integers(1, 6 << 10) | st.just(POOL_BYTES + 1),
+    )
     def create(self, tenant, nbytes):
         self.created += 1
         name = f"s{self.created}"
-        quota = self.quotas.setdefault(tenant, None)  # first contact
+        quota = self.quotas.get(tenant)
         refusal = None
         if quota is not None and self._used(tenant) + nbytes > quota:
             refusal = QuotaExceededError
@@ -252,6 +264,7 @@ class TenantPoolMachine(RuleBasedStateMachine):
                 self.pool.create(name, nbytes, tenant=tenant)
             return
         segment = self.pool.create(name, nbytes, tenant=tenant)
+        self.quotas.setdefault(tenant, None)  # granted on admission
         self.live[segment.shm_key] = (tenant, nbytes)
 
     @precondition(lambda self: self.live)

@@ -165,10 +165,12 @@ class TestTermination:
     def test_master_stop_signals_slaves(self):
         control = self.make_control(2)
         master = TerminationCoordinator(
-            control, 0, TerminationCriterion.MASTER_STOP, 5
+            control, 0, TerminationCriterion.MASTER_STOP, 5,
+            generation=1,
         )
         slave = TerminationCoordinator(
-            control, 1, TerminationCriterion.MASTER_STOP, 5
+            control, 1, TerminationCriterion.MASTER_STOP, 5,
+            generation=1,
         )
         assert not slave.should_stop(3)
         assert not master.should_stop(4)
@@ -179,7 +181,8 @@ class TestTermination:
         control = self.make_control(3)
         coordinators = [
             TerminationCoordinator(
-                control, rank, TerminationCriterion.FIRST_FINISHER, 10
+                control, rank, TerminationCriterion.FIRST_FINISHER, 10,
+                generation=1,
             )
             for rank in range(3)
         ]
@@ -191,10 +194,12 @@ class TestTermination:
     def test_average_iterations(self):
         control = self.make_control(2)
         a = TerminationCoordinator(
-            control, 0, TerminationCriterion.AVERAGE_ITERATIONS, 10
+            control, 0, TerminationCriterion.AVERAGE_ITERATIONS, 10,
+            generation=1,
         )
         b = TerminationCoordinator(
-            control, 1, TerminationCriterion.AVERAGE_ITERATIONS, 10
+            control, 1, TerminationCriterion.AVERAGE_ITERATIONS, 10,
+            generation=1,
         )
         a.publish(14)
         b.publish(5)
@@ -206,7 +211,8 @@ class TestTermination:
     def test_backstop_caps_runaway_worker(self):
         control = self.make_control(2)
         slave = TerminationCoordinator(
-            control, 1, TerminationCriterion.MASTER_STOP, 5
+            control, 1, TerminationCriterion.MASTER_STOP, 5,
+            generation=1,
         )
         # The master never signals, but the slave gives up at 2x target.
         assert not slave.should_stop(9)
@@ -216,5 +222,6 @@ class TestTermination:
         control = self.make_control(1)
         with pytest.raises(ValueError):
             TerminationCoordinator(
-                control, 0, TerminationCriterion.MASTER_STOP, 0
+                control, 0, TerminationCriterion.MASTER_STOP, 0,
+                generation=1,
             )
