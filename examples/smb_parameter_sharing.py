@@ -65,7 +65,7 @@ def worker_main(address, shm_keys, rank, target, results):
         control.publish_progress(rank, iteration, generation=1)
         if iteration >= ITERATIONS:
             control.signal_stop(2)  # first finisher stops everyone
-        if control.stop_code() != ControlBlock.STOP_CLEAR:
+        if control.view().stop != ControlBlock.STOP_CLEAR:
             break
 
     results[rank] = (iteration, float(np.abs(local - target).mean()))

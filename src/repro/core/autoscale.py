@@ -100,7 +100,7 @@ class FleetSignals:
     comm_ratio: Optional[float]
     #: Instantaneous server-side accumulate queue depth.
     queue_depth: float
-    #: Live worker count (control-block slots held by live workers).
+    #: Live worker count (the registry's unexpired member records).
     live: int
 
 
@@ -121,7 +121,8 @@ class AutoscaleController:
         telemetry: Session whose registry holds the phase histograms and
             the server queue gauge (the run's shared session).
         live_source: Zero-argument live-worker count, e.g.
-            :meth:`~repro.smb.client.ControlBlock.live_count`.
+            :meth:`~repro.smb.membership.MembershipRegistry.live_count`
+            (the unexpired member records; ``shmcaffe.train`` wires it).
     """
 
     def __init__(

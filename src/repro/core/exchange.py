@@ -21,7 +21,7 @@ subclass driven by the shared
 kernel the training stack calls; every strategy that exchanges
 elastically runs it, in place, on the engine's live parameter vector
 (``engine.flat.vector`` — the net's own storage, see
-:mod:`repro.caffe.params`) and a buffer it allocated once in ``bind``.
+:mod:`repro.caffe.params`) and the one buffer it allocated in ``bind``.
 No strategy allocates anything model-sized per iteration.  Strategies
 exchange with one :class:`~repro.smb.client.RemoteArray`, the ``W_g``
 segment on the job's SMB server.
@@ -93,10 +93,14 @@ class BaseExchange:
 
 class _SMBExchange(BaseExchange):
     """What every strategy that exchanges with ``W_g`` shares: the buffer,
-    the optional live-fleet source, one model-sized scratch for each
-    direction (allocated in :meth:`bind`, refilled in place), the Fig.-6
-    overlap driver when ``overlap_updates`` is on, the read side,
+    the optional live-fleet source, the one model-sized scratch, the
+    Fig.-6 overlap driver when ``overlap_updates`` is on, the read side,
     :meth:`_read_scratch`, and the write side, :meth:`_flush`.
+
+    ``W_g`` is read into the scratch, and ``elastic_pull_(..., out=)``
+    turns that same array into ``dW_x`` in place (Downpour writes its
+    push there).  The Fig.-6 ping-pong (``wait_for_flush`` precedes every
+    refill) has the update thread send it before it is overwritten.
 
     **Staleness.**  A read returns the version ``r`` of the ``W_g`` it
     read and each push the version ``a`` its add produced.  ``_flush``
@@ -109,10 +113,8 @@ class _SMBExchange(BaseExchange):
     one too high for it (the wire has no dedupe yet).
     """
 
-    #: The one W_g and the one dW_x buffer, allocated in :meth:`bind`,
-    #: refilled in place.
-    _global_scratch: np.ndarray
-    _increment: np.ndarray
+    #: W_g as read, then dW_x: allocated in :meth:`bind`, reused.
+    _scratch: np.ndarray
 
     def __init__(
         self,
@@ -130,15 +132,10 @@ class _SMBExchange(BaseExchange):
     def bind(self, engine: "TrainingEngine") -> None:
         super().bind(engine)
         self.check_buffer(self.global_weights, engine.flat.count, "global")
-        # One model-sized destination for every W_g read and one for
-        # every dW_x: the steady-state exchange allocates nothing.  A
-        # single increment buffer is enough because the Fig.-6 ping-pong
-        # (wait_for_flush precedes every refill) guarantees the update
-        # thread has finished sending it before it is overwritten.
-        self._global_scratch = np.empty(
+        # The steady-state exchange allocates nothing.
+        self._scratch = np.empty(
             self.global_weights.count, dtype=self.global_weights.dtype
         )
-        self._increment = np.empty_like(engine.flat.vector)
         if engine.config.overlap_updates:
             self.driver = OverlapDriver(engine.rank, engine.telemetry)
 
@@ -152,11 +149,9 @@ class _SMBExchange(BaseExchange):
 
     def _read_scratch(self) -> np.ndarray:
         """Read ``W_g`` into the scratch; its version starts a new τ."""
-        self._read_version = self.global_weights.read_into(
-            self._global_scratch
-        )
+        self._read_version = self.global_weights.read_into(self._scratch)
         self._own_pushes = 0
-        return self._global_scratch
+        return self._scratch
 
     def _flush(
         self, increment: np.ndarray, phases: "PhaseTimer | NullPhaseTimer"
@@ -222,7 +217,7 @@ class SEASGDExchange(_SMBExchange):
         with engine.phases.phase("ulw"):
             increment = elastic_pull_(                                 # T2
                 engine.flat.vector, global_now, self.moving_rate(),
-                out=self._increment,
+                out=global_now,
             )
         self._submit(increment)                                        # T3
 
@@ -262,7 +257,7 @@ class StaleReadExchange(SEASGDExchange):
             # (now dead) snapshot is harmless.
             increment = elastic_pull_(
                 self._snapshot, global_now, self.moving_rate(),
-                out=self._increment,
+                out=global_now,
             )
             self._flush(increment, phases)
             # Apply to the live replica *late*, racing with training.
@@ -389,26 +384,20 @@ class HybridExchange(SyncSGDExchange):
         engine.flat.set_vector(synced)
 
     def should_stop(self, iteration: int) -> bool:
-        """The root decides for the whole group; members follow the flag."""
-        engine = self.engine
+        """The root decides for the whole group, by the engine's rule;
+        members follow the flag."""
         if self.is_root:
-            stop = 0.0
-            if self._smb_failed:
-                # The group cannot exchange with W_g any more; wind down
-                # in lockstep; the launcher marks the slot dead after.
-                stop = 1.0
-            elif engine.termination is not None:
+            # A group that cannot exchange with W_g any more winds down in
+            # lockstep; the launcher marks the slot dead after.
+            stop = self._smb_failed
+            if not stop:
                 try:
-                    engine.termination.publish(iteration)
-                    if engine.termination.should_stop(iteration):
-                        stop = 1.0
+                    stop = self.engine.default_should_stop(iteration)
                 except smb_errors.SMBError as exc:
                     self._record_smb_failure(exc)
-                    stop = 1.0
-            elif iteration >= engine.config.max_iterations:
-                stop = 1.0
+                    stop = True
             flag = self.group.broadcast(
-                self.group_rank, np.asarray([stop]), root=0
+                self.group_rank, np.asarray([float(stop)]), root=0
             )
         else:
             flag = self.group.broadcast(self.group_rank, None, root=0)
@@ -459,7 +448,7 @@ class SMBAsgdExchange(_SMBExchange):
             self.driver.wait_for_flush(engine.phases)
         with engine.phases.phase("comp"):
             delta = np.multiply(
-                -lr, engine.flat.grad_vector, out=self._increment
+                -lr, engine.flat.grad_vector, out=self._scratch
             )
         self._submit(delta)
         # The local replica also steps so inter-fetch iterations make

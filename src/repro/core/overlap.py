@@ -40,9 +40,9 @@ class OverlapDriver:
 
     Args:
         rank: Worker rank (labels the telemetry track).
-        telemetry: Session receiving the update-thread phase spans;
-            defaults to the process-wide session current at construction.
-        thread_label: Telemetry lane name (``update`` = trace tid 1).
+        telemetry: Session receiving the update-thread phase spans (lane
+            ``update``, trace tid 1); defaults to the process-wide session
+            current at construction.
     """
 
     #: Longest a caller will wait for the update thread to flush before
@@ -53,14 +53,13 @@ class OverlapDriver:
         self,
         rank: int,
         telemetry: Optional[TelemetrySession] = None,
-        thread_label: str = "update",
     ) -> None:
         tel = _resolve_telemetry(telemetry)
         self.rank = rank
         #: Phase timer for spans running on the update thread; strategies
         #: use it so their deferred ``ugw`` lands on the right track.
         self.phases: "PhaseTimer | NullPhaseTimer" = tel.phase_timer(
-            rank, thread_label
+            rank, "update"
         )
         self._pending: Optional[Callable[[], None]] = None
         self._wake = threading.Event()

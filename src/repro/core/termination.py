@@ -35,6 +35,10 @@ FLEET_POLL = 0.05
 class TerminationCoordinator:
     """One worker's view of the shared stop protocol.
 
+    A decision — one :meth:`should_stop`, one :meth:`wait_for_fleet` poll
+    — reads the control block at most once, through
+    :meth:`~repro.smb.client.ControlBlock.view`.
+
     Args:
         control: The shared SMB control block.
         rank: This worker's control-block slot (the launch path assigns
@@ -89,14 +93,12 @@ class TerminationCoordinator:
         """
         deadline = monotonic() + timeout
         while True:
-            progress, alive = self.control.live_progress()
+            progress, alive, stop = self.control.view()
             if not alive.any():
                 return False
             if int(progress[alive].min()) >= minimum:
                 return True
-            if self.control.stop_code() != ControlBlock.STOP_CLEAR:
-                return False
-            if monotonic() >= deadline:
+            if stop != ControlBlock.STOP_CLEAR or monotonic() >= deadline:
                 return False
             sleep(FLEET_POLL)
 
@@ -115,29 +117,30 @@ class TerminationCoordinator:
                     self.control.signal_stop(STOP_MASTER_DONE)
                     return True
                 return False
-            if self.control.stop_code() != ControlBlock.STOP_CLEAR:
+            _, alive, stop = self.control.view()
+            if stop != ControlBlock.STOP_CLEAR:
                 return True
             # Degraded mode: if the master died its stop flag will never
             # come, so survivors fall back to first-finisher semantics.
-            _, alive = self.control.live_progress()
-            if not bool(alive[0]):
-                if completed_iterations >= self.target_iterations:
-                    self.control.signal_stop(STOP_FIRST_FINISHER)
-                    return True
+            if not bool(alive[0]) and (
+                completed_iterations >= self.target_iterations
+            ):
+                self.control.signal_stop(STOP_FIRST_FINISHER)
+                return True
             return False
 
         if self.criterion is TerminationCriterion.FIRST_FINISHER:
             if completed_iterations >= self.target_iterations:
                 self.control.signal_stop(STOP_FIRST_FINISHER)
                 return True
-            return self.control.stop_code() != ControlBlock.STOP_CLEAR
+            return self.control.view().stop != ControlBlock.STOP_CLEAR
 
         # AVERAGE_ITERATIONS: stop once the fleet's mean progress reaches
         # the target; each worker evaluates this locally from the shared
         # counters, so they all stop within one iteration of each other.
         # Dead workers are excluded from the mean — the surviving fleet's
         # average is what must reach the target (degraded-mode rescale).
-        progress, alive = self.control.live_progress()
+        progress, alive, _ = self.control.view()
         if not alive.any():
             return completed_iterations >= self.target_iterations
         return float(progress[alive].mean()) >= self.target_iterations

@@ -25,7 +25,7 @@ import os
 import threading
 import time
 from time import perf_counter as _perf_counter
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -852,13 +852,25 @@ class SlotClaim:
     generation: int
 
 
+class ControlView(NamedTuple):
+    """One decoded READ of a :class:`ControlBlock`."""
+
+    #: Each slot's completed-iteration count, live or dead (0 if FREE).
+    progress: np.ndarray
+    #: Which slots are held by live workers.
+    alive: np.ndarray
+    #: The shared stop flag (``STOP_CLEAR`` means keep training).
+    stop: int
+
+
 class ControlBlock:
     """Shared training-progress block (paper Sec. III-E, "control info").
 
     Layout (``2 * capacity + 1`` int64 values): one *progress* word per
     unit of capacity, then one *generation* counter per slot, then the
-    shared stop flag.  Workers publish their own progress word and read
-    everyone's to decide when to terminate.
+    shared stop flag.  Workers publish their own progress word and decide
+    when to terminate from one :meth:`view`: a single READ of the whole
+    block, decoded.
 
     Slots are **dynamically allocated** so the fleet can change size
     mid-run (elastic membership).  The generation counters are the one
@@ -875,8 +887,8 @@ class ControlBlock:
       which leaves it FREE for a later joiner;
     * a worker that loses its SMB path for good is marked **dead**:
       :meth:`mark_dead` bumps the generation and records the completed
-      count.  Survivors decode that with :meth:`decode_progress` and
-      rescale their termination criteria over the live fleet.  Dead
+      count.  Survivors see that in their :meth:`view` and rescale
+      their termination criteria over the live fleet.  Dead
       slots stay claimable.
 
     Every progress word carries the generation it was written under
@@ -968,23 +980,29 @@ class ControlBlock:
     def _encode(cls, generation: int, state: int) -> int:
         return (generation << cls._STATE_BITS) | (state & cls._MASK)
 
-    @classmethod
-    def _decode(cls, words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Split progress words into ``(generations, states)``."""
-        words = np.asarray(words, dtype=np.int64)
-        states = ((words & cls._MASK) ^ cls._SIGN) - cls._SIGN
-        return words >> cls._STATE_BITS, states
-
     def _write_word(self, index: int, value: int) -> None:
         data = np.asarray([value], dtype=np.int64)
         self._array._client.write(
             self._array.access_key, data, offset=index * 8
         )
 
-    def _read(self) -> Tuple[np.ndarray, np.ndarray]:
-        """One READ: ``(progress words, generation counters)``."""
+    def _read(self) -> Tuple[np.ndarray, ControlView]:
+        """One READ: ``(generation counters, decoded view)``.
+
+        A word stamped with anything but its slot's (nonzero) generation
+        is FREE: not alive, progress 0 — like dead slots, excluded from
+        every criterion.
+        """
         block = self._array.read()
-        return block[: self.capacity], block[self.capacity: 2 * self.capacity]
+        words = block[: self.capacity]
+        generations = block[self.capacity: 2 * self.capacity]
+        states = ((words & self._MASK) ^ self._SIGN) - self._SIGN
+        stamps = words >> self._STATE_BITS
+        held = (stamps == generations) & (generations > 0)
+        alive = held & (states >= 0)
+        progress = np.where(held, np.where(alive, states, -states - 1), 0)
+        stop = int(block[2 * self.capacity])
+        return generations, ControlView(progress, alive, stop)
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.capacity:
@@ -994,7 +1012,7 @@ class ControlBlock:
         """Move ``slot`` past ``generation``, if that is still its
         counter; then stamp ``state`` (if any) under the new one."""
         self._check_slot(slot)
-        if int(self.read_generations()[slot]) != generation:
+        if int(self._read()[0][slot]) != generation:
             return  # a stale holder: its exit counts for nothing
         self._write_word(self.capacity + slot, generation + 1)
         if state is not None:
@@ -1017,16 +1035,15 @@ class ControlBlock:
         Not atomic against concurrent claims — the membership registry
         (or the launcher's disjoint slot assignment) serialises them.
         """
-        words, generations = self._read()
-        _, alive = self.decode_progress(words, generations)
+        generations, view = self._read()
         if slot is None:
-            open_slots = np.flatnonzero(~alive)
+            open_slots = np.flatnonzero(~view.alive)
             if open_slots.size == 0:
                 raise errors.SlotsExhaustedError(self.capacity)
             slot = int(open_slots[0])
         else:
             self._check_slot(slot)
-            if bool(alive[slot]):
+            if bool(view.alive[slot]):
                 raise errors.SlotsExhaustedError(self.capacity)
         generation = int(generations[slot]) + 1
         self._write_word(self.capacity + slot, generation)
@@ -1054,10 +1071,6 @@ class ControlBlock:
             raise ValueError(f"iteration must be >= 0, got {iteration}")
         self._write_word(rank, self._encode(generation, iteration))
 
-    def read_generations(self) -> np.ndarray:
-        """Every slot's current generation counter."""
-        return self._read()[1]
-
     def mark_dead(
         self, rank: int, completed_iterations: int, generation: int
     ) -> None:
@@ -1072,27 +1085,13 @@ class ControlBlock:
         """
         self._bump(rank, generation, -(completed_iterations + 1))
 
-    @classmethod
-    def decode_progress(
-        cls, words: np.ndarray, generations: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Split progress words into ``(progress, alive)`` arrays.
+    def view(self) -> ControlView:
+        """``(progress, alive, stop)`` for the whole fleet, from one READ.
 
         ``progress`` holds each worker's completed-iteration count whether
-        it is alive or dead; ``alive`` is the boolean liveness mask.  A
-        word stamped with anything but its slot's (nonzero) generation is
-        FREE: not alive, progress 0 — like dead slots, excluded from
-        every criterion.
+        it is alive or dead; ``alive`` is the boolean liveness mask.
         """
-        stamps, states = cls._decode(words)
-        held = (stamps == generations) & (generations > 0)
-        alive = held & (states >= 0)
-        progress = np.where(held, np.where(alive, states, -states - 1), 0)
-        return progress, alive
-
-    def live_progress(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Decoded ``(progress, alive)`` for the whole fleet."""
-        return self.decode_progress(*self._read())
+        return self._read()[1]
 
     def live_count(self) -> int:
         """How many slots are currently held by live workers.
@@ -1100,14 +1099,10 @@ class ControlBlock:
         The elastic exchange rescales eqs. (5)-(7) over this count (the
         EASGD ``alpha = beta / p`` stability rule with *p* read live).
         """
-        return int(self.live_progress()[1].sum())
+        return int(self.view().alive.sum())
 
     def signal_stop(self, code: int = 1) -> None:
         """Raise the shared stop flag with a nonzero reason code."""
         if code == self.STOP_CLEAR:
             raise ValueError("stop code must be nonzero")
         self._write_word(2 * self.capacity, code)
-
-    def stop_code(self) -> int:
-        """Current stop flag (0 means keep training)."""
-        return int(self._array.read()[2 * self.capacity])

@@ -482,23 +482,23 @@ class TestElasticControlBlock:
         control.publish_progress(0, 0, generation=1)
         control.mark_dead(1, 0, generation=1)
         control.release(2, generation=1)
-        progress, alive = control.live_progress()
+        progress, alive, _ = control.view()
         np.testing.assert_array_equal(progress, [0, 0, 0])
         np.testing.assert_array_equal(alive, [True, False, False])
-        np.testing.assert_array_equal(control.read_generations(), [1, 2, 2])
+        np.testing.assert_array_equal(control._read()[0], [1, 2, 2])
 
     def test_default_create_preclaims_every_slot(self, client):
         control = ControlBlock.create(client, "ctl", capacity=3)
-        progress, alive = control.live_progress()
+        progress, alive, _ = control.view()
         np.testing.assert_array_equal(progress, [0, 0, 0])
         assert alive.all()
-        np.testing.assert_array_equal(control.read_generations(), [1, 1, 1])
+        np.testing.assert_array_equal(control._read()[0], [1, 1, 1])
         assert control.live_count() == 3
 
     def test_elastic_create_starts_all_free(self, client):
         control = ControlBlock.create(client, "ctl", 4, preclaimed=0)
         assert control.live_count() == 0
-        np.testing.assert_array_equal(control.read_generations(), [0] * 4)
+        np.testing.assert_array_equal(control._read()[0], [0] * 4)
         # A never-claimed slot is generation 0: no stamp makes it live.
         control.publish_progress(0, 5, generation=0)
         assert control.live_count() == 0
@@ -527,7 +527,7 @@ class TestElasticControlBlock:
         assert control.live_count() == 0
         reclaim = control.claim(slot=1)
         assert reclaim.generation == claim.generation + 2
-        progress, alive = control.live_progress()
+        progress, alive, _ = control.view()
         assert int(progress[1]) == 0 and bool(alive[1])  # progress reset
 
     def test_dead_slot_is_claimable_and_encoding_survives_until_then(
@@ -536,7 +536,7 @@ class TestElasticControlBlock:
         control = ControlBlock.create(client, "ctl", 2, preclaimed=0)
         claim = control.claim()
         control.mark_dead(claim.slot, 5, generation=claim.generation)
-        progress, alive = control.live_progress()
+        progress, alive, _ = control.view()
         assert int(progress[claim.slot]) == 5 and not bool(
             alive[claim.slot]
         )
@@ -561,15 +561,15 @@ class TestElasticControlBlock:
         # A stale exit changes nothing: the successor stays live at 3.
         control.mark_dead(0, 3, generation=old.generation)
         control.release(0, generation=old.generation)
-        assert control.read_generations()[0] == new.generation
-        progress, alive = control.live_progress()
+        assert control._read()[0][0] == new.generation
+        progress, alive, _ = control.view()
         assert (int(progress[0]), bool(alive[0])) == (3, True)
         # A stale publish lands, clobbering the word, but never reads
         # as live: the slot decodes FREE until its holder publishes.
         control.publish_progress(0, 9, generation=old.generation)
         assert control.live_count() == 0
         control.publish_progress(0, 4, generation=new.generation)
-        progress, alive = control.live_progress()
+        progress, alive, _ = control.view()
         assert (int(progress[0]), bool(alive[0])) == (4, True)
 
     def test_a_stamped_publish_is_one_write_and_no_read(self, doorway):
@@ -590,7 +590,7 @@ class TestElasticControlBlock:
             op: after[op] - before.get(op, 0)
             for op in after if after[op] != before.get(op, 0)
         } == {"WRITE": 1}
-        progress, alive = control.live_progress()
+        progress, alive, _ = control.view()
         assert (int(progress[1]), bool(alive[1])) == (7, True)
 
     def test_wait_update_wakes_on_membership_churn(self, client):
@@ -719,11 +719,11 @@ class ControlBlockMachine(RuleBasedStateMachine):
 
     @invariant()
     def matches_the_model(self):
-        generations = self.control.read_generations().tolist()
+        generations = self.control._read()[0].tolist()
         assert generations == self.generations
         assert all(now >= then for now, then in zip(generations, self.seen))
         self.seen = generations
-        progress, alive = self.control.live_progress()
+        progress, alive, _ = self.control.view()
         decoded = [self._decoded(s) for s in range(CAPACITY)]
         assert progress.tolist() == [p for p, _ in decoded]
         assert alive.tolist() == [a for _, a in decoded]
@@ -1083,7 +1083,7 @@ class TestLaunchRankRetire:
         client = SMBClient.in_process(server)
         shm_key, _ = client.lookup("control")
         control = ControlBlock.attach(client, "control", shm_key, 3)
-        progress, alive = control.live_progress()
+        progress, alive, _ = control.view()
         assert (int(progress[2]), bool(alive[2])) == (0, False)
         assert "rank2" not in registry.read().members
         assert sorted(server.pool.segments()) == ["W_g", "control"]

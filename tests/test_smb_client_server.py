@@ -189,14 +189,14 @@ class TestControlBlock:
         control.publish_progress(0, 10, generation=1)
         control.publish_progress(3, 7, generation=1)
         np.testing.assert_array_equal(
-            control.live_progress()[0], [10, 0, 0, 7]
+            control.view().progress, [10, 0, 0, 7]
         )
 
     def test_stop_flag(self, client):
         control = ControlBlock.create(client, "ctl", capacity=2)
-        assert control.stop_code() == ControlBlock.STOP_CLEAR
+        assert control.view().stop == ControlBlock.STOP_CLEAR
         control.signal_stop(2)
-        assert control.stop_code() == 2
+        assert control.view().stop == 2
 
     def test_zero_stop_code_rejected(self, client):
         control = ControlBlock.create(client, "ctl", capacity=2)
@@ -214,4 +214,4 @@ class TestControlBlock:
         control = ControlBlock.create(master, "ctl", capacity=2)
         view = ControlBlock.attach(slave, "ctl", control.shm_key, 2)
         view.publish_progress(1, 42, generation=1)
-        np.testing.assert_array_equal(control.live_progress()[0], [0, 42])
+        np.testing.assert_array_equal(control.view().progress, [0, 42])

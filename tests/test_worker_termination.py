@@ -1,14 +1,18 @@
 """Tests for the SEASGD worker (Fig. 6 protocol) and termination alignment."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.caffe import Net, SolverConfig, SyntheticImageDataset
 from repro.caffe.params import FlatParams
+from repro.core import SEASGDExchange, SMBAsgdExchange
 from repro.core.config import ShmCaffeConfig, TerminationCriterion
 from repro.core.engine import WorkerError
 from repro.core.termination import TerminationCoordinator
-from repro.smb import ControlBlock, SMBClient, SMBServer
+from repro.smb import ControlBlock, SMBClient, SMBServer, shm_transport
 
 from .helpers import build_engine
 from .test_netspec import small_spec
@@ -145,6 +149,32 @@ class TestWorker:
         history = worker.run()
         assert history.completed_iterations == 6
 
+    @pytest.mark.parametrize("strategy", [SEASGDExchange, SMBAsgdExchange])
+    def test_bind_allocates_one_model_sized_buffer(self, strategy):
+        """``W_g`` is read into the buffer ``dW_x`` is then computed in:
+        binding a strategy allocates one model-sized array, not two."""
+        count = 1 << 18
+        global_w = SMBClient.in_process(
+            SMBServer(capacity=8 * count)
+        ).create_array("W_g", count)
+        engine = SimpleNamespace(
+            rank=0,
+            telemetry=None,
+            config=ShmCaffeConfig(overlap_updates=False),
+            flat=SimpleNamespace(
+                count=count, vector=np.zeros(count, dtype=np.float32)
+            ),
+        )
+        exchange = strategy(global_w)
+        model_bytes = 4 * count
+        tracemalloc.start()
+        try:
+            exchange.bind(engine)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model_bytes <= peak < model_bytes + model_bytes // 8
+
     def test_on_iteration_callback(self, dataset):
         server = SMBServer(capacity=1 << 22)
         worker, _ = make_worker(server, dataset, iterations=3)
@@ -225,3 +255,58 @@ class TestTermination:
                 control, 0, TerminationCriterion.MASTER_STOP, 0,
                 generation=1,
             )
+
+
+class TestOneReadPerDecision:
+    """A stop decision and a fleet-barrier poll each take at most one
+    READ of the control block, on every doorway: one view carries the
+    stop flag and every slot's progress."""
+
+    @pytest.fixture()
+    def counted(self, doorway, monkeypatch):
+        """``doorway`` with every READ going through its server, so the
+        server's counters see each one (shm READs after the first are
+        one-sided otherwise)."""
+        monkeypatch.setattr(shm_transport, "ONE_SIDED", False)
+        return doorway
+
+    @staticmethod
+    def _ops(doorway, rank, criterion, decide):
+        """Run ``decide`` on a fresh coordinator at slot ``rank`` of a
+        two-slot fleet; return its result and the server ops it cost."""
+        control = ControlBlock.create(doorway.connect(), "ctl", 2)
+        coordinator = TerminationCoordinator(
+            ControlBlock.attach(doorway.connect(), "ctl", control.shm_key, 2),
+            rank, criterion, 5, generation=1,
+        )
+        stats = getattr(doorway.server, "core", doorway.server).stats
+        before = stats.op_counts
+        result = decide(coordinator)
+        after = stats.op_counts
+        return result, {
+            op: after[op] - before.get(op, 0)
+            for op in after if after[op] != before.get(op, 0)
+        }
+
+    @pytest.mark.parametrize("criterion, rank, ops", [
+        (TerminationCriterion.MASTER_STOP, 1, {"READ": 1}),
+        (TerminationCriterion.MASTER_STOP, 0, {}),
+        (TerminationCriterion.FIRST_FINISHER, 1, {"READ": 1}),
+        (TerminationCriterion.AVERAGE_ITERATIONS, 1, {"READ": 1}),
+    ])
+    def test_a_stop_decision_reads_the_block_at_most_once(
+        self, counted, criterion, rank, ops
+    ):
+        stopped, cost = self._ops(
+            counted, rank, criterion, lambda c: c.should_stop(3)
+        )
+        assert not stopped
+        assert cost == ops
+
+    def test_a_fleet_barrier_poll_reads_the_block_once(self, counted):
+        reached, cost = self._ops(
+            counted, 0, TerminationCriterion.MASTER_STOP,
+            lambda c: c.wait_for_fleet(1, timeout=0.0),
+        )
+        assert not reached  # one poll: progress 0 < 1, then the deadline
+        assert cost == {"READ": 1}
