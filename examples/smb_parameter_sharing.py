@@ -7,9 +7,9 @@ deep-learning machinery:
 1. start an SMB server (real TCP on localhost);
 2. the master worker creates the global weight buffer ``W_g`` and the
    progress control block, and "broadcasts" the SHM keys;
-3. each worker attaches ``W_g``, allocates a private increment buffer
-   ``dW_x``, and runs a few SEASGD exchanges (eqs. (5)-(7)) against a toy
-   quadratic objective;
+3. each worker attaches ``W_g`` and the control block, claims its slot,
+   allocates a private increment buffer ``dW_x``, and runs a few SEASGD
+   exchanges (eqs. (5)-(7)) against a toy quadratic objective;
 4. workers publish progress through the control block and align their
    termination on the FIRST_FINISHER criterion.
 
@@ -38,6 +38,9 @@ def worker_main(address, shm_keys, rank, target, results):
     control = ControlBlock.attach(
         client, "control", shm_keys["control"], WORKERS
     )
+    # Each worker takes its own slot; every publish carries the claim's
+    # generation, so only the slot's current holder counts.
+    claim = control.claim(rank)
     delta = client.create_array(f"dW_{rank}", DIMENSIONS)
 
     rng = np.random.default_rng(rank)
@@ -61,8 +64,7 @@ def worker_main(address, shm_keys, rank, target, results):
         local = local - LEARNING_RATE * gradient
 
         iteration += 1
-        # Every slot of a fixed fleet is pre-claimed at generation 1.
-        control.publish_progress(rank, iteration, generation=1)
+        control.publish_progress(rank, iteration, claim.generation)
         if iteration >= ITERATIONS:
             control.signal_stop(2)  # first finisher stops everyone
         if control.view().stop != ControlBlock.STOP_CLEAR:

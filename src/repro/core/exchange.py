@@ -48,8 +48,9 @@ from .seasgd import elastic_pull_
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .engine import TrainingEngine
 
-#: Live-fleet size source for elastic runs, e.g.
-#: :meth:`~repro.smb.client.ControlBlock.live_count`.
+#: Live-fleet size source for elastic runs:
+#: :meth:`~repro.core.termination.TerminationCoordinator.live_count`,
+#: the live slots in the view its last stop decision read.
 FleetSource = Callable[[], int]
 
 
@@ -196,12 +197,15 @@ class SEASGDExchange(_SMBExchange):
     single-threaded exchange the correctness tests rely on.
 
     **Elastic rescaling** (membership-aware fleets): with a ``fleet``
-    source the exchange reads the *current* live worker count ``p`` every
+    source the exchange asks it for the live worker count ``p`` every
     time and applies ``alpha = config.moving_rate / p`` — the EASGD
     stability rule ``alpha = beta / p`` (Zhang et al.) with ``p`` no
     longer a launch-time constant, so eqs. (5)-(7) stay stable while
-    workers join and retire mid-run.  Without a ``fleet`` source,
-    ``config.moving_rate`` is ``alpha`` directly (the fixed-fleet case).
+    workers join and retire mid-run.  An elastic run's source is its
+    termination coordinator, which answers from the control-block view
+    of the previous iteration's stop decision: the exchange adds no
+    READ of its own.  Without a ``fleet`` source, ``config.moving_rate``
+    is ``alpha`` directly (the fixed-fleet case).
     """
 
     def moving_rate(self) -> float:
@@ -426,7 +430,7 @@ class SMBAsgdExchange(_SMBExchange):
 
     Downpour has no per-worker averaging coefficient to rescale, so the
     ``fleet`` source is accepted (elastic runs build every strategy the
-    same way) but unused: the update rule is natively elastic.
+    same way) but never asked: the update rule is natively elastic.
     """
 
     def exchange(self, iteration: int) -> None:

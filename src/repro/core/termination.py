@@ -19,8 +19,9 @@ hanging it.  Every ``2 x target`` backstop stays as the last resort.
 from __future__ import annotations
 
 from time import monotonic, sleep
+from typing import Optional
 
-from ..smb.client import ControlBlock
+from ..smb.client import ControlBlock, ControlView
 from .config import TerminationCriterion
 
 #: Stop-flag codes written into the control block.
@@ -37,7 +38,10 @@ class TerminationCoordinator:
 
     A decision — one :meth:`should_stop`, one :meth:`wait_for_fleet` poll
     — reads the control block at most once, through
-    :meth:`~repro.smb.client.ControlBlock.view`.
+    :meth:`~repro.smb.client.ControlBlock.view`.  The coordinator keeps
+    the last view it took, and :meth:`live_count` answers from it, so an
+    elastic worker's ``alpha = beta / p`` rescale costs no READ of its
+    own once the first decision is made.
 
     Args:
         control: The shared SMB control block.
@@ -47,11 +51,11 @@ class TerminationCoordinator:
         target_iterations: The per-worker iteration budget; under
             ``AVERAGE_ITERATIONS`` it is the target for the *mean* progress
             of all workers instead.
-        generation: This worker's slot generation: its
-            :meth:`~repro.smb.client.ControlBlock.claim`'s, or 1 in a
-            fixed fleet.  Every publish is stamped with it, so a worker
-            whose slot was released, marked dead or reclaimed writes
-            words that count for nothing.
+        generation: This worker's slot generation, as its
+            :meth:`~repro.smb.client.ControlBlock.claim` returned it.
+            Every publish is stamped with it, so a worker whose slot was
+            released, marked dead or reclaimed writes words that count
+            for nothing.
     """
 
     def __init__(
@@ -72,6 +76,20 @@ class TerminationCoordinator:
         self.target_iterations = target_iterations
         self.generation = generation
         self._is_master = rank == 0
+        #: The last view read: a decision's, or :meth:`live_count`'s
+        #: before the first decision.
+        self._last_view: Optional[ControlView] = None
+
+    def _view(self) -> ControlView:
+        """One READ of the control block, kept for :meth:`live_count`."""
+        self._last_view = self.control.view()
+        return self._last_view
+
+    def live_count(self) -> int:
+        """Live slots in the last decision's view: the elastic exchange's
+        ``p``.  Before the first decision it takes a view of its own."""
+        view = self._last_view if self._last_view is not None else self._view()
+        return int(view.alive.sum())
 
     def publish(self, completed_iterations: int) -> None:
         """Report this worker's completed iteration count to everyone."""
@@ -93,7 +111,7 @@ class TerminationCoordinator:
         """
         deadline = monotonic() + timeout
         while True:
-            progress, alive, stop = self.control.view()
+            progress, alive, stop = self._view()
             if not alive.any():
                 return False
             if int(progress[alive].min()) >= minimum:
@@ -117,7 +135,7 @@ class TerminationCoordinator:
                     self.control.signal_stop(STOP_MASTER_DONE)
                     return True
                 return False
-            _, alive, stop = self.control.view()
+            _, alive, stop = self._view()
             if stop != ControlBlock.STOP_CLEAR:
                 return True
             # Degraded mode: if the master died its stop flag will never
@@ -133,14 +151,14 @@ class TerminationCoordinator:
             if completed_iterations >= self.target_iterations:
                 self.control.signal_stop(STOP_FIRST_FINISHER)
                 return True
-            return self.control.view().stop != ControlBlock.STOP_CLEAR
+            return self._view().stop != ControlBlock.STOP_CLEAR
 
         # AVERAGE_ITERATIONS: stop once the fleet's mean progress reaches
         # the target; each worker evaluates this locally from the shared
         # counters, so they all stop within one iteration of each other.
         # Dead workers are excluded from the mean — the surviving fleet's
         # average is what must reach the target (degraded-mode rescale).
-        progress, alive, _ = self.control.view()
+        progress, alive, _ = self._view()
         if not alive.any():
             return completed_iterations >= self.target_iterations
         return float(progress[alive].mean()) >= self.target_iterations

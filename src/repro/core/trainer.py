@@ -428,11 +428,11 @@ class DistributedTrainingManager:
         control = ControlBlock(self._create_array(
             client, f"{ns}control", 2 * capacity + 1, "int64"
         ), capacity)
-        # Elastic fleets start with every slot FREE and claim explicitly;
-        # fixed fleets pre-claim all slots.  An adopted segment is wiped
-        # too: a previous run's Iter_x counters and stop flag must not
-        # leak into the resumed fleet's termination decisions.
-        control.reset(0 if self.elastic else None)
+        # Every slot starts FREE and each participant claims its own.  An
+        # adopted segment is wiped too: a previous run's Iter_x counters
+        # and stop flag must not leak into the resumed fleet's
+        # termination decisions.
+        control.reset()
         job: Job = {
             "namespace": ns,
             "count": flat.count,
@@ -541,23 +541,21 @@ class DistributedTrainingManager:
                         job["capacity"],
                     ),
                 )
-                claim = SlotClaim(group_id, 1)  # a fixed fleet's pre-claim
-                if self.registry is not None:
-                    # The control block allocates the slot and the
-                    # registry records the claim.
-                    take: Callable[[], SlotClaim]
-                    if not self.elastic:
-                        take = functools.partial(SlotClaim, group_id, 1)
-                    elif launch:
-                        take = functools.partial(control.claim, group_id)
-                    else:
-                        take = control.claim
+                # The control block allocates the slot: a launch rank's
+                # is its group id, a joiner's the lowest open one.
+                take: Callable[[], SlotClaim] = (
+                    functools.partial(control.claim, group_id) if launch
+                    else control.claim
+                )
+                if self.registry is None:
+                    claim = take()
+                else:
+                    # The registry records the claim, run under its lock.
                     member = self.registry.join(member_id, take)
                     stack.callback(self._leave, member_id)
                     retire_event = threading.Event()
                     claim = SlotClaim(member.slot, member.generation)
-                    if self.elastic:
-                        on_claim(claim)
+                    on_claim(claim)
                 if not restored:
                     # The replica starts from the current elastic centre:
                     # the master's seed at launch, the checkpointed centre
@@ -605,7 +603,7 @@ class DistributedTrainingManager:
                 strategy = make_exchange(
                     self.config,
                     global_weights=global_array,
-                    fleet=control.live_count if self.elastic else None,
+                    fleet=termination.live_count if self.elastic else None,
                 )
             else:
                 strategy = HybridExchange(
@@ -784,8 +782,8 @@ class DistributedTrainingManager:
         heartbeat that ends its current iteration, then releases its
         slot and leaves.  Returns False when there is nobody suitable to retire.
         """
-        if self.registry is None:
-            raise ValueError("retire_worker requires a membership registry")
+        if not self.elastic or self.registry is None:
+            raise ValueError("retire_worker requires an elastic run")
         if member_id is None:
             members = [
                 m for m in self.registry.read().live_members()

@@ -899,9 +899,9 @@ class ControlBlock:
     or dead worker's late publish — still lands, but it counts for
     nothing and can never make a slot live.
 
-    Fixed fleets are the degenerate case: :meth:`create` pre-claims every
-    slot by default (progress 0, generation 1), which reproduces the
-    historical one-slot-per-rank behaviour exactly.
+    A fixed fleet is the degenerate elastic fleet: :meth:`create` writes
+    every slot FREE and each launch participant claims its own group id,
+    so every slot starts at generation 1, progress 0.
     """
 
     STOP_CLEAR = 0
@@ -924,40 +924,22 @@ class ControlBlock:
 
     @classmethod
     def create(
-        cls,
-        client: SMBClient,
-        name: str,
-        capacity: int,
-        preclaimed: Optional[int] = None,
+        cls, client: SMBClient, name: str, capacity: int
     ) -> "ControlBlock":
-        """Master-side creation of the control segment.
-
-        ``preclaimed`` slots start claimed (progress 0, generation 1) —
-        the default pre-claims *all* of them, the fixed-fleet layout.
-        Elastic jobs pass the launch worker count (or 0) and let workers
-        claim their slots explicitly.
-        """
+        """Master-side creation of the control segment, every slot FREE."""
         array = client.create_array(name, 2 * capacity + 1, dtype="int64")
         block = cls(array, capacity)
-        block.reset(preclaimed)
+        block.reset()
         return block
 
-    def reset(self, preclaimed: Optional[int] = None) -> None:
-        """(Re)initialise every slot; see :meth:`create` for semantics.
+    def reset(self) -> None:
+        """Write every slot FREE (generation 0) and clear the stop flag.
 
         Also used when a run adopts a control segment that survived a
         server recovery: the previous run's counters must not leak into
         the new fleet's termination decisions.
         """
-        claimed = self.capacity if preclaimed is None else preclaimed
-        if not 0 <= claimed <= self.capacity:
-            raise ValueError(
-                f"preclaimed {claimed} out of range [0, {self.capacity}]"
-            )
-        values = np.zeros(2 * self.capacity + 1, dtype=np.int64)
-        values[:claimed] = self._encode(1, 0)
-        values[self.capacity:self.capacity + claimed] = 1  # generations
-        self._array.write(values)
+        self._array.write(np.zeros(2 * self.capacity + 1, dtype=np.int64))
 
     @classmethod
     def attach(
@@ -1092,14 +1074,6 @@ class ControlBlock:
         it is alive or dead; ``alive`` is the boolean liveness mask.
         """
         return self._read()[1]
-
-    def live_count(self) -> int:
-        """How many slots are currently held by live workers.
-
-        The elastic exchange rescales eqs. (5)-(7) over this count (the
-        EASGD ``alpha = beta / p`` stability rule with *p* read live).
-        """
-        return int(self.view().alive.sum())
 
     def signal_stop(self, code: int = 1) -> None:
         """Raise the shared stop flag with a nonzero reason code."""

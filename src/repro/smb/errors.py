@@ -209,10 +209,12 @@ class MembershipError(SMBError):
 class SlotsExhaustedError(MembershipError):
     """Every control-block slot is held by a live worker; nobody can join.
 
-    Fatal by construction: the fleet is at capacity and retrying the claim
-    returns the same answer until some member leaves or dies.  Callers
-    (the autoscale controller, ``spawn_worker``) treat this as "wait for a
-    leave", not as a transient fault.
+    Raised by ``ControlBlock.claim``.  Fatal by construction: the fleet is
+    at capacity and retrying the claim returns the same answer until some
+    member leaves or dies, so the retry layer never re-issues it.  A
+    joiner that meets it ends before training and its handle records the
+    error (``ElasticWorkerHandle.error``); ``spawn_worker`` returns before
+    the claim runs, so the autoscale supervisor never sees it.
     """
 
     def __init__(self, capacity: int) -> None:

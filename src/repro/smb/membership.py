@@ -340,10 +340,9 @@ class MembershipRegistry:
         """Admit a worker: run its slot ``claim``, record what it returns.
 
         The control block is the only slot allocator.  ``claim`` is the
-        worker's own claim — ``control.claim(rank)`` for an elastic
-        launch rank, ``control.claim()`` for a joiner, the pre-claimed
-        ``SlotClaim(group_id, 1)`` for a fixed-fleet member — and it
-        runs under the registry lock, so concurrent claims are
+        worker's own claim — ``control.claim(group_id)`` for a launch
+        rank, fixed fleet or elastic, ``control.claim()`` for a joiner —
+        and it runs under the registry lock, so concurrent claims are
         serialised.  The record takes the claim's slot and generation
         and a fresh lease.  Raises
         :class:`~repro.smb.errors.MembershipError` on a duplicate id or

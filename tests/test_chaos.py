@@ -298,7 +298,8 @@ class TestChaosTraining:
                 retry_policy=FAST_RETRY,
                 fault_plan=FaultPlan(
                     seed=77, error_rate=0.05,
-                    kill_rank=2, kill_after=15,
+                    # Six bring-up requests, then twelve of training.
+                    kill_rank=2, kill_after=18,
                 ),
             )
             result = manager.run(timeout=300)
@@ -336,10 +337,11 @@ class TestChaosTraining:
             seed=1,
             retry_policy=FAST_RETRY,
             # kill_after is generous enough to let bring-up (segment
-            # creation, key broadcast) finish before the master dies,
-            # but small enough to fire before the master's 5 iterations
-            # (~6 SMB requests each) complete.
-            fault_plan=FaultPlan(seed=5, kill_rank=0, kill_after=20),
+            # creation, the slot claim, the replica's W_g read: ten
+            # requests) finish before the master dies, but small enough
+            # to fire before the master's 5 iterations (~3 SMB requests
+            # each) complete.
+            fault_plan=FaultPlan(seed=5, kill_rank=0, kill_after=23),
         )
         result = manager.run(timeout=300)
         assert 0 in result.failed_ranks

@@ -496,9 +496,10 @@ class TestEngineDegradation:
     )
 
     def test_seasgd_kill_one_rank_survivors_complete(self):
-        # Rank 2's first three requests are its bring-up (two ATTACHes
-        # and the READ of W_g its replica starts from, all before the
-        # launch barrier and clean under seed 77); the fourth is
+        # Rank 2's first six requests are its bring-up (two ATTACHes,
+        # its slot claim's READ of the control block and two WRITEs,
+        # then the READ of W_g its replica starts from, all before the
+        # launch barrier and clean under seed 77); the seventh is
         # iteration 0's READ of W_g, which it sends however late it
         # starts.  Killing there, and not at a request of a later
         # iteration, means the others cannot end the run before the kill.
@@ -507,7 +508,7 @@ class TestEngineDegradation:
             criterion=TerminationCriterion.AVERAGE_ITERATIONS,
             retry_policy=self.FAST_RETRY,
             fault_plan=FaultPlan(
-                seed=77, error_rate=0.05, kill_rank=2, kill_after=3
+                seed=77, error_rate=0.05, kill_rank=2, kill_after=6
             ),
         )
         assert result.failed_ranks == [2]
@@ -522,8 +523,9 @@ class TestEngineDegradation:
 
     @pytest.mark.parametrize("overlap", [False, True])
     def test_hsgd_root_loss_winds_its_group_down(self, overlap):
-        # Rank 2 roots the second group of two.  Its SMB path dies, so it
-        # stops exchanging with W_g, keeps the broadcasts its member is
+        # Rank 2 roots the second group of two.  After its six bring-up
+        # requests and three exchanges its SMB path dies, so it stops
+        # exchanging with W_g, keeps the broadcasts its member is
         # blocked on, and stops the group in lockstep; the other group
         # trains on.
         with telemetry.session("metrics") as tel:
@@ -531,7 +533,7 @@ class TestEngineDegradation:
                 num_workers=4, group_size=2, iterations=8, overlap=overlap,
                 criterion=TerminationCriterion.AVERAGE_ITERATIONS,
                 retry_policy=self.FAST_RETRY,
-                fault_plan=FaultPlan(kill_rank=2, kill_after=12),
+                fault_plan=FaultPlan(kill_rank=2, kill_after=15),
                 telemetry_session=tel,
             )
             fatal = tel.registry.counter("worker2/faults/fatal").value
@@ -547,10 +549,11 @@ class TestEngineDegradation:
         assert np.isfinite(result.final_global_weights).all()
 
     def test_a_dead_master_hands_the_stop_to_the_first_finisher(self):
-        # Rank 0's first seven requests are its bring-up (CREATE, ATTACH
-        # and WRITE of W_g and of the control block, then the READ of
-        # W_g its replica starts from); the eighth is iteration 0's READ
-        # of W_g, which every schedule sends.  Its launcher marks slot 0
+        # Rank 0's first ten requests are its bring-up (CREATE, ATTACH
+        # and WRITE of W_g and of the control block, its slot claim's
+        # READ and two WRITEs, then the READ of W_g its replica starts
+        # from); the eleventh is iteration 0's READ of W_g, which every
+        # schedule sends.  Its launcher marks slot 0
         # dead over a clean client, so the survivors stop through
         # first-finisher instead of running to the 2x backstop.
         target = 5
@@ -558,7 +561,7 @@ class TestEngineDegradation:
             num_workers=3, iterations=target,
             criterion=TerminationCriterion.MASTER_STOP,
             retry_policy=self.FAST_RETRY,
-            fault_plan=FaultPlan(kill_rank=0, kill_after=7),
+            fault_plan=FaultPlan(kill_rank=0, kill_after=10),
         )
         assert result.failed_ranks == [0]
         assert result.histories[0].completed_iterations == 0
@@ -570,12 +573,13 @@ class TestEngineDegradation:
 
     def test_smb_asgd_kill_one_rank_survivors_complete(self):
         # The degradation path is strategy-agnostic: the new Downpour
-        # strategy inherits it from the engine untouched.
+        # strategy inherits it from the engine untouched.  Rank 1 dies
+        # after its six bring-up requests and nine more.
         result = run_job(
             num_workers=4, iterations=6, algorithm="smb_asgd",
             criterion=TerminationCriterion.AVERAGE_ITERATIONS,
             retry_policy=self.FAST_RETRY,
-            fault_plan=FaultPlan(seed=21, kill_rank=1, kill_after=12),
+            fault_plan=FaultPlan(seed=21, kill_rank=1, kill_after=15),
         )
         assert result.failed_ranks == [1]
         survivors = [h for h in result.histories if not h.failed]

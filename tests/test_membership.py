@@ -33,6 +33,7 @@ from repro.core import (
     ShmCaffeConfig,
     TerminationCriterion,
 )
+from repro.core import exchange as exchange_module
 from repro.core.autoscale import GROW, HOLD, SHRINK
 from repro.experiments.elastic import run_elastic_drill
 from repro.smb import (
@@ -139,14 +140,14 @@ class TestAtomicPublication:
 
 
 def fixed(slot, generation=1):
-    """A pre-claimed slot's claim, as a fixed-fleet member passes it."""
+    """A stand-in slot claim, for registry tests with no control block."""
     return lambda: SlotClaim(slot, generation)
 
 
 @pytest.fixture()
 def control(client):
-    """An elastic control block: every slot FREE, claimed explicitly."""
-    return ControlBlock.create(client, "ctl", 3, preclaimed=0)
+    """A fresh control block: every slot FREE, claimed explicitly."""
+    return ControlBlock.create(client, "ctl", 3)
 
 
 class TestMembershipRegistry:
@@ -161,7 +162,7 @@ class TestMembershipRegistry:
         registry = make_registry(tmp_path)
         with pytest.raises(MembershipError):
             registry.join("early-bird", control.claim)
-        assert control.live_count() == 0  # refused before claiming
+        assert control.view().alive.sum() == 0  # refused before claiming
 
     def test_publish_job_then_join_allocates_lowest_slot(
         self, tmp_path, control
@@ -190,7 +191,7 @@ class TestMembershipRegistry:
         registry.join("a", control.claim)
         with pytest.raises(MembershipError, match="already registered"):
             registry.join("a", control.claim)
-        assert control.live_count() == 1  # refused before claiming
+        assert control.view().alive.sum() == 1  # refused before claiming
 
     def test_occupied_and_out_of_range_slots_rejected(
         self, tmp_path, control
@@ -207,7 +208,7 @@ class TestMembershipRegistry:
     def test_capacity_exhausted_raises_typed_error(self, tmp_path, client):
         registry = make_registry(tmp_path)
         registry.publish_job(SERVER_DOC, JOB_DOC)
-        control = ControlBlock.create(client, "ctl", 2, preclaimed=0)
+        control = ControlBlock.create(client, "ctl", 2)
         registry.join("a", control.claim)
         registry.join("b", control.claim)
         with pytest.raises(SlotsExhaustedError):
@@ -281,7 +282,7 @@ class TestMembershipRegistry:
         assert view.epoch == epoch + 1
         # The record went, the slot did not: the wedged worker still
         # holds slot 0 in the control block, so a replacement gets 2.
-        assert control.live_count() == 2
+        assert control.view().alive.sum() == 2
         assert registry.join("replacement", control.claim).slot == 2
 
     def test_publish_job_supersedes_previous_fleet(self, tmp_path):
@@ -479,6 +480,8 @@ class TestElasticControlBlock:
         """A live worker at iteration 0, a *dead* worker at 0 and a FREE
         slot: three states, all with progress 0, only the first alive."""
         control = ControlBlock.create(client, "ctl", capacity=3)
+        for slot in range(3):
+            control.claim(slot)
         control.publish_progress(0, 0, generation=1)
         control.mark_dead(1, 0, generation=1)
         control.release(2, generation=1)
@@ -487,44 +490,51 @@ class TestElasticControlBlock:
         np.testing.assert_array_equal(alive, [True, False, False])
         np.testing.assert_array_equal(control._read()[0], [1, 2, 2])
 
-    def test_default_create_preclaims_every_slot(self, client):
+    def test_launch_claims_write_the_fixed_fleet_layout(self, client):
+        """A fixed fleet's launch claims, one per slot, leave every slot
+        live at progress 0 under generation 1 and the stop flag clear:
+        the one-slot-per-rank layout, word for word."""
         control = ControlBlock.create(client, "ctl", capacity=3)
-        progress, alive, _ = control.view()
+        claims = [control.claim(slot) for slot in range(3)]
+        assert claims == [SlotClaim(slot, 1) for slot in range(3)]
+        live_at_zero = 1 << ControlBlock._STATE_BITS
+        np.testing.assert_array_equal(
+            control._array.read(), [live_at_zero] * 3 + [1] * 3 + [0]
+        )
+        progress, alive, stop = control.view()
         np.testing.assert_array_equal(progress, [0, 0, 0])
-        assert alive.all()
-        np.testing.assert_array_equal(control._read()[0], [1, 1, 1])
-        assert control.live_count() == 3
+        assert alive.all() and stop == ControlBlock.STOP_CLEAR
 
     def test_elastic_create_starts_all_free(self, client):
-        control = ControlBlock.create(client, "ctl", 4, preclaimed=0)
-        assert control.live_count() == 0
+        control = ControlBlock.create(client, "ctl", 4)
+        assert control.view().alive.sum() == 0
         np.testing.assert_array_equal(control._read()[0], [0] * 4)
         # A never-claimed slot is generation 0: no stamp makes it live.
         control.publish_progress(0, 5, generation=0)
-        assert control.live_count() == 0
+        assert control.view().alive.sum() == 0
 
     def test_claim_takes_lowest_free_slot_and_bumps_generation(
         self, client
     ):
-        control = ControlBlock.create(client, "ctl", 3, preclaimed=0)
+        control = ControlBlock.create(client, "ctl", 3)
         first = control.claim()
         second = control.claim()
         assert (first.slot, first.generation) == (0, 1)
         assert (second.slot, second.generation) == (1, 1)
-        assert control.live_count() == 2
+        assert control.view().alive.sum() == 2
 
     def test_rejoiner_reclaims_released_slot_at_higher_generation(
         self, client
     ):
-        control = ControlBlock.create(client, "ctl", 2, preclaimed=0)
+        control = ControlBlock.create(client, "ctl", 2)
         claim = control.claim(slot=1)
         control.publish_progress(1, 9, generation=claim.generation)
         control.release(1, generation=claim.generation)
-        assert control.live_count() == 0
+        assert control.view().alive.sum() == 0
         # The releaser's own stamp is stale at once: a late publish
         # lands but leaves the slot FREE.
         control.publish_progress(1, 7, generation=claim.generation)
-        assert control.live_count() == 0
+        assert control.view().alive.sum() == 0
         reclaim = control.claim(slot=1)
         assert reclaim.generation == claim.generation + 2
         progress, alive, _ = control.view()
@@ -533,7 +543,7 @@ class TestElasticControlBlock:
     def test_dead_slot_is_claimable_and_encoding_survives_until_then(
         self, client
     ):
-        control = ControlBlock.create(client, "ctl", 2, preclaimed=0)
+        control = ControlBlock.create(client, "ctl", 2)
         claim = control.claim()
         control.mark_dead(claim.slot, 5, generation=claim.generation)
         progress, alive, _ = control.view()
@@ -543,17 +553,19 @@ class TestElasticControlBlock:
         reclaim = control.claim()  # takes the dead slot over
         assert reclaim.slot == claim.slot
         assert reclaim.generation == claim.generation + 2
-        assert control.live_count() == 1
+        assert control.view().alive.sum() == 1
 
     def test_claim_with_every_slot_live_raises_typed_error(self, client):
         control = ControlBlock.create(client, "ctl", capacity=2)
+        control.claim()
+        control.claim()
         with pytest.raises(SlotsExhaustedError):
             control.claim()
         with pytest.raises(SlotsExhaustedError):
             control.claim(slot=1)
 
     def test_stale_stamps_count_for_nothing_after_reclaim(self, client):
-        control = ControlBlock.create(client, "ctl", 2, preclaimed=0)
+        control = ControlBlock.create(client, "ctl", 2)
         old = control.claim(slot=0)
         control.release(0, generation=old.generation)
         new = control.claim(slot=0)  # successor bumps the generation
@@ -567,7 +579,7 @@ class TestElasticControlBlock:
         # A stale publish lands, clobbering the word, but never reads
         # as live: the slot decodes FREE until its holder publishes.
         control.publish_progress(0, 9, generation=old.generation)
-        assert control.live_count() == 0
+        assert control.view().alive.sum() == 0
         control.publish_progress(0, 4, generation=new.generation)
         progress, alive, _ = control.view()
         assert (int(progress[0]), bool(alive[0])) == (4, True)
@@ -575,7 +587,7 @@ class TestElasticControlBlock:
     def test_a_stamped_publish_is_one_write_and_no_read(self, doorway):
         """The writer sends its stamp and the reader checks it, so a
         publish costs the server one WRITE and nothing else."""
-        control = ControlBlock.create(doorway.connect(), "ctl", 2, 0)
+        control = ControlBlock.create(doorway.connect(), "ctl", 2)
         claim = control.claim(slot=1)
         # A fresh client has never READ the block, so on shm a READ
         # would still go through the server and be counted.
@@ -597,7 +609,7 @@ class TestElasticControlBlock:
         """A worker blocked in WAIT_UPDATE on the control segment must
         wake when the fleet changes shape (claim or release), not only
         on progress writes — churn can never deadlock a waiter."""
-        control = ControlBlock.create(client, "ctl", 2, preclaimed=0)
+        control = ControlBlock.create(client, "ctl", 2)
         woke = []
 
         def wait(version):
@@ -639,13 +651,15 @@ class ControlBlockMachine(RuleBasedStateMachine):
 
     taken = Bundle("taken")
 
-    @initialize(preclaimed=st.integers(0, CAPACITY))
-    def create(self, preclaimed):
+    @initialize(launched=st.integers(0, CAPACITY))
+    def create(self, launched):
+        """A fresh block, then the first ``launched`` slots claimed by
+        launch ranks, as a fixed fleet's bring-up does."""
         self.client = SMBClient.in_process(SMBServer(capacity=1 << 16))
-        self.control = ControlBlock.create(
-            self.client, "ctl", CAPACITY, preclaimed=preclaimed
-        )
-        self.generations = [1] * preclaimed + [0] * (CAPACITY - preclaimed)
+        self.control = ControlBlock.create(self.client, "ctl", CAPACITY)
+        for slot in range(launched):
+            self.control.claim(slot)
+        self.generations = [1] * launched + [0] * (CAPACITY - launched)
         self.words = [(g, 0) for g in self.generations]
         self.seen = list(self.generations)
 
@@ -727,7 +741,7 @@ class ControlBlockMachine(RuleBasedStateMachine):
         decoded = [self._decoded(s) for s in range(CAPACITY)]
         assert progress.tolist() == [p for p, _ in decoded]
         assert alive.tolist() == [a for _, a in decoded]
-        assert self.control.live_count() == sum(a for _, a in decoded)
+        assert self.control.view().alive.sum() == sum(a for _, a in decoded)
 
     def teardown(self):
         if hasattr(self, "client"):
@@ -1027,8 +1041,83 @@ class TestElasticDrill:
         ) >= 1
 
 
+class TestElasticMovingRate:
+    def test_two_live_slots_of_three_pull_at_half_the_moving_rate(
+        self, tmp_path, server, monkeypatch
+    ):
+        """Two launch ranks in a three-slot elastic run: every exchange
+        applies ``alpha = beta / 2`` (EASGD's ``beta / p``), bit-exact
+        against ``elastic_pull_`` at that rate."""
+        beta = 0.2
+        pulls = []
+        kernel = exchange_module.elastic_pull_
+
+        def recorded(local, global_now, moving_rate, out):
+            expected_local, expected_out = local.copy(), np.empty_like(out)
+            kernel(expected_local, global_now.copy(), beta / 2, expected_out)
+            result = kernel(local, global_now, moving_rate, out)
+            pulls.append((
+                moving_rate,
+                np.array_equal(local, expected_local)
+                and np.array_equal(result, expected_out),
+            ))
+            return result
+
+        monkeypatch.setattr(exchange_module, "elastic_pull_", recorded)
+        manager = DistributedTrainingManager(
+            spec_factory=lambda: small_spec(batch=4),
+            config=ShmCaffeConfig(
+                solver=SolverConfig(base_lr=0.05, momentum=0.9),
+                moving_rate=beta,
+                max_iterations=6,
+                termination=TerminationCriterion.AVERAGE_ITERATIONS,
+                overlap_updates=False,
+            ),
+            dataset=SyntheticImageDataset(
+                num_classes=4, image_size=8, train_per_class=40,
+                test_per_class=8, noise=0.7, seed=5,
+            ),
+            batch_size=4,
+            num_workers=2,
+            server=server,
+            seed=5,
+            registry_dir=str(tmp_path / "registry"),
+            elastic=True,
+            max_workers=3,
+        )
+        result = manager.run(timeout=120)
+        # One pull per exchange; a finished rank keeps its slot live.
+        assert len(pulls) == result.total_iterations
+        assert {rate for rate, _ in pulls} == {beta / 2}
+        assert all(exact for _, exact in pulls)
+
+
 class TestLaunchRankRetire:
     """``retire_worker`` falls back to launch ranks: one drains out."""
+
+    def test_a_fixed_fleet_refuses_to_retire(self, tmp_path, server):
+        """A fixed-fleet engine has no retire signal to read, so a
+        retire request would be acknowledged and never acted on."""
+        manager = DistributedTrainingManager(
+            spec_factory=lambda: small_spec(batch=4),
+            config=ShmCaffeConfig(
+                solver=SolverConfig(base_lr=0.05, momentum=0.9),
+                max_iterations=4,
+                termination=TerminationCriterion.AVERAGE_ITERATIONS,
+            ),
+            dataset=SyntheticImageDataset(
+                num_classes=4, image_size=8, train_per_class=8,
+                test_per_class=2, seed=3,
+            ),
+            batch_size=4,
+            num_workers=3,
+            server=server,
+            registry_dir=str(tmp_path / "registry"),
+        )
+        with pytest.raises(ValueError, match="elastic run"):
+            manager.retire_worker("rank2")
+        with pytest.raises(ValueError, match="elastic run"):
+            manager.spawn_worker(timeout=0.0)
 
     def test_retired_launch_rank_hands_back_slot_record_and_increment(
         self, tmp_path, server

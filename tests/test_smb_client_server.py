@@ -185,7 +185,10 @@ class TestRemoteArray:
 class TestControlBlock:
     def test_publish_and_read_progress(self, client):
         control = ControlBlock.create(client, "ctl", capacity=4)
-        # Every slot of a fixed fleet is pre-claimed at generation 1.
+        # A fixed fleet's launch ranks each claim their slot, and fresh
+        # counters make every claim generation 1.
+        for slot in range(4):
+            control.claim(slot)
         control.publish_progress(0, 10, generation=1)
         control.publish_progress(3, 7, generation=1)
         np.testing.assert_array_equal(
@@ -213,5 +216,6 @@ class TestControlBlock:
         slave = SMBClient.in_process(server)
         control = ControlBlock.create(master, "ctl", capacity=2)
         view = ControlBlock.attach(slave, "ctl", control.shm_key, 2)
-        view.publish_progress(1, 42, generation=1)
+        claim = view.claim(1)
+        view.publish_progress(1, 42, generation=claim.generation)
         np.testing.assert_array_equal(control.view().progress, [0, 42])

@@ -8,7 +8,11 @@ import pytest
 
 from repro.caffe import Net, SolverConfig, SyntheticImageDataset
 from repro.caffe.params import FlatParams
-from repro.core import SEASGDExchange, SMBAsgdExchange
+from repro.core import (
+    DistributedTrainingManager,
+    SEASGDExchange,
+    SMBAsgdExchange,
+)
 from repro.core.config import ShmCaffeConfig, TerminationCriterion
 from repro.core.engine import WorkerError
 from repro.core.termination import TerminationCoordinator
@@ -190,7 +194,10 @@ class TestTermination:
     def make_control(self, num_workers):
         server = SMBServer(capacity=1 << 20)
         client = SMBClient.in_process(server)
-        return ControlBlock.create(client, "ctl", num_workers)
+        control = ControlBlock.create(client, "ctl", num_workers)
+        for slot in range(num_workers):  # each launch rank's claim
+            control.claim(slot)
+        return control
 
     def test_master_stop_signals_slaves(self):
         control = self.make_control(2)
@@ -275,6 +282,8 @@ class TestOneReadPerDecision:
         """Run ``decide`` on a fresh coordinator at slot ``rank`` of a
         two-slot fleet; return its result and the server ops it cost."""
         control = ControlBlock.create(doorway.connect(), "ctl", 2)
+        for slot in range(2):
+            control.claim(slot)
         coordinator = TerminationCoordinator(
             ControlBlock.attach(doorway.connect(), "ctl", control.shm_key, 2),
             rank, criterion, 5, generation=1,
@@ -310,3 +319,52 @@ class TestOneReadPerDecision:
         )
         assert not reached  # one poll: progress 0 < 1, then the deadline
         assert cost == {"READ": 1}
+
+
+class TestOneReadPerIteration:
+    """An elastic worker reads the control block once per iteration: the
+    ``alpha = beta / p`` rescale takes ``p`` from the view its last stop
+    decision read, and only the first exchange, before any decision,
+    takes a view of its own."""
+
+    def test_an_elastic_worker_reads_the_block_once_per_iteration(
+        self, doorway, monkeypatch, dataset, tmp_path
+    ):
+        # Every READ goes through the server, as in TestOneReadPerDecision.
+        monkeypatch.setattr(shm_transport, "ONE_SIDED", False)
+        # Every client of the run is a client of this doorway.
+        monkeypatch.setattr(
+            DistributedTrainingManager, "_make_client",
+            lambda manager, rank=None: doorway.connect(),
+        )
+        target = 6
+        manager = DistributedTrainingManager(
+            spec_factory=lambda: small_spec(batch=4),
+            config=ShmCaffeConfig(
+                solver=SolverConfig(base_lr=0.05, momentum=0.9),
+                moving_rate=0.2,
+                max_iterations=target,
+                termination=TerminationCriterion.AVERAGE_ITERATIONS,
+                overlap_updates=False,
+            ),
+            dataset=dataset,
+            batch_size=4,
+            num_workers=1,
+            seed=2,
+            registry_dir=str(tmp_path / "registry"),
+            elastic=True,
+            max_workers=2,
+        )
+        stats = getattr(doorway.server, "core", doorway.server).stats
+        before = stats.op_counts.get("READ", 0)
+        result = manager.run(timeout=120)
+        reads = stats.op_counts["READ"] - before
+        # One worker alone reaches the AVERAGE target exactly.
+        iterations = result.histories[0].completed_iterations
+        assert iterations == target
+        # W_g: the replica's warm start, one per exchange, the run's
+        # final read.  The control block: the slot claim, the first
+        # exchange's view, then one per stop decision.
+        w_g_reads = 1 + iterations + 1
+        assert reads - w_g_reads == 1 + 1 + iterations
+
