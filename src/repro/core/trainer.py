@@ -456,6 +456,15 @@ class DistributedTrainingManager:
             self.registry.publish_job(server_doc, job)
         return job, (global_array, control)
 
+    @staticmethod
+    def _control(client: SMBClient, job: Job) -> ControlBlock:
+        """The job's control block as the job document names it, attached
+        over ``client``: a participant's own, or a clean client's."""
+        return ControlBlock.attach(
+            client, f"{job['namespace']}control", job["control_key"],
+            job["capacity"],
+        )
+
     def _rank_main(self, comm: mpi.Communicator) -> WorkerHistory:
         """A launch rank: the job document arrives over MPI."""
 
@@ -536,10 +545,7 @@ class DistributedTrainingManager:
             if client is not None:
                 global_array, control = own or (
                     client.attach_array(f"{ns}W_g", job["w_g_key"], count),
-                    ControlBlock.attach(
-                        client, f"{ns}control", job["control_key"],
-                        job["capacity"],
-                    ),
+                    self._control(client, job),
                 )
                 # The control block allocates the slot: a launch rank's
                 # is its group id, a joiner's the lowest open one.
@@ -714,10 +720,7 @@ class DistributedTrainingManager:
         """
         try:
             with self._make_client() as client:
-                control = ControlBlock.attach(
-                    client, f"{job['namespace']}control",
-                    job["control_key"], job["capacity"],
-                )
+                control = self._control(client, job)
                 if history.failed:
                     control.mark_dead(
                         claim.slot, history.completed_iterations,

@@ -20,18 +20,10 @@ Quick start::
 
 from .client import ControlBlock, RemoteArray, SMBClient
 from .errors import (
-    AccessDeniedError,
-    CapacityError,
-    FaultInjectedError,
     MembershipError,
     NotificationTimeout,
-    PayloadSizeError,
     QuotaExceededError,
-    RetryExhaustedError,
     SegmentExistsError,
-    SegmentRangeError,
-    ServerClosingError,
-    SlotsExhaustedError,
     SMBConnectionError,
     SMBError,
     SMBProtocolError,
@@ -51,12 +43,9 @@ from .shm_transport import ShmSMBServer, ShmTransport
 from .transport import InProcTransport, TcpTransport
 
 __all__ = [
-    "AccessDeniedError",
-    "CapacityError",
     "ControlBlock",
     "DEFAULT_RETRY_POLICY",
     "DEFAULT_TENANT",
-    "FaultInjectedError",
     "FaultInjectingTransport",
     "FaultPlan",
     "InProcTransport",
@@ -66,16 +55,11 @@ __all__ = [
     "Message",
     "NotificationTimeout",
     "Op",
-    "PayloadSizeError",
     "QuotaExceededError",
     "RemoteArray",
     "ReplicaServer",
-    "RetryExhaustedError",
     "RetryPolicy",
     "SegmentExistsError",
-    "SegmentRangeError",
-    "ServerClosingError",
-    "SlotsExhaustedError",
     "SMBClient",
     "SMBConnectionError",
     "SMBError",

@@ -179,8 +179,8 @@ class SMBClient:
             server_down_grace: Seconds each (re)connect keeps retrying a
                 dead endpoint before giving up — the bounded window that
                 turns a server restart into a recoverable outage.
-            tenant: Namespace every name-based op (CREATE/LOOKUP/LIST/
-                FREE) resolves in; carried in the connection handshake.
+            tenant: Namespace every name-based op (CREATE/LOOKUP/FREE)
+                resolves in; carried in the connection handshake.
         """
         policy = retry_policy if retry_policy is not None else NO_RETRY
         transport = TcpTransport(
@@ -256,10 +256,12 @@ class SMBClient:
 
         Transient failures (see :func:`repro.smb.errors.is_retryable`)
         are re-issued up to ``max_attempts`` times with jittered
-        exponential backoff; a persistent fault surfaces as
-        :class:`~repro.smb.errors.RetryExhaustedError` so the training
-        layer can degrade instead of crashing.  Fatal server verdicts
-        (unknown key, capacity, range) propagate immediately.
+        exponential backoff; a persistent fault surfaces as a plain
+        :class:`~repro.smb.errors.SMBError` ("... failed after N
+        attempt(s) ...", chained from the last transient error), fatal
+        like a server verdict, so the training layer degrades instead of
+        crashing.  Fatal server verdicts (unknown key, capacity, range)
+        propagate immediately.
         """
         policy = self._retry
         attempt = 0
@@ -275,8 +277,10 @@ class SMBClient:
                     raise
                 if attempt >= policy.max_attempts:
                     if policy.max_attempts > 1:
-                        raise errors.RetryExhaustedError(
-                            request.op.name, attempt, f"{type(exc).__name__}: {exc}"
+                        raise errors.SMBError(
+                            f"{request.op.name} failed after {attempt} "
+                            f"attempt(s); last error: "
+                            f"{type(exc).__name__}: {exc}"
                         ) from exc
                     raise  # retries disabled: keep the original error
                 self._count_retry(request.op)
@@ -440,18 +444,21 @@ class SMBClient:
         """Reject short/oversized response payloads loudly.
 
         A stale or truncated response would otherwise surface far
-        downstream as a wrong-sized array; see
-        :class:`~repro.smb.errors.PayloadSizeError`.
+        downstream as a wrong-sized array, far harder to debug than a
+        loud :class:`~repro.smb.errors.SMBProtocolError` here.
         """
         got = len(payload)
         if got != expected:
-            raise errors.PayloadSizeError(op.name, expected, got)
+            raise errors.SMBProtocolError(
+                f"{op.name} carried {got} payload byte(s), expected "
+                f"{expected}"
+            )
 
     def read(self, access_key: int, nbytes: int, offset: int = 0) -> bytes:
         """RDMA-Read ``nbytes`` from the segment.
 
         Raises:
-            errors.PayloadSizeError: If the response payload length does
+            errors.SMBProtocolError: If the response payload length does
                 not match ``nbytes``.
         """
         response = self._call(
@@ -480,7 +487,7 @@ class SMBClient:
             offset: Byte offset into the segment.
 
         Raises:
-            errors.PayloadSizeError: If the server returned a payload of
+            errors.SMBProtocolError: If the server returned a payload of
                 a different length (``out`` may then hold partial data).
         """
         view = _writable_byte_view(out)
@@ -646,11 +653,6 @@ class SMBClient:
     def stats(self) -> dict:
         """Server statistics (bytes moved, op counts)."""
         response = self._call(Message(op=Op.STATS))
-        return json.loads(response.payload.decode())
-
-    def list_segments(self) -> dict:
-        """Segment inventory plus capacity accounting (administration)."""
-        response = self._call(Message(op=Op.LIST))
         return json.loads(response.payload.decode())
 
     def create_tenant(self, name: str, quota: Optional[int] = None) -> int:
@@ -1010,9 +1012,10 @@ class ControlBlock:
         Claimable slots are FREE ones and **dead** ones (a re-joiner
         takes a dead worker's slot over).  Without an explicit ``slot``
         the lowest claimable slot wins; with one, that exact slot must
-        be claimable.  Raises
-        :class:`~repro.smb.errors.SlotsExhaustedError` when every slot is
-        held by a live worker.
+        be claimable.  Raises :class:`~repro.smb.errors.MembershipError`
+        when every slot (or the asked-for one) is held by a live worker:
+        fatal, since retrying returns the same answer until some member
+        leaves or dies.
 
         Not atomic against concurrent claims — the membership registry
         (or the launcher's disjoint slot assignment) serialises them.
@@ -1020,13 +1023,17 @@ class ControlBlock:
         generations, view = self._read()
         if slot is None:
             open_slots = np.flatnonzero(~view.alive)
-            if open_slots.size == 0:
-                raise errors.SlotsExhaustedError(self.capacity)
-            slot = int(open_slots[0])
+            if open_slots.size:
+                slot = int(open_slots[0])
         else:
             self._check_slot(slot)
             if bool(view.alive[slot]):
-                raise errors.SlotsExhaustedError(self.capacity)
+                slot = None
+        if slot is None:
+            raise errors.MembershipError(
+                f"all {self.capacity} membership slot(s) are claimed by "
+                "live workers"
+            )
         generation = int(generations[slot]) + 1
         self._write_word(self.capacity + slot, generation)
         self._write_word(slot, self._encode(generation, 0))

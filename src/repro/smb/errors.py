@@ -2,9 +2,12 @@
 
 The paper's SMB server is a thin remote-memory service: it can fail in a
 small number of well-defined ways (unknown keys, exhausted capacity,
-out-of-range accesses, protocol violations).  Every failure surfaces as a
-subclass of :class:`SMBError` so callers can catch the whole family with one
-``except`` clause.
+out-of-range accesses, protocol violations).  Every failure is an
+:class:`SMBError`, so callers can catch the whole family with one ``except``
+clause.  A subclass exists only where some caller decides on it (retry,
+re-attach, adopt a segment, count a quota denial, resync a replica, leave
+the fleet); every other verdict is a plain :class:`SMBError` with its
+message.
 
 Failures split into two fault classes the retry layer cares about:
 
@@ -12,13 +15,13 @@ Failures split into two fault classes the retry layer cares about:
   request timed out on the wire).  :func:`is_retryable` returns True and
   :class:`~repro.smb.retry.RetryPolicy` governs how often to try again.
 * **fatal** — the server understood the request and rejected it (unknown
-  key, capacity, range).  Retrying would return the same answer, so these
-  propagate immediately.
+  key, capacity, range), or the retry budget is spent.  Retrying would
+  return the same answer, so these propagate immediately.
 
 Server-side errors cross the TCP wire via :func:`to_wire`/:func:`from_wire`,
 which round-trip the *constructor arguments* so structured attributes (e.g.
-:attr:`CapacityError.available`) survive the hop instead of being dropped by
-a message-only reconstruction.
+:attr:`QuotaExceededError.available`) survive the hop instead of being
+dropped by a message-only reconstruction.
 """
 
 from __future__ import annotations
@@ -28,7 +31,12 @@ from typing import Dict, Tuple, Type
 
 
 class SMBError(Exception):
-    """Base class for all SMB failures."""
+    """Base class for all SMB failures.
+
+    A plain ``SMBError`` is a verdict no caller tells apart from another
+    (out of capacity, out of range, access denied, server closing, retries
+    exhausted): fatal, and read only by its message.
+    """
 
 
 class SMBConnectionError(SMBError):
@@ -36,8 +44,8 @@ class SMBConnectionError(SMBError):
 
     Transient by definition: the request may never have reached the server,
     so the retry layer treats this whole subtree (except
-    :class:`TransportClosedError` and :class:`RetryExhaustedError`) as
-    safe to try again.
+    :class:`TransportClosedError`) as safe to try again.  An injected
+    chaos fault is one of these too.
     """
 
 
@@ -45,51 +53,9 @@ class TransportClosedError(SMBConnectionError):
     """The local transport was closed; no amount of retrying will help."""
 
 
-class FaultInjectedError(SMBConnectionError):
-    """A :class:`~repro.smb.faults.FaultInjectingTransport` fired (chaos)."""
-
-
-class RetryExhaustedError(SMBConnectionError):
-    """A transient failure persisted through every allowed retry attempt.
-
-    Raised by :class:`~repro.smb.client.SMBClient` with the last transient
-    error as ``__cause__``; the training layer reads this as "the SMB
-    server is gone for me" and degrades (marks the worker dead) instead of
-    crashing the job.
-    """
-
-    def __init__(self, op: str, attempts: int, last_error: str) -> None:
-        super().__init__(
-            f"{op} failed after {attempts} attempt(s); last error: "
-            f"{last_error}"
-        )
-        self.op = op
-        self.attempts = attempts
-        self.last_error = last_error
-
-
 class SMBProtocolError(SMBError):
-    """A malformed or unexpected message was seen on the wire."""
-
-
-class PayloadSizeError(SMBProtocolError):
-    """A payload did not match the byte count its message declares.
-
-    A short (or oversized) READ payload silently yields a wrong-sized —
-    or stale — array downstream, which is far harder to debug than a
-    loud protocol failure at the call site.  The client validates every
-    READ/read_into payload length and raises this instead; the server
-    refuses a payload ACCUMULATE whose payload is not ``count`` float32
-    elements with it, before touching memory.
-    """
-
-    def __init__(self, op: str, expected: int, got: int) -> None:
-        super().__init__(
-            f"{op} carried {got} payload byte(s), expected {expected}"
-        )
-        self.op = op
-        self.expected = expected
-        self.got = got
+    """A malformed or unexpected message was seen on the wire, including a
+    payload whose byte count does not match what its message declares."""
 
 
 class UnknownKeyError(SMBError):
@@ -100,32 +66,20 @@ class UnknownKeyError(SMBError):
         self.key = key
 
 
-class CapacityError(SMBError):
-    """The server's granted memory pool cannot satisfy an allocation."""
-
-    def __init__(self, requested: int, available: int) -> None:
-        super().__init__(
-            f"cannot allocate {requested} bytes; only {available} available"
-        )
-        self.requested = requested
-        self.available = available
-
-
-class QuotaExceededError(CapacityError):
+class QuotaExceededError(SMBError):
     """A tenant's CREATE was denied by its namespace byte quota.
 
     The pool itself may have room — admission is checked against the
     *tenant's grant* first (see :meth:`MemoryPool.create_tenant`), so one
     namespace filling up never consumes another namespace's headroom.
-    Fatal like :class:`CapacityError`: retrying returns the same answer
+    Fatal like every server verdict: retrying returns the same answer
     until the tenant frees segments or an admin raises the grant.
     """
 
     def __init__(
         self, tenant: str, requested: int, quota: int, used: int
     ) -> None:
-        SMBError.__init__(
-            self,
+        super().__init__(
             f"tenant {tenant!r} over quota: requested {requested} bytes "
             f"with {used}/{quota} already used"
         )
@@ -136,28 +90,12 @@ class QuotaExceededError(CapacityError):
         self.available = max(0, quota - used)
 
 
-class SegmentRangeError(SMBError):
-    """A read/write/accumulate touched bytes outside a segment."""
-
-    def __init__(self, offset: int, nbytes: int, size: int) -> None:
-        super().__init__(
-            f"access [{offset}, {offset + nbytes}) exceeds segment size {size}"
-        )
-        self.offset = offset
-        self.nbytes = nbytes
-        self.size = size
-
-
 class SegmentExistsError(SMBError):
     """A named segment was created twice."""
 
     def __init__(self, name: str) -> None:
         super().__init__(f"segment already exists: {name!r}")
         self.name = name
-
-
-class AccessDeniedError(SMBError):
-    """An operation was attempted with a key lacking the required rights."""
 
 
 class NotificationTimeout(SMBError):
@@ -198,30 +136,10 @@ class VersionRegressionError(SMBError):
         self.epoch = epoch
 
 
-class ServerClosingError(SMBError):
-    """The server is shutting down and will not serve this request."""
-
-
 class MembershipError(SMBError):
-    """The elastic-membership protocol was violated (registry or slots)."""
-
-
-class SlotsExhaustedError(MembershipError):
-    """Every control-block slot is held by a live worker; nobody can join.
-
-    Raised by ``ControlBlock.claim``.  Fatal by construction: the fleet is
-    at capacity and retrying the claim returns the same answer until some
-    member leaves or dies, so the retry layer never re-issues it.  A
-    joiner that meets it ends before training and its handle records the
-    error (``ElasticWorkerHandle.error``); ``spawn_worker`` returns before
-    the claim runs, so the autoscale supervisor never sees it.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        super().__init__(
-            f"all {capacity} membership slot(s) are claimed by live workers"
-        )
-        self.capacity = capacity
+    """The elastic-membership protocol was violated (registry or slots),
+    including a claim when every control-block slot is held by a live
+    worker."""
 
 
 # -- fault classification ---------------------------------------------------
@@ -232,12 +150,12 @@ def is_retryable(exc: BaseException) -> bool:
     Connection-level failures are transient (the peer may come back, the
     transport reconnects); everything the server *decided* (unknown key,
     capacity, range, denied access) is deterministic and fatal.  A closed
-    local transport and an already-exhausted retry budget are terminal by
-    construction.
+    local transport is terminal by construction, and an exhausted retry
+    budget surfaces as a plain :class:`SMBError`.
     """
-    if isinstance(exc, (TransportClosedError, RetryExhaustedError)):
-        return False
-    return isinstance(exc, SMBConnectionError)
+    return isinstance(exc, SMBConnectionError) and not isinstance(
+        exc, TransportClosedError
+    )
 
 
 # -- wire representation ----------------------------------------------------
@@ -246,29 +164,26 @@ def is_retryable(exc: BaseException) -> bool:
 #: order.  Only classes with structured constructors appear here; the rest
 #: round-trip as a plain message.
 _WIRE_ARGS: Dict[str, Tuple[str, ...]] = {
-    "PayloadSizeError": ("op", "expected", "got"),
     "UnknownKeyError": ("key",),
-    "CapacityError": ("requested", "available"),
     "QuotaExceededError": ("tenant", "requested", "quota", "used"),
-    "SegmentRangeError": ("offset", "nbytes", "size"),
     "SegmentExistsError": ("name",),
     "NotificationTimeout": ("key", "version", "timeout"),
     "VersionRegressionError": ("shm_key", "last_seen", "current", "epoch"),
-    "RetryExhaustedError": ("op", "attempts", "last_error"),
-    "SlotsExhaustedError": ("capacity",),
 }
 
-_WIRE_TYPES: Dict[str, Type[SMBError]] = {}
-
-
-def _wire_types() -> Dict[str, Type[SMBError]]:
-    if not _WIRE_TYPES:
-        stack: list = [SMBError]
-        while stack:
-            cls = stack.pop()
-            _WIRE_TYPES[cls.__name__] = cls
-            stack.extend(cls.__subclasses__())
-    return _WIRE_TYPES
+#: The classes :func:`from_wire` rebuilds by name, fixed at import so a
+#: first decode never races a half-built table.  Errors defined outside
+#: this module (``JournalError``, ``VersionNotAvailableError``) never
+#: cross the wire; an unlisted name decodes to a plain :class:`SMBError`.
+_WIRE_TYPES: Dict[str, Type[SMBError]] = {
+    cls.__name__: cls
+    for cls in (
+        SMBError, SMBConnectionError, TransportClosedError,
+        SMBProtocolError, UnknownKeyError, QuotaExceededError,
+        SegmentExistsError, NotificationTimeout, VersionRegressionError,
+        MembershipError,
+    )
+}
 
 
 def to_wire(exc: SMBError) -> bytes:
@@ -296,11 +211,12 @@ def from_wire(payload: bytes) -> SMBError:
     attribute-inspecting handlers keep working across the TCP hop; anything
     unrecognised (foreign class name, plain-text ``Name:detail`` payloads,
     un-JSON-decodable detail) degrades to a message-only instance of the
-    closest known class.
+    named class, or of :class:`SMBError` when the name is not in
+    :data:`_WIRE_TYPES`.
     """
     text = payload.decode(errors="replace")
     name, _, detail = text.partition(":")
-    cls = _wire_types().get(name, SMBError)
+    cls = _WIRE_TYPES.get(name, SMBError)
     message = detail
     args = None
     try:

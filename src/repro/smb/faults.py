@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from ..telemetry import TelemetrySession, resolve as _resolve_telemetry
-from .errors import FaultInjectedError, TransportClosedError
+from .errors import SMBConnectionError, TransportClosedError
 from .protocol import Message
 from .transport import ChannelTransport
 
@@ -45,15 +45,16 @@ class FaultPlan:
     Attributes:
         seed: Base seed; :meth:`for_rank` derives a distinct deterministic
             stream per worker from it.
-        error_rate: Probability of raising :class:`FaultInjectedError`
-            before the request is sent (lost request / transport error).
+        error_rate: Probability of raising a (transient, retried)
+            :class:`~repro.smb.errors.SMBConnectionError` before the
+            request is sent (lost request / transport error).
         delay_rate: Probability of sleeping :attr:`delay_seconds` before
             the request proceeds (congestion).
         delay_seconds: Length of one injected delay.
         disconnect_rate: Probability of hard-dropping the underlying
             channels first (exercises the reconnect path of whichever
             doorway is wrapped); the request then fails with
-            :class:`FaultInjectedError`.
+            :class:`~repro.smb.errors.SMBConnectionError`.
         ops: Restrict injection to these ``Op`` names (e.g.
             ``("ACCUMULATE", "READ")``); ``None`` targets every op.
         kill_rank: Rank whose transport dies permanently (worker-loss
@@ -150,11 +151,11 @@ class FaultInjectingTransport:
             )
         if fault == "disconnect":
             self.inner.drop_connection()
-            raise FaultInjectedError(
+            raise SMBConnectionError(
                 f"injected disconnect before {message.op.name}"
             )
         if fault == "error":
-            raise FaultInjectedError(
+            raise SMBConnectionError(
                 f"injected transport error before {message.op.name}"
             )
         if fault == "delay":

@@ -43,11 +43,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .errors import (
-    AccessDeniedError,
-    CapacityError,
     QuotaExceededError,
     SegmentExistsError,
-    SegmentRangeError,
+    SMBError,
     UnknownKeyError,
 )
 
@@ -63,6 +61,20 @@ DEFAULT_TENANT = "default"
 def _validate_tenant(tenant: str) -> None:
     if not tenant or "/" in tenant:
         raise ValueError(f"invalid tenant name: {tenant!r}")
+
+
+def _out_of_range(offset: int, nbytes: int, size: int) -> SMBError:
+    """The refusal of an access that runs outside a segment."""
+    return SMBError(
+        f"access [{offset}, {offset + nbytes}) exceeds segment size {size}"
+    )
+
+
+def _no_room(requested: int, available: int) -> SMBError:
+    """The refusal of an allocation the pool's grant cannot hold."""
+    return SMBError(
+        f"cannot allocate {requested} bytes; only {available} available"
+    )
 
 #: CPU niceness of bulk-lane threads (the TCP front-end's ``smb-worker``
 #: request pool, the only pool on the SMB data path).  Bulk transfers are
@@ -262,7 +274,7 @@ class Segment:
 
     def _check_range(self, offset: int, nbytes: int) -> None:
         if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
-            raise SegmentRangeError(offset, nbytes, self.size)
+            raise _out_of_range(offset, nbytes, self.size)
 
     def read(self, offset: int, nbytes: int) -> bytes:
         """Return ``nbytes`` bytes starting at ``offset`` (RDMA Read)."""
@@ -606,7 +618,7 @@ class MemoryPool:
         Raises:
             SegmentExistsError: If ``name`` is already live in this tenant.
             QuotaExceededError: If the tenant's quota cannot fit ``nbytes``.
-            CapacityError: If the pool cannot fit ``nbytes`` more.
+            SMBError: If the pool cannot fit ``nbytes`` more.
             ValueError: If ``nbytes`` is not positive, or ``name``
                 contains the namespace separator ``/``.
         """
@@ -628,7 +640,7 @@ class MemoryPool:
                     tenant, nbytes, known.quota, known.used
                 )
             if self._used + nbytes > self._capacity:
-                raise CapacityError(nbytes, self._capacity - self._used)
+                raise _no_room(nbytes, self._capacity - self._used)
             segment = Segment.mapped(
                 qualified, next(self._shm_keys), nbytes, tenant=tenant
             )
@@ -650,7 +662,7 @@ class MemoryPool:
         """
         segment = self.by_shm_key(shm_key)
         if expected_nbytes is not None and expected_nbytes != segment.size:
-            raise SegmentRangeError(0, expected_nbytes, segment.size)
+            raise _out_of_range(0, expected_nbytes, segment.size)
         with self._lock:
             access_key = next(self._access_keys)
             self._by_access_key[access_key] = segment
@@ -700,7 +712,7 @@ class MemoryPool:
             if segment is None:
                 raise UnknownKeyError(shm_key)
             if tenant is not None and segment.tenant != tenant:
-                raise AccessDeniedError(
+                raise SMBError(
                     f"segment {segment.name!r} belongs to tenant "
                     f"{segment.tenant!r}, not {tenant!r}"
                 )
@@ -751,7 +763,7 @@ class MemoryPool:
             if shm_key in self._by_shm_key:
                 raise SegmentExistsError(f"shm_key {shm_key:#x}")
             if self._used + nbytes > self._capacity:
-                raise CapacityError(nbytes, self._capacity - self._used)
+                raise _no_room(nbytes, self._capacity - self._used)
             segment = Segment.mapped(
                 name, shm_key, nbytes, tenant=tenant, version=version
             )

@@ -173,7 +173,8 @@ class Op(enum.IntEnum):
     # 10 is reserved (it was SHUTDOWN): refused like any unknown opcode
     # and never reused, because journals on disk store opcode numbers.
     LOOKUP = 11         # name -> shm_key (late joiners)
-    LIST = 12           # segment inventory (administration)
+    # 12 is reserved (it was LIST, which no caller read): refused like
+    # any unknown opcode.
     SNAPSHOT = 13       # force a durable snapshot -> snapshot seq
     TENANT_CREATE = 14  # create / re-grant a namespace quota (admin)
     TENANT_STATS = 15   # per-namespace quota/usage/dispatch stats

@@ -50,9 +50,7 @@ from ..telemetry import Counter, Gauge, MetricsRegistry, TelemetrySession
 from ..telemetry import resolve as _resolve_telemetry
 from .errors import (
     NotificationTimeout,
-    PayloadSizeError,
     QuotaExceededError,
-    ServerClosingError,
     SMBError,
     SMBProtocolError,
     to_wire,
@@ -132,8 +130,9 @@ def _payload_values(message: Message) -> np.ndarray:
             f"payload ACCUMULATE needs count > 0, got {message.count}"
         )
     if nbytes != message.count * _FLOAT32.itemsize:
-        raise PayloadSizeError(
-            Op.ACCUMULATE.name, message.count * _FLOAT32.itemsize, nbytes
+        raise SMBProtocolError(
+            f"{Op.ACCUMULATE.name} carried {nbytes} payload byte(s), "
+            f"expected {message.count * _FLOAT32.itemsize}"
         )
     return np.frombuffer(message.payload, dtype=_FLOAT32)
 
@@ -438,7 +437,7 @@ class SMBServer:
         before the store closes or is refused, never acknowledged and
         lost."""
         if self._closing.is_set():
-            raise ServerClosingError("server is shutting down")
+            raise SMBError("server is shutting down")
 
     def _commit(self, record: Message, tenant: Optional[str] = None) -> int:
         """Apply a live mutation and journal that same record, both under
@@ -459,7 +458,8 @@ class SMBServer:
 
     def close(self) -> None:
         """Refuse mutations; answer every parked and later WAIT_UPDATE
-        whose segment has not changed with :class:`ServerClosingError`.
+        whose segment has not changed with :class:`SMBError` ("server is
+        shutting down").
 
         Every segment's waits end (:meth:`~repro.smb.memory.Segment.end_waits`):
         a wait blocked in :meth:`handle` (an in-process caller, a shm
@@ -475,7 +475,7 @@ class SMBServer:
         """The body of :meth:`close`.  ``snapshot=False`` is what a dying
         process leaves (:meth:`TcpSMBServer.kill`): waits woken, the
         journal handle released, no final snapshot.  Every later mutation
-        is refused with :class:`ServerClosingError`."""
+        is refused with "server is shutting down"."""
         with self._mutation_guard():
             self._closing.set()
             if self._store is not None:
@@ -678,7 +678,7 @@ class SMBServer:
                 if version > req.count:
                     break
                 if self._closing.is_set():
-                    raise ServerClosingError("server is shutting down")
+                    raise SMBError("server is shutting down")
                 remaining = None if deadline is None else deadline - _monotonic()
                 if req.scale < 0 or (remaining is not None and remaining <= 0):
                     raise NotificationTimeout(
@@ -705,33 +705,6 @@ class SMBServer:
             seq = self.take_snapshot()
             self.stats.record(req.op)
             return Message(op=req.op, key=seq, key2=self.epoch)
-
-        if req.op is Op.LIST:
-            self.stats.record(req.op, tenant=tenant)
-            # Scoped to the caller's namespace; names are reported
-            # tenant-local (the names the tenant created them under).
-            inventory = [
-                {
-                    "name": MemoryPool.split_name(segment.name)[1],
-                    "nbytes": segment.size,
-                    "version": segment.version,
-                }
-                for segment in self.pool.segments(tenant).values()
-            ]
-            grant = self.pool.tenants().get(tenant)
-            payload = json.dumps(
-                {
-                    "segments": sorted(
-                        inventory, key=lambda item: item["name"]
-                    ),
-                    "capacity": self.pool.capacity,
-                    "used": self.pool.used,
-                    "tenant": tenant,
-                    "quota": grant.quota if grant is not None else None,
-                    "tenant_used": grant.used if grant is not None else 0,
-                }
-            ).encode()
-            return Message(op=req.op, payload=payload)
 
         if req.op is Op.TENANT_CREATE:
             try:
@@ -1367,8 +1340,8 @@ class TcpSMBServer:
         wake them.  Whenever the wait ends here — already satisfied, or
         no segment to park on, woken by a mutation, a FREE or the core's
         close, or expired — the core is handed the request rewritten as
-        a poll, so its answer (OK, ``UnknownKeyError``,
-        ``ServerClosingError``, ``TIMEOUT``) and its telemetry are the
+        a poll, so its answer (OK, ``UnknownKeyError``, "server is
+        shutting down", ``TIMEOUT``) and its telemetry are the
         ones every doorway gets.
         """
         if request.scale < 0:

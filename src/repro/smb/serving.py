@@ -38,7 +38,6 @@ from .client import SMBClient
 from .errors import (
     NotificationTimeout,
     SMBError,
-    TransportClosedError,
     UnknownKeyError,
     VersionRegressionError,
     is_retryable,
@@ -333,10 +332,10 @@ class ReplicaServer:
             try:
                 self._subscribe_once(client, sub)
                 return  # clean exit (stop() closed the client)
-            except (TransportClosedError, SMBError) as exc:
+            except SMBError as exc:
                 if self._stopping.is_set():
                     return
-                if isinstance(exc, SMBError) and not is_retryable(exc):
+                if not is_retryable(exc):
                     logger.error(
                         "replica %s: subscription for %r failed: %s",
                         self.name, sub.name, exc,

@@ -559,7 +559,7 @@ class ShmSMBServer:
         in_place = op is Op.READ and out is not None and count <= len(out)
         if nbytes and not (in_place and ok):
             # A response that outgrew the block (a connection's first
-            # large READ, a STATS/LIST body) grows it first.
+            # large READ, a STATS body) grows it first.
             block.fit(DATA_OFFSET + nbytes, grow=True)
             buf = block.buf
             _copy(buf[DATA_OFFSET:DATA_OFFSET + nbytes], view)

@@ -24,7 +24,8 @@ class Doorway:
     namespace), ``connect()`` a client on one; everything opened is
     closed at teardown.  ``restart()`` stops the server and starts a
     fresh one on the same endpoint (there is no endpoint to come back on
-    in-process, so ``restartable`` is false there).  With
+    in-process, so ``restartable`` is false there).  ``core`` is the
+    running :class:`SMBServer`, whatever fronts it.  With
     ``journal_dir`` the core journals there.  ``server_threads()`` names
     the live threads its servers started.
     """
@@ -39,7 +40,9 @@ class Doorway:
         self._start(port=0)
 
     def _start(self, port):
-        core = SMBServer(capacity=CAPACITY, journal_dir=self.journal_dir)
+        core = self.core = SMBServer(
+            capacity=CAPACITY, journal_dir=self.journal_dir
+        )
         if self.kind == "tcp":
             self.server = TcpSMBServer(port=port, core=core).start()
         elif self.kind == "shm":

@@ -20,21 +20,27 @@ from repro.core import (
     TerminationCriterion,
 )
 from repro.smb import (
-    CapacityError,
-    FaultInjectedError,
     FaultInjectingTransport,
     FaultPlan,
     InProcTransport,
+    MembershipError,
     NotificationTimeout,
     Op,
-    RetryExhaustedError,
+    QuotaExceededError,
     RetryPolicy,
+    SegmentExistsError,
     SMBClient,
+    SMBConnectionError,
+    SMBError,
+    SMBProtocolError,
     SMBServer,
     TcpSMBServer,
     TransportClosedError,
     UnknownKeyError,
+    VersionRegressionError,
 )
+from repro.smb import errors
+from repro.smb.errors import from_wire, is_retryable, to_wire
 from repro.smb.protocol import Message
 
 from .test_netspec import small_spec
@@ -65,6 +71,29 @@ def make_config(iterations=6, criterion=TerminationCriterion.AVERAGE_ITERATIONS)
     )
 
 
+#: One instance of every error class ``repro.smb.errors`` keeps: each is
+#: read by some decision in the library.
+KEPT_ERRORS = [
+    SMBError("server is shutting down"),
+    SMBConnectionError("injected transport error before READ"),
+    TransportClosedError("transport is closed"),
+    SMBProtocolError("READ carried 8 payload byte(s), expected 256"),
+    UnknownKeyError(0xBEEF),
+    QuotaExceededError("alice", 2048, 1024, 256),
+    SegmentExistsError("W_g"),
+    NotificationTimeout(0xBEEF, 3, 0.5),
+    VersionRegressionError(0xBEEF, 9, 4, 2),
+    MembershipError("member id 'a' already registered"),
+]
+
+#: Classes an earlier wire format named; none is decoded by type any more.
+RETIRED_NAMES = [
+    "FaultInjectedError", "RetryExhaustedError", "PayloadSizeError",
+    "CapacityError", "SegmentRangeError", "AccessDeniedError",
+    "ServerClosingError", "SlotsExhaustedError",
+]
+
+
 class TestFaultInjectingTransport:
     def test_seeded_runs_replay_identically(self):
         """Same seed, same request sequence => same fault sequence."""
@@ -86,7 +115,7 @@ class TestFaultInjectingTransport:
                         key = client.attach(shm)
                     else:
                         client.version(key)
-                except FaultInjectedError:
+                except SMBConnectionError:
                     positions.append(i)
             return positions
 
@@ -105,7 +134,9 @@ class TestFaultInjectingTransport:
         )
         shm = client.create_buffer("seg", 64)  # CREATE: never injected
         key = client.attach(shm)
-        with pytest.raises(FaultInjectedError):
+        with pytest.raises(
+            SMBConnectionError, match="^injected transport error before READ$"
+        ):
             client.read(key, 8)
 
     def test_kill_switch_is_permanent(self):
@@ -146,11 +177,17 @@ class TestRetryPolicy:
                 max_attempts=3, base_backoff=0.001, seed=0
             ),
         )
-        with pytest.raises(RetryExhaustedError) as excinfo:
+        with pytest.raises(
+            SMBError,
+            match=r"^CREATE failed after 3 attempt\(s\); last error: "
+            r"SMBConnectionError: injected transport error before CREATE$",
+        ) as excinfo:
             client.create_buffer("seg", 64)
-        assert excinfo.value.op == "CREATE"
-        assert excinfo.value.attempts == 3
-        assert "FaultInjectedError" in excinfo.value.last_error
+        # A spent budget is a plain SMBError: fatal, never retried again,
+        # and chained from the last transient error.
+        assert type(excinfo.value) is SMBError
+        assert not is_retryable(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, SMBConnectionError)
 
     def test_fatal_server_errors_are_not_retried(self):
         """Deterministic rejections must not burn the retry budget."""
@@ -160,6 +197,14 @@ class TestRetryPolicy:
             with pytest.raises(UnknownKeyError):
                 client.version(0xDEAD)
             assert tel.registry.counter("smb/client/retries").value == 0
+
+    @pytest.mark.parametrize(
+        "exc", KEPT_ERRORS, ids=lambda exc: type(exc).__name__
+    )
+    def test_only_a_connection_fault_is_retried(self, exc):
+        """Injected and connection faults are retried; a closed transport,
+        a spent budget and every server verdict are not."""
+        assert is_retryable(exc) is (type(exc) is SMBConnectionError)
 
     def test_backoff_is_bounded_and_jittered(self):
         policy = RetryPolicy(
@@ -173,16 +218,47 @@ class TestRetryPolicy:
 
 
 class TestRemoteErrorReconstruction:
+    @pytest.mark.parametrize(
+        "exc", KEPT_ERRORS, ids=lambda exc: type(exc).__name__
+    )
+    def test_every_kept_class_round_trips_with_its_fields(self, exc):
+        back = from_wire(to_wire(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
+
+    def test_the_decoder_knows_exactly_the_kept_classes(self):
+        assert set(errors._WIRE_TYPES) == {
+            type(exc).__name__ for exc in KEPT_ERRORS
+        }
+
+    @pytest.mark.parametrize("name", RETIRED_NAMES)
+    def test_a_retired_name_decodes_to_a_plain_smb_error(self, name):
+        back = from_wire(f'{name}:{{"message": "x"}}'.encode())
+        assert type(back) is SMBError
+        assert str(back) == "x"
+
     def test_structured_attributes_survive_tcp(self):
         with TcpSMBServer(capacity=4096) as server:
             client = SMBClient.connect(server.address)
-            with pytest.raises(CapacityError) as excinfo:
+            with pytest.raises(
+                SMBError,
+                match="^cannot allocate 1048576 bytes; only 4096 available$",
+            ):
                 client.create_buffer("too-big", 1 << 20)
-            assert excinfo.value.requested == 1 << 20
-            assert excinfo.value.available == 4096
+            client.create_tenant("alice", quota=1024)
+            alice = SMBClient.connect(server.address, tenant="alice")
+            alice.create_buffer("w", 256)
+            with pytest.raises(QuotaExceededError) as quota:
+                alice.create_buffer("too-big", 2048)
+            assert (
+                quota.value.tenant, quota.value.requested, quota.value.quota,
+                quota.value.used, quota.value.available,
+            ) == ("alice", 2048, 1024, 256, 768)
             with pytest.raises(UnknownKeyError) as excinfo:
                 client.read(0xBEEF, 8)
             assert excinfo.value.key == 0xBEEF
+            alice.close()
             client.close()
 
     def test_notification_timeout_attributes_over_tcp(self):

@@ -40,7 +40,6 @@ from repro.smb import (
     ControlBlock,
     MembershipError,
     MembershipRegistry,
-    SlotsExhaustedError,
     SMBClient,
     SMBServer,
     publish_json,
@@ -77,6 +76,14 @@ class FakeClock:
 
     def advance(self, seconds):
         self.now += seconds
+
+
+def _all_claimed(capacity):
+    """The refusal of a claim when every slot is held by a live worker."""
+    return (
+        f"^all {capacity} membership slot\\(s\\) are claimed by live "
+        "workers$"
+    )
 
 
 def make_registry(tmp_path, **kwargs):
@@ -199,7 +206,7 @@ class TestMembershipRegistry:
         registry = make_registry(tmp_path)
         registry.publish_job(SERVER_DOC, JOB_DOC)
         registry.join("a", lambda: control.claim(0))
-        with pytest.raises(SlotsExhaustedError):
+        with pytest.raises(MembershipError, match=_all_claimed(3)):
             registry.join("b", lambda: control.claim(0))
         with pytest.raises(ValueError, match="out of range"):
             registry.join("b", lambda: control.claim(3))
@@ -211,7 +218,7 @@ class TestMembershipRegistry:
         control = ControlBlock.create(client, "ctl", 2)
         registry.join("a", control.claim)
         registry.join("b", control.claim)
-        with pytest.raises(SlotsExhaustedError):
+        with pytest.raises(MembershipError, match=_all_claimed(2)):
             registry.join("c", control.claim)
 
     def test_failed_claim_publishes_nothing(self, tmp_path):
@@ -220,9 +227,9 @@ class TestMembershipRegistry:
         before = registry.read()
 
         def refused():
-            raise SlotsExhaustedError(2)
+            raise MembershipError("no FREE or dead slot")
 
-        with pytest.raises(SlotsExhaustedError):
+        with pytest.raises(MembershipError, match="^no FREE or dead slot$"):
             registry.join("a", refused)
         after = registry.read()
         assert after.version == before.version
@@ -559,9 +566,9 @@ class TestElasticControlBlock:
         control = ControlBlock.create(client, "ctl", capacity=2)
         control.claim()
         control.claim()
-        with pytest.raises(SlotsExhaustedError):
+        with pytest.raises(MembershipError, match=_all_claimed(2)):
             control.claim()
-        with pytest.raises(SlotsExhaustedError):
+        with pytest.raises(MembershipError, match=_all_claimed(2)):
             control.claim(slot=1)
 
     def test_stale_stamps_count_for_nothing_after_reclaim(self, client):
@@ -594,7 +601,7 @@ class TestElasticControlBlock:
         worker = ControlBlock.attach(
             doorway.connect(), "ctl", control.shm_key, 2
         )
-        stats = getattr(doorway.server, "core", doorway.server).stats
+        stats = doorway.core.stats
         before = stats.op_counts
         worker.publish_progress(1, 7, generation=claim.generation)
         after = stats.op_counts
@@ -679,7 +686,9 @@ class ControlBlockMachine(RuleBasedStateMachine):
         if slot is None and not open_slots or (
             slot is not None and self._decoded(slot)[1]
         ):
-            with pytest.raises(SlotsExhaustedError):
+            with pytest.raises(
+                MembershipError, match=_all_claimed(self.control.capacity)
+            ):
                 self.control.claim(slot)
             return
         claim = self.control.claim(slot)
@@ -822,14 +831,14 @@ class RegistryMachine(RuleBasedStateMachine):
     @rule(member_id=member_ids)
     def join_whose_claim_fails(self, member_id):
         def exhausted():
-            raise SlotsExhaustedError("no FREE or dead slot")
+            raise MembershipError("no FREE or dead slot")
 
         expected = (
-            MembershipError
+            "already registered"
             if member_id in self.members and member_id not in self._lapsed()
-            else SlotsExhaustedError
+            else "^no FREE or dead slot$"
         )
-        with pytest.raises(expected):
+        with pytest.raises(MembershipError, match=expected):
             self.registry.join(member_id, exhausted)
 
     @rule(member_id=member_ids)

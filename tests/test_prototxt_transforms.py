@@ -1,4 +1,4 @@
-"""Tests for the prototxt text format, input transforms, and SMB LIST."""
+"""Tests for the prototxt text format and input transforms."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from repro.caffe.transforms import (
     TransformParams,
     Transformer,
 )
-from repro.smb import SMBClient, SMBServer, TcpSMBServer
 
 from .test_netspec import small_spec
 
@@ -207,31 +206,3 @@ class TestTransforms:
         with pytest.raises(ValueError):
             TransformParams(crop_size=-1)
 
-
-class TestSmbList:
-    def test_inventory_and_capacity(self):
-        server = SMBServer(capacity=1 << 20)
-        client = SMBClient.in_process(server)
-        client.create_array("W_g", 100)
-        client.create_array("dW_0", 50)
-        listing = client.list_segments()
-        names = [entry["name"] for entry in listing["segments"]]
-        assert names == ["W_g", "dW_0"]
-        assert listing["used"] == 600
-        assert listing["capacity"] == 1 << 20
-
-    def test_versions_reported(self):
-        server = SMBServer(capacity=1 << 20)
-        client = SMBClient.in_process(server)
-        array = client.create_array("W_g", 10)
-        array.write(np.zeros(10, dtype=np.float32))
-        listing = client.list_segments()
-        assert listing["segments"][0]["version"] == 1
-
-    def test_over_tcp(self):
-        with TcpSMBServer(capacity=1 << 20) as server:
-            client = SMBClient.connect(server.address)
-            client.create_array("remote", 8)
-            listing = client.list_segments()
-            assert listing["segments"][0]["name"] == "remote"
-            client.close()

@@ -10,8 +10,8 @@ import pytest
 from repro.smb import (
     ControlBlock,
     NotificationTimeout,
-    SegmentRangeError,
     SMBClient,
+    SMBError,
     SMBServer,
     UnknownKeyError,
 )
@@ -51,7 +51,9 @@ class TestRawOperations:
     def test_write_out_of_range(self, client):
         shm_key = client.create_buffer("w", 8)
         access = client.attach(shm_key)
-        with pytest.raises(SegmentRangeError):
+        with pytest.raises(
+            SMBError, match=r"^access \[0, 9\) exceeds segment size 8$"
+        ):
             client.write(access, b"123456789")
 
     def test_accumulate(self, client):

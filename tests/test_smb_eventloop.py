@@ -16,7 +16,8 @@ client).  These tests pin the behaviours the rewrite fixed:
 * an offloaded op's response leaves from the pool thread that ran it,
   a slow reader never holds that thread, and stopping mid-response is
   a severed connection, not a crash;
-* ``STATS`` and ``LIST`` are themselves counted in the server stats;
+* ``STATS`` and ``TENANT_STATS`` are themselves counted in the server
+  stats;
 * ACCUMULATE byte accounting and arithmetic honour the element dtype
   (the old path hardcoded 4-byte float32 everywhere, so a float64
   accumulate was both miscounted and numerically wrong);
@@ -478,7 +479,7 @@ class TestDispatchRobustness:
         range check: a 46-byte header with ``count = 1 << 50`` from
         tenant ``alice`` raised ``MemoryError`` on the loop thread and
         stopped the server for every tenant.  Now it costs her that one
-        request — a typed range error on a connection that still serves
+        request — a range refusal on a connection that still serves
         — and a default-tenant client connected all along is served
         before and after."""
         with TcpSMBServer(capacity=1 << 22) as server:
@@ -495,7 +496,7 @@ class TestDispatchRobustness:
             ).encode())
             refused = _raw_response(alice)
             assert refused.status is Status.ERROR
-            assert bytes(refused.payload).startswith(b"SegmentRangeError")
+            assert b"exceeds segment size 256" in bytes(refused.payload)
             alice.sendall(Message(
                 op=Op.READ, key=access_key, count=256,
             ).encode())
@@ -739,14 +740,14 @@ class TestResponsePath:
 
 
 class TestStatsAccounting:
-    def test_stats_and_list_are_counted(self):
+    def test_stats_and_tenant_stats_are_counted(self):
         with TcpSMBServer(capacity=1 << 22) as server:
             client = SMBClient.connect(server.address)
             client.create_array("w", 64)
-            client.list_segments()
-            client.list_segments()
+            client.tenant_stats()
+            client.tenant_stats()
             counters = client.stats()
-            assert counters.get("LIST") == 2
+            assert counters.get("TENANT_STATS") == 2
             # The STATS op records itself before serialising, so the very
             # first snapshot already counts 1.
             assert counters.get("STATS") == 1

@@ -2,7 +2,7 @@
 
 The tenancy refactor threads a namespace through every layer — pool
 admission (per-tenant byte quotas), the wire handshake (a hello that
-always carries a tenant name), name-based ops (scoped CREATE/LOOKUP/LIST/FREE)
+always carries a tenant name), name-based ops (scoped CREATE/LOOKUP/FREE)
 and the journal (tenant metadata survives a crash).  These tests pin the
 layer contracts:
 
@@ -36,11 +36,10 @@ from hypothesis.stateful import (
 )
 
 from repro.smb import (
-    AccessDeniedError,
-    CapacityError,
     DEFAULT_TENANT,
     QuotaExceededError,
     SMBClient,
+    SMBError,
     SMBServer,
     ShmSMBServer,
     TcpSMBServer,
@@ -188,7 +187,9 @@ class TestQuotas:
         server = SMBServer(capacity=1024)
         before = server.pool.tenant_stats(), server._pool_image()
         mallory = SMBClient.in_process(server, tenant="mallory")
-        with pytest.raises(CapacityError):
+        with pytest.raises(
+            SMBError, match="^cannot allocate 4096 bytes; only 1024 available$"
+        ):
             mallory.create_buffer("w", 4096)
         assert (server.pool.tenant_stats(), server._pool_image()) == before
         mallory.close()
@@ -256,11 +257,12 @@ class TenantPoolMachine(RuleBasedStateMachine):
         quota = self.quotas.get(tenant)
         refusal = None
         if quota is not None and self._used(tenant) + nbytes > quota:
-            refusal = QuotaExceededError
+            refusal = QuotaExceededError, "over quota"
         elif self._used() + nbytes > POOL_BYTES:
-            refusal = CapacityError
+            refusal = SMBError, f"^cannot allocate {nbytes} bytes"
         if refusal is not None:
-            with pytest.raises(refusal):
+            error, match = refusal
+            with pytest.raises(error, match=match):
                 self.pool.create(name, nbytes, tenant=tenant)
             return
         segment = self.pool.create(name, nbytes, tenant=tenant)
@@ -280,7 +282,9 @@ class TenantPoolMachine(RuleBasedStateMachine):
         owner = self.live[key][0]
         thief = data.draw(st.sampled_from([t for t in TENANTS if t != owner]))
         before = self._accounts()
-        with pytest.raises(AccessDeniedError):
+        with pytest.raises(
+            SMBError, match=f"belongs to tenant {owner!r}, not {thief!r}$"
+        ):
             self.pool.free(key, tenant=thief)
         assert self._accounts() == before
 
@@ -323,7 +327,7 @@ class TestHandshake:
         a = alice.create_array("w", 16)
         b = bob.create_array("w", 16)
         assert a.shm_key != b.shm_key
-        assert [s["name"] for s in alice.list_segments()["segments"]] == ["w"]
+        assert list(server.pool.segments("alice")) == ["alice/w"]
 
     def test_tcp_transport_negotiates_tenant(self):
         server = TcpSMBServer(capacity=1 << 20).start()
@@ -429,7 +433,7 @@ def _raw_call(sock, message):
 
 
 class TestInlineDispatch:
-    """LOOKUP/LIST/STATS run inline on the loop thread; a malformed
+    """LOOKUP/STATS/TENANT_STATS run inline on the loop thread; a malformed
     frame must cost one connection, never the loop."""
 
     def test_control_ops_answered_inline(self):
@@ -438,8 +442,6 @@ class TestInlineDispatch:
             client = SMBClient.connect(server.address, tenant="alice")
             array = client.create_array("w", 16)
             assert client.lookup("w") == (array.shm_key, 64)
-            listing = client.list_segments()
-            assert [s["name"] for s in listing["segments"]] == ["w"]
             assert client.stats()["LOOKUP"] >= 1
             assert "alice" in client.tenant_stats()
             client.close()

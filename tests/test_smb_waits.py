@@ -17,7 +17,7 @@ from repro import telemetry
 from repro.smb import SMBClient, SMBServer, TcpSMBServer
 from repro.smb.errors import (
     NotificationTimeout,
-    ServerClosingError,
+    SMBError,
     UnknownKeyError,
     from_wire,
 )
@@ -92,9 +92,9 @@ class TestEndedWaits:
             probe.close()
             core.close()
             sock.settimeout(ANSWER_WITHIN)
-            assert isinstance(
-                _error(_raw_response(sock)), ServerClosingError
-            )
+            closing = _error(_raw_response(sock))
+            assert type(closing) is SMBError
+            assert str(closing) == "server is shutting down"
         finally:
             sock.close()
             server.stop()

@@ -9,7 +9,7 @@ Three families of guarantees from the data-path rebuild:
 * **Buffer contracts** — ``read_into``/``read(out=)`` land bytes in the
   caller's buffer with zero model-size allocations in steady state;
   short or oversized response payloads raise a typed
-  :class:`PayloadSizeError` instead of corrupting downstream shapes;
+  :class:`SMBProtocolError` instead of corrupting downstream shapes;
   error payloads never clobber a caller's ``out`` buffer.
 * **Concurrency** — the two-channel TCP transport survives a
   ``drop_connection`` storm under two hammering threads without
@@ -33,13 +33,17 @@ from repro.smb import (
     InProcTransport,
     Message,
     Op,
-    PayloadSizeError,
     SMBClient,
     SMBServer,
     Status,
     TcpSMBServer,
 )
-from repro.smb.errors import SMBConnectionError, from_wire, to_wire
+from repro.smb.errors import (
+    SMBConnectionError,
+    SMBProtocolError,
+    from_wire,
+    to_wire,
+)
 from repro.smb.protocol import (
     HEADER_SIZE,
     recv_exact,
@@ -237,11 +241,10 @@ class TestPayloadValidation:
         client = SMBClient(_LyingTransport(InProcTransport(server), keep=8))
         array = client.create_array("w", 64)
         array.write(np.zeros(64, dtype=np.float32))
-        with pytest.raises(PayloadSizeError) as excinfo:
+        short = "^READ carried 8 payload byte\\(s\\), expected 256$"
+        with pytest.raises(SMBProtocolError, match=short):
             client.read(array.access_key, array.nbytes)
-        assert excinfo.value.expected == 256
-        assert excinfo.value.got == 8
-        with pytest.raises(PayloadSizeError):
+        with pytest.raises(SMBProtocolError, match=short):
             client.read_into(array.access_key, bytearray(256))
 
     def test_read_into_copies_when_transport_ignores_out(self):
@@ -259,10 +262,10 @@ class TestPayloadValidation:
         np.testing.assert_array_equal(out, values)
 
     def test_payload_size_error_roundtrips_the_wire(self):
-        exc = PayloadSizeError("READ", 256, 8)
+        exc = SMBProtocolError("READ carried 8 payload byte(s), expected 256")
         back = from_wire(to_wire(exc))
-        assert isinstance(back, PayloadSizeError)
-        assert (back.op, back.expected, back.got) == ("READ", 256, 8)
+        assert type(back) is SMBProtocolError
+        assert str(back) == "READ carried 8 payload byte(s), expected 256"
 
 
 class TestZeroAllocationSteadyState:

@@ -16,10 +16,10 @@ from repro.core import (
 )
 from repro.core.engine import WorkerError
 from repro.smb import (
-    CapacityError,
     FaultInjectingTransport,
     FaultPlan,
     SMBClient,
+    SMBError,
     SMBServer,
     TcpSMBServer,
 )
@@ -153,8 +153,9 @@ class TestFailureInjection:
             worker.run()
 
     def test_capacity_exhaustion_fails_cleanly(self, dataset):
-        """A server too small for the weight buffers raises CapacityError
-        (propagated through the SPMD launcher), not a hang."""
+        """A server too small for the weight buffers refuses the CREATE
+        ("cannot allocate", propagated through the SPMD launcher), not a
+        hang."""
         tiny = SMBServer(capacity=1024)  # far below the model size
         manager = DistributedTrainingManager(
             spec_factory=lambda: small_spec(batch=4),
@@ -165,7 +166,7 @@ class TestFailureInjection:
             server=tiny,
             seed=1,
         )
-        with pytest.raises(CapacityError):
+        with pytest.raises(SMBError, match="^cannot allocate"):
             manager.run(timeout=60)
 
     def test_worker_exception_aborts_peers(self, dataset):

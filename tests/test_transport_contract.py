@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.smb import (
-    AccessDeniedError,
     DEFAULT_RETRY_POLICY,
     FaultInjectingTransport,
     FaultPlan,
@@ -31,7 +30,6 @@ from repro.smb import (
     SMBError,
     SMBProtocolError,
     SMBServer,
-    SegmentRangeError,
     TransportClosedError,
 )
 from repro.smb.errors import from_wire
@@ -122,13 +120,17 @@ class TestTransportContract:
         ]
 
     def test_oversize_read_is_a_typed_error(self, doorway):
-        """A READ no segment could satisfy is judged as a READ: the typed
-        range error comes back on the channel it went out on, and that
-        channel still serves."""
+        """A READ no segment could satisfy is judged as a READ: the range
+        refusal comes back as an ERROR on the channel it went out on, and
+        that channel still serves."""
         client = doorway.connect()
         access_key = client.attach(client.create_buffer("seg", 1024), 1024)
         client.write(access_key, bytes(range(256)) * 4)
-        with pytest.raises(SegmentRangeError):
+        with pytest.raises(
+            SMBError,
+            match=rf"^access \[0, {CAPACITY + 4096}\) exceeds segment "
+            r"size 1024$",
+        ):
             client.read(access_key, CAPACITY + 4096)
         assert client.transport.reconnects == 0
         assert client.read(access_key, 1024) == bytes(range(256)) * 4
@@ -159,11 +161,22 @@ class TestTransportContract:
         array = alice.create_array("w", 16)
         data = np.arange(16, dtype=np.float32)
         array.write(data)
-        inventory = alice.list_segments()
-        with pytest.raises(AccessDeniedError):
+        pool = journaled_doorway.core.pool
+
+        def inventory():
+            return pool.tenant_stats(), {
+                name: (segment.size, segment.version)
+                for name, segment in pool.segments("alice").items()
+            }
+
+        before = inventory()
+        with pytest.raises(
+            SMBError, match="belongs to tenant 'alice', not 'bob'$"
+        ):
             bob.free(array.shm_key)
         assert np.array_equal(array.read(), data)
-        assert alice.list_segments() == inventory
+        assert inventory() == before
+        assert before[1] == {"alice/w": (64, 1)}
         image = tmp_path / "crash-image"
         shutil.copytree(journaled_doorway.journal_dir, image)
         restarted = SMBServer(capacity=CAPACITY, journal_dir=image)
@@ -177,7 +190,7 @@ class TestTransportContract:
         """While every ACCUMULATE into ``W_g`` is parked on its segment
         lock, another client's small ops keep completing; once the lock
         is released, every push lands exactly once."""
-        core = getattr(doorway.server, "core", doorway.server)
+        core = doorway.core
         count, pushes = 256, 10
         w_g = doorway.connect().create_array("W_g", count)
         pushers = [
@@ -397,11 +410,11 @@ _INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
 
 @st.composite
 def raw_frames(draw):
-    """A request header with any opcode (the reserved 10 and unknown ones
-    included), random fields and a ``paylen`` within its op's bound,
-    plus the payload bytes actually sent."""
+    """A request header with any opcode (the reserved 10 and 12 and
+    unknown ones included), random fields and a ``paylen`` within its
+    op's bound, plus the payload bytes actually sent."""
     opcode = draw(st.one_of(
-        st.sampled_from([int(op) for op in Op]), st.just(10),
+        st.sampled_from([int(op) for op in Op]), st.sampled_from([10, 12]),
         st.integers(0, 255),
     ))
     bound = _payload_bound(opcode, CAPACITY)
@@ -466,3 +479,31 @@ class TestRawFrames:
             doorway.bystander.read(), values.astype(np.float32)
         )
         assert doorway.threads_before <= set(doorway.server_threads())
+
+    @pytest.mark.parametrize("doorway", ["tcp", "shm"], indirect=True)
+    def test_reserved_opcode_12_costs_one_connection(self, doorway):
+        """Opcode 12 was LIST, which no caller read.  It is refused like
+        any unknown opcode: the frame gets no answer and its connection
+        is dropped, while a client connected all along still completes
+        a WRITE and a READ."""
+        bystander = doorway.connect().create_array("w", 64)
+        header = struct.pack(
+            HEADER_FORMAT, 12, int(Status.OK), 0, 0, 0, 0, 0.0, 0,
+        )
+        if doorway.kind == "tcp":
+            sock = socket.create_connection(
+                doorway.server.address, timeout=5.0
+            )
+            sock.sendall(encode_hello() + header)
+            answer = sock.recv(1)
+            sock.close()
+        else:
+            channel = _ShmChannel(doorway.server.path, 5.0)
+            channel.block.buf[:HEADER_SIZE] = header
+            channel.sock.sendall(struct.pack("!q", DATA_OFFSET))
+            answer = channel.sock.recv(8)
+            channel.close()
+        assert answer == b"", "expected the connection severed"
+        values = np.arange(64, dtype=np.float32)
+        bystander.write(values)
+        assert np.array_equal(bystander.read(), values)

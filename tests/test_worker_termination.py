@@ -288,7 +288,7 @@ class TestOneReadPerDecision:
             ControlBlock.attach(doorway.connect(), "ctl", control.shm_key, 2),
             rank, criterion, 5, generation=1,
         )
-        stats = getattr(doorway.server, "core", doorway.server).stats
+        stats = doorway.core.stats
         before = stats.op_counts
         result = decide(coordinator)
         after = stats.op_counts
@@ -355,7 +355,7 @@ class TestOneReadPerIteration:
             elastic=True,
             max_workers=2,
         )
-        stats = getattr(doorway.server, "core", doorway.server).stats
+        stats = doorway.core.stats
         before = stats.op_counts.get("READ", 0)
         result = manager.run(timeout=120)
         reads = stats.op_counts["READ"] - before
